@@ -48,7 +48,7 @@ fn run_point(n: usize, rec: &mut BenchRecord) -> (u64, u64, usize, usize, usize)
         let mut sim = SimBuilder::new()
             .seed(4242)
             .latency(cmh_bench::sweep::latency_from_env())
-            .shards_from_env()
+            .shards(cmh_bench::sweep::shards_from_env())
             .build_mt::<cmh_core::process::BasicMsg, BasicProcess>();
         for _ in 0..n {
             sim.add_node(BasicProcess::new(BasicConfig::on_block(10)));

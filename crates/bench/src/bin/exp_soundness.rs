@@ -134,7 +134,7 @@ fn main() {
         let mut net = BasicNet::with_builder(
             sched.n,
             BasicConfig::on_block(SERVICE_DELAY),
-            builder(seed).shards_from_env(),
+            builder(seed).shards(cmh_bench::sweep::shards_from_env()),
         );
         time_ms(&mut sim_ms, || {
             drive_schedule(

@@ -26,9 +26,9 @@ pub fn parallel_enabled() -> bool {
 }
 
 /// The simulator shard count requested via `CMH_SHARDS` (unset, empty,
-/// `0` or unparsable mean 1 — the sequential engine). The same variable
-/// `simnet::sim::SimBuilder::shards_from_env` reads; mirrored here so the
-/// `exp_*` binaries can stamp the count into their [`crate::record`]s.
+/// `0` or unparsable mean 1 — the sequential engine). The one place the
+/// variable is read: the `exp_*` binaries pass the count to
+/// `SimBuilder::shards` and stamp it into their [`crate::record`]s.
 pub fn shards_from_env() -> usize {
     std::env::var("CMH_SHARDS")
         .ok()

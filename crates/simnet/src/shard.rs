@@ -46,9 +46,12 @@
 //! 2. **Sequential barrier phase**: the window logs are merged across
 //!    shards by the originating event's **`(time, global seq)` key** —
 //!    exactly the order the sequential engine would have executed them —
-//!    and each request is replayed against the sequencer: global RNG
-//!    draws (latency, fault classification), FIFO channel clocks, global
-//!    seq assignment, trace stitching. The merge walks a tournament tree
+//!    and each request calls the *same* `sim::Sequencer` method the
+//!    sequential engine calls inline: global RNG draws (latency, fault
+//!    classification), FIFO channel clocks, global seq assignment, trace
+//!    stitching. There is no second send path to keep in step; the
+//!    engines differ only in *when* a send reaches the sequencer and in
+//!    where its events land (`sim::Sink`). The merge walks a tournament tree
 //!    over the shard cursors (`O(log S)` per event) and consecutive trace
 //!    fragments are stitched by bulk `extend`; replayed pushes land in
 //!    the owning shard's queue keyed `(time, seq)`.
@@ -72,17 +75,16 @@
 // window; all RNG, trace and scheduling order is replayed sequentially at
 // the window barrier, so results are bit-identical to single-threaded runs.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::equeue::{EntryId, EventQueue};
-use crate::faults::{DropReason, FaultState, SendFate};
-use crate::latency::LatencyModel;
+use crate::faults::DropReason;
 use crate::metrics::{builtin, Metrics};
-use crate::reliable::{ReliableConfig, ReliableState, WireAccept};
+use crate::reliable::{ReliableConfig, ReliableState, RetransmitVerdict, WireAccept};
 use crate::rng::DetRng;
 use crate::sim::{
-    summarize, Context, NodeId, PendingEvent, Process, RunOutcome, TimerId, WindowStats,
+    summarize, Context, EventKind, NodeId, PendingEvent, Process, RunOutcome, Sequencer, Sink,
+    TimerId, WindowStats,
 };
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceEvent};
@@ -100,52 +102,15 @@ const NODE_RNG_STREAM: u64 = 0x5348_4152_4400_0000;
 /// scoped-spawn era's 30–60 µs that set the old 4096 threshold. Against
 /// the cheapest handlers we ship (the ring micro-bench's ~150 ns/event),
 /// 2-way overlap repays the wake at ≈100 pending events; 512 keeps a
-/// ~5× margin so the pool only engages when clearly profitable. See
-/// `SimBuilder::par_threshold` for the override.
-pub(crate) const DEFAULT_PAR_THRESHOLD: usize = 512;
-
-/// Events of a shard queue. Mirrors the sequential engine's event kinds;
-/// `Timer` additionally carries its slab handle so the fired callback sees
-/// the same [`TimerId`] that `set_timer` returned.
-enum SEv<M> {
-    Start(NodeId),
-    Deliver {
-        from: NodeId,
-        to: NodeId,
-        msg: M,
-    },
-    Timer {
-        node: NodeId,
-        tag: u64,
-        slot: u32,
-        gen: u16,
-    },
-    Crash(NodeId),
-    Restart(NodeId),
-    Wire {
-        from: NodeId,
-        to: NodeId,
-        seq: u64,
-    },
-    WireAck {
-        from: NodeId,
-        to: NodeId,
-        next: u64,
-    },
-    Retransmit {
-        from: NodeId,
-        to: NodeId,
-        seq: u64,
-        attempt: u32,
-    },
-}
+/// ~5× margin so the pool only engages when clearly profitable. Results
+/// are bit-identical either way ([`crate::sim::SimBuilder::workers`] pins
+/// the count and bypasses the threshold).
+const DEFAULT_PAR_THRESHOLD: u64 = 512;
 
 /// A side effect deferred by the parallel phase, replayed at the barrier
 /// in global-seq order.
 enum Req<M> {
-    /// Full application send (the sequential engine's `Core::send`):
-    /// crashed-sender check, then the reliable or raw path with its
-    /// latency/fault draws.
+    /// Full application send ([`Sequencer::send`]).
     Send { from: NodeId, to: NodeId, msg: M },
     /// Arm a timer allocated in the parallel phase.
     PushTimer {
@@ -160,16 +125,14 @@ enum Req<M> {
     CancelTimer { shard: usize, slot: u32, gen: u16 },
     /// Cumulative ack for data channel `(from, to)`, sent `to -> from`.
     SendAck { from: NodeId, to: NodeId, next: u64 },
-    /// Put one copy of reliable packet `(from, to, seq)` on the wire
-    /// (retransmission path; the latency draw happens at replay).
-    Transmit { from: NodeId, to: NodeId, seq: u64 },
-    /// Re-arm the retransmission timer after a retry.
-    Rearm {
+    /// What a due retransmission timer decided, other than `Done`
+    /// ([`Sequencer::retransmit`]; the latency draw happens at replay).
+    Retransmit {
         from: NodeId,
         to: NodeId,
         seq: u64,
         attempt: u32,
-        backoff: u64,
+        verdict: RetransmitVerdict,
     },
     /// Propagate a crash-flag flip to the sequencer's global mirror.
     CrashFlip { node: NodeId, down: bool },
@@ -294,7 +257,7 @@ pub(crate) struct ShardLocal<M> {
     nshards: usize,
     node_count: usize,
     now: SimTime,
-    queue: EventQueue<SEv<M>>,
+    queue: EventQueue<EventKind<M>>,
     metrics: Metrics,
     /// Crash flags for this shard's nodes, indexed by local id.
     crashed: Vec<bool>,
@@ -315,7 +278,6 @@ pub(crate) struct ShardLocal<M> {
     /// ticks `<= floor` stay safe, ticks beyond it would run out of
     /// order. Reset to `SimTime::MAX` at every window start.
     floor: SimTime,
-    delivery_buf: Vec<M>,
     /// Per-node handler RNG substreams, indexed by local id.
     rngs: Vec<DetRng>,
     tracing: bool,
@@ -454,118 +416,6 @@ impl<M: fmt::Debug + Clone> ShardLocal<M> {
     pub(crate) fn ctx_halt(&mut self) {
         self.halted = true;
     }
-
-    // ---- parallel-phase event handling ----
-
-    /// Mirrors the sequential engine's `wire_arrival`: resequence and
-    /// deduplicate packet `seq`, stage deliverable payloads in
-    /// `delivery_buf`, and defer the cumulative ack.
-    fn wire_arrival(&mut self, from: NodeId, to: NodeId, seq: u64) {
-        self.delivery_buf.clear();
-        let rel = self.rel.as_mut().expect("reliable state present");
-        let ReliableState {
-            senders,
-            receivers,
-            ready,
-            ..
-        } = rel;
-        ready.clear();
-        let chan = receivers.entry((from, to)).or_default();
-        let accept = chan.accept(seq, ready);
-        let next = chan.expected;
-        match accept {
-            WireAccept::Duplicate => self.metrics.inc(builtin::DUPLICATES_SUPPRESSED),
-            WireAccept::Buffered => {}
-            WireAccept::Deliver => {
-                if let Some(chan) = senders.get_mut(&(from, to)) {
-                    for s in ready.iter() {
-                        if let Some(msg) = chan.buf.get_mut(s).and_then(|slot| slot.take()) {
-                            self.delivery_buf.push(msg);
-                        }
-                    }
-                }
-            }
-        }
-        self.items.push(Item::Req(Req::SendAck { from, to, next }));
-    }
-
-    fn ack_arrival(&mut self, from: NodeId, to: NodeId, next: u64) {
-        if let Some(rel) = self.rel.as_mut() {
-            if let Some(chan) = rel.senders.get_mut(&(from, to)) {
-                while let Some((&s, _)) = chan.buf.first_key_value() {
-                    if s >= next {
-                        break;
-                    }
-                    chan.buf.pop_first();
-                }
-            }
-        }
-    }
-
-    fn retransmit_due(&mut self, from: NodeId, to: NodeId, seq: u64, attempt: u32) {
-        enum Action {
-            Done,
-            GiveUp,
-            Retry(u64),
-        }
-        let action = {
-            let Some(rel) = self.rel.as_mut() else { return };
-            let cfg = rel.cfg;
-            match rel.senders.get_mut(&(from, to)) {
-                Some(chan) if chan.buf.contains_key(&seq) => {
-                    if attempt >= cfg.max_attempts {
-                        chan.buf.remove(&seq);
-                        Action::GiveUp
-                    } else {
-                        Action::Retry(cfg.backoff(attempt + 1))
-                    }
-                }
-                _ => Action::Done,
-            }
-        };
-        match action {
-            Action::Done => {}
-            Action::GiveUp => {
-                self.metrics.inc(builtin::DELIVERIES_ABANDONED);
-                self.metrics.inc(builtin::MESSAGES_DROPPED);
-                if self.tracing {
-                    let at = self.now;
-                    self.items.push(Item::Trace(TraceEvent::Drop {
-                        at,
-                        from,
-                        to,
-                        // cmh-lint: allow(D7) — gated on the shard's cached tracing flag (= Trace::is_enabled).
-                        summary: format!("pkt seq={seq}"),
-                        reason: DropReason::Abandoned,
-                    }));
-                }
-            }
-            Action::Retry(backoff) => {
-                self.metrics.inc(builtin::RETRANSMISSIONS);
-                if self.tracing {
-                    let at = self.now;
-                    self.items.push(Item::Trace(TraceEvent::Retransmit {
-                        at,
-                        from,
-                        to,
-                        seq,
-                        attempt,
-                    }));
-                }
-                self.items.push(Item::Req(Req::Transmit { from, to, seq }));
-                // The re-armed Retransmit event is routed back to this
-                // shard (receiver-side channel state); cap the drain.
-                self.floor = self.floor.min(self.now + backoff);
-                self.items.push(Item::Req(Req::Rearm {
-                    from,
-                    to,
-                    seq,
-                    attempt: attempt + 1,
-                    backoff,
-                }));
-            }
-        }
-    }
 }
 
 /// A shard: its local state plus the processes that live on it.
@@ -619,15 +469,15 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Shard<M, P> {
         handled
     }
 
-    fn handle(&mut self, ev: SEv<M>) {
+    fn handle(&mut self, ev: EventKind<M>) {
         let Shard { local, procs } = self;
         match ev {
-            SEv::Start(node) => {
+            EventKind::Start(node) => {
                 let l = local.local_idx(node);
                 let mut ctx = Context::for_shard(node, local);
                 procs[l].on_start(&mut ctx);
             }
-            SEv::Deliver { from, to, msg } => {
+            EventKind::Deliver { from, to, msg } => {
                 if local.is_crashed(to) {
                     local.metrics.inc(builtin::MESSAGES_DROPPED);
                     if local.tracing {
@@ -660,7 +510,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Shard<M, P> {
                 let mut ctx = Context::for_shard(to, local);
                 procs[l].on_message(&mut ctx, from, msg);
             }
-            SEv::Timer {
+            EventKind::Timer {
                 node,
                 tag,
                 slot,
@@ -683,7 +533,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Shard<M, P> {
                 let mut ctx = Context::for_shard(node, local);
                 procs[l].on_timer(&mut ctx, id, tag);
             }
-            SEv::Crash(node) => {
+            EventKind::Crash(node) => {
                 if local.set_crashed(node, true) {
                     local.metrics.inc(builtin::CRASHES);
                     if local.tracing {
@@ -697,7 +547,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Shard<M, P> {
                         .push(Item::Req(Req::CrashFlip { node, down: true }));
                 }
             }
-            SEv::Restart(node) => {
+            EventKind::Restart(node) => {
                 if local.set_crashed(node, false) {
                     local.metrics.inc(builtin::RESTARTS);
                     if local.tracing {
@@ -714,7 +564,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Shard<M, P> {
                     procs[l].on_restart(&mut ctx);
                 }
             }
-            SEv::Wire { from, to, seq } => {
+            EventKind::Wire { from, to, seq } => {
                 if local.is_crashed(to) {
                     local.metrics.inc(builtin::MESSAGES_DROPPED);
                     if local.tracing {
@@ -730,8 +580,13 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Shard<M, P> {
                     }
                     return;
                 }
-                local.wire_arrival(from, to, seq);
-                let mut staged = std::mem::take(&mut local.delivery_buf);
+                let rel = local.rel.as_mut().expect("reliable state present");
+                let (accept, next) = rel.accept(from, to, seq);
+                if accept == WireAccept::Duplicate {
+                    local.metrics.inc(builtin::DUPLICATES_SUPPRESSED);
+                }
+                let mut staged = std::mem::take(&mut rel.staged);
+                local.items.push(Item::Req(Req::SendAck { from, to, next }));
                 for msg in staged.drain(..) {
                     local.metrics.inc(builtin::MESSAGES_DELIVERED);
                     if local.tracing {
@@ -749,62 +604,53 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Shard<M, P> {
                     let mut ctx = Context::for_shard(to, local);
                     procs[l].on_message(&mut ctx, from, msg);
                 }
-                local.delivery_buf = staged;
+                local.rel.as_mut().expect("reliable state present").staged = staged;
             }
-            SEv::WireAck { from, to, next } => {
+            EventKind::WireAck { from, to, next } => {
                 // Transport state is stable storage: processed even while
                 // the sender is crashed.
-                local.ack_arrival(from, to, next);
+                if let Some(rel) = &mut local.rel {
+                    rel.ack(from, to, next);
+                }
             }
-            SEv::Retransmit {
+            EventKind::Retransmit {
                 from,
                 to,
                 seq,
                 attempt,
             } => {
-                local.retransmit_due(from, to, seq, attempt);
+                let Some(rel) = &mut local.rel else { return };
+                let verdict = rel.retransmit_due(from, to, seq, attempt);
+                if let RetransmitVerdict::Retry(backoff) = verdict {
+                    // The re-armed Retransmit event is routed back to this
+                    // shard (receiver-side channel state); cap the drain.
+                    local.floor = local.floor.min(local.now + backoff);
+                }
+                if verdict != RetransmitVerdict::Done {
+                    local.items.push(Item::Req(Req::Retransmit {
+                        from,
+                        to,
+                        seq,
+                        attempt,
+                        verdict,
+                    }));
+                }
             }
         }
     }
 }
 
-/// The barrier-phase owner of everything globally ordered: the latency and
-/// fault RNG streams, FIFO channel clocks, the global event sequence
-/// counter, the merged trace, and the global crash mirror.
-struct Sequencer {
-    now: SimTime,
-    seq: u64,
-    rng: DetRng,
-    latency: LatencyModel,
-    fifo: bool,
-    faults: Option<FaultState>,
-    /// FIFO channel clocks, keyed `(from, to)`. Sparse: the sequential
-    /// engine's dense `Vec<Vec<_>>` would cost O(N²) at 10⁶ nodes.
-    clocks: BTreeMap<(usize, usize), SimTime>,
-    metrics: Metrics,
-    trace: Trace,
-    /// Global crash mirror (consulted by the replayed send path and the
-    /// public accessor); authoritative flags live on the owning shard.
-    crashed: Vec<bool>,
-    halted: bool,
-    node_count: usize,
-    reliable: bool,
-}
+impl<M: fmt::Debug + Clone, P> Sink for Vec<Shard<M, P>> {
+    type Msg = M;
 
-impl Sequencer {
-    fn is_crashed(&self, node: NodeId) -> bool {
-        self.crashed.get(node.0).copied().unwrap_or(false)
+    fn push(&mut self, at: SimTime, seq: u64, ev: EventKind<M>) -> EntryId {
+        let s = ev.dst().0 % self.len();
+        self[s].local.queue.push((at, seq), ev)
     }
 
-    fn set_crashed(&mut self, node: NodeId, down: bool) {
-        if self.crashed.len() <= node.0 {
-            self.crashed.resize(node.0 + 1, false);
-        }
-        self.crashed[node.0] = down;
-    }
-
-    fn clock_mut(&mut self, from: NodeId, to: NodeId) -> &mut SimTime {
-        self.clocks.entry((from.0, to.0)).or_insert(SimTime::ZERO)
+    fn reliable(&mut self, to: NodeId) -> Option<&mut ReliableState<M>> {
+        let s = to.0 % self.len();
+        self[s].local.rel.as_mut()
     }
 }
 
@@ -962,10 +808,6 @@ pub(crate) struct ShardedSim<M, P> {
     /// Each dispatched window `[t, t + win_len)` is further narrowed by
     /// the hazard rule in [`ShardedSim::next_window`].
     win_len: u64,
-    /// Pending-event backlog at which the threaded handler phase engages
-    /// (the measured pool break-even; see
-    /// [`crate::sim::SimBuilder::par_threshold`]).
-    par_threshold: usize,
     /// Persistent parked worker threads, created lazily (by the captured
     /// `par_exec` capability, which carries the necessary bounds) on the
     /// first window that engages the threaded phase. Type-erased so the
@@ -1023,26 +865,19 @@ pub(crate) fn pool_pass1<M, P>(
 }
 
 impl<M: fmt::Debug + Clone, P: Process<M>> ShardedSim<M, P> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         nshards: usize,
-        seed: u64,
-        latency: LatencyModel,
-        fifo: bool,
-        tracing: bool,
-        faults: Option<FaultState>,
+        seqr: Sequencer,
         reliable: Option<ReliableConfig>,
         par_exec: Option<ParExec<M, P>>,
         workers: Option<usize>,
-        par_threshold: Option<usize>,
     ) -> Self {
         let nshards = nshards.max(1);
-        let rng = DetRng::seed_from_u64(seed);
+        let min_delay = seqr.latency.min_delay();
         let win_len = reliable
-            .as_ref()
-            .map(|cfg| latency.min_delay().min(cfg.backoff(1)))
-            .unwrap_or_else(|| latency.min_delay())
+            .map_or(min_delay, |cfg| min_delay.min(cfg.backoff(1)))
             .max(1);
+        let tracing = seqr.trace.is_enabled();
         let shards = (0..nshards)
             .map(|idx| Shard {
                 local: ShardLocal {
@@ -1058,7 +893,6 @@ impl<M: fmt::Debug + Clone, P: Process<M>> ShardedSim<M, P> {
                     items: Vec::new(),
                     marks: Vec::new(),
                     floor: SimTime::MAX,
-                    delivery_buf: Vec::new(),
                     rngs: Vec::new(),
                     tracing,
                     halted: false,
@@ -1070,21 +904,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> ShardedSim<M, P> {
             .collect();
         ShardedSim {
             shards,
-            seqr: Sequencer {
-                now: SimTime::ZERO,
-                seq: 0,
-                rng,
-                latency,
-                fifo,
-                faults,
-                clocks: BTreeMap::new(),
-                metrics: Metrics::new(),
-                trace: Trace::new(tracing),
-                crashed: Vec::new(),
-                halted: false,
-                node_count: 0,
-                reliable: reliable.is_some(),
-            },
+            seqr,
             started: false,
             par_exec,
             workers: workers
@@ -1092,7 +912,6 @@ impl<M: fmt::Debug + Clone, P: Process<M>> ShardedSim<M, P> {
                 .unwrap_or_else(|| worker_budget(nshards)),
             forced_workers: workers.is_some(),
             win_len,
-            par_threshold: par_threshold.unwrap_or(DEFAULT_PAR_THRESHOLD),
             pool: None,
             stats: WindowStats::default(),
             log_scratch: Vec::new(),
@@ -1182,18 +1001,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> ShardedSim<M, P> {
     pub(crate) fn in_flight_messages(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| {
-                s.local
-                    .queue
-                    .values()
-                    .filter(|k| {
-                        matches!(
-                            k,
-                            SEv::Deliver { .. } | SEv::Wire { .. } | SEv::Retransmit { .. }
-                        )
-                    })
-                    .count()
-            })
+            .map(|s| s.local.queue.values().filter(|k| k.in_flight()).count())
             .sum()
     }
 
@@ -1217,19 +1025,11 @@ impl<M: fmt::Debug + Clone, P: Process<M>> ShardedSim<M, P> {
     pub(crate) fn peek_event(&mut self) -> Option<(SimTime, PendingEvent<'_, M>)> {
         self.ensure_started();
         let (i, _) = self.min_shard()?;
-        self.shards[i].local.queue.peek().map(|((at, _), kind)| {
-            let p = match kind {
-                SEv::Deliver { msg, .. } => PendingEvent::Deliver(msg),
-                SEv::Timer { tag, .. } => PendingEvent::Timer { tag: *tag },
-                SEv::Wire { .. } => PendingEvent::Wire,
-                SEv::Start(_)
-                | SEv::Crash(_)
-                | SEv::Restart(_)
-                | SEv::WireAck { .. }
-                | SEv::Retransmit { .. } => PendingEvent::Other,
-            };
-            (at, p)
-        })
+        self.shards[i]
+            .local
+            .queue
+            .peek()
+            .map(|((at, _), kind)| (at, kind.pending()))
     }
 
     pub(crate) fn with_node<R>(
@@ -1266,32 +1066,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> ShardedSim<M, P> {
             return;
         }
         self.started = true;
-        for i in 0..self.seqr.node_count {
-            self.push_ev(SimTime::ZERO, SEv::Start(NodeId(i)));
-        }
-        if let Some(f) = &self.seqr.faults {
-            let crashes = f.plan().crashes.clone();
-            for c in crashes {
-                self.push_ev(c.at, SEv::Crash(c.node));
-                if let Some(back) = c.restart_at {
-                    self.push_ev(back.max(c.at), SEv::Restart(c.node));
-                }
-            }
-        }
-    }
-
-    fn push_ev(&mut self, at: SimTime, ev: SEv<M>) {
-        let dst = match &ev {
-            SEv::Start(n) | SEv::Crash(n) | SEv::Restart(n) | SEv::Timer { node: n, .. } => *n,
-            SEv::Deliver { to, .. }
-            | SEv::Wire { to, .. }
-            | SEv::WireAck { to, .. }
-            | SEv::Retransmit { to, .. } => *to,
-        };
-        let s = dst.0 % self.shards.len();
-        let seq = self.seqr.seq;
-        self.seqr.seq += 1;
-        self.shards[s].local.queue.push((at, seq), ev);
+        self.seqr.start(&mut self.shards);
     }
 
     /// Computes the next window `[start, end)`, or `None` at quiescence.
@@ -1366,7 +1141,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> ShardedSim<M, P> {
             // a scheduling heuristic.
             let use_threads = self.workers > 1
                 && self.par_exec.is_some()
-                && (self.forced_workers || pending >= self.par_threshold as u64)
+                && (self.forced_workers || pending >= DEFAULT_PAR_THRESHOLD)
                 && self
                     .shards
                     .iter()
@@ -1583,7 +1358,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> ShardedSim<M, P> {
 
     fn replay_req(&mut self, req: Req<M>) {
         match req {
-            Req::Send { from, to, msg } => self.seq_send(from, to, msg),
+            Req::Send { from, to, msg } => self.seqr.send(&mut self.shards, from, to, msg),
             Req::PushTimer {
                 node,
                 slot,
@@ -1603,18 +1378,9 @@ impl<M: fmt::Debug + Clone, P: Process<M>> ShardedSim<M, P> {
                         gen: g,
                         cancelled: false,
                     }) if g == gen => {
-                        let at = self.seqr.now + delay.max(1);
-                        let seq = self.seqr.seq;
-                        self.seqr.seq += 1;
-                        let entry = self.shards[s].local.queue.push(
-                            (at, seq),
-                            SEv::Timer {
-                                node,
-                                tag,
-                                slot,
-                                gen,
-                            },
-                        );
+                        let entry =
+                            self.seqr
+                                .arm_timer(&mut self.shards, node, delay, tag, slot, gen);
                         self.shards[s].local.timers.slots[slot as usize] =
                             TimerSlot::Armed { gen, entry };
                     }
@@ -1643,283 +1409,18 @@ impl<M: fmt::Debug + Clone, P: Process<M>> ShardedSim<M, P> {
                     _ => {}
                 }
             }
-            Req::SendAck { from, to, next } => self.seq_send_ack(from, to, next),
-            Req::Transmit { from, to, seq } => {
-                let delay = self.seqr.latency.sample(&mut self.seqr.rng, from, to);
-                self.seq_transmit_packet(from, to, seq, delay);
-            }
-            Req::Rearm {
+            Req::SendAck { from, to, next } => self.seqr.send_ack(&mut self.shards, from, to, next),
+            Req::Retransmit {
                 from,
                 to,
                 seq,
                 attempt,
-                backoff,
-            } => {
-                let at = self.seqr.now + backoff;
-                self.push_ev(
-                    at,
-                    SEv::Retransmit {
-                        from,
-                        to,
-                        seq,
-                        attempt,
-                    },
-                );
-            }
-            Req::CrashFlip { node, down } => self.seqr.set_crashed(node, down),
-        }
-    }
-
-    // ---- barrier replay of the sequential engine's send paths ----
-
-    fn seq_send(&mut self, from: NodeId, to: NodeId, msg: M) {
-        if self.seqr.is_crashed(from) {
-            self.seqr.metrics.inc(builtin::MESSAGES_DROPPED);
-            if let Some(summary) = self.seqr.trace.is_enabled().then(|| summarize(&msg)) {
-                let at = self.seqr.now;
-                self.seqr.trace.push(TraceEvent::Drop {
-                    at,
-                    from,
-                    to,
-                    summary,
-                    reason: DropReason::CrashedSender,
-                });
-            }
-            return;
-        }
-        if self.seqr.reliable {
-            self.seq_send_reliable(from, to, msg);
-        } else {
-            self.seq_send_raw(from, to, msg);
-        }
-    }
-
-    fn seq_send_raw(&mut self, from: NodeId, to: NodeId, msg: M) {
-        let delay = self.seqr.latency.sample(&mut self.seqr.rng, from, to);
-        let fate = match &mut self.seqr.faults {
-            Some(f) => f.classify(self.seqr.now, from, to),
-            None => SendFate::clean(),
-        };
-        self.seqr.metrics.inc(builtin::MESSAGES_SENT);
-        let (duplicate, extra_delay) = match fate {
-            SendFate::Lost(reason) => {
-                self.seqr.metrics.inc(builtin::MESSAGES_DROPPED);
-                if let Some(summary) = self.seqr.trace.is_enabled().then(|| summarize(&msg)) {
-                    let at = self.seqr.now;
-                    self.seqr.trace.push(TraceEvent::Send {
-                        at,
-                        from,
-                        to,
-                        deliver_at: at + delay,
-                        summary: summary.clone(),
-                    });
-                    self.seqr.trace.push(TraceEvent::Drop {
-                        at,
-                        from,
-                        to,
-                        summary,
-                        reason,
-                    });
-                }
-                return;
-            }
-            SendFate::Deliver {
-                duplicate,
-                extra_delay,
-            } => (duplicate, extra_delay),
-        };
-        let deliver_at = if extra_delay > 0 {
-            self.seqr.now + delay + extra_delay
-        } else if self.seqr.fifo {
-            let now = self.seqr.now;
-            let clock = self.seqr.clock_mut(from, to);
-            let at = (*clock).max(now + delay);
-            *clock = at;
-            at
-        } else {
-            self.seqr.now + delay
-        };
-        if let Some(summary) = self.seqr.trace.is_enabled().then(|| summarize(&msg)) {
-            let at = self.seqr.now;
-            self.seqr.trace.push(TraceEvent::Send {
-                at,
-                from,
-                to,
-                deliver_at,
-                summary,
-            });
-        }
-        if duplicate {
-            let extra_copy_at =
-                self.seqr.now + self.seqr.latency.sample(&mut self.seqr.rng, from, to);
-            self.seqr.metrics.inc(builtin::MESSAGES_DUPLICATED);
-            if let Some(summary) = self.seqr.trace.is_enabled().then(|| summarize(&msg)) {
-                let at = self.seqr.now;
-                self.seqr.trace.push(TraceEvent::Duplicate {
-                    at,
-                    from,
-                    to,
-                    deliver_at: extra_copy_at,
-                    summary,
-                });
-            }
-            self.push_ev(
-                extra_copy_at,
-                SEv::Deliver {
-                    from,
-                    to,
-                    msg: msg.clone(),
-                },
-            );
-        }
-        self.push_ev(deliver_at, SEv::Deliver { from, to, msg });
-    }
-
-    fn seq_send_reliable(&mut self, from: NodeId, to: NodeId, msg: M) {
-        self.seqr.metrics.inc(builtin::MESSAGES_SENT);
-        let summary = self.seqr.trace.is_enabled().then(|| summarize(&msg));
-        let s = self.shard_of(to);
-        let (seq, rto) = {
-            let rel = self.shards[s]
-                .local
-                .rel
-                .as_mut()
-                .expect("reliable state present");
-            let chan = rel.senders.entry((from, to)).or_default();
-            let seq = chan.next_seq;
-            chan.next_seq += 1;
-            chan.buf.insert(seq, Some(msg));
-            (seq, rel.cfg.backoff(1))
-        };
-        let delay = self.seqr.latency.sample(&mut self.seqr.rng, from, to);
-        if let Some(summary) = summary {
-            let at = self.seqr.now;
-            self.seqr.trace.push(TraceEvent::Send {
-                at,
-                from,
-                to,
-                deliver_at: at + delay,
-                summary,
-            });
-        }
-        self.seq_transmit_packet(from, to, seq, delay);
-        let at = self.seqr.now + rto;
-        self.push_ev(
-            at,
-            SEv::Retransmit {
-                from,
-                to,
-                seq,
-                attempt: 1,
-            },
-        );
-    }
-
-    fn seq_transmit_packet(&mut self, from: NodeId, to: NodeId, seq: u64, delay: u64) {
-        let fate = match &mut self.seqr.faults {
-            Some(f) => f.classify(self.seqr.now, from, to),
-            None => SendFate::clean(),
-        };
-        match fate {
-            SendFate::Lost(reason) => {
-                self.seqr.metrics.inc(builtin::MESSAGES_DROPPED);
-                if let Some(summary) = self
-                    .seqr
-                    .trace
-                    .is_enabled()
-                    // cmh-lint: allow(D7) — gated on is_enabled just above; rustfmt splits the chain.
-                    .then(|| format!("pkt seq={seq}"))
-                {
-                    let at = self.seqr.now;
-                    self.seqr.trace.push(TraceEvent::Drop {
-                        at,
-                        from,
-                        to,
-                        summary,
-                        reason,
-                    });
-                }
-            }
-            SendFate::Deliver {
-                duplicate,
-                extra_delay,
-            } => {
-                let at = self.seqr.now + delay + extra_delay;
-                self.push_ev(at, SEv::Wire { from, to, seq });
-                if duplicate {
-                    let extra_copy_at =
-                        self.seqr.now + self.seqr.latency.sample(&mut self.seqr.rng, from, to);
-                    self.seqr.metrics.inc(builtin::MESSAGES_DUPLICATED);
-                    if let Some(summary) = self
-                        .seqr
-                        .trace
-                        .is_enabled()
-                        // cmh-lint: allow(D7) — gated on is_enabled just above; rustfmt splits the chain.
-                        .then(|| format!("pkt seq={seq}"))
-                    {
-                        let at = self.seqr.now;
-                        self.seqr.trace.push(TraceEvent::Duplicate {
-                            at,
-                            from,
-                            to,
-                            deliver_at: extra_copy_at,
-                            summary,
-                        });
-                    }
-                    self.push_ev(extra_copy_at, SEv::Wire { from, to, seq });
-                }
-            }
-        }
-    }
-
-    fn seq_send_ack(&mut self, from: NodeId, to: NodeId, next: u64) {
-        self.seqr.metrics.inc(builtin::ACKS_SENT);
-        let delay = self.seqr.latency.sample(&mut self.seqr.rng, to, from);
-        let fate = match &mut self.seqr.faults {
-            Some(f) => f.classify(self.seqr.now, to, from),
-            None => SendFate::clean(),
-        };
-        match fate {
-            SendFate::Lost(reason) => {
-                self.seqr.metrics.inc(builtin::MESSAGES_DROPPED);
-                if let Some(summary) = self
-                    .seqr
-                    .trace
-                    .is_enabled()
-                    // cmh-lint: allow(D7) — gated on is_enabled just above; rustfmt splits the chain.
-                    .then(|| format!("ack next={next}"))
-                {
-                    let at = self.seqr.now;
-                    self.seqr.trace.push(TraceEvent::Drop {
-                        at,
-                        from: to,
-                        to: from,
-                        summary,
-                        reason,
-                    });
-                }
-            }
-            SendFate::Deliver {
-                duplicate,
-                extra_delay,
-            } => {
-                if self.seqr.trace.is_enabled() {
-                    let at = self.seqr.now;
-                    self.seqr.trace.push(TraceEvent::Ack {
-                        at,
-                        from: to,
-                        to: from,
-                        next,
-                    });
-                }
-                let at = self.seqr.now + delay + extra_delay;
-                self.push_ev(at, SEv::WireAck { from, to, next });
-                if duplicate {
-                    let extra_copy_at =
-                        self.seqr.now + self.seqr.latency.sample(&mut self.seqr.rng, to, from);
-                    self.seqr.metrics.inc(builtin::MESSAGES_DUPLICATED);
-                    self.push_ev(extra_copy_at, SEv::WireAck { from, to, next });
-                }
+                verdict,
+            } => self
+                .seqr
+                .retransmit(&mut self.shards, from, to, seq, attempt, verdict),
+            Req::CrashFlip { node, down } => {
+                self.seqr.set_crashed(node, down);
             }
         }
     }

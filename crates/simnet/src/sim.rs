@@ -63,7 +63,7 @@ use crate::equeue::{EntryId, EventQueue};
 use crate::faults::{DropReason, FaultPlan, FaultState, SendFate};
 use crate::latency::LatencyModel;
 use crate::metrics::{builtin, Metrics};
-use crate::reliable::{ReliableConfig, ReliableState, WireAccept};
+use crate::reliable::{ReliableConfig, ReliableState, RetransmitVerdict, WireAccept};
 use crate::rng::DetRng;
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceEvent};
@@ -186,7 +186,8 @@ pub trait Process<M> {
     }
 }
 
-enum EventKind<M> {
+/// A scheduled event, on either engine.
+pub(crate) enum EventKind<M> {
     Start(NodeId),
     Deliver {
         from: NodeId,
@@ -196,6 +197,11 @@ enum EventKind<M> {
     Timer {
         node: NodeId,
         tag: u64,
+        /// The sharded engine's timer-slab handle, so the fired callback
+        /// sees the same [`TimerId`] that `set_timer` returned. Zero on
+        /// the sequential engine, whose ids name the queue entry itself.
+        slot: u32,
+        gen: u16,
     },
     /// Fault plan: `node` goes down.
     Crash(NodeId),
@@ -351,12 +357,51 @@ impl<M> EventKind<M> {
         match *self {
             EventKind::Start(n) => EventClass::Start(n),
             EventKind::Deliver { from, to, .. } => EventClass::Deliver { from, to },
-            EventKind::Timer { node, tag } => EventClass::Timer { node, tag },
+            EventKind::Timer { node, tag, .. } => EventClass::Timer { node, tag },
             EventKind::Crash(n) => EventClass::Crash(n),
             EventKind::Restart(n) => EventClass::Restart(n),
             EventKind::Wire { from, to, .. } => EventClass::Wire { from, to },
             EventKind::WireAck { from, to, .. } => EventClass::WireAck { from, to },
             EventKind::Retransmit { from, to, .. } => EventClass::Retransmit { from, to },
+        }
+    }
+
+    /// The node whose shard holds the event: the handling node, or — for
+    /// transport events — the channel's *receiver*, so both halves of a
+    /// channel's state stay local to the events that touch them.
+    pub(crate) fn dst(&self) -> NodeId {
+        match *self {
+            EventKind::Start(n)
+            | EventKind::Crash(n)
+            | EventKind::Restart(n)
+            | EventKind::Timer { node: n, .. } => n,
+            EventKind::Deliver { to, .. }
+            | EventKind::Wire { to, .. }
+            | EventKind::WireAck { to, .. }
+            | EventKind::Retransmit { to, .. } => to,
+        }
+    }
+
+    /// True for message-bearing events (see
+    /// [`Simulation::in_flight_messages`]).
+    pub(crate) fn in_flight(&self) -> bool {
+        matches!(
+            self,
+            EventKind::Deliver { .. } | EventKind::Wire { .. } | EventKind::Retransmit { .. }
+        )
+    }
+
+    /// The lossy view [`Simulation::peek_event`] exposes.
+    pub(crate) fn pending(&self) -> PendingEvent<'_, M> {
+        match self {
+            EventKind::Deliver { msg, .. } => PendingEvent::Deliver(msg),
+            EventKind::Timer { tag, .. } => PendingEvent::Timer { tag: *tag },
+            EventKind::Wire { .. } => PendingEvent::Wire,
+            EventKind::Start(_)
+            | EventKind::Crash(_)
+            | EventKind::Restart(_)
+            | EventKind::WireAck { .. }
+            | EventKind::Retransmit { .. } => PendingEvent::Other,
         }
     }
 }
@@ -374,14 +419,14 @@ pub struct Context<'a, M> {
 /// the sharded core (which defers globally ordered side effects to its
 /// window barrier; see [`crate::shard`]).
 enum CtxInner<'a, M> {
-    Single(&'a mut Core<M>),
+    Single(&'a mut Sequencer, &'a mut Core<M>),
     Shard(&'a mut crate::shard::ShardLocal<M>),
 }
 
 impl<M> fmt::Debug for Context<'_, M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let now = match &self.inner {
-            CtxInner::Single(core) => core.now,
+            CtxInner::Single(seqr, _) => seqr.now,
             CtxInner::Shard(local) => local.ctx_now(),
         };
         f.debug_struct("Context")
@@ -392,10 +437,10 @@ impl<M> fmt::Debug for Context<'_, M> {
 }
 
 impl<'a, M: fmt::Debug + Clone> Context<'a, M> {
-    fn for_core(node: NodeId, core: &'a mut Core<M>) -> Self {
+    fn for_core(node: NodeId, seqr: &'a mut Sequencer, core: &'a mut Core<M>) -> Self {
         Context {
             node,
-            inner: CtxInner::Single(core),
+            inner: CtxInner::Single(seqr, core),
         }
     }
 
@@ -414,7 +459,7 @@ impl<'a, M: fmt::Debug + Clone> Context<'a, M> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         match &self.inner {
-            CtxInner::Single(core) => core.now,
+            CtxInner::Single(seqr, _) => seqr.now,
             CtxInner::Shard(local) => local.ctx_now(),
         }
     }
@@ -422,7 +467,7 @@ impl<'a, M: fmt::Debug + Clone> Context<'a, M> {
     /// Number of nodes in the simulation.
     pub fn node_count(&self) -> usize {
         match &self.inner {
-            CtxInner::Single(core) => core.node_count,
+            CtxInner::Single(seqr, _) => seqr.node_count,
             CtxInner::Shard(local) => local.ctx_node_count(),
         }
     }
@@ -440,7 +485,7 @@ impl<'a, M: fmt::Debug + Clone> Context<'a, M> {
     /// schedule, and `(now, event_seq)` restores the canonical order.
     pub fn event_seq(&self) -> u64 {
         match &self.inner {
-            CtxInner::Single(core) => core.cur_seq,
+            CtxInner::Single(_, core) => core.cur_seq,
             CtxInner::Shard(local) => local.ctx_event_seq(),
         }
     }
@@ -449,7 +494,7 @@ impl<'a, M: fmt::Debug + Clone> Context<'a, M> {
     /// in FIFO order with respect to other messages on the same channel.
     pub fn send(&mut self, to: NodeId, msg: M) {
         match &mut self.inner {
-            CtxInner::Single(core) => core.send(self.node, to, msg),
+            CtxInner::Single(seqr, core) => seqr.send(*core, self.node, to, msg),
             CtxInner::Shard(local) => local.ctx_send(self.node, to, msg),
         }
     }
@@ -457,7 +502,9 @@ impl<'a, M: fmt::Debug + Clone> Context<'a, M> {
     /// Schedules `on_timer` to run after `delay` ticks with the given tag.
     pub fn set_timer(&mut self, delay: u64, tag: u64) -> TimerId {
         match &mut self.inner {
-            CtxInner::Single(core) => core.set_timer(self.node, delay, tag),
+            CtxInner::Single(seqr, core) => {
+                TimerId(seqr.arm_timer(*core, self.node, delay, tag, 0, 0).raw())
+            }
             CtxInner::Shard(local) => local.ctx_set_timer(self.node, delay, tag),
         }
     }
@@ -478,7 +525,7 @@ impl<'a, M: fmt::Debug + Clone> Context<'a, M> {
     /// (debug builds assert; see DESIGN §12).
     pub fn cancel_timer(&mut self, id: TimerId) {
         match &mut self.inner {
-            CtxInner::Single(core) => {
+            CtxInner::Single(_, core) => {
                 core.queue.remove(EntryId::from_raw(id.0));
             }
             CtxInner::Shard(local) => local.ctx_cancel_timer(id),
@@ -488,7 +535,7 @@ impl<'a, M: fmt::Debug + Clone> Context<'a, M> {
     /// Increments the metric counter named `kind`.
     pub fn count(&mut self, kind: &str) {
         match &mut self.inner {
-            CtxInner::Single(core) => core.metrics.inc(kind),
+            CtxInner::Single(seqr, _) => seqr.metrics.inc(kind),
             CtxInner::Shard(local) => local.ctx_count(kind),
         }
     }
@@ -496,7 +543,7 @@ impl<'a, M: fmt::Debug + Clone> Context<'a, M> {
     /// Adds `n` to the metric counter named `kind`.
     pub fn count_n(&mut self, kind: &str, n: u64) {
         match &mut self.inner {
-            CtxInner::Single(core) => core.metrics.add(kind, n),
+            CtxInner::Single(seqr, _) => seqr.metrics.add(kind, n),
             CtxInner::Shard(local) => local.ctx_count_n(kind, n),
         }
     }
@@ -506,7 +553,7 @@ impl<'a, M: fmt::Debug + Clone> Context<'a, M> {
     /// entirely when this is off, so a disabled trace allocates nothing.
     pub fn tracing(&self) -> bool {
         match &self.inner {
-            CtxInner::Single(core) => core.trace.is_enabled(),
+            CtxInner::Single(seqr, _) => seqr.trace.is_enabled(),
             CtxInner::Shard(local) => local.ctx_tracing(),
         }
     }
@@ -514,13 +561,13 @@ impl<'a, M: fmt::Debug + Clone> Context<'a, M> {
     /// Records a free-form trace annotation (no-op when tracing is off).
     pub fn note(&mut self, text: impl Into<String>) {
         match &mut self.inner {
-            CtxInner::Single(core) => {
-                if !core.trace.is_enabled() {
+            CtxInner::Single(seqr, _) => {
+                if !seqr.trace.is_enabled() {
                     return;
                 }
-                let at = core.now;
+                let at = seqr.now;
                 let node = self.node;
-                core.trace.push(TraceEvent::Note {
+                seqr.trace.push(TraceEvent::Note {
                     at,
                     node,
                     text: text.into(),
@@ -547,9 +594,9 @@ impl<'a, M: fmt::Debug + Clone> Context<'a, M> {
     /// unrelated events were interleaved.
     pub fn rng(&mut self) -> &mut DetRng {
         match &mut self.inner {
-            CtxInner::Single(core) => match &mut core.explore {
+            CtxInner::Single(seqr, _) => match &mut seqr.explore {
                 Some(ex) => ex.node_rng(self.node),
-                None => &mut core.rng,
+                None => &mut seqr.rng,
             },
             CtxInner::Shard(local) => local.ctx_rng(self.node),
         }
@@ -559,60 +606,142 @@ impl<'a, M: fmt::Debug + Clone> Context<'a, M> {
     /// sharded engine: after the current window's barrier).
     pub fn halt(&mut self) {
         match &mut self.inner {
-            CtxInner::Single(core) => core.halted = true,
+            CtxInner::Single(seqr, _) => seqr.halted = true,
             CtxInner::Shard(local) => local.ctx_halt(),
         }
     }
 }
 
+/// The sequential engine's event store — the one global queue and every
+/// reliable channel: where its [`Sequencer`]'s output lands.
 struct Core<M> {
-    now: SimTime,
     queue: EventQueue<EventKind<M>>,
-    seq: u64,
+    rel: Option<ReliableState<M>>,
     /// Seq of the event currently being handled; `u64::MAX` outside
     /// handlers (driver code via `with_node`). See [`Context::event_seq`].
     cur_seq: u64,
+}
+
+/// Where a [`Sequencer`]'s output lands. The sequential engine passes its
+/// [`Core`]; the sharded engine passes its shard vector, where an event
+/// goes to the queue of shard `dst mod S` and a channel's state lives on
+/// its receiver's shard.
+pub(crate) trait Sink {
+    /// The simulation's payload type.
+    type Msg: fmt::Debug + Clone;
+
+    /// Stores `ev` under scheduler key `(at, seq)`.
+    fn push(&mut self, at: SimTime, seq: u64, ev: EventKind<Self::Msg>) -> EntryId;
+
+    /// The reliable-transport state holding the channels into `to`;
+    /// `None` when the layer is off.
+    fn reliable(&mut self, to: NodeId) -> Option<&mut ReliableState<Self::Msg>>;
+}
+
+impl<M: fmt::Debug + Clone> Sink for Core<M> {
+    type Msg = M;
+
+    fn push(&mut self, at: SimTime, seq: u64, ev: EventKind<M>) -> EntryId {
+        self.queue.push((at, seq), ev)
+    }
+
+    fn reliable(&mut self, _to: NodeId) -> Option<&mut ReliableState<M>> {
+        self.rel.as_mut()
+    }
+}
+
+/// The single owner of everything *globally ordered* in a run — virtual
+/// time, the event sequence counter, the latency and fault RNG streams,
+/// FIFO channel clocks, crash flags, metrics and the trace — and with
+/// them the wire semantics (send → fault → FIFO clock → reliable). Both
+/// engines hold one and call the same methods: the sequential engine
+/// inline from its handlers, the sharded engine from its window barrier,
+/// which replays deferred requests in the sequential order (see
+/// [`crate::shard`]).
+pub(crate) struct Sequencer {
+    pub(crate) now: SimTime,
+    seq: u64,
     /// Per-channel FIFO clocks, keyed `(from, to)` sparsely. A dense
     /// `[from][to]` table is two array lookups but O(N²) memory — at
     /// 10⁵+ nodes (the `exp_scale` sweep) the table, not the event
     /// queue, dominated the whole process. Channels actually used are
     /// bounded by the traffic, so the sorted map stays small and cached.
     channel_clock: BTreeMap<(usize, usize), SimTime>,
-    latency: LatencyModel,
-    rng: DetRng,
-    metrics: Metrics,
-    trace: Trace,
-    halted: bool,
-    node_count: usize,
+    pub(crate) latency: LatencyModel,
+    pub(crate) rng: DetRng,
+    pub(crate) metrics: Metrics,
+    pub(crate) trace: Trace,
+    pub(crate) halted: bool,
+    pub(crate) node_count: usize,
     fifo: bool,
     faults: Option<FaultState>,
     /// Crash flags, indexed by node (grown on demand) — consulted on every
-    /// send and delivery.
+    /// send and delivery. On the sharded engine this is a mirror (for the
+    /// send path and the public accessor); the authoritative flags live
+    /// on the owning shard.
     crashed: Vec<bool>,
-    rel: Option<ReliableState<M>>,
-    /// Recycled staging buffer for reliable-layer deliveries: filled by
-    /// `wire_arrival`, drained by `step`'s Wire arm, capacity retained —
-    /// the hot loop never reallocates it once it has seen its widest
-    /// in-order flush.
-    delivery_buf: Vec<M>,
-    /// Explore-mode state; `None` outside [`SimBuilder::explore`] builds,
-    /// leaving every other configuration bit-identical to before.
+    /// Explore-mode state; `None` outside [`SimBuilder::explore`] builds
+    /// (so always on the sharded engine), leaving every other
+    /// configuration bit-identical to before.
     explore: Option<ExploreState>,
 }
 
-impl<M: fmt::Debug + Clone> Core<M> {
-    fn push(&mut self, at: SimTime, kind: EventKind<M>) {
+impl Sequencer {
+    /// Assigns the next global seq to `ev` and hands it to `sink`.
+    pub(crate) fn schedule<S: Sink>(
+        &mut self,
+        sink: &mut S,
+        at: SimTime,
+        ev: EventKind<S::Msg>,
+    ) -> EntryId {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push((at, seq), kind);
+        sink.push(at, seq, ev)
     }
 
-    fn is_crashed(&self, node: NodeId) -> bool {
+    /// Schedules every node's `Start` and the fault plan's crash/restart
+    /// windows; they are plain events, ordered with everything else.
+    pub(crate) fn start<S: Sink>(&mut self, sink: &mut S) {
+        for i in 0..self.node_count {
+            self.schedule(sink, SimTime::ZERO, EventKind::Start(NodeId(i)));
+        }
+        if let Some(f) = &self.faults {
+            let crashes = f.plan().crashes.clone();
+            for c in crashes {
+                self.schedule(sink, c.at, EventKind::Crash(c.node));
+                if let Some(back) = c.restart_at {
+                    self.schedule(sink, back.max(c.at), EventKind::Restart(c.node));
+                }
+            }
+        }
+    }
+
+    /// Schedules `node`'s timer `delay` (at least one) ticks from now.
+    pub(crate) fn arm_timer<S: Sink>(
+        &mut self,
+        sink: &mut S,
+        node: NodeId,
+        delay: u64,
+        tag: u64,
+        slot: u32,
+        gen: u16,
+    ) -> EntryId {
+        let at = self.now + delay.max(1);
+        let ev = EventKind::Timer {
+            node,
+            tag,
+            slot,
+            gen,
+        };
+        self.schedule(sink, at, ev)
+    }
+
+    pub(crate) fn is_crashed(&self, node: NodeId) -> bool {
         self.crashed.get(node.0).copied().unwrap_or(false)
     }
 
     /// Sets `node`'s crash flag; returns `true` if the flag changed.
-    fn set_crashed(&mut self, node: NodeId, down: bool) -> bool {
+    pub(crate) fn set_crashed(&mut self, node: NodeId, down: bool) -> bool {
         if self.crashed.len() <= node.0 {
             self.crashed.resize(node.0 + 1, false);
         }
@@ -659,7 +788,9 @@ impl<M: fmt::Debug + Clone> Core<M> {
         }
     }
 
-    fn send(&mut self, from: NodeId, to: NodeId, msg: M) {
+    /// An application send: crashed-sender check, then the reliable or
+    /// the raw path with its latency/fault draws.
+    pub(crate) fn send<S: Sink>(&mut self, sink: &mut S, from: NodeId, to: NodeId, msg: S::Msg) {
         if self.is_crashed(from) {
             // A crashed node cannot reach the wire (this arises only from
             // driver injection via `with_node`; a crashed node's own
@@ -677,17 +808,17 @@ impl<M: fmt::Debug + Clone> Core<M> {
             }
             return;
         }
-        if self.rel.is_some() {
-            self.send_reliable(from, to, msg);
+        if sink.reliable(to).is_some() {
+            self.send_reliable(sink, from, to, msg);
         } else {
-            self.send_raw(from, to, msg);
+            self.send_raw(sink, from, to, msg);
         }
     }
 
     /// The unprotected send path: one latency sample, straight onto the
     /// (possibly faulty) wire. Fault-free, this is byte-identical to the
     /// original simulator.
-    fn send_raw(&mut self, from: NodeId, to: NodeId, msg: M) {
+    fn send_raw<S: Sink>(&mut self, sink: &mut S, from: NodeId, to: NodeId, msg: S::Msg) {
         let delay = self.sample_latency(from, to);
         let fate = self.classify_send(from, to);
         self.metrics.inc(builtin::MESSAGES_SENT);
@@ -761,33 +892,24 @@ impl<M: fmt::Debug + Clone> Core<M> {
             }
             // The one legal clone on the raw path: a duplication fault
             // genuinely needs a second copy on the wire.
-            self.push(
-                extra_copy_at,
-                EventKind::Deliver {
-                    from,
-                    to,
-                    msg: msg.clone(),
-                },
-            );
+            let copy = EventKind::Deliver {
+                from,
+                to,
+                msg: msg.clone(),
+            };
+            self.schedule(sink, extra_copy_at, copy);
         }
-        self.push(deliver_at, EventKind::Deliver { from, to, msg });
+        self.schedule(sink, deliver_at, EventKind::Deliver { from, to, msg });
     }
 
     /// The protected send path: assign a channel sequence number, buffer
     /// the payload for retransmission, put the first copy on the wire and
     /// arm the retransmission timer.
-    fn send_reliable(&mut self, from: NodeId, to: NodeId, msg: M) {
+    fn send_reliable<S: Sink>(&mut self, sink: &mut S, from: NodeId, to: NodeId, msg: S::Msg) {
         self.metrics.inc(builtin::MESSAGES_SENT);
         let summary = self.trace.is_enabled().then(|| summarize(&msg));
-        let (seq, rto) = {
-            let rel = self.rel.as_mut().expect("reliable state present");
-            let chan = rel.senders.entry((from, to)).or_default();
-            let seq = chan.next_seq;
-            chan.next_seq += 1;
-            // The retransmit buffer holds the one copy; delivery takes it.
-            chan.buf.insert(seq, Some(msg));
-            (seq, rel.cfg.backoff(1))
-        };
+        let rel = sink.reliable(to).expect("reliable state present");
+        let (seq, rto) = rel.enqueue(from, to, msg);
         let delay = self.sample_latency(from, to);
         if let Some(summary) = summary {
             self.trace.push(TraceEvent::Send {
@@ -798,22 +920,27 @@ impl<M: fmt::Debug + Clone> Core<M> {
                 summary,
             });
         }
-        self.transmit_packet(from, to, seq, delay);
-        self.push(
-            self.now + rto,
-            EventKind::Retransmit {
-                from,
-                to,
-                seq,
-                attempt: 1,
-            },
-        );
+        self.transmit_packet(sink, from, to, seq, delay);
+        let rearm = EventKind::Retransmit {
+            from,
+            to,
+            seq,
+            attempt: 1,
+        };
+        self.schedule(sink, self.now + rto, rearm);
     }
 
     /// Puts one copy of reliable data packet `(from, to, seq)` on the
     /// faulty wire. The reliable layer never consults the FIFO channel
     /// clock: ordering is restored by sequence numbers at the receiver.
-    fn transmit_packet(&mut self, from: NodeId, to: NodeId, seq: u64, delay: u64) {
+    fn transmit_packet<S: Sink>(
+        &mut self,
+        sink: &mut S,
+        from: NodeId,
+        to: NodeId,
+        seq: u64,
+        delay: u64,
+    ) {
         let fate = self.classify_send(from, to);
         match fate {
             SendFate::Lost(reason) => {
@@ -833,10 +960,8 @@ impl<M: fmt::Debug + Clone> Core<M> {
                 duplicate,
                 extra_delay,
             } => {
-                self.push(
-                    self.now + delay + extra_delay,
-                    EventKind::Wire { from, to, seq },
-                );
+                let at = self.now + delay + extra_delay;
+                self.schedule(sink, at, EventKind::Wire { from, to, seq });
                 if duplicate {
                     let extra_copy_at = self.now + self.sample_latency(from, to);
                     self.metrics.inc(builtin::MESSAGES_DUPLICATED);
@@ -851,57 +976,15 @@ impl<M: fmt::Debug + Clone> Core<M> {
                             summary,
                         });
                     }
-                    self.push(extra_copy_at, EventKind::Wire { from, to, seq });
+                    self.schedule(sink, extra_copy_at, EventKind::Wire { from, to, seq });
                 }
             }
         }
-    }
-
-    /// Handles arrival of reliable data packet `seq` at a live `to`:
-    /// resequence/deduplicate, ack cumulatively, and stage the payloads
-    /// now deliverable to the application, in order, in `delivery_buf`
-    /// (a recycled buffer drained by `step`'s Wire arm).
-    fn wire_arrival(&mut self, from: NodeId, to: NodeId, seq: u64) {
-        self.delivery_buf.clear();
-        let rel = self.rel.as_mut().expect("reliable state present");
-        let ReliableState {
-            senders,
-            receivers,
-            ready,
-            ..
-        } = rel;
-        ready.clear();
-        let chan = receivers.entry((from, to)).or_default();
-        let accept = chan.accept(seq, ready);
-        let next = chan.expected;
-        match accept {
-            WireAccept::Duplicate => self.metrics.inc(builtin::DUPLICATES_SUPPRESSED),
-            WireAccept::Buffered => {}
-            WireAccept::Deliver => {
-                if let Some(chan) = senders.get_mut(&(from, to)) {
-                    for s in ready.iter() {
-                        // Each sequence number reaches `Deliver` exactly once
-                        // (the receiver dedups), so the payload is *moved*
-                        // out of the retransmit buffer, never cloned. A slot
-                        // can only be absent if the sender abandoned it
-                        // (max_attempts) while a stale copy was still in
-                        // flight — that message is lost, which abandonment
-                        // already implies.
-                        if let Some(msg) = chan.buf.get_mut(s).and_then(|slot| slot.take()) {
-                            self.delivery_buf.push(msg);
-                        }
-                    }
-                }
-            }
-        }
-        // Every arrival — including duplicates — refreshes the cumulative
-        // ack, so lost acks are repaired by retransmissions.
-        self.send_ack(from, to, next);
     }
 
     /// Sends a cumulative ack for data channel `(from, to)` back across
     /// the faulty wire (direction `to` → `from`).
-    fn send_ack(&mut self, from: NodeId, to: NodeId, next: u64) {
+    pub(crate) fn send_ack<S: Sink>(&mut self, sink: &mut S, from: NodeId, to: NodeId, next: u64) {
         self.metrics.inc(builtin::ACKS_SENT);
         // The wire-level sender of the ack is `to` (the data channel's
         // receiving end), which is also the node handling this event.
@@ -934,62 +1017,33 @@ impl<M: fmt::Debug + Clone> Core<M> {
                         next,
                     });
                 }
-                self.push(
-                    self.now + delay + extra_delay,
-                    EventKind::WireAck { from, to, next },
-                );
+                let at = self.now + delay + extra_delay;
+                self.schedule(sink, at, EventKind::WireAck { from, to, next });
                 if duplicate {
                     let extra_copy_at = self.now + self.sample_latency(to, from);
                     self.metrics.inc(builtin::MESSAGES_DUPLICATED);
-                    self.push(extra_copy_at, EventKind::WireAck { from, to, next });
+                    self.schedule(sink, extra_copy_at, EventKind::WireAck { from, to, next });
                 }
             }
         }
     }
 
-    /// Handles a cumulative ack arriving back at the sender: everything
-    /// below `next` is delivered, so its retransmission buffers go.
-    fn ack_arrival(&mut self, from: NodeId, to: NodeId, next: u64) {
-        if let Some(rel) = self.rel.as_mut() {
-            if let Some(chan) = rel.senders.get_mut(&(from, to)) {
-                // Drop everything below `next` in place. Equivalent to
-                // `buf = buf.split_off(&next)`, but popping entries never
-                // allocates a second tree.
-                while let Some((&s, _)) = chan.buf.first_key_value() {
-                    if s >= next {
-                        break;
-                    }
-                    chan.buf.pop_first();
-                }
-            }
-        }
-    }
-
-    /// Handles a due retransmission timer for `(from, to, seq)`.
-    fn retransmit_due(&mut self, from: NodeId, to: NodeId, seq: u64, attempt: u32) {
-        enum Action {
-            Done,
-            GiveUp,
-            Retry(u64),
-        }
-        let action = {
-            let Some(rel) = self.rel.as_mut() else { return };
-            let cfg = rel.cfg;
-            match rel.senders.get_mut(&(from, to)) {
-                Some(chan) if chan.buf.contains_key(&seq) => {
-                    if attempt >= cfg.max_attempts {
-                        chan.buf.remove(&seq);
-                        Action::GiveUp
-                    } else {
-                        Action::Retry(cfg.backoff(attempt + 1))
-                    }
-                }
-                _ => Action::Done, // acknowledged meanwhile
-            }
-        };
-        match action {
-            Action::Done => {}
-            Action::GiveUp => {
+    /// Applies what a due retransmission timer for `(from, to, seq)`
+    /// decided ([`ReliableState::retransmit_due`]) after `attempt`
+    /// transmissions: count the abandonment, or put another copy on the
+    /// wire and re-arm the timer.
+    pub(crate) fn retransmit<S: Sink>(
+        &mut self,
+        sink: &mut S,
+        from: NodeId,
+        to: NodeId,
+        seq: u64,
+        attempt: u32,
+        verdict: RetransmitVerdict,
+    ) {
+        match verdict {
+            RetransmitVerdict::Done => {}
+            RetransmitVerdict::GiveUp => {
                 self.metrics.inc(builtin::DELIVERIES_ABANDONED);
                 self.metrics.inc(builtin::MESSAGES_DROPPED);
                 if let Some(summary) = self.trace.is_enabled().then(|| format!("pkt seq={seq}")) {
@@ -1003,7 +1057,7 @@ impl<M: fmt::Debug + Clone> Core<M> {
                     });
                 }
             }
-            Action::Retry(backoff) => {
+            RetransmitVerdict::Retry(backoff) => {
                 self.metrics.inc(builtin::RETRANSMISSIONS);
                 if self.trace.is_enabled() {
                     let at = self.now;
@@ -1016,26 +1070,16 @@ impl<M: fmt::Debug + Clone> Core<M> {
                     });
                 }
                 let delay = self.sample_latency(from, to);
-                self.transmit_packet(from, to, seq, delay);
-                self.push(
-                    self.now + backoff,
-                    EventKind::Retransmit {
-                        from,
-                        to,
-                        seq,
-                        attempt: attempt + 1,
-                    },
-                );
+                self.transmit_packet(sink, from, to, seq, delay);
+                let rearm = EventKind::Retransmit {
+                    from,
+                    to,
+                    seq,
+                    attempt: attempt + 1,
+                };
+                self.schedule(sink, self.now + backoff, rearm);
             }
         }
-    }
-
-    fn set_timer(&mut self, node: NodeId, delay: u64, tag: u64) -> TimerId {
-        let at = self.now + delay.max(1);
-        let seq = self.seq;
-        self.seq += 1;
-        let entry = self.queue.push((at, seq), EventKind::Timer { node, tag });
-        TimerId(entry.raw())
     }
 }
 
@@ -1087,7 +1131,6 @@ pub struct SimBuilder {
     reliable: Option<ReliableConfig>,
     shards: usize,
     workers: Option<usize>,
-    par_threshold: Option<usize>,
     explore: bool,
 }
 
@@ -1105,7 +1148,6 @@ impl SimBuilder {
             reliable: None,
             shards: 1,
             workers: None,
-            par_threshold: None,
             explore: false,
         }
     }
@@ -1142,8 +1184,8 @@ impl SimBuilder {
     /// Pins the worker-thread count for the sharded engine's parallel
     /// handler phase (clamped to `1..=shards`). The default is
     /// `min(available cores, shards)`, with threads engaging only on
-    /// windows whose backlog amortises the pool wake-up cost
-    /// ([`SimBuilder::par_threshold`]); pinning a count is
+    /// windows whose backlog amortises the pool wake-up cost (a measured
+    /// 512 pending events; DESIGN §12); pinning a count is
     /// an opt-in to thread every eligible window — results are
     /// bit-identical either way, so this is only a scheduling knob (and
     /// the way tests force the threaded path on small configurations).
@@ -1151,32 +1193,6 @@ impl SimBuilder {
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
-    }
-
-    /// Sets the pending-event backlog at which the sharded engine's
-    /// parallel handler phase engages its worker pool (only meaningful
-    /// with `shards(s > 1)` and [`SimBuilder::build_mt`]). The default is
-    /// a *measured* break-even: waking the persistent pool costs
-    /// 6.4–8.1 µs per window (paired single-core runs — an upper bound,
-    /// since every dispatch there context-switches), repaid at ≈100
-    /// pending events even for the cheapest ~150 ns handlers, so the
-    /// default sits at 512 pending events (a ~5× margin) instead of the
-    /// scoped-spawn era's 4096 — see DESIGN §12 for the measurement and
-    /// its single-core noise caveats. Results are bit-identical for any
-    /// value; this is purely a scheduling knob.
-    pub fn par_threshold(mut self, pending: usize) -> Self {
-        self.par_threshold = Some(pending.max(1));
-        self
-    }
-
-    /// Reads the shard count from the `CMH_SHARDS` environment variable
-    /// (unset, empty, `0` or `1` mean one shard — the sequential engine).
-    pub fn shards_from_env(self) -> Self {
-        let shards = std::env::var("CMH_SHARDS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(1);
-        self.shards(shards)
     }
 
     /// Enables or disables per-channel FIFO delivery.
@@ -1242,8 +1258,8 @@ impl SimBuilder {
     /// Like [`SimBuilder::build`], but additionally captures the
     /// multi-threading capability: with `shards(s > 1)`, windows with work
     /// on several shards are executed by a persistent pool of parked
-    /// worker threads (woken per window; see
-    /// [`SimBuilder::par_threshold`] for when they engage). The
+    /// worker threads (woken per window; see [`SimBuilder::workers`] for
+    /// when they engage). The
     /// `Send + 'static` bounds are only needed here — the proof is stored
     /// as a plain function pointer, so the rest of the API is bound-free.
     pub fn build_mt<M, P>(self) -> Simulation<M, P>
@@ -1265,47 +1281,42 @@ impl SimBuilder {
             !(self.explore && self.shards > 1),
             "explore mode requires the sequential engine (shards == 1)"
         );
-        if self.shards > 1 {
-            return Simulation {
-                inner: SimInner::Sharded(crate::shard::ShardedSim::new(
-                    self.shards,
-                    self.seed,
-                    self.latency,
-                    self.fifo,
-                    self.trace,
-                    faults,
-                    self.reliable,
-                    par,
-                    self.workers,
-                    self.par_threshold,
-                )),
-            };
-        }
-        Simulation {
-            inner: SimInner::Single(SingleSim {
+        let seqr = Sequencer {
+            now: SimTime::ZERO,
+            seq: 0,
+            channel_clock: BTreeMap::new(),
+            latency: self.latency,
+            rng,
+            metrics: Metrics::new(),
+            trace: Trace::new(self.trace),
+            halted: false,
+            node_count: 0,
+            fifo: self.fifo,
+            faults,
+            crashed: Vec::new(),
+            explore: self.explore.then(|| ExploreState::new(self.seed)),
+        };
+        let inner = if self.shards > 1 {
+            SimInner::Sharded(crate::shard::ShardedSim::new(
+                self.shards,
+                seqr,
+                self.reliable,
+                par,
+                self.workers,
+            ))
+        } else {
+            SimInner::Single(SingleSim {
+                seqr,
                 core: Core {
-                    now: SimTime::ZERO,
                     queue: EventQueue::new(),
-                    seq: 0,
-                    cur_seq: u64::MAX,
-                    channel_clock: BTreeMap::new(),
-                    latency: self.latency,
-                    rng,
-                    metrics: Metrics::new(),
-                    trace: Trace::new(self.trace),
-                    halted: false,
-                    node_count: 0,
-                    fifo: self.fifo,
-                    faults,
-                    crashed: Vec::new(),
                     rel: self.reliable.map(ReliableState::new),
-                    delivery_buf: Vec::new(),
-                    explore: self.explore.then(|| ExploreState::new(self.seed)),
+                    cur_seq: u64::MAX,
                 },
                 procs: Vec::new(),
                 started: false,
-            }),
-        }
+            })
+        };
+        Simulation { inner }
     }
 }
 
@@ -1335,6 +1346,7 @@ enum SimInner<M, P> {
 /// The sequential engine: one global event queue, processes in one dense
 /// vector. This is the reference semantics the sharded engine replays.
 struct SingleSim<M, P> {
+    seqr: Sequencer,
     core: Core<M>,
     procs: Vec<P>,
     started: bool,
@@ -1345,7 +1357,7 @@ impl<M, P> fmt::Debug for Simulation<M, P> {
         match &self.inner {
             SimInner::Single(s) => f
                 .debug_struct("Simulation")
-                .field("now", &s.core.now)
+                .field("now", &s.seqr.now)
                 .field("nodes", &s.procs.len())
                 .field("pending_events", &s.core.queue.len())
                 .finish_non_exhaustive(),
@@ -1359,7 +1371,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> SingleSim<M, P> {
     pub fn add_node(&mut self, process: P) -> NodeId {
         let id = NodeId(self.procs.len());
         self.procs.push(process);
-        self.core.node_count = self.procs.len();
+        self.seqr.node_count = self.procs.len();
         id
     }
 
@@ -1370,17 +1382,17 @@ impl<M: fmt::Debug + Clone, P: Process<M>> SingleSim<M, P> {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.core.now
+        self.seqr.now
     }
 
     /// Accumulated metrics for this run.
     pub fn metrics(&self) -> &Metrics {
-        &self.core.metrics
+        &self.seqr.metrics
     }
 
     /// The event trace (empty unless tracing was enabled at build time).
     pub fn trace(&self) -> &Trace {
-        &self.core.trace
+        &self.seqr.trace
     }
 
     /// Immutable access to a process's state.
@@ -1401,7 +1413,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> SingleSim<M, P> {
 
     /// True if the fault plan currently has `id` crashed.
     pub fn is_crashed(&self, id: NodeId) -> bool {
-        self.core.is_crashed(id)
+        self.seqr.is_crashed(id)
     }
 
     /// Number of events currently pending in the scheduler.
@@ -1422,18 +1434,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> SingleSim<M, P> {
     /// still arrive — state can only change through timers from here on,
     /// which is the quiescence signal liveness audits build on.
     pub fn in_flight_messages(&self) -> usize {
-        self.core
-            .queue
-            .values()
-            .filter(|k| {
-                matches!(
-                    k,
-                    EventKind::Deliver { .. }
-                        | EventKind::Wire { .. }
-                        | EventKind::Retransmit { .. }
-                )
-            })
-            .count()
+        self.core.queue.values().filter(|k| k.in_flight()).count()
     }
 
     /// Virtual time of the earliest scheduled event, if any. Drivers that
@@ -1450,19 +1451,10 @@ impl<M: fmt::Debug + Clone, P: Process<M>> SingleSim<M, P> {
     /// that can produce a declaration).
     pub fn peek_event(&mut self) -> Option<(SimTime, PendingEvent<'_, M>)> {
         self.ensure_started();
-        self.core.queue.peek().map(|((at, _), kind)| {
-            let p = match kind {
-                EventKind::Deliver { msg, .. } => PendingEvent::Deliver(msg),
-                EventKind::Timer { tag, .. } => PendingEvent::Timer { tag: *tag },
-                EventKind::Wire { .. } => PendingEvent::Wire,
-                EventKind::Start(_)
-                | EventKind::Crash(_)
-                | EventKind::Restart(_)
-                | EventKind::WireAck { .. }
-                | EventKind::Retransmit { .. } => PendingEvent::Other,
-            };
-            (at, p)
-        })
+        self.core
+            .queue
+            .peek()
+            .map(|((at, _), kind)| (at, kind.pending()))
     }
 
     /// Number of scheduler slab slots ever allocated. Bounded by the peak
@@ -1488,7 +1480,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> SingleSim<M, P> {
         // Driver code is not a handler: it runs after every already-
         // processed event, so it sorts last among same-tick activations.
         self.core.cur_seq = u64::MAX;
-        let mut ctx = Context::for_core(id, &mut self.core);
+        let mut ctx = Context::for_core(id, &mut self.seqr, &mut self.core);
         f(&mut self.procs[id.0], &mut ctx)
     }
 
@@ -1497,20 +1489,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> SingleSim<M, P> {
             return;
         }
         self.started = true;
-        for i in 0..self.procs.len() {
-            self.core.push(SimTime::ZERO, EventKind::Start(NodeId(i)));
-        }
-        // Schedule the fault plan's crash/restart windows up front; they
-        // are plain events, ordered with everything else.
-        if let Some(f) = &self.core.faults {
-            let crashes = f.plan().crashes.clone();
-            for c in crashes {
-                self.core.push(c.at, EventKind::Crash(c.node));
-                if let Some(back) = c.restart_at {
-                    self.core.push(back.max(c.at), EventKind::Restart(c.node));
-                }
-            }
-        }
+        self.seqr.start(&mut self.core);
     }
 
     /// Processes a single event. Returns `false` if the queue was empty.
@@ -1570,9 +1549,12 @@ impl<M: fmt::Debug + Clone, P: Process<M>> SingleSim<M, P> {
     /// [`SingleSim::step_seq`] (which takes a chosen same-time event out
     /// of the frontier).
     fn dispatch(&mut self, entry: EntryId, at: SimTime, seq: u64, kind: EventKind<M>) {
-        debug_assert!(at >= self.core.now, "time must not run backwards");
-        self.core.now = at;
-        self.core.cur_seq = match &mut self.core.explore {
+        let SingleSim {
+            seqr, core, procs, ..
+        } = self;
+        debug_assert!(at >= seqr.now, "time must not run backwards");
+        seqr.now = at;
+        core.cur_seq = match &mut seqr.explore {
             // Explore mode: expose the execution counter instead of the
             // creation seq, so `(time, seq)`-sorted external journals
             // agree with execution order under any same-tick
@@ -1584,22 +1566,21 @@ impl<M: fmt::Debug + Clone, P: Process<M>> SingleSim<M, P> {
             }
             None => seq,
         };
-        self.core.metrics.inc(builtin::EVENTS);
+        seqr.metrics.inc(builtin::EVENTS);
         match kind {
             EventKind::Start(node) => {
-                let mut ctx = Context::for_core(node, &mut self.core);
-                self.procs[node.0].on_start(&mut ctx);
+                let mut ctx = Context::for_core(node, seqr, core);
+                procs[node.0].on_start(&mut ctx);
             }
             EventKind::Deliver { from, to, msg } => {
-                if self.core.is_crashed(to) {
+                if seqr.is_crashed(to) {
                     // Messages arriving during an outage are lost; the
                     // reliable layer (if any) would have retransmitted,
                     // but raw deliveries are simply gone.
-                    self.core.metrics.inc(builtin::MESSAGES_DROPPED);
-                    let summary = self.core.trace.is_enabled().then(|| summarize(&msg));
+                    seqr.metrics.inc(builtin::MESSAGES_DROPPED);
+                    let summary = seqr.trace.is_enabled().then(|| summarize(&msg));
                     if let Some(summary) = summary {
-                        let at = self.core.now;
-                        self.core.trace.push(TraceEvent::Drop {
+                        seqr.trace.push(TraceEvent::Drop {
                             at,
                             from,
                             to,
@@ -1609,65 +1590,57 @@ impl<M: fmt::Debug + Clone, P: Process<M>> SingleSim<M, P> {
                     }
                     return;
                 }
-                self.core.metrics.inc(builtin::MESSAGES_DELIVERED);
-                let summary = self.core.trace.is_enabled().then(|| summarize(&msg));
+                seqr.metrics.inc(builtin::MESSAGES_DELIVERED);
+                let summary = seqr.trace.is_enabled().then(|| summarize(&msg));
                 if let Some(summary) = summary {
-                    let at = self.core.now;
-                    self.core.trace.push(TraceEvent::Deliver {
+                    seqr.trace.push(TraceEvent::Deliver {
                         at,
                         from,
                         to,
                         summary,
                     });
                 }
-                let mut ctx = Context::for_core(to, &mut self.core);
-                self.procs[to.0].on_message(&mut ctx, from, msg);
+                let mut ctx = Context::for_core(to, seqr, core);
+                procs[to.0].on_message(&mut ctx, from, msg);
             }
-            EventKind::Timer { node, tag } => {
-                if self.core.is_crashed(node) {
+            EventKind::Timer { node, tag, .. } => {
+                if seqr.is_crashed(node) {
                     // A crashed node's timers are lost, not deferred:
                     // `on_restart` re-arms whatever recovery needs.
                     return;
                 }
-                self.core.metrics.inc(builtin::TIMERS_FIRED);
-                if self.core.trace.is_enabled() {
-                    let at = self.core.now;
-                    self.core.trace.push(TraceEvent::Timer { at, node, tag });
-                }
+                seqr.metrics.inc(builtin::TIMERS_FIRED);
+                seqr.trace.push(TraceEvent::Timer { at, node, tag });
                 // The popped entry's handle is the TimerId `set_timer`
                 // returned for this timer (generations only change on
                 // slot reuse), so the callback sees a matching id.
                 let id = TimerId(entry.raw());
-                let mut ctx = Context::for_core(node, &mut self.core);
-                self.procs[node.0].on_timer(&mut ctx, id, tag);
+                let mut ctx = Context::for_core(node, seqr, core);
+                procs[node.0].on_timer(&mut ctx, id, tag);
             }
             EventKind::Crash(node) => {
-                if self.core.set_crashed(node, true) {
-                    self.core.metrics.inc(builtin::CRASHES);
-                    let at = self.core.now;
-                    self.core.trace.push(TraceEvent::Crash { at, node });
+                if seqr.set_crashed(node, true) {
+                    seqr.metrics.inc(builtin::CRASHES);
+                    seqr.trace.push(TraceEvent::Crash { at, node });
                 }
             }
             EventKind::Restart(node) => {
-                if self.core.set_crashed(node, false) {
-                    self.core.metrics.inc(builtin::RESTARTS);
-                    let at = self.core.now;
-                    self.core.trace.push(TraceEvent::Restart { at, node });
-                    let mut ctx = Context::for_core(node, &mut self.core);
-                    self.procs[node.0].on_restart(&mut ctx);
+                if seqr.set_crashed(node, false) {
+                    seqr.metrics.inc(builtin::RESTARTS);
+                    seqr.trace.push(TraceEvent::Restart { at, node });
+                    let mut ctx = Context::for_core(node, seqr, core);
+                    procs[node.0].on_restart(&mut ctx);
                 }
             }
             EventKind::Wire { from, to, seq } => {
-                if self.core.is_crashed(to) {
+                if seqr.is_crashed(to) {
                     // Lost at a down receiver — but the sender's
                     // retransmission timer is still armed, so the packet
                     // will be offered again after the restart.
-                    self.core.metrics.inc(builtin::MESSAGES_DROPPED);
-                    let trace = &self.core.trace;
-                    let summary = trace.is_enabled().then(|| format!("pkt seq={seq}"));
+                    seqr.metrics.inc(builtin::MESSAGES_DROPPED);
+                    let summary = seqr.trace.is_enabled().then(|| format!("pkt seq={seq}"));
                     if let Some(summary) = summary {
-                        let at = self.core.now;
-                        self.core.trace.push(TraceEvent::Drop {
+                        seqr.trace.push(TraceEvent::Drop {
                             at,
                             from,
                             to,
@@ -1677,33 +1650,40 @@ impl<M: fmt::Debug + Clone, P: Process<M>> SingleSim<M, P> {
                     }
                     return;
                 }
-                self.core.wire_arrival(from, to, seq);
-                // Take the staged payloads out of the core so `on_message`
-                // (which may itself send) can't alias the recycled buffer;
-                // hand the still-warm allocation back when the drain ends.
-                // The empty vector swapped in meanwhile costs nothing.
-                let mut staged = std::mem::take(&mut self.core.delivery_buf);
+                let rel = core.rel.as_mut().expect("reliable state present");
+                let (accept, next) = rel.accept(from, to, seq);
+                if accept == WireAccept::Duplicate {
+                    seqr.metrics.inc(builtin::DUPLICATES_SUPPRESSED);
+                }
+                // Take the staged payloads out of the transport so
+                // `on_message` (which may itself send) can't alias the
+                // recycled buffer; hand the still-warm allocation back
+                // when the drain ends. The empty vector swapped in
+                // meanwhile costs nothing.
+                let mut staged = std::mem::take(&mut rel.staged);
+                seqr.send_ack(core, from, to, next);
                 for msg in staged.drain(..) {
-                    self.core.metrics.inc(builtin::MESSAGES_DELIVERED);
-                    let summary = self.core.trace.is_enabled().then(|| summarize(&msg));
+                    seqr.metrics.inc(builtin::MESSAGES_DELIVERED);
+                    let summary = seqr.trace.is_enabled().then(|| summarize(&msg));
                     if let Some(summary) = summary {
-                        let at = self.core.now;
-                        self.core.trace.push(TraceEvent::Deliver {
+                        seqr.trace.push(TraceEvent::Deliver {
                             at,
                             from,
                             to,
                             summary,
                         });
                     }
-                    let mut ctx = Context::for_core(to, &mut self.core);
-                    self.procs[to.0].on_message(&mut ctx, from, msg);
+                    let mut ctx = Context::for_core(to, seqr, core);
+                    procs[to.0].on_message(&mut ctx, from, msg);
                 }
-                self.core.delivery_buf = staged;
+                core.rel.as_mut().expect("reliable state present").staged = staged;
             }
             EventKind::WireAck { from, to, next } => {
                 // Transport state lives in stable storage: acks are
                 // processed even while `from` is crashed.
-                self.core.ack_arrival(from, to, next);
+                if let Some(rel) = &mut core.rel {
+                    rel.ack(from, to, next);
+                }
             }
             EventKind::Retransmit {
                 from,
@@ -1711,7 +1691,10 @@ impl<M: fmt::Debug + Clone, P: Process<M>> SingleSim<M, P> {
                 seq,
                 attempt,
             } => {
-                self.core.retransmit_due(from, to, seq, attempt);
+                if let Some(rel) = &mut core.rel {
+                    let verdict = rel.retransmit_due(from, to, seq, attempt);
+                    seqr.retransmit(core, from, to, seq, attempt, verdict);
+                }
             }
         }
     }
@@ -1721,7 +1704,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> SingleSim<M, P> {
     pub fn run_to_quiescence(&mut self, max_events: u64) -> RunOutcome {
         let mut outcome = RunOutcome::default();
         while outcome.events < max_events {
-            if self.core.halted {
+            if self.seqr.halted {
                 outcome.halted = true;
                 return outcome;
             }
@@ -1731,7 +1714,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> SingleSim<M, P> {
             }
             outcome.events += 1;
         }
-        outcome.halted = self.core.halted;
+        outcome.halted = self.seqr.halted;
         outcome
     }
 
@@ -1741,7 +1724,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> SingleSim<M, P> {
         self.ensure_started();
         let mut outcome = RunOutcome::default();
         loop {
-            if self.core.halted {
+            if self.seqr.halted {
                 outcome.halted = true;
                 return outcome;
             }
@@ -1749,14 +1732,14 @@ impl<M: fmt::Debug + Clone, P: Process<M>> SingleSim<M, P> {
                 None => {
                     // Idle time still passes: a driver that advances to `t`
                     // and injects work must see the clock at `t`.
-                    self.core.now = self.core.now.max(deadline);
+                    self.seqr.now = self.seqr.now.max(deadline);
                     outcome.quiescent = true;
                     return outcome;
                 }
                 Some((at, _)) if at > deadline => {
                     // Advance the clock to the deadline so repeated calls
                     // observe monotone time.
-                    self.core.now = deadline;
+                    self.seqr.now = deadline;
                     return outcome;
                 }
                 Some(_) => {
@@ -1774,7 +1757,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> SingleSim<M, P> {
 
     /// True if a process requested a halt.
     pub fn is_halted(&self) -> bool {
-        self.core.halted
+        self.seqr.halted
     }
 }
 
@@ -1811,7 +1794,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Simulation<M, P> {
     /// many ticks between barriers.
     pub fn lookahead(&self) -> u64 {
         match &self.inner {
-            SimInner::Single(s) => s.core.latency.min_delay(),
+            SimInner::Single(s) => s.seqr.latency.min_delay(),
             SimInner::Sharded(s) => s.lookahead(),
         }
     }
@@ -2104,6 +2087,21 @@ mod tests {
         sim
     }
 
+    /// Runs `scenario` — its own assertions included — on the sequential
+    /// engine and at S = 3, then asserts trace and metrics are equal: the
+    /// wire path is one implementation, so the shard count must not be
+    /// observable on any of its branches.
+    fn at_shard_counts<P: Process<Msg>>(
+        builder: SimBuilder,
+        scenario: impl Fn(SimBuilder) -> Simulation<Msg, P>,
+    ) {
+        let builder = builder.trace(true);
+        let (a, b) = (scenario(builder.clone()), scenario(builder.shards(3)));
+        assert_eq!((a.shard_count(), b.shard_count()), (1, 3));
+        assert_eq!(a.trace().events(), b.trace().events());
+        assert_eq!(a.metrics(), b.metrics());
+    }
+
     #[test]
     fn ping_pong_terminates_and_counts() {
         let mut sim = pair(1);
@@ -2161,26 +2159,29 @@ mod tests {
     fn non_fifo_mode_allows_overtaking() {
         // With wide latency spread and FIFO off, at least one of the
         // sequenced messages overtakes another.
-        let mut sim = SimBuilder::new()
+        let builder = SimBuilder::new()
             .seed(4)
             .fifo(false)
-            .latency(LatencyModel::Uniform { lo: 1, hi: 200 })
-            .build::<Msg, Flood>();
-        let everyone: Vec<NodeId> = (0..2).map(NodeId).collect();
-        for _ in 0..2 {
-            sim.add_node(Flood {
-                everyone: everyone.clone(),
-                order: vec![],
-            });
-        }
-        sim.run_to_quiescence(10_000);
-        let seqs: Vec<u32> = sim.node(NodeId(1)).order.iter().map(|&(_, n)| n).collect();
-        assert_eq!(seqs.len(), 5);
-        assert_ne!(
-            seqs,
-            vec![0, 1, 2, 3, 4],
-            "expected reordering with this seed"
-        );
+            .latency(LatencyModel::Uniform { lo: 1, hi: 200 });
+        at_shard_counts(builder, |b| {
+            let mut sim = b.build::<Msg, Flood>();
+            let everyone: Vec<NodeId> = (0..2).map(NodeId).collect();
+            for _ in 0..2 {
+                sim.add_node(Flood {
+                    everyone: everyone.clone(),
+                    order: vec![],
+                });
+            }
+            sim.run_to_quiescence(10_000);
+            let seqs: Vec<u32> = sim.node(NodeId(1)).order.iter().map(|&(_, n)| n).collect();
+            assert_eq!(seqs.len(), 5);
+            assert_ne!(
+                seqs,
+                vec![0, 1, 2, 3, 4],
+                "expected reordering with this seed"
+            );
+            sim
+        });
     }
 
     #[test]
@@ -2344,30 +2345,36 @@ mod tests {
     #[test]
     fn loss_drops_messages_and_counts_them() {
         let plan = FaultPlan::default().loss(0.5);
-        let mut sim = one_way(SimBuilder::new().seed(11).trace(true).faults(plan), 200);
-        let out = sim.run_to_quiescence(10_000);
-        assert!(out.quiescent);
-        let dropped = sim.metrics().get(builtin::MESSAGES_DROPPED);
-        let delivered = sim.metrics().get(builtin::MESSAGES_DELIVERED);
-        assert!(dropped > 0, "expected some losses at p=0.5");
-        assert_eq!(dropped + delivered, 200);
-        assert_eq!(delivered as usize, sim.node(NodeId(1)).received.len());
-        let drops_in_trace = sim
-            .trace()
-            .events()
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Drop { .. }))
-            .count();
-        assert_eq!(drops_in_trace as u64, dropped);
+        at_shard_counts(SimBuilder::new().seed(11).faults(plan), |b| {
+            let mut sim = one_way(b, 200);
+            let out = sim.run_to_quiescence(10_000);
+            assert!(out.quiescent);
+            let dropped = sim.metrics().get(builtin::MESSAGES_DROPPED);
+            let delivered = sim.metrics().get(builtin::MESSAGES_DELIVERED);
+            assert!(dropped > 0, "expected some losses at p=0.5");
+            assert_eq!(dropped + delivered, 200);
+            assert_eq!(delivered as usize, sim.node(NodeId(1)).received.len());
+            let drops_in_trace = sim
+                .trace()
+                .events()
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::Drop { .. }))
+                .count();
+            assert_eq!(drops_in_trace as u64, dropped);
+            sim
+        });
     }
 
     #[test]
     fn duplication_delivers_extra_copies() {
         let plan = FaultPlan::default().duplicate(1.0);
-        let mut sim = one_way(SimBuilder::new().seed(3).faults(plan), 50);
-        sim.run_to_quiescence(10_000);
-        assert_eq!(sim.node(NodeId(1)).received.len(), 100);
-        assert_eq!(sim.metrics().get(builtin::MESSAGES_DUPLICATED), 50);
+        at_shard_counts(SimBuilder::new().seed(3).faults(plan), |b| {
+            let mut sim = one_way(b, 50);
+            sim.run_to_quiescence(10_000);
+            assert_eq!(sim.node(NodeId(1)).received.len(), 100);
+            assert_eq!(sim.metrics().get(builtin::MESSAGES_DUPLICATED), 50);
+            sim
+        });
     }
 
     #[test]
@@ -2448,35 +2455,36 @@ mod tests {
             SimTime::from_ticks(50),
             Some(SimTime::from_ticks(100)),
         );
-        let mut sim = SimBuilder::new().seed(2).trace(true).faults(plan).build();
-        sim.add_node(Crasher {
-            volatile: 0,
-            restarts: 0,
+        at_shard_counts(SimBuilder::new().seed(2).faults(plan), |b| {
+            let mut sim = b.build();
+            for _ in 0..2 {
+                sim.add_node(Crasher {
+                    volatile: 0,
+                    restarts: 0,
+                });
+            }
+            // One message before the crash, one during, one after the restart.
+            sim.run_until(SimTime::from_ticks(10));
+            sim.with_node(NodeId(0), |_, ctx| ctx.send(NodeId(1), Msg::Ping(1)));
+            sim.run_until(SimTime::from_ticks(60));
+            assert!(sim.is_crashed(NodeId(1)));
+            sim.with_node(NodeId(0), |_, ctx| ctx.send(NodeId(1), Msg::Ping(10)));
+            sim.run_until(SimTime::from_ticks(120));
+            assert!(!sim.is_crashed(NodeId(1)));
+            sim.with_node(NodeId(0), |_, ctx| ctx.send(NodeId(1), Msg::Ping(100)));
+            sim.run_to_quiescence(10_000);
+            let p1 = sim.node(NodeId(1));
+            assert_eq!(p1.restarts, 1);
+            assert_eq!(
+                p1.volatile, 100,
+                "pre-crash state cleared, mid-crash msg lost"
+            );
+            assert_eq!(sim.metrics().get(builtin::CRASHES), 1);
+            assert_eq!(sim.metrics().get(builtin::RESTARTS), 1);
+            assert_eq!(sim.metrics().get(builtin::MESSAGES_DROPPED), 1);
+            assert_eq!(sim.trace().notes_containing("recovered").count(), 1);
+            sim
         });
-        sim.add_node(Crasher {
-            volatile: 0,
-            restarts: 0,
-        });
-        // One message before the crash, one during, one after the restart.
-        sim.run_until(SimTime::from_ticks(10));
-        sim.with_node(NodeId(0), |_, ctx| ctx.send(NodeId(1), Msg::Ping(1)));
-        sim.run_until(SimTime::from_ticks(60));
-        assert!(sim.is_crashed(NodeId(1)));
-        sim.with_node(NodeId(0), |_, ctx| ctx.send(NodeId(1), Msg::Ping(10)));
-        sim.run_until(SimTime::from_ticks(120));
-        assert!(!sim.is_crashed(NodeId(1)));
-        sim.with_node(NodeId(0), |_, ctx| ctx.send(NodeId(1), Msg::Ping(100)));
-        sim.run_to_quiescence(10_000);
-        let p1 = sim.node(NodeId(1));
-        assert_eq!(p1.restarts, 1);
-        assert_eq!(
-            p1.volatile, 100,
-            "pre-crash state cleared, mid-crash msg lost"
-        );
-        assert_eq!(sim.metrics().get(builtin::CRASHES), 1);
-        assert_eq!(sim.metrics().get(builtin::RESTARTS), 1);
-        assert_eq!(sim.metrics().get(builtin::MESSAGES_DROPPED), 1);
-        assert_eq!(sim.trace().notes_containing("recovered").count(), 1);
     }
 
     #[test]
@@ -2508,28 +2516,21 @@ mod tests {
             SimTime::from_ticks(5),
             Some(SimTime::from_ticks(200)),
         );
-        let mut sim = SimBuilder::new()
+        let builder = SimBuilder::new()
             .seed(8)
             .faults(plan)
-            .reliable(ReliableConfig::default())
-            .build();
-        sim.add_node(OneWay {
-            peer: NodeId(1),
-            count: 20,
-            received: vec![],
+            .reliable(ReliableConfig::default());
+        at_shard_counts(builder, |b| {
+            let mut sim = one_way(b, 20);
+            let out = sim.run_to_quiescence(1_000_000);
+            assert!(out.quiescent);
+            // Every message sent before/into the outage arrives after
+            // restart, still in order.
+            let want: Vec<u32> = (0..20).collect();
+            assert_eq!(sim.node(NodeId(1)).received, want);
+            assert!(sim.metrics().get(builtin::RETRANSMISSIONS) > 0);
+            sim
         });
-        sim.add_node(OneWay {
-            peer: NodeId(0),
-            count: 20,
-            received: vec![],
-        });
-        let out = sim.run_to_quiescence(1_000_000);
-        assert!(out.quiescent);
-        // Every message sent before/into the outage arrives after restart,
-        // still in order.
-        let want: Vec<u32> = (0..20).collect();
-        assert_eq!(sim.node(NodeId(1)).received, want);
-        assert!(sim.metrics().get(builtin::RETRANSMISSIONS) > 0);
     }
 
     #[test]
@@ -2539,15 +2540,18 @@ mod tests {
             SimTime::from_ticks(0),
             SimTime::from_ticks(100),
         );
-        let mut sim = one_way(SimBuilder::new().seed(4).faults(plan), 10);
-        sim.run_until(SimTime::from_ticks(99));
-        assert!(sim.node(NodeId(1)).received.is_empty());
-        assert_eq!(sim.metrics().get(builtin::MESSAGES_DROPPED), 10);
-        // After healing, fresh sends get through.
-        sim.run_until(SimTime::from_ticks(150));
-        sim.with_node(NodeId(0), |_, ctx| ctx.send(NodeId(1), Msg::Ping(42)));
-        sim.run_to_quiescence(10_000);
-        assert_eq!(sim.node(NodeId(1)).received, vec![42]);
+        at_shard_counts(SimBuilder::new().seed(4).faults(plan), |b| {
+            let mut sim = one_way(b, 10);
+            sim.run_until(SimTime::from_ticks(99));
+            assert!(sim.node(NodeId(1)).received.is_empty());
+            assert_eq!(sim.metrics().get(builtin::MESSAGES_DROPPED), 10);
+            // After healing, fresh sends get through.
+            sim.run_until(SimTime::from_ticks(150));
+            sim.with_node(NodeId(0), |_, ctx| ctx.send(NodeId(1), Msg::Ping(42)));
+            sim.run_to_quiescence(10_000);
+            assert_eq!(sim.node(NodeId(1)).received, vec![42]);
+            sim
+        });
     }
 
     #[test]
@@ -2567,29 +2571,22 @@ mod tests {
         // Node 1 never comes back: every packet towards it is eventually
         // abandoned and the run still quiesces.
         let plan = FaultPlan::default().crash(NodeId(1), SimTime::from_ticks(0), None);
-        let mut sim = SimBuilder::new()
+        let builder = SimBuilder::new()
             .seed(1)
             .faults(plan)
             .reliable(ReliableConfig {
                 rto_initial: 8,
                 rto_cap: 64,
                 max_attempts: 4,
-            })
-            .build();
-        sim.add_node(OneWay {
-            peer: NodeId(1),
-            count: 3,
-            received: vec![],
+            });
+        at_shard_counts(builder, |b| {
+            let mut sim = one_way(b, 3);
+            let out = sim.run_to_quiescence(1_000_000);
+            assert!(out.quiescent, "abandonment must keep the queue finite");
+            assert_eq!(sim.metrics().get(builtin::DELIVERIES_ABANDONED), 3);
+            assert!(sim.node(NodeId(1)).received.is_empty());
+            sim
         });
-        sim.add_node(OneWay {
-            peer: NodeId(0),
-            count: 3,
-            received: vec![],
-        });
-        let out = sim.run_to_quiescence(1_000_000);
-        assert!(out.quiescent, "abandonment must keep the queue finite");
-        assert_eq!(sim.metrics().get(builtin::DELIVERIES_ABANDONED), 3);
-        assert!(sim.node(NodeId(1)).received.is_empty());
     }
 
     /// Every firing cancels a long-dated decoy timer and arms a fresh one.

@@ -348,7 +348,7 @@ mod tests {
     #[test]
     fn accept_appends_to_recycled_scratch_without_clearing() {
         // The caller owns clearing; accept only appends — pinned here so
-        // the zero-alloc contract in sim::wire_arrival stays honest.
+        // the zero-alloc contract in ReliableState::accept stays honest.
         let mut rc = RecvChannel::default();
         let mut ready = vec![99];
         assert_eq!(rc.accept(0, &mut ready), WireAccept::Deliver);

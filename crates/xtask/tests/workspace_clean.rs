@@ -79,8 +79,8 @@ fn workspace_is_lint_clean_with_exactly_the_audited_exceptions() {
         // is accumulated into WindowStats for perf accounting and never
         // feeds simulated behaviour.
         ("crates/simnet/src/shard.rs", "D2", false),
-        // Sequencer packet/ack trace summaries: gated on Trace::is_enabled
-        // in the preceding chain link (rustfmt splits the one-line idiom).
+        // Handler-phase trace summaries gated on the shard's cached
+        // tracing flag (= Trace::is_enabled), and the pool's thread names.
         ("crates/simnet/src/shard.rs", "D7", false),
         // Model-checker verdicts: violation messages and trace-invariant
         // errors format on the cold per-schedule verdict path, not the
