@@ -6,7 +6,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use cmh_core::{BasicConfig, BasicNet};
+use simnet::latency::LatencyModel;
+use simnet::metrics::builtin;
+use simnet::sim::SimBuilder;
 use wfg::generators;
+use workloads::{drive_schedule, random_churn, ChurnConfig};
 
 fn detect_cycle(n: usize) -> usize {
     let mut net = BasicNet::new(n, BasicConfig::on_block(4), 42);
@@ -67,10 +71,60 @@ fn bench_wfgd(c: &mut Criterion) {
     group.finish();
 }
 
+/// The benchmark's `basic_churn` unit (n = 32, bimodal latency, verified
+/// churn with injected 4-rings) played to quiescence; returns the number
+/// of simulator events it took.
+fn churn(duration: u64) -> u64 {
+    let sched = random_churn(&ChurnConfig {
+        n: 32,
+        duration,
+        mean_gap: 8,
+        cycle_prob: 0.02,
+        cycle_len: 4,
+        seed: 1,
+    });
+    let builder = SimBuilder::new().seed(1).latency(LatencyModel::Bimodal {
+        fast_lo: 1,
+        fast_hi: 5,
+        slow_lo: 60,
+        slow_hi: 200,
+        slow_prob: 0.15,
+    });
+    let mut net = BasicNet::with_builder(sched.n, BasicConfig::on_block(25), builder);
+    drive_schedule(
+        &mut net,
+        &sched,
+        |net, at| {
+            net.run_until(at);
+        },
+        |net, from, to| net.request(from, to).is_ok(),
+    );
+    net.run_to_quiescence(100_000_000);
+    net.metrics().get(builtin::EVENTS)
+}
+
+fn bench_wfgd_churn(c: &mut Criterion) {
+    // Nothing in the basic model dissolves a deadlock, so the longer the
+    // schedule the larger the S_j sets every §5 message carries. The
+    // ns/element column is cost per simulator event: it must stay nearly
+    // flat as the duration doubles, or some per-message cost has become
+    // proportional to the history again.
+    let mut group = c.benchmark_group("wfgd/churn");
+    group.sample_size(10);
+    for duration in [1000u64, 2000, 4000] {
+        group.throughput(Throughput::Elements(churn(duration)));
+        group.bench_with_input(BenchmarkId::from_parameter(duration), &duration, |b, &d| {
+            b.iter(|| black_box(churn(d)));
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_cycle_detection,
     bench_cycle_with_tails,
-    bench_wfgd
+    bench_wfgd,
+    bench_wfgd_churn
 );
 criterion_main!(benches);

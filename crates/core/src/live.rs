@@ -24,7 +24,7 @@
 //! for i in 0..3usize {
 //!     rt.add_node(LiveVertex::ring_member(NodeId((i + 1) % 3)));
 //! }
-//! let (vertices, _log) = rt.run_for(Duration::from_millis(300));
+//! let (vertices, _log) = rt.run_for(Duration::from_secs(2));
 //! assert!(vertices.iter().any(|v| v.deadlock().is_some()));
 //! ```
 

@@ -15,8 +15,12 @@
 //! * `clear`/refill recycles the allocation.
 //!
 //! Inserts and removes are `O(len)` memmoves — the right trade for sets
-//! bounded by a vertex's degree.
+//! bounded by a vertex's degree. The §5 edge sets ([`crate::wfgd::EdgeSet`])
+//! are not bounded that way — they grow with the run — and never take that
+//! path: they change only by [`VecSet::union_with`], one linear merge per
+//! message, and are copied by [`VecSet::with`].
 
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A set of `Copy + Ord` ids stored as a sorted vector.
@@ -100,6 +104,79 @@ impl<T: Copy + Ord> VecSet<T> {
     /// other fields of the owner.
     pub fn as_slice(&self) -> &[T] {
         &self.items
+    }
+
+    /// `self := self ∪ other` as one two-pointer merge of the two sorted
+    /// slices; returns `true` if `self` grew.
+    ///
+    /// A first forward walk counts the elements of `other` missing from
+    /// `self`; when there are none (`other ⊆ self`) nothing is written or
+    /// allocated. Otherwise the vector grows once by exactly that count
+    /// and the merge runs backwards in place.
+    pub fn union_with(&mut self, other: &VecSet<T>) -> bool {
+        let (a, b) = (&self.items, &other.items);
+        let (mut i, mut j, mut missing) = (0, 0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                Ordering::Less => i += 1,
+                Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                }
+                Ordering::Greater => {
+                    missing += 1;
+                    j += 1;
+                }
+            }
+        }
+        missing += b.len() - j;
+        if missing == 0 {
+            return false;
+        }
+        let old = self.items.len();
+        self.items.resize(old + missing, b[0]);
+        // Invariant: items[..i] and b[..j] are still to be merged into
+        // items[..k]; k - i counts the missing elements of b[..j], so the
+        // write cursor never overtakes the read cursor.
+        let (mut i, mut j, mut k) = (old, b.len(), old + missing);
+        while j > 0 {
+            k -= 1;
+            if i > 0 && self.items[i - 1] > b[j - 1] {
+                i -= 1;
+                self.items[k] = self.items[i];
+            } else {
+                j -= 1;
+                if i > 0 && self.items[i - 1] == b[j] {
+                    i -= 1;
+                }
+                self.items[k] = b[j];
+            }
+        }
+        true
+    }
+
+    /// A copy of the set that also contains `value`: one allocation of the
+    /// final size and one pass, instead of `clone` + `insert`'s copy,
+    /// regrow and shift.
+    pub fn with(&self, value: T) -> VecSet<T> {
+        match self.items.binary_search(&value) {
+            Ok(_) => self.clone(),
+            Err(pos) => {
+                let mut items = Vec::with_capacity(self.items.len() + 1);
+                items.extend_from_slice(&self.items[..pos]);
+                items.push(value);
+                items.extend_from_slice(&self.items[pos..]);
+                VecSet { items }
+            }
+        }
+    }
+}
+
+/// Full set equality against the oracle's representation, so call sites
+/// that compare a detector's set with a `BTreeSet` stay as written.
+impl<T: Copy + Ord> PartialEq<std::collections::BTreeSet<T>> for VecSet<T> {
+    fn eq(&self, other: &std::collections::BTreeSet<T>) -> bool {
+        self.items.iter().eq(other.iter())
     }
 }
 
@@ -314,7 +391,7 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             (state >> 33) as u32 % 32
         };
-        for _ in 0..2_000 {
+        for step in 0..2_000 {
             let v = rnd();
             if v % 3 == 0 {
                 assert_eq!(s.remove(&v), model.remove(&v));
@@ -323,10 +400,48 @@ mod tests {
             }
             assert_eq!(s.contains(&v), model.contains(&v));
             assert_eq!(s.len(), model.len());
+            if step % 8 == 0 {
+                // `union_with` against every shape of operand: a subset of
+                // `s` (the early exit), a run beyond its largest element
+                // (disjoint), and a random draw (interleaved, overlapping).
+                let other: VecSet<u32> = match step / 8 % 3 {
+                    0 => s.iter().copied().filter(|x| x % 2 == v % 2).collect(),
+                    1 => (40 + v..44 + v).collect(),
+                    _ => (0..v % 7).map(|_| rnd()).collect(),
+                };
+                let before = s.clone();
+                let grew = s.union_with(&other);
+                model.extend(other.iter().copied());
+                assert_eq!(grew, s.len() > before.len());
+                assert!(grew || s == before);
+                assert_eq!(s, model);
+                // `with` leaves its receiver alone and agrees with insert.
+                let mut inserted = s.clone();
+                inserted.insert(v + 1);
+                assert_eq!(s.with(v + 1), inserted);
+                assert_eq!(s, model);
+                // Keep the universe small enough to collide: drop the run.
+                for x in 40..80 {
+                    assert_eq!(s.remove(&x), model.remove(&x));
+                }
+            }
         }
-        assert_eq!(
-            s.iter().copied().collect::<Vec<_>>(),
-            model.iter().copied().collect::<Vec<_>>()
-        );
+        assert_eq!(s, model);
+        assert!(VecSet::from_iter([1, 2]) != BTreeSet::from([1, 2, 3]));
+        assert!(VecSet::from_iter([1, 2, 4]) != BTreeSet::from([1, 2, 3]));
+    }
+
+    #[test]
+    fn union_with_a_subset_does_not_touch_the_buffer() {
+        let mut s: VecSet<u32> = [1, 3, 5, 7].into_iter().collect();
+        let before = (s.as_slice().as_ptr(), s.items.capacity());
+        assert!(!s.union_with(&[3, 7].into_iter().collect()));
+        assert!(!s.union_with(&VecSet::new()));
+        assert_eq!((s.as_slice().as_ptr(), s.items.capacity()), before);
+        assert!(s.union_with(&[0, 4, 7, 9].into_iter().collect()));
+        assert_eq!(s.as_slice(), &[0, 1, 3, 4, 5, 7, 9]);
+        let mut empty = VecSet::new();
+        assert!(empty.union_with(&s));
+        assert_eq!(empty, s);
     }
 }

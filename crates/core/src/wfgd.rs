@@ -19,17 +19,36 @@
 //! never repeats a message, the computation terminates; at the fixed point
 //! `S_j` equals the oracle closure [`wfg::oracle::wfgd_ground_truth`].
 //!
+//! # Representation
+//!
+//! Nothing in the basic model dissolves a deadlock, so `S_j` only grows and
+//! every message carries all of it: the cost of a message is the cost of
+//! the set operations on it. An [`EdgeSet`] is a sorted vector
+//! ([`VecSet`]), `S_j ∪ M` is one two-pointer merge
+//! ([`VecSet::union_with`], which writes nothing when `M ⊆ S_j` — the
+//! common case once a knot has converged), and "already sent that exact
+//! message to `v_k`" is decided from the **size** of the last message sent
+//! to `v_k`, not a stored copy of it:
+//!
+//! * every message ever offered to `v_k` is `X ∪ {(v_k, v_j)}` with `X`
+//!   drawn from the inclusion chain `∅ ⊆ S_j(t₁) ⊆ S_j(t₂) ⊆ …` (`∅` is the
+//!   initiator step's `X`);
+//! * for `X ⊆ X'` on that chain, `X ∪ {e} ⊆ X' ∪ {e}`, so the two messages
+//!   are equal iff they have the same cardinality;
+//! * the would-be cardinality is `|S_j| + [(v_k, v_j) ∉ S_j]` — one binary
+//!   search — and the payload is copied only for a message actually sent.
+//!
 //! [`WfgdState`] is a pure state machine — the transport is supplied by the
 //! caller (in this workspace, [`crate::process::BasicProcess`]) — so the
 //! §5 rules are testable in isolation.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use serde::{Deserialize, Serialize};
 use simnet::sim::NodeId;
 
+use crate::vset::{VecMap, VecSet};
+
 /// A set of wait-for edges, the message payload of the WFGD computation.
-pub type EdgeSet = BTreeSet<(NodeId, NodeId)>;
+pub type EdgeSet = VecSet<(NodeId, NodeId)>;
 
 /// Per-vertex state of the WFGD computation.
 ///
@@ -53,11 +72,13 @@ pub type EdgeSet = BTreeSet<(NodeId, NodeId)>;
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WfgdState {
     s: EdgeSet,
-    last_sent: BTreeMap<NodeId, EdgeSet>,
+    /// Cardinality of the last message sent to each predecessor (see the
+    /// module docs for why the size identifies the message).
+    last_sent: VecMap<NodeId, usize>,
 }
 
 impl WfgdState {
-    /// Creates the initial state (`S_j = ∅`).
+    /// Creates the initial state (`S_j = ∅`). Allocates nothing.
     pub fn new() -> Self {
         WfgdState::default()
     }
@@ -79,10 +100,9 @@ impl WfgdState {
     ) -> Vec<(NodeId, EdgeSet)> {
         let mut out = Vec::new();
         for vj in black_predecessors {
-            let m: EdgeSet = [(vj, me)].into_iter().collect();
-            if self.last_sent.get(&vj) != Some(&m) {
-                self.last_sent.insert(vj, m.clone());
-                out.push((vj, m));
+            // The offer is `∅ ∪ {(v_j, v_i)}`: cardinality 1.
+            if self.last_sent.insert(vj, 1) != Some(1) {
+                out.push((vj, [(vj, me)].into_iter().collect()));
             }
         }
         out
@@ -98,14 +118,13 @@ impl WfgdState {
         msg: &EdgeSet,
         black_predecessors: impl IntoIterator<Item = NodeId>,
     ) -> Vec<(NodeId, EdgeSet)> {
-        self.s.extend(msg.iter().copied());
+        self.s.union_with(msg);
         let mut out = Vec::new();
         for vk in black_predecessors {
-            let mut m = self.s.clone();
-            m.insert((vk, me));
-            if self.last_sent.get(&vk) != Some(&m) {
-                self.last_sent.insert(vk, m.clone());
-                out.push((vk, m));
+            let edge = (vk, me);
+            let size = self.s.len() + usize::from(!self.s.contains(&edge));
+            if self.last_sent.insert(vk, size) != Some(size) {
+                out.push((vk, self.s.with(edge)));
             }
         }
         out
@@ -114,6 +133,10 @@ impl WfgdState {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use simnet::rng::DetRng;
+
     use super::*;
 
     fn n(i: usize) -> NodeId {
@@ -121,6 +144,118 @@ mod tests {
     }
     fn es(edges: &[(usize, usize)]) -> EdgeSet {
         edges.iter().map(|&(a, b)| (n(a), n(b))).collect()
+    }
+
+    /// The §5 rule as written: `S_j` and every last-sent message kept as
+    /// whole `BTreeSet`s, duplicates suppressed by full-set comparison.
+    /// Reference for [`size_dedup_matches_the_literal_rule`].
+    #[derive(Default)]
+    struct LiteralRule {
+        s: BTreeSet<(NodeId, NodeId)>,
+        last_sent: BTreeMap<NodeId, BTreeSet<(NodeId, NodeId)>>,
+    }
+
+    impl LiteralRule {
+        fn offer(
+            &mut self,
+            to: NodeId,
+            m: BTreeSet<(NodeId, NodeId)>,
+            out: &mut Vec<(NodeId, BTreeSet<(NodeId, NodeId)>)>,
+        ) {
+            if self.last_sent.get(&to) != Some(&m) {
+                self.last_sent.insert(to, m.clone());
+                out.push((to, m));
+            }
+        }
+
+        fn start(
+            &mut self,
+            me: NodeId,
+            preds: &[NodeId],
+        ) -> Vec<(NodeId, BTreeSet<(NodeId, NodeId)>)> {
+            let mut out = Vec::new();
+            for &vj in preds {
+                self.offer(vj, BTreeSet::from([(vj, me)]), &mut out);
+            }
+            out
+        }
+
+        fn receive(
+            &mut self,
+            me: NodeId,
+            msg: &EdgeSet,
+            preds: &[NodeId],
+        ) -> Vec<(NodeId, BTreeSet<(NodeId, NodeId)>)> {
+            self.s.extend(msg.iter().copied());
+            let mut out = Vec::new();
+            for &vk in preds {
+                let mut m = self.s.clone();
+                m.insert((vk, me));
+                self.offer(vk, m, &mut out);
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn size_dedup_matches_the_literal_rule() {
+        const NODES: u64 = 12;
+        let me = n(3);
+        let mut rng = DetRng::seed_from_u64(0x5eed_0f5e);
+        let mut sent = 0usize;
+        let mut suppressed = 0usize;
+        for round in 0..60 {
+            let mut st = WfgdState::new();
+            let mut model = LiteralRule::default();
+            for step in 0..80 {
+                // A fresh random predecessor set each step, so a
+                // predecessor leaves and comes back with S_j grown (or
+                // not) in between.
+                let mask = rng.next_below(1 << NODES);
+                let preds: Vec<NodeId> = (0..NODES as usize)
+                    .filter(|&i| n(i) != me && mask >> i & 1 == 1)
+                    .map(n)
+                    .collect();
+                let (got, want) = if rng.next_below(8) == 0 {
+                    // A (re-)declaration after receives: the one step
+                    // whose offer is smaller than the one before it.
+                    (st.start(me, preds.iter().copied()), model.start(me, &preds))
+                } else {
+                    let msg: EdgeSet = if rng.next_below(3) == 0 {
+                        // Teaches nothing: a subset of S_j.
+                        let keep = rng.next_below(4);
+                        st.known_edges()
+                            .iter()
+                            .copied()
+                            .filter(|_| rng.next_below(4) >= keep)
+                            .collect()
+                    } else {
+                        (0..rng.next_below(5))
+                            .map(|_| {
+                                let a = rng.next_below(NODES) as usize;
+                                let b = rng.next_below(NODES - 1) as usize;
+                                (n(a), n(if b >= a { b + 1 } else { b }))
+                            })
+                            .collect()
+                    };
+                    (
+                        st.receive(me, &msg, preds.iter().copied()),
+                        model.receive(me, &msg, &preds),
+                    )
+                };
+                let at = format!("round {round} step {step}");
+                assert_eq!(got.len(), want.len(), "{at}: message count");
+                for ((to, m), (want_to, want_m)) in got.iter().zip(&want) {
+                    assert_eq!(to, want_to, "{at}: recipient");
+                    assert_eq!(m, want_m, "{at}: message to {to}");
+                }
+                assert_eq!(st.known_edges(), &model.s, "{at}: S_j");
+                sent += got.len();
+                suppressed += preds.len() - got.len();
+            }
+        }
+        // The walk must exercise both outcomes of the dedup test.
+        assert!(sent > 1_000 && suppressed > 1_000, "{sent}/{suppressed}");
     }
 
     #[test]

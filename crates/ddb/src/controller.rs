@@ -798,24 +798,25 @@ impl Controller {
     /// [`counters::WEDGE_REPAIRED`] stays 0; the sweep exists so a future
     /// bookkeeping slip degrades from a permanent wedge into a counted,
     /// trace-visible repair. Deterministic: driven purely by grant/release
-    /// events, iterating scripts in `BTreeMap` order — no polling, no
+    /// events, iterating the holders in ascending order — no polling, no
     /// wall-clock.
     fn sweep_wedged_waiters(&mut self, ctx: &mut Context<'_, DdbMsg>, resource: ResourceId) {
         let site = self.site;
+        // A wedged waiter holds `resource`, so only its holders are
+        // candidates — not every script ever homed here.
         let stuck: Vec<TransactionId> = self
-            .scripts
-            .iter()
-            .filter(|&(&t, st)| {
-                st.status == TxnStatus::Running
-                    && match &st.waiting {
-                        Waiting::Local(r) => *r == resource,
-                        Waiting::Multi(p) => p.contains(&(site, resource)),
-                        _ => false,
-                    }
-                    && self.locks.holds(t, resource)
-                    && !self.locks.is_waiting(t, resource)
+            .locks
+            .holders_of(resource)
+            .filter(|&t| {
+                self.scripts.get(&t).is_some_and(|st| {
+                    st.status == TxnStatus::Running
+                        && match &st.waiting {
+                            Waiting::Local(r) => *r == resource,
+                            Waiting::Multi(p) => p.contains(&(site, resource)),
+                            _ => false,
+                        }
+                }) && !self.locks.is_waiting(t, resource)
             })
-            .map(|(&t, _)| t)
             .collect();
         for t in stuck {
             ctx.count(counters::WEDGE_REPAIRED);

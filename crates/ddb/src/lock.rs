@@ -314,6 +314,14 @@ impl LockTable {
             .is_some_and(|e| e.holders.contains_key(&txn))
     }
 
+    /// The transactions holding `resource` in any mode, in ascending order.
+    pub fn holders_of(&self, resource: ResourceId) -> impl Iterator<Item = TransactionId> + '_ {
+        self.entries
+            .get(&resource)
+            .into_iter()
+            .flat_map(|e| e.holders.keys().copied())
+    }
+
     /// The intra-controller wait-for edges implied by this table (§6.4):
     /// `(waiter, holder-or-waiter-ahead)` pairs, deduplicated, in order.
     ///
@@ -400,10 +408,14 @@ mod tests {
     #[test]
     fn shared_locks_coexist() {
         let mut lt = LockTable::new();
-        assert_eq!(lt.request(t(1), r(1), S), LockOutcome::Granted);
         assert_eq!(lt.request(t(2), r(1), S), LockOutcome::Granted);
+        assert_eq!(lt.request(t(1), r(1), S), LockOutcome::Granted);
         assert!(lt.holds(t(1), r(1)) && lt.holds(t(2), r(1)));
         assert!(lt.wait_edges().is_empty());
+        // Ascending, whatever the grant order; waiters are not holders.
+        lt.request(t(0), r(1), X);
+        assert_eq!(lt.holders_of(r(1)).collect::<Vec<_>>(), [t(1), t(2)]);
+        assert_eq!(lt.holders_of(r(9)).count(), 0);
     }
 
     #[test]
