@@ -61,22 +61,25 @@ fn part_a() {
             db.run_until(SimTime::from_ticks(PERIOD * (periods + 1)));
             db.verify_soundness()
                 .expect("soundness holds at any window");
-            cells.push(db.declarations().len().to_string());
+            cells.push(db.declarations().len());
         }
         // Undetected deadlocks (small windows) classify as Deadlocked,
         // not Wedged — liveness must hold at any window.
         db.verify_liveness().expect("no wedged transactions");
-        let complete = db.verify_completeness().is_ok();
+        db.verify_completeness().expect("complete after 20 periods");
+        // Both transactions of each deadlock declare once it is covered.
+        let all = 2 * R as usize;
+        if window == 1 {
+            assert!(cells[0] < all, "window 1 should stretch coverage");
+        } else if window >= 4 {
+            assert_eq!(cells[0], all, "window {window} should cover at once");
+        }
         t.row([
             window.to_string(),
-            cells[0].clone(),
-            cells[1].clone(),
-            cells[2].clone(),
-            if complete {
-                "yes".to_string()
-            } else {
-                "NO".to_string()
-            },
+            cells[0].to_string(),
+            cells[1].to_string(),
+            cells[2].to_string(),
+            "yes".to_string(),
         ]);
     }
     t.print();
@@ -102,6 +105,8 @@ fn part_b() {
     ];
     for (label, edges) in topologies {
         let n = edges.iter().flat_map(|&(a, b)| [a, b]).max().unwrap() + 1;
+        let branching = edges.len() > n;
+        let mut probes_once = 0;
         for policy in [
             ForwardPolicy::FirstMeaningful,
             ForwardPolicy::EveryMeaningful,
@@ -116,15 +121,23 @@ fn part_b() {
             // QRP2 survives either policy.
             net.verify_soundness()
                 .expect("soundness independent of forwarding");
+            let probes = net.metrics().get(cmh_core::process::counters::PROBE_SENT);
+            if policy == ForwardPolicy::FirstMeaningful {
+                assert!(out.quiescent, "{label}: forward-once must terminate");
+                probes_once = probes;
+            } else if branching {
+                assert!(
+                    probes > 100 * probes_once,
+                    "{label}: forward-always did not explode"
+                );
+            }
             t.row([
                 label.clone(),
                 match policy {
                     ForwardPolicy::FirstMeaningful => "once (paper)".to_string(),
                     ForwardPolicy::EveryMeaningful => "always (ablation)".to_string(),
                 },
-                net.metrics()
-                    .get(cmh_core::process::counters::PROBE_SENT)
-                    .to_string(),
+                probes.to_string(),
                 out.events.to_string(),
                 if out.quiescent {
                     "yes".to_string()

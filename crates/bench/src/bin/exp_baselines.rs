@@ -162,6 +162,7 @@ fn main() {
         "genuine",
         "phantom",
     ]);
+    let mut prev_timeout_phantoms = 0;
     for n in [8usize, 16, 32, 64] {
         let mut acc: Vec<Row> = Vec::new();
         for seed in [5u64, 6, 7] {
@@ -176,6 +177,17 @@ fn main() {
                 }
             }
         }
+        // Row order is run_all's: CMH first, path-pushing and timeout last.
+        let (cmh, pathpush, timeout) = (&acc[0], &acc[4], &acc[5]);
+        assert!(
+            pathpush.detection_msgs >= 5 * cmh.detection_msgs,
+            "N={n}: path-pushing's bill is under 5x CMH's"
+        );
+        assert!(
+            timeout.phantom > prev_timeout_phantoms,
+            "N={n}: timeout phantoms did not grow with system size"
+        );
+        prev_timeout_phantoms = timeout.phantom;
         for r in acc {
             t.row([
                 n.to_string(),

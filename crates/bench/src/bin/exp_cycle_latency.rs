@@ -6,52 +6,31 @@
 //! (requests and probes pipeline around the ring). We sweep cycle length
 //! under two latency models and report the measured latency from cycle
 //! formation (journal ground truth) to declaration.
-//!
-//! A [`cmh_bench::record::BenchRecord`] with aggregate throughput — and
-//! the time attributable to ground-truth oracle queries (`oracle_ms`) —
-//! lands in `target/experiments/bench/exp_cycle_latency.json`.
 
-// cmh-lint: allow-file(D2) — bench timing: wall-clock run duration in the emitted record only.
-use std::time::Instant;
-
-use cmh_bench::record::BenchRecord;
-use cmh_bench::{formation_time, time_ms, time_ms2, Table};
-use cmh_core::process::counters as basic_counters;
+use cmh_bench::{formation_time, Table};
 use cmh_core::{BasicConfig, BasicNet};
 use simnet::latency::LatencyModel;
-use simnet::metrics::builtin;
 use simnet::sim::SimBuilder;
 use wfg::generators;
 
-fn run(n: usize, latency: LatencyModel, seed: u64, rec: &mut BenchRecord) -> (u64, u64) {
+/// Ticks from cycle formation to the first declaration.
+fn run(n: usize, latency: LatencyModel, seed: u64) -> u64 {
     let builder = SimBuilder::new().seed(seed).latency(latency);
     let mut net = BasicNet::with_builder(n, BasicConfig::on_block(4), builder);
     net.request_edges(&generators::cycle(n)).unwrap();
-    time_ms(&mut rec.sim_ms, || net.run_to_quiescence(100_000_000));
-    time_ms2(&mut rec.verify_ms, &mut rec.oracle_ms, || {
-        net.verify_soundness().expect("QRP2")
-    });
+    net.run_to_quiescence(100_000_000);
+    net.verify_soundness().expect("QRP2");
     let journal = net.journal_snapshot();
-    let first = time_ms(&mut rec.detector_ms, || {
-        net.declarations()
-            .into_iter()
-            .min_by_key(|d| d.at)
-            .expect("cycle must be detected")
-    });
-    let formed = time_ms2(&mut rec.verify_ms, &mut rec.oracle_ms, || {
-        formation_time(&journal, first.detector, first.at)
-    });
-    rec.add_run(
-        net.metrics().get(builtin::EVENTS),
-        net.metrics().get(basic_counters::PROBE_SENT),
-        net.peak_queue_depth(),
-    );
-    (first.at.ticks() - formed.ticks(), first.at.ticks())
+    let first = net
+        .declarations()
+        .into_iter()
+        .min_by_key(|d| d.at)
+        .expect("cycle must be detected");
+    let formed = formation_time(&journal, first.detector, first.at);
+    first.at.ticks() - formed.ticks()
 }
 
 fn main() {
-    let started = Instant::now();
-    let mut rec = BenchRecord::new("exp_cycle_latency");
     println!("# E8: detection latency vs cycle length\n");
     let mut t = Table::new([
         "cycle length",
@@ -59,9 +38,14 @@ fn main() {
         "detect latency (ticks)",
         "latency / length",
     ]);
-    for &(label, ref model) in &[
-        ("fixed(5)", LatencyModel::Fixed { ticks: 5 }),
-        ("uniform(1..10)", LatencyModel::Uniform { lo: 1, hi: 10 }),
+    for &(label, ref model, hop_lo, hop_hi) in &[
+        ("fixed(5)", LatencyModel::Fixed { ticks: 5 }, 5.0, 5.0),
+        (
+            "uniform(1..10)",
+            LatencyModel::Uniform { lo: 1, hi: 10 },
+            1.0,
+            10.0,
+        ),
     ] {
         for n in [2usize, 4, 8, 16, 32, 64, 128, 256] {
             // Average over a few seeds for the stochastic model.
@@ -70,21 +54,22 @@ fn main() {
             } else {
                 &[1, 2, 3, 4, 5]
             };
-            let total: u64 = seeds
-                .iter()
-                .map(|&s| run(n, model.clone(), s, &mut rec).0)
-                .sum();
+            let total: u64 = seeds.iter().map(|&s| run(n, model.clone(), s)).sum();
             let lat = total as f64 / seeds.len() as f64;
+            let per_hop = lat / n as f64;
+            assert!(
+                (hop_lo..=hop_hi).contains(&per_hop),
+                "{label}, cycle({n}): {per_hop} ticks per edge is not one probe hop"
+            );
             t.row([
                 n.to_string(),
                 label.to_string(),
                 format!("{lat:.0}"),
-                format!("{:.2}", lat / n as f64),
+                format!("{per_hop:.2}"),
             ]);
         }
     }
     t.print();
     println!("claim check: latency grows linearly in cycle length; with fixed per-hop");
     println!("latency d the slope approaches d (one probe hop per edge). PASS");
-    rec.finish(started);
 }

@@ -63,6 +63,7 @@ fn main() {
         "local-cycle shortcuts",
     ]);
     for &(sites, txns) in &[(2usize, 8usize), (4, 16), (8, 32)] {
+        let mut naive_row = None;
         for naive in [true, false] {
             let mut comps = 0;
             let mut probes = 0;
@@ -76,6 +77,16 @@ fn main() {
                 decls += d;
                 agents += a;
                 local += l;
+            }
+            match naive_row {
+                None => naive_row = Some((comps, agents)),
+                Some((naive_comps, naive_agents)) => {
+                    assert!(
+                        comps < naive_comps,
+                        "{sites} x {txns}: Q-opt initiated {comps}, naive {naive_comps}"
+                    );
+                    assert_eq!(agents, naive_agents, "{sites} x {txns}: outcomes differ");
+                }
             }
             t.row([
                 format!("{sites} x {txns}"),

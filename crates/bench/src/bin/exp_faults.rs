@@ -18,21 +18,13 @@
 //! * **Part C** — the price of the repair: retransmissions, acks and
 //!   detection latency versus loss rate.
 //!
-//! Each cell is a sweep of independent seeded runs; set `CMH_PAR_SEEDS=1`
-//! to fan them out over threads (same numbers, less wall clock), and
-//! `CMH_BENCH_QUICK=1` for a reduced-seed smoke profile. A
-//! [`cmh_bench::record::BenchRecord`] with aggregate throughput lands in
-//! `target/experiments/bench/exp_faults.json`.
+//! Each cell is a sweep of independent seeded runs, fanned out over
+//! threads (the numbers do not depend on the thread count).
 
-// cmh-lint: allow-file(D2) — bench timing: wall-clock run duration in the emitted record only.
-use std::time::Instant;
-
-use cmh_bench::record::BenchRecord;
-use cmh_bench::sweep::seed_sweep;
-use cmh_bench::{time_ms, time_ms2, Table};
+use cmh_bench::Table;
 use cmh_core::engine::ValidationError;
-use cmh_core::process::counters as basic_counters;
 use cmh_core::{BasicConfig, BasicNet};
+use simnet::batch::par_seeds;
 use simnet::faults::FaultPlan;
 use simnet::metrics::builtin;
 use simnet::reliable::ReliableConfig;
@@ -43,16 +35,8 @@ use workloads::{drive_schedule, random_churn, ChurnConfig};
 
 const MAX_EVENTS: u64 = 50_000_000;
 
-/// Seed counts: the recorded profile, or a reduced smoke profile when
-/// `CMH_BENCH_QUICK` is set (CI runs the latter — tables shrink, claims
-/// still checked).
-fn seed_counts() -> (u64, u64) {
-    if std::env::var("CMH_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0") {
-        (8, 5)
-    } else {
-        (40, 25)
-    }
-}
+const RING_SEEDS: u64 = 40;
+const CHAOS_SEEDS: u64 = 25;
 
 fn builder(seed: u64, plan: FaultPlan, reliable: bool) -> SimBuilder {
     let b = SimBuilder::new().seed(seed).faults(plan);
@@ -83,39 +67,6 @@ impl Score {
     }
 }
 
-/// One run's contribution to the throughput record. Phase times are
-/// accumulated per run so the totals stay exact under parallel sweeps.
-struct RunStats {
-    events: u64,
-    probes: u64,
-    peak_depth: usize,
-    sim_ms: f64,
-    detector_ms: f64,
-    verify_ms: f64,
-    oracle_ms: f64,
-}
-
-fn stats_of(net: &BasicNet) -> RunStats {
-    RunStats {
-        events: net.metrics().get(builtin::EVENTS),
-        probes: net.metrics().get(basic_counters::PROBE_SENT),
-        peak_depth: net.peak_queue_depth(),
-        sim_ms: 0.0,
-        detector_ms: 0.0,
-        verify_ms: 0.0,
-        oracle_ms: 0.0,
-    }
-}
-
-/// Folds one run's counters and phase times into the record.
-fn fold(rec: &mut BenchRecord, stats: &RunStats) {
-    rec.add_run(stats.events, stats.probes, stats.peak_depth);
-    rec.sim_ms += stats.sim_ms;
-    rec.detector_ms += stats.detector_ms;
-    rec.verify_ms += stats.verify_ms;
-    rec.oracle_ms += stats.oracle_ms;
-}
-
 fn score(net: &BasicNet, s: &mut Score) {
     match net.verify_soundness() {
         Ok(_) => {}
@@ -135,28 +86,21 @@ fn score(net: &BasicNet, s: &mut Score) {
 }
 
 /// One Part A run: guaranteed ring(6) deadlock under message loss.
-fn ring_run(seed: u64, loss: f64, reliable: bool) -> (Score, RunStats) {
+fn ring_run(seed: u64, loss: f64, reliable: bool) -> Score {
     let plan = FaultPlan::new().loss(loss);
     let mut net =
         BasicNet::with_builder(6, BasicConfig::on_block(10), builder(seed, plan, reliable));
     net.request_edges(&generators::cycle(6)).unwrap();
-    let mut sim_ms = 0.0;
-    time_ms(&mut sim_ms, || net.run_to_quiescence(MAX_EVENTS));
+    net.run_to_quiescence(MAX_EVENTS);
     let mut s = Score::default();
-    let (mut verify_ms, mut oracle_ms) = (0.0, 0.0);
-    time_ms2(&mut verify_ms, &mut oracle_ms, || score(&net, &mut s));
-    let mut stats = stats_of(&net);
-    stats.sim_ms = sim_ms;
-    stats.verify_ms = verify_ms;
-    stats.oracle_ms = oracle_ms;
-    (s, stats)
+    score(&net, &mut s);
+    s
 }
 
-fn ring_runs(seeds: u64, loss: f64, reliable: bool, rec: &mut BenchRecord) -> Score {
+fn ring_runs(loss: f64, reliable: bool) -> Score {
     let mut total = Score::default();
-    for (s, stats) in seed_sweep(seeds, |seed| ring_run(seed, loss, reliable)) {
+    for s in par_seeds(RING_SEEDS, |seed| ring_run(seed, loss, reliable)) {
         total.merge(&s);
-        fold(rec, &stats);
     }
     total
 }
@@ -176,7 +120,7 @@ fn chaos_plan() -> FaultPlan {
 }
 
 /// One Part B run: churn with injected cycles under the chaos plan.
-fn chaos_run(seed: u64, reliable: bool) -> (Score, RunStats) {
+fn chaos_run(seed: u64, reliable: bool) -> Score {
     let sched = random_churn(&ChurnConfig {
         n: 12,
         duration: 4_000,
@@ -190,35 +134,26 @@ fn chaos_run(seed: u64, reliable: bool) -> (Score, RunStats) {
         BasicConfig::on_block(15),
         builder(seed, chaos_plan(), reliable),
     );
-    let mut sim_ms = 0.0;
-    time_ms(&mut sim_ms, || {
-        drive_schedule(
-            &mut net,
-            &sched,
-            |x, at| {
-                x.run_until(at);
-            },
-            // A crashed node can neither issue nor accept work; skipping
-            // such injections keeps the driver honest in both modes.
-            |x, f, t| !x.is_crashed(f) && !x.is_crashed(t) && x.request(f, t).is_ok(),
-        );
-        net.run_to_quiescence(MAX_EVENTS);
-    });
+    drive_schedule(
+        &mut net,
+        &sched,
+        |x, at| {
+            x.run_until(at);
+        },
+        // A crashed node can neither issue nor accept work; skipping
+        // such injections keeps the driver honest in both modes.
+        |x, f, t| !x.is_crashed(f) && !x.is_crashed(t) && x.request(f, t).is_ok(),
+    );
+    net.run_to_quiescence(MAX_EVENTS);
     let mut s = Score::default();
-    let (mut verify_ms, mut oracle_ms) = (0.0, 0.0);
-    time_ms2(&mut verify_ms, &mut oracle_ms, || score(&net, &mut s));
-    let mut stats = stats_of(&net);
-    stats.sim_ms = sim_ms;
-    stats.verify_ms = verify_ms;
-    stats.oracle_ms = oracle_ms;
-    (s, stats)
+    score(&net, &mut s);
+    s
 }
 
-fn chaos_runs(seeds: u64, reliable: bool, rec: &mut BenchRecord) -> Score {
+fn chaos_runs(reliable: bool) -> Score {
     let mut total = Score::default();
-    for (s, stats) in seed_sweep(seeds, |seed| chaos_run(seed, reliable)) {
+    for s in par_seeds(CHAOS_SEEDS, |seed| chaos_run(seed, reliable)) {
         total.merge(&s);
-        fold(rec, &stats);
     }
     total
 }
@@ -245,12 +180,11 @@ impl Overhead {
     }
 }
 
-fn overhead_run(seed: u64, loss: f64) -> (Overhead, RunStats) {
+fn overhead_run(seed: u64, loss: f64) -> Overhead {
     let plan = FaultPlan::new().loss(loss);
     let mut net = BasicNet::with_builder(6, BasicConfig::on_block(10), builder(seed, plan, true));
     net.request_edges(&generators::cycle(6)).unwrap();
-    let mut sim_ms = 0.0;
-    time_ms(&mut sim_ms, || net.run_to_quiescence(MAX_EVENTS));
+    net.run_to_quiescence(MAX_EVENTS);
     let m = net.metrics();
     let mut o = Overhead {
         app_msgs: m.get(builtin::MESSAGES_SENT),
@@ -261,22 +195,16 @@ fn overhead_run(seed: u64, loss: f64) -> (Overhead, RunStats) {
         latency_sum: 0,
         latency_n: 0,
     };
-    let mut detector_ms = 0.0;
-    time_ms(&mut detector_ms, || {
-        if let Some(d) = net.declarations().first() {
-            o.latency_sum = d.at.ticks();
-            o.latency_n = 1;
-        }
-    });
-    let mut stats = stats_of(&net);
-    stats.sim_ms = sim_ms;
-    stats.detector_ms = detector_ms;
-    (o, stats)
+    if let Some(d) = net.declarations().first() {
+        o.latency_sum = d.at.ticks();
+        o.latency_n = 1;
+    }
+    o
 }
 
-fn overhead_runs(seeds: u64, loss: f64, rec: &mut BenchRecord) -> Overhead {
+fn overhead_runs(loss: f64) -> Overhead {
     let mut total = Overhead::default();
-    for (o, stats) in seed_sweep(seeds, |seed| overhead_run(seed, loss)) {
+    for o in par_seeds(RING_SEEDS, |seed| overhead_run(seed, loss)) {
         total.app_msgs += o.app_msgs;
         total.retransmissions += o.retransmissions;
         total.acks += o.acks;
@@ -284,7 +212,6 @@ fn overhead_runs(seeds: u64, loss: f64, rec: &mut BenchRecord) -> Overhead {
         total.duplicated += o.duplicated;
         total.latency_sum += o.latency_sum;
         total.latency_n += o.latency_n;
-        fold(rec, &stats);
     }
     total
 }
@@ -298,12 +225,9 @@ fn transport(reliable: bool) -> &'static str {
 }
 
 fn main() {
-    let started = Instant::now();
-    let mut rec = BenchRecord::new("exp_faults");
-    let (ring_seeds, chaos_seeds) = seed_counts();
     println!("# E12: fault injection vs the reliable transport\n");
 
-    println!("## Part A: ring(6) deadlock under message loss ({ring_seeds} seeds per cell)\n");
+    println!("## Part A: ring(6) deadlock under message loss ({RING_SEEDS} seeds per cell)\n");
     let mut a = Table::new([
         "loss rate",
         "transport",
@@ -313,7 +237,7 @@ fn main() {
     ]);
     for &loss in &[0.0, 0.05, 0.10, 0.20] {
         for reliable in [false, true] {
-            let s = ring_runs(ring_seeds, loss, reliable, &mut rec);
+            let s = ring_runs(loss, reliable);
             a.row([
                 format!("{:.0}%", loss * 100.0),
                 transport(reliable).to_string(),
@@ -326,7 +250,7 @@ fn main() {
     a.print();
 
     println!(
-        "\n## Part B: chaos Monte-Carlo ({chaos_seeds} seeds; churn + injected cycles;\n\
+        "\n## Part B: chaos Monte-Carlo ({CHAOS_SEEDS} seeds; churn + injected cycles;\n\
          loss 10%, dup 5%, reorder 10%, node 1 crash at t=1500, restart t=2100)\n"
     );
     let mut b = Table::new([
@@ -338,7 +262,7 @@ fn main() {
     ]);
     let mut reliable_clean = true;
     for reliable in [false, true] {
-        let s = chaos_runs(chaos_seeds, reliable, &mut rec);
+        let s = chaos_runs(reliable);
         if reliable && (s.missed > 0 || s.false_pos > 0 || s.corrupted > 0) {
             reliable_clean = false;
         }
@@ -352,7 +276,7 @@ fn main() {
     }
     b.print();
 
-    println!("\n## Part C: the price of the repair (ring(6), reliable on, {ring_seeds} seeds)\n");
+    println!("\n## Part C: the price of the repair (ring(6), reliable on, {RING_SEEDS} seeds)\n");
     let mut c = Table::new([
         "loss rate",
         "app msgs",
@@ -364,7 +288,7 @@ fn main() {
         "mean detection latency (ticks)",
     ]);
     for &loss in &[0.0, 0.05, 0.10, 0.20] {
-        let o = overhead_runs(ring_seeds, loss, &mut rec);
+        let o = overhead_runs(loss);
         c.row([
             format!("{:.0}%", loss * 100.0),
             o.app_msgs.to_string(),
@@ -379,12 +303,11 @@ fn main() {
     c.print();
 
     println!();
-    if reliable_clean {
-        println!("claim check: with the reliable layer off, loss and crashes break QRP1");
-        println!("(missed deadlocks) readily; with it on, every chaos run detects exactly");
-        println!("the oracle's deadlocks — the transport restores P1/P2/P4 end to end. PASS");
-    } else {
-        println!("claim check: FAIL — violations observed with the reliable layer on.");
-    }
-    rec.finish(started);
+    assert!(
+        reliable_clean,
+        "claim check: FAIL — violations observed with the reliable layer on."
+    );
+    println!("claim check: with the reliable layer off, loss and crashes break QRP1");
+    println!("(missed deadlocks) readily; with it on, every chaos run detects exactly");
+    println!("the oracle's deadlocks — the transport restores P1/P2/P4 end to end. PASS");
 }

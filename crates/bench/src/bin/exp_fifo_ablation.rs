@@ -114,6 +114,16 @@ fn churn_runs(fifo: bool) -> (usize, u64, u64) {
     (reports, missed, false_pos)
 }
 
+/// The claim, row by row: ordered channels are exact, and on the bare
+/// rings (`must_lose`) unordered ones lose detections.
+fn check_claim(fifo: bool, missed: u64, false_pos: u64, must_lose: bool) {
+    if fifo {
+        assert_eq!((missed, false_pos), (0, 0), "ordered channels are exact");
+    } else if must_lose {
+        assert!(missed > 0, "unordered channels lost no detection");
+    }
+}
+
 fn main() {
     println!(
         "# E9: FIFO-channel ablation ({SEEDS} ring seeds, {} churn seeds)\n",
@@ -128,6 +138,7 @@ fn main() {
     ]);
     for fifo in [true, false] {
         let (detected, missed, false_pos) = ring_runs(fifo);
+        check_claim(fifo, missed, false_pos, true);
         t.row([
             "ring(6), wide latency".to_string(),
             if fifo {
@@ -142,6 +153,7 @@ fn main() {
     }
     for fifo in [true, false] {
         let (detected, missed, false_pos) = single_initiator_runs(fifo);
+        check_claim(fifo, missed, false_pos, true);
         t.row([
             "ring(6), single initiator".to_string(),
             if fifo {
@@ -156,6 +168,7 @@ fn main() {
     }
     for fifo in [true, false] {
         let (reports, missed, false_pos) = churn_runs(fifo);
+        check_claim(fifo, missed, false_pos, false);
         t.row([
             "churn + injected cycles".to_string(),
             if fifo {

@@ -6,21 +6,12 @@
 //! This binary measures the actual maximum probes per computation across
 //! topologies and sizes.
 //!
-//! The topologies are independent seeded runs; set `CMH_PAR_SEEDS=1` to
-//! sweep them on parallel threads (identical table, less wall clock), and
-//! `CMH_BENCH_QUICK=1` to skip the largest sizes (CI smoke profile). A
-//! [`cmh_bench::record::BenchRecord`] with aggregate throughput lands in
-//! `target/experiments/bench/exp_probe_bounds.json`.
+//! The topologies are independent seeded runs, swept on parallel threads
+//! (the table does not depend on the thread count).
 
-// cmh-lint: allow-file(D2) — bench timing: wall-clock run duration in the emitted record only.
-use std::time::Instant;
-
-use cmh_bench::record::BenchRecord;
-use cmh_bench::sweep::sweep_map;
-use cmh_bench::{time_ms, time_ms2, Table};
-use cmh_core::process::counters as basic_counters;
+use cmh_bench::Table;
 use cmh_core::{BasicConfig, BasicNet, ProbeTag};
-use simnet::metrics::builtin;
+use simnet::batch::par_map;
 use simnet::sim::NodeId;
 use std::collections::BTreeMap;
 use wfg::generators::Topology;
@@ -35,38 +26,16 @@ fn probes_per_computation(net: &BasicNet) -> BTreeMap<ProbeTag, u64> {
     per_tag
 }
 
-/// One topology's table row plus its contribution to the bench record.
-struct RunResult {
-    row: [String; 7],
-    events: u64,
-    probes: u64,
-    peak_depth: usize,
-    /// Per-phase wall clock, accumulated per run so the totals stay exact
-    /// under parallel sweeps.
-    sim_ms: f64,
-    detector_ms: f64,
-    verify_ms: f64,
-    /// Time spent in ground-truth oracle queries (a subset of verify_ms
-    /// here), accumulated per run so the total stays exact under parallel
-    /// sweeps.
-    oracle_ms: f64,
-}
-
-fn run(topology: &Topology, label: &str) -> RunResult {
+/// One topology's table row.
+fn run(topology: &Topology, label: &str) -> [String; 7] {
     let n = topology.vertex_count();
     let edges = topology.edges();
     let mut net = BasicNet::new(n, BasicConfig::on_block(4), 42);
     net.request_edges(&edges)
         .expect("generator produces legal requests");
-    let mut sim_ms = 0.0;
-    let mut detector_ms = 0.0;
-    let mut verify_ms = 0.0;
-    let mut oracle_ms = 0.0;
-    time_ms(&mut sim_ms, || net.run_to_quiescence(50_000_000));
-    time_ms2(&mut verify_ms, &mut oracle_ms, || {
-        net.verify_soundness().expect("QRP2")
-    });
-    let per_tag = time_ms(&mut detector_ms, || probes_per_computation(&net));
+    net.run_to_quiescence(50_000_000);
+    net.verify_soundness().expect("QRP2");
+    let per_tag = probes_per_computation(&net);
     let max_probes = per_tag.values().copied().max().unwrap_or(0);
     let computations = per_tag.len();
     let total: u64 = per_tag.values().sum();
@@ -75,44 +44,24 @@ fn run(topology: &Topology, label: &str) -> RunResult {
         "{label}: bound violated: {max_probes} > E={}",
         edges.len()
     );
-    RunResult {
-        row: [
-            label.to_string(),
-            n.to_string(),
-            edges.len().to_string(),
-            computations.to_string(),
-            max_probes.to_string(),
-            (if max_probes <= edges.len() as u64 {
-                "yes"
-            } else {
-                "NO"
-            })
-            .to_string(),
-            total.to_string(),
-        ],
-        events: net.metrics().get(builtin::EVENTS),
-        probes: net.metrics().get(basic_counters::PROBE_SENT),
-        peak_depth: net.peak_queue_depth(),
-        sim_ms,
-        detector_ms,
-        verify_ms,
-        oracle_ms,
+    if let Topology::Cycle { n } = topology {
+        assert_eq!(max_probes, *n as u64, "{label}: one probe per cycle edge");
     }
+    [
+        label.to_string(),
+        n.to_string(),
+        edges.len().to_string(),
+        computations.to_string(),
+        max_probes.to_string(),
+        "yes".to_string(),
+        total.to_string(),
+    ]
 }
 
 fn main() {
-    let started = Instant::now();
-    let mut rec = BenchRecord::new("exp_probe_bounds");
-    let quick = std::env::var("CMH_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
-
     println!("# E1: probes per computation vs the edge bound (seed 42)\n");
     let mut cases: Vec<(Topology, String)> = Vec::new();
-    let cycle_sizes: &[usize] = if quick {
-        &[4, 8, 16, 32]
-    } else {
-        &[4, 8, 16, 32, 64, 128, 256, 512]
-    };
-    for &n in cycle_sizes {
+    for n in [4usize, 8, 16, 32, 64, 128, 256, 512] {
         cases.push((Topology::Cycle { n }, format!("cycle({n})")));
     }
     for n in [4usize, 8, 16] {
@@ -141,16 +90,10 @@ fn main() {
         "<= E?",
         "total probes",
     ]);
-    for r in sweep_map(cases, |(topology, label)| run(&topology, &label)) {
-        t.row(r.row);
-        rec.add_run(r.events, r.probes, r.peak_depth);
-        rec.sim_ms += r.sim_ms;
-        rec.detector_ms += r.detector_ms;
-        rec.verify_ms += r.verify_ms;
-        rec.oracle_ms += r.oracle_ms;
+    for row in par_map(cases, |(topology, label)| run(&topology, &label)) {
+        t.row(row);
     }
     t.print();
     println!("claim check: on cycle(N) the max probes per computation equals N (one per edge);");
     println!("on every topology it never exceeds E. PASS");
-    rec.finish(started);
 }

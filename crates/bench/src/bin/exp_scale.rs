@@ -3,12 +3,12 @@
 //! The paper's algorithm is fully distributed, so nothing in it bounds
 //! the network size; what bounds a *reproduction* is the simulator. This
 //! experiment drives the basic-model detector over wait-for graphs of
-//! 10⁴, 10⁵ and 10⁶ vertices and records raw engine throughput
+//! 10⁴, 10⁵ and 10⁶ vertices and prints raw engine throughput
 //! (events/sec), detector throughput (probes/sec) and the memory
-//! footprint per vertex (`VmHWM / N`) into the bench record — the
-//! headline numbers for the sharded conservative-window engine
-//! (DESIGN §12) and the sparse per-vertex tables that replaced the dense
-//! O(N) arrays (quadratic in aggregate at this scale).
+//! footprint per vertex (`VmHWM / N`) — the headline numbers for the
+//! sharded conservative-window engine (DESIGN §12) and the sparse
+//! per-vertex tables that replaced the dense O(N) arrays (quadratic in
+//! aggregate at this scale).
 //!
 //! The workload is a disjoint mix the oracle-free harness can check by
 //! counting: vertices are grouped into triples; three out of four triples
@@ -18,44 +18,52 @@
 //! at 10⁶ vertices ground-truth replay would dominate everything; the
 //! expected-declaration count is the correctness check.
 //!
-//! `CMH_SHARDS=S` selects the sharded engine (`CMH_SIM` workers engage on
-//! windows with enough backlog); `CMH_LATENCY=wan` swaps in the 3-tick
-//! latency floor so the sharded engine coalesces multi-tick windows (the
-//! record's `windows` / `mean_window_ticks` columns show the collapse);
-//! `CMH_BENCH_QUICK=1` caps the sweep at 10⁵ for CI; `CMH_SCALE_MAX`
-//! overrides the largest N.
+//! `CMH_SHARDS=S` selects the sharded engine (workers engage on windows
+//! with enough backlog); `CMH_LATENCY=wan` swaps in the 3-tick latency
+//! floor so the sharded engine coalesces multi-tick windows;
+//! `CMH_SCALE_MAX` overrides the largest N.
 
-// cmh-lint: allow-file(D2) — bench timing: wall-clock phase durations in the emitted record only.
+// cmh-lint: allow-file(D2) — the table's `sim ms` and per-second columns are wall clock.
 use std::time::Instant;
 
-use cmh_bench::record::{peak_rss_bytes, BenchRecord};
-use cmh_bench::{time_ms, Table};
+use cmh_bench::sweep::{latency_from_env, shards_from_env};
+use cmh_bench::Table;
 use cmh_core::process::counters as basic_counters;
 use cmh_core::{BasicConfig, BasicProcess};
 use simnet::metrics::builtin;
 use simnet::sim::{NodeId, SimBuilder, Simulation};
 
-fn env_flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0")
+/// Peak resident set size of this process, in bytes, read from
+/// `/proc/self/status` (`VmHWM`); 0 where procfs is unavailable.
+fn peak_rss_bytes() -> u64 {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return 0;
+    };
+    let kib = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|rest| {
+            rest.trim()
+                .trim_end_matches("kB")
+                .trim()
+                .parse::<u64>()
+                .ok()
+        });
+    kib.unwrap_or(0) * 1024
 }
 
 /// One sweep point: build the net, inject the triple workload, run to
 /// quiescence. Returns (events, probes, declared, expected_declared,
-/// peak_queue_depth) plus phase times via `rec`.
-fn run_point(n: usize, rec: &mut BenchRecord) -> (u64, u64, usize, usize, usize) {
-    let mut build_ms = 0.0;
-    let mut sim: Simulation<_, BasicProcess> = time_ms(&mut build_ms, || {
-        let mut sim = SimBuilder::new()
-            .seed(4242)
-            .latency(cmh_bench::sweep::latency_from_env())
-            .shards(cmh_bench::sweep::shards_from_env())
-            .build_mt::<cmh_core::process::BasicMsg, BasicProcess>();
-        for _ in 0..n {
-            sim.add_node(BasicProcess::new(BasicConfig::on_block(10)));
-        }
-        sim
-    });
-    rec.detector_ms += build_ms; // setup cost, attributed outside sim time
+/// wall-clock ms of inject + run).
+fn run_point(n: usize, shards: usize) -> (u64, u64, usize, usize, f64) {
+    let mut sim: Simulation<_, BasicProcess> = SimBuilder::new()
+        .seed(4242)
+        .latency(latency_from_env())
+        .shards(shards)
+        .build_mt::<cmh_core::process::BasicMsg, BasicProcess>();
+    for _ in 0..n {
+        sim.add_node(BasicProcess::new(BasicConfig::on_block(10)));
+    }
 
     // Triples (i, i+1, i+2): numbers 0,1,2 of each group request in a
     // ring — except every 4th triple, which leaves the closing edge out
@@ -63,55 +71,46 @@ fn run_point(n: usize, rec: &mut BenchRecord) -> (u64, u64, usize, usize, usize)
     // handlers through `with_node`.
     let triples = n / 3;
     let mut expected_declared = 0usize;
-    time_ms(&mut rec.sim_ms, || {
-        for t in 0..triples {
-            let base = 3 * t;
-            let (a, b, c) = (NodeId(base), NodeId(base + 1), NodeId(base + 2));
-            sim.with_node(a, |p, ctx| p.request(ctx, b).expect("fresh edge"));
-            sim.with_node(b, |p, ctx| p.request(ctx, c).expect("fresh edge"));
-            if t % 4 != 3 {
-                sim.with_node(c, |p, ctx| p.request(ctx, a).expect("fresh edge"));
-                // OnBlock: all three members initiate their own
-                // computation, and each finds the cycle — three
-                // declarations per closed triple.
-                expected_declared += 3;
-            }
+    let started = Instant::now();
+    for t in 0..triples {
+        let base = 3 * t;
+        let (a, b, c) = (NodeId(base), NodeId(base + 1), NodeId(base + 2));
+        sim.with_node(a, |p, ctx| p.request(ctx, b).expect("fresh edge"));
+        sim.with_node(b, |p, ctx| p.request(ctx, c).expect("fresh edge"));
+        if t % 4 != 3 {
+            sim.with_node(c, |p, ctx| p.request(ctx, a).expect("fresh edge"));
+            // OnBlock: all three members initiate their own
+            // computation, and each finds the cycle — three
+            // declarations per closed triple.
+            expected_declared += 3;
         }
-        sim.run_to_quiescence(u64::MAX);
-    });
+    }
+    sim.run_to_quiescence(u64::MAX);
+    let sim_ms = started.elapsed().as_secs_f64() * 1_000.0;
 
     let declared: usize = (0..n)
         .filter(|&i| !sim.node(NodeId(i)).declarations().is_empty())
         .count();
-    rec.add_window_stats(sim.window_stats());
     (
         sim.metrics().get(builtin::EVENTS),
         sim.metrics().get(basic_counters::PROBE_SENT),
         declared,
         expected_declared,
-        sim.peak_queue_depth(),
+        sim_ms,
     )
 }
 
 fn main() {
-    let started = Instant::now();
-    let mut rec = BenchRecord::new("exp_scale");
+    let shards = shards_from_env();
     let max_n: usize = std::env::var("CMH_SCALE_MAX")
         .ok()
         .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(if env_flag("CMH_BENCH_QUICK") {
-            100_000
-        } else {
-            1_000_000
-        });
+        .unwrap_or(1_000_000);
     let sizes: Vec<usize> = [10_000usize, 100_000, 1_000_000]
         .into_iter()
         .filter(|&n| n <= max_n)
         .collect();
-    println!(
-        "# E13: scaling sweep to N={} (shards={})\n",
-        max_n, rec.shards
-    );
+    println!("# E13: scaling sweep to N={max_n} (shards={shards})\n");
     let mut table = Table::new([
         "N",
         "events",
@@ -125,13 +124,11 @@ fn main() {
     ]);
 
     for &n in &sizes {
-        let sim_before = rec.sim_ms;
-        let (events, probes, declared, expected, depth) = run_point(n, &mut rec);
+        let (events, probes, declared, expected, sim_ms) = run_point(n, shards);
         assert_eq!(
             declared, expected,
             "every member of every closed triple must declare (N={n})"
         );
-        let sim_ms = rec.sim_ms - sim_before;
         let rss = peak_rss_bytes();
         table.row([
             n.to_string(),
@@ -146,19 +143,9 @@ fn main() {
             format!("{:.0}", rss as f64 / n as f64),
             declared.to_string(),
         ]);
-        rec.add_run(events, probes, depth);
-        rec.vertices = n as u64;
-        // Persist partial progress: a failed larger N must not lose the
-        // completed rows' aggregate.
-        let mut partial = rec.clone();
-        partial.wall_ms = started.elapsed().as_secs_f64() * 1_000.0;
-        partial.peak_rss_bytes = rss;
-        partial.mem_bytes_per_vertex = rss as f64 / n as f64;
-        let _ = partial.write_to(std::path::Path::new("target/experiments/bench"));
     }
 
     table.print();
     println!("claim check: declaration count equals 3x the number of closed triples");
     println!("at every N — detection stays exact while the engine scales. PASS");
-    rec.finish(started);
 }

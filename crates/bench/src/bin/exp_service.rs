@@ -22,11 +22,9 @@
 //!   restarted site and verify the at-rest snapshot oracle reports zero
 //!   soundness violations (stale echoes are counted, never hidden).
 //!
-//! The record lands in `target/experiments/BENCH_service.json` (its own
-//! file, not `BENCH_sim.json` — these are wall-clock service numbers, not
-//! simulator numbers). `CMH_SERVICE_SMOKE=1` shrinks every cell for CI;
-//! the acceptance thresholds scale with it. Latency quantiles come from
-//! the log-bucketed [`cmh_bench::hist::Hist`] (≤ 1.6 % relative error).
+//! `CMH_SERVICE_SMOKE=1` shrinks every cell for CI; the acceptance
+//! thresholds scale with it. Latency quantiles are nearest-rank over the
+//! sorted client-side samples ([`cmh_bench::quantile`]).
 //!
 //! Single-core caveat: on one hardware thread the site servers, load
 //! workers, and reader threads all timeshare, so absolute latencies are
@@ -38,10 +36,9 @@
 // detectors quiesce before at-rest capture, and the service threads it
 // drives are the subject under test, not a simulation.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use cmh_bench::hist::Hist;
-use cmh_bench::Table;
+use cmh_bench::{quantile, Table};
 use cmh_ddb::config::DdbConfig;
 use cmh_ddb::ids::{ResourceId, SiteId};
 use cmh_ddb::lock::LockMode;
@@ -54,20 +51,15 @@ fn env_flag(name: &str) -> bool {
     std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-/// Everything one cell contributes to the table and the JSON record.
+/// Everything one cell contributes to the table. The report's latency
+/// vectors are sorted.
 struct Cell {
     name: &'static str,
     n_sites: usize,
     mode: &'static str,
     report: LoadReport,
-    grant: Hist,
-    declare: Hist,
-    txn: Hist,
     probe_sent: u64,
-    probe_recv: u64,
     ddb_declared: u64,
-    unacked: usize,
-    abandoned: u64,
 }
 
 impl Cell {
@@ -86,63 +78,6 @@ impl Cell {
             self.probe_sent as f64 / self.ddb_declared as f64
         }
     }
-
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "      \"cell\": \"{}\",\n",
-                "      \"n_sites\": {},\n",
-                "      \"mode\": \"{}\",\n",
-                "      \"wall_ms\": {},\n",
-                "      \"submitted\": {},\n",
-                "      \"committed\": {},\n",
-                "      \"aborted\": {},\n",
-                "      \"declared\": {},\n",
-                "      \"lost\": {},\n",
-                "      \"lock_requests\": {},\n",
-                "      \"lock_requests_per_sec\": {:.1},\n",
-                "      \"probe_sent\": {},\n",
-                "      \"probe_recv\": {},\n",
-                "      \"ddb_declared\": {},\n",
-                "      \"probes_per_declared\": {:.2},\n",
-                "      \"transport_unacked\": {},\n",
-                "      \"transport_abandoned\": {},\n",
-                "      \"grant_us\": {},\n",
-                "      \"declare_us\": {},\n",
-                "      \"txn_us\": {}\n",
-                "    }}"
-            ),
-            self.name,
-            self.n_sites,
-            self.mode,
-            self.report.wall_ms,
-            self.report.submitted,
-            self.report.committed,
-            self.report.aborted,
-            self.report.declared,
-            self.report.lost,
-            self.report.lock_requests,
-            self.lock_reqs_per_sec(),
-            self.probe_sent,
-            self.probe_recv,
-            self.ddb_declared,
-            self.probes_per_declared(),
-            self.unacked,
-            self.abandoned,
-            self.grant.to_json(),
-            self.declare.to_json(),
-            self.txn.to_json(),
-        )
-    }
-}
-
-fn hist_of(xs: &[u64]) -> Hist {
-    let mut h = Hist::new();
-    for &x in xs {
-        h.record(x);
-    }
-    h
 }
 
 /// Runs one load cell against a fresh cluster and drains its metrics.
@@ -156,37 +91,22 @@ fn run_cell(
 ) -> Cell {
     let n_sites = cfg.n_sites;
     let cluster = Cluster::start(cfg);
-    let report = loadgen::run_load(cluster.addrs(), jobs, load);
+    let mut report = loadgen::run_load(cluster.addrs(), jobs, load);
+    report.grant_us.sort_unstable();
+    report.declare_us.sort_unstable();
     // Let in-flight probes and peer frames settle before draining counters.
     std::thread::sleep(drain);
     let reports = cluster.reports(Duration::from_secs(5));
     let probe_sent = cluster.metric_sum(&reports, "ddb.probe.sent");
-    let probe_recv = cluster.metric_sum(&reports, "ddb.probe.recv");
     let ddb_declared = cluster.metric_sum(&reports, "ddb.declared");
-    let unacked: usize = reports
-        .iter()
-        .flat_map(|r| r.transport.iter())
-        .map(|&(_, u, _)| u)
-        .sum();
-    let abandoned: u64 = reports
-        .iter()
-        .flat_map(|r| r.transport.iter())
-        .map(|&(_, _, a)| a)
-        .sum();
     cluster.shutdown();
     Cell {
         name,
         n_sites,
         mode: mode_name,
-        grant: hist_of(&report.grant_us),
-        declare: hist_of(&report.declare_us),
-        txn: hist_of(&report.txn_us),
         report,
         probe_sent,
-        probe_recv,
         ddb_declared,
-        unacked,
-        abandoned,
     }
 }
 
@@ -312,7 +232,6 @@ fn run_recovery(smoke: bool, transport: TransportKind) -> Recovery {
 }
 
 fn main() {
-    let started = Instant::now();
     let smoke = env_flag("CMH_SERVICE_SMOKE");
     let transport = if env_flag("CMH_SERVICE_TCP") {
         TransportKind::Tcp
@@ -456,8 +375,16 @@ fn main() {
             c.report.lost.to_string(),
             c.report.lock_requests.to_string(),
             format!("{:.0}", c.lock_reqs_per_sec()),
-            format!("{}/{}", c.grant.quantile(0.50), c.grant.quantile(0.99)),
-            format!("{}/{}", c.declare.quantile(0.50), c.declare.quantile(0.99)),
+            format!(
+                "{}/{}",
+                quantile(&c.report.grant_us, 0.50),
+                quantile(&c.report.grant_us, 0.99)
+            ),
+            format!(
+                "{}/{}",
+                quantile(&c.report.declare_us, 0.50),
+                quantile(&c.report.declare_us, 0.99)
+            ),
             format!("{:.1}", c.probes_per_declared()),
         ]);
     }
@@ -492,7 +419,7 @@ fn main() {
         contended.report
     );
     assert!(
-        contended.declare.count() >= 1,
+        !contended.report.declare_us.is_empty(),
         "no request→Declare latency reached a client"
     );
     assert!(!rec.down_probe_committed, "a dead site served a commit");
@@ -506,52 +433,4 @@ fn main() {
         "claim check: restart recovered in {} ms with zero soundness violations",
         rec.recovery_ms
     );
-
-    // -- record ------------------------------------------------------------
-    let dir = std::path::Path::new("target/experiments");
-    std::fs::create_dir_all(dir).expect("create target/experiments");
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"experiment\": \"exp_service\",\n");
-    json.push_str(&format!(
-        "  \"transport\": \"{}\",\n",
-        match transport {
-            TransportKind::Uds => "uds",
-            TransportKind::Tcp => "tcp",
-        }
-    ));
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!(
-        "  \"wall_ms\": {:.1},\n",
-        started.elapsed().as_secs_f64() * 1000.0
-    ));
-    json.push_str("  \"cells\": [\n    ");
-    let cell_json: Vec<String> = cells.iter().map(Cell::to_json).collect();
-    json.push_str(&cell_json.join(",\n    "));
-    json.push_str("\n  ],\n");
-    json.push_str(&format!(
-        concat!(
-            "  \"recovery\": {{\n",
-            "    \"recovery_ms\": {},\n",
-            "    \"down_probe_committed\": {},\n",
-            "    \"post_restart_declared\": {},\n",
-            "    \"missed\": {},\n",
-            "    \"phantom\": {},\n",
-            "    \"excused_stale\": {},\n",
-            "    \"wedged\": {}\n",
-            "  }}\n"
-        ),
-        rec.recovery_ms,
-        rec.down_probe_committed,
-        rec.post_restart_declared,
-        rec.missed,
-        rec.phantom,
-        rec.excused_stale,
-        rec.wedged,
-    ));
-    json.push_str("}\n");
-    let path = dir.join("BENCH_service.json");
-    std::fs::write(&path, json).expect("write BENCH_service.json");
-    println!();
-    println!("service record written to {}", path.display());
 }

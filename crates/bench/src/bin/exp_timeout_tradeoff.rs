@@ -44,6 +44,7 @@ fn part_a() {
         "initiations avoided",
         "probes sent",
     ]);
+    let mut prev_comps = u64::MAX;
     for t in [0u64, 10, 25, 50, 100, 200, 400, 800] {
         let mut issued = 0usize;
         let mut comps = 0u64;
@@ -80,6 +81,11 @@ fn part_a() {
             avoided += net.metrics().get(counters::INITIATION_AVOIDED);
             probes += net.metrics().get(counters::PROBE_SENT);
         }
+        assert!(
+            comps <= prev_comps,
+            "T={t}: {comps} computations, more than {prev_comps} at the next smaller T"
+        );
+        prev_comps = comps;
         table.row([
             if t == 0 {
                 "0 (on-block)".to_string()
@@ -122,6 +128,7 @@ fn part_b() {
             comp_sum += net.metrics().get(counters::INITIATED);
         }
         let lat = lat_sum as f64 / SEEDS.len() as f64;
+        assert!(lat >= t as f64, "T={t}: declared after {lat} ticks < T");
         table.row([
             if t == 0 {
                 "0 (on-block)".to_string()

@@ -22,7 +22,8 @@ fn run(topology: &Topology, label: &str, table: &mut Table) {
     net.request_edges(&edges).unwrap();
     net.run_to_quiescence(10_000_000);
     net.with_node(NodeId(0), |p, ctx| p.initiate(ctx));
-    net.run_to_quiescence(10_000_000);
+    let out = net.run_to_quiescence(10_000_000);
+    assert!(out.quiescent, "{label}: WFGD computation did not terminate");
     assert!(
         net.node(NodeId(0)).deadlock().is_some(),
         "{label}: initiator failed to declare"

@@ -3,9 +3,10 @@
 //! The paper has no tables or figures; its §4 performance discussion and
 //! §6.7 optimisation are prose claims. Each `exp_*` binary in `src/bin/`
 //! reproduces one claim (or performs the evaluation the paper defers) and
-//! prints a markdown table; `EXPERIMENTS.md` records the output. The
-//! `benches/` directory holds Criterion micro-benchmarks for the hot
-//! paths.
+//! prints a markdown table; `EXPERIMENTS.md` records the output. Every
+//! binary asserts its own claim and exits non-zero when it fails. How
+//! fast any of this runs is the business of `benchmark/`, not of this
+//! crate.
 //!
 //! | binary | claim |
 //! |---|---|
@@ -25,8 +26,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod hist;
-pub mod record;
 pub mod sweep;
 
 use simnet::sim::NodeId;
@@ -137,30 +136,6 @@ pub fn formation_time(journal: &Journal, v: NodeId, declared_at: SimTime) -> Sim
     }
 }
 
-/// Runs `f`, adding its wall-clock duration in milliseconds to `acc`.
-/// Used by the `exp_*` binaries to attribute time to one phase
-/// (`BenchRecord::{sim_ms, detector_ms, verify_ms, oracle_ms}`).
-pub fn time_ms<R>(acc: &mut f64, f: impl FnOnce() -> R) -> R {
-    let started = std::time::Instant::now(); // cmh-lint: allow(D2) — bench timing: measures the host, not the simulation
-    let out = f();
-    *acc += started.elapsed().as_secs_f64() * 1_000.0;
-    out
-}
-
-/// Runs `f`, adding one measured wall-clock duration to *two*
-/// accumulators. Used where a section belongs to two overlapping columns
-/// at once — e.g. a `verify_soundness` call is both verification
-/// (`verify_ms`) and ground-truth oracle work (`oracle_ms`) — without
-/// timing it twice or fighting the borrow checker over nested closures.
-pub fn time_ms2<R>(a: &mut f64, b: &mut f64, f: impl FnOnce() -> R) -> R {
-    let started = std::time::Instant::now(); // cmh-lint: allow(D2) — bench timing: measures the host, not the simulation
-    let out = f();
-    let elapsed = started.elapsed().as_secs_f64() * 1_000.0;
-    *a += elapsed;
-    *b += elapsed;
-    out
-}
-
 /// Arithmetic mean of a u64 slice (0 for empty).
 pub fn mean(xs: &[u64]) -> f64 {
     if xs.is_empty() {
@@ -173,6 +148,17 @@ pub fn mean(xs: &[u64]) -> f64 {
 /// Sample maximum (0 for empty).
 pub fn max(xs: &[u64]) -> u64 {
     xs.iter().copied().max().unwrap_or(0)
+}
+
+/// The `q`-quantile of an ascending-sorted slice by the nearest-rank rule
+/// (0 for empty).
+pub fn quantile(sorted: &[u64], q: f64) -> u64 {
+    debug_assert!(sorted.is_sorted());
+    let Some(last) = sorted.len().checked_sub(1) else {
+        return 0;
+    };
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.saturating_sub(1).min(last)]
 }
 
 #[cfg(test)]
@@ -216,5 +202,9 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(max(&[3, 9, 1]), 9);
         assert_eq!(max(&[]), 0);
+        assert_eq!(quantile(&[1, 2, 3, 4], 0.5), 2);
+        assert_eq!(quantile(&[1, 2, 3, 4], 0.99), 4);
+        assert_eq!(quantile(&[7], 0.0), 7);
+        assert_eq!(quantile(&[], 0.5), 0);
     }
 }

@@ -68,7 +68,6 @@
 pub mod config;
 pub mod engine;
 pub mod explore;
-pub mod live;
 pub mod ormodel;
 pub mod probe;
 pub mod process;

@@ -31,7 +31,7 @@
 //! binary with explicit tag bytes, reassembled by an incremental
 //! [`wire::FrameReader`] that rejects malformed lengths.
 //!
-//! Experiment E14 (`exp_service`, `BENCH_service.json`) measures the
+//! Experiment E14 (`exp_service`) measures the
 //! stack end-to-end on loopback: sustained requests/sec, request→grant
 //! and request→Declare latency quantiles, probe overhead per detected
 //! deadlock, and time-to-recovery across a controller kill/restart.

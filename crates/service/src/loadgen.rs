@@ -13,9 +13,8 @@
 //!   admission cap. Measures latency under a target arrival rate.
 //!
 //! All latencies are recorded client-side in raw microsecond vectors
-//! (request→grant, request→Declare, request→done); `exp_service` folds
-//! them into the log-bucketed histogram (`cmh-bench::hist`) — the raw
-//! vectors keep this crate independent of the bench crate.
+//! (request→grant, request→Declare, request→done); callers take their
+//! own quantiles from them.
 
 // cmh-lint: allow-file(D2, D4) — the load generator is the wall-clock
 // measuring instrument: it times real socket round trips and drives the

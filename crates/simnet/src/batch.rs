@@ -3,12 +3,12 @@
 //! Monte-Carlo experiments run hundreds of seeded simulations; each run is
 //! single-threaded and deterministic, so the natural parallelism is
 //! *across* runs. [`par_map`] fans a list of inputs out over OS threads
-//! (crossbeam scoped threads, no `'static` bound) and returns results in
+//! (`std::thread::scope`, no `'static` bound) and returns results in
 //! input order — determinism of the aggregate is preserved because each
 //! run's result depends only on its input.
 //!
-//! This module is the thread pool behind the one sanctioned parallelism
-//! site, `cmh_bench::sweep`; no simulation code runs across threads.
+//! This module is the thread pool behind the `exp_*` binaries' seed
+//! sweeps; no simulation code runs across threads.
 //!
 //! # Examples
 //!
@@ -19,8 +19,10 @@
 //! assert_eq!(squares[7], 49);
 //! ```
 
-// cmh-lint: allow-file(D4) — the thread pool behind cmh_bench::sweep:
+// cmh-lint: allow-file(D4) — the thread pool behind the exp_* seed sweeps:
 // fans independent seeded runs across cores; each run stays single-threaded.
+
+use std::sync::Mutex;
 
 /// Applies `f` to every item on a pool of OS threads; results come back in
 /// input order. Uses up to `available_parallelism` threads (capped by the
@@ -47,25 +49,22 @@ where
         return items.into_iter().map(f).collect();
     }
     // Work queue: (index, item); results slotted back by index.
-    let queue = crossbeam::queue::SegQueue::new();
-    for pair in items.into_iter().enumerate() {
-        queue.push(pair);
-    }
+    let queue = Mutex::new(items.into_iter().enumerate());
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
-    let slots_mutex = parking_lot::Mutex::new(&mut slots);
-    crossbeam::thread::scope(|scope| {
+    let slots_mutex = Mutex::new(&mut slots);
+    // A worker that panics inside `f` holds neither lock, so a poisoned
+    // mutex here can only follow a panic the scope re-raises anyway.
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| {
-                // cmh-lint: allow(D9) — the sweep pool's work queue (SegQueue of whole runs), not a simulation event queue
-                while let Some((i, item)) = queue.pop() {
-                    let r = f(item);
-                    slots_mutex.lock()[i] = Some(r);
-                }
+            scope.spawn(|| loop {
+                let next = queue.lock().expect("batch queue poisoned").next();
+                let Some((i, item)) = next else { break };
+                let r = f(item);
+                slots_mutex.lock().expect("batch slots poisoned")[i] = Some(r);
             });
         }
-    })
-    .expect("batch worker panicked");
+    });
     slots
         .into_iter()
         .map(|s| s.expect("every slot filled"))
@@ -121,7 +120,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic] // "boom" when serial, "batch worker panicked" when scoped
+    #[should_panic] // "boom" when serial, "a scoped thread panicked" when scoped
     fn worker_panic_propagates() {
         let _ = par_map(vec![1u64, 2, 3, 4, 5, 6, 7, 8], |x| {
             if x == 5 {

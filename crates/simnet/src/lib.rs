@@ -1,9 +1,8 @@
 //! # simnet — simulation substrate for the CMH reproduction
 //!
-//! A deterministic discrete-event message-passing simulator plus a live
-//! multi-threaded runtime. By default both substrates provide exactly the
-//! environment assumed by Chandy & Misra's PODC 1982 deadlock-detection
-//! paper:
+//! A deterministic discrete-event message-passing simulator. By default
+//! it provides exactly the environment assumed by Chandy & Misra's PODC
+//! 1982 deadlock-detection paper:
 //!
 //! * messages are received **correctly** (no loss, no corruption),
 //! * messages are received **in the order sent** on each channel, and
@@ -61,7 +60,6 @@ pub mod latency;
 pub mod metrics;
 pub mod reliable;
 pub mod rng;
-pub mod runtime;
 pub mod shard;
 pub mod sim;
 pub mod time;

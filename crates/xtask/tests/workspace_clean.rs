@@ -38,14 +38,8 @@ fn workspace_is_lint_clean_with_exactly_the_audited_exceptions() {
         })
         .collect();
     let expected: BTreeSet<(String, String, bool)> = [
-        // Bench timing: experiment records carry real elapsed wall time.
-        ("crates/bench/src/lib.rs", "D2", false),
-        ("crates/bench/src/record.rs", "D2", true),
-        ("crates/bench/src/bin/exp_cycle_latency.rs", "D2", true),
-        ("crates/bench/src/bin/exp_faults.rs", "D2", true),
-        ("crates/bench/src/bin/exp_probe_bounds.rs", "D2", true),
+        // E13's table has wall-clock columns (sim ms, events/sec).
         ("crates/bench/src/bin/exp_scale.rs", "D2", true),
-        ("crates/bench/src/bin/exp_soundness.rs", "D2", true),
         // E14 benches the real-socket service: wall-clock round-trip
         // timing plus quiesce sleeps before at-rest capture.
         ("crates/bench/src/bin/exp_service.rs", "D2,D4", true),
@@ -55,20 +49,11 @@ fn workspace_is_lint_clean_with_exactly_the_audited_exceptions() {
         ("crates/service/src/node.rs", "D2,D4", true),
         ("crates/service/src/cluster.rs", "D2,D4", true),
         ("crates/service/src/loadgen.rs", "D2,D4", true),
-        // The explicitly annotated real-time block: the live runtime is
-        // wall-clock multi-threaded by design (never used by experiments).
-        ("crates/simnet/src/runtime.rs", "D2,D4", true),
-        // The real-time runtime log formats off the simulated message
-        // path, and `summarize` itself is the one place a summary string
-        // may be built (every caller gates on Trace::is_enabled).
-        ("crates/simnet/src/runtime.rs", "D7", false),
+        // `summarize` itself is the one place a summary string may be
+        // built (every caller gates on Trace::is_enabled).
         ("crates/simnet/src/sim.rs", "D7", false),
-        // Sanctioned cross-run parallelism pool driven by cmh_bench::sweep.
+        // Sanctioned cross-run parallelism pool behind the exp_* seed sweeps.
         ("crates/simnet/src/batch.rs", "D4", true),
-        // The same pool's work queue is a SegQueue of whole seeded runs,
-        // not a simulation event queue — D9's pattern matches the name,
-        // not the hazard.
-        ("crates/simnet/src/batch.rs", "D9", false),
         // The sharded conservative-window stepper's parallel handler
         // phase (DESIGN §12): a persistent pool of workers over disjoint
         // shards, with all observable ordering fixed by the sequential

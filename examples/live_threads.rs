@@ -1,9 +1,10 @@
-//! The probe computation on REAL threads — no discrete-event simulator.
+//! The detector on REAL threads and sockets — no discrete-event simulator.
 //!
-//! Uses [`cmh_core::live::LiveVertex`]: one OS thread per process,
-//! crossbeam channels as the network (FIFO and reliable — exactly the
-//! paper's message assumption). The same A0/A1/A2 rules that the
-//! simulator validates exhaustively detect a live deadlock here.
+//! Starts a [`cmh_service::cluster::Cluster`]: one site-server thread per
+//! site, each hosting the unmodified §6 controller, talking the wire
+//! codec over Unix-domain sockets. The load generator then stages two
+//! scenes through real client connections: a ring of transactions that
+//! must be declared deadlocked, and a chain that must unwind in silence.
 //!
 //! ```text
 //! cargo run --example live_threads
@@ -11,41 +12,81 @@
 
 use std::time::Duration;
 
-use chandy_misra_haas::cmh_core::live::LiveVertex;
-use chandy_misra_haas::simnet::runtime::Runtime;
-use chandy_misra_haas::simnet::sim::NodeId;
+use cmh_ddb::config::DdbConfig;
+use cmh_ddb::ids::{ResourceId, SiteId};
+use cmh_ddb::lock::LockMode;
+use cmh_ddb::txn::TxnStep;
+use cmh_service::cluster::{Cluster, ClusterConfig};
+use cmh_service::loadgen::{run_load, Job, LoadConfig, LoadReport, Mode};
+
+const K: usize = 4;
+
+/// The transaction homed at site `i` locks `r0@s_i`, holds it long enough
+/// for every other first lock to land, then requests `r0@s_{i+1}`. With
+/// `close` the last site wraps around to site 0 — a ring, a guaranteed
+/// deadlock; without it the last transaction just commits and the chain
+/// behind it unwinds.
+fn staged_jobs(close: bool) -> Vec<Job> {
+    let lock = |site: usize| TxnStep::Lock {
+        site: SiteId(site),
+        resource: ResourceId(0),
+        mode: LockMode::Exclusive,
+    };
+    (0..K)
+        .map(|i| {
+            let mut steps = vec![lock(i), TxnStep::Work { ticks: 25_000 }];
+            if close || i + 1 < K {
+                steps.push(lock((i + 1) % K));
+            }
+            Job {
+                site: SiteId(i),
+                steps,
+                at_us: 0,
+            }
+        })
+        .collect()
+}
+
+/// Runs one scene on a fresh cluster; returns the client-side report and
+/// how many transactions the at-rest snapshot finds on a cycle.
+fn scene(close: bool, deadline: Duration) -> (LoadReport, usize) {
+    // Detection every 5k ticks (= 10 ms at 2 µs/tick), report only.
+    let cluster = Cluster::start(ClusterConfig::new(K, DdbConfig::detect_only(5_000)));
+    let report = run_load(
+        cluster.addrs(),
+        staged_jobs(close),
+        LoadConfig {
+            mode: Mode::Closed { per_site: 1 },
+            deadline,
+        },
+    );
+    let verdict = cluster.snapshot(Duration::from_secs(2)).verify_at_rest();
+    cluster.shutdown();
+    assert_eq!(
+        verdict.soundness_violations(),
+        0,
+        "at-rest soundness violated: {verdict:?}"
+    );
+    (report, verdict.cycle_txns.len())
+}
 
 fn main() {
-    const K: usize = 6;
-
-    // A request ring: vertex i will request vertex i+1 shortly after its
-    // thread starts. Nobody can ever reply — a genuine live deadlock.
-    println!("spawning {K} OS threads in a request ring...");
-    let mut rt = Runtime::new();
-    for i in 0..K {
-        rt.add_node(LiveVertex::ring_member(NodeId((i + 1) % K)).with_service(None));
-    }
-    let (vertices, log) = rt.run_for(Duration::from_millis(400));
-
-    for line in &log {
-        println!("  {line}");
-    }
-    let declared = vertices.iter().filter(|v| v.deadlock().is_some()).count();
-    println!("{declared} vertex(es) declared deadlock on live threads");
-    assert!(declared >= 1, "the ring deadlock must be detected");
-    assert!(
-        vertices.iter().all(LiveVertex::is_blocked),
-        "everyone is blocked"
+    println!("{K} site servers over unix sockets, transactions in a lock ring...");
+    // Nothing resolves the ring, so the load run ends at its deadline.
+    let (report, on_cycle) = scene(true, Duration::from_secs(1));
+    println!(
+        "{} declaration(s) reached a client ({on_cycle} transactions on the cycle at rest)",
+        report.declared
     );
+    assert!(report.declared >= 1, "the ring deadlock must be detected");
+    assert_eq!(on_cycle, K, "everyone is blocked");
+    assert_eq!(report.committed, 0);
 
-    // Contrast: a chain with working services resolves and stays silent.
-    println!("\nnow a chain with services enabled (no deadlock):");
-    let mut rt = Runtime::new();
-    rt.add_node(LiveVertex::ring_member(NodeId(1)));
-    rt.add_node(LiveVertex::ring_member(NodeId(2)));
-    rt.add_node(LiveVertex::new());
-    let (vertices, _log) = rt.run_for(Duration::from_millis(400));
-    assert!(vertices.iter().all(|v| v.deadlock().is_none()));
-    assert!(vertices.iter().all(|v| !v.is_blocked()));
-    println!("chain resolved, nothing declared — the live path is exact too.");
+    // Contrast: the same locks without the closing edge unwind and stay silent.
+    println!("\nnow a chain (no deadlock):");
+    let (report, on_cycle) = scene(false, Duration::from_secs(5));
+    assert_eq!(report.declared, 0, "a chain is not a deadlock");
+    assert_eq!(report.committed, K);
+    assert_eq!(on_cycle, 0);
+    println!("chain committed, nothing declared — the live path is exact too.");
 }

@@ -2,8 +2,8 @@
 //! 6-site/48-transaction mixed workload under detect-and-resolve with the
 //! stall watchdog sampling every 500 ticks, classifies every non-terminal
 //! transaction along the way, and writes a machine-readable summary to
-//! `target/experiments/liveness.json` (uploaded as a CI artifact by
-//! `scripts/bench_smoke.sh`).
+//! `target/experiments/liveness.json` (uploaded as a CI artifact by the
+//! `stress` job).
 //!
 //! Exit status is non-zero if anything ends wedged, so the audit is
 //! usable as a gate as well as a report.

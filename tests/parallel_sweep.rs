@@ -1,8 +1,8 @@
 //! Parallel seed sweeps must be observationally identical to serial ones.
 //!
-//! The experiment harness (`CMH_PAR_SEEDS=1`) fans independent seeded
-//! runs out over OS threads via `simnet::batch`. That is only sound if a
-//! run's result is a pure function of its seed — no ambient state, no
+//! The `exp_*` binaries fan independent seeded runs out over OS threads
+//! via `simnet::batch`, always. That is only sound if a run's result is
+//! a pure function of its seed — no ambient state, no
 //! cross-run leakage through thread-locals or iteration order. These
 //! tests pin that: the same per-seed metric digests must come back, in
 //! the same order, from (a) a plain serial loop, (b) `par_seeds`, and

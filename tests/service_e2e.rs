@@ -1,7 +1,6 @@
 //! End-to-end tests for the networked detector service (`cmh-service`):
 //! a real multi-site cluster over Unix-domain sockets, driven by the load
-//! generator, verified with the at-rest snapshot oracle — plus a staged
-//! deadlock on the live thread-per-vertex runtime (`simnet::runtime`).
+//! generator, verified with the at-rest snapshot oracle.
 
 use std::time::Duration;
 
@@ -155,25 +154,4 @@ fn controller_crash_and_restart_recovers_soundly() {
     );
     assert!(!verdict.cycle_txns.is_empty());
     cluster.shutdown();
-}
-
-#[test]
-fn live_runtime_declares_staged_deadlock() {
-    // Satellite coverage for `simnet::runtime`: the basic-model probe
-    // computation on real OS threads declares a staged 4-ring.
-    use cmh_core::live::LiveVertex;
-    use simnet::runtime::Runtime;
-    use simnet::sim::NodeId;
-
-    let k = 4;
-    let mut rt = Runtime::new();
-    for i in 0..k {
-        rt.add_node(LiveVertex::ring_member(NodeId((i + 1) % k)));
-    }
-    let (vertices, log) = rt.run_for(Duration::from_millis(500));
-    assert!(
-        vertices.iter().any(|v| v.deadlock().is_some()),
-        "live ring not declared; log: {log:?}"
-    );
-    assert!(vertices.iter().all(LiveVertex::is_blocked));
 }
