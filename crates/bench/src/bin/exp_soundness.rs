@@ -16,7 +16,7 @@
 //!
 //! With `CMH_SHARDS=S` (S > 1) the probe-computation runs use the sharded
 //! conservative-window engine (bit-identical results — the golden tests
-//! pin this). The baselines stay on the sequential engine regardless: the
+//! pin this). The baselines stay at one shard regardless: the
 //! centralised poller draws `ctx.rng()` mid-handler, which the sharded
 //! engine deliberately serves from per-node substreams (DESIGN §12), so
 //! switching engines would change their sampled statistics and break

@@ -5,7 +5,7 @@
 use simnet::latency::LatencyModel;
 
 /// The simulator shard count requested via `CMH_SHARDS` (unset, empty,
-/// `0` or unparsable mean 1 — the sequential engine). The one place the
+/// `0` or unparsable mean 1). The one place the
 /// variable is read: the `exp_*` binaries pass the count to
 /// `SimBuilder::shards`.
 pub fn shards_from_env() -> usize {

@@ -277,8 +277,8 @@ impl BasicNet {
         self.sim.peak_queue_depth()
     }
 
-    /// The sharded engine's window accounting (see
-    /// [`Simulation::window_stats`]); all-zero on the sequential engine.
+    /// The window accounting of a sharded run (see
+    /// [`Simulation::window_stats`]); all-zero with one shard.
     pub fn window_stats(&self) -> simnet::sim::WindowStats {
         self.sim.window_stats()
     }

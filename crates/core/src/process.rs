@@ -351,9 +351,9 @@ impl BasicProcess {
     fn record(&self, ctx: &Context<'_, BasicMsg>, op: GraphOp) {
         if let Some(j) = &self.journal {
             // Keyed by the handling event's global seq: same-tick appends
-            // from the sharded engine's threaded handler phase arrive in
+            // from the threaded handler phase of a sharded run arrive in
             // thread-schedule order, and this key restores the canonical
-            // (sequential-engine) order inside the journal.
+            // (single-shard) order inside the journal.
             j.lock()
                 .expect("journal lock")
                 .record_at(ctx.now(), ctx.event_seq(), op);

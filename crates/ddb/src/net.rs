@@ -33,6 +33,7 @@ use crate::ids::{AgentId, SiteId, TransactionId};
 use crate::liveness::{LivenessReport, TxnClass, TxnLiveness};
 use crate::msg::DdbMsg;
 use crate::probe::DdbDeadlock;
+use crate::snapshot::graph_from_edges;
 use crate::txn::{Transaction, TxnStatus};
 
 /// Which graph a soundness verdict was checked against.
@@ -406,7 +407,6 @@ impl DdbNet {
     /// Exact when no `RemoteRequest`/`Acquired` messages are in flight
     /// (then every existing edge is black).
     pub fn agent_graph(&self) -> (WaitForGraph, BTreeMap<AgentId, NodeId>) {
-        let mut index: BTreeMap<AgentId, NodeId> = BTreeMap::new();
         let mut edges: Vec<(AgentId, AgentId)> = Vec::new();
         for s in 0..self.n_sites {
             let site = SiteId(s);
@@ -425,24 +425,7 @@ impl DdbNet {
                 edges.push((AgentId::new(t, m), AgentId::new(t, site)));
             }
         }
-        let mut g = WaitForGraph::new();
-        let mut next = 0usize;
-        let mut id_of = |a: AgentId, index: &mut BTreeMap<AgentId, NodeId>| -> NodeId {
-            *index.entry(a).or_insert_with(|| {
-                let id = NodeId(next);
-                next += 1;
-                id
-            })
-        };
-        for (a, b) in edges {
-            let va = id_of(a, &mut index);
-            let vb = id_of(b, &mut index);
-            if !g.has_edge(va, vb) {
-                g.create_grey(va, vb).expect("fresh edge");
-                g.blacken(va, vb).expect("fresh grey edge");
-            }
-        }
-        (g, index)
+        graph_from_edges(edges)
     }
 
     /// Declarations made since the last collection, in per-site
@@ -651,7 +634,6 @@ impl DdbNet {
     /// [`DdbValidationError::MissedDeadlock`] for the first undeclared
     /// cycle, naming each member at a site where it sits queued.
     pub fn verify_lock_cycles(&self) -> Result<usize, DdbValidationError> {
-        let mut index: BTreeMap<TransactionId, NodeId> = BTreeMap::new();
         let mut seat: BTreeMap<TransactionId, SiteId> = BTreeMap::new();
         let mut edges: Vec<(TransactionId, TransactionId)> = Vec::new();
         for s in 0..self.n_sites {
@@ -662,23 +644,7 @@ impl DdbNet {
                 edges.push((a, b));
             }
         }
-        let mut g = WaitForGraph::new();
-        let mut next = 0usize;
-        let mut id_of = |t: TransactionId, index: &mut BTreeMap<TransactionId, NodeId>| {
-            *index.entry(t).or_insert_with(|| {
-                let id = NodeId(next);
-                next += 1;
-                id
-            })
-        };
-        for (a, b) in edges {
-            let va = id_of(a, &mut index);
-            let vb = id_of(b, &mut index);
-            if !g.has_edge(va, vb) {
-                g.create_grey(va, vb).expect("fresh edge");
-                g.blacken(va, vb).expect("fresh grey edge");
-            }
-        }
+        let (g, index) = graph_from_edges(edges);
         let rev: BTreeMap<NodeId, TransactionId> = index.iter().map(|(&t, &v)| (v, t)).collect();
         let declared: BTreeSet<TransactionId> = self.declarations().iter().map(|d| d.txn).collect();
         let mut total = 0;

@@ -118,8 +118,6 @@ impl ClusterSnapshot {
     /// Exact only at rest (no frames in flight, controllers quiescent);
     /// the caller is responsible for draining before capture.
     pub fn verify_at_rest(&self) -> RestVerdict {
-        // Agent graph, exactly as `DdbNet::agent_graph` builds it.
-        let mut index: BTreeMap<AgentId, NodeId> = BTreeMap::new();
         let mut edges: Vec<(AgentId, AgentId)> = Vec::new();
         for s in &self.sites {
             for &(a, b) in &s.intra_edges {
@@ -132,23 +130,7 @@ impl ClusterSnapshot {
                 edges.push((AgentId::new(t, m), AgentId::new(t, s.site)));
             }
         }
-        let mut g = WaitForGraph::new();
-        let mut next = 0usize;
-        let mut id_of = |a: AgentId, index: &mut BTreeMap<AgentId, NodeId>| -> NodeId {
-            *index.entry(a).or_insert_with(|| {
-                let id = NodeId(next);
-                next += 1;
-                id
-            })
-        };
-        for (a, b) in edges {
-            let va = id_of(a, &mut index);
-            let vb = id_of(b, &mut index);
-            if !g.has_edge(va, vb) {
-                g.create_grey(va, vb).expect("fresh edge");
-                g.blacken(va, vb).expect("fresh grey edge");
-            }
-        }
+        let (g, index) = graph_from_edges(edges);
 
         let mut v = RestVerdict::default();
         for s in &self.sites {
@@ -213,6 +195,30 @@ impl ClusterSnapshot {
         }
         v
     }
+}
+
+/// Builds the all-black wait-for graph over `edges` (duplicates folded),
+/// numbering vertices densely in order of first appearance, and returns
+/// it with the key → vertex index. The one builder behind the §6.4 agent
+/// graph ([`crate::net::DdbNet::agent_graph`], the at-rest verdict) and
+/// the lock-table transaction graph.
+pub(crate) fn graph_from_edges<K: Ord + Copy>(
+    edges: impl IntoIterator<Item = (K, K)>,
+) -> (WaitForGraph, BTreeMap<K, NodeId>) {
+    let mut g = WaitForGraph::new();
+    let mut index: BTreeMap<K, NodeId> = BTreeMap::new();
+    let mut id_of = |k: K| {
+        let next = NodeId(index.len());
+        *index.entry(k).or_insert(next)
+    };
+    for (a, b) in edges {
+        let (va, vb) = (id_of(a), id_of(b));
+        if !g.has_edge(va, vb) {
+            g.create_grey(va, vb).expect("fresh edge");
+            g.blacken(va, vb).expect("fresh grey edge");
+        }
+    }
+    (g, index)
 }
 
 #[cfg(test)]

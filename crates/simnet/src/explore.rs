@@ -1,8 +1,8 @@
 //! Schedule-space exploration: exhaustive enumeration of same-tick
 //! event interleavings with dynamic partial-order reduction.
 //!
-//! The sequential engine pops events in `(time, seq)` order — one fixed
-//! schedule per seed. This module generalizes that order into a *branch
+//! A single-shard simulation pops events in `(time, seq)` order — one
+//! fixed schedule per seed. This module generalizes that order into a *branch
 //! point*: at every step, any pending event tied at the earliest time
 //! (the **frontier**, [`crate::sim::Simulation::frontier_events`]) may
 //! run next ([`crate::sim::Simulation::step_seq`]). A *schedule* is the

@@ -118,7 +118,7 @@ impl LatencyModel {
         };
         let d = d.max(1);
         // A model that draws below its declared floor silently breaks the
-        // sharded engine's conservative windows (a cross-shard effect
+        // conservative windows of a sharded run (a cross-shard effect
         // could land inside an already-drained window), so catch the lie
         // at the draw site.
         debug_assert!(
@@ -165,7 +165,7 @@ impl LatencyModel {
     }
 
     /// A wide-area preset: uniform delay in `[3, 12]` ticks. Its
-    /// `min_delay()` of 3 gives the sharded engine a three-tick
+    /// `min_delay()` of 3 gives a sharded run a three-tick
     /// conservative window, making this the workspace's standard
     /// multi-tick-window configuration (`CMH_LATENCY=wan` in the
     /// experiment binaries; see DESIGN §12).

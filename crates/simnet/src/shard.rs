@@ -1,39 +1,50 @@
-//! Sharded deterministic simulation core: conservative-lookahead windows
-//! over per-shard event queues, bit-identical to the sequential engine.
+//! Shards: per-node-partition event queues, the one event handler, and
+//! the conservative-lookahead windows that run `S > 1` shards
+//! bit-identically to `S = 1`.
 //!
 //! # Architecture
 //!
-//! The event loop is partitioned by node into `S` shards (node `i` lives
-//! on shard `i mod S` — its "site"). Each shard owns a slab-backed
-//! [`EventQueue`], the processes assigned to it, and struct-of-arrays
-//! bookkeeping for exactly those nodes (crash flags, reliable-transport
-//! channel state keyed by *receiving* node, per-node RNG substreams, a
-//! timer slab). Simulated time advances in **multi-tick conservative
-//! windows** `[t, t + L)`: every [`crate::latency::LatencyModel`]
-//! guarantees a send at tick `τ` lands at `τ + min_delay()` or later
-//! (`min_delay() >= 1`), so with `L` bounded by `min_delay()` (and by the
-//! reliable layer's first retransmission timeout, the one cross-shard push
-//! that bypasses a latency draw) no *cross-shard* effect deferred inside
-//! the window can land before the window closes. Within a window each
-//! shard drains its own queue in local `(time, seq)` order — pre-armed
-//! shard-local timers and earlier self-sends that land inside the window
-//! included — folding consecutive sparse ticks into a single dispatch and
-//! barrier. The only sub-`min_delay()` effects a handler can create are
-//! timers and retransmission re-arms, and both land on the *deferring*
-//! shard itself, so each shard truncates its own drain at the earliest
-//! such landing (its **hazard floor**) and picks the pending event up
-//! next window, after the barrier has armed it in sequential order. With
-//! the workspace default models (`min_delay() == 1`) the window
-//! degenerates to the single tick of the original engine.
+//! [`crate::sim::Simulation`] partitions its nodes into `S` shards (node
+//! `i` lives on shard `i mod S` — its "site"). Each shard owns a
+//! slab-backed [`EventQueue`], the processes assigned to it, and
+//! struct-of-arrays bookkeeping for exactly those nodes (crash flags,
+//! reliable-transport channel state keyed by *receiving* node, per-node
+//! RNG substreams, a timer slab). Every event, at any `S`, is executed
+//! by [`Shard::handle`]; what `S` selects is *when that handler's side
+//! effects reach the [`Sequencer`]* — and [`Context`] is the switch:
+//!
+//! * **Inline (`S = 1`).** The one shard holds every event, so popping
+//!   its queue in `(time, seq)` order *is* the global order and each
+//!   effect is applied to the sequencer the moment the handler asks for
+//!   it. No window, no log, no barrier; this order is the reference the
+//!   other mode reproduces.
+//! * **Deferred (`S > 1`).** Simulated time advances in **multi-tick
+//!   conservative windows** `[t, t + L)`: every
+//!   [`crate::latency::LatencyModel`] guarantees a send at tick `τ` lands
+//!   at `τ + min_delay()` or later (`min_delay() >= 1`), so with `L`
+//!   bounded by `min_delay()` (and by the reliable layer's first
+//!   retransmission timeout, the one cross-shard push that bypasses a
+//!   latency draw) no *cross-shard* effect deferred inside the window can
+//!   land before the window closes. Within a window each shard drains its
+//!   own queue in local `(time, seq)` order — pre-armed shard-local
+//!   timers and earlier self-sends that land inside the window included —
+//!   folding consecutive sparse ticks into a single dispatch and barrier.
+//!   The only sub-`min_delay()` effects a handler can create are timers
+//!   and retransmission re-arms, and both land on the *deferring* shard
+//!   itself, so each shard truncates its own drain at the earliest such
+//!   landing (its **hazard floor**) and picks the pending event up next
+//!   window, after the barrier has armed it in `S = 1` order. With the
+//!   workspace default models (`min_delay() == 1`) the window degenerates
+//!   to a single tick.
 //!
 //! # Two-phase windows (why the result is bit-identical)
 //!
-//! The sequential engine's determinism contract is stronger than "same
-//! inputs, same outputs": its observable order is `(time, global seq)` and
-//! its latency/fault draws come from single global RNG streams consumed
-//! in event order. A naive parallel engine with per-shard RNGs would be
-//! self-consistent but *different* from the sequential pins. Instead,
-//! every window runs in two phases:
+//! The determinism contract is stronger than "same inputs, same
+//! outputs": the observable order is `(time, global seq)` and the
+//! latency/fault draws come from single global RNG streams consumed in
+//! event order. A naive parallel engine with per-shard RNGs would be
+//! self-consistent but *different* from the `S = 1` pins. Instead, every
+//! window runs in two phases:
 //!
 //! 1. **Parallel handler phase**: each shard pops its events due inside
 //!    the window in `(time, seq)` order and runs the process handlers.
@@ -42,36 +53,37 @@
 //!    is *deferred* as a request, recorded (interleaved with the event's
 //!    trace fragments) in the shard's window log. The parallel phase runs
 //!    on a persistent pool of parked worker threads when the backlog
-//!    amortises the wake-up, inline otherwise — bit-identically.
+//!    amortises the wake-up, on the calling thread otherwise —
+//!    bit-identically.
 //! 2. **Sequential barrier phase**: the window logs are merged across
 //!    shards by the originating event's **`(time, global seq)` key** —
-//!    exactly the order the sequential engine would have executed them —
-//!    and each request calls the *same* `sim::Sequencer` method the
-//!    sequential engine calls inline: global RNG draws (latency, fault
-//!    classification), FIFO channel clocks, global seq assignment, trace
-//!    stitching. There is no second send path to keep in step; the
-//!    engines differ only in *when* a send reaches the sequencer and in
-//!    where its events land (`sim::Sink`). The merge walks a tournament tree
-//!    over the shard cursors (`O(log S)` per event) and consecutive trace
-//!    fragments are stitched by bulk `extend`; replayed pushes land in
-//!    the owning shard's queue keyed `(time, seq)`.
+//!    exactly the order `S = 1` would have executed them — and each
+//!    request calls the *same* `sim::Sequencer` method an inline handler
+//!    calls directly: global RNG draws (latency, fault classification),
+//!    FIFO channel clocks, global seq assignment, trace stitching. There
+//!    is no second send path to keep in step; the modes differ only in
+//!    *when* a send reaches the sequencer and in where its events land
+//!    (`sim::Sink`). The merge walks a tournament tree over the shard
+//!    cursors (`O(log S)` per event) and consecutive trace fragments are
+//!    stitched by bulk `extend`; replayed pushes land in the owning
+//!    shard's queue keyed `(time, seq)`.
 //!
 //! Because every cross-shard-visible effect funnels through the barrier in
-//! the sequential engine's exact order, traces, metrics and digests are
+//! the exact `S = 1` order, traces, metrics and digests are
 //! byte-identical for any shard count and any thread count. Processes that
 //! draw from [`crate::sim::Context::rng`] *inside handlers* are the one
-//! exception: those draws come from a per-node forked substream (stable
-//! across `S >= 2` and thread counts, but not equal to the sequential
-//! engine's global stream), so such processes should stay on the
-//! sequential engine (`shards(1)`); see DESIGN §12.
+//! exception: deferred handlers draw from a per-node forked substream
+//! (stable across `S >= 2` and thread counts, but not equal to the global
+//! stream inline handlers draw from), so such processes should stay at
+//! `shards(1)`; see DESIGN §12.
 //!
 //! Threading is an opt-in capability captured at build time
 //! ([`crate::sim::SimBuilder::build_mt`]) because it needs `M: Send` and
-//! `P: Send`; without it the sharded engine runs its phases inline on one
-//! thread with identical results.
+//! `P: Send`; without it both phases run on the calling thread with
+//! identical results.
 
-// cmh-lint: allow-file(D4) — the sharded stepper's parallel handler phase:
-// scoped worker threads advance disjoint shards inside one conservative
+// cmh-lint: allow-file(D4) — the windowed mode's parallel handler phase:
+// pooled worker threads advance disjoint shards inside one conservative
 // window; all RNG, trace and scheduling order is replayed sequentially at
 // the window barrier, so results are bit-identical to single-threaded runs.
 
@@ -83,14 +95,13 @@ use crate::metrics::{builtin, Metrics};
 use crate::reliable::{ReliableConfig, ReliableState, RetransmitVerdict, WireAccept};
 use crate::rng::DetRng;
 use crate::sim::{
-    summarize, Context, EventKind, NodeId, PendingEvent, Process, RunOutcome, Sequencer, Sink,
-    TimerId, WindowStats,
+    Context, EventKind, NodeId, Process, Sequencer, Simulation, Sink, TimerId, WindowStats,
 };
 use crate::time::SimTime;
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::TraceEvent;
 
 /// RNG substream id base for per-node handler streams (`ctx.rng()` in
-/// sharded mode): node `i` draws from `root.fork(NODE_RNG_STREAM ^ i)`,
+/// deferred mode): node `i` draws from `root.fork(NODE_RNG_STREAM ^ i)`,
 /// which depends only on the seed and the node id — never on the shard
 /// count or thread count.
 const NODE_RNG_STREAM: u64 = 0x5348_4152_4400_0000;
@@ -109,7 +120,7 @@ const DEFAULT_PAR_THRESHOLD: u64 = 512;
 
 /// A side effect deferred by the parallel phase, replayed at the barrier
 /// in global-seq order.
-enum Req<M> {
+pub(crate) enum Req<M> {
     /// Full application send ([`Sequencer::send`]).
     Send { from: NodeId, to: NodeId, msg: M },
     /// Arm a timer allocated in the parallel phase.
@@ -140,9 +151,9 @@ enum Req<M> {
 
 /// One entry of a shard's window log: a ready trace event, or a deferred
 /// request. Items of one originating event stay contiguous and ordered,
-/// so replaying the merged logs reproduces the sequential engine's exact
-/// trace/RNG interleaving. `Consumed` is the tombstone the barrier leaves
-/// behind when it moves an item out of the (recycled) log buffer.
+/// so replaying the merged logs reproduces the exact trace/RNG
+/// interleaving of an `S = 1` run. `Consumed` is the tombstone the barrier
+/// leaves behind when it moves an item out of the (recycled) log buffer.
 enum Item<M> {
     Trace(TraceEvent),
     Req(Req<M>),
@@ -152,7 +163,7 @@ enum Item<M> {
 /// Per-event index entry of a shard's window log: the originating event's
 /// global key plus where its items start. Logs are recorded in local
 /// `(time, seq)` order, so the barrier's k-way merge over the shards'
-/// marks reproduces the sequential engine's global event order.
+/// marks reproduces the global event order of an `S = 1` run.
 #[derive(Clone, Copy)]
 struct Mark {
     at: SimTime,
@@ -185,9 +196,10 @@ impl TimerSlot {
     }
 }
 
-/// Per-shard timer slab: `set_timer` must hand back a stable [`TimerId`]
-/// *before* the barrier assigns the queue entry, so ids name slab slots
-/// (generation-stamped against reuse), not queue entries.
+/// Per-shard timer slab: a deferred `set_timer` must hand back a stable
+/// [`TimerId`] *before* the barrier assigns the queue entry, so deferred
+/// ids name slab slots (generation-stamped against reuse), not queue
+/// entries. Stays empty inline, where the queue entry exists at once.
 struct TimerSlab {
     slots: Vec<TimerSlot>,
     free: Vec<u32>,
@@ -249,23 +261,30 @@ fn decode_timer(raw: u64) -> Option<(usize, u32, u16)> {
     Some((shard, slot, gen))
 }
 
-/// Everything a shard owns besides its processes. Handler contexts
-/// ([`Context`] in shard mode) borrow exactly this, so the parallel phase
-/// never touches global state.
+/// Everything a shard owns besides its processes. A handler's
+/// [`Context`] borrows exactly this (plus, inline, the [`Sequencer`]), so
+/// the parallel phase never touches global state.
 pub(crate) struct ShardLocal<M> {
     idx: usize,
     nshards: usize,
-    node_count: usize,
-    now: SimTime,
-    queue: EventQueue<EventKind<M>>,
-    metrics: Metrics,
-    /// Crash flags for this shard's nodes, indexed by local id.
+    /// Deferred mode's copy of the node count, refreshed when a window
+    /// opens (handlers on a worker thread cannot read the sequencer's).
+    pub(crate) node_count: usize,
+    /// Time of the event being handled (of the driver call, in
+    /// `with_node`): what [`Context::now`] reports in either mode.
+    pub(crate) now: SimTime,
+    pub(crate) queue: EventQueue<EventKind<M>>,
+    /// Counters of the current deferred run call, merged into the
+    /// sequencer's when it returns; inline handlers count there directly.
+    pub(crate) metrics: Metrics,
+    /// Crash flags for this shard's nodes, indexed by local id: what the
+    /// handler consults. The sequencer's copy serves the send path.
     crashed: Vec<bool>,
     /// Reliable-transport state for channels whose *receiver* lives on
     /// this shard (sender book-keeping included: `WireAck`/`Retransmit`
     /// events are routed to the receiver's shard so both halves stay
     /// local to the events that touch them).
-    rel: Option<ReliableState<M>>,
+    pub(crate) rel: Option<ReliableState<M>>,
     timers: TimerSlab,
     /// Window log: trace fragments and deferred requests, in handler
     /// order, indexed per originating event by `marks`.
@@ -278,43 +297,40 @@ pub(crate) struct ShardLocal<M> {
     /// ticks `<= floor` stay safe, ticks beyond it would run out of
     /// order. Reset to `SimTime::MAX` at every window start.
     floor: SimTime,
-    /// Per-node handler RNG substreams, indexed by local id.
+    /// The seeded root the per-node handler substreams fork from, and the
+    /// streams forked so far, indexed by local id (deferred mode only).
+    rng_root: DetRng,
     rngs: Vec<DetRng>,
-    tracing: bool,
-    halted: bool,
-    /// Events processed since the engine's current run call started.
+    pub(crate) tracing: bool,
+    pub(crate) halted: bool,
+    /// Events this shard has handled in windows, ever; a window's count
+    /// is the difference across it.
     events: u64,
     /// Seq of the event currently being handled; `u64::MAX` outside
-    /// handlers (driver code via `with_node`). Mirrors the sequential
-    /// core's field so `Context::event_seq` is engine-independent.
-    cur_seq: u64,
+    /// handlers (driver code via `with_node`). See [`Context::event_seq`].
+    pub(crate) cur_seq: u64,
+}
+
+/// Where node `i` lives among `nshards` shards: `(i mod S, i div S)` —
+/// its shard and its index there. One shard holds node `i` at index `i`;
+/// sparing it the division keeps the inline path's per-event cost where
+/// it was.
+pub(crate) fn place(node: NodeId, nshards: usize) -> (usize, usize) {
+    match nshards {
+        1 => (0, node.0),
+        n => (node.0 % n, node.0 / n),
+    }
 }
 
 impl<M> ShardLocal<M> {
-    pub(crate) fn ctx_now(&self) -> SimTime {
-        self.now
+    /// `node`'s index among this shard's nodes.
+    pub(crate) fn local_idx(&self, node: NodeId) -> usize {
+        let (shard, idx) = place(node, self.nshards);
+        debug_assert_eq!(shard, self.idx);
+        idx
     }
 
-    pub(crate) fn ctx_node_count(&self) -> usize {
-        self.node_count
-    }
-
-    pub(crate) fn ctx_tracing(&self) -> bool {
-        self.tracing
-    }
-
-    pub(crate) fn ctx_event_seq(&self) -> u64 {
-        self.cur_seq
-    }
-}
-
-impl<M: fmt::Debug + Clone> ShardLocal<M> {
-    fn local_idx(&self, node: NodeId) -> usize {
-        debug_assert_eq!(node.0 % self.nshards, self.idx);
-        node.0 / self.nshards
-    }
-
-    fn is_crashed(&self, node: NodeId) -> bool {
+    pub(crate) fn is_crashed(&self, node: NodeId) -> bool {
         self.crashed
             .get(self.local_idx(node))
             .copied()
@@ -322,7 +338,7 @@ impl<M: fmt::Debug + Clone> ShardLocal<M> {
     }
 
     /// Sets a local crash flag; returns `true` if it changed.
-    fn set_crashed(&mut self, node: NodeId, down: bool) -> bool {
+    pub(crate) fn set_crashed(&mut self, node: NodeId, down: bool) -> bool {
         let l = self.local_idx(node);
         if self.crashed.len() <= l {
             self.crashed.resize(l + 1, false);
@@ -332,38 +348,72 @@ impl<M: fmt::Debug + Clone> ShardLocal<M> {
         changed
     }
 
-    // ---- Context operations (delegated from `sim::Context`) ----
+    // ---- Deferred-mode halves of the `Context` operations ----
 
-    pub(crate) fn ctx_send(&mut self, from: NodeId, to: NodeId, msg: M) {
-        self.items.push(Item::Req(Req::Send { from, to, msg }));
+    /// Logs `req` for the barrier. A timer or a retransmission re-arm
+    /// lands back on this shard, so the drain must not advance past that
+    /// tick (see `floor`).
+    pub(crate) fn defer(&mut self, req: Req<M>) {
+        let landing = match &req {
+            Req::PushTimer { delay, .. } => self.now + (*delay).max(1),
+            Req::Retransmit {
+                verdict: RetransmitVerdict::Retry(backoff),
+                ..
+            } => self.now + *backoff,
+            _ => SimTime::MAX,
+        };
+        self.floor = self.floor.min(landing);
+        self.items.push(Item::Req(req));
     }
 
-    pub(crate) fn ctx_set_timer(&mut self, node: NodeId, delay: u64, tag: u64) -> TimerId {
+    /// Logs a trace fragment of the event being handled.
+    pub(crate) fn log_trace(&mut self, ev: TraceEvent) {
+        self.items.push(Item::Trace(ev));
+    }
+
+    /// Opens a one-event window log at the current time for driver code
+    /// run through [`Simulation::with_node`]; the caller closes it with
+    /// [`Simulation::barrier`].
+    pub(crate) fn open_driver_window(&mut self, node_count: usize) {
+        self.node_count = node_count;
+        debug_assert!(self.items.is_empty() && self.marks.is_empty());
+        self.marks.push(Mark {
+            at: self.now,
+            seq: u64::MAX,
+            start: 0,
+        });
+    }
+
+    pub(crate) fn arm_timer(&mut self, node: NodeId, delay: u64, tag: u64) -> TimerId {
         let (slot, gen) = self.timers.alloc();
-        // The armed timer lands back on this shard at the barrier; the
-        // drain must not advance past that tick (see `floor`).
-        self.floor = self.floor.min(self.now + delay.max(1));
-        self.items.push(Item::Req(Req::PushTimer {
+        self.defer(Req::PushTimer {
             node,
             slot,
             gen,
             tag,
             delay,
-        }));
+        });
         TimerId(encode_timer(self.idx, slot, gen))
     }
 
-    pub(crate) fn ctx_cancel_timer(&mut self, id: TimerId) {
+    /// Retires the slab slot of a timer that just fired and returns the
+    /// [`TimerId`] `arm_timer` handed out for it.
+    pub(crate) fn fired_timer(&mut self, slot: u32, gen: u16) -> TimerId {
+        self.timers.release(slot);
+        TimerId(encode_timer(self.idx, slot, gen))
+    }
+
+    pub(crate) fn cancel_timer(&mut self, id: TimerId) {
         let Some((shard, slot, gen)) = decode_timer(id.0) else {
-            return; // sequential-engine id (or garbage): nothing it can name here
+            return; // not an id `arm_timer` made: nothing it can name here
         };
         if shard != self.idx {
             // A TimerId crossed a shard boundary: the contract is that ids
             // stay private to the node that armed them (Context::
             // cancel_timer docs; DESIGN §12) because a cancel resolved at
-            // the barrier loses the same-tick race the sequential engine
-            // decides by seq — the owning shard may fire the timer during
-            // the parallel pass before this request replays.
+            // the barrier loses the same-tick race an inline run decides
+            // by seq — the owning shard may fire the timer during the
+            // parallel pass before this request replays.
             debug_assert!(
                 false,
                 "TimerId armed on shard {shard} cancelled from shard {}: \
@@ -372,8 +422,7 @@ impl<M: fmt::Debug + Clone> ShardLocal<M> {
             );
             // Release builds resolve it at the barrier as a best effort:
             // a no-op if the timer fired this very tick, exact otherwise.
-            self.items
-                .push(Item::Req(Req::CancelTimer { shard, slot, gen }));
+            self.defer(Req::CancelTimer { shard, slot, gen });
             return;
         }
         match self.timers.slots.get(slot as usize).copied() {
@@ -391,41 +440,74 @@ impl<M: fmt::Debug + Clone> ShardLocal<M> {
         }
     }
 
-    pub(crate) fn ctx_count(&mut self, kind: &str) {
-        self.metrics.inc(kind);
-    }
-
-    pub(crate) fn ctx_count_n(&mut self, kind: &str, n: u64) {
-        self.metrics.add(kind, n);
-    }
-
-    pub(crate) fn ctx_note(&mut self, node: NodeId, text: String) {
-        if !self.tracing {
-            return;
-        }
-        let at = self.now;
-        self.items
-            .push(Item::Trace(TraceEvent::Note { at, node, text }));
-    }
-
-    pub(crate) fn ctx_rng(&mut self, node: NodeId) -> &mut DetRng {
+    /// `node`'s handler substream, forked from the seeded root the first
+    /// time any node at or above its index asks.
+    pub(crate) fn node_rng(&mut self, node: NodeId) -> &mut DetRng {
         let l = self.local_idx(node);
+        while self.rngs.len() <= l {
+            let id = self.rngs.len() * self.nshards + self.idx;
+            self.rngs
+                .push(self.rng_root.fork(NODE_RNG_STREAM ^ id as u64));
+        }
         &mut self.rngs[l]
     }
+}
 
-    pub(crate) fn ctx_halt(&mut self) {
-        self.halted = true;
+/// Inline mode's sink: the lone shard's own queue and channel state.
+impl<M: fmt::Debug + Clone> Sink for ShardLocal<M> {
+    type Msg = M;
+
+    fn push(&mut self, at: SimTime, seq: u64, ev: EventKind<M>) -> EntryId {
+        self.queue.push((at, seq), ev)
+    }
+
+    fn reliable(&mut self, _to: NodeId) -> Option<&mut ReliableState<M>> {
+        self.rel.as_mut()
     }
 }
 
 /// A shard: its local state plus the processes that live on it.
 pub(crate) struct Shard<M, P> {
-    local: ShardLocal<M>,
-    procs: Vec<P>,
+    pub(crate) local: ShardLocal<M>,
+    pub(crate) procs: Vec<P>,
 }
 
 impl<M: fmt::Debug + Clone, P: Process<M>> Shard<M, P> {
-    fn next_key(&self) -> Option<(SimTime, u64)> {
+    /// Shard `idx` of `nshards`, empty. `rng_root` is the run's seeded
+    /// generator, before any draw.
+    pub(crate) fn new(
+        idx: usize,
+        nshards: usize,
+        rng_root: &DetRng,
+        reliable: Option<ReliableConfig>,
+        tracing: bool,
+    ) -> Self {
+        Shard {
+            local: ShardLocal {
+                idx,
+                nshards,
+                node_count: 0,
+                now: SimTime::ZERO,
+                queue: EventQueue::new(),
+                metrics: Metrics::new(),
+                crashed: Vec::new(),
+                rel: reliable.map(ReliableState::new),
+                timers: TimerSlab::new(),
+                items: Vec::new(),
+                marks: Vec::new(),
+                floor: SimTime::MAX,
+                rng_root: rng_root.clone(),
+                rngs: Vec::new(),
+                tracing,
+                halted: false,
+                events: 0,
+                cur_seq: u64::MAX,
+            },
+            procs: Vec::new(),
+        }
+    }
+
+    pub(crate) fn next_key(&self) -> Option<(SimTime, u64)> {
         self.local.queue.peek_key()
     }
 
@@ -454,7 +536,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Shard<M, P> {
                 }
                 self.local.now = at;
             }
-            let (_entry, (_, seq), ev) = self.local.queue.pop().expect("peeked entry");
+            let (entry, (_, seq), ev) = self.local.queue.pop().expect("peeked entry");
             handled += 1;
             self.local.events += 1;
             self.local.cur_seq = seq;
@@ -464,51 +546,55 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Shard<M, P> {
                 seq,
                 start: self.local.items.len() as u32,
             });
-            self.handle(ev);
+            self.handle(None, entry, ev);
         }
         handled
     }
 
-    fn handle(&mut self, ev: EventKind<M>) {
+    /// Executes one event, popped from this shard's queue as `entry` —
+    /// the only place an [`EventKind`] runs, at any shard count. Whether
+    /// its counts, trace pushes, acks, retransmissions and crash flips
+    /// apply inline (`seqr` present: `S = 1`) or are logged for the window
+    /// barrier is decided inside [`Context`], never here. The caller has
+    /// already set `local.now`/`cur_seq` and counted the event.
+    #[inline]
+    pub(crate) fn handle(
+        &mut self,
+        seqr: Option<&mut Sequencer>,
+        entry: EntryId,
+        ev: EventKind<M>,
+    ) {
         let Shard { local, procs } = self;
+        // Every arm that runs a handler runs it on the event's routing
+        // node, which is why the event sits on this shard.
+        let node = ev.dst();
+        let proc_idx = local.local_idx(node);
+        let ctx = &mut Context::new(node, local, seqr);
         match ev {
-            EventKind::Start(node) => {
-                let l = local.local_idx(node);
-                let mut ctx = Context::for_shard(node, local);
-                procs[l].on_start(&mut ctx);
-            }
+            EventKind::Start(_) => procs[proc_idx].on_start(ctx),
             EventKind::Deliver { from, to, msg } => {
-                if local.is_crashed(to) {
-                    local.metrics.inc(builtin::MESSAGES_DROPPED);
-                    if local.tracing {
-                        let at = local.now;
-                        // cmh-lint: allow(D7) — gated on the shard's cached tracing flag (= Trace::is_enabled).
-                        let summary = summarize(&msg);
-                        local.items.push(Item::Trace(TraceEvent::Drop {
-                            at,
-                            from,
-                            to,
-                            summary,
-                            reason: DropReason::CrashedRecipient,
-                        }));
-                    }
-                    return;
-                }
-                local.metrics.inc(builtin::MESSAGES_DELIVERED);
-                if local.tracing {
-                    let at = local.now;
-                    // cmh-lint: allow(D7) — gated on the shard's cached tracing flag (= Trace::is_enabled).
-                    let summary = summarize(&msg);
-                    local.items.push(Item::Trace(TraceEvent::Deliver {
+                if ctx.local.is_crashed(to) {
+                    // Messages arriving during an outage are lost; the
+                    // reliable layer (if any) would have retransmitted,
+                    // but raw deliveries are simply gone.
+                    ctx.count(builtin::MESSAGES_DROPPED);
+                    ctx.trace_summary(&msg, |at, summary| TraceEvent::Drop {
                         at,
                         from,
                         to,
                         summary,
-                    }));
+                        reason: DropReason::CrashedRecipient,
+                    });
+                    return;
                 }
-                let l = local.local_idx(to);
-                let mut ctx = Context::for_shard(to, local);
-                procs[l].on_message(&mut ctx, from, msg);
+                ctx.count(builtin::MESSAGES_DELIVERED);
+                ctx.trace_summary(&msg, |at, summary| TraceEvent::Deliver {
+                    at,
+                    from,
+                    to,
+                    summary,
+                });
+                procs[proc_idx].on_message(ctx, from, msg);
             }
             EventKind::Timer {
                 node,
@@ -516,100 +602,78 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Shard<M, P> {
                 slot,
                 gen,
             } => {
-                local.timers.release(slot);
-                if local.is_crashed(node) {
-                    // A crashed node's timers are lost, not deferred.
+                let id = ctx.fired_timer(entry, slot, gen);
+                if ctx.local.is_crashed(node) {
+                    // A crashed node's timers are lost, not deferred:
+                    // `on_restart` re-arms whatever recovery needs.
                     return;
                 }
-                local.metrics.inc(builtin::TIMERS_FIRED);
-                if local.tracing {
-                    let at = local.now;
-                    local
-                        .items
-                        .push(Item::Trace(TraceEvent::Timer { at, node, tag }));
-                }
-                let id = TimerId(encode_timer(local.idx, slot, gen));
-                let l = local.local_idx(node);
-                let mut ctx = Context::for_shard(node, local);
-                procs[l].on_timer(&mut ctx, id, tag);
+                ctx.count(builtin::TIMERS_FIRED);
+                ctx.trace(|at| TraceEvent::Timer { at, node, tag });
+                procs[proc_idx].on_timer(ctx, id, tag);
             }
             EventKind::Crash(node) => {
-                if local.set_crashed(node, true) {
-                    local.metrics.inc(builtin::CRASHES);
-                    if local.tracing {
-                        let at = local.now;
-                        local
-                            .items
-                            .push(Item::Trace(TraceEvent::Crash { at, node }));
-                    }
-                    local
-                        .items
-                        .push(Item::Req(Req::CrashFlip { node, down: true }));
+                if ctx.local.set_crashed(node, true) {
+                    ctx.count(builtin::CRASHES);
+                    ctx.trace(|at| TraceEvent::Crash { at, node });
+                    ctx.crash_flip(node, true);
                 }
             }
             EventKind::Restart(node) => {
-                if local.set_crashed(node, false) {
-                    local.metrics.inc(builtin::RESTARTS);
-                    if local.tracing {
-                        let at = local.now;
-                        local
-                            .items
-                            .push(Item::Trace(TraceEvent::Restart { at, node }));
-                    }
-                    local
-                        .items
-                        .push(Item::Req(Req::CrashFlip { node, down: false }));
-                    let l = local.local_idx(node);
-                    let mut ctx = Context::for_shard(node, local);
-                    procs[l].on_restart(&mut ctx);
+                if ctx.local.set_crashed(node, false) {
+                    ctx.count(builtin::RESTARTS);
+                    ctx.trace(|at| TraceEvent::Restart { at, node });
+                    ctx.crash_flip(node, false);
+                    procs[proc_idx].on_restart(ctx);
                 }
             }
             EventKind::Wire { from, to, seq } => {
-                if local.is_crashed(to) {
-                    local.metrics.inc(builtin::MESSAGES_DROPPED);
-                    if local.tracing {
-                        let at = local.now;
-                        local.items.push(Item::Trace(TraceEvent::Drop {
-                            at,
-                            from,
-                            to,
-                            // cmh-lint: allow(D7) — gated on the shard's cached tracing flag (= Trace::is_enabled).
-                            summary: format!("pkt seq={seq}"),
-                            reason: DropReason::CrashedRecipient,
-                        }));
-                    }
-                    return;
-                }
-                let rel = local.rel.as_mut().expect("reliable state present");
-                let (accept, next) = rel.accept(from, to, seq);
-                if accept == WireAccept::Duplicate {
-                    local.metrics.inc(builtin::DUPLICATES_SUPPRESSED);
-                }
-                let mut staged = std::mem::take(&mut rel.staged);
-                local.items.push(Item::Req(Req::SendAck { from, to, next }));
-                for msg in staged.drain(..) {
-                    local.metrics.inc(builtin::MESSAGES_DELIVERED);
-                    if local.tracing {
-                        let at = local.now;
-                        // cmh-lint: allow(D7) — gated on the shard's cached tracing flag (= Trace::is_enabled).
-                        let summary = summarize(&msg);
-                        local.items.push(Item::Trace(TraceEvent::Deliver {
+                if ctx.local.is_crashed(to) {
+                    // Lost at a down receiver — but the sender's
+                    // retransmission timer is still armed, so the packet
+                    // will be offered again after the restart.
+                    ctx.count(builtin::MESSAGES_DROPPED);
+                    // `Arguments` debug-prints as the text it formats.
+                    ctx.trace_summary(&format_args!("pkt seq={seq}"), |at, summary| {
+                        TraceEvent::Drop {
                             at,
                             from,
                             to,
                             summary,
-                        }));
-                    }
-                    let l = local.local_idx(to);
-                    let mut ctx = Context::for_shard(to, local);
-                    procs[l].on_message(&mut ctx, from, msg);
+                            reason: DropReason::CrashedRecipient,
+                        }
+                    });
+                    return;
                 }
-                local.rel.as_mut().expect("reliable state present").staged = staged;
+                let rel = ctx.local.rel.as_mut().expect("reliable state present");
+                let (accept, next) = rel.accept(from, to, seq);
+                // Take the staged payloads out of the transport so
+                // `on_message` (which may itself send) can't alias the
+                // recycled buffer; hand the still-warm allocation back
+                // when the drain ends. The empty vector swapped in
+                // meanwhile costs nothing.
+                let mut staged = std::mem::take(&mut rel.staged);
+                if accept == WireAccept::Duplicate {
+                    ctx.count(builtin::DUPLICATES_SUPPRESSED);
+                }
+                ctx.send_ack(from, to, next);
+                for msg in staged.drain(..) {
+                    ctx.count(builtin::MESSAGES_DELIVERED);
+                    ctx.trace_summary(&msg, |at, summary| TraceEvent::Deliver {
+                        at,
+                        from,
+                        to,
+                        summary,
+                    });
+                    procs[proc_idx].on_message(ctx, from, msg);
+                }
+                let rel = ctx.local.rel.as_mut().expect("reliable state present");
+                rel.staged = staged;
             }
             EventKind::WireAck { from, to, next } => {
-                // Transport state is stable storage: processed even while
-                // the sender is crashed.
-                if let Some(rel) = &mut local.rel {
+                // Transport state lives in stable storage: acks are
+                // processed even while `from` is crashed.
+                if let Some(rel) = &mut ctx.local.rel {
                     rel.ack(from, to, next);
                 }
             }
@@ -619,21 +683,9 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Shard<M, P> {
                 seq,
                 attempt,
             } => {
-                let Some(rel) = &mut local.rel else { return };
-                let verdict = rel.retransmit_due(from, to, seq, attempt);
-                if let RetransmitVerdict::Retry(backoff) = verdict {
-                    // The re-armed Retransmit event is routed back to this
-                    // shard (receiver-side channel state); cap the drain.
-                    local.floor = local.floor.min(local.now + backoff);
-                }
-                if verdict != RetransmitVerdict::Done {
-                    local.items.push(Item::Req(Req::Retransmit {
-                        from,
-                        to,
-                        seq,
-                        attempt,
-                        verdict,
-                    }));
+                if let Some(rel) = &mut ctx.local.rel {
+                    let verdict = rel.retransmit_due(from, to, seq, attempt);
+                    ctx.retransmit(from, to, seq, attempt, verdict);
                 }
             }
         }
@@ -644,12 +696,12 @@ impl<M: fmt::Debug + Clone, P> Sink for Vec<Shard<M, P>> {
     type Msg = M;
 
     fn push(&mut self, at: SimTime, seq: u64, ev: EventKind<M>) -> EntryId {
-        let s = ev.dst().0 % self.len();
+        let (s, _) = place(ev.dst(), self.len());
         self[s].local.queue.push((at, seq), ev)
     }
 
     fn reliable(&mut self, to: NodeId) -> Option<&mut ReliableState<M>> {
-        let s = to.0 % self.len();
+        let (s, _) = place(to, self.len());
         self[s].local.rel.as_mut()
     }
 }
@@ -787,33 +839,35 @@ impl<M, P> Drop for WorkerPool<M, P> {
     }
 }
 
-/// The sharded engine. Public API mirrors the sequential
-/// [`crate::sim::Simulation`]; `crate::sim` wraps both behind one type.
-pub(crate) struct ShardedSim<M, P> {
-    shards: Vec<Shard<M, P>>,
-    seqr: Sequencer,
-    started: bool,
+/// What only the windowed mode (`S > 1`) uses of a [`Simulation`]: the
+/// threading capability, the window length, and recycled barrier
+/// buffers. Inert — and allocation-free — at `S = 1`.
+pub(crate) struct Windows<M, P> {
     /// Captured threading capability (`M: Send + P: Send` proven at build
-    /// time); `None` runs the parallel phase inline.
+    /// time); `None` runs the parallel phase on the calling thread.
     par_exec: Option<ParExec<M, P>>,
-    workers: usize,
-    /// `true` when the worker count was pinned by
-    /// [`crate::sim::SimBuilder::workers`]: threads then engage on every
-    /// eligible window, bypassing the backlog amortisation threshold
-    /// (tests use this to drive the threaded path on small configs).
+    /// Worker threads for the parallel phase: the count pinned by
+    /// [`crate::sim::SimBuilder::workers`], else `None` until the first
+    /// window that could engage the pool asks [`worker_budget`] — a
+    /// syscall an order of magnitude dearer than building the simulation.
+    workers: Option<usize>,
+    /// `true` when the worker count was pinned: threads then engage on
+    /// every eligible window, bypassing the backlog amortisation
+    /// threshold (tests use this to drive the threaded path on small
+    /// configs).
     forced_workers: bool,
     /// Conservative window length in ticks: the latency model's
     /// `min_delay()`, clamped by the reliable layer's first retransmission
     /// timeout (the one cross-shard push that bypasses a latency draw).
     /// Each dispatched window `[t, t + win_len)` is further narrowed by
-    /// the hazard rule in [`ShardedSim::next_window`].
+    /// the hazard rule in [`Simulation::next_window`].
     win_len: u64,
     /// Persistent parked worker threads, created lazily (by the captured
     /// `par_exec` capability, which carries the necessary bounds) on the
     /// first window that engages the threaded phase. Type-erased so the
-    /// engine itself needs no `Send + 'static` bounds to hold it.
+    /// simulation itself needs no `Send + 'static` bounds to hold it.
     pool: Option<Box<dyn std::any::Any>>,
-    stats: WindowStats,
+    pub(crate) stats: WindowStats,
     /// Recycled per-shard window-log buffers: swapped with the live logs
     /// at every barrier so both sides keep their capacity.
     log_scratch: Vec<WindowLog<M>>,
@@ -836,7 +890,7 @@ struct MergeScratch {
 
 /// `min(available cores, shard count)` worker threads for the parallel
 /// handler phase.
-pub(crate) fn worker_budget(shards: usize) -> usize {
+fn worker_budget(shards: usize) -> usize {
     std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
@@ -847,7 +901,7 @@ pub(crate) fn worker_budget(shards: usize) -> usize {
 /// due shards through the window ending at `end`. Captured as a plain
 /// `fn` pointer by [`crate::sim::SimBuilder::build_mt`], where the
 /// `Send + 'static` bounds hold; the pool is created lazily into the
-/// engine's type-erased `slot` on the first engaged window.
+/// simulation's type-erased `slot` on the first engaged window.
 pub(crate) fn pool_pass1<M, P>(
     shards: &mut Vec<Shard<M, P>>,
     end: SimTime,
@@ -864,211 +918,32 @@ pub(crate) fn pool_pass1<M, P>(
     pool.run(shards, end);
 }
 
-impl<M: fmt::Debug + Clone, P: Process<M>> ShardedSim<M, P> {
+impl<M, P> Windows<M, P> {
     pub(crate) fn new(
         nshards: usize,
-        seqr: Sequencer,
+        min_delay: u64,
         reliable: Option<ReliableConfig>,
         par_exec: Option<ParExec<M, P>>,
         workers: Option<usize>,
     ) -> Self {
-        let nshards = nshards.max(1);
-        let min_delay = seqr.latency.min_delay();
-        let win_len = reliable
-            .map_or(min_delay, |cfg| min_delay.min(cfg.backoff(1)))
-            .max(1);
-        let tracing = seqr.trace.is_enabled();
-        let shards = (0..nshards)
-            .map(|idx| Shard {
-                local: ShardLocal {
-                    idx,
-                    nshards,
-                    node_count: 0,
-                    now: SimTime::ZERO,
-                    queue: EventQueue::new(),
-                    metrics: Metrics::new(),
-                    crashed: Vec::new(),
-                    rel: reliable.map(ReliableState::new),
-                    timers: TimerSlab::new(),
-                    items: Vec::new(),
-                    marks: Vec::new(),
-                    floor: SimTime::MAX,
-                    rngs: Vec::new(),
-                    tracing,
-                    halted: false,
-                    events: 0,
-                    cur_seq: u64::MAX,
-                },
-                procs: Vec::new(),
-            })
-            .collect();
-        ShardedSim {
-            shards,
-            seqr,
-            started: false,
+        Windows {
             par_exec,
-            workers: workers
-                .map(|w| w.clamp(1, nshards))
-                .unwrap_or_else(|| worker_budget(nshards)),
+            workers: workers.map(|w| w.clamp(1, nshards)),
             forced_workers: workers.is_some(),
-            win_len,
+            win_len: reliable
+                .map_or(min_delay, |cfg| min_delay.min(cfg.backoff(1)))
+                .max(1),
             pool: None,
             stats: WindowStats::default(),
             log_scratch: Vec::new(),
             merge_scratch: MergeScratch::default(),
         }
     }
+}
 
-    fn shard_of(&self, node: NodeId) -> usize {
-        node.0 % self.shards.len()
-    }
-
-    /// The derived conservative lookahead window, in ticks.
-    pub(crate) fn lookahead(&self) -> u64 {
-        self.win_len
-    }
-
-    /// Window-level execution counters (windows dispatched, ticks they
-    /// spanned, wall-clock barrier cost).
-    pub(crate) fn window_stats(&self) -> WindowStats {
-        self.stats
-    }
-
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    pub(crate) fn add_node(&mut self, process: P) -> NodeId {
-        let id = NodeId(self.seqr.node_count);
-        self.seqr.node_count += 1;
-        let s = self.shard_of(id);
-        let stream = self.seqr.rng.fork(NODE_RNG_STREAM ^ id.0 as u64);
-        let shard = &mut self.shards[s];
-        shard.procs.push(process);
-        shard.local.rngs.push(stream);
-        for sh in &mut self.shards {
-            sh.local.node_count = self.seqr.node_count;
-        }
-        id
-    }
-
-    pub(crate) fn node_count(&self) -> usize {
-        self.seqr.node_count
-    }
-
-    pub(crate) fn now(&self) -> SimTime {
-        self.seqr.now
-    }
-
-    pub(crate) fn metrics(&self) -> &Metrics {
-        &self.seqr.metrics
-    }
-
-    pub(crate) fn trace(&self) -> &Trace {
-        &self.seqr.trace
-    }
-
-    pub(crate) fn node(&self, id: NodeId) -> &P {
-        self.try_node(id).expect("node id out of range")
-    }
-
-    pub(crate) fn try_node(&self, id: NodeId) -> Option<&P> {
-        if id.0 >= self.seqr.node_count {
-            return None;
-        }
-        let s = self.shard_of(id);
-        self.shards[s].procs.get(id.0 / self.shards.len())
-    }
-
-    pub(crate) fn is_crashed(&self, id: NodeId) -> bool {
-        self.seqr.is_crashed(id)
-    }
-
-    pub(crate) fn pending_events(&self) -> usize {
-        self.shards.iter().map(|s| s.local.queue.len()).sum()
-    }
-
-    /// Sum of per-shard scheduler high-water marks. An upper bound on the
-    /// global instantaneous peak (per-shard peaks need not coincide).
-    pub(crate) fn peak_queue_depth(&self) -> usize {
-        self.shards.iter().map(|s| s.local.queue.peak_depth()).sum()
-    }
-
-    pub(crate) fn scheduler_slots(&self) -> usize {
-        self.shards.iter().map(|s| s.local.queue.slot_count()).sum()
-    }
-
-    pub(crate) fn in_flight_messages(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.local.queue.values().filter(|k| k.in_flight()).count())
-            .sum()
-    }
-
-    fn min_shard(&self) -> Option<(usize, (SimTime, u64))> {
-        let mut best: Option<(usize, (SimTime, u64))> = None;
-        for (i, s) in self.shards.iter().enumerate() {
-            if let Some(key) = s.next_key() {
-                if best.map(|(_, b)| key < b).unwrap_or(true) {
-                    best = Some((i, key));
-                }
-            }
-        }
-        best
-    }
-
-    pub(crate) fn next_event_at(&mut self) -> Option<SimTime> {
-        self.ensure_started();
-        self.min_shard().map(|(_, (at, _))| at)
-    }
-
-    pub(crate) fn peek_event(&mut self) -> Option<(SimTime, PendingEvent<'_, M>)> {
-        self.ensure_started();
-        let (i, _) = self.min_shard()?;
-        self.shards[i]
-            .local
-            .queue
-            .peek()
-            .map(|((at, _), kind)| (at, kind.pending()))
-    }
-
-    pub(crate) fn with_node<R>(
-        &mut self,
-        id: NodeId,
-        f: impl FnOnce(&mut P, &mut Context<'_, M>) -> R,
-    ) -> R {
-        self.ensure_started();
-        let s = self.shard_of(id);
-        let now = self.seqr.now;
-        let l = id.0 / self.shards.len();
-        let r = {
-            let shard = &mut self.shards[s];
-            shard.local.now = now;
-            shard.local.cur_seq = u64::MAX;
-            debug_assert!(shard.local.items.is_empty() && shard.local.marks.is_empty());
-            shard.local.marks.push(Mark {
-                at: now,
-                seq: u64::MAX,
-                start: 0,
-            });
-            let mut ctx = Context::for_shard(id, &mut shard.local);
-            f(&mut shard.procs[l], &mut ctx)
-        };
-        // Injection replays immediately — the sequential engine executes
-        // driver side effects inline, so ours must too before returning.
-        self.barrier(now);
-        self.flush();
-        r
-    }
-
-    fn ensure_started(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        self.seqr.start(&mut self.shards);
-    }
-
+/// The windowed mode of the drive loop: what [`Simulation`]'s `step`,
+/// `run_until`, `run_to_quiescence` and `with_node` do when `S > 1`.
+impl<M: fmt::Debug + Clone, P: Process<M>> Simulation<M, P> {
     /// Computes the next window `[start, end)`, or `None` at quiescence.
     ///
     /// `start` is the earliest pending key across shards; `end` stretches
@@ -1090,7 +965,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> ShardedSim<M, P> {
     ///   always safe (`τ + 2` can't fit inside them), more are not.
     ///
     /// With `win_len == 1` (the default models) every branch collapses to
-    /// the original single-tick window.
+    /// a single-tick window.
     fn next_window(&self) -> Option<(SimTime, SimTime)> {
         let mut first: Option<(SimTime, u64)> = None;
         let mut m2 = SimTime::MAX;
@@ -1108,7 +983,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> ShardedSim<M, P> {
             }
         }
         let (start, _) = first?;
-        let full = start + self.win_len;
+        let full = start + self.win.win_len;
         let end = if m2 >= full {
             full
         } else if m2 > start + 1 {
@@ -1119,59 +994,78 @@ impl<M: fmt::Debug + Clone, P: Process<M>> ShardedSim<M, P> {
         Some((start, end))
     }
 
+    /// Runs the next window — if it opens at or before `deadline`, and no
+    /// further than the deadline: events past it belong to the caller's
+    /// next run call — handling at most `limit` events. Returns events
+    /// handled, `Some(0)` when the window opens past the deadline, `None`
+    /// at quiescence. Never inlined: the inline loop of one shard shares
+    /// its callers, and must not share a stack frame with all this.
+    #[inline(never)]
+    pub(crate) fn run_window(&mut self, deadline: SimTime, limit: u64) -> Option<u64> {
+        let (start, end) = self.next_window()?;
+        if start > deadline {
+            return Some(0);
+        }
+        Some(self.exec_window(start, end.min(deadline + 1), limit))
+    }
+
     /// Runs one window `[start, end)`: the parallel handler phase
     /// (threaded when the capability and enough work are present), then
     /// the sequential barrier replay. Returns events handled.
     fn exec_window(&mut self, start: SimTime, end: SimTime, limit: u64) -> u64 {
-        let before: u64 = self.shards.iter().map(|s| s.local.events).sum();
-        // One summation reused by the budget and engage checks below.
-        let pending = self.pending_events() as u64;
+        let node_count = self.seqr.node_count;
+        let (mut before, mut pending) = (0u64, 0u64);
+        for s in &mut self.shards {
+            s.local.node_count = node_count;
+            before += s.local.events;
+            pending += s.local.queue.len() as u64;
+        }
         // A window can't handle more events than are pending when it
         // opens (all handler consequences land at later ticks), so a
         // budget covering the whole backlog can never bind mid-window.
         let unlimited = limit >= pending;
         if unlimited {
             // Waking the parked pool costs single-digit microseconds per
-            // window; a window of a handful of events is cheaper inline.
-            // The backlog is a free upper bound on the window size, so
-            // threads only engage when enough work *could* be present to
-            // amortise the wake-up (unless the worker count was pinned
-            // explicitly, which is an opt-in to always thread). Inline
-            // and threaded execution are bit-identical, so this is purely
-            // a scheduling heuristic.
-            let use_threads = self.workers > 1
-                && self.par_exec.is_some()
-                && (self.forced_workers || pending >= DEFAULT_PAR_THRESHOLD)
-                && self
-                    .shards
-                    .iter()
-                    .filter(|s| s.next_key().is_some_and(|(at, _)| at < end))
-                    .count()
-                    > 1;
-            if use_threads {
-                (self.par_exec.expect("checked above"))(
-                    &mut self.shards,
-                    end,
-                    self.workers,
-                    &mut self.pool,
-                );
+            // window; a window of a handful of events is cheaper on this
+            // thread. The backlog is a free upper bound on the window
+            // size, so threads only engage when enough work *could* be
+            // present to amortise the wake-up (unless the worker count
+            // was pinned explicitly, which is an opt-in to always
+            // thread). Either execution is bit-identical, so this is
+            // purely a scheduling heuristic.
+            let due = |s: &Shard<M, P>| s.next_key().is_some_and(|(at, _)| at < end);
+            let threads = match self.win.par_exec {
+                Some(exec)
+                    if (self.win.forced_workers || pending >= DEFAULT_PAR_THRESHOLD)
+                        && self.shards.iter().filter(|s| due(s)).count() > 1 =>
+                {
+                    let nshards = self.shards.len();
+                    let workers = *self
+                        .win
+                        .workers
+                        .get_or_insert_with(|| worker_budget(nshards));
+                    (workers > 1).then_some((exec, workers))
+                }
+                _ => None,
+            };
+            if let Some((exec, workers)) = threads {
+                exec(&mut self.shards, end, workers, &mut self.win.pool);
             } else {
-                for shard in &mut self.shards {
-                    if shard.next_key().is_some_and(|(at, _)| at < end) {
-                        shard.pass1(end, u64::MAX);
-                    }
+                for shard in self.shards.iter_mut().filter(|s| due(s)) {
+                    shard.pass1(end, u64::MAX);
                 }
             }
         } else {
             // The budget may bind mid-window: it must truncate at the
-            // same point the sequential engine would, so take events one
-            // at a time in global (time, seq) order instead of handing
-            // shard 0 the whole budget ahead of lower-seq events on later
+            // same point an inline run would, so take events one at a
+            // time in global (time, seq) order instead of handing shard 0
+            // the whole budget ahead of lower-seq events on later
             // shards. Each single-event pass1 resets the shard's hazard
             // floor, so fold every floor into the window end by hand —
             // an event must not run past a timer an earlier one armed.
             // O(S) per event, but this path only runs when the
-            // `max_events` liveness backstop is about to fire.
+            // `max_events` liveness backstop is about to fire (or a
+            // driver single-steps).
             let mut remaining = limit;
             let mut wend = end;
             while remaining > 0 {
@@ -1197,12 +1091,12 @@ impl<M: fmt::Debug + Clone, P: Process<M>> ShardedSim<M, P> {
             .filter(|s| !s.local.marks.is_empty())
             .map(|s| s.local.now)
             .fold(start, SimTime::max);
-        self.stats.windows += 1;
-        self.stats.ticks += frontier.since(start) + 1;
+        self.win.stats.windows += 1;
+        self.win.stats.ticks += frontier.since(start) + 1;
         // cmh-lint: allow(D2) — wall-clock here meters the barrier's own cost for perf accounting; it never feeds simulated behavior.
         let t0 = std::time::Instant::now();
         self.barrier(start);
-        self.stats.barrier_nanos += t0.elapsed().as_nanos() as u64;
+        self.win.stats.barrier_nanos += t0.elapsed().as_nanos() as u64;
         let after: u64 = self.shards.iter().map(|s| s.local.events).sum();
         after - before
     }
@@ -1215,9 +1109,9 @@ impl<M: fmt::Debug + Clone, P: Process<M>> ShardedSim<M, P> {
     /// keep their capacity), single-active-shard windows replay linearly,
     /// and multi-shard windows walk a winner tree over the shard cursors
     /// — `O(log S)` per event instead of a linear scan over all shards.
-    fn barrier(&mut self, upto: SimTime) {
+    pub(crate) fn barrier(&mut self, upto: SimTime) {
         self.seqr.now = self.seqr.now.max(upto);
-        let mut logs = std::mem::take(&mut self.log_scratch);
+        let mut logs = std::mem::take(&mut self.win.log_scratch);
         logs.resize_with(self.shards.len(), Default::default);
         let mut active = 0usize;
         let mut last = 0usize;
@@ -1247,12 +1141,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> ShardedSim<M, P> {
             log.0.clear();
             log.1.clear();
         }
-        self.log_scratch = logs;
-        for shard in &mut self.shards {
-            if shard.local.halted {
-                self.seqr.halted = true;
-            }
-        }
+        self.win.log_scratch = logs;
     }
 
     /// Merges two or more non-empty window logs with a winner tree over
@@ -1263,7 +1152,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> ShardedSim<M, P> {
         const DONE: (SimTime, u64) = (SimTime::MAX, u64::MAX);
         let s = logs.len();
         let p = s.next_power_of_two();
-        let mut scr = std::mem::take(&mut self.merge_scratch);
+        let mut scr = std::mem::take(&mut self.win.merge_scratch);
         scr.keys.clear();
         scr.keys.resize(p, DONE);
         scr.cursors.clear();
@@ -1317,7 +1206,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> ShardedSim<M, P> {
                 n >>= 1;
             }
         }
-        self.merge_scratch = scr;
+        self.win.merge_scratch = scr;
     }
 
     /// Replays one originating event's item run `items[mark.start..end]`:
@@ -1328,7 +1217,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> ShardedSim<M, P> {
     fn replay_run(&mut self, mark: Mark, items: &mut [Item<M>], end: usize) {
         // Multi-tick windows replay marks from several ticks in one
         // barrier; the sequencer's clock tracks the originating tick so
-        // replayed delay arithmetic matches the sequential engine.
+        // replayed delay arithmetic matches an inline run's.
         self.seqr.now = self.seqr.now.max(mark.at);
         let mut k = mark.start as usize;
         while k < end {
@@ -1366,7 +1255,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> ShardedSim<M, P> {
                 tag,
                 delay,
             } => {
-                let s = self.shard_of(node);
+                let (s, _) = place(node, self.shards.len());
                 let state = self.shards[s]
                     .local
                     .timers
@@ -1425,114 +1314,19 @@ impl<M: fmt::Debug + Clone, P: Process<M>> ShardedSim<M, P> {
         }
     }
 
-    // ---- run loop ----
-
-    /// Merge shard-local metric counters into the sequencer's aggregate
-    /// (drained so repeated flushes never double-count) and fold halt
-    /// flags. Called at the end of every public driving call, so the
-    /// public accessors are exact at those boundaries.
-    fn flush(&mut self) {
+    /// Merges the shard-local metric counters of a windowed run into the
+    /// sequencer's aggregate (drained so repeated flushes never
+    /// double-count). Called at the end of every public driving call, so
+    /// the public accessors are exact at those boundaries. A lone shard's
+    /// handlers count on the sequencer directly: nothing to merge, and a
+    /// driver that single-steps should not pay for finding that out.
+    pub(crate) fn flush(&mut self) {
+        if self.shards.len() == 1 {
+            return;
+        }
         for shard in &mut self.shards {
             self.seqr.metrics.merge(&shard.local.metrics);
             shard.local.metrics.clear();
-            if shard.local.halted {
-                self.seqr.halted = true;
-            }
         }
-    }
-
-    fn reset_run_counters(&mut self) {
-        for s in &mut self.shards {
-            s.local.events = 0;
-        }
-    }
-
-    /// Processes a single event (the minimum `(time, seq)` across shards)
-    /// through a degenerate one-event window, exactly matching the
-    /// sequential engine's per-event granularity for single-stepping
-    /// harnesses.
-    pub(crate) fn step(&mut self) -> bool {
-        self.ensure_started();
-        let Some((i, (at, _))) = self.min_shard() else {
-            return false;
-        };
-        self.reset_run_counters();
-        self.shards[i].pass1(at + 1, 1);
-        self.barrier(at);
-        self.flush();
-        true
-    }
-
-    pub(crate) fn run_to_quiescence(&mut self, max_events: u64) -> RunOutcome {
-        self.ensure_started();
-        self.reset_run_counters();
-        let mut outcome = RunOutcome::default();
-        loop {
-            if self.seqr.halted {
-                outcome.halted = true;
-                break;
-            }
-            if outcome.events >= max_events {
-                break;
-            }
-            let Some((start, end)) = self.next_window() else {
-                outcome.quiescent = true;
-                break;
-            };
-            outcome.events += self.exec_window(start, end, max_events - outcome.events);
-        }
-        outcome.halted |= self.seqr.halted;
-        self.flush();
-        outcome
-    }
-
-    pub(crate) fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        self.ensure_started();
-        self.reset_run_counters();
-        let mut outcome = RunOutcome::default();
-        loop {
-            if self.seqr.halted {
-                outcome.halted = true;
-                break;
-            }
-            match self.next_window() {
-                None => {
-                    self.seqr.now = self.seqr.now.max(deadline);
-                    outcome.quiescent = true;
-                    break;
-                }
-                Some((start, _)) if start > deadline => {
-                    self.seqr.now = deadline;
-                    break;
-                }
-                Some((start, end)) => {
-                    // The window must not outlive the deadline: events
-                    // past it belong to the caller's next run call.
-                    let end = end.min(deadline + 1);
-                    outcome.events += self.exec_window(start, end, u64::MAX);
-                }
-            }
-        }
-        outcome.halted |= self.seqr.halted;
-        self.flush();
-        outcome
-    }
-
-    pub(crate) fn is_quiescent(&self) -> bool {
-        self.shards.iter().all(|s| s.local.queue.is_empty())
-    }
-
-    pub(crate) fn is_halted(&self) -> bool {
-        self.seqr.halted
-    }
-}
-
-impl<M, P> fmt::Debug for ShardedSim<M, P> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShardedSim")
-            .field("now", &self.seqr.now)
-            .field("nodes", &self.seqr.node_count)
-            .field("shards", &self.shards.len())
-            .finish_non_exhaustive()
     }
 }

@@ -63,8 +63,9 @@ use crate::equeue::{EntryId, EventQueue};
 use crate::faults::{DropReason, FaultPlan, FaultState, SendFate};
 use crate::latency::LatencyModel;
 use crate::metrics::{builtin, Metrics};
-use crate::reliable::{ReliableConfig, ReliableState, RetransmitVerdict, WireAccept};
+use crate::reliable::{ReliableConfig, ReliableState, RetransmitVerdict};
 use crate::rng::DetRng;
+use crate::shard::{place, Req, Shard, ShardLocal, Windows};
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceEvent};
 
@@ -186,7 +187,7 @@ pub trait Process<M> {
     }
 }
 
-/// A scheduled event, on either engine.
+/// A scheduled event.
 pub(crate) enum EventKind<M> {
     Start(NodeId),
     Deliver {
@@ -197,9 +198,10 @@ pub(crate) enum EventKind<M> {
     Timer {
         node: NodeId,
         tag: u64,
-        /// The sharded engine's timer-slab handle, so the fired callback
-        /// sees the same [`TimerId`] that `set_timer` returned. Zero on
-        /// the sequential engine, whose ids name the queue entry itself.
+        /// The timer-slab handle of a timer armed at the window barrier,
+        /// so the fired callback sees the same [`TimerId`] that
+        /// `set_timer` returned. Zero for a timer armed inline (`S = 1`),
+        /// whose id names the queue entry itself.
         slot: u32,
         gen: u16,
     },
@@ -410,45 +412,33 @@ impl<M> EventKind<M> {
 ///
 /// Obtained only as an argument to [`Process`] callbacks or
 /// [`Simulation::with_node`].
+///
+/// A context is also where the two effect modes part (see
+/// [`crate::shard`]): with the sequencer in hand (`S = 1`) every side
+/// effect is applied inline; without it (`S > 1`) the effect is logged on
+/// the shard and replayed, in `S = 1` order, at the window barrier.
 pub struct Context<'a, M> {
     node: NodeId,
-    inner: CtxInner<'a, M>,
-}
-
-/// The engine behind a [`Context`]: the sequential core, or one shard of
-/// the sharded core (which defers globally ordered side effects to its
-/// window barrier; see [`crate::shard`]).
-enum CtxInner<'a, M> {
-    Single(&'a mut Sequencer, &'a mut Core<M>),
-    Shard(&'a mut crate::shard::ShardLocal<M>),
+    pub(crate) local: &'a mut ShardLocal<M>,
+    seqr: Option<&'a mut Sequencer>,
 }
 
 impl<M> fmt::Debug for Context<'_, M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let now = match &self.inner {
-            CtxInner::Single(seqr, _) => seqr.now,
-            CtxInner::Shard(local) => local.ctx_now(),
-        };
         f.debug_struct("Context")
             .field("node", &self.node)
-            .field("now", &now)
+            .field("now", &self.local.now)
             .finish_non_exhaustive()
     }
 }
 
 impl<'a, M: fmt::Debug + Clone> Context<'a, M> {
-    fn for_core(node: NodeId, seqr: &'a mut Sequencer, core: &'a mut Core<M>) -> Self {
-        Context {
-            node,
-            inner: CtxInner::Single(seqr, core),
-        }
-    }
-
-    pub(crate) fn for_shard(node: NodeId, local: &'a mut crate::shard::ShardLocal<M>) -> Self {
-        Context {
-            node,
-            inner: CtxInner::Shard(local),
-        }
+    pub(crate) fn new(
+        node: NodeId,
+        local: &'a mut ShardLocal<M>,
+        seqr: Option<&'a mut Sequencer>,
+    ) -> Self {
+        Context { node, local, seqr }
     }
 
     /// The id of the process handling the current event.
@@ -458,54 +448,50 @@ impl<'a, M: fmt::Debug + Clone> Context<'a, M> {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        match &self.inner {
-            CtxInner::Single(seqr, _) => seqr.now,
-            CtxInner::Shard(local) => local.ctx_now(),
-        }
+        self.local.now
     }
 
     /// Number of nodes in the simulation.
     pub fn node_count(&self) -> usize {
-        match &self.inner {
-            CtxInner::Single(seqr, _) => seqr.node_count,
-            CtxInner::Shard(local) => local.ctx_node_count(),
+        match &self.seqr {
+            Some(seqr) => seqr.node_count,
+            None => self.local.node_count,
         }
     }
 
     /// The global sequence number of the event this handler is running
     /// for — a stable total order over handler activations, identical
-    /// between the sequential and sharded engines (the barrier replay
-    /// preserves seq assignment; see DESIGN §12). Driver code run via
-    /// `with_node` returns `u64::MAX`: on both engines it executes after
-    /// every already-processed same-tick handler.
+    /// at every shard count (the barrier replay preserves seq assignment;
+    /// see DESIGN §12). Driver code run via `with_node` returns
+    /// `u64::MAX`: it executes after every already-processed same-tick
+    /// handler.
     ///
     /// External recorders shared across nodes (e.g. a validation journal)
     /// should order same-time records by this key: appends from the
-    /// sharded engine's threaded handler phase interleave by thread
+    /// threaded handler phase of a sharded run interleave by thread
     /// schedule, and `(now, event_seq)` restores the canonical order.
     pub fn event_seq(&self) -> u64 {
-        match &self.inner {
-            CtxInner::Single(_, core) => core.cur_seq,
-            CtxInner::Shard(local) => local.ctx_event_seq(),
-        }
+        self.local.cur_seq
     }
 
     /// Sends `msg` to `to`; it will be delivered after a latency-model delay,
     /// in FIFO order with respect to other messages on the same channel.
     pub fn send(&mut self, to: NodeId, msg: M) {
-        match &mut self.inner {
-            CtxInner::Single(seqr, core) => seqr.send(*core, self.node, to, msg),
-            CtxInner::Shard(local) => local.ctx_send(self.node, to, msg),
+        let from = self.node;
+        match &mut self.seqr {
+            Some(seqr) => seqr.send(self.local, from, to, msg),
+            None => self.local.defer(Req::Send { from, to, msg }),
         }
     }
 
     /// Schedules `on_timer` to run after `delay` ticks with the given tag.
     pub fn set_timer(&mut self, delay: u64, tag: u64) -> TimerId {
-        match &mut self.inner {
-            CtxInner::Single(seqr, core) => {
-                TimerId(seqr.arm_timer(*core, self.node, delay, tag, 0, 0).raw())
-            }
-            CtxInner::Shard(local) => local.ctx_set_timer(self.node, delay, tag),
+        match &mut self.seqr {
+            Some(seqr) => TimerId(
+                seqr.arm_timer(self.local, self.node, delay, tag, 0, 0)
+                    .raw(),
+            ),
+            None => self.local.arm_timer(self.node, delay, tag),
         }
     }
 
@@ -519,32 +505,29 @@ impl<'a, M: fmt::Debug + Clone> Context<'a, M> {
     /// A [`TimerId`] is private to the node that armed it: only that
     /// node's own handlers (or driver code running against it) may cancel
     /// it. Shipping an id to another node and cancelling there is
-    /// unsupported — on the sharded engine the foreign cancel resolves at
-    /// the window barrier, which loses the same-tick race against the
-    /// timer firing that the sequential engine decides by event seq
-    /// (debug builds assert; see DESIGN §12).
+    /// unsupported — with `S > 1` a cancel that crosses shards resolves
+    /// at the window barrier, which loses the same-tick race against the
+    /// timer firing that `S = 1` decides by event seq (debug builds
+    /// assert; see DESIGN §12).
     pub fn cancel_timer(&mut self, id: TimerId) {
-        match &mut self.inner {
-            CtxInner::Single(_, core) => {
-                core.queue.remove(EntryId::from_raw(id.0));
+        match &self.seqr {
+            Some(_) => {
+                self.local.queue.remove(EntryId::from_raw(id.0));
             }
-            CtxInner::Shard(local) => local.ctx_cancel_timer(id),
+            None => self.local.cancel_timer(id),
         }
     }
 
     /// Increments the metric counter named `kind`.
     pub fn count(&mut self, kind: &str) {
-        match &mut self.inner {
-            CtxInner::Single(seqr, _) => seqr.metrics.inc(kind),
-            CtxInner::Shard(local) => local.ctx_count(kind),
-        }
+        self.count_n(kind, 1);
     }
 
     /// Adds `n` to the metric counter named `kind`.
     pub fn count_n(&mut self, kind: &str, n: u64) {
-        match &mut self.inner {
-            CtxInner::Single(seqr, _) => seqr.metrics.add(kind, n),
-            CtxInner::Shard(local) => local.ctx_count_n(kind, n),
+        match &mut self.seqr {
+            Some(seqr) => seqr.metrics.add(kind, n),
+            None => self.local.metrics.add(kind, n),
         }
     }
 
@@ -552,80 +535,128 @@ impl<'a, M: fmt::Debug + Clone> Context<'a, M> {
     /// strings (e.g. `ctx.note(format!(...))`) should skip the formatting
     /// entirely when this is off, so a disabled trace allocates nothing.
     pub fn tracing(&self) -> bool {
-        match &self.inner {
-            CtxInner::Single(seqr, _) => seqr.trace.is_enabled(),
-            CtxInner::Shard(local) => local.ctx_tracing(),
-        }
+        self.local.tracing
     }
 
     /// Records a free-form trace annotation (no-op when tracing is off).
     pub fn note(&mut self, text: impl Into<String>) {
-        match &mut self.inner {
-            CtxInner::Single(seqr, _) => {
-                if !seqr.trace.is_enabled() {
-                    return;
-                }
-                let at = seqr.now;
-                let node = self.node;
-                seqr.trace.push(TraceEvent::Note {
-                    at,
-                    node,
-                    text: text.into(),
-                });
-            }
-            CtxInner::Shard(local) => {
-                if local.ctx_tracing() {
-                    local.ctx_note(self.node, text.into());
-                }
-            }
-        }
+        let node = self.node;
+        self.trace(|at| TraceEvent::Note {
+            at,
+            node,
+            text: text.into(),
+        });
     }
 
     /// Deterministic random source.
     ///
-    /// On the sequential engine this is the simulation's single global
-    /// stream. On the sharded engine each node draws from its own
-    /// substream forked from the seed — stable across shard and thread
-    /// counts, but *not* the same sequence as the global stream, so
-    /// processes whose digests are pinned against the sequential engine
-    /// should not call this when running sharded (see DESIGN §12).
-    /// Explore mode ([`SimBuilder::explore`]) likewise serves each node
-    /// its own substream, so a handler's draws do not depend on how
-    /// unrelated events were interleaved.
+    /// With one shard this is the simulation's single global stream. With
+    /// more, each node draws from its own substream forked from the seed
+    /// — stable across shard and thread counts, but *not* the same
+    /// sequence as the global stream, so processes whose digests are
+    /// pinned at `shards(1)` should not call this when running sharded
+    /// (see DESIGN §12). Explore mode ([`SimBuilder::explore`]) likewise
+    /// serves each node its own substream, so a handler's draws do not
+    /// depend on how unrelated events were interleaved.
     pub fn rng(&mut self) -> &mut DetRng {
-        match &mut self.inner {
-            CtxInner::Single(seqr, _) => match &mut seqr.explore {
+        match &mut self.seqr {
+            Some(seqr) => match &mut seqr.explore {
                 Some(ex) => ex.node_rng(self.node),
                 None => &mut seqr.rng,
             },
-            CtxInner::Shard(local) => local.ctx_rng(self.node),
+            None => self.local.node_rng(self.node),
         }
     }
 
-    /// Stops the simulation after the current event completes (on the
-    /// sharded engine: after the current window's barrier).
+    /// Stops the simulation after the current event completes (with
+    /// `S > 1`: after the current window's barrier).
     pub fn halt(&mut self) {
-        match &mut self.inner {
-            CtxInner::Single(seqr, _) => seqr.halted = true,
-            CtxInner::Shard(local) => local.ctx_halt(),
+        self.local.halted = true;
+    }
+
+    // ---- What `Shard::handle` does beyond the public operations ----
+
+    /// Records the event `make` builds for the current time, if tracing
+    /// is on: straight onto the trace inline, else as a fragment of the
+    /// shard's window log that the barrier stitches in order.
+    pub(crate) fn trace(&mut self, make: impl FnOnce(SimTime) -> TraceEvent) {
+        if !self.local.tracing {
+            return;
+        }
+        let ev = make(self.local.now);
+        match &mut self.seqr {
+            Some(seqr) => seqr.trace.push(ev),
+            None => self.local.log_trace(ev),
+        }
+    }
+
+    /// [`Context::trace`] for an event that carries a summary of `what`.
+    pub(crate) fn trace_summary(
+        &mut self,
+        what: &impl fmt::Debug,
+        make: impl FnOnce(SimTime, String) -> TraceEvent,
+    ) {
+        // cmh-lint: allow(D7) — the handler's one summary site; `trace` only calls this closure with tracing on (= Trace::is_enabled).
+        self.trace(|at| make(at, summarize(what)));
+    }
+
+    /// The [`TimerId`] `set_timer` returned for the timer that just fired
+    /// out of queue entry `entry` carrying slab handle `(slot, gen)`.
+    pub(crate) fn fired_timer(&mut self, entry: EntryId, slot: u32, gen: u16) -> TimerId {
+        match &self.seqr {
+            // The popped entry's handle is the id (generations only
+            // change on slot reuse).
+            Some(_) => TimerId(entry.raw()),
+            None => self.local.fired_timer(slot, gen),
+        }
+    }
+
+    /// Mirrors a crash-flag flip the shard just made into the sequencer's
+    /// flags, which the send path and [`Simulation::is_crashed`] read.
+    pub(crate) fn crash_flip(&mut self, node: NodeId, down: bool) {
+        match &mut self.seqr {
+            Some(seqr) => {
+                seqr.set_crashed(node, down);
+            }
+            None => self.local.defer(Req::CrashFlip { node, down }),
+        }
+    }
+
+    /// Sends the cumulative ack for data channel `(from, to)`.
+    pub(crate) fn send_ack(&mut self, from: NodeId, to: NodeId, next: u64) {
+        match &mut self.seqr {
+            Some(seqr) => seqr.send_ack(self.local, from, to, next),
+            None => self.local.defer(Req::SendAck { from, to, next }),
+        }
+    }
+
+    /// Applies what the retransmission timer of `(from, to, seq)` decided.
+    pub(crate) fn retransmit(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        seq: u64,
+        attempt: u32,
+        verdict: RetransmitVerdict,
+    ) {
+        match &mut self.seqr {
+            Some(seqr) => seqr.retransmit(self.local, from, to, seq, attempt, verdict),
+            None if verdict == RetransmitVerdict::Done => {}
+            None => self.local.defer(Req::Retransmit {
+                from,
+                to,
+                seq,
+                attempt,
+                verdict,
+            }),
         }
     }
 }
 
-/// The sequential engine's event store — the one global queue and every
-/// reliable channel: where its [`Sequencer`]'s output lands.
-struct Core<M> {
-    queue: EventQueue<EventKind<M>>,
-    rel: Option<ReliableState<M>>,
-    /// Seq of the event currently being handled; `u64::MAX` outside
-    /// handlers (driver code via `with_node`). See [`Context::event_seq`].
-    cur_seq: u64,
-}
-
-/// Where a [`Sequencer`]'s output lands. The sequential engine passes its
-/// [`Core`]; the sharded engine passes its shard vector, where an event
-/// goes to the queue of shard `dst mod S` and a channel's state lives on
-/// its receiver's shard.
+/// Where a [`Sequencer`]'s output lands: the lone shard ([`ShardLocal`])
+/// when a handler's effects apply inline, else the shard vector, where an
+/// event goes to the queue of shard `dst mod S` and a channel's state
+/// lives on its receiver's shard.
 pub(crate) trait Sink {
     /// The simulation's payload type.
     type Msg: fmt::Debug + Clone;
@@ -638,25 +669,13 @@ pub(crate) trait Sink {
     fn reliable(&mut self, to: NodeId) -> Option<&mut ReliableState<Self::Msg>>;
 }
 
-impl<M: fmt::Debug + Clone> Sink for Core<M> {
-    type Msg = M;
-
-    fn push(&mut self, at: SimTime, seq: u64, ev: EventKind<M>) -> EntryId {
-        self.queue.push((at, seq), ev)
-    }
-
-    fn reliable(&mut self, _to: NodeId) -> Option<&mut ReliableState<M>> {
-        self.rel.as_mut()
-    }
-}
-
 /// The single owner of everything *globally ordered* in a run — virtual
 /// time, the event sequence counter, the latency and fault RNG streams,
 /// FIFO channel clocks, crash flags, metrics and the trace — and with
-/// them the wire semantics (send → fault → FIFO clock → reliable). Both
-/// engines hold one and call the same methods: the sequential engine
-/// inline from its handlers, the sharded engine from its window barrier,
-/// which replays deferred requests in the sequential order (see
+/// them the wire semantics (send → fault → FIFO clock → reliable). Its
+/// methods are called inline from the handlers when there is one shard,
+/// and from the window barrier — which replays the handlers' deferred
+/// requests in that same order — when there are more (see
 /// [`crate::shard`]).
 pub(crate) struct Sequencer {
     pub(crate) now: SimTime,
@@ -671,18 +690,16 @@ pub(crate) struct Sequencer {
     pub(crate) rng: DetRng,
     pub(crate) metrics: Metrics,
     pub(crate) trace: Trace,
-    pub(crate) halted: bool,
     pub(crate) node_count: usize,
     fifo: bool,
     faults: Option<FaultState>,
     /// Crash flags, indexed by node (grown on demand) — consulted on every
-    /// send and delivery. On the sharded engine this is a mirror (for the
-    /// send path and the public accessor); the authoritative flags live
-    /// on the owning shard.
+    /// send and by the public accessor. A mirror: the flags an event's
+    /// handler consults live on the owning shard, which flips both.
     crashed: Vec<bool>,
     /// Explore-mode state; `None` outside [`SimBuilder::explore`] builds
-    /// (so always on the sharded engine), leaving every other
-    /// configuration bit-identical to before.
+    /// (so always with `S > 1`), leaving every other configuration
+    /// bit-identical to before.
     explore: Option<ExploreState>,
 }
 
@@ -1104,13 +1121,13 @@ pub struct RunOutcome {
     pub halted: bool,
 }
 
-/// Window-level execution counters of the sharded engine (all zero on
-/// the sequential engine, which has no windows or barriers).
+/// Window-level execution counters of a sharded run (all zero with one
+/// shard, which has no windows or barriers).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowStats {
-    /// Conservative windows dispatched (= barrier count) by the run
-    /// loops; driver injections via [`Simulation::with_node`] and
-    /// single-stepping are not counted.
+    /// Conservative windows dispatched (= barrier count), a
+    /// [`Simulation::step`] being a window of one event; driver
+    /// injections via [`Simulation::with_node`] are not counted.
     pub windows: u64,
     /// Total ticks those windows actually spanned (first to last drained
     /// tick, inclusive); `ticks / windows` is the mean window width, 1.0
@@ -1137,7 +1154,7 @@ pub struct SimBuilder {
 impl SimBuilder {
     /// Starts a builder with default latency (uniform 1..=10), seed 0,
     /// tracing off, FIFO channels on, no faults, no reliable layer, and a
-    /// single shard (the sequential engine).
+    /// single shard.
     pub fn new() -> Self {
         SimBuilder {
             latency: LatencyModel::default(),
@@ -1152,8 +1169,8 @@ impl SimBuilder {
         }
     }
 
-    /// Puts the sequential engine in *explore mode*, the substrate of
-    /// the schedule-space model checker (see [`crate::explore`]):
+    /// Puts a single-shard simulation in *explore mode*, the substrate
+    /// of the schedule-space model checker (see [`crate::explore`]):
     /// handler and latency RNG draws move from the global stream to the
     /// acting node's substream, fault decisions to the wire sender's
     /// substream, and [`Context::event_seq`] reports a monotone
@@ -1164,24 +1181,26 @@ impl SimBuilder {
     /// deterministic but are *not* bit-identical to non-explore builds.
     ///
     /// Building with both `explore(true)` and `shards(s > 1)` panics:
-    /// exploration needs the sequential engine's single frontier.
+    /// exploration needs the single frontier of one shard's queue.
     pub fn explore(mut self, enabled: bool) -> Self {
         self.explore = enabled;
         self
     }
 
     /// Partitions the event loop into `shards` shards (node `i` lives on
-    /// shard `i mod shards`), stepped under the conservative-window
-    /// protocol of [`crate::shard`]. `1` (the default) selects the
-    /// sequential engine. Observable behaviour is bit-identical for any
-    /// value; multi-threaded *execution* of the shards additionally
-    /// requires [`SimBuilder::build_mt`].
+    /// shard `i mod shards`). With `1` (the default) handlers' side
+    /// effects apply inline, in `(time, seq)` order; with more, shards
+    /// are stepped under the conservative-window protocol of
+    /// [`crate::shard`], which defers the effects and replays them in
+    /// that same order. Observable behaviour is bit-identical for any
+    /// value (but see [`Context::rng`]); multi-threaded *execution* of
+    /// the shards additionally requires [`SimBuilder::build_mt`].
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
     }
 
-    /// Pins the worker-thread count for the sharded engine's parallel
+    /// Pins the worker-thread count for a sharded run's parallel
     /// handler phase (clamped to `1..=shards`). The default is
     /// `min(available cores, shards)`, with threads engaging only on
     /// windows whose backlog amortises the pool wake-up cost (a measured
@@ -1189,7 +1208,7 @@ impl SimBuilder {
     /// an opt-in to thread every eligible window — results are
     /// bit-identical either way, so this is only a scheduling knob (and
     /// the way tests force the threaded path on small configurations).
-    /// No effect on the sequential engine or [`SimBuilder::build`].
+    /// No effect with one shard or under [`SimBuilder::build`].
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
@@ -1247,10 +1266,10 @@ impl SimBuilder {
     /// Builds an empty simulation; add processes with
     /// [`Simulation::add_node`].
     ///
-    /// With `shards(s > 1)` the sharded engine is selected, but its
-    /// parallel handler phase runs inline (this signature cannot prove
-    /// `M`/`P` are `Send`); use [`SimBuilder::build_mt`] to capture the
-    /// threading capability. Results are identical either way.
+    /// With `shards(s > 1)` the parallel handler phase runs on the
+    /// calling thread (this signature cannot prove `M`/`P` are `Send`);
+    /// use [`SimBuilder::build_mt`] to capture the threading capability.
+    /// Results are identical either way.
     pub fn build<M: fmt::Debug + Clone, P: Process<M>>(self) -> Simulation<M, P> {
         self.build_inner(None)
     }
@@ -1279,7 +1298,17 @@ impl SimBuilder {
             .then(|| FaultState::new(self.faults.clone(), rng.fork(FAULT_RNG_STREAM)));
         assert!(
             !(self.explore && self.shards > 1),
-            "explore mode requires the sequential engine (shards == 1)"
+            "explore mode needs the single frontier of one shard (shards == 1)"
+        );
+        let shards = (0..self.shards)
+            .map(|idx| Shard::new(idx, self.shards, &rng, self.reliable, self.trace))
+            .collect();
+        let win = Windows::new(
+            self.shards,
+            self.latency.min_delay(),
+            self.reliable,
+            par,
+            self.workers,
         );
         let seqr = Sequencer {
             now: SimTime::ZERO,
@@ -1289,34 +1318,18 @@ impl SimBuilder {
             rng,
             metrics: Metrics::new(),
             trace: Trace::new(self.trace),
-            halted: false,
             node_count: 0,
             fifo: self.fifo,
             faults,
             crashed: Vec::new(),
             explore: self.explore.then(|| ExploreState::new(self.seed)),
         };
-        let inner = if self.shards > 1 {
-            SimInner::Sharded(crate::shard::ShardedSim::new(
-                self.shards,
-                seqr,
-                self.reliable,
-                par,
-                self.workers,
-            ))
-        } else {
-            SimInner::Single(SingleSim {
-                seqr,
-                core: Core {
-                    queue: EventQueue::new(),
-                    rel: self.reliable.map(ReliableState::new),
-                    cur_seq: u64::MAX,
-                },
-                procs: Vec::new(),
-                started: false,
-            })
-        };
-        Simulation { inner }
+        Simulation {
+            shards,
+            seqr,
+            started: false,
+            win,
+        }
     }
 }
 
@@ -1329,55 +1342,55 @@ impl Default for SimBuilder {
 /// A deterministic discrete-event simulation over processes of type `P`
 /// exchanging messages of type `M`.
 ///
-/// Backed by one of two engines chosen at build time
-/// ([`SimBuilder::shards`]): the sequential core, or the sharded
-/// conservative-window core (see [`crate::shard`]). Both produce
-/// bit-identical observable behaviour for processes that do not draw from
-/// [`Context::rng`] inside handlers; `shards(1)` *is* the sequential core.
+/// One engine: the nodes are partitioned over `S` shards
+/// ([`SimBuilder::shards`]), every event runs through the one handler
+/// ([`crate::shard`]), and `S` only selects when a handler's side
+/// effects reach the sequencer — inline with one shard, logged and
+/// replayed at a window barrier with more. Observable behaviour is
+/// bit-identical at any `S` for processes that do not draw from
+/// [`Context::rng`] inside handlers.
 pub struct Simulation<M, P> {
-    inner: SimInner<M, P>,
-}
-
-enum SimInner<M, P> {
-    Single(SingleSim<M, P>),
-    Sharded(crate::shard::ShardedSim<M, P>),
-}
-
-/// The sequential engine: one global event queue, processes in one dense
-/// vector. This is the reference semantics the sharded engine replays.
-struct SingleSim<M, P> {
-    seqr: Sequencer,
-    core: Core<M>,
-    procs: Vec<P>,
+    pub(crate) shards: Vec<Shard<M, P>>,
+    pub(crate) seqr: Sequencer,
     started: bool,
+    pub(crate) win: Windows<M, P>,
 }
 
 impl<M, P> fmt::Debug for Simulation<M, P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.inner {
-            SimInner::Single(s) => f
-                .debug_struct("Simulation")
-                .field("now", &s.seqr.now)
-                .field("nodes", &s.procs.len())
-                .field("pending_events", &s.core.queue.len())
-                .finish_non_exhaustive(),
-            SimInner::Sharded(s) => s.fmt(f),
-        }
+        f.debug_struct("Simulation")
+            .field("now", &self.seqr.now)
+            .field("nodes", &self.seqr.node_count)
+            .field("shards", &self.shards.len())
+            .finish_non_exhaustive()
     }
 }
 
-impl<M: fmt::Debug + Clone, P: Process<M>> SingleSim<M, P> {
+impl<M: fmt::Debug + Clone, P: Process<M>> Simulation<M, P> {
     /// Adds a process and returns its id (ids are dense, starting at 0).
+    #[inline]
     pub fn add_node(&mut self, process: P) -> NodeId {
-        let id = NodeId(self.procs.len());
-        self.procs.push(process);
-        self.seqr.node_count = self.procs.len();
+        let id = NodeId(self.seqr.node_count);
+        let (s, _) = place(id, self.shards.len());
+        self.shards[s].procs.push(process);
+        self.seqr.node_count += 1;
         id
     }
 
     /// Number of processes.
     pub fn node_count(&self) -> usize {
-        self.procs.len()
+        self.seqr.node_count
+    }
+
+    /// Number of shards the event loop is partitioned into.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Window-level execution counters: windows dispatched, ticks they
+    /// spanned, and wall-clock barrier cost. All zero with one shard.
+    pub fn window_stats(&self) -> WindowStats {
+        self.win.stats
     }
 
     /// Current virtual time.
@@ -1401,14 +1414,15 @@ impl<M: fmt::Debug + Clone, P: Process<M>> SingleSim<M, P> {
     ///
     /// Panics if `id` is out of range.
     pub fn node(&self, id: NodeId) -> &P {
-        &self.procs[id.0]
+        self.try_node(id).expect("node id out of range")
     }
 
     /// Immutable access to a process's state, or `None` if `id` is out of
     /// range. The non-panicking sibling of [`Simulation::node`], for
     /// drivers that probe nodes speculatively.
     pub fn try_node(&self, id: NodeId) -> Option<&P> {
-        self.procs.get(id.0)
+        let (s, l) = place(id, self.shards.len());
+        self.shards[s].procs.get(l)
     }
 
     /// True if the fault plan currently has `id` crashed.
@@ -1416,15 +1430,18 @@ impl<M: fmt::Debug + Clone, P: Process<M>> SingleSim<M, P> {
         self.seqr.is_crashed(id)
     }
 
-    /// Number of events currently pending in the scheduler.
+    /// Number of events currently pending in the scheduler (summed across
+    /// shards).
     pub fn pending_events(&self) -> usize {
-        self.core.queue.len()
+        self.shards.iter().map(|s| s.local.queue.len()).sum()
     }
 
     /// Largest number of simultaneously pending events observed so far —
-    /// the scheduler's high-water mark, reported by the bench harness.
+    /// the scheduler's high-water mark, reported by the bench harness:
+    /// the sum of per-shard high-water marks, so exact with one shard and
+    /// an upper bound on the global instantaneous peak with more.
     pub fn peak_queue_depth(&self) -> usize {
-        self.core.queue.peak_depth()
+        self.shards.iter().map(|s| s.local.queue.peak_depth()).sum()
     }
 
     /// Number of message-bearing events currently scheduled: raw
@@ -1434,7 +1451,19 @@ impl<M: fmt::Debug + Clone, P: Process<M>> SingleSim<M, P> {
     /// still arrive — state can only change through timers from here on,
     /// which is the quiescence signal liveness audits build on.
     pub fn in_flight_messages(&self) -> usize {
-        self.core.queue.values().filter(|k| k.in_flight()).count()
+        self.shards
+            .iter()
+            .map(|s| s.local.queue.values().filter(|k| k.in_flight()).count())
+            .sum()
+    }
+
+    /// The shard holding the earliest scheduled event, with its key.
+    fn min_shard(&self) -> Option<(usize, (SimTime, u64))> {
+        self.shards
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| Some((i, s.next_key()?)))
+            .min_by_key(|&(_, key)| key)
     }
 
     /// Virtual time of the earliest scheduled event, if any. Drivers that
@@ -1442,7 +1471,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> SingleSim<M, P> {
     /// the way [`Simulation::run_until`] does.
     pub fn next_event_at(&mut self) -> Option<SimTime> {
         self.ensure_started();
-        self.core.queue.peek_key().map(|(at, _)| at)
+        self.min_shard().map(|(_, (at, _))| at)
     }
 
     /// Classifies the earliest scheduled event without popping it, for
@@ -1451,17 +1480,20 @@ impl<M: fmt::Debug + Clone, P: Process<M>> SingleSim<M, P> {
     /// that can produce a declaration).
     pub fn peek_event(&mut self) -> Option<(SimTime, PendingEvent<'_, M>)> {
         self.ensure_started();
-        self.core
+        let (i, _) = self.min_shard()?;
+        self.shards[i]
+            .local
             .queue
             .peek()
             .map(|((at, _), kind)| (at, kind.pending()))
     }
 
-    /// Number of scheduler slab slots ever allocated. Bounded by the peak
-    /// queue depth (slots are recycled), *not* by events processed — the
-    /// memory-bound regression tests assert on this.
+    /// Number of scheduler slab slots ever allocated (summed across
+    /// shards). Bounded by the peak queue depth (slots are recycled),
+    /// *not* by events processed — the memory-bound regression tests
+    /// assert on this.
     pub fn scheduler_slots(&self) -> usize {
-        self.core.queue.slot_count()
+        self.shards.iter().map(|s| s.local.queue.slot_count()).sum()
     }
 
     /// Runs `f` against a process with a live [`Context`], at the current
@@ -1477,473 +1509,31 @@ impl<M: fmt::Debug + Clone, P: Process<M>> SingleSim<M, P> {
         f: impl FnOnce(&mut P, &mut Context<'_, M>) -> R,
     ) -> R {
         self.ensure_started();
+        let inline = self.shards.len() == 1;
+        let (s, l) = place(id, self.shards.len());
+        let now = self.seqr.now;
+        let shard = &mut self.shards[s];
+        shard.local.now = now;
         // Driver code is not a handler: it runs after every already-
         // processed event, so it sorts last among same-tick activations.
-        self.core.cur_seq = u64::MAX;
-        let mut ctx = Context::for_core(id, &mut self.seqr, &mut self.core);
-        f(&mut self.procs[id.0], &mut ctx)
-    }
-
-    fn ensure_started(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        self.seqr.start(&mut self.core);
-    }
-
-    /// Processes a single event. Returns `false` if the queue was empty.
-    pub fn step(&mut self) -> bool {
-        self.ensure_started();
-        let Some((entry, (at, seq), kind)) = self.core.queue.pop() else {
-            return false;
+        shard.local.cur_seq = u64::MAX;
+        let seqr = if inline {
+            Some(&mut self.seqr)
+        } else {
+            shard.local.open_driver_window(self.seqr.node_count);
+            None
         };
-        self.dispatch(entry, at, seq, kind);
-        true
-    }
-
-    /// All events tied at the earliest scheduled time — the schedule
-    /// *frontier* — as payload-free [`FrontierEvent`]s sorted by
-    /// creation seq. The explorer ([`crate::explore`]) treats this set
-    /// as its branch point: any member may run next via
-    /// [`SingleSim::step_seq`]. Empty iff the queue is empty.
-    pub fn frontier_events(&mut self) -> Vec<FrontierEvent> {
-        self.ensure_started();
-        let Some((t0, _)) = self.core.queue.peek_key() else {
-            return Vec::new();
-        };
-        let mut out: Vec<FrontierEvent> = self
-            .core
-            .queue
-            .entries()
-            .filter(|&((at, _), _)| at == t0)
-            .map(|((at, seq), kind)| FrontierEvent {
-                at,
-                seq,
-                class: kind.classify(),
-            })
-            .collect();
-        out.sort_unstable_by_key(|e| e.seq);
-        out
-    }
-
-    /// Runs the frontier event with creation seq `seq` (as reported by
-    /// [`SingleSim::frontier_events`]) instead of the scheduler's head,
-    /// realizing one schedule choice. Returns `false` when no event
-    /// with that seq is pending at the frontier time — including when
-    /// an earlier same-tick event cancelled it meanwhile.
-    pub fn step_seq(&mut self, seq: u64) -> bool {
-        self.ensure_started();
-        let Some((t0, _)) = self.core.queue.peek_key() else {
-            return false;
-        };
-        let Some((entry, kind)) = self.core.queue.take((t0, seq)) else {
-            return false;
-        };
-        self.dispatch(entry, t0, seq, kind);
-        true
-    }
-
-    /// Runs one already-removed event: the shared tail of
-    /// [`SingleSim::step`] (which pops the scheduler's head) and
-    /// [`SingleSim::step_seq`] (which takes a chosen same-time event out
-    /// of the frontier).
-    fn dispatch(&mut self, entry: EntryId, at: SimTime, seq: u64, kind: EventKind<M>) {
-        let SingleSim {
-            seqr, core, procs, ..
-        } = self;
-        debug_assert!(at >= seqr.now, "time must not run backwards");
-        seqr.now = at;
-        core.cur_seq = match &mut seqr.explore {
-            // Explore mode: expose the execution counter instead of the
-            // creation seq, so `(time, seq)`-sorted external journals
-            // agree with execution order under any same-tick
-            // interleaving.
-            Some(ex) => {
-                let s = ex.executed;
-                ex.executed += 1;
-                s
-            }
-            None => seq,
-        };
-        seqr.metrics.inc(builtin::EVENTS);
-        match kind {
-            EventKind::Start(node) => {
-                let mut ctx = Context::for_core(node, seqr, core);
-                procs[node.0].on_start(&mut ctx);
-            }
-            EventKind::Deliver { from, to, msg } => {
-                if seqr.is_crashed(to) {
-                    // Messages arriving during an outage are lost; the
-                    // reliable layer (if any) would have retransmitted,
-                    // but raw deliveries are simply gone.
-                    seqr.metrics.inc(builtin::MESSAGES_DROPPED);
-                    let summary = seqr.trace.is_enabled().then(|| summarize(&msg));
-                    if let Some(summary) = summary {
-                        seqr.trace.push(TraceEvent::Drop {
-                            at,
-                            from,
-                            to,
-                            summary,
-                            reason: DropReason::CrashedRecipient,
-                        });
-                    }
-                    return;
-                }
-                seqr.metrics.inc(builtin::MESSAGES_DELIVERED);
-                let summary = seqr.trace.is_enabled().then(|| summarize(&msg));
-                if let Some(summary) = summary {
-                    seqr.trace.push(TraceEvent::Deliver {
-                        at,
-                        from,
-                        to,
-                        summary,
-                    });
-                }
-                let mut ctx = Context::for_core(to, seqr, core);
-                procs[to.0].on_message(&mut ctx, from, msg);
-            }
-            EventKind::Timer { node, tag, .. } => {
-                if seqr.is_crashed(node) {
-                    // A crashed node's timers are lost, not deferred:
-                    // `on_restart` re-arms whatever recovery needs.
-                    return;
-                }
-                seqr.metrics.inc(builtin::TIMERS_FIRED);
-                seqr.trace.push(TraceEvent::Timer { at, node, tag });
-                // The popped entry's handle is the TimerId `set_timer`
-                // returned for this timer (generations only change on
-                // slot reuse), so the callback sees a matching id.
-                let id = TimerId(entry.raw());
-                let mut ctx = Context::for_core(node, seqr, core);
-                procs[node.0].on_timer(&mut ctx, id, tag);
-            }
-            EventKind::Crash(node) => {
-                if seqr.set_crashed(node, true) {
-                    seqr.metrics.inc(builtin::CRASHES);
-                    seqr.trace.push(TraceEvent::Crash { at, node });
-                }
-            }
-            EventKind::Restart(node) => {
-                if seqr.set_crashed(node, false) {
-                    seqr.metrics.inc(builtin::RESTARTS);
-                    seqr.trace.push(TraceEvent::Restart { at, node });
-                    let mut ctx = Context::for_core(node, seqr, core);
-                    procs[node.0].on_restart(&mut ctx);
-                }
-            }
-            EventKind::Wire { from, to, seq } => {
-                if seqr.is_crashed(to) {
-                    // Lost at a down receiver — but the sender's
-                    // retransmission timer is still armed, so the packet
-                    // will be offered again after the restart.
-                    seqr.metrics.inc(builtin::MESSAGES_DROPPED);
-                    let summary = seqr.trace.is_enabled().then(|| format!("pkt seq={seq}"));
-                    if let Some(summary) = summary {
-                        seqr.trace.push(TraceEvent::Drop {
-                            at,
-                            from,
-                            to,
-                            summary,
-                            reason: DropReason::CrashedRecipient,
-                        });
-                    }
-                    return;
-                }
-                let rel = core.rel.as_mut().expect("reliable state present");
-                let (accept, next) = rel.accept(from, to, seq);
-                if accept == WireAccept::Duplicate {
-                    seqr.metrics.inc(builtin::DUPLICATES_SUPPRESSED);
-                }
-                // Take the staged payloads out of the transport so
-                // `on_message` (which may itself send) can't alias the
-                // recycled buffer; hand the still-warm allocation back
-                // when the drain ends. The empty vector swapped in
-                // meanwhile costs nothing.
-                let mut staged = std::mem::take(&mut rel.staged);
-                seqr.send_ack(core, from, to, next);
-                for msg in staged.drain(..) {
-                    seqr.metrics.inc(builtin::MESSAGES_DELIVERED);
-                    let summary = seqr.trace.is_enabled().then(|| summarize(&msg));
-                    if let Some(summary) = summary {
-                        seqr.trace.push(TraceEvent::Deliver {
-                            at,
-                            from,
-                            to,
-                            summary,
-                        });
-                    }
-                    let mut ctx = Context::for_core(to, seqr, core);
-                    procs[to.0].on_message(&mut ctx, from, msg);
-                }
-                core.rel.as_mut().expect("reliable state present").staged = staged;
-            }
-            EventKind::WireAck { from, to, next } => {
-                // Transport state lives in stable storage: acks are
-                // processed even while `from` is crashed.
-                if let Some(rel) = &mut core.rel {
-                    rel.ack(from, to, next);
-                }
-            }
-            EventKind::Retransmit {
-                from,
-                to,
-                seq,
-                attempt,
-            } => {
-                if let Some(rel) = &mut core.rel {
-                    let verdict = rel.retransmit_due(from, to, seq, attempt);
-                    seqr.retransmit(core, from, to, seq, attempt, verdict);
-                }
-            }
+        let r = f(
+            &mut shard.procs[l],
+            &mut Context::new(id, &mut shard.local, seqr),
+        );
+        if !inline {
+            // Injection replays immediately — the caller must see its
+            // side effects applied, as it does inline, before returning.
+            self.barrier(now);
+            self.flush();
         }
-    }
-
-    /// Runs until the queue drains, a process halts, or `max_events` events
-    /// have been processed (a liveness backstop for buggy protocols).
-    pub fn run_to_quiescence(&mut self, max_events: u64) -> RunOutcome {
-        let mut outcome = RunOutcome::default();
-        while outcome.events < max_events {
-            if self.seqr.halted {
-                outcome.halted = true;
-                return outcome;
-            }
-            if !self.step() {
-                outcome.quiescent = true;
-                return outcome;
-            }
-            outcome.events += 1;
-        }
-        outcome.halted = self.seqr.halted;
-        outcome
-    }
-
-    /// Runs until virtual time exceeds `deadline`, the queue drains, or a
-    /// process halts. Events scheduled at exactly `deadline` are processed.
-    pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        self.ensure_started();
-        let mut outcome = RunOutcome::default();
-        loop {
-            if self.seqr.halted {
-                outcome.halted = true;
-                return outcome;
-            }
-            match self.core.queue.peek_key() {
-                None => {
-                    // Idle time still passes: a driver that advances to `t`
-                    // and injects work must see the clock at `t`.
-                    self.seqr.now = self.seqr.now.max(deadline);
-                    outcome.quiescent = true;
-                    return outcome;
-                }
-                Some((at, _)) if at > deadline => {
-                    // Advance the clock to the deadline so repeated calls
-                    // observe monotone time.
-                    self.seqr.now = deadline;
-                    return outcome;
-                }
-                Some(_) => {
-                    self.step();
-                    outcome.events += 1;
-                }
-            }
-        }
-    }
-
-    /// True if no events remain.
-    pub fn is_quiescent(&self) -> bool {
-        self.core.queue.is_empty()
-    }
-
-    /// True if a process requested a halt.
-    pub fn is_halted(&self) -> bool {
-        self.seqr.halted
-    }
-}
-
-impl<M: fmt::Debug + Clone, P: Process<M>> Simulation<M, P> {
-    /// Adds a process and returns its id (ids are dense, starting at 0).
-    pub fn add_node(&mut self, process: P) -> NodeId {
-        match &mut self.inner {
-            SimInner::Single(s) => s.add_node(process),
-            SimInner::Sharded(s) => s.add_node(process),
-        }
-    }
-
-    /// Number of processes.
-    pub fn node_count(&self) -> usize {
-        match &self.inner {
-            SimInner::Single(s) => s.node_count(),
-            SimInner::Sharded(s) => s.node_count(),
-        }
-    }
-
-    /// Number of shards the event loop is partitioned into (1 on the
-    /// sequential engine).
-    pub fn shard_count(&self) -> usize {
-        match &self.inner {
-            SimInner::Single(_) => 1,
-            SimInner::Sharded(s) => s.shard_count(),
-        }
-    }
-
-    /// The conservative lookahead window derived from the latency model
-    /// (its [`LatencyModel::min_delay`], clamped on the sharded engine by
-    /// the reliable layer's first retransmission timeout), in ticks.
-    /// Always at least 1; the sharded engine drains windows of up to this
-    /// many ticks between barriers.
-    pub fn lookahead(&self) -> u64 {
-        match &self.inner {
-            SimInner::Single(s) => s.seqr.latency.min_delay(),
-            SimInner::Sharded(s) => s.lookahead(),
-        }
-    }
-
-    /// Window-level execution counters: windows dispatched, ticks they
-    /// spanned, and wall-clock barrier cost. All zero on the sequential
-    /// engine.
-    pub fn window_stats(&self) -> WindowStats {
-        match &self.inner {
-            SimInner::Single(_) => WindowStats::default(),
-            SimInner::Sharded(s) => s.window_stats(),
-        }
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        match &self.inner {
-            SimInner::Single(s) => s.now(),
-            SimInner::Sharded(s) => s.now(),
-        }
-    }
-
-    /// Accumulated metrics for this run.
-    pub fn metrics(&self) -> &Metrics {
-        match &self.inner {
-            SimInner::Single(s) => s.metrics(),
-            SimInner::Sharded(s) => s.metrics(),
-        }
-    }
-
-    /// The event trace (empty unless tracing was enabled at build time).
-    pub fn trace(&self) -> &Trace {
-        match &self.inner {
-            SimInner::Single(s) => s.trace(),
-            SimInner::Sharded(s) => s.trace(),
-        }
-    }
-
-    /// Immutable access to a process's state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn node(&self, id: NodeId) -> &P {
-        match &self.inner {
-            SimInner::Single(s) => s.node(id),
-            SimInner::Sharded(s) => s.node(id),
-        }
-    }
-
-    /// Immutable access to a process's state, or `None` if `id` is out of
-    /// range. The non-panicking sibling of [`Simulation::node`], for
-    /// drivers that probe nodes speculatively.
-    pub fn try_node(&self, id: NodeId) -> Option<&P> {
-        match &self.inner {
-            SimInner::Single(s) => s.try_node(id),
-            SimInner::Sharded(s) => s.try_node(id),
-        }
-    }
-
-    /// True if the fault plan currently has `id` crashed.
-    pub fn is_crashed(&self, id: NodeId) -> bool {
-        match &self.inner {
-            SimInner::Single(s) => s.is_crashed(id),
-            SimInner::Sharded(s) => s.is_crashed(id),
-        }
-    }
-
-    /// Number of events currently pending in the scheduler (summed across
-    /// shards on the sharded engine).
-    pub fn pending_events(&self) -> usize {
-        match &self.inner {
-            SimInner::Single(s) => s.pending_events(),
-            SimInner::Sharded(s) => s.pending_events(),
-        }
-    }
-
-    /// Largest number of simultaneously pending events observed so far —
-    /// the scheduler's high-water mark, reported by the bench harness. On
-    /// the sharded engine this is the sum of per-shard high-water marks,
-    /// an upper bound on the global instantaneous peak.
-    pub fn peak_queue_depth(&self) -> usize {
-        match &self.inner {
-            SimInner::Single(s) => s.peak_queue_depth(),
-            SimInner::Sharded(s) => s.peak_queue_depth(),
-        }
-    }
-
-    /// Number of message-bearing events currently scheduled: raw
-    /// deliveries, reliable-layer data packets, and pending retransmission
-    /// checks (which can regenerate lost packets). Timers, acks and
-    /// fault-plan markers are excluded. Zero means no protocol message can
-    /// still arrive — state can only change through timers from here on,
-    /// which is the quiescence signal liveness audits build on.
-    pub fn in_flight_messages(&self) -> usize {
-        match &self.inner {
-            SimInner::Single(s) => s.in_flight_messages(),
-            SimInner::Sharded(s) => s.in_flight_messages(),
-        }
-    }
-
-    /// Virtual time of the earliest scheduled event, if any. Drivers that
-    /// single-step with [`Simulation::step`] use this to honour a deadline
-    /// the way [`Simulation::run_until`] does.
-    pub fn next_event_at(&mut self) -> Option<SimTime> {
-        match &mut self.inner {
-            SimInner::Single(s) => s.next_event_at(),
-            SimInner::Sharded(s) => s.next_event_at(),
-        }
-    }
-
-    /// Classifies the earliest scheduled event without popping it, for
-    /// harnesses that single-step and need to know whether the upcoming
-    /// event can matter to them (e.g. snapshot state only before events
-    /// that can produce a declaration).
-    pub fn peek_event(&mut self) -> Option<(SimTime, PendingEvent<'_, M>)> {
-        match &mut self.inner {
-            SimInner::Single(s) => s.peek_event(),
-            SimInner::Sharded(s) => s.peek_event(),
-        }
-    }
-
-    /// Number of scheduler slab slots ever allocated (summed across shards
-    /// on the sharded engine). Bounded by the peak queue depth (slots are
-    /// recycled), *not* by events processed — the memory-bound regression
-    /// tests assert on this.
-    pub fn scheduler_slots(&self) -> usize {
-        match &self.inner {
-            SimInner::Single(s) => s.scheduler_slots(),
-            SimInner::Sharded(s) => s.scheduler_slots(),
-        }
-    }
-
-    /// Runs `f` against a process with a live [`Context`], at the current
-    /// virtual time. This is how drivers inject work (e.g. "start a
-    /// transaction now") without a fake network message.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn with_node<R>(
-        &mut self,
-        id: NodeId,
-        f: impl FnOnce(&mut P, &mut Context<'_, M>) -> R,
-    ) -> R {
-        match &mut self.inner {
-            SimInner::Single(s) => s.with_node(id, f),
-            SimInner::Sharded(s) => s.with_node(id, f),
-        }
+        r
     }
 
     /// Like [`Simulation::with_node`] but returns `None` instead of
@@ -1959,12 +1549,82 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Simulation<M, P> {
         Some(self.with_node(id, f))
     }
 
-    /// Processes a single event. Returns `false` if the queue was empty.
-    pub fn step(&mut self) -> bool {
-        match &mut self.inner {
-            SimInner::Single(s) => s.step(),
-            SimInner::Sharded(s) => s.step(),
+    fn ensure_started(&mut self) {
+        if self.started {
+            return;
         }
+        self.started = true;
+        self.seqr.start(&mut self.shards);
+    }
+
+    /// Inline mode's unit of work: removes one event from the lone
+    /// shard's queue — its head, or the one `pick`ed by creation seq out
+    /// of the head's tick — and runs it, every side effect applied on
+    /// the spot. Returns `false` if there was no such event.
+    fn run_inline(&mut self, pick: Option<u64>) -> bool {
+        let (seqr, shard) = (&mut self.seqr, &mut self.shards[0]);
+        let removed = match pick {
+            None => shard.local.queue.pop(),
+            Some(seq) => shard.local.queue.peek_key().and_then(|(t0, _)| {
+                let (entry, ev) = shard.local.queue.take((t0, seq))?;
+                Some((entry, (t0, seq), ev))
+            }),
+        };
+        let Some((entry, (at, seq), ev)) = removed else {
+            return false;
+        };
+        debug_assert!(at >= seqr.now, "time must not run backwards");
+        seqr.now = at;
+        shard.local.now = at;
+        shard.local.cur_seq = match &mut seqr.explore {
+            // Explore mode: expose the execution counter instead of the
+            // creation seq, so `(time, seq)`-sorted external journals
+            // agree with execution order under any same-tick
+            // interleaving.
+            Some(ex) => {
+                let s = ex.executed;
+                ex.executed += 1;
+                s
+            }
+            None => seq,
+        };
+        seqr.metrics.inc(builtin::EVENTS);
+        shard.handle(Some(seqr), entry, ev);
+        true
+    }
+
+    /// Runs the next unit of work — with one shard the head event,
+    /// inline; with more, one window of at most `limit` events — provided
+    /// it starts at or before `deadline`. Returns the events handled
+    /// (`Some(0)`: the next event lies past the deadline), or `None` when
+    /// no events remain at all.
+    fn advance(&mut self, deadline: SimTime, limit: u64) -> Option<u64> {
+        if self.shards.len() > 1 {
+            return self.run_window(deadline, limit);
+        }
+        let (at, _) = self.shards[0].next_key()?;
+        Some(u64::from(at <= deadline && self.run_inline(None)))
+    }
+
+    /// Processes a single event: the minimum `(time, seq)` across shards.
+    /// Returns `false` if the queue was empty.
+    pub fn step(&mut self) -> bool {
+        self.ensure_started();
+        let stepped = self.advance(SimTime::MAX, 1).is_some();
+        self.flush();
+        stepped
+    }
+
+    /// The lone shard's queue, started — what the explorer's two entry
+    /// points act on.
+    fn frontier_queue(&mut self) -> &mut EventQueue<EventKind<M>> {
+        assert_eq!(
+            self.shards.len(),
+            1,
+            "the schedule frontier is one shard's queue: build with shards == 1"
+        );
+        self.ensure_started();
+        &mut self.shards[0].local.queue
     }
 
     /// All events tied at the earliest scheduled time — the schedule
@@ -1975,13 +1635,24 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Simulation<M, P> {
     ///
     /// # Panics
     ///
-    /// Panics on the sharded engine; exploration builds with one shard
+    /// Panics with more than one shard; exploration builds with one
     /// (see [`SimBuilder::explore`]).
     pub fn frontier_events(&mut self) -> Vec<FrontierEvent> {
-        match &mut self.inner {
-            SimInner::Single(s) => s.frontier_events(),
-            SimInner::Sharded(_) => panic!("frontier_events: sequential engine only"),
-        }
+        let queue = self.frontier_queue();
+        let Some((t0, _)) = queue.peek_key() else {
+            return Vec::new();
+        };
+        let mut out: Vec<FrontierEvent> = queue
+            .entries()
+            .filter(|&((at, _), _)| at == t0)
+            .map(|((at, seq), kind)| FrontierEvent {
+                at,
+                seq,
+                class: kind.classify(),
+            })
+            .collect();
+        out.sort_unstable_by_key(|e| e.seq);
+        out
     }
 
     /// Runs the frontier event with creation seq `seq` (as reported by
@@ -1992,47 +1663,68 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Simulation<M, P> {
     ///
     /// # Panics
     ///
-    /// Panics on the sharded engine; exploration builds with one shard
+    /// Panics with more than one shard; exploration builds with one
     /// (see [`SimBuilder::explore`]).
     pub fn step_seq(&mut self, seq: u64) -> bool {
-        match &mut self.inner {
-            SimInner::Single(s) => s.step_seq(seq),
-            SimInner::Sharded(_) => panic!("step_seq: sequential engine only"),
-        }
+        self.frontier_queue();
+        self.run_inline(Some(seq))
     }
 
     /// Runs until the queue drains, a process halts, or `max_events` events
     /// have been processed (a liveness backstop for buggy protocols).
     pub fn run_to_quiescence(&mut self, max_events: u64) -> RunOutcome {
-        match &mut self.inner {
-            SimInner::Single(s) => s.run_to_quiescence(max_events),
-            SimInner::Sharded(s) => s.run_to_quiescence(max_events),
+        self.ensure_started();
+        let mut outcome = RunOutcome::default();
+        while outcome.events < max_events && !self.is_halted() {
+            match self.advance(SimTime::MAX, max_events - outcome.events) {
+                Some(n) => outcome.events += n,
+                None => {
+                    outcome.quiescent = true;
+                    break;
+                }
+            }
         }
+        self.flush();
+        outcome.halted = self.is_halted();
+        outcome
     }
 
     /// Runs until virtual time exceeds `deadline`, the queue drains, or a
     /// process halts. Events scheduled at exactly `deadline` are processed.
     pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        match &mut self.inner {
-            SimInner::Single(s) => s.run_until(deadline),
-            SimInner::Sharded(s) => s.run_until(deadline),
+        self.ensure_started();
+        let mut outcome = RunOutcome::default();
+        while !self.is_halted() {
+            match self.advance(deadline, u64::MAX) {
+                None => {
+                    // Idle time still passes: a driver that advances to `t`
+                    // and injects work must see the clock at `t`.
+                    self.seqr.now = self.seqr.now.max(deadline);
+                    outcome.quiescent = true;
+                    break;
+                }
+                Some(0) => {
+                    // Advance the clock to the deadline so repeated calls
+                    // observe monotone time.
+                    self.seqr.now = deadline;
+                    break;
+                }
+                Some(n) => outcome.events += n,
+            }
         }
+        self.flush();
+        outcome.halted = self.is_halted();
+        outcome
     }
 
     /// True if no events remain.
     pub fn is_quiescent(&self) -> bool {
-        match &self.inner {
-            SimInner::Single(s) => s.is_quiescent(),
-            SimInner::Sharded(s) => s.is_quiescent(),
-        }
+        self.shards.iter().all(|s| s.local.queue.is_empty())
     }
 
     /// True if a process requested a halt.
     pub fn is_halted(&self) -> bool {
-        match &self.inner {
-            SimInner::Single(s) => s.is_halted(),
-            SimInner::Sharded(s) => s.is_halted(),
-        }
+        self.shards.iter().any(|s| s.local.halted)
     }
 }
 
@@ -2069,7 +1761,11 @@ mod tests {
     }
 
     fn pair(seed: u64) -> Simulation<Msg, Echo> {
-        let mut sim = SimBuilder::new().seed(seed).trace(true).build();
+        pair_with(SimBuilder::new().seed(seed).trace(true))
+    }
+
+    fn pair_with(builder: SimBuilder) -> Simulation<Msg, Echo> {
+        let mut sim = builder.build();
         sim.add_node(Echo {
             peer: NodeId(1),
             sent: 0,
@@ -2087,19 +1783,29 @@ mod tests {
         sim
     }
 
-    /// Runs `scenario` — its own assertions included — on the sequential
-    /// engine and at S = 3, then asserts trace and metrics are equal: the
-    /// wire path is one implementation, so the shard count must not be
-    /// observable on any of its branches.
+    /// Runs `scenario` — its own assertions included — at S = 1 and at
+    /// S = 3, traced, and returns both runs.
+    fn run_at_shard_counts<P: Process<Msg>>(
+        builder: SimBuilder,
+        scenario: impl Fn(SimBuilder) -> Simulation<Msg, P>,
+    ) -> (Simulation<Msg, P>, Simulation<Msg, P>) {
+        let builder = builder.trace(true);
+        let (a, b) = (scenario(builder.clone()), scenario(builder.shards(3)));
+        assert_eq!((a.shard_count(), b.shard_count()), (1, 3));
+        (a, b)
+    }
+
+    /// [`run_at_shard_counts`], then asserts trace, metrics and clock are
+    /// equal: there is one handler and one wire path, so the shard count
+    /// must not be observable on any of their branches.
     fn at_shard_counts<P: Process<Msg>>(
         builder: SimBuilder,
         scenario: impl Fn(SimBuilder) -> Simulation<Msg, P>,
     ) {
-        let builder = builder.trace(true);
-        let (a, b) = (scenario(builder.clone()), scenario(builder.shards(3)));
-        assert_eq!((a.shard_count(), b.shard_count()), (1, 3));
+        let (a, b) = run_at_shard_counts(builder, scenario);
         assert_eq!(a.trace().events(), b.trace().events());
         assert_eq!(a.metrics(), b.metrics());
+        assert_eq!(a.now(), b.now());
     }
 
     #[test]
@@ -2228,18 +1934,25 @@ mod tests {
 
     #[test]
     fn timers_fire_in_order_and_cancel_works() {
-        let mut sim = SimBuilder::new().seed(0).build::<Msg, TimerProc>();
-        sim.add_node(TimerProc {
-            fired: vec![],
-            cancel_me: None,
+        at_shard_counts(SimBuilder::new().seed(0), |b| {
+            let mut sim = b.build::<Msg, TimerProc>();
+            sim.add_node(TimerProc {
+                fired: vec![],
+                cancel_me: None,
+            });
+            let out = sim.run_to_quiescence(100);
+            assert!(out.quiescent);
+            assert_eq!(sim.node(NodeId(0)).fired, vec![1, 3]);
+            assert_eq!(sim.metrics().get(builtin::TIMERS_FIRED), 2);
+            sim
         });
-        let out = sim.run_to_quiescence(100);
-        assert!(out.quiescent);
-        assert_eq!(sim.node(NodeId(0)).fired, vec![1, 3]);
-        assert_eq!(sim.metrics().get(builtin::TIMERS_FIRED), 2);
     }
 
-    struct Halter;
+    /// Both nodes arm a timer for tick 5 and one for tick 50; node 0's
+    /// tick-5 timer (the lower seq of the two) halts the run.
+    struct Halter {
+        fired: u32,
+    }
     impl Process<Msg> for Halter {
         fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
             ctx.set_timer(5, 0);
@@ -2247,43 +1960,63 @@ mod tests {
         }
         fn on_message(&mut self, _: &mut Context<'_, Msg>, _: NodeId, _: Msg) {}
         fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _: TimerId, tag: u64) {
-            if tag == 0 {
+            assert_eq!(tag, 0, "event at a tick after the halt");
+            self.fired += 1;
+            if ctx.id() == NodeId(0) {
                 ctx.halt();
-            } else {
-                panic!("event after halt");
             }
         }
     }
 
     #[test]
     fn halt_stops_the_run() {
-        let mut sim = SimBuilder::new().build::<Msg, Halter>();
-        sim.add_node(Halter);
-        let out = sim.run_to_quiescence(100);
-        assert!(out.halted);
-        assert!(!out.quiescent);
-        assert!(sim.is_halted());
+        let (a, b) = run_at_shard_counts(SimBuilder::new(), |b| {
+            let mut sim = b.build::<Msg, Halter>();
+            sim.add_node(Halter { fired: 0 });
+            sim.add_node(Halter { fired: 0 });
+            let out = sim.run_to_quiescence(100);
+            assert!(out.halted);
+            assert!(!out.quiescent);
+            assert!(sim.is_halted());
+            assert_eq!(sim.node(NodeId(0)).fired, 1);
+            // Halted is sticky: nothing runs after it, in either mode.
+            assert_eq!(sim.run_to_quiescence(100).events, 0);
+            assert_eq!(sim.run_until(SimTime::MAX).events, 0);
+            sim
+        });
+        // The documented difference (`Context::halt`): inline the run
+        // stops after the halting event, so node 1's same-tick timer is
+        // still pending; under windows it stops after the window's
+        // barrier, and node 1 — another shard, same window — has fired.
+        assert_eq!((a.node(NodeId(1)).fired, a.pending_events()), (0, 3));
+        assert_eq!((b.node(NodeId(1)).fired, b.pending_events()), (1, 2));
     }
 
     #[test]
     fn run_until_respects_deadline() {
-        let mut sim = pair(5);
-        let out = sim.run_until(SimTime::from_ticks(3));
-        assert!(!out.quiescent);
-        assert_eq!(sim.now(), SimTime::from_ticks(3));
-        let out2 = sim.run_until(SimTime::MAX);
-        assert!(out2.quiescent);
+        at_shard_counts(SimBuilder::new().seed(5), |b| {
+            let mut sim = pair_with(b);
+            let out = sim.run_until(SimTime::from_ticks(3));
+            assert!(!out.quiescent);
+            assert_eq!(sim.now(), SimTime::from_ticks(3));
+            let out2 = sim.run_until(SimTime::MAX);
+            assert!(out2.quiescent);
+            sim
+        });
     }
 
     #[test]
     fn with_node_allows_driver_injection() {
-        let mut sim = pair(9);
-        sim.run_to_quiescence(1_000);
-        sim.with_node(NodeId(0), |_p, ctx| {
-            ctx.send(NodeId(1), Msg::Ping(100));
+        at_shard_counts(SimBuilder::new().seed(9), |b| {
+            let mut sim = pair_with(b);
+            sim.run_to_quiescence(1_000);
+            sim.with_node(NodeId(0), |_p, ctx| {
+                ctx.send(NodeId(1), Msg::Ping(100));
+            });
+            sim.run_to_quiescence(1_000);
+            assert!(sim.node(NodeId(1)).received.contains(&100));
+            sim
         });
-        sim.run_to_quiescence(1_000);
-        assert!(sim.node(NodeId(1)).received.contains(&100));
     }
 
     #[test]
@@ -2298,11 +2031,14 @@ mod tests {
                 ctx.send(ctx.id(), Msg::Ping(0));
             }
         }
-        let mut sim = SimBuilder::new().build::<Msg, Loopy>();
-        sim.add_node(Loopy);
-        let out = sim.run_to_quiescence(50);
-        assert_eq!(out.events, 50);
-        assert!(!out.quiescent && !out.halted);
+        at_shard_counts(SimBuilder::new(), |b| {
+            let mut sim = b.build::<Msg, Loopy>();
+            sim.add_node(Loopy);
+            let out = sim.run_to_quiescence(50);
+            assert_eq!(out.events, 50);
+            assert!(!out.quiescent && !out.halted);
+            sim
+        });
     }
 
     /// One-way sender/counter pair used by the fault tests: node 0 sends
@@ -2555,15 +2291,30 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "explore mode needs the single frontier")]
+    fn explore_mode_refuses_more_than_one_shard() {
+        SimBuilder::new()
+            .explore(true)
+            .shards(2)
+            .build::<Msg, Echo>();
+    }
+
+    #[test]
     fn try_node_and_try_with_node_handle_out_of_range() {
-        let mut sim = pair(1);
-        assert!(sim.try_node(NodeId(0)).is_some());
-        assert!(sim.try_node(NodeId(9)).is_none());
-        assert_eq!(
-            sim.try_with_node(NodeId(0), |p, _| p.received.len()),
-            Some(0)
-        );
-        assert_eq!(sim.try_with_node(NodeId(9), |_, _| ()), None);
+        at_shard_counts(SimBuilder::new().seed(1), |b| {
+            let mut sim = pair_with(b);
+            assert!(sim.try_node(NodeId(0)).is_some());
+            assert!(sim.try_node(NodeId(1)).is_some());
+            for beyond in [2, 3, 9] {
+                assert!(sim.try_node(NodeId(beyond)).is_none());
+                assert_eq!(sim.try_with_node(NodeId(beyond), |_, _| ()), None);
+            }
+            assert_eq!(
+                sim.try_with_node(NodeId(0), |p, _| p.received.len()),
+                Some(0)
+            );
+            sim
+        });
     }
 
     #[test]

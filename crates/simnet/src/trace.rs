@@ -242,8 +242,8 @@ impl Trace {
         }
     }
 
-    /// Bulk-appends events if tracing is enabled. The sharded engine's
-    /// barrier stitches each window's per-shard trace fragments with one
+    /// Bulk-appends events if tracing is enabled. The window barrier of a
+    /// sharded run stitches each window's per-shard trace fragments with one
     /// `extend` per contiguous run instead of per-event pushes.
     pub fn extend<I: IntoIterator<Item = TraceEvent>>(&mut self, events: I) {
         if self.enabled {

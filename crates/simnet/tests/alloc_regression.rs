@@ -27,7 +27,8 @@
 //! population peaks early in these workloads. Only then snapshot the
 //! counter and charge the remaining run to its delivered messages.
 //! Everything is in a single `#[test]` so parallel libtest threads
-//! cannot pollute the global counter.
+//! cannot pollute the global counter — the construction pin (what a
+//! build plus 32 `add_node`s may allocate) included.
 //!
 //! This file is an integration test of the public API; the `unsafe` here
 //! is confined to the `GlobalAlloc` wrapper (the crate-root
@@ -168,6 +169,22 @@ fn assert_zero_steady_state(label: &str, measure: impl Fn() -> f64) {
 
 #[test]
 fn steady_state_allocations_per_message_are_pinned() {
+    // --- Construction at S = 1: a build plus 32 `add_node`s. The parent
+    // of the one-engine change (its `SingleSim`) measured 4 here — the
+    // process vector growing 4 → 8 → 16 → 32 — and 17 at `shards(2)`.
+    // The one engine adds exactly one at S = 1, the one-element shard
+    // vector itself, and nothing per node: no eager RNG fork, no
+    // per-shard bookkeeping, no worker-budget lookup. ---
+    let _warm = ring(SimBuilder::new().seed(1), 32, 1, 1);
+    let before = allocs();
+    let built = ring(SimBuilder::new().seed(1), 32, 1, 1);
+    let construction = allocs() - before;
+    drop(built);
+    assert!(
+        construction <= 5,
+        "building a 32-node simulation allocated {construction} times (parent: 4, plus the shard vector)"
+    );
+
     // --- Clean wire: exactly zero. One chain, 5000 hops. ---
     assert_zero_steady_state("clean-wire", || {
         allocs_per_message(|| SimBuilder::new().seed(7), 1, 5_000, 500)

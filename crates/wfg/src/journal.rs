@@ -118,7 +118,7 @@ impl Journal {
     /// order — so appends can arrive out of chronological order within
     /// the engine's current conservative window (a multi-tick window
     /// replays one shard's ticks before another's); the insertion sort
-    /// restores the canonical order the sequential engine records.
+    /// restores the canonical order a single-shard run records.
     /// Insertion only ever lands inside the trailing window span, so a
     /// [`ReplayCursor`] stays valid as long as it is not seeked over a
     /// tick the simulation may still be executing (e.g. resuming a run
