@@ -37,9 +37,17 @@ use std::fmt;
 /// assert!(s.remove(&3) && !s.remove(&3));
 /// assert_eq!(s.len(), 1);
 /// ```
-#[derive(Clone, PartialEq, Eq, Default)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct VecSet<T> {
     items: Vec<T>,
+}
+
+/// Hand-written: the derive would demand `T: Default`, which id tuples
+/// are not, and `entry(..).or_default()` needs this.
+impl<T> Default for VecSet<T> {
+    fn default() -> Self {
+        VecSet { items: Vec::new() }
+    }
 }
 
 impl<T: Copy + Ord> VecSet<T> {
@@ -155,6 +163,13 @@ impl<T: Copy + Ord> VecSet<T> {
         true
     }
 
+    /// True if every element of `other` is in `self` (one two-pointer
+    /// walk of the two sorted slices).
+    pub fn is_superset(&self, other: &VecSet<T>) -> bool {
+        let mut mine = self.items.iter();
+        other.iter().all(|x| mine.any(|y| y == x))
+    }
+
     /// A copy of the set that also contains `value`: one allocation of the
     /// final size and one pass, instead of `clone` + `insert`'s copy,
     /// regrow and shift.
@@ -191,6 +206,14 @@ impl<'a, T: Copy + Ord> IntoIterator for &'a VecSet<T> {
     type IntoIter = std::slice::Iter<'a, T>;
     fn into_iter(self) -> Self::IntoIter {
         self.items.iter()
+    }
+}
+
+impl<T> IntoIterator for VecSet<T> {
+    type Item = T;
+    type IntoIter = std::vec::IntoIter<T>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.items.into_iter()
     }
 }
 
@@ -236,9 +259,15 @@ impl<T: Copy + Ord> Extend<T> for VecSet<T> {
 /// *m.entry_or_default(7) = "g";
 /// assert_eq!(m.get(&7), Some(&"g"));
 /// ```
-#[derive(Clone, PartialEq, Eq, Default)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct VecMap<K, V> {
     items: Vec<(K, V)>,
+}
+
+impl<K, V> Default for VecMap<K, V> {
+    fn default() -> Self {
+        VecMap { items: Vec::new() }
+    }
 }
 
 impl<K: Copy + Ord, V> VecMap<K, V> {
@@ -343,6 +372,13 @@ mod tests {
     }
 
     #[test]
+    fn default_does_not_need_a_default_element() {
+        struct NoDefault;
+        assert_eq!(VecSet::<NoDefault>::default().items.len(), 0);
+        assert_eq!(VecMap::<u32, NoDefault>::default().items.len(), 0);
+    }
+
+    #[test]
     fn from_iterator_dedups() {
         let s: VecSet<u32> = [3, 1, 3, 2, 2].into_iter().collect();
         assert_eq!(s.as_slice(), &[1, 2, 3]);
@@ -410,9 +446,12 @@ mod tests {
                     _ => (0..v % 7).map(|_| rnd()).collect(),
                 };
                 let before = s.clone();
+                let other_model: BTreeSet<u32> = other.clone().into_iter().collect();
+                assert_eq!(s.is_superset(&other), model.is_superset(&other_model));
                 let grew = s.union_with(&other);
                 model.extend(other.iter().copied());
                 assert_eq!(grew, s.len() > before.len());
+                assert!(s.is_superset(&other) && s.is_superset(&before));
                 assert!(grew || s == before);
                 assert_eq!(s, model);
                 // `with` leaves its receiver alone and agrees with insert.

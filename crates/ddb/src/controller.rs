@@ -427,31 +427,6 @@ impl Controller {
             .collect()
     }
 
-    /// Un-granted remote requests queued in this site's lock table, as
-    /// `(txn, resource, home site)` triples.
-    pub fn pending_remote_requests(&self) -> Vec<(TransactionId, ResourceId, SiteId)> {
-        self.pending_remote
-            .iter()
-            .map(|(&(t, r), &home)| (t, r, home))
-            .collect()
-    }
-
-    /// Outstanding remote waits of home transaction `txn`.
-    pub fn remote_waits_of(&self, txn: TransactionId) -> Vec<(SiteId, ResourceId)> {
-        self.remote_waits
-            .get(&txn)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Resources home transaction `txn` currently holds at remote sites.
-    pub fn remote_held_of(&self, txn: TransactionId) -> Vec<(SiteId, ResourceId)> {
-        self.remote_held
-            .get(&txn)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
     /// Number of probe computations this controller has initiated.
     pub fn computations_initiated(&self) -> u64 {
         self.own_n
@@ -468,20 +443,19 @@ impl Controller {
         self.wfgd.informed_transactions()
     }
 
-    /// Snapshot of the local topology the WFGD propagation walks.
-    fn wfgd_topology(&self) -> LocalTopology {
-        LocalTopology {
-            intra: self.locks.wait_edges(),
-            incoming_inter: self
-                .pending_remote
-                .iter()
-                .map(|(&(t, _), &home)| (t, home))
-                .collect(),
-        }
-    }
-
-    fn transmit_wfgd(&mut self, ctx: &mut Context<'_, DdbMsg>, sends: Vec<WfgdSend>) {
-        for m in sends {
+    /// Runs one §5 step against the live local topology — the lock table
+    /// and the un-granted remote requests, read in place — and transmits
+    /// the messages it emits.
+    fn wfgd_step(
+        &mut self,
+        ctx: &mut Context<'_, DdbMsg>,
+        step: impl FnOnce(&mut DdbWfgdState, SiteId, LocalTopology<'_>) -> Vec<WfgdSend>,
+    ) {
+        let topo = LocalTopology {
+            locks: &self.locks,
+            incoming_inter: &self.pending_remote,
+        };
+        for m in step(&mut self.wfgd, self.site, topo) {
             ctx.count(counters::WFGD_SENT);
             ctx.send(
                 m.dest.node(),
@@ -955,22 +929,10 @@ impl Controller {
     /// each (see [`Self::probes_for_labels`] for the edge semantics). Used
     /// by the harness's graph reconstruction.
     pub fn holder_back_edges(&self) -> BTreeSet<(TransactionId, SiteId)> {
-        let mut out = BTreeSet::new();
-        for (&t, held) in &self.remote_held {
-            if self.scripts.get(&t).map(|s| s.status) != Some(TxnStatus::Running) {
-                continue;
-            }
-            for &(m, _) in held {
-                let waits_there = self
-                    .remote_waits
-                    .get(&t)
-                    .is_some_and(|w| w.iter().any(|&(wm, _)| wm == m));
-                if !waits_there {
-                    out.insert((t, m));
-                }
-            }
-        }
-        out
+        let held = self.remote_held.iter();
+        held.flat_map(|(&t, at)| at.iter().map(move |&(m, _)| (t, m)))
+            .filter(|&(t, m)| self.holder_edge_from(m, t))
+            .collect()
     }
 
     fn prune_comps(&mut self, initiator: SiteId) {
@@ -1130,9 +1092,7 @@ impl Controller {
             ctx.note(format!("DECLARE {d}"));
         }
         // §5: disseminate the deadlocked portion backwards from the subject.
-        let topo = self.wfgd_topology();
-        let sends = self.wfgd.start(self.site, subject, &topo);
-        self.transmit_wfgd(ctx, sends);
+        self.wfgd_step(ctx, |wfgd, me, topo| wfgd.start(me, subject, topo));
         if let Resolution::AbortSubject { .. } = self.cfg.resolution {
             let home = self.txn_home.get(&subject).copied().unwrap_or(self.site);
             if home == self.site {
@@ -1178,20 +1138,7 @@ impl Controller {
             // through a remotely held resource gets no computation.
             let mut s: BTreeSet<TransactionId> =
                 self.pending_remote.keys().map(|&(t, _)| t).collect();
-            for (&t, held) in &self.remote_held {
-                if self.scripts.get(&t).map(|st| st.status) != Some(TxnStatus::Running) {
-                    continue;
-                }
-                let idle_hold = held.iter().any(|&(m, _)| {
-                    !self
-                        .remote_waits
-                        .get(&t)
-                        .is_some_and(|w| w.iter().any(|&(wm, _)| wm == m))
-                });
-                if idle_hold {
-                    s.insert(t);
-                }
-            }
+            s.extend(self.holder_back_edges().into_iter().map(|(t, _)| t));
             s
         };
         for t in subjects {
@@ -1318,9 +1265,7 @@ impl Process<DdbMsg> for Controller {
             DdbMsg::Probe { tag, edge } => self.handle_probe(ctx, tag, edge),
             DdbMsg::Abort { txn } => self.abort_local(ctx, txn),
             DdbMsg::Wfgd { txn, edges } => {
-                let topo = self.wfgd_topology();
-                let sends = self.wfgd.receive(self.site, txn, &edges, &topo);
-                self.transmit_wfgd(ctx, sends);
+                self.wfgd_step(ctx, |wfgd, me, topo| wfgd.receive(me, txn, &edges, topo));
             }
         }
     }

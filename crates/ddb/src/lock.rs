@@ -278,14 +278,6 @@ impl LockTable {
         granted
     }
 
-    /// Resources currently held by `txn`, in ascending order.
-    pub fn held_by(&self, txn: TransactionId) -> Vec<ResourceId> {
-        self.holding_in
-            .get(&txn)
-            .map(|s| s.as_slice().to_vec())
-            .unwrap_or_default()
-    }
-
     /// `true` if `txn` is queued (waiting) for `resource`.
     pub fn is_waiting(&self, txn: TransactionId, resource: ResourceId) -> bool {
         self.waiting_in
@@ -322,21 +314,34 @@ impl LockTable {
             .flat_map(|e| e.holders.keys().copied())
     }
 
+    /// The wait-for edges one entry implies, as `(waiter, blocker)` pairs.
+    fn edges_of(e: &Entry) -> impl Iterator<Item = (TransactionId, TransactionId)> + '_ {
+        (0..e.queue.len()).flat_map(move |pos| {
+            let blockers = Self::blockers_of(e, pos).into_iter();
+            blockers.map(move |b| (e.queue[pos].0, b))
+        })
+    }
+
     /// The intra-controller wait-for edges implied by this table (§6.4):
     /// `(waiter, holder-or-waiter-ahead)` pairs, deduplicated, in order.
     ///
     /// These edges are always black: the controller knows about both
     /// endpoints locally.
     pub fn wait_edges(&self) -> BTreeSet<(TransactionId, TransactionId)> {
-        let mut out = BTreeSet::new();
-        for e in self.entries.values() {
-            for pos in 0..e.queue.len() {
-                let (t, _) = e.queue[pos];
-                for b in Self::blockers_of(e, pos) {
-                    out.insert((t, b));
-                }
-            }
-        }
+        self.entries.values().flat_map(Self::edges_of).collect()
+    }
+
+    /// The tails of the intra-controller edges **into** `p`: every `q` with
+    /// `(q, p)` in [`LockTable::wait_edges`], in ascending order. Examines
+    /// only the entries `p` holds or is queued in (the two reverse
+    /// indexes), not the whole table.
+    pub fn waiters_blocked_by(&self, p: TransactionId) -> Vec<TransactionId> {
+        let indexes = [&self.holding_in, &self.waiting_in].into_iter();
+        let resources = indexes.flat_map(|ix| ix.get(&p).into_iter().flatten());
+        let edges = resources.flat_map(|r| Self::edges_of(&self.entries[r]));
+        let mut out: Vec<TransactionId> = edges.filter(|&(_, b)| b == p).map(|(q, _)| q).collect();
+        out.sort_unstable();
+        out.dedup();
         out
     }
 
@@ -518,7 +523,7 @@ mod tests {
             .collect();
         flat.sort();
         assert_eq!(flat, vec![(r(1), t(2)), (r(2), t(3))]);
-        assert!(lt.held_by(t(1)).is_empty());
+        assert!(!lt.holds_any(t(1)));
     }
 
     #[test]
@@ -543,6 +548,38 @@ mod tests {
         assert!(edges.contains(&(t(2), t(1))));
         assert!(edges.contains(&(t(3), t(1))));
         assert!(edges.contains(&(t(3), t(2))));
+    }
+
+    #[test]
+    fn waiters_blocked_by_is_the_reverse_of_wait_edges() {
+        // Random requests (shared and exclusive, so upgrades queue at the
+        // front while still holding) and releases over a small universe.
+        let mut rng = simnet::rng::DetRng::seed_from_u64(0x10c6);
+        let mut lt = LockTable::new();
+        let mut upgrades = 0;
+        for _ in 0..4_000 {
+            let (txn, res) = (t(rng.next_below(8) as u32), r(rng.next_below(4)));
+            match rng.next_below(5) {
+                0 => drop(lt.release_all(txn)),
+                1 => drop(lt.release(txn, res)),
+                _ if lt.is_waiting(txn, res) => {}
+                _ => {
+                    let mode = if rng.next_below(2) == 0 { S } else { X };
+                    lt.request(txn, res, mode);
+                    upgrades += usize::from(lt.holds(txn, res) && lt.is_waiting(txn, res));
+                }
+            }
+            let edges = lt.wait_edges();
+            for p in (0..8).map(t) {
+                let want: Vec<TransactionId> = edges
+                    .iter()
+                    .filter(|&&(_, b)| b == p)
+                    .map(|&(q, _)| q)
+                    .collect();
+                assert_eq!(lt.waiters_blocked_by(p), want, "waiters behind {p}");
+            }
+        }
+        assert!(upgrades > 20, "only {upgrades} contended upgrades");
     }
 
     #[test]

@@ -12,12 +12,9 @@
 //! * **soundness** — a declared process must (still) be on a dark cycle;
 //! * **completeness** — every cycle must contain a declared process.
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::cell::{RefCell, RefMut};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-
-use std::collections::BTreeSet;
-use std::collections::VecDeque;
 
 use simnet::metrics::Metrics;
 use simnet::sim::{Context, NodeId, PendingEvent, RunOutcome, SimBuilder, Simulation};
@@ -64,6 +61,16 @@ pub enum DdbValidationError {
         /// The agents on the undetected cycle.
         cycle_members: Vec<AgentId>,
     },
+    /// A controller's §5 `S` set holds an agent edge that is not in the
+    /// reconstructed agent graph.
+    StaleWfgdEdge {
+        /// The controller holding the stale set.
+        site: SiteId,
+        /// The local process whose `S` set it is.
+        txn: TransactionId,
+        /// The edge the graph does not have.
+        edge: (AgentId, AgentId),
+    },
     /// Non-terminal transactions that are blocked with no deadlock below
     /// them, no progressing transaction in reach, and no message in
     /// flight: nothing will ever wake them (see [`crate::liveness`]).
@@ -98,6 +105,11 @@ impl fmt::Display for DdbValidationError {
             }
             DdbValidationError::MissedDeadlock { cycle_members } => {
                 write!(f, "missed deadlock over agents {cycle_members:?}")
+            }
+            DdbValidationError::StaleWfgdEdge { site, txn, edge } => {
+                let (a, b) = edge;
+                write!(f, "stale WFGD edge: controller {site} reports {a} -> {b} ")?;
+                write!(f, "behind {txn}, but the agent graph has no such edge")
             }
             DdbValidationError::Wedged { wedged, at } => {
                 write!(
@@ -150,10 +162,8 @@ pub struct DdbNet {
     sim: Simulation<DdbMsg, Controller>,
     n_sites: usize,
     cfg: DdbConfig,
-    /// Shared ground-truth oracle: reconstructed agent graphs are fresh
-    /// objects each time (no memo hits), but the Tarjan scratch buffers
-    /// are reused across every validation query.
-    oracle: RefCell<Oracle>,
+    /// The agent graph every check reads, behind [`DdbNet::graph`].
+    graph: RefCell<AgentGraph>,
     /// Per-site count of declarations already validated by the stepping
     /// harness (under resolution, [`DdbNet::run_until`] steps
     /// event-by-event and checks each fresh declaration against the
@@ -169,9 +179,136 @@ pub struct DdbNet {
     /// Last time each transaction was observed on a dark cycle by a
     /// validated snapshot — the evidence that excuses a stale echo.
     recently_dark: BTreeMap<TransactionId, SimTime>,
-    /// Pre-event agent-graph snapshot, reused while the intervening
-    /// events provably cannot change the graph.
-    graph_cache: Option<(WaitForGraph, BTreeMap<AgentId, NodeId>)>,
+}
+
+/// The §6.4 agent graph, kept across events and brought up to date one
+/// **dirty site** at a time. Every agent edge is derived from exactly one
+/// controller's state — intra edges from its lock table, a transaction's
+/// inter edges and holder back-edges from its home — and a handler
+/// mutates only its own controller, so an event's destination names the
+/// one edge list that can have changed (DESIGN §7). Built lazily: a fresh
+/// net holds no allocation for it.
+#[derive(Default)]
+struct AgentGraph {
+    g: WaitForGraph,
+    /// Stable interning: an agent keeps its vertex once it has one, so
+    /// the oracle's memo survives every refresh that changes nothing.
+    index: BTreeMap<AgentId, NodeId>,
+    /// `agents[v.0]` is the agent interned as vertex `v`.
+    agents: Vec<AgentId>,
+    /// Per site, the sorted edges last collected from its controller.
+    edges: Vec<Vec<(AgentId, AgentId)>>,
+    /// Per site: its controller may have changed since `edges` was
+    /// collected. A site beyond the end is dirty (`clear()` = all are).
+    dirty: Vec<bool>,
+    oracle: Oracle,
+}
+
+/// The agent edges one controller's state implies, appended to `out`.
+fn site_agent_edges(c: &Controller, out: &mut Vec<(AgentId, AgentId)>) {
+    let site = c.site();
+    // Intra-controller edges from the lock table.
+    for (a, b) in c.locks().wait_edges() {
+        out.push((AgentId::new(a, site), AgentId::new(b, site)));
+    }
+    // Inter-controller edges from outstanding remote waits.
+    for (t, m) in c.remote_wait_edges() {
+        out.push((AgentId::new(t, site), AgentId::new(t, m)));
+    }
+    // Holder back-edges (§6.4 completion): an idle remote holder
+    // agent waits for its home agent to send more work or commit.
+    for (t, m) in c.holder_back_edges() {
+        out.push((AgentId::new(t, m), AgentId::new(t, site)));
+    }
+}
+
+impl AgentGraph {
+    fn mark_dirty(&mut self, site: SiteId) {
+        if let Some(d) = self.dirty.get_mut(site.0) {
+            *d = true;
+        }
+    }
+
+    fn vertex(&mut self, a: AgentId) -> NodeId {
+        *self.index.entry(a).or_insert_with(|| {
+            self.agents.push(a);
+            NodeId(self.agents.len() - 1)
+        })
+    }
+
+    /// Re-collects the edge list of every dirty site and applies the
+    /// difference to the graph.
+    fn refresh(&mut self, sim: &Simulation<DdbMsg, Controller>) {
+        let n_sites = sim.node_count();
+        self.edges.resize_with(n_sites, Vec::new);
+        self.dirty.resize(n_sites, true);
+        for s in 0..n_sites {
+            if !std::mem::take(&mut self.dirty[s]) {
+                continue;
+            }
+            let old = std::mem::take(&mut self.edges[s]);
+            let mut fresh = Vec::with_capacity(old.len());
+            site_agent_edges(sim.node(NodeId(s)), &mut fresh);
+            fresh.sort_unstable();
+            if fresh != old {
+                for &(a, b) in old.iter().filter(|e| fresh.binary_search(e).is_err()) {
+                    self.g.remove_edge(self.index[&a], self.index[&b]);
+                }
+                for &(a, b) in fresh.iter().filter(|e| old.binary_search(e).is_err()) {
+                    let (va, vb) = (self.vertex(a), self.vertex(b));
+                    self.g.create_grey(va, vb).expect("edge owned by one site");
+                    self.g.blacken(va, vb).expect("fresh grey edge");
+                }
+            }
+            self.edges[s] = fresh;
+        }
+    }
+
+    /// The agents on at least one dark cycle.
+    fn dark_agents(&mut self) -> impl Iterator<Item = AgentId> + '_ {
+        let members = self.oracle.dark_cycle_members(&self.g);
+        members.iter().map(|v| self.agents[v.0])
+    }
+
+    fn is_dark(&mut self, a: AgentId) -> bool {
+        let v = self.index.get(&a);
+        v.is_some_and(|&v| self.oracle.is_on_dark_cycle(&self.g, v))
+    }
+
+    /// BFS from a blocked transaction's home agent along wait edges. An
+    /// agent with no vertex yet — its request or grant is still in
+    /// flight — reaches nothing.
+    fn classify_blocked(
+        &mut self,
+        txn: TransactionId,
+        home: SiteId,
+        progressing: &BTreeSet<TransactionId>,
+        in_flight: usize,
+    ) -> TxnClass {
+        let dark = self.oracle.dark_cycle_members(&self.g);
+        let start = self.index.get(&AgentId::new(txn, home));
+        let mut queue: VecDeque<NodeId> = start.copied().into_iter().collect();
+        let mut seen: BTreeSet<NodeId> = queue.iter().copied().collect();
+        let mut reaches_progressing = false;
+        while let Some(v) = queue.pop_front() {
+            let a = self.agents[v.0];
+            if dark.contains(&v) {
+                return if a.txn == txn {
+                    TxnClass::Deadlocked
+                } else {
+                    TxnClass::GenuinelyWaiting
+                };
+            }
+            reaches_progressing |= a.txn != txn && progressing.contains(&a.txn);
+            let heads = self.g.out_edges(v).map(|e| e.to);
+            queue.extend(heads.filter(|&to| seen.insert(to)));
+        }
+        if reaches_progressing || in_flight > 0 {
+            TxnClass::GenuinelyWaiting
+        } else {
+            TxnClass::Wedged
+        }
+    }
 }
 
 /// How long (in ticks) after a transaction was last observed on a dark
@@ -208,13 +345,12 @@ impl DdbNet {
             sim,
             n_sites,
             cfg,
-            oracle: RefCell::new(Oracle::new()),
+            graph: RefCell::default(),
             decl_seen: vec![0; n_sites],
             instant_checked: 0,
             instant_stale: 0,
             instant_violation: None,
             recently_dark: BTreeMap::new(),
-            graph_cache: None,
         }
     }
 
@@ -225,8 +361,8 @@ impl DdbNet {
 
     /// Submits a transaction to its home controller and starts it.
     pub fn submit(&mut self, txn: Transaction) {
-        self.graph_cache = None;
         let home = txn.home();
+        self.graph.get_mut().mark_dirty(home);
         self.sim
             .with_node(home.node(), |c, ctx| c.start_txn(ctx, txn));
     }
@@ -237,7 +373,7 @@ impl DdbNet {
         site: SiteId,
         f: impl FnOnce(&mut Controller, &mut Context<'_, DdbMsg>) -> R,
     ) -> R {
-        self.graph_cache = None;
+        self.graph.get_mut().mark_dirty(site);
         self.sim.with_node(site.node(), f)
     }
 
@@ -262,13 +398,14 @@ impl DdbNet {
     /// only), replaying [`DdbNet::run_until`]'s per-event instant
     /// validation: under [`Resolution::AbortSubject`] every fresh
     /// declaration is checked against the agent graph as it stood
-    /// immediately before the event. The snapshot is taken
-    /// unconditionally — conservative but exact, and cheap at the
-    /// 3–5-site scale the explorer runs at.
+    /// immediately before the event. The graph is brought up to date
+    /// before every step and every site counts as changed after it —
+    /// conservative but exact, and cheap at the 3–5-site scale the
+    /// explorer runs at.
     pub fn step_validated(&mut self, seq: u64) -> bool {
         let instant = matches!(self.cfg.resolution, Resolution::AbortSubject { .. });
         if instant {
-            self.graph_cache = Some(self.agent_graph());
+            self.graph();
         }
         let ok = self.sim.step_seq(seq);
         if ok && instant {
@@ -277,7 +414,7 @@ impl DdbNet {
                 self.validate_declarations(&fresh);
             }
         }
-        self.graph_cache = None;
+        self.graph.get_mut().dirty.clear(); // which site ran is not known here: all
         ok
     }
 
@@ -289,11 +426,12 @@ impl DdbNet {
     /// stood immediately before the declaring event** — the abort a
     /// declaration triggers dissolves its own evidence, so the final
     /// graph cannot re-check it (the phantom-declaration failure mode
-    /// [`DdbNet::verify_soundness`] used to report). The pre-event graph
-    /// is snapshotted lazily: only before events that can declare, and
-    /// reused until an event that can change the graph intervenes.
+    /// [`DdbNet::verify_soundness`] used to report). The graph is brought
+    /// up to date lazily: only before events that can declare, and only
+    /// at the sites an event that can change it has run on since.
     pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
         if !matches!(self.cfg.resolution, Resolution::AbortSubject { .. }) {
+            self.graph.get_mut().dirty.clear(); // every site may change
             return self.sim.run_until(deadline);
         }
         let mut outcome = RunOutcome::default();
@@ -313,22 +451,20 @@ impl DdbNet {
                     return outcome;
                 }
             }
-            let (candidate, dirties) = match self.sim.peek_event() {
-                Some((_, ev)) => classify_event(&ev),
-                None => (false, true),
-            };
-            if candidate && self.graph_cache.is_none() {
-                self.graph_cache = Some(self.agent_graph());
+            let (node, ev) = self.sim.peek_event().expect("an event is due");
+            let (candidate, dirties) = classify_event(&ev);
+            if candidate {
+                self.graph();
             }
             self.sim.step();
             outcome.events += 1;
             let fresh = self.collect_new_declarations();
             if !fresh.is_empty() {
                 self.validate_declarations(&fresh);
-                // The declarations' aborts change the graph.
-                self.graph_cache = None;
-            } else if dirties {
-                self.graph_cache = None;
+            }
+            // A declaration's abort changes the graph too.
+            if dirties || !fresh.is_empty() {
+                self.graph.get_mut().mark_dirty(SiteId(node.0));
             }
         }
     }
@@ -401,31 +537,27 @@ impl DdbNet {
             .sum()
     }
 
-    /// Reconstructs the agent-level wait-for graph of §6.4 from current
-    /// controller state, together with the agent ↔ vertex mapping.
+    /// The agent-level wait-for graph of §6.4 as current controller state
+    /// implies it, together with the agent ↔ vertex mapping of the agents
+    /// that have an edge. A copy; the checks below read the original.
     ///
     /// Exact when no `RemoteRequest`/`Acquired` messages are in flight
     /// (then every existing edge is black).
     pub fn agent_graph(&self) -> (WaitForGraph, BTreeMap<AgentId, NodeId>) {
-        let mut edges: Vec<(AgentId, AgentId)> = Vec::new();
-        for s in 0..self.n_sites {
-            let site = SiteId(s);
-            let c = self.controller(site);
-            // Intra-controller edges from the lock table.
-            for (a, b) in c.locks().wait_edges() {
-                edges.push((AgentId::new(a, site), AgentId::new(b, site)));
-            }
-            // Inter-controller edges from outstanding remote waits.
-            for (t, m) in c.remote_wait_edges() {
-                edges.push((AgentId::new(t, site), AgentId::new(t, m)));
-            }
-            // Holder back-edges (§6.4 completion): an idle remote holder
-            // agent waits for its home agent to send more work or commit.
-            for (t, m) in c.holder_back_edges() {
-                edges.push((AgentId::new(t, m), AgentId::new(t, site)));
-            }
-        }
-        graph_from_edges(edges)
+        let ag = self.graph();
+        let live = ag.g.vertices();
+        let index = ag.index.iter().filter(|(_, v)| live.contains(v));
+        (ag.g.clone(), index.map(|(&a, &v)| (a, v)).collect())
+    }
+
+    /// The persistent agent graph, brought up to date with every site
+    /// that may have changed since it was last read.
+    fn graph(&self) -> RefMut<'_, AgentGraph> {
+        let mut ag = self.graph.borrow_mut();
+        ag.refresh(&self.sim);
+        #[cfg(test)]
+        self.assert_matches_scratch(&mut ag);
+        ag
     }
 
     /// Declarations made since the last collection, in per-site
@@ -444,35 +576,23 @@ impl DdbNet {
         fresh
     }
 
-    /// Checks fresh declarations against the cached pre-event graph.
+    /// Checks fresh declarations against the agent graph as last read.
+    /// Every event that can declare is preceded by a read
+    /// ([`classify_event`]) and its site is marked dirty only after this
+    /// returns, so that is the pre-event graph.
     fn validate_declarations(&mut self, fresh: &[DdbDeadlock]) {
-        // Every declaring path is a snapshot candidate, so the cache is
-        // populated; fall back to the post-event graph defensively.
-        let built;
-        let (g, index) = match &self.graph_cache {
-            Some(pair) => pair,
-            None => {
-                built = self.agent_graph();
-                &built
-            }
-        };
-        let mut oracle = self.oracle.borrow_mut();
-        let members = oracle.dark_cycle_members(g);
+        let ag = self.graph.get_mut();
         // Remember who is deadlocked *right now*: an abort two ticks from
         // now can dissolve this cycle while probes certifying it are
         // still in flight, and the late declarations they complete must
         // be recognised as echoes of this observation.
         let now = self.sim.now();
-        for (a, v) in index {
-            if members.contains(v) {
-                self.recently_dark.insert(a.txn, now);
-            }
+        for a in ag.dark_agents() {
+            self.recently_dark.insert(a.txn, now);
         }
         for d in fresh {
             self.instant_checked += 1;
-            let agent = AgentId::new(d.txn, d.site);
-            let on_cycle = index.get(&agent).is_some_and(|v| members.contains(v));
-            if on_cycle {
+            if ag.is_dark(AgentId::new(d.txn, d.site)) {
                 continue;
             }
             let echo = self
@@ -497,14 +617,9 @@ impl DdbNet {
     /// Transactions that are genuinely deadlocked in the current
     /// reconstructed graph (on some dark cycle), as `(txn, site)` agents.
     pub fn deadlocked_agents(&self) -> Vec<AgentId> {
-        let (g, index) = self.agent_graph();
-        let mut oracle = self.oracle.borrow_mut();
-        let members = oracle.dark_cycle_members(&g);
-        index
-            .into_iter()
-            .filter(|&(_, v)| members.contains(&v))
-            .map(|(a, _)| a)
-            .collect()
+        let mut agents: Vec<AgentId> = self.graph().dark_agents().collect();
+        agents.sort_unstable();
+        agents
     }
 
     /// Checks that every declaration points at a process that was on a
@@ -534,14 +649,10 @@ impl DdbNet {
                 None => Ok(self.instant_checked),
             };
         }
-        let (g, index) = self.agent_graph();
-        let mut oracle = self.oracle.borrow_mut();
-        let members = oracle.dark_cycle_members(&g);
+        let mut ag = self.graph();
         let ds = self.declarations();
         for d in &ds {
-            let agent = AgentId::new(d.txn, d.site);
-            let on_cycle = index.get(&agent).is_some_and(|v| members.contains(v));
-            if !on_cycle {
+            if !ag.is_dark(AgentId::new(d.txn, d.site)) {
                 return Err(DdbValidationError::FalseDeadlock {
                     declaration: *d,
                     phase: SoundnessPhase::Final,
@@ -559,12 +670,11 @@ impl DdbNet {
     ///
     /// # Errors
     ///
-    /// [`DdbValidationError::FalseDeadlock`] is not applicable here;
-    /// failures surface as `MissedDeadlock` with the offending agents for
-    /// lack of a dedicated variant — in practice this method is used via
-    /// `expect` in tests.
+    /// [`DdbValidationError::StaleWfgdEdge`] for the first reported edge
+    /// the graph does not have.
     pub fn verify_wfgd_edges_exist(&self) -> Result<usize, DdbValidationError> {
-        let (g, index) = self.agent_graph();
+        let ag = self.graph();
+        let (g, index) = (&ag.g, &ag.index);
         let mut checked = 0;
         for s in 0..self.n_sites {
             let site = SiteId(s);
@@ -577,8 +687,10 @@ impl DdbNet {
                         .zip(index.get(&b))
                         .is_some_and(|(&va, &vb)| g.has_edge(va, vb));
                     if !ok {
-                        return Err(DdbValidationError::MissedDeadlock {
-                            cycle_members: vec![a, b],
+                        return Err(DdbValidationError::StaleWfgdEdge {
+                            site,
+                            txn,
+                            edge: (a, b),
                         });
                     }
                 }
@@ -597,19 +709,21 @@ impl DdbNet {
     /// [`DdbValidationError::MissedDeadlock`] for the first undetected
     /// cycle.
     pub fn verify_completeness(&self) -> Result<usize, DdbValidationError> {
-        let (g, index) = self.agent_graph();
-        let rev: BTreeMap<NodeId, AgentId> = index.iter().map(|(&a, &v)| (v, a)).collect();
+        let ag = self.graph();
         let ds = self.declarations();
         let mut total = 0;
-        for scc in oracle::dark_sccs(&g).into_iter().filter(|c| c.len() >= 2) {
+        for scc in oracle::dark_sccs(&ag.g)
+            .into_iter()
+            .filter(|c| c.len() >= 2)
+        {
             total += scc.len();
             let declared = scc.iter().any(|v| {
-                let a = rev[v];
+                let a = ag.agents[v.0];
                 ds.iter().any(|d| d.txn == a.txn && d.site == a.site)
             });
             if !declared {
                 return Err(DdbValidationError::MissedDeadlock {
-                    cycle_members: scc.into_iter().map(|v| rev[&v]).collect(),
+                    cycle_members: scc.into_iter().map(|v| ag.agents[v.0]).collect(),
                 });
             }
         }
@@ -665,15 +779,21 @@ impl DdbNet {
         Ok(total)
     }
 
-    /// Progress epochs of every non-terminal transaction, the observation
-    /// stream a [`crate::liveness::Watchdog`] consumes.
-    pub fn progress_epochs(&self) -> Vec<(TransactionId, u64)> {
-        let restartable = matches!(
+    /// True if an aborted transaction comes back (so `Aborted` is not a
+    /// terminal status).
+    fn restartable(&self) -> bool {
+        matches!(
             self.cfg.resolution,
             Resolution::AbortSubject {
                 restart_backoff: Some(_)
             }
-        );
+        )
+    }
+
+    /// Progress epochs of every non-terminal transaction, the observation
+    /// stream a [`crate::liveness::Watchdog`] consumes.
+    pub fn progress_epochs(&self) -> Vec<(TransactionId, u64)> {
+        let restartable = self.restartable();
         let mut out = Vec::new();
         for s in 0..self.n_sites {
             for snap in self.controller(SiteId(s)).script_snapshots() {
@@ -698,16 +818,8 @@ impl DdbNet {
     /// cycle itself), or wedged — blocked with nothing that can ever wake
     /// it, the liveness bug class this PR exists to kill.
     pub fn liveness_report(&self) -> LivenessReport {
-        let (g, index) = self.agent_graph();
-        let rev: BTreeMap<NodeId, AgentId> = index.iter().map(|(&a, &v)| (v, a)).collect();
-        let mut oracle = self.oracle.borrow_mut();
-        let dark = oracle.dark_cycle_members(&g);
-        let restartable = matches!(
-            self.cfg.resolution,
-            Resolution::AbortSubject {
-                restart_backoff: Some(_)
-            }
-        );
+        let mut ag = self.graph();
+        let restartable = self.restartable();
         // First pass: who can move on their own?
         let mut progressing: BTreeSet<TransactionId> = BTreeSet::new();
         let mut entries: Vec<(TransactionId, SiteId, u64, bool)> = Vec::new();
@@ -738,7 +850,7 @@ impl DdbNet {
             let class = if !blocked {
                 TxnClass::Progressing
             } else {
-                self.classify_blocked(txn, home, &g, &index, &rev, dark, &progressing, in_flight)
+                ag.classify_blocked(txn, home, &progressing, in_flight)
             };
             classes.push(TxnLiveness {
                 txn,
@@ -752,58 +864,6 @@ impl DdbNet {
             at: self.sim.now(),
             classes,
             in_flight_messages: in_flight,
-        }
-    }
-
-    /// BFS from a blocked transaction's home agent along wait edges.
-    #[allow(clippy::too_many_arguments)]
-    fn classify_blocked(
-        &self,
-        txn: TransactionId,
-        home: SiteId,
-        g: &WaitForGraph,
-        index: &BTreeMap<AgentId, NodeId>,
-        rev: &BTreeMap<NodeId, AgentId>,
-        dark: &BTreeSet<NodeId>,
-        progressing: &BTreeSet<TransactionId>,
-        in_flight: usize,
-    ) -> TxnClass {
-        let Some(&start) = index.get(&AgentId::new(txn, home)) else {
-            // Blocked but its edges are not in the graph yet: the request
-            // or grant is still in flight.
-            return if in_flight > 0 {
-                TxnClass::GenuinelyWaiting
-            } else {
-                TxnClass::Wedged
-            };
-        };
-        let mut seen: BTreeSet<NodeId> = BTreeSet::new();
-        let mut queue: VecDeque<NodeId> = VecDeque::new();
-        seen.insert(start);
-        queue.push_back(start);
-        let mut reaches_progressing = false;
-        while let Some(v) = queue.pop_front() {
-            if dark.contains(&v) {
-                return if rev[&v].txn == txn {
-                    TxnClass::Deadlocked
-                } else {
-                    TxnClass::GenuinelyWaiting
-                };
-            }
-            let a = rev[&v];
-            if a.txn != txn && progressing.contains(&a.txn) {
-                reaches_progressing = true;
-            }
-            for e in g.out_edges(v) {
-                if seen.insert(e.to) {
-                    queue.push_back(e.to);
-                }
-            }
-        }
-        if reaches_progressing || in_flight > 0 {
-            TxnClass::GenuinelyWaiting
-        } else {
-            TxnClass::Wedged
         }
     }
 
@@ -854,6 +914,44 @@ mod tests {
     use crate::ids::TransactionId;
     use crate::lock::LockMode::Exclusive as X;
     use crate::txn::TxnStatus;
+
+    thread_local! {
+        /// Reads of the persistent graph checked against the from-scratch
+        /// reference on this thread (see [`DdbNet::assert_matches_scratch`]).
+        static SCRATCH_CHECKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    impl DdbNet {
+        /// Test builds check every read of the persistent graph against the
+        /// agent graph rebuilt from nothing: same edges and same dark-cycle
+        /// members, both named by agent.
+        pub(super) fn assert_matches_scratch(&self, ag: &mut AgentGraph) {
+            let mut edges = Vec::new();
+            for s in 0..self.n_sites {
+                site_agent_edges(self.controller(SiteId(s)), &mut edges);
+            }
+            let (g, index) = graph_from_edges(edges.iter().copied());
+            let named = |g: &WaitForGraph, name: &dyn Fn(NodeId) -> AgentId| {
+                g.edges()
+                    .map(|e| (name(e.from), name(e.to)))
+                    .collect::<BTreeSet<_>>()
+            };
+            let rev: BTreeMap<NodeId, AgentId> = index.iter().map(|(&a, &v)| (v, a)).collect();
+            let want = named(&g, &|v| rev[&v]);
+            assert_eq!(named(&ag.g, &|v| ag.agents[v.0]), want, "agent edges");
+            assert_eq!(want.len(), edges.len(), "an edge derived from two sites");
+            let want: BTreeSet<AgentId> = oracle::dark_cycle_members(&g)
+                .iter()
+                .map(|v| rev[v])
+                .collect();
+            assert_eq!(
+                ag.dark_agents().collect::<BTreeSet<_>>(),
+                want,
+                "dark agents"
+            );
+            SCRATCH_CHECKS.with(|n| n.set(n.get() + 1));
+        }
+    }
 
     fn t(i: u32) -> TransactionId {
         TransactionId(i)
@@ -1047,6 +1145,141 @@ mod tests {
         assert!(!db.declarations().is_empty());
         db.verify_soundness().unwrap();
         db.verify_completeness().unwrap();
+    }
+
+    /// One contended run under resolution: `txns` transactions over three
+    /// sites with three resources each, two or three exclusive locks per
+    /// transaction (one `lock_all` when `batched`), work in between,
+    /// arrivals a few ticks apart. Returns the net after a long drain.
+    fn contended_run(seed: u64, txns: u32, batched: bool, builder: SimBuilder) -> DdbNet {
+        use crate::txn::LockReq;
+        let mut rng = simnet::rng::DetRng::seed_from_u64(seed);
+        let mut db = DdbNet::with_builder(3, DdbConfig::detect_and_resolve(300, 120), builder);
+        let mut at = 0;
+        for i in 0..txns {
+            let mut reqs: Vec<LockReq> = Vec::new();
+            while reqs.len() < 2 + rng.next_below(2) as usize {
+                let (site, resource) = (s(rng.next_below(3) as usize), r(rng.next_below(3)));
+                if !reqs
+                    .iter()
+                    .any(|q| (q.site, q.resource) == (site, resource))
+                {
+                    reqs.push(LockReq {
+                        site,
+                        resource,
+                        mode: X,
+                    });
+                }
+            }
+            let mut txn = Transaction::new(t(i + 1), s(rng.next_below(3) as usize));
+            if batched {
+                txn = txn.lock_all(reqs).work(40);
+            } else {
+                for q in reqs {
+                    txn = txn.lock(q.site, q.resource, q.mode).work(40);
+                }
+            }
+            at += rng.next_below(30);
+            db.run_until(SimTime::from_ticks(at));
+            db.submit(txn);
+        }
+        db.run_until(SimTime::from_ticks(at + 60_000));
+        db
+    }
+
+    /// Declarations instant-validated and excused as echoes, and events
+    /// run, summed over 22 contended runs: 20 plain seeds, one batched,
+    /// one with a site crashing and restarting mid-run.
+    fn contended_totals() -> [u64; 3] {
+        use simnet::faults::FaultPlan;
+        use simnet::reliable::ReliableConfig;
+        let plain = |seed| SimBuilder::new().seed(seed);
+        let crash = FaultPlan::new().crash(
+            NodeId(1),
+            SimTime::from_ticks(150),
+            Some(SimTime::from_ticks(900)),
+        );
+        let mut runs: Vec<DdbNet> = (0..20)
+            .map(|seed| contended_run(seed, 16, false, plain(seed)))
+            .collect();
+        runs.push(contended_run(20, 12, true, plain(20)));
+        let faulty = plain(21).faults(crash).reliable(ReliableConfig::default());
+        runs.push(contended_run(21, 16, false, faulty));
+        let mut totals = [0; 3];
+        for db in &runs {
+            let checked = db.verify_soundness().expect("no phantom declaration");
+            totals[0] += checked as u64;
+            totals[1] += db.stale_echoes() as u64;
+            totals[2] += db.metrics().get(simnet::metrics::builtin::EVENTS);
+        }
+        totals
+    }
+
+    #[test]
+    fn persistent_graph_equals_the_scratch_build_at_every_validated_instant() {
+        let before = SCRATCH_CHECKS.with(std::cell::Cell::get);
+        let [checked, stale, events] = contended_totals();
+        // Recorded at the commit before the graph became persistent, when
+        // every instant was validated against a from-scratch rebuild.
+        assert_eq!([checked, stale, events], [331, 9, 21_303]);
+        // Every read of the graph — one before each event that can declare
+        // — went through `assert_matches_scratch`.
+        let reads = SCRATCH_CHECKS.with(std::cell::Cell::get) - before;
+        assert!(
+            reads as u64 > checked,
+            "{reads} reads for {checked} declarations"
+        );
+    }
+
+    #[test]
+    fn driver_mutations_dirty_the_site_they_touch() {
+        let mut db = DdbNet::new(2, DdbConfig::detect_and_resolve(100_000, 60), 9);
+        db.submit(
+            Transaction::new(t(1), s(0))
+                .lock(s(0), r(0), X)
+                .work(10_000),
+        );
+        db.run_until(SimTime::from_ticks(50));
+        assert_eq!(db.agent_graph().0.edge_count(), 0);
+        // `submit`: T2 queues behind T1 at S0 with no event in between.
+        db.submit(Transaction::new(t(2), s(0)).lock(s(0), r(0), X));
+        assert_eq!(db.agent_graph().0.edge_count(), 1);
+        // `with_controller`: T3, homed at S1, asks S0 for the same lock.
+        // Only S1 changed so far; the request is still in flight.
+        db.with_controller(s(1), |c, ctx| {
+            c.start_txn(ctx, Transaction::new(t(3), s(1)).lock(s(0), r(0), X));
+        });
+        let (g, index) = db.agent_graph();
+        assert_eq!(g.edge_count(), 2);
+        assert!(index.contains_key(&AgentId::new(t(3), s(1))));
+        // Its delivery is an event at S0, found by the stepping loop.
+        db.run_until(SimTime::from_ticks(100));
+        assert_eq!(db.agent_graph().0.edge_count(), 4);
+    }
+
+    #[test]
+    fn stale_wfgd_edge_is_reported_with_its_controller_and_edge() {
+        use simnet::sim::Process;
+        let mut db = DdbNet::new(2, DdbConfig::detect_only(100_000), 3);
+        let edge = (AgentId::new(t(7), s(0)), AgentId::new(t(7), s(1)));
+        db.with_controller(s(0), |c, ctx| {
+            let msg = DdbMsg::Wfgd {
+                txn: t(7),
+                edges: [edge].into_iter().collect(),
+            };
+            c.on_message(ctx, NodeId(1), msg);
+        });
+        let err = db.verify_wfgd_edges_exist().unwrap_err();
+        let want = DdbValidationError::StaleWfgdEdge {
+            site: s(0),
+            txn: t(7),
+            edge,
+        };
+        assert_eq!(err, want);
+        let msg = err.to_string();
+        for needle in ["controller S0", "(T7,S0) -> (T7,S1)", "behind T7"] {
+            assert!(msg.contains(needle), "{needle:?} missing from {msg:?}");
+        }
     }
 
     #[test]

@@ -20,18 +20,25 @@
 //!   process, and never resends an unchanged set (the §5 termination
 //!   argument).
 //!
-//! [`DdbWfgdState`] is a pure state machine: the controller feeds it the
-//! current local topology (intra edges and incoming inter edges) and
-//! transports the messages it emits.
+//! [`DdbWfgdState`] is a pure state machine: the controller lends it the
+//! current local topology (its lock table and its un-granted remote
+//! requests) and transports the messages it emits.
+//!
+//! The sets are the basic model's ([`cmh_core::wfgd`]): sorted vectors,
+//! one [`VecSet::union_with`] per intra edge walked, and duplicates
+//! suppressed by the **size** of the last payload sent along each inter
+//! edge (`S` only ever grows, so equal size means equal set: DESIGN §9).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
+use cmh_core::vset::VecSet;
 use serde::{Deserialize, Serialize};
 
-use crate::ids::{AgentId, SiteId, TransactionId};
+use crate::ids::{AgentId, ResourceId, SiteId, TransactionId};
+use crate::lock::LockTable;
 
 /// A set of agent-level wait-for edges (the WFGD message payload).
-pub type AgentEdgeSet = BTreeSet<(AgentId, AgentId)>;
+pub type AgentEdgeSet = VecSet<(AgentId, AgentId)>;
 
 /// An outbound inter-controller WFGD message: deliver `edges` to
 /// transaction `txn`'s process at controller `dest`.
@@ -45,19 +52,17 @@ pub struct WfgdSend {
     pub edges: AgentEdgeSet,
 }
 
-/// Local topology snapshot the propagation step needs, supplied by the
-/// controller at each call:
-///
-/// * `intra`: the current intra-controller wait edges `(waiter, blocker)`;
-/// * `incoming_inter`: for each local transaction with an incoming black
-///   inter-controller edge (an un-granted remote request), the origin
-///   (home) site.
-#[derive(Debug, Clone, Default)]
-pub struct LocalTopology {
-    /// Intra-controller wait edges, `(waiter, blocker)` transaction pairs.
-    pub intra: BTreeSet<(TransactionId, TransactionId)>,
-    /// `txn → home site` for each incoming black inter-controller edge.
-    pub incoming_inter: BTreeMap<TransactionId, SiteId>,
+/// The local topology a propagation step walks, borrowed from the
+/// controller for the duration of one call — nothing is copied out of it.
+#[derive(Debug, Clone, Copy)]
+pub struct LocalTopology<'a> {
+    /// Source of the intra-controller edges: the waiters behind a process
+    /// are looked up per worklist pop
+    /// ([`LockTable::waiters_blocked_by`]).
+    pub locks: &'a LockTable,
+    /// The incoming black inter-controller edges: each un-granted remote
+    /// request queued here, `(txn, resource) → home site`.
+    pub incoming_inter: &'a BTreeMap<(TransactionId, ResourceId), SiteId>,
 }
 
 /// Per-controller WFGD state: `S` sets for local processes plus the
@@ -67,8 +72,9 @@ pub struct LocalTopology {
 pub struct DdbWfgdState {
     /// `S_(T, S_me)` per local transaction.
     s: BTreeMap<TransactionId, AgentEdgeSet>,
-    /// Last set sent backwards along each incoming inter edge.
-    last_sent: BTreeMap<(TransactionId, SiteId), AgentEdgeSet>,
+    /// Cardinality of the last set sent backwards along each incoming
+    /// inter edge (see the module docs for why the size identifies it).
+    last_sent: BTreeMap<(TransactionId, SiteId), usize>,
 }
 
 impl DdbWfgdState {
@@ -92,75 +98,56 @@ impl DdbWfgdState {
             .collect()
     }
 
-    /// Initiator step: called by the controller at `me` right after
-    /// declaring local process `(subject, me)` deadlocked. Seeds the
-    /// backward propagation from the subject and returns the
-    /// inter-controller messages to transmit.
-    pub fn start(
-        &mut self,
-        me: SiteId,
-        subject: TransactionId,
-        topo: &LocalTopology,
-    ) -> Vec<WfgdSend> {
-        // §5: the initiator sends {(v_j, v_i)} along each incoming black
-        // edge. Locally that seeds the waiters' S sets; remotely it emits
-        // one message per incoming inter edge. Both are what
-        // `propagate_from` does with an empty incremental set.
-        self.propagate_backward_from(me, subject, topo)
-    }
-
     /// Receiver step: the controller at `me` received `edges` for its
     /// local process `(txn, me)` (from the remote site the process was
-    /// waiting on). Folds the set in and returns follow-on messages.
+    /// waiting on). Folds the set in and returns follow-on messages; a
+    /// message that teaches nothing (`edges ⊆ S`) allocates nothing.
     pub fn receive(
         &mut self,
         me: SiteId,
         txn: TransactionId,
         edges: &AgentEdgeSet,
-        topo: &LocalTopology,
+        topo: LocalTopology<'_>,
     ) -> Vec<WfgdSend> {
-        let grew = {
-            let set = self.s.entry(txn).or_default();
-            let before = set.len();
-            set.extend(edges.iter().copied());
-            set.len() > before
-        };
-        if !grew {
+        if !self.s.entry(txn).or_default().union_with(edges) {
             return Vec::new();
         }
-        self.propagate_backward_from(me, txn, topo)
+        self.start(me, txn, topo)
     }
 
-    /// Propagates backwards from `origin` to a local fixpoint over intra
-    /// edges, emitting inter-controller messages for every incoming black
-    /// inter edge whose payload changed.
-    fn propagate_backward_from(
+    /// Initiator step: called by the controller at `me` right after
+    /// declaring local process `(origin, me)` deadlocked — and the second
+    /// half of every receiver step that learnt something. Propagates
+    /// backwards from `origin` to a local fixpoint over intra edges (§5:
+    /// the initiator sends `{(v_j, v_i)}` along each incoming black edge;
+    /// locally that seeds the waiters' `S` sets) and returns one message
+    /// for every incoming black inter edge whose payload changed.
+    pub fn start(
         &mut self,
         me: SiteId,
         origin: TransactionId,
-        topo: &LocalTopology,
+        topo: LocalTopology<'_>,
     ) -> Vec<WfgdSend> {
         // Local fixpoint: for each intra edge (Q → P), S_Q ⊇ {(Q,P)} ∪ S_P.
+        // A process whose S grows (again, via another path: diamonds) while
+        // it is not on the worklist goes back on it.
         let mut dirty: Vec<TransactionId> = vec![origin];
-        let mut touched: BTreeSet<TransactionId> = [origin].into_iter().collect();
         while let Some(p) = dirty.pop() {
-            let s_p = self.s.get(&p).cloned().unwrap_or_default();
-            for &(q, blocker) in &topo.intra {
-                if blocker != p {
-                    continue;
-                }
+            // Lift S_P out for the walk: Q ≠ P on every intra edge.
+            let s_p = self.s.remove(&p);
+            for q in topo.locks.waiters_blocked_by(p) {
                 let set = self.s.entry(q).or_default();
-                let before = set.len();
-                set.insert((AgentId::new(q, me), AgentId::new(p, me)));
-                set.extend(s_p.iter().copied());
-                if set.len() > before && touched.insert(q) {
+                let mut grew = set.insert((AgentId::new(q, me), AgentId::new(p, me)));
+                if let Some(s_p) = &s_p {
+                    grew |= set.union_with(s_p);
+                }
+                if grew && !dirty.contains(&q) {
                     dirty.push(q);
                 }
             }
-            // Re-queue policy: a transaction can gain edges after being
-            // processed (diamond shapes); handle by re-inserting when its
-            // S grows via another path.
-            touched.remove(&p);
+            if let Some(s_p) = s_p {
+                self.s.insert(p, s_p);
+            }
         }
         // Emit backwards along incoming inter edges for every local
         // process whose message content is new — but only for processes
@@ -171,21 +158,24 @@ impl DdbWfgdState {
         // transactions that merely pass through this site and are not
         // behind the deadlock at all.
         let mut out = Vec::new();
-        for (&t, &home) in &topo.incoming_inter {
-            let informed = t == origin || self.s.get(&t).is_some_and(|s| !s.is_empty());
-            if !informed {
+        let mut pending = topo.incoming_inter.iter().peekable();
+        while let Some((&(t, _), &home)) = pending.next() {
+            if pending.peek().is_some_and(|(&(next, _), _)| next == t) {
+                continue; // one inter edge per transaction, however many requests
+            }
+            let s_t = self.s.get(&t).filter(|s| !s.is_empty());
+            if s_t.is_none() && t != origin {
                 continue;
             }
-            let mut payload = self.s.get(&t).cloned().unwrap_or_default();
             // The inter edge itself: (T, home) → (T, me).
-            payload.insert((AgentId::new(t, home), AgentId::new(t, me)));
-            let key = (t, home);
-            if self.last_sent.get(&key) != Some(&payload) {
-                self.last_sent.insert(key, payload.clone());
+            let edge = (AgentId::new(t, home), AgentId::new(t, me));
+            let size = s_t.map_or(1, |s| s.len() + usize::from(!s.contains(&edge)));
+            if self.last_sent.insert((t, home), size) != Some(size) {
+                let edges = s_t.map_or_else(|| [edge].into_iter().collect(), |s| s.with(edge));
                 out.push(WfgdSend {
                     dest: home,
                     txn: t,
-                    edges: payload,
+                    edges,
                 });
             }
         }
@@ -195,7 +185,12 @@ impl DdbWfgdState {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use simnet::rng::DetRng;
+
     use super::*;
+    use crate::lock::LockMode::Exclusive as X;
 
     fn t(i: u32) -> TransactionId {
         TransactionId(i)
@@ -207,16 +202,226 @@ mod tests {
         AgentId::new(t(txn), s(site))
     }
 
+    /// A lock table whose wait edges are exactly `intra` (`(waiter,
+    /// blocker)` pairs): one resource per edge, held by the blocker.
+    fn table(intra: &[(u32, u32)]) -> LockTable {
+        let mut lt = LockTable::new();
+        for (i, &(q, p)) in intra.iter().enumerate() {
+            lt.request(t(p), ResourceId(i as u64), X);
+            lt.request(t(q), ResourceId(i as u64), X);
+        }
+        lt
+    }
+
+    /// One un-granted remote request per `(txn, home site)` pair.
+    fn inter(incoming: &[(u32, usize)]) -> BTreeMap<(TransactionId, ResourceId), SiteId> {
+        incoming
+            .iter()
+            .map(|&(txn, home)| ((t(txn), ResourceId(0)), s(home)))
+            .collect()
+    }
+
+    /// Owns what a [`LocalTopology`] borrows.
+    struct Topo(LockTable, BTreeMap<(TransactionId, ResourceId), SiteId>);
+
+    impl Topo {
+        fn new(intra: &[(u32, u32)], incoming: &[(u32, usize)]) -> Self {
+            Topo(table(intra), inter(incoming))
+        }
+        fn view(&self) -> LocalTopology<'_> {
+            LocalTopology {
+                locks: &self.0,
+                incoming_inter: &self.1,
+            }
+        }
+    }
+
+    /// The implementation this module had before it moved to sorted
+    /// vectors, kept verbatim: `BTreeSet` edge sets, an eagerly built
+    /// intra-edge snapshot scanned once per worklist pop, cloned `S_P`,
+    /// whole last-sent payloads compared for dedup. Reference for
+    /// [`matches_the_literal_rule`].
+    #[derive(Default)]
+    struct LiteralDdbRule {
+        s: BTreeMap<TransactionId, BTreeSet<(AgentId, AgentId)>>,
+        last_sent: BTreeMap<(TransactionId, SiteId), BTreeSet<(AgentId, AgentId)>>,
+        /// Payloads offered to the dedup test so far.
+        offers: usize,
+    }
+
+    type LiteralSend = (SiteId, TransactionId, BTreeSet<(AgentId, AgentId)>);
+
+    impl LiteralDdbRule {
+        fn receive(
+            &mut self,
+            me: SiteId,
+            txn: TransactionId,
+            edges: &AgentEdgeSet,
+            topo: LocalTopology<'_>,
+        ) -> Vec<LiteralSend> {
+            let set = self.s.entry(txn).or_default();
+            let before = set.len();
+            set.extend(edges.iter().copied());
+            if set.len() == before {
+                return Vec::new();
+            }
+            self.start(me, txn, topo)
+        }
+
+        fn start(
+            &mut self,
+            me: SiteId,
+            origin: TransactionId,
+            topo: LocalTopology<'_>,
+        ) -> Vec<LiteralSend> {
+            let intra = topo.locks.wait_edges();
+            let incoming_inter: BTreeMap<TransactionId, SiteId> = topo
+                .incoming_inter
+                .iter()
+                .map(|(&(t, _), &home)| (t, home))
+                .collect();
+            let mut dirty: Vec<TransactionId> = vec![origin];
+            let mut touched: BTreeSet<TransactionId> = [origin].into_iter().collect();
+            while let Some(p) = dirty.pop() {
+                let s_p = self.s.get(&p).cloned().unwrap_or_default();
+                for &(q, blocker) in &intra {
+                    if blocker != p {
+                        continue;
+                    }
+                    let set = self.s.entry(q).or_default();
+                    let before = set.len();
+                    set.insert((AgentId::new(q, me), AgentId::new(p, me)));
+                    set.extend(s_p.iter().copied());
+                    if set.len() > before && touched.insert(q) {
+                        dirty.push(q);
+                    }
+                }
+                touched.remove(&p);
+            }
+            let mut out = Vec::new();
+            for (&t, &home) in &incoming_inter {
+                let informed = t == origin || self.s.get(&t).is_some_and(|s| !s.is_empty());
+                if !informed {
+                    continue;
+                }
+                self.offers += 1;
+                let mut payload = self.s.get(&t).cloned().unwrap_or_default();
+                payload.insert((AgentId::new(t, home), AgentId::new(t, me)));
+                let key = (t, home);
+                if self.last_sent.get(&key) != Some(&payload) {
+                    self.last_sent.insert(key, payload.clone());
+                    out.push((home, t, payload));
+                }
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn matches_the_literal_rule() {
+        const TXNS: u32 = 8;
+        const SITES: usize = 4;
+        let me = s(0);
+        let home = |txn: u32| 1 + txn as usize % (SITES - 1);
+        let mut rng = DetRng::seed_from_u64(0x5eed_0ddb);
+        let (mut steps, mut sent, mut no_news) = (0usize, 0usize, 0usize);
+        let (mut offers, mut diamonds, mut local_cycles) = (0usize, 0usize, 0usize);
+        for round in 0..50 {
+            let mut st = DdbWfgdState::new();
+            let mut model = LiteralDdbRule::default();
+            for step in 0..120 {
+                // A fresh random topology each step: waiters leave and come
+                // back, inter edges appear and vanish, with the S sets grown
+                // (or not) in between.
+                let mut intra = Vec::new();
+                for q in 0..TXNS {
+                    for p in (0..TXNS).filter(|&p| p != q) {
+                        if rng.next_below(8) == 0 {
+                            intra.push((q, p));
+                        }
+                    }
+                }
+                let mut topo = Topo::new(&intra, &[]);
+                for txn in 0..TXNS {
+                    // None, one or two un-granted requests of one origin.
+                    for r in 0..rng.next_below(4).saturating_sub(1) {
+                        topo.1.insert((t(txn), ResourceId(r)), s(home(txn)));
+                    }
+                }
+                let blocks = |q, p| intra.contains(&(q, p));
+                diamonds += usize::from((0..TXNS).any(|q| {
+                    (0..TXNS)
+                        .any(|o| (0..TXNS).filter(|&p| blocks(q, p) && blocks(p, o)).count() > 1)
+                }));
+                local_cycles += usize::from((0..TXNS).any(|q| topo.0.on_local_cycle(t(q))));
+
+                let txn = t(rng.next_below(u64::from(TXNS)) as u32);
+                let (got, want) = if rng.next_below(6) == 0 {
+                    // A (re-)declaration, possibly after receives.
+                    (
+                        st.start(me, txn, topo.view()),
+                        model.start(me, txn, topo.view()),
+                    )
+                } else {
+                    let msg: AgentEdgeSet = if rng.next_below(3) == 0 {
+                        // Teaches nothing: a subset of S.
+                        no_news += 1;
+                        let known = st.known_edges(txn);
+                        known
+                            .iter()
+                            .copied()
+                            .filter(|_| rng.next_below(2) == 0)
+                            .collect()
+                    } else {
+                        (0..rng.next_below(5))
+                            .map(|_| {
+                                let mut agent = || {
+                                    a(
+                                        rng.next_below(u64::from(TXNS)) as u32,
+                                        rng.next_below(SITES as u64) as usize,
+                                    )
+                                };
+                                (agent(), agent())
+                            })
+                            .collect()
+                    };
+                    (
+                        st.receive(me, txn, &msg, topo.view()),
+                        model.receive(me, txn, &msg, topo.view()),
+                    )
+                };
+                let at = format!("round {round} step {step}");
+                assert_eq!(got.len(), want.len(), "{at}: message count");
+                for (m, (dest, txn, edges)) in got.iter().zip(&want) {
+                    assert_eq!((m.dest, m.txn), (*dest, *txn), "{at}: recipient");
+                    assert_eq!(&m.edges, edges, "{at}: payload for {txn}");
+                }
+                for q in 0..TXNS {
+                    let want = model.s.get(&t(q)).cloned().unwrap_or_default();
+                    assert_eq!(st.known_edges(t(q)), want, "{at}: S of T{q}");
+                }
+                steps += 1;
+                sent += got.len();
+            }
+            offers += model.offers;
+        }
+        // The walk must exercise what it claims to.
+        let suppressed = offers - sent;
+        assert!(steps >= 5_000 && no_news > 500, "{steps}/{no_news}");
+        assert!(sent > 1_000 && suppressed > 1_000, "{sent}/{suppressed}");
+        assert!(
+            diamonds > 100 && local_cycles > 100,
+            "{diamonds}/{local_cycles}"
+        );
+    }
+
     #[test]
     fn start_seeds_local_waiters_and_emits_inter_messages() {
         // At S0: T2 waits for T1 (intra); T1 has an incoming inter edge
         // from its home S1. Declare subject T1.
-        let topo = LocalTopology {
-            intra: [(t(2), t(1))].into_iter().collect(),
-            incoming_inter: [(t(1), s(1))].into_iter().collect(),
-        };
+        let topo = Topo::new(&[(2, 1)], &[(1, 1)]);
         let mut st = DdbWfgdState::new();
-        let out = st.start(s(0), t(1), &topo);
+        let out = st.start(s(0), t(1), topo.view());
         // T2 learned the intra edge behind the subject.
         assert!(st.known_edges(t(2)).contains(&(a(2, 0), a(1, 0))));
         // One message flows back to T1's home.
@@ -230,15 +435,12 @@ mod tests {
     fn receive_merges_and_propagates_through_local_chain() {
         // At S1 (home of T1): T3 waits for T1 locally; T1's process here
         // receives the deadlocked set from S0.
-        let topo = LocalTopology {
-            intra: [(t(3), t(1))].into_iter().collect(),
-            incoming_inter: BTreeMap::new(),
-        };
+        let topo = Topo::new(&[(3, 1)], &[]);
         let incoming: AgentEdgeSet = [(a(1, 1), a(1, 0)), (a(2, 0), a(1, 0))]
             .into_iter()
             .collect();
         let mut st = DdbWfgdState::new();
-        let out = st.receive(s(1), t(1), &incoming, &topo);
+        let out = st.receive(s(1), t(1), &incoming, topo.view());
         assert!(
             out.is_empty(),
             "no incoming inter edges at the home side here"
@@ -252,15 +454,12 @@ mod tests {
 
     #[test]
     fn duplicate_receive_emits_nothing() {
-        let topo = LocalTopology {
-            intra: BTreeSet::new(),
-            incoming_inter: [(t(1), s(1))].into_iter().collect(),
-        };
+        let topo = Topo::new(&[], &[(1, 1)]);
         let payload: AgentEdgeSet = [(a(1, 1), a(1, 0))].into_iter().collect();
         let mut st = DdbWfgdState::new();
-        let first = st.receive(s(0), t(1), &payload, &topo);
+        let first = st.receive(s(0), t(1), &payload, topo.view());
         assert_eq!(first.len(), 1);
-        let second = st.receive(s(0), t(1), &payload, &topo);
+        let second = st.receive(s(0), t(1), &payload, topo.view());
         assert!(second.is_empty(), "unchanged S must not resend");
     }
 
@@ -272,26 +471,20 @@ mod tests {
         //     inter edge for T2 from its home S1.
         // S1: T1's remote agent waits for T2 (intra (T1->T2)); incoming
         //     inter edge for T1 from its home S0.
-        let topo0 = LocalTopology {
-            intra: [(t(2), t(1))].into_iter().collect(),
-            incoming_inter: [(t(2), s(1))].into_iter().collect(),
-        };
-        let topo1 = LocalTopology {
-            intra: [(t(1), t(2))].into_iter().collect(),
-            incoming_inter: [(t(1), s(0))].into_iter().collect(),
-        };
+        let topo0 = Topo::new(&[(2, 1)], &[(2, 1)]);
+        let topo1 = Topo::new(&[(1, 2)], &[(1, 0)]);
         let mut st0 = DdbWfgdState::new();
         let mut st1 = DdbWfgdState::new();
         // S0 declares its subject T1 (the process with... here T1 is the
         // local blocker; take T1 as declared subject at S0).
-        let mut inbox: Vec<WfgdSend> = st0.start(s(0), t(1), &topo0);
+        let mut inbox: Vec<WfgdSend> = st0.start(s(0), t(1), topo0.view());
         let mut steps = 0;
         while let Some(m) = inbox.pop() {
             steps += 1;
             assert!(steps < 100, "WFGD-DDB failed to terminate");
             let out = match m.dest {
-                SiteId(0) => st0.receive(s(0), m.txn, &m.edges, &topo0),
-                SiteId(1) => st1.receive(s(1), m.txn, &m.edges, &topo1),
+                SiteId(0) => st0.receive(s(0), m.txn, &m.edges, topo0.view()),
+                SiteId(1) => st1.receive(s(1), m.txn, &m.edges, topo1.view()),
                 _ => unreachable!(),
             };
             inbox.extend(out);
@@ -322,12 +515,9 @@ mod tests {
         // has a pending remote request here (incoming inter edge from its
         // home S2). T9 is not behind the deadlock — its home must not
         // receive a phantom "deadlocked portion" message.
-        let topo = LocalTopology {
-            intra: [(t(2), t(1))].into_iter().collect(),
-            incoming_inter: [(t(1), s(1)), (t(9), s(2))].into_iter().collect(),
-        };
+        let topo = Topo::new(&[(2, 1)], &[(1, 1), (9, 2)]);
         let mut st = DdbWfgdState::new();
-        let out = st.start(s(0), t(1), &topo);
+        let out = st.start(s(0), t(1), topo.view());
         assert_eq!(out.len(), 1, "only the subject's home is informed");
         assert_eq!(out[0].txn, t(1));
         assert_eq!(out[0].dest, s(1));
@@ -335,12 +525,9 @@ mod tests {
 
     #[test]
     fn informed_transactions_lists_nonempty_sets() {
-        let topo = LocalTopology {
-            intra: [(t(5), t(4))].into_iter().collect(),
-            incoming_inter: BTreeMap::new(),
-        };
+        let topo = Topo::new(&[(5, 4)], &[]);
         let mut st = DdbWfgdState::new();
-        st.start(s(0), t(4), &topo);
+        st.start(s(0), t(4), topo.view());
         assert_eq!(st.informed_transactions(), vec![t(5)]);
     }
 }

@@ -1,0 +1,96 @@
+//! Allocation-regression guard for what `ddb_resolve` pays to set up and
+//! what a converged deadlock pays per §5 message.
+//!
+//! `ddb_resolve`'s `setup_s` is one `DdbNet::new(3, ..)` (26 µs), so an
+//! eager allocation there — the persistent agent graph, its per-site edge
+//! caches — shows in a gated benchmark metric: they are built on first
+//! use instead. And under resolution the `S` sets are never reset, so most
+//! `Wfgd` deliveries teach nothing (`edges ⊆ S`): that case must not touch
+//! the heap.
+//!
+//! Same counting-allocator pattern as `crates/core/tests/alloc_regression.rs`:
+//! everything in a single `#[test]` so parallel libtest threads cannot
+//! pollute the global counter; the `unsafe` is confined to the
+//! `GlobalAlloc` wrapper (the crate-root `#![forbid(unsafe_code)]` applies
+//! to `src/`, not `tests/`).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use cmh_ddb::ids::{AgentId, ResourceId, SiteId, TransactionId};
+use cmh_ddb::lock::{LockMode, LockTable};
+use cmh_ddb::wfgd::{AgentEdgeSet, DdbWfgdState, LocalTopology};
+use cmh_ddb::{DdbConfig, DdbNet};
+
+/// System allocator wrapped with an allocation counter.
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations performed by `f`.
+fn allocs_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let r = f();
+    (ALLOCS.load(Ordering::Relaxed) - before, r)
+}
+
+/// What `DdbNet::new(3, ..)` allocated at the commit before the agent
+/// graph became persistent.
+const NEW_3_SITES_ALLOCS: u64 = 3;
+
+#[test]
+fn construction_and_no_news_wfgd_do_not_allocate_more() {
+    // --- `ddb_resolve`'s build phase. ---
+    let (n, db) = allocs_in(|| DdbNet::new(3, DdbConfig::detect_and_resolve(2_000, 500), 7));
+    assert!(
+        n <= NEW_3_SITES_ALLOCS,
+        "DdbNet::new(3, ..) allocates {n} times, was {NEW_3_SITES_ALLOCS}"
+    );
+    drop(db);
+
+    // --- A converged process: (T1, S0) has an incoming inter edge from
+    // its home S1 and a local waiter T2; it has learnt two edges and told
+    // both. Hearing them again, whole or in part, is no news. ---
+    let (t1, t2) = (TransactionId(1), TransactionId(2));
+    let mut locks = LockTable::new();
+    locks.request(t1, ResourceId(0), LockMode::Exclusive);
+    locks.request(t2, ResourceId(0), LockMode::Exclusive);
+    let incoming_inter = BTreeMap::from([((t1, ResourceId(9)), SiteId(1))]);
+    let topo = LocalTopology {
+        locks: &locks,
+        incoming_inter: &incoming_inter,
+    };
+    let agent = |t, s| AgentId::new(t, SiteId(s));
+    let learnt: AgentEdgeSet = [(agent(t1, 0), agent(t1, 2)), (agent(t1, 2), agent(t2, 2))]
+        .into_iter()
+        .collect();
+    let mut st = DdbWfgdState::new();
+    assert_eq!(st.receive(SiteId(0), t1, &learnt, topo).len(), 1);
+    assert!(st.known_edges(t2).is_superset(&learnt));
+    let part: AgentEdgeSet = learnt.iter().copied().take(1).collect();
+    for msg in [&learnt, &part] {
+        let (n, out) = allocs_in(|| st.receive(SiteId(0), t1, msg, topo));
+        assert!(out.is_empty(), "nothing new, so nothing to send");
+        assert_eq!(n, 0, "a no-news Wfgd delivery must not allocate");
+    }
+}

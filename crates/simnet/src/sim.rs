@@ -1477,15 +1477,17 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Simulation<M, P> {
     /// Classifies the earliest scheduled event without popping it, for
     /// harnesses that single-step and need to know whether the upcoming
     /// event can matter to them (e.g. snapshot state only before events
-    /// that can produce a declaration).
-    pub fn peek_event(&mut self) -> Option<(SimTime, PendingEvent<'_, M>)> {
+    /// that can produce a declaration). Returned with it: the node the
+    /// event runs on — the first of [`EventClass::touches`], and the only
+    /// one whose *process* state it can change.
+    pub fn peek_event(&mut self) -> Option<(NodeId, PendingEvent<'_, M>)> {
         self.ensure_started();
         let (i, _) = self.min_shard()?;
         self.shards[i]
             .local
             .queue
             .peek()
-            .map(|((at, _), kind)| (at, kind.pending()))
+            .map(|(_, kind)| (kind.classify().touches().0, kind.pending()))
     }
 
     /// Number of scheduler slab slots ever allocated (summed across

@@ -401,16 +401,7 @@ impl WaitForGraph {
         };
         match self.out[ui as usize][pos].1 {
             EdgeColour::White => {
-                let (vi, _) = self.out[ui as usize].remove(pos);
-                let rpos = {
-                    let nodes = &self.nodes;
-                    self.rin[vi as usize]
-                        .binary_search_by(|&t| nodes[t as usize].cmp(&from))
-                        .expect("reverse index consistent")
-                };
-                self.rin[vi as usize].remove(rpos);
-                self.n_edges -= 1;
-                self.version += 1;
+                self.unlink(ui, pos, from);
                 Ok(())
             }
             found => Err(AxiomViolation::WrongColour {
@@ -420,6 +411,41 @@ impl WaitForGraph {
                 expected: EdgeColour::White,
             }),
         }
+    }
+
+    /// Drops the edge at `out[ui][pos]` (tail `from`) from both indexes.
+    fn unlink(&mut self, ui: u32, pos: usize, from: NodeId) {
+        let (vi, _) = self.out[ui as usize].remove(pos);
+        let rpos = {
+            let nodes = &self.nodes;
+            self.rin[vi as usize]
+                .binary_search_by(|&t| nodes[t as usize].cmp(&from))
+                .expect("reverse index consistent")
+        };
+        self.rin[vi as usize].remove(rpos);
+        self.n_edges -= 1;
+        self.version += 1;
+    }
+
+    /// Removes edge `(from, to)` whatever its colour; `false` if it was
+    /// absent. Like [`WaitForGraph::clear`] this bypasses the axioms: it
+    /// is for a graph that *mirrors* state reconstructed elsewhere and is
+    /// kept up to date edge by edge (the DDB harness's agent graph, where
+    /// an abort removes black edges whose heads are still blocked), not
+    /// for one legal history. Removing a dark edge bumps the shrink epoch.
+    pub fn remove_edge(&mut self, from: NodeId, to: NodeId) -> bool {
+        let Some((ui, pos)) = self
+            .idx(from)
+            .and_then(|ui| Some((ui, self.find_out(ui, to).ok()?)))
+        else {
+            return false;
+        };
+        if self.out[ui as usize][pos].1.is_dark() {
+            self.shrink_epoch += 1;
+            self.dark_adds.clear();
+        }
+        self.unlink(ui, pos, from);
+        true
     }
 
     fn transition(
@@ -847,6 +873,28 @@ mod tests {
         g.create_grey(n(1), n(0)).unwrap();
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.colour(n(1), n(0)), Some(EdgeColour::Grey));
+    }
+
+    #[test]
+    fn remove_edge_ignores_the_axioms_and_keeps_both_indexes() {
+        // A black 3-cycle: every head is blocked, so no edge may whiten.
+        let mut g = WaitForGraph::new();
+        for (a, b) in [(0, 1), (1, 2), (2, 0)] {
+            g.create_grey(n(a), n(b)).unwrap();
+            g.blacken(n(a), n(b)).unwrap();
+        }
+        assert!(g.whiten(n(0), n(1)).is_err());
+        let v = g.version();
+        assert!(g.remove_edge(n(0), n(1)));
+        assert!(!g.remove_edge(n(0), n(1)), "already gone");
+        assert!(!g.remove_edge(n(7), n(0)), "never interned");
+        assert_eq!(g.version(), v + 1);
+        assert_eq!(g.edge_count(), 2);
+        assert_eq!(g.in_edges(n(1)).count(), 0);
+        assert_eq!(g.out_degree(n(0)), 0);
+        // The same edge can come back, as a fresh grey one.
+        g.create_grey(n(0), n(1)).unwrap();
+        assert_eq!(g.colour(n(0), n(1)), Some(EdgeColour::Grey));
     }
 
     #[test]

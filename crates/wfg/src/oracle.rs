@@ -848,6 +848,26 @@ mod tests {
     }
 
     #[test]
+    fn oracle_recovers_after_remove_edge() {
+        let mut g = WaitForGraph::new();
+        let mut o = Oracle::new();
+        for (a, b) in [(0, 1), (1, 0), (1, 2), (2, 1)] {
+            g.create_grey(n(a), n(b)).unwrap();
+        }
+        assert_eq!(o.dark_cycle_members(&g).len(), 3);
+        // Both heads are blocked: only the axiom-free removal can do this.
+        assert!(g.remove_edge(n(2), n(1)));
+        assert_eq!(
+            *o.dark_cycle_members(&g),
+            [n(0), n(1)].into_iter().collect()
+        );
+        // Additions after the removal extend the recomputed memo.
+        g.create_grey(n(2), n(0)).unwrap();
+        assert_eq!(*o.dark_cycle_members(&g), dark_cycle_members(&g));
+        assert_eq!(o.dark_cycle_members(&g).len(), 3);
+    }
+
+    #[test]
     fn oracle_recovers_after_whiten() {
         let mut g = WaitForGraph::new();
         let mut o = Oracle::new();

@@ -445,3 +445,59 @@ fn batched_workload_drains_over_a_faulty_wire() {
     let report = db.verify_liveness().unwrap();
     assert!(report.classes.is_empty(), "all transactions terminal");
 }
+
+/// The benchmark's contended transaction shape (`ddb_resolve`,
+/// `svc_contended`), every field spelled out.
+fn contended_shape(sites: usize, transactions: usize, seed: u64) -> DdbWorkloadConfig {
+    DdbWorkloadConfig {
+        sites,
+        transactions,
+        resources_per_site: 4,
+        locks_min: 2,
+        locks_max: 3,
+        remote_prob: 0.6,
+        write_prob: 0.9,
+        work_min: 100,
+        work_max: 400,
+        mean_arrival_gap: 20,
+        ordered: false,
+        batch_prob: 0.0,
+        seed,
+    }
+}
+
+/// Stream pin for the §5 propagation under resolution. The constants were
+/// recorded at the commit *before* `cmh_ddb::wfgd` moved from `BTreeSet`s
+/// compared whole to sorted vectors compared by size: a change in how many
+/// `Wfgd` messages go out moves `ddb.wfgd.sent` directly and — every send
+/// draws its latency from the one RNG stream — everything else with it;
+/// a change in what they carry moves the `S` sets the run ends with.
+#[test]
+fn contended_resolution_stream_is_pinned() {
+    const SEED: u64 = 1;
+    let mut db = DdbNet::new(3, DdbConfig::detect_and_resolve(2_000, 500), SEED);
+    submit_all(&mut db, random_transactions(&contended_shape(3, 50, SEED)));
+    db.run_until(SimTime::from_ticks(400_000));
+    for o in db.outcomes() {
+        assert_eq!(o.status, TxnStatus::Committed, "{} did not drain", o.txn);
+    }
+    let (mut informed, mut s_edges) = (0, 0);
+    for site in (0..3).map(SiteId) {
+        let c = db.controller(site);
+        for txn in c.wfgd_informed() {
+            informed += 1;
+            s_edges += c.deadlocked_portion(txn).len();
+        }
+    }
+    let m = db.metrics();
+    let got = [
+        m.get(simnet::metrics::builtin::EVENTS),
+        m.get(counters::WFGD_SENT),
+        m.get(counters::PROBE_SENT),
+        m.get(counters::DECLARED),
+        m.get(counters::RESTARTED),
+        informed,
+        s_edges as u64,
+    ];
+    assert_eq!(got, [8_568, 918, 4_571, 354, 354, 107, 48_473]);
+}

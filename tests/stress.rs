@@ -113,6 +113,51 @@ fn wide_ddb_mixed_workload_with_resolution_terminates() {
     assert_eq!(report.classes.len(), 0, "all transactions terminal");
 }
 
+/// The benchmark's contended shape at twice `ddb_resolve`'s size, all
+/// three verdicts. Under resolution the §5 `S` sets are never reset, so a
+/// message costs what the site's whole deadlock history weighs: with
+/// `BTreeSet` payloads compared whole and an agent graph rebuilt per
+/// event this input took 45 s in release, with sorted vectors and a
+/// persistent graph 1.7 s. Release `stress` job only — if the history
+/// term comes back, the job's timeout says so.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release stress job only")]
+fn ddb_contended_100_txns_verifies() {
+    const SEED: u64 = 3;
+    let wl = DdbWorkloadConfig {
+        sites: 3,
+        transactions: 100,
+        resources_per_site: 4,
+        locks_min: 2,
+        locks_max: 3,
+        remote_prob: 0.6,
+        write_prob: 0.9,
+        work_min: 100,
+        work_max: 400,
+        mean_arrival_gap: 20,
+        ordered: false,
+        batch_prob: 0.0,
+        seed: SEED,
+    };
+    let mut db = DdbNet::new(3, DdbConfig::detect_and_resolve(2_000, 500), SEED);
+    for tt in workloads::random_transactions(&wl) {
+        db.run_until(SimTime::from_ticks(tt.at));
+        db.submit(tt.txn);
+    }
+    db.run_until(SimTime::from_ticks(800_000));
+    for o in db.outcomes() {
+        assert_eq!(o.status, cmh_ddb::TxnStatus::Committed, "{} stuck", o.txn);
+    }
+    assert!(
+        db.verify_soundness().unwrap() > 0,
+        "no declarations checked"
+    );
+    db.verify_completeness().unwrap();
+    db.verify_liveness().unwrap();
+    let events = db.metrics().get(simnet::metrics::builtin::EVENTS);
+    assert_eq!(events, 86_260, "the event stream moved");
+}
+
 #[test]
 fn hundred_process_or_knot() {
     let k = 100;
