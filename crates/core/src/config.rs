@@ -2,10 +2,8 @@
 //! computations (§4.2–§4.3) and how the underlying computation serves
 //! requests.
 
-use serde::{Deserialize, Serialize};
-
 /// When a vertex starts a probe computation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InitiationPolicy {
     /// §4.2: initiate whenever an outgoing edge is added to the wait-for
     /// graph. Guarantees that the vertex whose request closes a dark cycle
@@ -26,7 +24,7 @@ pub enum InitiationPolicy {
 
 /// How the *underlying* computation (requests/replies, not deadlock
 /// detection) behaves at this process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplyPolicy {
     /// The process replies to all pending requests `service_delay` ticks
     /// after it becomes able to (it must be active — no outgoing edges —
@@ -47,7 +45,7 @@ impl Default for ReplyPolicy {
 }
 
 /// How a non-initiator treats meaningful probes (step A2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ForwardPolicy {
     /// The paper's rule: forward on the **first** meaningful probe of each
     /// computation only. This is what bounds a computation at one probe
@@ -62,7 +60,7 @@ pub enum ForwardPolicy {
 }
 
 /// Configuration for a [`crate::process::BasicProcess`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BasicConfig {
     /// Probe-computation initiation rule.
     pub initiation: InitiationPolicy,

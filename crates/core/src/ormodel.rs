@@ -34,7 +34,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
 
-use serde::{Deserialize, Serialize};
 use simnet::metrics::Metrics;
 use simnet::sim::{Context, NodeId, Process, RunOutcome, SimBuilder, Simulation, TimerId};
 use simnet::time::SimTime;
@@ -58,7 +57,7 @@ pub mod counters {
 }
 
 /// Messages of the OR model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OrMsg {
     /// An application message; receiving one from a process in the
     /// dependent set unblocks the receiver.
@@ -70,7 +69,7 @@ pub enum OrMsg {
 }
 
 /// One entry of the blocked/unblocked ground-truth journal.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OrOp {
     /// The process became blocked on the given dependent set.
     Block(NodeId, BTreeSet<NodeId>),
@@ -79,7 +78,7 @@ pub enum OrOp {
 }
 
 /// Chronological record of blocking state, for validation.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OrJournal {
     entries: Vec<(SimTime, OrOp)>,
 }

@@ -7,7 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use simnet::sim::NodeId;
 use simnet::time::SimTime;
 
@@ -24,7 +23,7 @@ use simnet::time::SimTime;
 /// assert!(new.supersedes(old));
 /// assert_eq!(new.to_string(), "(p3, 2)");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProbeTag {
     /// The vertex that started this computation.
     pub initiator: NodeId,
@@ -53,7 +52,7 @@ impl fmt::Display for ProbeTag {
 }
 
 /// Emitted when an initiator declares "I am on a black cycle" (step A1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeadlockReport {
     /// The declaring vertex (always the computation's initiator).
     pub detector: NodeId,

@@ -25,7 +25,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use serde::{Deserialize, Serialize};
 use simnet::sim::{Context, NodeId, Process, TimerId};
 use wfg::journal::{GraphOp, Journal};
 
@@ -36,7 +35,7 @@ use crate::wfgd::{EdgeSet, WfgdState};
 
 /// Messages of the basic model: the underlying computation's requests and
 /// replies, plus the detection algorithm's probes and WFGD edge sets.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BasicMsg {
     /// The sender asks the recipient to carry out an action; creates a grey
     /// edge (sender → recipient) that blackens on receipt.

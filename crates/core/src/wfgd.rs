@@ -42,7 +42,6 @@
 //! caller (in this workspace, [`crate::process::BasicProcess`]) — so the
 //! §5 rules are testable in isolation.
 
-use serde::{Deserialize, Serialize};
 use simnet::sim::NodeId;
 
 use crate::vset::{VecMap, VecSet};
@@ -69,7 +68,7 @@ pub type EdgeSet = VecSet<(NodeId, NodeId)>;
 /// assert_eq!(onward[0].0, NodeId(1));
 /// assert!(p2.known_edges().contains(&(NodeId(2), NodeId(0))));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WfgdState {
     s: EdgeSet,
     /// Cardinality of the last message sent to each predecessor (see the

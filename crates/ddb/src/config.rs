@@ -1,10 +1,8 @@
 //! Controller behaviour knobs: detection initiation (§4.2–§4.3, §6.7) and
 //! deadlock resolution (extension).
 
-use serde::{Deserialize, Serialize};
-
 /// When a controller initiates probe computations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DdbInitiation {
     /// When a home-script agent blocks, start a timer of `t` ticks; if it
     /// is still blocked when the timer fires, initiate a computation for it
@@ -43,7 +41,7 @@ impl Default for DdbInitiation {
 /// The paper explicitly does not treat resolution ("the question of how
 /// deadlocks should be broken is not treated here"); this is the minimal
 /// standard scheme so the workloads can make progress end-to-end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Resolution {
     /// Report only; the deadlocked transactions stay blocked forever.
     #[default]
@@ -62,7 +60,7 @@ pub enum Resolution {
 pub const DEFAULT_COMP_WINDOW: u64 = 64;
 
 /// Full controller configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DdbConfig {
     /// Initiation rule.
     pub initiation: DdbInitiation,

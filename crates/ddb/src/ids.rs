@@ -7,13 +7,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use simnet::sim::NodeId;
 
 /// A transaction `T_i`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TransactionId(pub u32);
 
 impl fmt::Display for TransactionId {
@@ -24,9 +21,7 @@ impl fmt::Display for TransactionId {
 
 /// A computer/site `S_j`; its controller `C_j` is the simulation node with
 /// the same index.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SiteId(pub usize);
 
 impl SiteId {
@@ -43,7 +38,7 @@ impl fmt::Display for SiteId {
 }
 
 /// A process `(T_i, S_j)`: transaction `T_i`'s agent at site `S_j`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AgentId {
     /// The transaction the process belongs to.
     pub txn: TransactionId,
@@ -66,9 +61,7 @@ impl fmt::Display for AgentId {
 
 /// A lockable resource (file, record, …). Resources are managed by exactly
 /// one controller; which one is part of the workload definition.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ResourceId(pub u64);
 
 impl fmt::Display for ResourceId {
@@ -79,7 +72,7 @@ impl fmt::Display for ResourceId {
 
 /// Identity of a DDB probe computation: the `n`-th initiated by controller
 /// `initiator` (§6.5 tags all labels and probes of a computation `(j, n)`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DdbProbeTag {
     /// The initiating controller's site.
     pub initiator: SiteId,

@@ -23,12 +23,11 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 use cmh_core::vset::VecSet;
-use serde::{Deserialize, Serialize};
 
 use crate::ids::{ResourceId, TransactionId};
 
 /// Lock modes: shared (read) or exclusive (write).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LockMode {
     /// Read lock; compatible with other shared locks.
     Shared,
@@ -65,7 +64,7 @@ pub enum LockOutcome {
     },
 }
 
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Entry {
     holders: BTreeMap<TransactionId, LockMode>,
     queue: VecDeque<(TransactionId, LockMode)>,
@@ -97,7 +96,7 @@ impl Entry {
 /// let granted = lt.release(t1, r);
 /// assert_eq!(granted, vec![(t2, LockMode::Shared)]);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LockTable {
     entries: BTreeMap<ResourceId, Entry>,
     /// Reverse index: the resources each transaction is queued for. Keeps

@@ -5,14 +5,12 @@
 //! simulation therefore has one node per controller and these five message
 //! kinds on the wire.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{AgentId, DdbProbeTag, ResourceId, SiteId, TransactionId};
 use crate::lock::LockMode;
 use crate::wfgd::AgentEdgeSet;
 
 /// A message from one controller to another.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DdbMsg {
     /// `C_home → C_m`: transaction `txn`'s agent at the recipient should
     /// request `resource` in `mode` from its local lock table. Creates the

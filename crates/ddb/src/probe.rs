@@ -10,14 +10,13 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use simnet::time::SimTime;
 
 use crate::ids::{DdbProbeTag, SiteId, TransactionId};
 
 /// A deadlock declaration by a controller: process `(txn, site)` is on a
 /// dark cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DdbDeadlock {
     /// The declaring controller's site (also the process's site).
     pub site: SiteId,
@@ -49,7 +48,7 @@ impl fmt::Display for DdbDeadlock {
 
 /// Labelling/deduplication state of one probe computation at one
 /// controller.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompState {
     labels: BTreeSet<TransactionId>,
     sent: BTreeSet<(TransactionId, SiteId)>,

@@ -9,13 +9,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{ResourceId, SiteId, TransactionId};
 use crate::lock::LockMode;
 
 /// One lock requirement inside a step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct LockReq {
     /// Site managing the resource.
     pub site: SiteId,
@@ -26,7 +24,7 @@ pub struct LockReq {
 }
 
 /// One step of a transaction script.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TxnStep {
     /// Acquire `resource` (managed by `site`) in `mode`; blocks until
     /// granted.
@@ -65,7 +63,7 @@ pub enum TxnStep {
 ///     .lock(SiteId(1), ResourceId(20), LockMode::Shared);
 /// assert_eq!(t.steps().len(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Transaction {
     id: TransactionId,
     home: SiteId,
@@ -168,7 +166,7 @@ impl fmt::Display for Transaction {
 }
 
 /// Lifecycle of a transaction, as observed by its home controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnStatus {
     /// Executing its script.
     Running,

@@ -32,7 +32,6 @@
 use std::collections::BTreeMap;
 
 use cmh_core::vset::VecSet;
-use serde::{Deserialize, Serialize};
 
 use crate::ids::{AgentId, ResourceId, SiteId, TransactionId};
 use crate::lock::LockTable;
@@ -42,7 +41,7 @@ pub type AgentEdgeSet = VecSet<(AgentId, AgentId)>;
 
 /// An outbound inter-controller WFGD message: deliver `edges` to
 /// transaction `txn`'s process at controller `dest`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WfgdSend {
     /// Destination controller (the transaction's home site).
     pub dest: SiteId,
@@ -68,7 +67,7 @@ pub struct LocalTopology<'a> {
 /// Per-controller WFGD state: `S` sets for local processes plus the
 /// per-destination dedup of §5 ("a vertex never sends the same message
 /// twice to another vertex").
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DdbWfgdState {
     /// `S_(T, S_me)` per local transaction.
     s: BTreeMap<TransactionId, AgentEdgeSet>,

@@ -21,22 +21,12 @@ use std::time::{Duration, Instant};
 
 use cmh_ddb::config::DdbConfig;
 use cmh_ddb::ids::SiteId;
-use cmh_ddb::msg::DdbMsg;
 use cmh_ddb::snapshot::ClusterSnapshot;
-use simnet::transport::{Endpoint, ReliableConfig};
+use simnet::transport::ReliableConfig;
 
+pub use crate::core::SiteStable;
 use crate::node::{spawn_site, SiteConfig, SiteHandle, SiteReport};
 use crate::sock::Addr;
-
-/// Per-site state that survives a crash ("stable storage").
-#[derive(Debug, Default)]
-pub struct SiteStable {
-    /// Reliable endpoints, keyed by peer.
-    pub endpoints: BTreeMap<SiteId, Endpoint<DdbMsg>>,
-    /// Next local transaction ordinal — persisted so a restarted site
-    /// never re-issues an id that peers may still hold lock state for.
-    pub next_txn: u32,
-}
 
 /// The shared crash-surviving store, keyed by site.
 pub type StableStore = Arc<Mutex<BTreeMap<SiteId, SiteStable>>>;
@@ -184,7 +174,6 @@ impl Cluster {
 
     /// Sums a metric counter across all running sites.
     pub fn metric_sum(&self, reports: &[SiteReport], key: &str) -> u64 {
-        let _ = self;
         reports
             .iter()
             .flat_map(|r| r.metrics.iter())

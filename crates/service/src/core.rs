@@ -1,0 +1,444 @@
+//! The sans-IO site core: everything a detector site *decides*.
+//!
+//! [`SiteCore`] hosts the unmodified [`Controller`] inside a private
+//! deterministic simulation whose other slots are relay stubs (the
+//! gateway simulation), one reliable [`Endpoint`] per peer, the
+//! client-request tracking and the transaction-id high-water mark. It is
+//! a plain state machine: [`SiteCore::handle`] takes one decoded
+//! [`Input`], [`SiteCore::advance`] moves it to a caller-supplied
+//! microsecond clock, and both append [`Output`]s — encoded peer frames
+//! and client notifications — for the host to deliver.
+//!
+//! The core never reads a clock and owns no connection, thread or
+//! channel, so it carries no `cmh-lint` allow marker: the determinism
+//! lint, not this comment, is what proves it. Two hosts drive it — the
+//! wall-clock shell in [`crate::node`], and `tests/sim_cluster.rs`, which
+//! runs N cores as ordinary `simnet` processes under a `FaultPlan`.
+
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::rc::Rc;
+
+use cmh_ddb::config::{DdbConfig, Resolution};
+use cmh_ddb::controller::Controller;
+use cmh_ddb::ids::{SiteId, TransactionId};
+use cmh_ddb::msg::DdbMsg;
+use cmh_ddb::snapshot::SiteSnapshot;
+use cmh_ddb::txn::TxnStatus;
+use simnet::latency::LatencyModel;
+use simnet::sim::{Context, NodeId, Process, SimBuilder, Simulation, TimerId};
+use simnet::time::SimTime;
+use simnet::transport::{Endpoint, ReliableConfig};
+
+use crate::proto::{build_txn, ClientFrame, PeerFrame, ServerFrame};
+use crate::sock::Addr;
+
+/// Configuration of one site server.
+#[derive(Debug, Clone)]
+pub struct SiteConfig {
+    /// This site.
+    pub site: SiteId,
+    /// Total sites in the topology.
+    pub n_sites: usize,
+    /// Controller behaviour (detection / resolution knobs).
+    pub ddb: DdbConfig,
+    /// Seed for the site's private simulation.
+    pub seed: u64,
+    /// Duration of one virtual tick, in microseconds of the host's
+    /// clock. Virtual time is advanced to `now_us / tick_micros` on every
+    /// [`SiteCore::advance`], so controller timer periods (in ticks) map
+    /// to host time here.
+    pub tick_micros: u64,
+    /// Where every site listens; index = site. This site binds its own
+    /// entry and dials every *higher* site's entry (lower sites dial us),
+    /// giving exactly one bidirectional link per site pair.
+    pub addrs: Vec<Addr>,
+    /// Reliable-transport tuning for peer links, in **milliseconds** (the
+    /// endpoint clock is `now_us / 1000`).
+    pub reliable_ms: ReliableConfig,
+}
+
+/// Report drained from a site on snapshot/shutdown.
+#[derive(Debug, Clone)]
+pub struct SiteReport {
+    /// Controller-state snapshot for cluster-level verification.
+    pub snapshot: SiteSnapshot,
+    /// The site simulation's metric counters (probe/message/txn counts).
+    pub metrics: Vec<(String, u64)>,
+    /// Virtual time reached.
+    pub ticks: u64,
+    /// Per-peer `(peer, unacked, abandoned)` transport occupancy.
+    pub transport: Vec<(SiteId, usize, u64)>,
+}
+
+/// Per-site state that survives a crash ("stable storage").
+#[derive(Debug, Default)]
+pub struct SiteStable {
+    /// Reliable endpoints, keyed by peer.
+    pub endpoints: BTreeMap<SiteId, Endpoint<DdbMsg>>,
+    /// Next local transaction ordinal — persisted so a restarted site
+    /// never re-issues an id that peers may still hold lock state for.
+    pub next_txn: u32,
+}
+
+/// One thing that happened at the site's edge, already decoded.
+#[derive(Debug)]
+pub enum Input {
+    /// A frame from client connection `conn`.
+    Client(u64, ClientFrame),
+    /// Client connection `conn` closed: it is owed nothing further.
+    ClientGone(u64),
+    /// The link to a peer came up (dialed or accepted): it is owed our
+    /// cumulative ack and a replay of everything unacknowledged.
+    PeerUp(SiteId),
+    /// The link to a peer broke: frames for it stay in the endpoint.
+    PeerDown(SiteId),
+    /// A frame from a peer.
+    Peer(SiteId, PeerFrame),
+}
+
+/// One thing the host must deliver.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Output {
+    /// An encoded [`PeerFrame`] body for the link to this peer.
+    ToPeer(SiteId, Vec<u8>),
+    /// A notification for client connection `conn`.
+    ToClient(u64, ServerFrame),
+}
+
+/// The gateway-simulation node: the local controller in its own slot,
+/// relay stubs capturing traffic bound for every remote site.
+#[derive(Debug)]
+enum GwNode {
+    Local(Box<Controller>),
+    Relay(Rc<RefCell<Vec<(SiteId, DdbMsg)>>>),
+}
+
+impl Process<DdbMsg> for GwNode {
+    fn on_start(&mut self, ctx: &mut Context<'_, DdbMsg>) {
+        if let GwNode::Local(c) = self {
+            c.on_start(ctx);
+        }
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<'_, DdbMsg>, from: NodeId, msg: DdbMsg) {
+        match self {
+            GwNode::Local(c) => c.on_message(ctx, from, msg),
+            GwNode::Relay(outbox) => {
+                // This slot *is* the remote site: capture for the wire.
+                outbox.borrow_mut().push((SiteId(ctx.id().0), msg));
+            }
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, DdbMsg>, timer: TimerId, tag: u64) {
+        if let GwNode::Local(c) = self {
+            c.on_timer(ctx, timer, tag);
+        }
+    }
+}
+
+/// One peer: the reliable endpoint, and whether a link currently carries
+/// it. Nothing is emitted for a peer whose link is down; the endpoint
+/// keeps the payloads and the next [`Input::PeerUp`] replays them.
+#[derive(Debug)]
+struct Peer {
+    ep: Endpoint<DdbMsg>,
+    up: bool,
+}
+
+/// A submitted transaction whose client is still owed notifications.
+#[derive(Debug)]
+struct Track {
+    conn: u64,
+    req: u64,
+    granted: bool,
+    declared: bool,
+}
+
+/// The site state machine. See the module docs.
+#[derive(Debug)]
+pub struct SiteCore {
+    me: SiteId,
+    n_sites: usize,
+    tick_micros: u64,
+    /// Whether an aborted transaction restarts (so `Aborted` is not final).
+    restartable: bool,
+    sim: Simulation<DdbMsg, GwNode>,
+    outbox: Rc<RefCell<Vec<(SiteId, DdbMsg)>>>,
+    peers: BTreeMap<SiteId, Peer>,
+    inflight: BTreeMap<TransactionId, Track>,
+    next_txn: u32,
+    decl_seen: usize,
+    scratch_deliver: Vec<DdbMsg>,
+    scratch_rto: Vec<(u64, DdbMsg)>,
+}
+
+impl SiteCore {
+    /// Boots the site from its stable store: transport state and the
+    /// transaction-id high-water mark survive, everything else (lock
+    /// table, scripts, probe state) starts empty. `SiteStable::default()`
+    /// is a first boot. Every link starts down.
+    pub fn recover(cfg: &SiteConfig, mut stable: SiteStable) -> SiteCore {
+        let me = cfg.site;
+        let peers = (0..cfg.n_sites)
+            .filter(|&s| s != me.0)
+            .map(|s| {
+                let ep = stable
+                    .endpoints
+                    .remove(&SiteId(s))
+                    .unwrap_or_else(|| Endpoint::new(cfg.reliable_ms));
+                (SiteId(s), Peer { ep, up: false })
+            })
+            .collect();
+        let outbox = Rc::new(RefCell::new(Vec::new()));
+        let mut sim: Simulation<DdbMsg, GwNode> = SimBuilder::new()
+            .seed(cfg.seed ^ (me.0 as u64).wrapping_mul(0x9e3779b97f4a7c15))
+            .latency(LatencyModel::Fixed { ticks: 1 })
+            .build();
+        for s in 0..cfg.n_sites {
+            sim.add_node(if s == me.0 {
+                GwNode::Local(Box::new(Controller::new(me, cfg.ddb)))
+            } else {
+                GwNode::Relay(Rc::clone(&outbox))
+            });
+        }
+        SiteCore {
+            me,
+            n_sites: cfg.n_sites,
+            tick_micros: cfg.tick_micros,
+            restartable: matches!(
+                cfg.ddb.resolution,
+                Resolution::AbortSubject {
+                    restart_backoff: Some(_)
+                }
+            ),
+            sim,
+            outbox,
+            peers,
+            inflight: BTreeMap::new(),
+            next_txn: stable.next_txn,
+            decl_seen: 0,
+            scratch_deliver: Vec::new(),
+            scratch_rto: Vec::new(),
+        }
+    }
+
+    /// What must survive a crash; everything else is dropped with `self`.
+    pub fn into_stable(self) -> SiteStable {
+        SiteStable {
+            endpoints: self.peers.into_iter().map(|(p, l)| (p, l.ep)).collect(),
+            next_txn: self.next_txn,
+        }
+    }
+
+    /// Applies one input. Inputs carry no time: effects inside the
+    /// gateway simulation happen at the virtual time the last
+    /// [`SiteCore::advance`] reached.
+    pub fn handle(&mut self, input: Input, out: &mut Vec<Output>) {
+        let my_slot = NodeId(self.me.0);
+        match input {
+            Input::Client(conn, ClientFrame::Submit { req, steps }) => {
+                let tid = TransactionId(self.me.0 as u32 + self.next_txn * self.n_sites as u32);
+                self.next_txn += 1;
+                let txn = build_txn(tid, self.me, &steps);
+                self.inflight.insert(
+                    tid,
+                    Track {
+                        conn,
+                        req,
+                        granted: false,
+                        declared: false,
+                    },
+                );
+                self.sim.with_node(my_slot, |n, ctx| {
+                    if let GwNode::Local(c) = n {
+                        c.start_txn(ctx, txn);
+                    }
+                });
+            }
+            Input::ClientGone(conn) => self.inflight.retain(|_, t| t.conn != conn),
+            Input::PeerUp(p) => {
+                let Some(peer) = self.peers.get_mut(&p) else {
+                    return;
+                };
+                peer.up = true;
+                let next = peer.ep.ack_owed();
+                out.push(Output::ToPeer(p, PeerFrame::Ack { next }.encode()));
+                for (seq, msg) in peer.ep.unacked() {
+                    out.push(Output::ToPeer(p, PeerFrame::encode_data(seq, msg)));
+                }
+            }
+            Input::PeerDown(p) => {
+                if let Some(peer) = self.peers.get_mut(&p) {
+                    peer.up = false;
+                }
+            }
+            // The host's handshake consumed the first `Hello`; a repeat
+            // says nothing new.
+            Input::Client(_, ClientFrame::Hello) | Input::Peer(_, PeerFrame::Hello { .. }) => {}
+            Input::Peer(p, PeerFrame::Data { seq, msg }) => {
+                let Some(peer) = self.peers.get_mut(&p) else {
+                    return;
+                };
+                let next = peer.ep.on_data(seq, msg, &mut self.scratch_deliver);
+                if peer.up {
+                    out.push(Output::ToPeer(p, PeerFrame::Ack { next }.encode()));
+                }
+                for m in self.scratch_deliver.drain(..) {
+                    self.sim
+                        .with_node(NodeId(p.0), |_n, ctx| ctx.send(my_slot, m));
+                }
+            }
+            Input::Peer(p, PeerFrame::Ack { next }) => {
+                if let Some(peer) = self.peers.get_mut(&p) {
+                    peer.ep.on_ack(next);
+                }
+            }
+            // A remote controller declared one of our home transactions.
+            Input::Peer(_, PeerFrame::Declare { txn }) => self.notify_declared(txn, out),
+        }
+    }
+
+    /// Moves the site to `now_us`: runs the gateway simulation up to the
+    /// matching virtual tick, ships what the controller sent through the
+    /// endpoints, polls retransmissions, and emits the client
+    /// notifications and declaration forwards that fell out.
+    pub fn advance(&mut self, now_us: u64, out: &mut Vec<Output>) {
+        let target = SimTime::from_ticks(now_us / self.tick_micros);
+        if target > self.sim.now() {
+            let _ = self.sim.run_until(target);
+        }
+        let now_ms = now_us / 1000;
+
+        let pending: Vec<(SiteId, DdbMsg)> = self.outbox.borrow_mut().drain(..).collect();
+        for (dest, msg) in pending {
+            let peer = self.peers.get_mut(&dest).expect("one relay slot per peer");
+            if peer.up {
+                let body = PeerFrame::encode_data(peer.ep.next_seq(), &msg);
+                out.push(Output::ToPeer(dest, body));
+            }
+            peer.ep.send(now_ms, msg);
+        }
+
+        for (&p, peer) in self.peers.iter_mut() {
+            peer.ep.poll(now_ms, &mut self.scratch_rto);
+            for (seq, msg) in self.scratch_rto.drain(..) {
+                if peer.up {
+                    out.push(Output::ToPeer(p, PeerFrame::encode_data(seq, &msg)));
+                }
+            }
+        }
+
+        self.route_declarations(out);
+        self.notify_progress(out);
+    }
+
+    /// Marks `txn` declared and tells its client, once.
+    fn notify_declared(&mut self, txn: TransactionId, out: &mut Vec<Output>) {
+        if let Some(t) = self.inflight.get_mut(&txn) {
+            if !t.declared {
+                t.declared = true;
+                out.push(Output::ToClient(
+                    t.conn,
+                    ServerFrame::Declared { req: t.req },
+                ));
+            }
+        }
+    }
+
+    /// Routes the controller's new declarations. CMH declares at the site
+    /// hosting the deadlocked process's agent, which need not be the
+    /// victim's home; the home is recoverable from the id allocation
+    /// (`id = ordinal * n_sites + home`). The forward is best-effort: it
+    /// bypasses the endpoint, so a link that is down loses it.
+    fn route_declarations(&mut self, out: &mut Vec<Output>) {
+        let all = local_controller(&self.sim, self.me).declarations();
+        let new: Vec<TransactionId> = all[self.decl_seen..].iter().map(|d| d.txn).collect();
+        self.decl_seen = all.len();
+        for txn in new {
+            let home = SiteId(txn.0 as usize % self.n_sites);
+            if home == self.me {
+                self.notify_declared(txn, out);
+            } else if self.peers.get(&home).is_some_and(|peer| peer.up) {
+                out.push(Output::ToPeer(home, PeerFrame::Declare { txn }.encode()));
+            }
+        }
+    }
+
+    /// Emits `Granted` / `Done` for tracked transactions that got there.
+    fn notify_progress(&mut self, out: &mut Vec<Output>) {
+        let c = local_controller(&self.sim, self.me);
+        let restartable = self.restartable;
+        self.inflight.retain(|&txn, t| {
+            let Some(sn) = c.script_snapshot_of(txn) else {
+                return true;
+            };
+            if !t.granted && (sn.pc >= 1 || sn.status != TxnStatus::Running) {
+                t.granted = true;
+                out.push(Output::ToClient(
+                    t.conn,
+                    ServerFrame::Granted { req: t.req },
+                ));
+            }
+            let committed = match sn.status {
+                TxnStatus::Committed => true,
+                TxnStatus::Aborted if !restartable => false,
+                _ => return true,
+            };
+            out.push(Output::ToClient(
+                t.conn,
+                ServerFrame::Done {
+                    req: t.req,
+                    committed,
+                    attempts: sn.attempts,
+                },
+            ));
+            false
+        });
+    }
+
+    /// When [`SiteCore::advance`] next has something to do — the gateway
+    /// simulation's next event or the earliest retransmission — on the
+    /// `now_us` clock. `None` when only an input can change anything.
+    pub fn next_wake_us(&mut self) -> Option<u64> {
+        let sim_due = self
+            .sim
+            .next_event_at()
+            .map(|t| t.ticks().saturating_mul(self.tick_micros));
+        let rto_due = self
+            .peers
+            .values()
+            .filter_map(|peer| peer.ep.next_due())
+            .min()
+            .map(|ms| ms.saturating_mul(1000));
+        sim_due.into_iter().chain(rto_due).min()
+    }
+
+    /// A snapshot of controller state, counters and transport occupancy.
+    pub fn report(&self) -> SiteReport {
+        SiteReport {
+            snapshot: SiteSnapshot::capture(local_controller(&self.sim, self.me)),
+            metrics: self
+                .sim
+                .metrics()
+                .iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+            ticks: self.sim.now().ticks(),
+            transport: self
+                .peers
+                .iter()
+                .map(|(&p, l)| (p, l.ep.in_flight(), l.ep.abandoned()))
+                .collect(),
+        }
+    }
+}
+
+/// Borrows the local controller out of the gateway simulation.
+fn local_controller(sim: &Simulation<DdbMsg, GwNode>, me: SiteId) -> &Controller {
+    match sim.node(NodeId(me.0)) {
+        GwNode::Local(c) => c,
+        GwNode::Relay(_) => unreachable!("own slot is always Local"),
+    }
+}

@@ -8,39 +8,39 @@
 //!
 //! ## Architecture (DESIGN.md §14)
 //!
-//! Each site server hosts the **unmodified** [`cmh_ddb::controller::Controller`]
-//! inside a single-node-scoped deterministic simulation (`simnet::sim`):
-//! the controller occupies its own slot, and every remote site is a relay
-//! stub that captures outbound messages into an outbox. The drive loop
-//! maps wall-clock time onto virtual ticks (`tick_micros`), drains the
-//! outbox onto real sockets, and injects inbound peer frames back through
-//! the relay slots — so the algorithm code, its timers, and its
-//! correctness arguments carry over from the simulator verbatim.
+//! A site is a sans-IO **core** behind a socket **shell**. The core
+//! ([`core::SiteCore`]) hosts the **unmodified**
+//! [`cmh_ddb::controller::Controller`] inside a private deterministic
+//! simulation (`simnet::sim`) whose other slots are relay stubs, so the
+//! algorithm code, its timers and its correctness arguments carry over
+//! from the simulator verbatim. Around it the core keeps one reliable
+//! [`simnet::transport::Endpoint`] per peer, the client-request tracking
+//! and the transaction-id high-water mark. Decoded frames and a
+//! microsecond clock go in, encoded frames come out; it touches no
+//! socket, thread or wall clock, which is why `tests/sim_cluster.rs` can
+//! run it under the simulator's fault injector.
 //!
-//! Peer links speak the substrate-generic reliable transport
-//! ([`simnet::transport::Endpoint`]): per-direction sequence numbers,
-//! cumulative acks, capped-backoff retransmission, dup suppression and
-//! resequencing. Transport state lives in a *stable store* owned by the
+//! The shell ([`node`]) accepts, dials, reads, writes and sleeps. What
+//! survives a crash ([`core::SiteStable`]) parks in a store owned by the
 //! cluster ([`cluster::Cluster`]), so killing a site server loses only
-//! volatile controller state — exactly the crash model the simulator's
-//! fault layer implements — and a restarted site replays unacknowledged
-//! frames from where it left off.
+//! volatile controller state — the crash model of the simulator's fault
+//! layer — and a restarted site replays unacknowledged frames.
 //!
-//! The wire format is hand-rolled ([`wire`], [`proto`]): the vendored
-//! `serde` is a no-op shim, so frames are length-prefixed little-endian
+//! The wire format ([`wire`], [`proto`]) is length-prefixed little-endian
 //! binary with explicit tag bytes, reassembled by an incremental
 //! [`wire::FrameReader`] that rejects malformed lengths.
 //!
-//! Experiment E14 (`exp_service`) measures the
-//! stack end-to-end on loopback: sustained requests/sec, request→grant
-//! and request→Declare latency quantiles, probe overhead per detected
-//! deadlock, and time-to-recovery across a controller kill/restart.
+//! Experiment E14 (`exp_service`) measures the stack end-to-end on
+//! loopback: sustained requests/sec, request→grant and request→Declare
+//! latency quantiles, probe overhead per detected deadlock, and
+//! time-to-recovery across a controller kill/restart.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod cluster;
+pub mod core;
 pub mod loadgen;
 pub mod node;
 pub mod proto;

@@ -21,6 +21,7 @@
 // multi-thread site topology from worker threads.
 
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -30,7 +31,6 @@ use cmh_ddb::txn::{Transaction, TxnStep};
 
 use crate::proto::{ClientFrame, ServerFrame};
 use crate::sock::{Addr, Sock};
-use crate::wire::FrameReader;
 
 /// One transaction to submit.
 #[derive(Debug, Clone)]
@@ -199,47 +199,22 @@ pub fn probe_until_commit(addr: &Addr, deadline: Duration) -> Option<u64> {
     None
 }
 
-struct Pending {
-    submit_us: u64,
-}
-
-/// Connects, says hello, and spawns the reader thread.
+/// Connects, says hello, and spawns the reader thread, which feeds
+/// decoded frames back until the stream ends or one fails to decode.
 fn open_session(addr: &Addr) -> Option<(Sock, mpsc::Receiver<ServerFrame>)> {
     let mut sock = Sock::connect(addr).ok()?;
     sock.send_frame(&ClientFrame::Hello.encode()).ok()?;
-    let reader = sock.try_clone().ok()?;
+    let mut reader = sock.try_clone().ok()?;
     let (tx, rx) = mpsc::channel();
+    let on_frame = move |body: &[u8]| match ServerFrame::decode(body).map(|f| tx.send(f)) {
+        Ok(Ok(())) => ControlFlow::Continue(()),
+        _ => ControlFlow::Break(()),
+    };
     thread::Builder::new()
         .name("load-rd".into())
-        .spawn(move || read_server_frames(reader, tx))
+        .spawn(move || reader.pump(on_frame))
         .ok()?;
     Some((sock, rx))
-}
-
-fn read_server_frames(mut sock: Sock, tx: mpsc::Sender<ServerFrame>) {
-    let mut reader = FrameReader::new();
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        let n = match sock.read_some(&mut buf) {
-            Ok(0) | Err(_) => return,
-            Ok(n) => n,
-        };
-        reader.push(&buf[..n]);
-        loop {
-            match reader.next_frame() {
-                Ok(Some(body)) => match ServerFrame::decode(&body) {
-                    Ok(f) => {
-                        if tx.send(f).is_err() {
-                            return;
-                        }
-                    }
-                    Err(_) => return,
-                },
-                Ok(None) => break,
-                Err(_) => return,
-            }
-        }
-    }
 }
 
 fn site_worker(
@@ -250,7 +225,8 @@ fn site_worker(
     deadline_at: Instant,
 ) -> LoadReport {
     let mut report = LoadReport::default();
-    let mut pending: BTreeMap<u64, Pending> = BTreeMap::new();
+    // Outstanding requests: req → submit time, µs since `started`.
+    let mut pending: BTreeMap<u64, u64> = BTreeMap::new();
     let mut next_req: u64 = 1;
     let mut idx = 0usize;
 
@@ -298,12 +274,7 @@ fn site_worker(
                 wrote_err = true;
                 break;
             }
-            pending.insert(
-                req,
-                Pending {
-                    submit_us: started.elapsed().as_micros() as u64,
-                },
-            );
+            pending.insert(req, started.elapsed().as_micros() as u64);
             report.submitted += 1;
             report.lock_requests += job.lock_requests();
             idx += 1;
@@ -346,22 +317,13 @@ fn site_worker(
             report.lost += pending.len();
             pending.clear();
             sock.shutdown();
-            match open_session(&addr) {
-                Some((s, r)) => {
-                    sock = s;
-                    rx = r;
-                }
-                None => {
-                    thread::sleep(Duration::from_millis(50));
-                    match open_session(&addr) {
-                        Some((s, r)) => {
-                            sock = s;
-                            rx = r;
-                        }
-                        None => break,
-                    }
-                }
-            }
+            let Some(session) = open_session(&addr).or_else(|| {
+                thread::sleep(Duration::from_millis(50));
+                open_session(&addr)
+            }) else {
+                break;
+            };
+            (sock, rx) = session;
         }
     }
 
@@ -373,25 +335,25 @@ fn site_worker(
 fn handle_frame(
     f: ServerFrame,
     started: Instant,
-    pending: &mut BTreeMap<u64, Pending>,
+    pending: &mut BTreeMap<u64, u64>,
     report: &mut LoadReport,
 ) {
     let now_us = started.elapsed().as_micros() as u64;
     match f {
         ServerFrame::Granted { req } => {
-            if let Some(p) = pending.get(&req) {
-                report.grant_us.push(now_us.saturating_sub(p.submit_us));
+            if let Some(submit_us) = pending.get(&req) {
+                report.grant_us.push(now_us.saturating_sub(*submit_us));
             }
         }
         ServerFrame::Declared { req } => {
-            if let Some(p) = pending.get(&req) {
-                report.declare_us.push(now_us.saturating_sub(p.submit_us));
+            if let Some(submit_us) = pending.get(&req) {
+                report.declare_us.push(now_us.saturating_sub(*submit_us));
                 report.declared += 1;
             }
         }
         ServerFrame::Done { req, committed, .. } => {
-            if let Some(p) = pending.remove(&req) {
-                report.txn_us.push(now_us.saturating_sub(p.submit_us));
+            if let Some(submit_us) = pending.remove(&req) {
+                report.txn_us.push(now_us.saturating_sub(submit_us));
                 if committed {
                     report.committed += 1;
                 } else {

@@ -1,84 +1,50 @@
-//! The site server: one detector site serving real sockets.
+//! The site server's socket shell: one [`SiteCore`] behind real sockets.
 //!
-//! Hosts the unmodified [`Controller`] inside a private deterministic
-//! simulation whose other slots are relay stubs, and bridges that
-//! simulation to the outside world: a drive loop maps wall-clock time to
-//! virtual ticks, drains controller messages onto peer sockets through
-//! the reliable [`Endpoint`] state machine, injects arrived peer frames
-//! back through the relay slots, and serves client transaction
-//! submissions with grant/Declare/Done notifications.
+//! Every decision a site makes lives in [`crate::core`]. This module only
+//! moves bytes and time: it accepts and dials connections, decodes what
+//! arrives into [`Input`]s, writes the core's [`Output`]s, reads the wall
+//! clock for [`SiteCore::advance`], sleeps until the core's next wake or
+//! the next redial, and answers the in-process control plane ([`Ctl`]).
 //!
 //! Threading (thread-per-core shape): one drive-loop thread per site owns
-//! all mutable state; every socket gets a blocking reader thread that
-//! forwards decoded frames into the drive loop's channel; writes happen
-//! only on the drive loop. Nothing here is shared mutably across threads
-//! except the crash-surviving stable store (see [`crate::cluster`]).
+//! the core and every writer half; every socket gets a blocking reader
+//! thread that forwards decoded frames into the drive loop's channel.
+//! Nothing here is shared mutably across threads except the
+//! crash-surviving stable store (see [`crate::cluster`]).
 
-// cmh-lint: allow-file(D2, D4) — the networked service is wall-clock,
-// multi-threaded code by design: it exists to measure the real system the
-// simulator models. Nothing here runs inside a deterministic experiment.
+// cmh-lint: allow-file(D2, D4) — the shell is the wall-clock,
+// multi-threaded half of the service by design; the protocol logic it
+// hosts lives in `core.rs`, which carries no marker.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use cmh_ddb::config::{DdbConfig, Resolution};
-use cmh_ddb::controller::Controller;
-use cmh_ddb::ids::{SiteId, TransactionId};
-use cmh_ddb::msg::DdbMsg;
-use cmh_ddb::snapshot::SiteSnapshot;
-use cmh_ddb::txn::TxnStatus;
-use simnet::latency::LatencyModel;
-use simnet::sim::{Context, NodeId, Process, SimBuilder, Simulation, TimerId};
-use simnet::time::SimTime;
-use simnet::transport::{Endpoint, ReliableConfig};
+use cmh_ddb::ids::SiteId;
 
-use crate::cluster::{SiteStable, StableStore};
-use crate::proto::{build_txn, ClientFrame, PeerFrame, ServerFrame};
-use crate::sock::{Addr, Listener, Sock};
-use crate::wire::FrameReader;
+use crate::cluster::StableStore;
+use crate::core::{Input, Output, SiteCore};
+pub use crate::core::{SiteConfig, SiteReport};
+use crate::proto::{ClientFrame, PeerFrame};
+use crate::sock::{Listener, Sock};
 
-/// Configuration of one site server.
-#[derive(Debug, Clone)]
-pub struct SiteConfig {
-    /// This site.
-    pub site: SiteId,
-    /// Total sites in the topology.
-    pub n_sites: usize,
-    /// Controller behaviour (detection / resolution knobs).
-    pub ddb: DdbConfig,
-    /// Seed for the site's private simulation.
-    pub seed: u64,
-    /// Wall-clock duration of one virtual tick, in microseconds. Virtual
-    /// time is advanced to `elapsed / tick_micros` on every drive-loop
-    /// pass, so controller timer periods (in ticks) map to wall time here.
-    pub tick_micros: u64,
-    /// Where every site listens; index = site. This site binds its own
-    /// entry and dials every *higher* site's entry (lower sites dial us),
-    /// giving exactly one bidirectional link per site pair.
-    pub addrs: Vec<Addr>,
-    /// Reliable-transport tuning for peer links, in **milliseconds** (the
-    /// endpoint clock on this substrate is wall millis).
-    pub reliable_ms: ReliableConfig,
-}
-
-/// Report drained from a site on snapshot/shutdown.
-#[derive(Debug, Clone)]
-pub struct SiteReport {
-    /// Controller-state snapshot for cluster-level verification.
-    pub snapshot: SiteSnapshot,
-    /// The site simulation's metric counters (probe/message/txn counts).
-    pub metrics: Vec<(String, u64)>,
-    /// Virtual time reached.
-    pub ticks: u64,
-    /// Per-peer `(peer, unacked, abandoned)` transport occupancy.
-    pub transport: Vec<(SiteId, usize, u64)>,
-}
+/// Ingress events handled per pass before the core is advanced again:
+/// bounds how far virtual time can fall behind the wall clock under a
+/// flood of frames.
+const INGRESS_BATCH: usize = 512;
+/// Shortest sleep, µs: a pass costs about this much, so waking sooner for
+/// a dense run of virtual-time events only spins.
+const MIN_SLEEP_US: u64 = 300;
+/// Longest sleep, µs: bounds what a wake source missing from
+/// [`Shell::sleep_for`] could cost in latency.
+const MAX_SLEEP_US: u64 = 20_000;
+/// Wait before dialing a peer again, µs, whether the link broke or the
+/// dial failed: long enough not to spin on a peer that is down, short
+/// against the transport's first retransmission timeout.
+const REDIAL_US: u64 = 30_000;
 
 /// Control-plane commands (in-process; the data plane is the sockets).
 #[derive(Debug)]
@@ -96,49 +62,14 @@ pub enum Ctl {
 enum Ingress {
     /// A client connection completed its `Hello` (writer half).
     ClientConn(u64, Sock),
-    /// A frame from a connected client.
-    Client(u64, ClientFrame),
-    /// Client connection closed.
-    ClientGone(u64),
     /// An inbound peer connection completed its `Hello` (writer half).
     PeerConnIn(SiteId, Sock),
-    /// A frame from a peer (either link direction).
-    Peer(SiteId, PeerFrame),
+    /// A decoded frame, or a client connection's end, in the core's terms.
+    Input(Input),
     /// A peer connection broke.
     PeerGone(SiteId),
     /// Control plane.
     Ctl(Ctl),
-}
-
-/// The gateway-simulation node: the local controller in its own slot,
-/// relay stubs capturing traffic bound for every remote site.
-enum GwNode {
-    Local(Box<Controller>),
-    Relay(Rc<RefCell<Vec<(SiteId, DdbMsg)>>>),
-}
-
-impl Process<DdbMsg> for GwNode {
-    fn on_start(&mut self, ctx: &mut Context<'_, DdbMsg>) {
-        if let GwNode::Local(c) = self {
-            c.on_start(ctx);
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, DdbMsg>, from: NodeId, msg: DdbMsg) {
-        match self {
-            GwNode::Local(c) => c.on_message(ctx, from, msg),
-            GwNode::Relay(outbox) => {
-                // This slot *is* the remote site: capture for the socket.
-                outbox.borrow_mut().push((SiteId(ctx.id().0), msg));
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, DdbMsg>, timer: TimerId, tag: u64) {
-        if let GwNode::Local(c) = self {
-            c.on_timer(ctx, timer, tag);
-        }
-    }
 }
 
 /// A running site server's control handle.
@@ -147,62 +78,39 @@ pub struct SiteHandle {
     /// The site.
     pub site: SiteId,
     ctl: mpsc::Sender<Ingress>,
-    join: Option<thread::JoinHandle<()>>,
+    join: thread::JoinHandle<()>,
 }
 
 impl SiteHandle {
-    /// Sends a control command; `false` if the site thread is gone.
-    fn ctl(&self, c: Ctl) -> bool {
-        self.ctl.send(Ingress::Ctl(c)).is_ok()
+    /// Sends a control command and waits for its reply; `None` if the
+    /// site thread is gone or does not answer in time.
+    fn ask<T>(&self, ctl: fn(mpsc::Sender<T>) -> Ctl, timeout: Duration) -> Option<T> {
+        let (tx, rx) = mpsc::channel();
+        self.ctl.send(Ingress::Ctl(ctl(tx))).ok()?;
+        rx.recv_timeout(timeout).ok()
     }
 
     /// Captures a live snapshot (None if the site is down or wedged).
     pub fn snapshot(&self, timeout: Duration) -> Option<SiteReport> {
-        let (tx, rx) = mpsc::channel();
-        if !self.ctl(Ctl::Snapshot(tx)) {
-            return None;
-        }
-        rx.recv_timeout(timeout).ok()
+        self.ask(Ctl::Snapshot, timeout)
     }
 
     /// Hard-kills the site (volatile state lost) and joins its thread.
-    pub fn crash(mut self, timeout: Duration) {
-        let (tx, rx) = mpsc::channel();
-        if self.ctl(Ctl::Crash(tx)) {
-            let _ = rx.recv_timeout(timeout);
-        }
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
+    pub fn crash(self, timeout: Duration) {
+        self.ask(Ctl::Crash, timeout);
+        let _ = self.join.join();
     }
 
     /// Clean shutdown: final report, then join.
-    pub fn shutdown(mut self, timeout: Duration) -> Option<SiteReport> {
-        let (tx, rx) = mpsc::channel();
-        let report = if self.ctl(Ctl::Shutdown(tx)) {
-            rx.recv_timeout(timeout).ok()
-        } else {
-            None
-        };
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
+    pub fn shutdown(self, timeout: Duration) -> Option<SiteReport> {
+        let report = self.ask(Ctl::Shutdown, timeout);
+        let _ = self.join.join();
         report
     }
 }
 
-/// One peer link: the reliable endpoint plus the (at most one)
-/// bidirectional connection currently carrying it.
-struct PeerLink {
-    ep: Endpoint<DdbMsg>,
-    conn: Option<Sock>,
-    /// We dial iff the peer's site id is higher than ours.
-    we_dial: bool,
-    redial_at_ms: u64,
-}
-
 /// Spawns a site server thread. `epoch` is the cluster-wide wall-clock
-/// zero (endpoint clocks are millis since then); `stable` is the
+/// zero (the core's clock is microseconds since then); `stable` is the
 /// crash-surviving transport store.
 pub fn spawn_site(cfg: SiteConfig, epoch: Instant, stable: StableStore) -> SiteHandle {
     let (tx, rx) = mpsc::channel::<Ingress>();
@@ -215,15 +123,27 @@ pub fn spawn_site(cfg: SiteConfig, epoch: Instant, stable: StableStore) -> SiteH
     SiteHandle {
         site,
         ctl: tx,
-        join: Some(join),
+        join,
     }
 }
 
-struct Track {
-    conn: u64,
-    req: u64,
-    granted: bool,
-    declared: bool,
+/// The (at most one) bidirectional connection to a peer. The site with
+/// the lower id dials.
+#[derive(Default)]
+struct Link {
+    conn: Option<Sock>,
+    redial_at_us: u64,
+}
+
+/// The drive loop's state: the core plus the sockets it talks through.
+struct Shell {
+    cfg: SiteConfig,
+    epoch: Instant,
+    tx: mpsc::Sender<Ingress>,
+    core: SiteCore,
+    links: BTreeMap<SiteId, Link>,
+    clients: BTreeMap<u64, Sock>,
+    out: Vec<Output>,
 }
 
 fn run_site(
@@ -234,477 +154,216 @@ fn run_site(
     tx: mpsc::Sender<Ingress>,
 ) {
     let me = cfg.site;
-    let my_slot = NodeId(me.0);
-
-    // Resurrect transport state and the txn-id high-water mark ("stable
-    // storage"); first boot gets fresh state.
-    let recovered: SiteStable = stable
+    let recovered = stable
         .lock()
         .expect("stable store")
         .remove(&me)
         .unwrap_or_default();
-    let mut next_txn: u32 = recovered.next_txn;
-    let mut recovered_eps = recovered.endpoints;
-    let mut peers: BTreeMap<SiteId, PeerLink> = (0..cfg.n_sites)
-        .filter(|&s| s != me.0)
-        .map(|s| {
-            let p = SiteId(s);
-            let ep = recovered_eps
-                .remove(&p)
-                .unwrap_or_else(|| Endpoint::new(cfg.reliable_ms));
-            (
-                p,
-                PeerLink {
-                    ep,
-                    conn: None,
-                    we_dial: p.0 > me.0,
-                    redial_at_ms: 0,
-                },
-            )
-        })
-        .collect();
-
-    // The gateway simulation: our controller + relay stubs.
-    let outbox: Rc<RefCell<Vec<(SiteId, DdbMsg)>>> = Rc::new(RefCell::new(Vec::new()));
-    let mut sim: Simulation<DdbMsg, GwNode> = SimBuilder::new()
-        .seed(cfg.seed ^ (me.0 as u64).wrapping_mul(0x9e3779b97f4a7c15))
-        .latency(LatencyModel::Fixed { ticks: 1 })
-        .build();
-    for s in 0..cfg.n_sites {
-        if s == me.0 {
-            sim.add_node(GwNode::Local(Box::new(Controller::new(me, cfg.ddb))));
-        } else {
-            sim.add_node(GwNode::Relay(Rc::clone(&outbox)));
-        }
-    }
-
-    // Listener + accept thread.
+    let listener = Listener::bind(&cfg.addrs[me.0])
+        .unwrap_or_else(|e| panic!("site {} cannot bind {:?}: {e}", me.0, cfg.addrs[me.0]));
     let stop = Arc::new(AtomicBool::new(false));
-    let listener = match Listener::bind(&cfg.addrs[me.0]) {
-        Ok(l) => l,
-        Err(e) => panic!("site {} cannot bind {:?}: {e}", me.0, cfg.addrs[me.0]),
+    let accept_join = spawn_accept_loop(listener, Arc::clone(&stop), tx.clone());
+
+    let mut shell = Shell {
+        core: SiteCore::recover(&cfg, recovered),
+        links: (0..cfg.n_sites)
+            .filter(|&s| s != me.0)
+            .map(|s| (SiteId(s), Link::default()))
+            .collect(),
+        clients: BTreeMap::new(),
+        out: Vec::new(),
+        cfg,
+        epoch,
+        tx,
     };
-    let accept_join = spawn_accept_loop(
-        listener,
-        Arc::clone(&stop),
-        tx.clone(),
-        Arc::new(AtomicU64::new(1)),
-    );
+    let exit = shell.serve(&rx);
 
-    let mut clients: BTreeMap<u64, Sock> = BTreeMap::new();
-    let mut inflight: BTreeMap<TransactionId, Track> = BTreeMap::new();
-    let mut decl_seen = 0usize;
-    let restartable = matches!(
-        cfg.ddb.resolution,
-        Resolution::AbortSubject {
-            restart_backoff: Some(_)
-        }
-    );
-    let mut scratch_deliver: Vec<DdbMsg> = Vec::new();
-    let mut scratch_rto: Vec<(u64, DdbMsg)> = Vec::new();
-
-    let teardown =
-        |peers: BTreeMap<SiteId, PeerLink>, clients: &mut BTreeMap<u64, Sock>, next_txn: u32| {
-            stop.store(true, Ordering::SeqCst);
-            for c in clients.values() {
-                c.shutdown();
-            }
-            let mut endpoints = BTreeMap::new();
-            for (p, link) in peers {
-                if let Some(c) = &link.conn {
-                    c.shutdown();
-                }
-                endpoints.insert(p, link.ep);
-            }
-            stable.lock().expect("stable store").insert(
-                me,
-                SiteStable {
-                    endpoints,
-                    next_txn,
-                },
-            );
-        };
-
-    loop {
-        // --- 1. sleep until something needs doing ---
-        let now_us = epoch.elapsed().as_micros() as u64;
-        let now_ms = now_us / 1000;
-        let mut wake_us: u64 = 20_000;
-        if let Some(t) = sim.next_event_at() {
-            let due_us = t.ticks().saturating_mul(cfg.tick_micros);
-            wake_us = wake_us.min(due_us.saturating_sub(now_us));
-        }
-        for link in peers.values() {
-            if let Some(due_ms) = link.ep.next_due() {
-                wake_us = wake_us.min(due_ms.saturating_sub(now_ms).saturating_mul(1000));
-            }
-            if link.we_dial && link.conn.is_none() {
-                wake_us = wake_us.min(
-                    link.redial_at_ms
-                        .saturating_sub(now_ms)
-                        .saturating_mul(1000),
-                );
-            }
-        }
-        let wake = Duration::from_micros(wake_us.max(300));
-
-        let mut quit: Option<Option<mpsc::Sender<SiteReport>>> = None;
-        let mut budget = 512;
-        let mut first = match rx.recv_timeout(wake) {
-            Ok(ev) => Some(ev),
-            Err(mpsc::RecvTimeoutError::Timeout) => None,
-            Err(mpsc::RecvTimeoutError::Disconnected) => return,
-        };
-        while let Some(ev) = first.take() {
-            match ev {
-                Ingress::ClientConn(id, sock) => {
-                    clients.insert(id, sock);
-                }
-                Ingress::Client(id, ClientFrame::Hello) => {
-                    let _ = id;
-                }
-                Ingress::Client(id, ClientFrame::Submit { req, steps }) => {
-                    let tid = TransactionId(me.0 as u32 + next_txn * cfg.n_sites as u32);
-                    next_txn += 1;
-                    let txn = build_txn(tid, me, &steps);
-                    inflight.insert(
-                        tid,
-                        Track {
-                            conn: id,
-                            req,
-                            granted: false,
-                            declared: false,
-                        },
-                    );
-                    sim.with_node(my_slot, |n, ctx| {
-                        if let GwNode::Local(c) = n {
-                            c.start_txn(ctx, txn);
-                        }
-                    });
-                }
-                Ingress::ClientGone(id) => {
-                    clients.remove(&id);
-                }
-                Ingress::PeerConnIn(p, sock) => {
-                    if let Some(link) = peers.get_mut(&p) {
-                        if let Some(old) = link.conn.take() {
-                            old.shutdown();
-                        }
-                        link.conn = Some(sock);
-                        greet_link(link, epoch);
-                    }
-                }
-                Ingress::Peer(p, PeerFrame::Hello { .. }) => {
-                    let _ = p; // handshake is handled by the reader thread
-                }
-                Ingress::Peer(p, PeerFrame::Data { seq, msg }) => {
-                    if let Some(link) = peers.get_mut(&p) {
-                        scratch_deliver.clear();
-                        link.ep.on_data(seq, msg, &mut scratch_deliver);
-                        let ack = PeerFrame::Ack {
-                            next: link.ep.ack_owed(),
-                        };
-                        write_link(link, &ack.encode(), epoch);
-                        for m in scratch_deliver.drain(..) {
-                            sim.with_node(NodeId(p.0), |_n, ctx| ctx.send(my_slot, m));
-                        }
-                    }
-                }
-                Ingress::Peer(p, PeerFrame::Ack { next }) => {
-                    if let Some(link) = peers.get_mut(&p) {
-                        link.ep.on_ack(next);
-                    }
-                }
-                Ingress::Peer(_, PeerFrame::Declare { txn }) => {
-                    // A remote controller declared one of our home
-                    // transactions: notify the submitting client.
-                    if let Some(t) = inflight.get_mut(&txn) {
-                        if !t.declared {
-                            t.declared = true;
-                            if let Some(sock) = clients.get_mut(&t.conn) {
-                                let f = ServerFrame::Declared { req: t.req };
-                                if sock.send_frame(&f.encode()).is_err() {
-                                    clients.remove(&t.conn);
-                                }
-                            }
-                        }
-                    }
-                }
-                Ingress::PeerGone(p) => {
-                    if let Some(link) = peers.get_mut(&p) {
-                        if let Some(c) = link.conn.take() {
-                            c.shutdown();
-                        }
-                        link.redial_at_ms = epoch.elapsed().as_millis() as u64 + 30;
-                    }
-                }
-                Ingress::Ctl(Ctl::Snapshot(reply)) => {
-                    let _ = reply.send(site_report(&sim, my_slot, &peers));
-                }
-                Ingress::Ctl(Ctl::Crash(reply)) => {
-                    teardown(peers, &mut clients, next_txn);
-                    let _ = reply.send(());
-                    let _ = accept_join.join();
-                    return;
-                }
-                Ingress::Ctl(Ctl::Shutdown(reply)) => {
-                    quit = Some(Some(reply));
-                }
-            }
-            budget -= 1;
-            if budget == 0 {
-                break;
-            }
-            first = rx.try_recv().ok();
-        }
-        if let Some(reply) = quit {
-            if let Some(reply) = reply {
-                let _ = reply.send(site_report(&sim, my_slot, &peers));
-            }
-            teardown(peers, &mut clients, next_txn);
-            let _ = accept_join.join();
-            return;
-        }
-
-        // --- 2. advance virtual time to the wall clock ---
-        let now_us = epoch.elapsed().as_micros() as u64;
-        let now_ms = now_us / 1000;
-        let target = SimTime::from_ticks(now_us / cfg.tick_micros);
-        if target > sim.now() {
-            let _ = sim.run_until(target);
-        }
-
-        // --- 3. ship captured controller traffic to peers ---
-        let pending: Vec<(SiteId, DdbMsg)> = outbox.borrow_mut().drain(..).collect();
-        for (dest, msg) in pending {
-            if let Some(link) = peers.get_mut(&dest) {
-                let seq = link.ep.next_seq();
-                let body = PeerFrame::Data {
-                    seq,
-                    msg: msg.clone(),
-                }
-                .encode();
-                link.ep.send(now_ms, msg);
-                write_link(link, &body, epoch);
-            }
-        }
-
-        // --- 4. retransmissions + redials ---
-        for (_, link) in peers.iter_mut() {
-            scratch_rto.clear();
-            link.ep.poll(now_ms, &mut scratch_rto);
-            for (seq, msg) in scratch_rto.drain(..) {
-                let body = PeerFrame::Data { seq, msg }.encode();
-                write_link(link, &body, epoch);
-            }
-        }
-        let to_dial: Vec<SiteId> = peers
-            .iter()
-            .filter(|(_, l)| l.we_dial && l.conn.is_none() && now_ms >= l.redial_at_ms)
-            .map(|(&p, _)| p)
-            .collect();
-        for p in to_dial {
-            let link = peers.get_mut(&p).expect("dialable peer");
-            dial_link(me, p, link, &cfg, epoch, &tx);
-        }
-
-        // --- 5. client notifications ---
-        let decls: Vec<TransactionId> = {
-            let c = local_controller(&sim, my_slot);
-            let all = c.declarations();
-            let new = all[decl_seen..].iter().map(|d| d.txn).collect();
-            decl_seen = all.len();
-            new
-        };
-        let mut notes: Vec<(u64, ServerFrame)> = Vec::new();
-        for txn in decls {
-            // CMH declares at the site hosting the deadlocked process's
-            // agent, which need not be the victim's home. Route the
-            // notification to the home site (recoverable from our id
-            // allocation: id = ordinal * n_sites + home).
-            let home = txn.0 as usize % cfg.n_sites;
-            if home == me.0 {
-                if let Some(t) = inflight.get_mut(&txn) {
-                    if !t.declared {
-                        t.declared = true;
-                        notes.push((t.conn, ServerFrame::Declared { req: t.req }));
-                    }
-                }
-            } else if let Some(link) = peers.get_mut(&SiteId(home)) {
-                let body = PeerFrame::Declare { txn }.encode();
-                write_link(link, &body, epoch);
-            }
-        }
-        let mut finished: Vec<TransactionId> = Vec::new();
-        {
-            let c = local_controller(&sim, my_slot);
-            for (&txn, t) in inflight.iter_mut() {
-                let Some(sn) = c.script_snapshot_of(txn) else {
-                    continue;
-                };
-                if !t.granted && (sn.pc >= 1 || sn.status != TxnStatus::Running) {
-                    t.granted = true;
-                    notes.push((t.conn, ServerFrame::Granted { req: t.req }));
-                }
-                let done = match sn.status {
-                    TxnStatus::Committed => Some(true),
-                    TxnStatus::Aborted if !restartable => Some(false),
-                    _ => None,
-                };
-                if let Some(committed) = done {
-                    notes.push((
-                        t.conn,
-                        ServerFrame::Done {
-                            req: t.req,
-                            committed,
-                            attempts: sn.attempts,
-                        },
-                    ));
-                    finished.push(txn);
-                }
-            }
-        }
-        for txn in finished {
-            inflight.remove(&txn);
-        }
-        for (conn, frame) in notes {
-            if let Some(sock) = clients.get_mut(&conn) {
-                if sock.send_frame(&frame.encode()).is_err() {
-                    clients.remove(&conn);
-                }
-            }
-        }
+    if let Ctl::Shutdown(reply) = &exit {
+        let _ = reply.send(shell.core.report());
     }
+    stop.store(true, Ordering::SeqCst);
+    shell.clients.values().for_each(Sock::shutdown);
+    shell
+        .links
+        .values()
+        .flat_map(|l| &l.conn)
+        .for_each(Sock::shutdown);
+    stable
+        .lock()
+        .expect("stable store")
+        .insert(me, shell.core.into_stable());
+    if let Ctl::Crash(reply) = exit {
+        let _ = reply.send(());
+    }
+    let _ = accept_join.join();
 }
 
-/// Borrows the local controller out of the gateway simulation.
-fn local_controller(sim: &Simulation<DdbMsg, GwNode>, slot: NodeId) -> &Controller {
-    match sim.node(slot) {
-        GwNode::Local(c) => c,
-        GwNode::Relay(_) => unreachable!("own slot is always Local"),
+impl Shell {
+    fn now_us(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
     }
-}
 
-fn site_report(
-    sim: &Simulation<DdbMsg, GwNode>,
-    slot: NodeId,
-    peers: &BTreeMap<SiteId, PeerLink>,
-) -> SiteReport {
-    let c = local_controller(sim, slot);
-    SiteReport {
-        snapshot: SiteSnapshot::capture(c),
-        metrics: sim
-            .metrics()
-            .iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-        ticks: sim.now().ticks(),
-        transport: peers
-            .iter()
-            .map(|(&p, l)| (p, l.ep.in_flight(), l.ep.abandoned()))
-            .collect(),
+    /// The drive loop: sleep, ingest a batch and write what it drew,
+    /// redial, advance the core to the wall clock, write what it emitted.
+    /// Returns the `Crash` or `Shutdown` command that ended it.
+    fn serve(&mut self, rx: &mpsc::Receiver<Ingress>) -> Ctl {
+        loop {
+            // A timeout is the only error: the shell itself holds a sender.
+            let first = rx.recv_timeout(self.sleep_for()).ok();
+            for ev in first.into_iter().chain(rx.try_iter()).take(INGRESS_BATCH) {
+                if let ControlFlow::Break(exit) = self.ingest(ev) {
+                    return exit;
+                }
+            }
+            // Acks leave now: behind the advance's `Data` frames they delay every
+            // probe hop by a write and a peer wake-up (svc_contended p50 +3.5 %).
+            self.flush();
+            let now_us = self.now_us();
+            self.redial_due(now_us);
+            self.core.advance(now_us, &mut self.out);
+            self.flush();
+        }
     }
-}
 
-/// Writes one frame on a link, tearing the connection down on error (the
-/// endpoint keeps the payload; reconnect replays it).
-fn write_link(link: &mut PeerLink, body: &[u8], epoch: Instant) {
-    if let Some(sock) = link.conn.as_mut() {
-        if sock.send_frame(body).is_err() {
+    /// How long nothing needs doing: until the core's next wake or the
+    /// next redial, within the sleep bounds.
+    fn sleep_for(&mut self) -> Duration {
+        let redial = self.dialable().map(|(_, l)| l.redial_at_us).min();
+        let due = self.core.next_wake_us().into_iter().chain(redial).min();
+        let wait = due.map_or(MAX_SLEEP_US, |d| d.saturating_sub(self.now_us()));
+        Duration::from_micros(wait.clamp(MIN_SLEEP_US, MAX_SLEEP_US))
+    }
+
+    /// The links this site is responsible for bringing back up.
+    fn dialable(&self) -> impl Iterator<Item = (SiteId, &Link)> {
+        let me = self.cfg.site;
+        self.links
+            .iter()
+            .filter(move |(&p, l)| p > me && l.conn.is_none())
+            .map(|(&p, l)| (p, l))
+    }
+
+    /// Registers what an ingress event did to the sockets and hands the
+    /// core the input it amounts to; answers the control plane.
+    fn ingest(&mut self, ev: Ingress) -> ControlFlow<Ctl> {
+        let input = match ev {
+            Ingress::ClientConn(id, sock) => {
+                self.clients.insert(id, sock);
+                None
+            }
+            Ingress::Input(input) => {
+                if let Input::ClientGone(id) = input {
+                    self.clients.remove(&id);
+                }
+                Some(input)
+            }
+            Ingress::PeerConnIn(p, sock) => self.links.get_mut(&p).map(|link| {
+                if let Some(old) = link.conn.replace(sock) {
+                    old.shutdown();
+                }
+                Input::PeerUp(p)
+            }),
+            Ingress::PeerGone(p) => {
+                self.schedule_redial(p);
+                None
+            }
+            Ingress::Ctl(Ctl::Snapshot(reply)) => {
+                let _ = reply.send(self.core.report());
+                None
+            }
+            Ingress::Ctl(exit) => return ControlFlow::Break(exit),
+        };
+        if let Some(input) = input {
+            self.core.handle(input, &mut self.out);
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// Writes everything the core emitted. A failed peer write takes the
+    /// link down (the endpoint keeps the payload; reconnect replays it).
+    fn flush(&mut self) {
+        let mut out = std::mem::take(&mut self.out);
+        for o in out.drain(..) {
+            match o {
+                Output::ToPeer(p, body) => {
+                    let conn = self.links.get_mut(&p).and_then(|l| l.conn.as_mut());
+                    if conn.is_some_and(|sock| sock.send_frame(&body).is_err()) {
+                        self.schedule_redial(p);
+                    }
+                }
+                Output::ToClient(id, frame) => {
+                    let conn = self.clients.get_mut(&id);
+                    if conn.is_some_and(|sock| sock.send_frame(&frame.encode()).is_err()) {
+                        self.clients.remove(&id);
+                    }
+                }
+            }
+        }
+        out.append(&mut self.out);
+        self.out = out;
+    }
+
+    /// Takes the link to `p` down, tells the core, and (if we are the
+    /// dialing side) sets when to try again.
+    fn schedule_redial(&mut self, p: SiteId) {
+        let at = self.now_us() + REDIAL_US;
+        if let Some(link) = self.links.get_mut(&p) {
             if let Some(c) = link.conn.take() {
                 c.shutdown();
             }
-            link.redial_at_ms = epoch.elapsed().as_millis() as u64 + 30;
+            link.redial_at_us = at;
         }
+        self.core.handle(Input::PeerDown(p), &mut self.out);
     }
-}
 
-/// On any fresh connection (dialed or accepted): refresh the peer's view
-/// of our cumulative ack, then replay everything unacknowledged.
-fn greet_link(link: &mut PeerLink, epoch: Instant) {
-    let ack = PeerFrame::Ack {
-        next: link.ep.ack_owed(),
-    }
-    .encode();
-    write_link(link, &ack, epoch);
-    let replay: Vec<Vec<u8>> = link
-        .ep
-        .unacked()
-        .map(|(seq, msg)| {
-            PeerFrame::Data {
-                seq,
-                msg: msg.clone(),
-            }
-            .encode()
-        })
-        .collect();
-    for body in replay {
-        write_link(link, &body, epoch);
-    }
-}
-
-/// Dials a higher-numbered peer and starts its reader thread.
-fn dial_link(
-    me: SiteId,
-    peer: SiteId,
-    link: &mut PeerLink,
-    cfg: &SiteConfig,
-    epoch: Instant,
-    tx: &mpsc::Sender<Ingress>,
-) {
-    match Sock::connect(&cfg.addrs[peer.0]) {
-        Ok(mut sock) => {
-            let hello = PeerFrame::Hello { site: me }.encode();
-            if sock.send_frame(&hello).is_err() {
-                link.redial_at_ms = epoch.elapsed().as_millis() as u64 + 50;
-                return;
-            }
-            let reader = match sock.try_clone() {
-                Ok(r) => r,
-                Err(_) => {
-                    link.redial_at_ms = epoch.elapsed().as_millis() as u64 + 50;
-                    return;
-                }
+    /// Dials every higher-numbered peer whose link is down and due.
+    fn redial_due(&mut self, now_us: u64) {
+        let due: Vec<SiteId> = self
+            .dialable()
+            .filter(|(_, l)| now_us >= l.redial_at_us)
+            .map(|(p, _)| p)
+            .collect();
+        for p in due {
+            let me = self.cfg.site;
+            let dialed = Sock::connect(&self.cfg.addrs[p.0]).and_then(|mut sock| {
+                sock.send_frame(&PeerFrame::Hello { site: me }.encode())?;
+                Ok((sock.try_clone()?, sock))
+            });
+            let Ok((reader, sock)) = dialed else {
+                self.schedule_redial(p);
+                continue;
             };
-            let tx = tx.clone();
+            let tx = self.tx.clone();
             thread::Builder::new()
-                .name(format!("peer-rd-{}-{}", me.0, peer.0))
-                .spawn(move || read_peer_frames(reader, peer, tx))
+                .name(format!("peer-rd-{}-{}", me.0, p.0))
+                .spawn(move || read_conn(reader, Caller::Peer(p), &tx))
                 .expect("spawn peer reader");
-            link.conn = Some(sock);
-            greet_link(link, epoch);
-        }
-        Err(_) => {
-            link.redial_at_ms = epoch.elapsed().as_millis() as u64 + 50;
+            self.links.get_mut(&p).expect("dialable peer").conn = Some(sock);
+            self.core.handle(Input::PeerUp(p), &mut self.out);
         }
     }
 }
 
-/// Reads and routes frames from a peer connection until EOF/error.
-fn read_peer_frames(sock: Sock, peer: SiteId, tx: mpsc::Sender<Ingress>) {
-    read_peer_frames_with(sock, FrameReader::new(), peer, tx);
-}
-
-/// Accept loop: polls the listener, performs the first-frame handshake in
-/// a short-lived thread per connection, then hands off to the typed
-/// reader loops.
+/// Accept loop: polls the listener and gives every connection a reader
+/// thread, which starts with the first-frame handshake.
 fn spawn_accept_loop(
     listener: Listener,
     stop: Arc<AtomicBool>,
     tx: mpsc::Sender<Ingress>,
-    next_conn: Arc<AtomicU64>,
 ) -> thread::JoinHandle<()> {
     thread::Builder::new()
         .name("accept".into())
         .spawn(move || {
+            let mut next_conn = 0;
             while !stop.load(Ordering::SeqCst) {
                 match listener.accept() {
                     Ok(Some(sock)) => {
                         let tx = tx.clone();
-                        let id = next_conn.fetch_add(1, Ordering::SeqCst);
+                        next_conn += 1;
+                        let id = next_conn;
                         let _ = thread::Builder::new()
-                            .name("handshake".into())
-                            .spawn(move || handshake_and_read(sock, id, tx));
+                            .name("conn-rd".into())
+                            .spawn(move || read_conn(sock, Caller::Unknown(id), &tx));
                     }
                     Ok(None) => thread::sleep(Duration::from_millis(2)),
                     Err(_) => break,
@@ -714,137 +373,96 @@ fn spawn_accept_loop(
         .expect("spawn accept loop")
 }
 
-/// Reads the first frame to learn who connected, then runs the matching
-/// read loop.
-fn handshake_and_read(mut sock: Sock, conn_id: u64, tx: mpsc::Sender<Ingress>) {
-    let mut reader = FrameReader::new();
-    let mut buf = [0u8; 16 * 1024];
-    let first = loop {
-        let n = match sock.read_some(&mut buf) {
-            Ok(0) | Err(_) => return,
-            Ok(n) => n,
-        };
-        reader.push(&buf[..n]);
-        match reader.next_frame() {
-            Ok(Some(body)) => break body,
-            Ok(None) => continue,
-            Err(_) => return,
-        }
+/// Who is on the other end of a connection.
+#[derive(Clone, Copy)]
+enum Caller {
+    /// Accepted, first frame not yet seen; holds the id a client would get.
+    Unknown(u64),
+    Peer(SiteId),
+    Client(u64),
+}
+
+/// Reads one connection to its end, routing decoded frames into the
+/// drive loop. A dialed connection knows its caller; an accepted one
+/// learns it from the first frame (a peer or client `Hello`) and hands
+/// the drive loop the writer half. Whatever ends the stream — EOF or a
+/// frame that does not decode, in the same read as the `Hello` or a later
+/// one — the drive loop hears `PeerGone` / `ClientGone` exactly once.
+fn read_conn(mut sock: Sock, mut caller: Caller, tx: &mpsc::Sender<Ingress>) {
+    let mut writer = match caller {
+        Caller::Unknown(_) => sock.try_clone().ok(),
+        _ => None,
     };
-    if let Ok(PeerFrame::Hello { site }) = PeerFrame::decode(&first) {
-        let writer = match sock.try_clone() {
-            Ok(w) => w,
-            Err(_) => return,
-        };
-        if tx.send(Ingress::PeerConnIn(site, writer)).is_err() {
-            return;
-        }
-        // Remaining buffered frames, then the stream.
-        drain_buffered_peer(&mut reader, site, &tx);
-        read_peer_frames_with(sock, reader, site, tx);
-    } else if let Ok(ClientFrame::Hello) = ClientFrame::decode(&first) {
-        let writer = match sock.try_clone() {
-            Ok(w) => w,
-            Err(_) => return,
-        };
-        if tx.send(Ingress::ClientConn(conn_id, writer)).is_err() {
-            return;
-        }
-        drain_buffered_client(&mut reader, conn_id, &tx);
-        read_client_frames(sock, reader, conn_id, tx);
-    }
-}
-
-fn drain_buffered_peer(reader: &mut FrameReader, site: SiteId, tx: &mpsc::Sender<Ingress>) {
-    while let Ok(Some(body)) = reader.next_frame() {
-        if let Ok(f) = PeerFrame::decode(&body) {
-            if tx.send(Ingress::Peer(site, f)).is_err() {
-                return;
-            }
-        }
-    }
-}
-
-fn drain_buffered_client(reader: &mut FrameReader, conn: u64, tx: &mpsc::Sender<Ingress>) {
-    while let Ok(Some(body)) = reader.next_frame() {
-        if let Ok(f) = ClientFrame::decode(&body) {
-            if tx.send(Ingress::Client(conn, f)).is_err() {
-                return;
-            }
-        }
-    }
-}
-
-fn read_peer_frames_with(
-    mut sock: Sock,
-    mut reader: FrameReader,
-    peer: SiteId,
-    tx: mpsc::Sender<Ingress>,
-) {
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        let n = match sock.read_some(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => n,
-        };
-        reader.push(&buf[..n]);
-        loop {
-            match reader.next_frame() {
-                Ok(Some(body)) => match PeerFrame::decode(&body) {
-                    Ok(f) => {
-                        if tx.send(Ingress::Peer(peer, f)).is_err() {
-                            return;
-                        }
-                    }
-                    Err(_) => {
-                        let _ = tx.send(Ingress::PeerGone(peer));
-                        return;
-                    }
-                },
-                Ok(None) => break,
-                Err(_) => {
-                    let _ = tx.send(Ingress::PeerGone(peer));
-                    return;
+    sock.pump(|body| {
+        let ev = match caller {
+            Caller::Peer(p) => PeerFrame::decode(body)
+                .ok()
+                .map(|f| Ingress::Input(Input::Peer(p, f))),
+            Caller::Client(c) => ClientFrame::decode(body)
+                .ok()
+                .map(|f| Ingress::Input(Input::Client(c, f))),
+            Caller::Unknown(id) => writer.take().and_then(|w| {
+                if let Ok(PeerFrame::Hello { site }) = PeerFrame::decode(body) {
+                    caller = Caller::Peer(site);
+                    Some(Ingress::PeerConnIn(site, w))
+                } else if let Ok(ClientFrame::Hello) = ClientFrame::decode(body) {
+                    caller = Caller::Client(id);
+                    Some(Ingress::ClientConn(id, w))
+                } else {
+                    None
                 }
-            }
+            }),
+        };
+        match ev.map(|ev| tx.send(ev)) {
+            Some(Ok(())) => ControlFlow::Continue(()),
+            _ => ControlFlow::Break(()),
         }
-    }
-    let _ = tx.send(Ingress::PeerGone(peer));
+    });
+    let _ = match caller {
+        Caller::Peer(p) => tx.send(Ingress::PeerGone(p)),
+        Caller::Client(c) => tx.send(Ingress::Input(Input::ClientGone(c))),
+        Caller::Unknown(_) => Ok(()),
+    };
 }
 
-fn read_client_frames(
-    mut sock: Sock,
-    mut reader: FrameReader,
-    conn: u64,
-    tx: mpsc::Sender<Ingress>,
-) {
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        let n = match sock.read_some(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => n,
-        };
-        reader.push(&buf[..n]);
-        loop {
-            match reader.next_frame() {
-                Ok(Some(body)) => match ClientFrame::decode(&body) {
-                    Ok(f) => {
-                        if tx.send(Ingress::Client(conn, f)).is_err() {
-                            return;
-                        }
-                    }
-                    Err(_) => {
-                        let _ = tx.send(Ingress::ClientGone(conn));
-                        return;
-                    }
-                },
-                Ok(None) => break,
-                Err(_) => {
-                    let _ = tx.send(Ingress::ClientGone(conn));
-                    return;
-                }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::frame;
+    use std::io::Write;
+    use std::os::unix::net::UnixStream;
+
+    /// What the drive loop hears from an accepted connection fed `writes`:
+    /// one `write_all` each, then a wait for that many events — so two
+    /// writes cannot share a read. The writing end stays open throughout:
+    /// nothing heard is due to EOF.
+    fn heard(writes: &[(Vec<u8>, usize)]) -> Vec<String> {
+        let (mut ours, theirs) = UnixStream::pair().expect("socket pair");
+        let (tx, rx) = mpsc::channel();
+        let reader = thread::spawn(move || read_conn(Sock::Uds(theirs), Caller::Unknown(7), &tx));
+        let mut heard = Vec::new();
+        for (bytes, events) in writes {
+            ours.write_all(bytes).expect("write");
+            for _ in 0..*events {
+                heard.push(match rx.recv_timeout(Duration::from_secs(5)) {
+                    Ok(Ingress::PeerConnIn(p, _)) => format!("PeerConnIn({})", p.0),
+                    Ok(Ingress::PeerGone(p)) => format!("PeerGone({})", p.0),
+                    Ok(_) => "other".to_owned(),
+                    Err(e) => e.to_string(),
+                });
             }
         }
+        reader.join().expect("reader thread");
+        heard
     }
-    let _ = tx.send(Ingress::ClientGone(conn));
+
+    #[test]
+    fn undecodable_frame_tears_the_link_down_however_the_bytes_were_chunked() {
+        let hello = frame(&PeerFrame::Hello { site: SiteId(3) }.encode());
+        let bad_tag = frame(&[0x7f, 1, 2, 3]);
+        let expected = ["PeerConnIn(3)", "PeerGone(3)"];
+        let one_write = [hello.clone(), bad_tag.clone()].concat();
+        assert_eq!(heard(&[(one_write, 2)]), expected);
+        assert_eq!(heard(&[(hello, 1), (bad_tag, 1)]), expected);
+    }
 }

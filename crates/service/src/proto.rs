@@ -359,6 +359,17 @@ pub fn build_txn(id: TransactionId, home: SiteId, steps: &[TxnStep]) -> Transact
 // --- frame codecs ---
 
 impl PeerFrame {
+    /// The body of `PeerFrame::Data { seq, msg }` from a borrowed message:
+    /// the sender keeps `msg` in its retransmission buffer, so encoding
+    /// must not cost it a clone.
+    pub fn encode_data(seq: u64, msg: &DdbMsg) -> Vec<u8> {
+        let mut b = Vec::with_capacity(32);
+        put_u8(&mut b, T_PEER_DATA);
+        put_u64(&mut b, seq);
+        put_ddb_msg(&mut b, msg);
+        b
+    }
+
     /// Encodes into a fresh body buffer.
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(32);

@@ -3,16 +3,18 @@
 //!
 //! `std::net` only — no async runtime is vendored, so every connection
 //! gets a blocking reader thread (spawned by [`crate::node`] /
-//! [`crate::loadgen`], the annotated wall-clock crates' drive loops) and
-//! writes go through [`Sock::send_frame`], one `write_all` per frame.
+//! [`crate::loadgen`], the annotated wall-clock crates' drive loops)
+//! running [`Sock::pump`], the crate's one read loop, and writes go
+//! through [`Sock::send_frame`], one `write_all` per frame.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::Duration;
 
-use crate::wire::frame;
+use crate::wire::{frame, FrameReader};
 
 /// A serving or dialing address.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,6 +80,30 @@ impl Sock {
             Sock::Tcp(s) => s.read(buf),
         }
     }
+
+    /// The frame pump: reads until the stream ends, handing each complete
+    /// frame body to `on_frame`. Returns on EOF, on a read error, on a
+    /// length prefix the [`FrameReader`] rejects, or when `on_frame`
+    /// breaks — one rule for every caller: whatever cannot be decoded
+    /// ends the connection, however the bytes were chunked into reads.
+    pub fn pump(&mut self, mut on_frame: impl FnMut(&[u8]) -> ControlFlow<()>) {
+        let mut reader = FrameReader::new();
+        let mut buf = [0u8; 16 * 1024];
+        loop {
+            let n = match self.read_some(&mut buf) {
+                Ok(0) | Err(_) => return,
+                Ok(n) => n,
+            };
+            reader.push(&buf[..n]);
+            loop {
+                match reader.next_frame() {
+                    Ok(Some(body)) if on_frame(&body).is_continue() => {}
+                    Ok(None) => break,
+                    _ => return,
+                }
+            }
+        }
+    }
 }
 
 /// A bound, non-blocking listener of either flavour.
@@ -109,14 +135,6 @@ impl Listener {
                 l.set_nonblocking(true)?;
                 Ok(Listener::Tcp(l))
             }
-        }
-    }
-
-    /// The actually bound address (TCP port 0 resolves here).
-    pub fn local_addr(&self) -> io::Result<Addr> {
-        match self {
-            Listener::Uds(_, p) => Ok(Addr::Uds(p.clone())),
-            Listener::Tcp(l) => Ok(Addr::Tcp(l.local_addr()?)),
         }
     }
 

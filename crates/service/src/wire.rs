@@ -1,12 +1,11 @@
 //! Length-prefixed binary framing and codec primitives.
 //!
-//! The vendored `serde` is a no-op shim (see `vendor/README.md`), so the
-//! wire format is hand-rolled: every frame is a little-endian `u32` body
-//! length followed by the body, and bodies are built from the fixed-width
-//! primitives here. [`FrameReader`] reassembles frames from an arbitrary
-//! chunking of the byte stream — sockets deliver partial reads — and
-//! rejects malformed lengths before buffering, so a corrupt or hostile
-//! peer cannot make the reader allocate unboundedly.
+//! The wire format is hand-rolled: every frame is a little-endian `u32`
+//! body length followed by the body, and bodies are built from the
+//! fixed-width primitives here. [`FrameReader`] reassembles frames from
+//! an arbitrary chunking of the byte stream — sockets deliver partial
+//! reads — and rejects malformed lengths before buffering, so a corrupt
+//! or hostile peer cannot make the reader allocate unboundedly.
 //!
 //! Everything in this module is pure state-machine code: no sockets, no
 //! clocks, no threads. The round-trip proptests in

@@ -131,9 +131,13 @@ fn server_frame() -> impl Strategy<Value = ServerFrame> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Peer frames survive encode → decode bit-exactly.
+    /// Peer frames survive encode → decode bit-exactly, and the borrowing
+    /// `Data` encoder emits the same bytes as the owning one.
     #[test]
     fn peer_frame_roundtrips(f in peer_frame()) {
+        if let PeerFrame::Data { seq, msg } = &f {
+            prop_assert_eq!(PeerFrame::encode_data(*seq, msg), f.encode());
+        }
         prop_assert_eq!(PeerFrame::decode(&f.encode()).unwrap(), f);
     }
 

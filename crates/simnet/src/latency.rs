@@ -7,8 +7,6 @@
 //! ordered pair of nodes are delivered in the order sent, as axioms P1/P2
 //! assume).
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::DetRng;
 use crate::sim::NodeId;
 
@@ -29,7 +27,7 @@ use crate::sim::NodeId;
 /// let d = model.sample(&mut rng, NodeId(0), NodeId(1));
 /// assert!((5..=20).contains(&d));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LatencyModel {
     /// Every message takes exactly `ticks` ticks.
     Fixed {
@@ -77,7 +75,6 @@ pub enum LatencyModel {
     /// `claimed` as its floor but always samples 1 tick.
     #[cfg(test)]
     #[doc(hidden)]
-    #[serde(skip)]
     Lying {
         /// The advertised (and violated) minimum delay.
         claimed: u64,

@@ -57,8 +57,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::equeue::{EntryId, EventQueue};
 use crate::faults::{DropReason, FaultPlan, FaultState, SendFate};
 use crate::latency::LatencyModel;
@@ -129,9 +127,7 @@ impl ExploreState {
 }
 
 /// Identifies a simulated process (a vertex of the wait-for graph).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub usize);
 
 impl NodeId {

@@ -9,8 +9,6 @@
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in virtual time.
 ///
 /// # Examples
@@ -22,9 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.ticks(), 5);
 /// assert!(t > SimTime::ZERO);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

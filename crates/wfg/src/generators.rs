@@ -4,7 +4,6 @@
 //! how to realise them — as an axiom-checked [`WaitForGraph`] via
 //! [`realise_black`], or as a request schedule for a simulation.
 
-use serde::{Deserialize, Serialize};
 use simnet::rng::DetRng;
 use simnet::sim::NodeId;
 
@@ -130,7 +129,7 @@ pub fn realise_black(edges: &[(usize, usize)]) -> WaitForGraph {
 }
 
 /// Declarative topology description, used by workload configs and the
-/// experiment binaries (serde-serialisable).
+/// experiment binaries.
 ///
 /// # Examples
 ///
@@ -141,7 +140,7 @@ pub fn realise_black(edges: &[(usize, usize)]) -> WaitForGraph {
 /// assert_eq!(t.vertex_count(), 5);
 /// assert_eq!(t.edges().len(), 5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Topology {
     /// See [`cycle`].
     Cycle {

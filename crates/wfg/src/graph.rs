@@ -39,11 +39,10 @@ use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
 use simnet::sim::NodeId;
 
 /// Colour of a wait-for edge (§2.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EdgeColour {
     /// Request sent, not yet received.
     Grey,
@@ -72,7 +71,7 @@ impl fmt::Display for EdgeColour {
 }
 
 /// A directed edge with its colour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Edge {
     /// Waiting process.
     pub from: NodeId,
@@ -196,7 +195,7 @@ fn fresh_uid() -> u64 {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct WaitForGraph {
     /// `NodeId` → dense index; `BTreeMap` keeps boundary iteration in
     /// ascending `NodeId` order. Interned ids are never recycled — a vertex

@@ -15,14 +15,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use simnet::sim::NodeId;
 use simnet::time::SimTime;
 
 use crate::graph::{AxiomViolation, WaitForGraph};
 
 /// One graph mutation (always axiom-conforming once journaled).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GraphOp {
     /// G1: a grey edge appeared (a request was sent).
     CreateGrey(NodeId, NodeId),
@@ -82,7 +81,7 @@ impl fmt::Display for GraphOp {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Journal {
     entries: Vec<(SimTime, GraphOp)>,
     /// Ordering tags parallel to `entries`: the recording event's global
@@ -90,7 +89,6 @@ pub struct Journal {
     /// [`Journal::record`] appends. Same-time entries are kept sorted by
     /// this tag so concurrent recorders (the sharded simulation's
     /// threaded handler phase) produce a byte-reproducible journal.
-    #[serde(default)]
     seqs: Vec<u64>,
 }
 

@@ -6,13 +6,12 @@
 //! accuracy comparisons fair: all detectors see identical underlying
 //! computations.
 
-use serde::{Deserialize, Serialize};
 use simnet::rng::DetRng;
 use simnet::sim::NodeId;
 use simnet::time::SimTime;
 
 /// A scheduled request: at `at`, node `from` requests node `to`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestEvent {
     /// Issue time (ticks).
     pub at: u64,
@@ -23,7 +22,7 @@ pub struct RequestEvent {
 }
 
 /// A time-ordered request schedule.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Schedule {
     /// Events in non-decreasing time order.
     pub events: Vec<RequestEvent>,
@@ -32,7 +31,7 @@ pub struct Schedule {
 }
 
 /// Parameters for [`random_churn`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnConfig {
     /// Number of nodes.
     pub n: usize,

@@ -4,7 +4,6 @@
 use cmh_ddb::ids::{ResourceId, SiteId, TransactionId};
 use cmh_ddb::lock::LockMode;
 use cmh_ddb::txn::Transaction;
-use serde::{Deserialize, Serialize};
 use simnet::rng::DetRng;
 
 /// A transaction together with its submission time.
@@ -17,7 +16,7 @@ pub struct TimedTxn {
 }
 
 /// Parameters for [`random_transactions`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DdbWorkloadConfig {
     /// Number of sites.
     pub sites: usize,

@@ -1,11 +1,10 @@
 //! Workloads for the OR (communication) model: scripted knots and random
 //! block/send scenarios.
 
-use serde::{Deserialize, Serialize};
 use simnet::rng::DetRng;
 
 /// One scripted OR-model action.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OrAction {
     /// At `at`, process `who` blocks on `deps` (skipped by drivers if the
     /// process happens to be blocked already).
@@ -39,7 +38,7 @@ impl OrAction {
 }
 
 /// Parameters for [`random_or_scenario`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OrScenarioConfig {
     /// Number of processes.
     pub n: usize,

@@ -26,7 +26,7 @@
 //! | D1 | `std::collections::HashMap`/`HashSet` (randomized iteration) |
 //! | D2 | wall-clock reads (`Instant`, `SystemTime`) |
 //! | D3 | unseeded randomness (`thread_rng`, OS entropy, `RandomState`) |
-//! | D4 | threads / data parallelism outside `cmh_bench::sweep` |
+//! | D4 | threads / data parallelism outside `simnet::batch` and the sharded stepper |
 //! | D5 | `todo!` / `unimplemented!` / `dbg!` in non-test code |
 //! | D6 | crate roots missing the `forbid(unsafe_code)` + `warn(missing_docs)` header |
 //! | D7 | `summarize(` / `format!(` in simnet delivery code not gated on `Trace::is_enabled` |
@@ -59,12 +59,6 @@ use std::path::Path;
 
 use rules::Rule;
 use scan::{discover_workspace, rust_files, scan_file, FilePolicy, LintReport};
-
-/// The file (relative to the workspace root) that rule D4 exempts by
-/// definition: the one sanctioned parallelism site, `cmh_bench::sweep`
-/// and the `simnet::batch` pool it drives fan *independent, seeded,
-/// single-threaded* runs out across cores.
-pub const D4_EXEMPT: &str = "crates/bench/src/sweep.rs";
 
 /// The directory whose files rule D7 applies to: the simulator's
 /// non-test sources, i.e. the send→wire→deliver path whose steady state
@@ -106,9 +100,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
                 let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
                 let mut line_rules: Vec<Rule> =
                     vec![Rule::D1, Rule::D2, Rule::D3, Rule::D4, Rule::D5];
-                if rel == Path::new(D4_EXEMPT) {
-                    line_rules.retain(|&r| r != Rule::D4);
-                }
                 if !D9_EXEMPT.iter().any(|e| rel == Path::new(e)) {
                     line_rules.push(Rule::D9);
                 }

@@ -221,7 +221,7 @@ fn explore_json(r: &ExploreReport) -> String {
 }
 
 /// Renders the sweep as a single JSON object (hand-rolled like the lint
-/// report — the offline workspace has no serde_json).
+/// report — the offline workspace has no JSON crate).
 pub fn json(report: &MckReport) -> String {
     let mut out = String::new();
     out.push('{');

@@ -56,7 +56,7 @@ pub fn human(report: &LintReport) -> String {
 }
 
 /// Renders the report as a single JSON object. Hand-rolled emitter — the
-/// offline workspace has no serde_json; the shape is documented in
+/// offline workspace has no JSON crate; the shape is documented in
 /// DESIGN.md §10.
 pub fn json(report: &LintReport) -> String {
     let mut out = String::new();

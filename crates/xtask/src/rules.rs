@@ -28,7 +28,8 @@ pub enum Rule {
     /// No unseeded randomness (`thread_rng`, OS entropy, `RandomState`):
     /// every random draw must come from the run's seed.
     D3,
-    /// No threads (`std::thread`, `rayon`) outside `cmh_bench::sweep`:
+    /// No threads (`std::thread`, `rayon`) outside `simnet::batch` and
+    /// the sharded stepper, which carry their own audited allow markers:
     /// scheduling nondeterminism must stay out of simulation code.
     D4,
     /// No `todo!`/`unimplemented!`/`dbg!` in non-test code.
@@ -110,7 +111,7 @@ impl Rule {
             Rule::D2 => "wall-clock read (Instant/SystemTime) outside annotated real-time code",
             Rule::D3 => "unseeded randomness (thread_rng/OS entropy/RandomState)",
             Rule::D4 => {
-                "thread spawn/parallelism outside cmh_bench::sweep and the sharded sim stepper"
+                "thread spawn/parallelism outside simnet::batch and the sharded sim stepper"
             }
             Rule::D5 => "todo!/unimplemented!/dbg! in non-test code",
             Rule::D6 => "crate root missing #![forbid(unsafe_code)] / #![warn(missing_docs)]",
