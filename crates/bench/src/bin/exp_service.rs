@@ -146,17 +146,13 @@ fn ring_jobs(sites: &[usize], hold_ticks: u64) -> Vec<Job> {
         .map(|i| Job {
             site: SiteId(sites[i]),
             steps: vec![
-                TxnStep::Lock {
-                    site: SiteId(sites[i]),
-                    resource: ResourceId(0),
-                    mode: LockMode::Exclusive,
-                },
+                TxnStep::lock(SiteId(sites[i]), ResourceId(0), LockMode::Exclusive),
                 TxnStep::Work { ticks: hold_ticks },
-                TxnStep::Lock {
-                    site: SiteId(sites[(i + 1) % sites.len()]),
-                    resource: ResourceId(0),
-                    mode: LockMode::Exclusive,
-                },
+                TxnStep::lock(
+                    SiteId(sites[(i + 1) % sites.len()]),
+                    ResourceId(0),
+                    LockMode::Exclusive,
+                ),
             ],
             at_us: 0,
         })

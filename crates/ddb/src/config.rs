@@ -4,9 +4,11 @@
 /// When a controller initiates probe computations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DdbInitiation {
-    /// When a home-script agent blocks, start a timer of `t` ticks; if it
-    /// is still blocked when the timer fires, initiate a computation for it
-    /// (the §4.3 rule applied per process).
+    /// When a process blocks — a home script on a lock step, or a remote
+    /// agent queued here — start a timer of `t` ticks; if it is still in
+    /// that wait and undeclared when the timer fires, initiate for it and
+    /// start the timer again (the §4.3 rule per process: the timeout exists
+    /// so blocked processes *retry* after a lost probe).
     OnBlockDelayed {
         /// Persistence threshold before initiating.
         t: u64,
@@ -56,6 +58,17 @@ pub enum Resolution {
     },
 }
 
+impl Resolution {
+    /// The delay after which an aborted transaction restarts; `None` if
+    /// aborted transactions never come back (so `Aborted` is terminal).
+    pub fn restart_backoff(self) -> Option<u64> {
+        match self {
+            Resolution::None => None,
+            Resolution::AbortSubject { restart_backoff } => restart_backoff,
+        }
+    }
+}
+
 /// Default number of concurrent computations tracked per initiator.
 pub const DEFAULT_COMP_WINDOW: u64 = 64;
 
@@ -72,15 +85,6 @@ pub struct DdbConfig {
     /// cancels Q−1 of them — the ablation experiment E11 measures the
     /// coverage loss). Clamped to at least 1.
     pub comp_window: u64,
-    /// §4 re-initiation: under [`DdbInitiation::OnBlockDelayed`], keep
-    /// re-arming the per-process initiation check every `t` ticks for as
-    /// long as the process stays blocked, instead of checking once. A
-    /// one-shot check is complete on a reliable network (the last edge to
-    /// close the cycle always gets its own check), but a single lost probe
-    /// kills the whole computation on a lossy one — the paper's timeout
-    /// `T` exists precisely so blocked processes retry. No effect under
-    /// the periodic rules, which re-initiate by construction.
-    pub reprobe: bool,
 }
 
 impl Default for DdbConfig {
@@ -89,7 +93,6 @@ impl Default for DdbConfig {
             initiation: DdbInitiation::default(),
             resolution: Resolution::default(),
             comp_window: DEFAULT_COMP_WINDOW,
-            reprobe: false,
         }
     }
 }
@@ -99,9 +102,7 @@ impl DdbConfig {
     pub fn detect_only(period: u64) -> Self {
         DdbConfig {
             initiation: DdbInitiation::PeriodicQOpt { period },
-            resolution: Resolution::None,
-            comp_window: DEFAULT_COMP_WINDOW,
-            reprobe: false,
+            ..DdbConfig::default()
         }
     }
 
@@ -112,20 +113,13 @@ impl DdbConfig {
             resolution: Resolution::AbortSubject {
                 restart_backoff: Some(restart_backoff),
             },
-            comp_window: DEFAULT_COMP_WINDOW,
-            reprobe: false,
+            ..DdbConfig::default()
         }
     }
 
     /// Overrides the per-initiator computation window.
     pub fn with_comp_window(mut self, window: u64) -> Self {
         self.comp_window = window.max(1);
-        self
-    }
-
-    /// Enables §4 re-initiation (see [`DdbConfig::reprobe`]).
-    pub fn with_reprobe(mut self) -> Self {
-        self.reprobe = true;
         self
     }
 }

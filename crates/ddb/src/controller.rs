@@ -5,8 +5,9 @@
 //!
 //! * **lock manager** — grants/queues requests against its [`LockTable`];
 //! * **transaction driver** — executes the scripts of transactions homed
-//!   at this site, forwarding remote lock steps to the managing controller
-//!   (`RemoteRequest` / `Acquired` / `RemoteRelease`);
+//!   at this site. The one blocking step is `LockAll` (AND semantics; its
+//!   remote locks go to the managing controller as `RemoteRequest` /
+//!   `Acquired` / `RemoteRelease`) and the one wait state is [`Waiting`];
 //! * **deadlock detector** — the §6.6 probe computation: on a meaningful
 //!   probe towards local process `(T_p, S_m)`, label `T_p`'s process and
 //!   everything reachable along intra-controller edges, forward probes
@@ -14,7 +15,8 @@
 //!   computation), and declare if its own computation's subject becomes
 //!   labelled. §6.7's Q-optimisation (local-cycle check first, then one
 //!   computation per process with an incoming black inter-controller edge)
-//!   and the naive per-process rule are both available for comparison.
+//!   and the naive per-process rule are both available; `OnBlockDelayed`
+//!   gives each blocked process a §4.3 check that re-arms while it waits.
 //!
 //! ## Deviation noted (probe-computation bookkeeping)
 //!
@@ -112,56 +114,49 @@ pub mod counters {
 }
 
 const K_WORK: u64 = 0;
-const K_INIT_CHECK: u64 = 1;
+/// §4.3 check of a home script's wait; the payload is the wait's epoch.
+const K_CHECK: u64 = 1;
 const K_PERIODIC: u64 = 2;
 const K_RESTART: u64 = 3;
-/// Init-check for a *remote* agent queued in our lock table; the payload
-/// field carries the resource id instead of a script epoch.
-const K_INIT_CHECK_REMOTE: u64 = 4;
-/// §4 re-initiation: a re-armed init check for a home script (only armed
-/// under [`DdbConfig::reprobe`], after the first check found the process
-/// still blocked).
-const K_REPROBE: u64 = 5;
-/// Re-armed init check for a remote agent; payload carries the resource id.
-const K_REPROBE_REMOTE: u64 = 6;
+/// §4.3 check of a *remote* agent queued in our lock table; the payload
+/// is the low bits of the resource id it queued for.
+const K_CHECK_REMOTE: u64 = 4;
+
+// Timer tag: kind (3 bits) | re-armed flag | transaction id (all 32 bits)
+// | payload (28 bits). Epochs and resource ids compare under the payload
+// mask: a timer outlives its arming by one period, never by 2^28 waits.
+const KIND_SHIFT: u32 = 61;
+const REARMED: u64 = 1 << 60;
+const TXN_SHIFT: u32 = 28;
+const PAYLOAD_MASK: u64 = (1 << TXN_SHIFT) - 1;
 
 /// True if a controller timer with this tag can produce a deadlock
 /// declaration when it fires (the detector timer kinds). The stepping
 /// harness in [`crate::net`] uses this to decide when it needs a
 /// pre-event snapshot of the agent graph.
 pub(crate) fn timer_may_declare(tag: u64) -> bool {
-    !matches!(tag >> 56, K_WORK | K_RESTART)
+    !timer_drives_script(tag)
 }
 
 /// True if a controller timer re-drives a script when it fires (work-step
 /// completions and restart backoffs) and can therefore change the
 /// wait-for graph without declaring anything.
 pub(crate) fn timer_drives_script(tag: u64) -> bool {
-    matches!(tag >> 56, K_WORK | K_RESTART)
+    matches!(tag >> KIND_SHIFT, K_WORK | K_RESTART)
 }
 
-fn enc_timer(kind: u64, txn: TransactionId, epoch: u64) -> u64 {
-    (kind << 56) | ((txn.0 as u64 & 0xFF_FFFF) << 32) | (epoch & 0xFFFF_FFFF)
+fn enc_timer(kind: u64, txn: TransactionId, payload: u64) -> u64 {
+    (kind << KIND_SHIFT) | ((txn.0 as u64) << TXN_SHIFT) | (payload & PAYLOAD_MASK)
 }
 
-fn dec_timer(tag: u64) -> (u64, TransactionId, u64) {
+/// `(kind, re-armed, transaction, payload)` of a timer tag.
+fn dec_timer(tag: u64) -> (u64, bool, TransactionId, u64) {
     (
-        tag >> 56,
-        TransactionId(((tag >> 32) & 0xFF_FFFF) as u32),
-        tag & 0xFFFF_FFFF,
+        tag >> KIND_SHIFT,
+        tag & REARMED != 0,
+        TransactionId((tag >> TXN_SHIFT) as u32),
+        tag & PAYLOAD_MASK,
     )
-}
-
-/// What a home-script agent is currently blocked on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Waiting {
-    None,
-    Local(ResourceId),
-    Remote(SiteId, ResourceId),
-    /// AND-semantics multi-lock step: the set of `(site, resource)` grants
-    /// still outstanding (this site included for locally queued locks).
-    Multi(BTreeSet<(SiteId, ResourceId)>),
-    Work,
 }
 
 #[derive(Debug)]
@@ -170,28 +165,27 @@ struct ScriptState {
     pc: usize,
     status: TxnStatus,
     waiting: Waiting,
-    /// Bumped on every waiting-state change; timers carry the epoch they
-    /// were armed under and are ignored if it moved on.
+    /// Names one *wait*: bumped when a wait begins or ends, never on a
+    /// partial grant. Timers carry the epoch they were armed under and are
+    /// ignored if it moved on.
     epoch: u64,
     attempts: u32,
     submitted_at: SimTime,
     finished_at: Option<SimTime>,
 }
 
-/// Point-in-time wait state of one home script, as reported by
-/// [`Controller::script_snapshots`] for liveness auditing.
+/// What a home script is blocked on: its live wait state and, cloned
+/// into a [`ScriptSnapshot`], the liveness audit's view of it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WaitSnapshot {
+pub enum Waiting {
     /// Runnable (between steps); only transient under a healthy controller.
-    Ready,
+    None,
+    /// Inside a lock step (AND semantics, §6): the `(site, resource)`
+    /// grants still outstanding, this site included for locally queued
+    /// locks.
+    Locks(BTreeSet<(SiteId, ResourceId)>),
     /// Inside a `Work` step (a timer is pending).
     Work,
-    /// Queued for a local resource.
-    Local(ResourceId),
-    /// Waiting for a remote grant.
-    Remote(SiteId, ResourceId),
-    /// AND-semantics multi-lock wait: the grants still outstanding.
-    Multi(Vec<(SiteId, ResourceId)>),
 }
 
 /// Point-in-time execution state of one home script, for liveness
@@ -208,11 +202,11 @@ pub struct ScriptSnapshot {
     pub step_count: usize,
     /// Times the script was started (1 = never aborted).
     pub attempts: u32,
-    /// Progress epoch: bumped on every waiting-state change, so a stalled
+    /// Progress epoch: bumped whenever a wait begins or ends, so a stalled
     /// epoch across a widening time window means a stalled transaction.
     pub epoch: u64,
     /// What the script is blocked on right now.
-    pub waiting: WaitSnapshot,
+    pub waiting: Waiting,
 }
 
 /// Summary of one transaction's fate, for experiment reporting.
@@ -409,13 +403,7 @@ impl Controller {
             step_count: s.txn.steps().len(),
             attempts: s.attempts,
             epoch: s.epoch,
-            waiting: match &s.waiting {
-                Waiting::None => WaitSnapshot::Ready,
-                Waiting::Work => WaitSnapshot::Work,
-                Waiting::Local(r) => WaitSnapshot::Local(*r),
-                Waiting::Remote(m, r) => WaitSnapshot::Remote(*m, *r),
-                Waiting::Multi(p) => WaitSnapshot::Multi(p.iter().copied().collect()),
-            },
+            waiting: s.waiting.clone(),
         }
     }
 
@@ -520,10 +508,13 @@ impl Controller {
         ctx.count(counters::INITIATED);
         self.own_subjects.insert(self.own_n, subject);
         self.own_gen.insert(self.own_n, self.abort_gen);
-        if let Some(&oldest) = self.own_subjects.keys().next() {
-            let window = self.cfg.comp_window.max(1);
-            if self.own_n - oldest >= window {
-                let cutoff = self.own_n - window;
+        if let Some(cutoff) = self.window_cutoff(self.own_n) {
+            if self
+                .own_subjects
+                .keys()
+                .next()
+                .is_some_and(|&n| n <= cutoff)
+            {
                 self.own_subjects.retain(|&n, _| n > cutoff);
                 self.own_gen.retain(|&n, _| n > cutoff);
                 self.own_declared.retain(|&n| n > cutoff);
@@ -540,19 +531,14 @@ impl Controller {
         closure.insert(subject);
         let mut comp = CompState::new();
         let fresh = comp.add_labels(closure);
-        let to_send = self.probes_for_labels(&mut comp, &fresh);
-        self.comps.insert(tag, comp);
-        self.prune_comps(tag.initiator);
-        for (dest, edge) in to_send {
-            ctx.count(counters::PROBE_SENT);
-            ctx.send(dest.node(), DdbMsg::Probe { tag, edge });
-        }
+        self.forward(ctx, tag, comp, &fresh);
         true
     }
 
     // ----- internals: script driving -----
 
     fn advance(&mut self, ctx: &mut Context<'_, DdbMsg>, id: TransactionId) {
+        let me = self.site;
         loop {
             let Some(st) = self.scripts.get_mut(&id) else {
                 return;
@@ -560,82 +546,37 @@ impl Controller {
             if st.status != TxnStatus::Running || st.waiting != Waiting::None {
                 return;
             }
-            let Some(step) = st.txn.steps().get(st.pc).cloned() else {
-                // Script complete: commit.
-                st.status = TxnStatus::Committed;
-                st.finished_at = Some(ctx.now());
-                ctx.count(counters::COMMITTED);
-                if ctx.tracing() {
-                    ctx.note(format!("{id} committed"));
+            // The step is borrowed, not cloned: a `LockAll` owns a `Vec`.
+            let pending = match st.txn.steps().get(st.pc) {
+                None => {
+                    // Script complete: commit.
+                    st.status = TxnStatus::Committed;
+                    st.finished_at = Some(ctx.now());
+                    ctx.count(counters::COMMITTED);
+                    if ctx.tracing() {
+                        ctx.note(format!("{id} committed"));
+                    }
+                    self.release_everything(ctx, id);
+                    return;
                 }
-                self.release_everything(ctx, id);
-                return;
-            };
-            match step {
-                TxnStep::Work { ticks } => {
+                Some(&TxnStep::Work { ticks }) => {
                     st.waiting = Waiting::Work;
                     st.epoch += 1;
-                    let tag = enc_timer(K_WORK, id, st.epoch);
-                    ctx.set_timer(ticks, tag);
+                    ctx.set_timer(ticks, enc_timer(K_WORK, id, st.epoch));
                     return;
                 }
-                TxnStep::Lock {
-                    site,
-                    resource,
-                    mode,
-                } if site == self.site => match self.locks.request(id, resource, mode) {
-                    LockOutcome::Granted => {
-                        let st = self.scripts.get_mut(&id).expect("script exists");
-                        st.pc += 1;
-                    }
-                    LockOutcome::Queued { .. } => {
-                        let st = self.scripts.get_mut(&id).expect("script exists");
-                        st.waiting = Waiting::Local(resource);
-                        st.epoch += 1;
-                        let epoch = st.epoch;
-                        self.arm_init_check(ctx, id, epoch);
-                        return;
-                    }
-                },
-                TxnStep::Lock {
-                    site,
-                    resource,
-                    mode,
-                } => {
-                    st.waiting = Waiting::Remote(site, resource);
-                    st.epoch += 1;
-                    let epoch = st.epoch;
-                    self.remote_waits
-                        .entry(id)
-                        .or_default()
-                        .insert((site, resource));
-                    ctx.count(counters::REMOTE_REQUEST);
-                    ctx.send(
-                        site.node(),
-                        DdbMsg::RemoteRequest {
-                            txn: id,
-                            resource,
-                            mode,
-                            home: self.site,
-                        },
-                    );
-                    self.arm_init_check(ctx, id, epoch);
-                    return;
-                }
-                TxnStep::LockAll(reqs) => {
+                Some(TxnStep::LockAll(reqs)) => {
                     // Issue every lock simultaneously (AND semantics);
                     // collect the targets that did not grant instantly.
                     let mut pending: BTreeSet<(SiteId, ResourceId)> = BTreeSet::new();
                     for req in reqs {
-                        if req.site == self.site {
-                            match self.locks.request(id, req.resource, req.mode) {
-                                LockOutcome::Granted => {}
-                                LockOutcome::Queued { .. } => {
-                                    pending.insert((self.site, req.resource));
-                                }
+                        if req.site == me {
+                            if let LockOutcome::Granted =
+                                self.locks.request(id, req.resource, req.mode)
+                            {
+                                continue;
                             }
                         } else {
-                            pending.insert((req.site, req.resource));
                             self.remote_waits
                                 .entry(id)
                                 .or_default()
@@ -647,43 +588,102 @@ impl Controller {
                                     txn: id,
                                     resource: req.resource,
                                     mode: req.mode,
-                                    home: self.site,
+                                    home: me,
                                 },
                             );
                         }
+                        pending.insert((req.site, req.resource));
                     }
-                    let st = self.scripts.get_mut(&id).expect("script exists");
-                    if pending.is_empty() {
-                        st.pc += 1;
-                        continue;
-                    }
-                    st.waiting = Waiting::Multi(pending);
-                    st.epoch += 1;
-                    let epoch = st.epoch;
-                    self.arm_init_check(ctx, id, epoch);
-                    return;
+                    pending
                 }
+            };
+            if pending.is_empty() {
+                st.pc += 1;
+                continue;
             }
-        }
-    }
-
-    fn arm_init_check(&mut self, ctx: &mut Context<'_, DdbMsg>, id: TransactionId, epoch: u64) {
-        if let DdbInitiation::OnBlockDelayed { t } = self.cfg.initiation {
-            ctx.set_timer(t, enc_timer(K_INIT_CHECK, id, epoch));
-        }
-    }
-
-    /// §4 re-initiation: after a check fires on a still-blocked process,
-    /// re-arm it for another period `t` (only under [`DdbConfig::reprobe`]
-    /// and the on-block rule — periodic rules re-initiate on their own).
-    fn arm_reprobe(&mut self, ctx: &mut Context<'_, DdbMsg>, kind: u64, id: TransactionId, p: u64) {
-        if !self.cfg.reprobe {
+            st.waiting = Waiting::Locks(pending);
+            st.epoch += 1;
+            let check = enc_timer(K_CHECK, id, st.epoch);
+            self.arm_check(ctx, check);
             return;
         }
+    }
+
+    /// Arms the §4.3 check `tag` ([`REARMED`] set if a fired check is
+    /// re-arming itself). Only [`DdbInitiation::OnBlockDelayed`] has
+    /// per-process checks; the periodic rules re-initiate on their own.
+    fn arm_check(&self, ctx: &mut Context<'_, DdbMsg>, tag: u64) {
         if let DdbInitiation::OnBlockDelayed { t } = self.cfg.initiation {
-            ctx.count(counters::REPROBE_ARMED);
-            ctx.set_timer(t, enc_timer(kind, id, p));
+            if tag & REARMED != 0 {
+                ctx.count(counters::REPROBE_ARMED);
+            }
+            ctx.set_timer(t, tag);
         }
+    }
+
+    /// A §4.3 check fired. If its process is still in the same wait and
+    /// not yet declared, initiate for it and re-arm: the timeout `T` exists
+    /// so blocked processes retry, and a computation whose probes were lost
+    /// is otherwise simply dead. The chain stops when the wait ends (epoch
+    /// moved on, request left the queue) or the process is declared.
+    fn on_check(&mut self, ctx: &mut Context<'_, DdbMsg>, tag: u64) {
+        let (kind, rearmed, txn, payload) = dec_timer(tag);
+        let same_wait = if kind == K_CHECK {
+            matches!(self.wait_named(txn, payload), Some(Waiting::Locks(_)))
+        } else {
+            // Low bits of a resource id: an oversize id can at worst make
+            // the check look at a sibling request of the same transaction.
+            self.pending_from(txn)
+                .any(|(r, _)| r.0 & PAYLOAD_MASK == payload)
+        };
+        if !same_wait || self.declared_txns.contains(&txn) {
+            return;
+        }
+        if self.initiate_for(ctx, txn) && rearmed {
+            ctx.count(counters::REPROBE_INITIATED);
+        }
+        self.arm_check(ctx, tag | REARMED);
+    }
+
+    /// The current wait of running `txn`, if a timer whose payload is
+    /// `epoch` was armed for it.
+    fn wait_named(&self, txn: TransactionId, epoch: u64) -> Option<&Waiting> {
+        let st = self.scripts.get(&txn)?;
+        let named = st.status == TxnStatus::Running && st.epoch & PAYLOAD_MASK == epoch;
+        named.then_some(&st.waiting)
+    }
+
+    /// Arms the detector period ([`K_PERIODIC`]); `stagger` adds a random
+    /// offset so sites do not tick in lockstep.
+    fn arm_periodic(&self, ctx: &mut Context<'_, DdbMsg>, stagger: bool) {
+        if let DdbInitiation::PeriodicQOpt { period } | DdbInitiation::PeriodicNaive { period } =
+            self.cfg.initiation
+        {
+            let jitter = if stagger {
+                ctx.rng().next_below(period.max(1))
+            } else {
+                0
+            };
+            ctx.set_timer(period + jitter, enc_timer(K_PERIODIC, TransactionId(0), 0));
+        }
+    }
+
+    /// Arms the restart of aborted `id`, if aborted transactions come back.
+    fn arm_restart(&self, ctx: &mut Context<'_, DdbMsg>, id: TransactionId) {
+        if let Some(backoff) = self.cfg.resolution.restart_backoff() {
+            // Randomised backoff: restarting at a deterministic offset can
+            // recreate the same deadlock in lockstep, livelocking.
+            let jitter = ctx.rng().next_below(backoff.max(1));
+            ctx.set_timer(backoff + jitter, enc_timer(K_RESTART, id, 0));
+        }
+    }
+
+    /// The un-granted remote requests of `t` queued here, as `(resource,
+    /// origin)` — one contiguous key range, no full-map scan.
+    fn pending_from(&self, t: TransactionId) -> impl Iterator<Item = (ResourceId, SiteId)> + '_ {
+        self.pending_remote
+            .range((t, ResourceId(0))..=(t, ResourceId(u64::MAX)))
+            .map(|(&(_, r), &origin)| (r, origin))
     }
 
     fn release_everything(&mut self, ctx: &mut Context<'_, DdbMsg>, id: TransactionId) {
@@ -737,28 +737,8 @@ impl Controller {
                 // inter-controller edge by sending the grant home.
                 ctx.count(counters::ACQUIRED_SENT);
                 ctx.send(origin.node(), DdbMsg::Acquired { txn: g, resource });
-            } else if let Some(st) = self.scripts.get_mut(&g) {
-                match &mut st.waiting {
-                    Waiting::Local(r) if *r == resource => {
-                        st.waiting = Waiting::None;
-                        st.epoch += 1;
-                        st.pc += 1;
-                        self.advance(ctx, g);
-                    }
-                    Waiting::Multi(pending) => {
-                        let site = self.site;
-                        pending.remove(&(site, resource));
-                        if pending.is_empty() {
-                            st.waiting = Waiting::None;
-                            st.epoch += 1;
-                            st.pc += 1;
-                            self.advance(ctx, g);
-                        }
-                    }
-                    _ => ctx.count(counters::GRANT_ORPHAN),
-                }
             } else {
-                ctx.count(counters::GRANT_ORPHAN);
+                self.granted(ctx, g, (self.site, resource));
             }
         }
         self.sweep_wedged_waiters(ctx, resource);
@@ -784,11 +764,7 @@ impl Controller {
             .filter(|&t| {
                 self.scripts.get(&t).is_some_and(|st| {
                     st.status == TxnStatus::Running
-                        && match &st.waiting {
-                            Waiting::Local(r) => *r == resource,
-                            Waiting::Multi(p) => p.contains(&(site, resource)),
-                            _ => false,
-                        }
+                        && matches!(&st.waiting, Waiting::Locks(p) if p.contains(&(site, resource)))
                 }) && !self.locks.is_waiting(t, resource)
             })
             .collect();
@@ -799,26 +775,38 @@ impl Controller {
                     "grant-sweep repaired wedged wait of {t} on {resource}"
                 ));
             }
-            let st = self.scripts.get_mut(&t).expect("script exists");
-            match &mut st.waiting {
-                Waiting::Local(_) => {
-                    st.waiting = Waiting::None;
-                    st.epoch += 1;
-                    st.pc += 1;
-                    self.advance(ctx, t);
-                }
-                Waiting::Multi(pending) => {
-                    pending.remove(&(site, resource));
-                    st.epoch += 1;
-                    if pending.is_empty() {
-                        st.waiting = Waiting::None;
-                        st.pc += 1;
-                        self.advance(ctx, t);
-                    }
-                }
-                _ => {}
-            }
+            self.granted(ctx, t, (site, resource));
         }
+    }
+
+    /// The one place a wait shrinks: `entry` of `txn`'s lock step was
+    /// granted. The step completes (and the epoch, which names the wait,
+    /// moves on) when the set empties, never on a partial grant. A grant
+    /// the script is not waiting on counts [`counters::GRANT_ORPHAN`].
+    fn granted(
+        &mut self,
+        ctx: &mut Context<'_, DdbMsg>,
+        txn: TransactionId,
+        entry: (SiteId, ResourceId),
+    ) {
+        let emptied = match self.scripts.get_mut(&txn).map(|st| &mut st.waiting) {
+            Some(Waiting::Locks(pending)) => pending.remove(&entry).then_some(pending.is_empty()),
+            _ => None,
+        };
+        match emptied {
+            Some(true) => self.step_done(ctx, txn),
+            Some(false) => {}
+            None => ctx.count(counters::GRANT_ORPHAN),
+        }
+    }
+
+    /// The current step of `txn` finished: its wait ends, the script moves on.
+    fn step_done(&mut self, ctx: &mut Context<'_, DdbMsg>, txn: TransactionId) {
+        let st = self.scripts.get_mut(&txn).expect("script exists");
+        st.waiting = Waiting::None;
+        st.epoch += 1;
+        st.pc += 1;
+        self.advance(ctx, txn);
     }
 
     fn abort_local(&mut self, ctx: &mut Context<'_, DdbMsg>, id: TransactionId) {
@@ -843,16 +831,7 @@ impl Controller {
         // The victim is no longer deadlocked; allow future declarations if
         // its restart deadlocks again.
         self.declared_txns.remove(&id);
-        if let Resolution::AbortSubject {
-            restart_backoff: Some(backoff),
-        } = self.cfg.resolution
-        {
-            let epoch = self.scripts.get(&id).expect("script exists").epoch;
-            // Randomised backoff: restarting at a deterministic offset can
-            // recreate the same deadlock in lockstep, livelocking.
-            let jitter = ctx.rng().next_below(backoff.max(1));
-            ctx.set_timer(backoff + jitter, enc_timer(K_RESTART, id, epoch));
-        }
+        self.arm_restart(ctx, id);
     }
 
     // ----- internals: probe computation -----
@@ -935,23 +914,37 @@ impl Controller {
             .collect()
     }
 
-    fn prune_comps(&mut self, initiator: SiteId) {
-        let max_n = self
-            .comps
-            .range(
-                DdbProbeTag { initiator, n: 0 }..=DdbProbeTag {
-                    initiator,
-                    n: u64::MAX,
-                },
-            )
-            .next_back()
-            .map(|(k, _)| k.n)
-            .unwrap_or(0);
-        let window = self.cfg.comp_window.max(1);
-        if max_n >= window {
-            let cutoff = max_n - window;
+    /// Window supersession (module docs): once computation `newest`
+    /// exists, those numbered at or below the cutoff are superseded.
+    fn window_cutoff(&self, newest: u64) -> Option<u64> {
+        newest.checked_sub(self.cfg.comp_window.max(1))
+    }
+
+    /// [`Self::window_cutoff`] of `initiator`'s newest computation here.
+    fn comp_cutoff(&self, initiator: SiteId) -> Option<u64> {
+        let of = |n| DdbProbeTag { initiator, n };
+        let newest = self.comps.range(of(0)..=of(u64::MAX)).next_back();
+        self.window_cutoff(newest.map_or(0, |(k, _)| k.n))
+    }
+
+    /// A2: records computation `tag` (superseding what fell out of its
+    /// initiator's window) and sends the probes `fresh` labels imply.
+    fn forward(
+        &mut self,
+        ctx: &mut Context<'_, DdbMsg>,
+        tag: DdbProbeTag,
+        mut comp: CompState,
+        fresh: &[TransactionId],
+    ) {
+        let to_send = self.probes_for_labels(&mut comp, fresh);
+        self.comps.insert(tag, comp);
+        if let Some(cutoff) = self.comp_cutoff(tag.initiator) {
             self.comps
-                .retain(|k, _| k.initiator != initiator || k.n > cutoff);
+                .retain(|k, _| k.initiator != tag.initiator || k.n > cutoff);
+        }
+        for (dest, edge) in to_send {
+            ctx.count(counters::PROBE_SENT);
+            ctx.send(dest.node(), DdbMsg::Probe { tag, edge });
         }
     }
 
@@ -971,41 +964,23 @@ impl Controller {
         let t = tail.txn;
         // Meaningful iff the inter-controller edge exists and is black (P3).
         // Two disjoint cases: a *wait* edge — we hold an un-granted remote
-        // request for `t` from `tail.site` (`pending_remote` is keyed
-        // `(txn, resource)`, so `t`'s entries form one contiguous range —
-        // no full-map scan) — or a *holder back-edge* into `t`'s home
-        // agent here (disjoint because a back-edge requires `t` idle at
-        // `tail.site`, while a wait edge requires an un-granted request
-        // there). A conservative rejection while messages are in flight
-        // only delays detection (the §4 timeout re-initiates); it never
-        // declares falsely.
-        let meaningful = self
-            .pending_remote
-            .range((t, ResourceId(0))..=(t, ResourceId(u64::MAX)))
-            .any(|(_, &origin)| origin == tail.site)
+        // request for `t` from `tail.site` — or a *holder back-edge* into
+        // `t`'s home agent here (disjoint because a back-edge requires `t`
+        // idle at `tail.site`, while a wait edge requires an un-granted
+        // request there). A conservative rejection while messages are in
+        // flight only delays detection (the §4 timeout re-initiates); it
+        // never declares falsely.
+        let meaningful = self.pending_from(t).any(|(_, origin)| origin == tail.site)
             || self.holder_edge_from(tail.site, t);
         if !meaningful {
             ctx.count(counters::PROBE_DISCARDED);
             return;
         }
         ctx.count(counters::PROBE_MEANINGFUL);
-        // Window-based supersession (see module docs).
-        let max_n = self
-            .comps
-            .range(
-                DdbProbeTag {
-                    initiator: tag.initiator,
-                    n: 0,
-                }..=DdbProbeTag {
-                    initiator: tag.initiator,
-                    n: u64::MAX,
-                },
-            )
-            .next_back()
-            .map(|(k, _)| k.n)
-            .unwrap_or(0);
-        let window = self.cfg.comp_window.max(1);
-        if max_n >= window && tag.n <= max_n - window {
+        if self
+            .comp_cutoff(tag.initiator)
+            .is_some_and(|cutoff| tag.n <= cutoff)
+        {
             return;
         }
         // A1/A2: label (t, S_me) and everything locally reachable from it.
@@ -1013,7 +988,6 @@ impl Controller {
         closure.insert(t);
         let mut comp = self.comps.remove(&tag).unwrap_or_default();
         let fresh = comp.add_labels(closure.iter().copied());
-        let to_send = self.probes_for_labels(&mut comp, &fresh);
         // A1: if this is our own computation and its subject is reachable
         // from the probe's entry process, the subject is on a dark cycle.
         //
@@ -1027,40 +1001,30 @@ impl Controller {
         // completeness is unaffected because the true cycle's closing probe
         // reaches the subject through intra-controller edges that are part
         // of the (permanent) cycle and therefore present right now.
-        let mut declare_subject = None;
-        let mut reinitiate_subject = None;
+        let mut completed = None;
         if tag.initiator == self.site && !self.own_declared.contains(&tag.n) {
             if let Some(&subject) = self.own_subjects.get(&tag.n) {
                 if closure.contains(&subject) && !self.declared_txns.contains(&subject) {
-                    // Staleness guard: an abort processed since this
-                    // computation started may have dissolved the cycle the
-                    // probe chain certified. Retire the computation and
-                    // re-initiate under the current generation (§4)
-                    // instead of risking a phantom declaration.
-                    if self.own_gen.get(&tag.n) == Some(&self.abort_gen) {
-                        self.own_declared.insert(tag.n);
-                        declare_subject = Some(subject);
-                    } else {
-                        self.own_declared.insert(tag.n);
-                        ctx.count(counters::DECL_SUPPRESSED_STALE);
-                        if ctx.tracing() {
-                            ctx.note(format!("suppress stale completion of {tag} for {subject}"));
-                        }
-                        reinitiate_subject = Some(subject);
-                    }
+                    self.own_declared.insert(tag.n);
+                    completed = Some(subject);
                 }
             }
         }
-        self.comps.insert(tag, comp);
-        self.prune_comps(tag.initiator);
-        for (dest, e) in to_send {
-            ctx.count(counters::PROBE_SENT);
-            ctx.send(dest.node(), DdbMsg::Probe { tag, edge: e });
-        }
-        if let Some(subject) = declare_subject {
+        self.forward(ctx, tag, comp, &fresh);
+        let Some(subject) = completed else {
+            return;
+        };
+        // Staleness guard: an abort processed since this computation
+        // started may have dissolved the cycle the probe chain certified;
+        // re-initiate under the current generation (§4) instead of risking
+        // a phantom declaration.
+        if self.own_gen.get(&tag.n) == Some(&self.abort_gen) {
             self.declare(ctx, subject, Some(tag));
-        }
-        if let Some(subject) = reinitiate_subject {
+        } else {
+            ctx.count(counters::DECL_SUPPRESSED_STALE);
+            if ctx.tracing() {
+                ctx.note(format!("suppress stale completion of {tag} for {subject}"));
+            }
             self.initiate_for(ctx, subject);
         }
     }
@@ -1149,14 +1113,7 @@ impl Controller {
 
 impl Process<DdbMsg> for Controller {
     fn on_start(&mut self, ctx: &mut Context<'_, DdbMsg>) {
-        match self.cfg.initiation {
-            DdbInitiation::PeriodicQOpt { period } | DdbInitiation::PeriodicNaive { period } => {
-                // Stagger sites so detectors do not tick in lockstep.
-                let jitter = ctx.rng().next_below(period.max(1));
-                ctx.set_timer(period + jitter, enc_timer(K_PERIODIC, TransactionId(0), 0));
-            }
-            DdbInitiation::OnBlockDelayed { .. } | DdbInitiation::Never => {}
-        }
+        self.arm_periodic(ctx, true);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, DdbMsg>, from: NodeId, msg: DdbMsg) {
@@ -1193,9 +1150,7 @@ impl Process<DdbMsg> for Controller {
                         // its wait can close a cycle, so it needs an
                         // initiation check of its own (§4.2 applied to
                         // every process, not just home scripts).
-                        if let DdbInitiation::OnBlockDelayed { t } = self.cfg.initiation {
-                            ctx.set_timer(t, enc_timer(K_INIT_CHECK_REMOTE, txn, resource.0));
-                        }
+                        self.arm_check(ctx, enc_timer(K_CHECK_REMOTE, txn, resource.0));
                     }
                 }
             }
@@ -1225,26 +1180,7 @@ impl Process<DdbMsg> for Controller {
                     self.remote_waits.remove(&txn);
                 }
                 self.remote_held.entry(txn).or_default().insert(entry);
-                if let Some(st) = self.scripts.get_mut(&txn) {
-                    match &mut st.waiting {
-                        Waiting::Remote(m, r) if (*m, *r) == entry => {
-                            st.waiting = Waiting::None;
-                            st.epoch += 1;
-                            st.pc += 1;
-                            self.advance(ctx, txn);
-                        }
-                        Waiting::Multi(pending) => {
-                            pending.remove(&entry);
-                            if pending.is_empty() {
-                                st.waiting = Waiting::None;
-                                st.epoch += 1;
-                                st.pc += 1;
-                                self.advance(ctx, txn);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
+                self.granted(ctx, txn, entry);
             }
             DdbMsg::RemoteRelease { txn, resource } => {
                 let had_pending = self.pending_remote.remove(&(txn, resource)).is_some();
@@ -1271,73 +1207,31 @@ impl Process<DdbMsg> for Controller {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, DdbMsg>, _timer: TimerId, tag: u64) {
-        let (kind, txn, epoch) = dec_timer(tag);
+        let (kind, _, txn, payload) = dec_timer(tag);
         match kind {
             K_WORK => {
-                if let Some(st) = self.scripts.get_mut(&txn) {
-                    if st.status == TxnStatus::Running
-                        && st.waiting == Waiting::Work
-                        && st.epoch == epoch
-                    {
-                        st.waiting = Waiting::None;
-                        st.epoch += 1;
-                        st.pc += 1;
-                        self.advance(ctx, txn);
-                    }
+                if self.wait_named(txn, payload) == Some(&Waiting::Work) {
+                    self.step_done(ctx, txn);
                 }
             }
-            K_INIT_CHECK | K_REPROBE => {
-                let still_blocked = self.scripts.get(&txn).is_some_and(|st| {
-                    st.status == TxnStatus::Running
-                        && st.epoch == epoch
-                        && matches!(
-                            st.waiting,
-                            Waiting::Local(_) | Waiting::Remote(..) | Waiting::Multi(_)
-                        )
-                });
-                if still_blocked {
-                    let started = self.initiate_for(ctx, txn);
-                    if kind == K_REPROBE && started {
-                        ctx.count(counters::REPROBE_INITIATED);
-                    }
-                    self.arm_reprobe(ctx, K_REPROBE, txn, epoch);
-                }
-            }
-            K_INIT_CHECK_REMOTE | K_REPROBE_REMOTE => {
-                // `epoch` carries the resource id for remote-agent checks.
-                if self.locks.is_waiting(txn, crate::ids::ResourceId(epoch)) {
-                    let started = self.initiate_for(ctx, txn);
-                    if kind == K_REPROBE_REMOTE && started {
-                        ctx.count(counters::REPROBE_INITIATED);
-                    }
-                    self.arm_reprobe(ctx, K_REPROBE_REMOTE, txn, epoch);
-                }
-            }
+            K_CHECK | K_CHECK_REMOTE => self.on_check(ctx, tag),
             K_PERIODIC => {
                 let naive = matches!(self.cfg.initiation, DdbInitiation::PeriodicNaive { .. });
                 self.periodic_detect(ctx, naive);
-                let period = match self.cfg.initiation {
-                    DdbInitiation::PeriodicQOpt { period }
-                    | DdbInitiation::PeriodicNaive { period } => period,
-                    _ => return,
-                };
-                ctx.set_timer(period, enc_timer(K_PERIODIC, TransactionId(0), 0));
+                self.arm_periodic(ctx, false);
             }
             K_RESTART => {
-                let should_restart = self
-                    .scripts
-                    .get(&txn)
-                    .is_some_and(|st| st.status == TxnStatus::Aborted);
-                if should_restart {
-                    let st = self.scripts.get_mut(&txn).expect("script exists");
-                    st.status = TxnStatus::Running;
-                    st.pc = 0;
-                    st.waiting = Waiting::None;
-                    st.epoch += 1;
-                    st.attempts += 1;
-                    st.finished_at = None;
-                    ctx.count(counters::RESTARTED);
-                    self.advance(ctx, txn);
+                if let Some(st) = self.scripts.get_mut(&txn) {
+                    if st.status == TxnStatus::Aborted {
+                        st.status = TxnStatus::Running;
+                        st.pc = 0;
+                        st.waiting = Waiting::None;
+                        st.epoch += 1;
+                        st.attempts += 1;
+                        st.finished_at = None;
+                        ctx.count(counters::RESTARTED);
+                        self.advance(ctx, txn);
+                    }
                 }
             }
             other => debug_assert!(false, "unknown timer kind {other}"),
@@ -1351,66 +1245,47 @@ impl Process<DdbMsg> for Controller {
     /// `own_subjects`, `own_declared`) is volatile and lost — any
     /// computation crossing the outage dies and is superseded by fresh
     /// ones. Every timer armed before the crash is gone, so recovery
-    /// re-arms: the periodic detector, work/init-check timers for every
-    /// live script, restart backoffs for aborted victims, and init checks
-    /// for remote agents queued in the local lock table.
+    /// re-arms each under a fresh epoch: the periodic detector, the work
+    /// timer or §4.3 check of every live script, restart backoffs for
+    /// aborted victims, and checks for remote agents queued in the local
+    /// lock table.
     fn on_restart(&mut self, ctx: &mut Context<'_, DdbMsg>) {
         self.comps.clear();
         self.own_subjects.clear();
         self.own_declared.clear();
-        match self.cfg.initiation {
-            DdbInitiation::PeriodicQOpt { period } | DdbInitiation::PeriodicNaive { period } => {
-                let jitter = ctx.rng().next_below(period.max(1));
-                ctx.set_timer(period + jitter, enc_timer(K_PERIODIC, TransactionId(0), 0));
-            }
-            DdbInitiation::OnBlockDelayed { .. } | DdbInitiation::Never => {}
-        }
+        self.arm_periodic(ctx, true);
         let ids: Vec<TransactionId> = self.scripts.keys().copied().collect();
         for id in ids {
             let Some(st) = self.scripts.get_mut(&id) else {
                 continue;
             };
-            match st.status {
-                TxnStatus::Running => match &st.waiting {
-                    Waiting::Work => {
-                        // The in-progress work step restarts from scratch.
-                        st.epoch += 1;
-                        let epoch = st.epoch;
-                        let ticks = match st.txn.steps().get(st.pc) {
-                            Some(TxnStep::Work { ticks }) => *ticks,
-                            _ => 1,
-                        };
-                        ctx.set_timer(ticks, enc_timer(K_WORK, id, epoch));
-                    }
-                    Waiting::Local(_) | Waiting::Remote(..) | Waiting::Multi(_) => {
-                        // The wait itself is durable (lock queues survive);
-                        // only the pending initiation check needs re-arming.
-                        st.epoch += 1;
-                        let epoch = st.epoch;
-                        self.arm_init_check(ctx, id, epoch);
-                    }
-                    Waiting::None => self.advance(ctx, id),
-                },
-                TxnStatus::Aborted => {
-                    if let Resolution::AbortSubject {
-                        restart_backoff: Some(backoff),
-                    } = self.cfg.resolution
-                    {
-                        st.epoch += 1;
-                        let epoch = st.epoch;
-                        let jitter = ctx.rng().next_below(backoff.max(1));
-                        ctx.set_timer(backoff + jitter, enc_timer(K_RESTART, id, epoch));
-                    }
+            match (st.status, &st.waiting) {
+                (TxnStatus::Committed, _) => {}
+                (TxnStatus::Aborted, _) => {
+                    st.epoch += 1;
+                    self.arm_restart(ctx, id);
                 }
-                TxnStatus::Committed => {}
+                (TxnStatus::Running, Waiting::None) => self.advance(ctx, id),
+                (TxnStatus::Running, Waiting::Work) => {
+                    // The in-progress work step restarts from scratch.
+                    st.epoch += 1;
+                    let ticks = match st.txn.steps().get(st.pc) {
+                        Some(TxnStep::Work { ticks }) => *ticks,
+                        _ => 1,
+                    };
+                    ctx.set_timer(ticks, enc_timer(K_WORK, id, st.epoch));
+                }
+                (TxnStatus::Running, Waiting::Locks(_)) => {
+                    // The wait itself is durable (lock queues survive);
+                    // only its check needs re-arming.
+                    st.epoch += 1;
+                    let check = enc_timer(K_CHECK, id, st.epoch);
+                    self.arm_check(ctx, check);
+                }
             }
         }
-        if let DdbInitiation::OnBlockDelayed { t } = self.cfg.initiation {
-            let queued: Vec<(TransactionId, ResourceId)> =
-                self.pending_remote.keys().copied().collect();
-            for (txn, resource) in queued {
-                ctx.set_timer(t, enc_timer(K_INIT_CHECK_REMOTE, txn, resource.0));
-            }
+        for &(txn, resource) in self.pending_remote.keys() {
+            self.arm_check(ctx, enc_timer(K_CHECK_REMOTE, txn, resource.0));
         }
     }
 }
@@ -1692,11 +1567,88 @@ mod tests {
 
     #[test]
     fn timer_encoding_roundtrip() {
-        let tag = enc_timer(K_RESTART, TransactionId(0xABCDE), 0x1234_5678);
-        assert_eq!(
-            dec_timer(tag),
-            (K_RESTART, TransactionId(0xABCDE), 0x1234_5678)
-        );
+        for id in [0xABCDE, 1 << 24, u32::MAX] {
+            let tag = enc_timer(K_RESTART, TransactionId(id), 0x234_5678);
+            assert_eq!(
+                dec_timer(tag),
+                (K_RESTART, false, TransactionId(id), 0x234_5678)
+            );
+            let tag = enc_timer(K_CHECK_REMOTE, TransactionId(id), u64::MAX) | REARMED;
+            assert_eq!(
+                dec_timer(tag),
+                (K_CHECK_REMOTE, true, TransactionId(id), PAYLOAD_MASK)
+            );
+            assert!(timer_drives_script(enc_timer(K_WORK, TransactionId(id), 1)));
+            assert!(timer_may_declare(tag));
+        }
+    }
+
+    #[test]
+    fn remote_check_runs_for_an_oversize_resource_id() {
+        // Resource ids arrive from clients over the wire; one wider than
+        // the tag's payload must still get its queued remote agent checked.
+        let cfg = DdbConfig {
+            initiation: DdbInitiation::OnBlockDelayed { t: 80 },
+            ..DdbConfig::default()
+        };
+        let big = ResourceId((1 << 40) + 7);
+        let mut net = sim(2, cfg, 12);
+        let holder = Transaction::new(t(1), s(1)).lock(s(1), big, X).work(10_000);
+        let waiter = Transaction::new(t(2), s(0)).lock(s(1), big, X);
+        net.with_node(s(1).node(), |c, ctx| c.start_txn(ctx, holder));
+        net.with_node(s(0).node(), |c, ctx| c.start_txn(ctx, waiter));
+        net.run_until(simnet::time::SimTime::from_ticks(1_000));
+        // T2's agent at S1 is blocked, so its check initiates (and, the
+        // wait being no deadlock, keeps re-arming without declaring).
+        assert!(net.node(s(1).node()).computations_initiated() >= 2);
+        assert!(net.metrics().get(counters::REPROBE_ARMED) >= 2);
+        assert_eq!(net.metrics().get(counters::DECLARED), 0);
+    }
+
+    #[test]
+    fn partial_grant_keeps_the_waits_check_armed() {
+        // T1 holds r1@S0 and AND-waits on r2@S1 (held by T2) and r3@S2
+        // (free). r3's grant lands well before the check's timeout; T2 then
+        // requests r1@S0 and closes the cycle. The epoch names the wait,
+        // not its size, so the check armed when T1 blocked still fires.
+        use crate::txn::LockReq;
+        let cfg = DdbConfig {
+            initiation: DdbInitiation::OnBlockDelayed { t: 80 },
+            ..DdbConfig::default()
+        };
+        let mut net = sim(3, cfg, 13);
+        let req = |site, resource| LockReq {
+            site,
+            resource,
+            mode: X,
+        };
+        let t1 = Transaction::new(t(1), s(0))
+            .lock(s(0), r(1), X)
+            .lock_all([req(s(1), r(2)), req(s(2), r(3))]);
+        let t2 = Transaction::new(t(2), s(1))
+            .lock(s(1), r(2), X)
+            .work(40)
+            .lock(s(0), r(1), X);
+        net.with_node(s(1).node(), |c, ctx| c.start_txn(ctx, t2));
+        net.with_node(s(0).node(), |c, ctx| c.start_txn(ctx, t1));
+        net.run_until(simnet::time::SimTime::from_ticks(35));
+        let snap = net.node(s(0).node()).script_snapshot_of(t(1)).unwrap();
+        assert_eq!(snap.waiting, Waiting::Locks([(s(1), r(2))].into()));
+        // S0's only check before tick ~120 is the one armed at tick 0 for
+        // T1's wait (T2's agent does not queue here before tick 40).
+        net.run_until(simnet::time::SimTime::from_ticks(79));
+        assert_eq!(net.node(s(0).node()).computations_initiated(), 0);
+        net.run_until(simnet::time::SimTime::from_ticks(81));
+        let now = net.node(s(0).node()).script_snapshot_of(t(1)).unwrap();
+        assert_eq!(now.epoch, snap.epoch, "a partial grant is not a new wait");
+        assert_eq!(net.node(s(0).node()).computations_initiated(), 1);
+        net.run_until(simnet::time::SimTime::from_ticks(5_000));
+        let total: usize = (0..3)
+            .map(|i| net.node(NodeId(i)).declarations().len())
+            .sum();
+        assert!(total >= 1, "cycle through a partially granted AND-wait");
+        assert_eq!(net.metrics().get(counters::WEDGE_REPAIRED), 0);
+        assert_eq!(net.metrics().get(counters::GRANT_ORPHAN), 0);
     }
 
     #[test]

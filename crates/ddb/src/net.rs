@@ -23,14 +23,12 @@ use wfg::oracle::Oracle;
 use wfg::{oracle, WaitForGraph};
 
 use crate::config::{DdbConfig, Resolution};
-use crate::controller::{
-    timer_drives_script, timer_may_declare, Controller, TxnOutcome, WaitSnapshot,
-};
+use crate::controller::{timer_drives_script, timer_may_declare, Controller, TxnOutcome, Waiting};
 use crate::ids::{AgentId, SiteId, TransactionId};
 use crate::liveness::{LivenessReport, TxnClass, TxnLiveness};
 use crate::msg::DdbMsg;
 use crate::probe::DdbDeadlock;
-use crate::snapshot::graph_from_edges;
+use crate::snapshot::{agent_edges, graph_from_edges};
 use crate::txn::{Transaction, TxnStatus};
 
 /// Which graph a soundness verdict was checked against.
@@ -204,24 +202,6 @@ struct AgentGraph {
     oracle: Oracle,
 }
 
-/// The agent edges one controller's state implies, appended to `out`.
-fn site_agent_edges(c: &Controller, out: &mut Vec<(AgentId, AgentId)>) {
-    let site = c.site();
-    // Intra-controller edges from the lock table.
-    for (a, b) in c.locks().wait_edges() {
-        out.push((AgentId::new(a, site), AgentId::new(b, site)));
-    }
-    // Inter-controller edges from outstanding remote waits.
-    for (t, m) in c.remote_wait_edges() {
-        out.push((AgentId::new(t, site), AgentId::new(t, m)));
-    }
-    // Holder back-edges (§6.4 completion): an idle remote holder
-    // agent waits for its home agent to send more work or commit.
-    for (t, m) in c.holder_back_edges() {
-        out.push((AgentId::new(t, m), AgentId::new(t, site)));
-    }
-}
-
 impl AgentGraph {
     fn mark_dirty(&mut self, site: SiteId) {
         if let Some(d) = self.dirty.get_mut(site.0) {
@@ -248,7 +228,7 @@ impl AgentGraph {
             }
             let old = std::mem::take(&mut self.edges[s]);
             let mut fresh = Vec::with_capacity(old.len());
-            site_agent_edges(sim.node(NodeId(s)), &mut fresh);
+            agent_edges(sim.node(NodeId(s)), &mut fresh);
             fresh.sort_unstable();
             if fresh != old {
                 for &(a, b) in old.iter().filter(|e| fresh.binary_search(e).is_err()) {
@@ -779,21 +759,10 @@ impl DdbNet {
         Ok(total)
     }
 
-    /// True if an aborted transaction comes back (so `Aborted` is not a
-    /// terminal status).
-    fn restartable(&self) -> bool {
-        matches!(
-            self.cfg.resolution,
-            Resolution::AbortSubject {
-                restart_backoff: Some(_)
-            }
-        )
-    }
-
     /// Progress epochs of every non-terminal transaction, the observation
     /// stream a [`crate::liveness::Watchdog`] consumes.
     pub fn progress_epochs(&self) -> Vec<(TransactionId, u64)> {
-        let restartable = self.restartable();
+        let restartable = self.cfg.resolution.restart_backoff().is_some();
         let mut out = Vec::new();
         for s in 0..self.n_sites {
             for snap in self.controller(SiteId(s)).script_snapshots() {
@@ -819,7 +788,7 @@ impl DdbNet {
     /// it, the liveness bug class this PR exists to kill.
     pub fn liveness_report(&self) -> LivenessReport {
         let mut ag = self.graph();
-        let restartable = self.restartable();
+        let restartable = self.cfg.resolution.restart_backoff().is_some();
         // First pass: who can move on their own?
         let mut progressing: BTreeSet<TransactionId> = BTreeSet::new();
         let mut entries: Vec<(TransactionId, SiteId, u64, bool)> = Vec::new();
@@ -834,8 +803,7 @@ impl DdbNet {
                         entries.push((snap.txn, site, snap.epoch, false));
                     }
                     TxnStatus::Running => {
-                        let blocked =
-                            !matches!(snap.waiting, WaitSnapshot::Ready | WaitSnapshot::Work);
+                        let blocked = !matches!(snap.waiting, Waiting::None | Waiting::Work);
                         if !blocked {
                             progressing.insert(snap.txn);
                         }
@@ -928,7 +896,7 @@ mod tests {
         pub(super) fn assert_matches_scratch(&self, ag: &mut AgentGraph) {
             let mut edges = Vec::new();
             for s in 0..self.n_sites {
-                site_agent_edges(self.controller(SiteId(s)), &mut edges);
+                agent_edges(self.controller(SiteId(s)), &mut edges);
             }
             let (g, index) = graph_from_edges(edges.iter().copied());
             let named = |g: &WaitForGraph, name: &dyn Fn(NodeId) -> AgentId| {

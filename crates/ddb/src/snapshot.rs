@@ -25,7 +25,7 @@ use wfg::{oracle, WaitForGraph};
 
 use simnet::sim::NodeId;
 
-use crate::controller::{Controller, ScriptSnapshot, TxnOutcome, WaitSnapshot};
+use crate::controller::{Controller, ScriptSnapshot, TxnOutcome, Waiting};
 use crate::ids::{AgentId, SiteId, TransactionId};
 use crate::probe::DdbDeadlock;
 use crate::txn::TxnStatus;
@@ -35,13 +35,9 @@ use crate::txn::TxnStatus;
 pub struct SiteSnapshot {
     /// The captured site.
     pub site: SiteId,
-    /// Intra-controller waits from the lock table: `(waiter, holder)`.
-    pub intra_edges: BTreeSet<(TransactionId, TransactionId)>,
-    /// Outstanding remote waits: `(txn, remote site)`.
-    pub remote_edges: BTreeSet<(TransactionId, SiteId)>,
-    /// §6.4 holder back-edges: `(txn, holder site)` — the idle holder
-    /// agent at `holder site` waits on the home agent here.
-    pub holder_edges: BTreeSet<(TransactionId, SiteId)>,
+    /// The §6.4 agent edges this controller's state implies: intra, inter
+    /// (its home agents' remote waits) and holder back-edges into them.
+    pub agent_edges: Vec<(AgentId, AgentId)>,
     /// Every deadlock this controller ever declared.
     pub declarations: Vec<DdbDeadlock>,
     /// Execution state of every home script.
@@ -53,11 +49,11 @@ pub struct SiteSnapshot {
 impl SiteSnapshot {
     /// Captures a controller's verification-relevant state.
     pub fn capture(c: &Controller) -> SiteSnapshot {
+        let mut edges = Vec::new();
+        agent_edges(c, &mut edges);
         SiteSnapshot {
             site: c.site(),
-            intra_edges: c.locks().wait_edges(),
-            remote_edges: c.remote_wait_edges(),
-            holder_edges: c.holder_back_edges(),
+            agent_edges: edges,
             declarations: c.declarations().to_vec(),
             scripts: c.script_snapshots(),
             outcomes: c.txn_outcomes(),
@@ -118,18 +114,7 @@ impl ClusterSnapshot {
     /// Exact only at rest (no frames in flight, controllers quiescent);
     /// the caller is responsible for draining before capture.
     pub fn verify_at_rest(&self) -> RestVerdict {
-        let mut edges: Vec<(AgentId, AgentId)> = Vec::new();
-        for s in &self.sites {
-            for &(a, b) in &s.intra_edges {
-                edges.push((AgentId::new(a, s.site), AgentId::new(b, s.site)));
-            }
-            for &(t, m) in &s.remote_edges {
-                edges.push((AgentId::new(t, s.site), AgentId::new(t, m)));
-            }
-            for &(t, m) in &s.holder_edges {
-                edges.push((AgentId::new(t, m), AgentId::new(t, s.site)));
-            }
-        }
+        let edges = self.sites.iter().flat_map(|s| &s.agent_edges).copied();
         let (g, index) = graph_from_edges(edges);
 
         let mut v = RestVerdict::default();
@@ -170,7 +155,7 @@ impl ClusterSnapshot {
                 TxnStatus::Aborted => v.aborted += 1,
                 TxnStatus::Running => {
                     v.running += 1;
-                    let blocked = !matches!(sn.waiting, WaitSnapshot::Ready);
+                    let blocked = !matches!(sn.waiting, Waiting::None);
                     if blocked && !v.cycle_txns.contains(&sn.txn) && !v.declared.contains(&sn.txn) {
                         v.wedged += 1;
                     }
@@ -194,6 +179,26 @@ impl ClusterSnapshot {
             }
         }
         v
+    }
+}
+
+/// The §6.4 agent edges one controller's state implies, appended to `out`:
+/// the one derivation behind the stepping validator's agent graph and the
+/// service's at-rest verdict, so the two cannot drift.
+pub(crate) fn agent_edges(c: &Controller, out: &mut Vec<(AgentId, AgentId)>) {
+    let site = c.site();
+    // Intra-controller edges from the lock table.
+    for (a, b) in c.locks().wait_edges() {
+        out.push((AgentId::new(a, site), AgentId::new(b, site)));
+    }
+    // Inter-controller edges from outstanding remote waits.
+    for (t, m) in c.remote_wait_edges() {
+        out.push((AgentId::new(t, site), AgentId::new(t, m)));
+    }
+    // Holder back-edges (§6.4 completion): an idle remote holder
+    // agent waits for its home agent to send more work or commit.
+    for (t, m) in c.holder_back_edges() {
+        out.push((AgentId::new(t, m), AgentId::new(t, site)));
     }
 }
 
@@ -353,16 +358,13 @@ mod tests {
         // Simulate a post-declaration crash of site 0: its volatile state
         // (scripts, lock table) is gone, but other sites still remember
         // the declarations they made.
-        snap.sites[0].intra_edges.clear();
-        snap.sites[0].remote_edges.clear();
-        snap.sites[0].holder_edges.clear();
+        snap.sites[0].agent_edges.clear();
         snap.sites[0].scripts.clear();
         snap.sites[0].outcomes.clear();
         snap.sites[0].declarations.clear();
         // Site 1's remote edges into the dead site no longer close a
         // cycle; drop them as a restarted site-0 peer would.
-        snap.sites[1].remote_edges.clear();
-        snap.sites[1].holder_edges.clear();
+        snap.sites[1].agent_edges.retain(|(a, b)| a.site == b.site);
         let verdict = snap.verify_at_rest();
         assert_eq!(verdict.phantom, 0, "{verdict:?}");
         assert_eq!(verdict.missed, 0);

@@ -24,28 +24,34 @@ pub struct LockReq {
 }
 
 /// One step of a transaction script.
+// The explicit tag keeps a step at 32 bytes. At the niche layout's 24 a
+// short script's `Vec<TxnStep>` is a glibc fastbin chunk, a site thread's
+// teardown no longer consolidates its arena, and the next `Cluster::start`
+// in the process pays for it (`svc_remote` `setup_s` +35 %).
+#[repr(u8)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TxnStep {
-    /// Acquire `resource` (managed by `site`) in `mode`; blocks until
-    /// granted.
-    Lock {
-        /// Site managing the resource.
-        site: SiteId,
-        /// The resource.
-        resource: ResourceId,
-        /// Requested mode.
-        mode: LockMode,
-    },
     /// Acquire **all** the listed locks, issued simultaneously; blocks
-    /// until every one is granted. This is the paper's AND semantics with
-    /// out-degree > 1: the process's agent waits on several resources (and
-    /// possibly several sites) at once.
+    /// until every one is granted. This is the paper's AND semantics: the
+    /// process's agent waits on several resources (and possibly several
+    /// sites) at once. A single lock is the one-element case.
     LockAll(Vec<LockReq>),
     /// Compute for `ticks` virtual time units while holding current locks.
     Work {
         /// Duration of the computation.
         ticks: u64,
     },
+}
+
+impl TxnStep {
+    /// A single-lock step: a [`TxnStep::LockAll`] of one.
+    pub fn lock(site: SiteId, resource: ResourceId, mode: LockMode) -> TxnStep {
+        TxnStep::LockAll(vec![LockReq {
+            site,
+            resource,
+            mode,
+        }])
+    }
 }
 
 /// A complete transaction: identity, home site and script.
@@ -80,13 +86,9 @@ impl Transaction {
         }
     }
 
-    /// Appends a lock-acquisition step.
+    /// Appends a single-lock step: a [`TxnStep::LockAll`] of one.
     pub fn lock(mut self, site: SiteId, resource: ResourceId, mode: LockMode) -> Self {
-        self.steps.push(TxnStep::Lock {
-            site,
-            resource,
-            mode,
-        });
+        self.steps.push(TxnStep::lock(site, resource, mode));
         self
     }
 
@@ -143,13 +145,12 @@ impl fmt::Display for Transaction {
                 f.write_str(" ")?;
             }
             match s {
-                TxnStep::Lock {
-                    site,
-                    resource,
-                    mode,
-                } => write!(f, "lock({site},{resource},{mode})")?,
                 TxnStep::LockAll(reqs) => {
-                    f.write_str("lock-all(")?;
+                    f.write_str(if reqs.len() == 1 {
+                        "lock("
+                    } else {
+                        "lock-all("
+                    })?;
                     for (k, r) in reqs.iter().enumerate() {
                         if k > 0 {
                             f.write_str(" ")?;
@@ -189,11 +190,7 @@ mod tests {
         assert_eq!(t.home(), SiteId(2));
         assert_eq!(
             t.steps()[0],
-            TxnStep::Lock {
-                site: SiteId(2),
-                resource: ResourceId(1),
-                mode: LockMode::Shared
-            }
+            TxnStep::lock(SiteId(2), ResourceId(1), LockMode::Shared)
         );
     }
 

@@ -1,5 +1,6 @@
-//! Allocation-regression guard for what `ddb_resolve` pays to set up and
-//! what a converged deadlock pays per §5 message.
+//! Allocation-regression guard for what `ddb_resolve` pays to set up,
+//! what a converged deadlock pays per §5 message, and what a script pays
+//! per lock step that grants at once.
 //!
 //! `ddb_resolve`'s `setup_s` is one `DdbNet::new(3, ..)` (26 µs), so an
 //! eager allocation there — the persistent agent graph, its per-site edge
@@ -20,6 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use cmh_ddb::ids::{AgentId, ResourceId, SiteId, TransactionId};
 use cmh_ddb::lock::{LockMode, LockTable};
+use cmh_ddb::txn::{Transaction, TxnStatus};
 use cmh_ddb::wfgd::{AgentEdgeSet, DdbWfgdState, LocalTopology};
 use cmh_ddb::{DdbConfig, DdbNet};
 
@@ -58,6 +60,12 @@ fn allocs_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
 /// graph became persistent.
 const NEW_3_SITES_ALLOCS: u64 = 3;
 
+/// What submitting a home transaction of four uncontended local
+/// single-lock steps allocated, start to commit, at the commit before a
+/// single lock became a `LockAll` of one (when `advance` could clone the
+/// `Copy`-cheap step out of the script).
+const FOUR_GRANTED_LOCKS_ALLOCS: u64 = 15;
+
 #[test]
 fn construction_and_no_news_wfgd_do_not_allocate_more() {
     // --- `ddb_resolve`'s build phase. ---
@@ -93,4 +101,22 @@ fn construction_and_no_news_wfgd_do_not_allocate_more() {
         assert!(out.is_empty(), "nothing new, so nothing to send");
         assert_eq!(n, 0, "a no-news Wfgd delivery must not allocate");
     }
+
+    // --- The granted path: `advance` reads each step in place, so a lock
+    // step that grants at once costs no more than the lock-table entry it
+    // always did. (A step that *blocks* allocates its wait set — one
+    // allocation per blocked wait, accepted.) ---
+    let mut db = DdbNet::new(1, DdbConfig::default(), 7);
+    let txn = (0..4).fold(Transaction::new(t1, SiteId(0)), |txn, r| {
+        txn.lock(SiteId(0), ResourceId(r), LockMode::Exclusive)
+    });
+    let (n, ()) = allocs_in(|| db.submit(txn));
+    assert_eq!(
+        db.controller(SiteId(0)).txn_status(t1),
+        Some(TxnStatus::Committed)
+    );
+    assert!(
+        n <= FOUR_GRANTED_LOCKS_ALLOCS,
+        "four granted lock steps allocate {n} times, was {FOUR_GRANTED_LOCKS_ALLOCS}"
+    );
 }

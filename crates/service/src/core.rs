@@ -19,7 +19,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use cmh_ddb::config::{DdbConfig, Resolution};
+use cmh_ddb::config::DdbConfig;
 use cmh_ddb::controller::Controller;
 use cmh_ddb::ids::{SiteId, TransactionId};
 use cmh_ddb::msg::DdbMsg;
@@ -207,12 +207,7 @@ impl SiteCore {
             me,
             n_sites: cfg.n_sites,
             tick_micros: cfg.tick_micros,
-            restartable: matches!(
-                cfg.ddb.resolution,
-                Resolution::AbortSubject {
-                    restart_backoff: Some(_)
-                }
-            ),
+            restartable: cfg.ddb.resolution.restart_backoff().is_some(),
             sim,
             outbox,
             peers,

@@ -59,7 +59,6 @@ impl Job {
         self.steps
             .iter()
             .map(|s| match s {
-                TxnStep::Lock { .. } => 1,
                 TxnStep::LockAll(reqs) => reqs.len() as u64,
                 TxnStep::Work { .. } => 0,
             })

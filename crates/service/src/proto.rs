@@ -266,23 +266,14 @@ pub fn get_ddb_msg(d: &mut Dec<'_>) -> Result<DdbMsg, WireError> {
 
 // --- TxnStep codec ---
 
-const S_LOCK: u8 = 1;
+// Tag 1 is retired (the single-lock step, now a `LockAll` of one): do
+// not reuse it.
 const S_LOCK_ALL: u8 = 2;
 const S_WORK: u8 = 3;
 
 /// Appends the binary encoding of one script step.
 pub fn put_step(buf: &mut Vec<u8>, step: &TxnStep) {
     match step {
-        TxnStep::Lock {
-            site,
-            resource,
-            mode,
-        } => {
-            put_u8(buf, S_LOCK);
-            put_site(buf, *site);
-            put_resource(buf, *resource);
-            put_mode(buf, *mode);
-        }
         TxnStep::LockAll(reqs) => {
             put_u8(buf, S_LOCK_ALL);
             put_u32(buf, reqs.len() as u32);
@@ -303,11 +294,6 @@ pub fn put_step(buf: &mut Vec<u8>, step: &TxnStep) {
 /// panics on (empty or duplicate-target `lock_all`).
 pub fn get_step(d: &mut Dec<'_>) -> Result<TxnStep, WireError> {
     match d.u8()? {
-        S_LOCK => Ok(TxnStep::Lock {
-            site: get_site(d)?,
-            resource: get_resource(d)?,
-            mode: get_mode(d)?,
-        }),
         S_LOCK_ALL => {
             let n = d.count()?;
             if n == 0 {
@@ -344,11 +330,6 @@ pub fn build_txn(id: TransactionId, home: SiteId, steps: &[TxnStep]) -> Transact
     let mut t = Transaction::new(id, home);
     for s in steps {
         t = match s {
-            TxnStep::Lock {
-                site,
-                resource,
-                mode,
-            } => t.lock(*site, *resource, *mode),
             TxnStep::LockAll(reqs) => t.lock_all(reqs.iter().copied()),
             TxnStep::Work { ticks } => t.work(*ticks),
         };
@@ -572,11 +553,7 @@ mod tests {
     #[test]
     fn client_submit_roundtrips_and_rebuilds() {
         let steps = vec![
-            TxnStep::Lock {
-                site: SiteId(0),
-                resource: ResourceId(5),
-                mode: LockMode::Shared,
-            },
+            TxnStep::lock(SiteId(0), ResourceId(5), LockMode::Shared),
             TxnStep::Work { ticks: 30 },
             TxnStep::LockAll(vec![
                 LockReq {

@@ -204,11 +204,7 @@ fn submit(sim: &mut Cluster, site: usize, req: u64, steps: Vec<TxnStep>) {
 }
 
 fn lock(site: usize, resource: u64) -> TxnStep {
-    TxnStep::Lock {
-        site: SiteId(site),
-        resource: ResourceId(resource),
-        mode: LockMode::Exclusive,
-    }
+    TxnStep::lock(SiteId(site), ResourceId(resource), LockMode::Exclusive)
 }
 
 /// Stages the ring of `tests/service_e2e.rs`: the transaction homed at

@@ -73,11 +73,6 @@ fn ddb_msg() -> impl Strategy<Value = DdbMsg> {
 
 fn step() -> impl Strategy<Value = TxnStep> {
     prop_oneof![
-        (site(), resource(), mode()).prop_map(|(site, resource, mode)| TxnStep::Lock {
-            site,
-            resource,
-            mode,
-        }),
         // Distinct resources per entry keep the builder's duplicate-target
         // panic out of reach, matching what the decoder enforces.
         (proptest::collection::vec((site(), mode()), 1..6)).prop_map(|picks| {
@@ -220,4 +215,25 @@ proptest! {
             f
         );
     }
+}
+
+#[test]
+fn single_lock_is_a_lock_all_of_one_and_step_tag_1_is_retired() {
+    let f = ClientFrame::Submit {
+        req: 3,
+        steps: vec![TxnStep::lock(SiteId(1), ResourceId(9), LockMode::Shared)],
+    };
+    let mut body = f.encode();
+    assert_eq!(ClientFrame::decode(&body).unwrap(), f);
+    // Frame tag, u64 req, u32 step count, then the step's own tag.
+    let step_tag = 1 + 8 + 4;
+    assert_eq!(body[step_tag], 2, "lock_all keeps its tag");
+    body[step_tag] = 1;
+    assert_eq!(
+        ClientFrame::decode(&body),
+        Err(WireError::BadTag {
+            what: "TxnStep",
+            tag: 1
+        })
+    );
 }

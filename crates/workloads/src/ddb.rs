@@ -82,12 +82,13 @@ pub fn random_transactions(cfg: &DdbWorkloadConfig) -> Vec<TimedTxn> {
     let mut rng = DetRng::seed_from_u64(cfg.seed);
     let mut out = Vec::with_capacity(cfg.transactions);
     let mut t = 0u64;
+    let mut picks: Vec<(SiteId, ResourceId)> = Vec::new();
     for i in 0..cfg.transactions {
         t += rng.skewed_delay(cfg.mean_arrival_gap);
         let home = SiteId(rng.next_below(cfg.sites as u64) as usize);
         let n_locks = rng.range_inclusive(cfg.locks_min as u64, cfg.locks_max as u64) as usize;
         // Choose distinct (site, resource) pairs.
-        let mut picks: Vec<(SiteId, ResourceId)> = Vec::new();
+        picks.clear();
         let mut guard = 0;
         while picks.len() < n_locks && guard < 1000 {
             guard += 1;
@@ -115,7 +116,7 @@ pub fn random_transactions(cfg: &DdbWorkloadConfig) -> Vec<TimedTxn> {
         if batched {
             // One simultaneous AND-semantics acquisition of the whole set.
             let reqs: Vec<cmh_ddb::txn::LockReq> = picks
-                .into_iter()
+                .drain(..)
                 .map(|(site, resource)| cmh_ddb::txn::LockReq {
                     site,
                     resource,
@@ -128,7 +129,7 @@ pub fn random_transactions(cfg: &DdbWorkloadConfig) -> Vec<TimedTxn> {
                 .collect();
             txn = txn.lock_all(reqs);
         } else {
-            for (k, (site, res)) in picks.into_iter().enumerate() {
+            for (k, (site, res)) in picks.drain(..).enumerate() {
                 if k > 0 {
                     txn = txn.work(rng.range_inclusive(cfg.work_min, cfg.work_max));
                 }
@@ -217,6 +218,14 @@ mod tests {
     use super::*;
     use cmh_ddb::txn::TxnStep;
 
+    /// The target of a single-lock step.
+    fn single_lock(step: &TxnStep) -> Option<(SiteId, ResourceId)> {
+        match step {
+            TxnStep::LockAll(reqs) if reqs.len() == 1 => Some((reqs[0].site, reqs[0].resource)),
+            _ => None,
+        }
+    }
+
     #[test]
     fn random_transactions_are_seed_stable() {
         let cfg = DdbWorkloadConfig::default();
@@ -232,15 +241,8 @@ mod tests {
             ..DdbWorkloadConfig::default()
         };
         for tt in random_transactions(&cfg) {
-            let locks: Vec<(SiteId, ResourceId)> = tt
-                .txn
-                .steps()
-                .iter()
-                .filter_map(|s| match s {
-                    TxnStep::Lock { site, resource, .. } => Some((*site, *resource)),
-                    _ => None,
-                })
-                .collect();
+            let locks: Vec<(SiteId, ResourceId)> =
+                tt.txn.steps().iter().filter_map(single_lock).collect();
             let mut sorted = locks.clone();
             sorted.sort();
             assert_eq!(locks, sorted);
@@ -255,15 +257,8 @@ mod tests {
             ..DdbWorkloadConfig::default()
         };
         for tt in random_transactions(&cfg) {
-            let locks: Vec<(SiteId, ResourceId)> = tt
-                .txn
-                .steps()
-                .iter()
-                .filter_map(|s| match s {
-                    TxnStep::Lock { site, resource, .. } => Some((*site, *resource)),
-                    _ => None,
-                })
-                .collect();
+            let locks: Vec<(SiteId, ResourceId)> =
+                tt.txn.steps().iter().filter_map(single_lock).collect();
             let set: std::collections::BTreeSet<_> = locks.iter().collect();
             assert_eq!(set.len(), locks.len(), "{}", tt.txn);
             assert!(!locks.is_empty());
@@ -276,25 +271,16 @@ mod tests {
         assert_eq!(ts.len(), 5);
         for (i, tt) in ts.iter().enumerate() {
             assert_eq!(tt.txn.home(), SiteId(i));
-            let TxnStep::Lock { site, .. } = tt.txn.steps()[2] else {
-                panic!("expected second fork step");
-            };
-            assert_eq!(site, SiteId((i + 1) % 5));
+            let fork = single_lock(&tt.txn.steps()[2]).expect("second fork step");
+            assert_eq!(fork.0, SiteId((i + 1) % 5));
         }
     }
 
     #[test]
     fn bank_transfers_lock_two_distinct_accounts() {
         for tt in bank_transfers(3, 4, 20, 10, 5) {
-            let locks: Vec<(SiteId, ResourceId)> = tt
-                .txn
-                .steps()
-                .iter()
-                .filter_map(|s| match s {
-                    TxnStep::Lock { site, resource, .. } => Some((*site, *resource)),
-                    _ => None,
-                })
-                .collect();
+            let locks: Vec<(SiteId, ResourceId)> =
+                tt.txn.steps().iter().filter_map(single_lock).collect();
             assert_eq!(locks.len(), 2);
             assert_ne!(locks[0], locks[1]);
         }

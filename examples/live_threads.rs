@@ -27,11 +27,7 @@ const K: usize = 4;
 /// deadlock; without it the last transaction just commits and the chain
 /// behind it unwinds.
 fn staged_jobs(close: bool) -> Vec<Job> {
-    let lock = |site: usize| TxnStep::Lock {
-        site: SiteId(site),
-        resource: ResourceId(0),
-        mode: LockMode::Exclusive,
-    };
+    let lock = |site: usize| TxnStep::lock(SiteId(site), ResourceId(0), LockMode::Exclusive);
     (0..K)
         .map(|i| {
             let mut steps = vec![lock(i), TxnStep::Work { ticks: 25_000 }];

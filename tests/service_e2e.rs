@@ -20,17 +20,17 @@ fn ring_jobs(sites: &[usize], hold_ticks: u64) -> Vec<Job> {
         .map(|i| Job {
             site: SiteId(sites[i]),
             steps: vec![
-                TxnStep::Lock {
-                    site: SiteId(sites[i]),
-                    resource: cmh_ddb::ids::ResourceId(0),
-                    mode: LockMode::Exclusive,
-                },
+                TxnStep::lock(
+                    SiteId(sites[i]),
+                    cmh_ddb::ids::ResourceId(0),
+                    LockMode::Exclusive,
+                ),
                 TxnStep::Work { ticks: hold_ticks },
-                TxnStep::Lock {
-                    site: SiteId(sites[(i + 1) % sites.len()]),
-                    resource: cmh_ddb::ids::ResourceId(0),
-                    mode: LockMode::Exclusive,
-                },
+                TxnStep::lock(
+                    SiteId(sites[(i + 1) % sites.len()]),
+                    cmh_ddb::ids::ResourceId(0),
+                    LockMode::Exclusive,
+                ),
             ],
             at_us: 0,
         })
@@ -46,11 +46,11 @@ fn local_jobs(n_sites: usize, per_site: usize) -> Vec<Job> {
             jobs.push(Job {
                 site: SiteId(s),
                 steps: vec![
-                    TxnStep::Lock {
-                        site: SiteId(s),
-                        resource: cmh_ddb::ids::ResourceId(100 + k as u64),
-                        mode: LockMode::Exclusive,
-                    },
+                    TxnStep::lock(
+                        SiteId(s),
+                        cmh_ddb::ids::ResourceId(100 + k as u64),
+                        LockMode::Exclusive,
+                    ),
                     TxnStep::Work { ticks: 50 },
                 ],
                 at_us: 0,
