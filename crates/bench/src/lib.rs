@@ -136,31 +136,6 @@ pub fn formation_time(journal: &Journal, v: NodeId, declared_at: SimTime) -> Sim
     }
 }
 
-/// Arithmetic mean of a u64 slice (0 for empty).
-pub fn mean(xs: &[u64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<u64>() as f64 / xs.len() as f64
-    }
-}
-
-/// Sample maximum (0 for empty).
-pub fn max(xs: &[u64]) -> u64 {
-    xs.iter().copied().max().unwrap_or(0)
-}
-
-/// The `q`-quantile of an ascending-sorted slice by the nearest-rank rule
-/// (0 for empty).
-pub fn quantile(sorted: &[u64], q: f64) -> u64 {
-    debug_assert!(sorted.is_sorted());
-    let Some(last) = sorted.len().checked_sub(1) else {
-        return 0;
-    };
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.saturating_sub(1).min(last)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,17 +169,5 @@ mod tests {
         // The dark cycle exists as soon as both edges exist (grey counts).
         let t = formation_time(&j, n(0), SimTime::from_ticks(40));
         assert_eq!(t, SimTime::from_ticks(9));
-    }
-
-    #[test]
-    fn stats_helpers() {
-        assert_eq!(mean(&[2, 4]), 3.0);
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(max(&[3, 9, 1]), 9);
-        assert_eq!(max(&[]), 0);
-        assert_eq!(quantile(&[1, 2, 3, 4], 0.5), 2);
-        assert_eq!(quantile(&[1, 2, 3, 4], 0.99), 4);
-        assert_eq!(quantile(&[7], 0.0), 7);
-        assert_eq!(quantile(&[], 0.5), 0);
     }
 }

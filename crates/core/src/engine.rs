@@ -13,7 +13,6 @@ use std::cell::RefCell;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use simnet::latency::LatencyModel;
 use simnet::metrics::Metrics;
 use simnet::sim::{Context, NodeId, RunOutcome, SimBuilder, Simulation};
 use simnet::time::SimTime;
@@ -169,11 +168,6 @@ impl BasicNet {
         }
     }
 
-    /// Convenience: a network with a specific latency model.
-    pub fn with_latency(n: usize, cfg: BasicConfig, seed: u64, latency: LatencyModel) -> Self {
-        Self::with_builder(n, cfg, SimBuilder::new().seed(seed).latency(latency))
-    }
-
     /// Has vertex `from` send a request to `to` (drives the underlying
     /// computation).
     ///
@@ -242,11 +236,6 @@ impl BasicNet {
     /// Immutable access to a vertex.
     pub fn node(&self, id: NodeId) -> &BasicProcess {
         self.sim.node(id)
-    }
-
-    /// Immutable access to a vertex, or `None` if `id` is out of range.
-    pub fn try_node(&self, id: NodeId) -> Option<&BasicProcess> {
-        self.sim.try_node(id)
     }
 
     /// True if the fault plan currently has `id` crashed (see

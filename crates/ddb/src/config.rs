@@ -49,22 +49,22 @@ pub enum Resolution {
     #[default]
     None,
     /// Abort the declared process's transaction: release all its locks
-    /// everywhere and cancel its queued requests. If `restart_backoff` is
-    /// set, the home controller re-runs the transaction's script from the
-    /// start after that many ticks.
+    /// everywhere and cancel its queued requests. The home controller
+    /// re-runs the transaction's script from the start `restart_backoff`
+    /// ticks (plus jitter) later.
     AbortSubject {
-        /// Delay before the victim restarts; `None` = no restart.
-        restart_backoff: Option<u64>,
+        /// Delay before the victim restarts.
+        restart_backoff: u64,
     },
 }
 
 impl Resolution {
     /// The delay after which an aborted transaction restarts; `None` if
-    /// aborted transactions never come back (so `Aborted` is terminal).
+    /// nothing is ever aborted.
     pub fn restart_backoff(self) -> Option<u64> {
         match self {
             Resolution::None => None,
-            Resolution::AbortSubject { restart_backoff } => restart_backoff,
+            Resolution::AbortSubject { restart_backoff } => Some(restart_backoff),
         }
     }
 }
@@ -110,9 +110,7 @@ impl DdbConfig {
     pub fn detect_and_resolve(period: u64, restart_backoff: u64) -> Self {
         DdbConfig {
             initiation: DdbInitiation::PeriodicQOpt { period },
-            resolution: Resolution::AbortSubject {
-                restart_backoff: Some(restart_backoff),
-            },
+            resolution: Resolution::AbortSubject { restart_backoff },
             ..DdbConfig::default()
         }
     }
@@ -140,7 +138,7 @@ mod tests {
         assert_eq!(
             DdbConfig::detect_and_resolve(100, 50).resolution,
             Resolution::AbortSubject {
-                restart_backoff: Some(50)
+                restart_backoff: 50
             }
         );
         assert_eq!(

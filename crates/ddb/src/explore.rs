@@ -47,7 +47,6 @@ pub struct DdbRunner {
     /// period plus probe round trips before an undeclared dark SCC is
     /// evidence of a missed deadlock rather than of an early cutoff.
     completeness_after: SimTime,
-    fifo: bool,
 }
 
 impl DdbRunner {
@@ -71,7 +70,6 @@ impl DdbRunner {
             pending: submissions.into(),
             deadline,
             completeness_after,
-            fifo: true,
         }
     }
 
@@ -83,14 +81,6 @@ impl DdbRunner {
     /// The wrapped net, read-only.
     pub fn net(&self) -> &DdbNet {
         &self.net
-    }
-
-    /// Declares that the wire reorders or duplicates (fault plans):
-    /// disables the FIFO trace check (the explorer's own FIFO
-    /// eligibility filter should then be disabled too).
-    pub fn non_fifo(mut self) -> Self {
-        self.fifo = false;
-        self
     }
 
     fn apply_due(&mut self) -> Vec<FrontierEvent> {
@@ -126,7 +116,9 @@ impl ScheduleRunner for DdbRunner {
         self.net
             .verify_soundness()
             .map_err(|e| format!("soundness: {e}"))?;
-        simnet::explore::check_trace(self.net.trace().events(), self.fifo, false)
+        // Exactly-once FIFO: every DDB scope runs on a clean wire. A
+        // deadline-bounded run is never complete, so delivery may lag.
+        simnet::explore::check_trace(self.net.trace().events(), true, false)
             .map_err(|e| format!("trace: {e}"))?;
         if !truncated && self.net.now() >= self.completeness_after {
             self.net

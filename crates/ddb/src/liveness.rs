@@ -117,7 +117,7 @@ impl Watchdog {
     /// Records one observation and returns the current suspect list:
     /// transactions observed before whose epoch has not moved for more
     /// than the threshold. Transactions absent from `observation`
-    /// (committed or terminally aborted) are dropped from tracking.
+    /// (committed) are dropped from tracking.
     pub fn observe(
         &mut self,
         now: SimTime,

@@ -454,11 +454,6 @@ impl DdbNet {
         self.sim.node(site.node())
     }
 
-    /// Read access to a controller, or `None` if `site` is out of range.
-    pub fn try_controller(&self, site: SiteId) -> Option<&Controller> {
-        self.sim.try_node(site.node())
-    }
-
     /// True if the fault plan currently has `site` crashed (install one
     /// via [`DdbNet::with_builder`]).
     pub fn is_crashed(&self, site: SiteId) -> bool {
@@ -762,16 +757,11 @@ impl DdbNet {
     /// Progress epochs of every non-terminal transaction, the observation
     /// stream a [`crate::liveness::Watchdog`] consumes.
     pub fn progress_epochs(&self) -> Vec<(TransactionId, u64)> {
-        let restartable = self.cfg.resolution.restart_backoff().is_some();
         let mut out = Vec::new();
         for s in 0..self.n_sites {
             for snap in self.controller(SiteId(s)).script_snapshots() {
-                let terminal = match snap.status {
-                    TxnStatus::Committed => true,
-                    TxnStatus::Aborted => !restartable,
-                    TxnStatus::Running => false,
-                };
-                if !terminal {
+                // An aborted victim restarts, so only a commit is final.
+                if snap.status != TxnStatus::Committed {
                     out.push((snap.txn, snap.epoch));
                 }
             }
@@ -788,7 +778,6 @@ impl DdbNet {
     /// it, the liveness bug class this PR exists to kill.
     pub fn liveness_report(&self) -> LivenessReport {
         let mut ag = self.graph();
-        let restartable = self.cfg.resolution.restart_backoff().is_some();
         // First pass: who can move on their own?
         let mut progressing: BTreeSet<TransactionId> = BTreeSet::new();
         let mut entries: Vec<(TransactionId, SiteId, u64, bool)> = Vec::new();
@@ -797,7 +786,7 @@ impl DdbNet {
             for snap in self.controller(site).script_snapshots() {
                 match snap.status {
                     TxnStatus::Committed => {}
-                    TxnStatus::Aborted if !restartable => {}
+                    // Waiting out its restart backoff.
                     TxnStatus::Aborted => {
                         progressing.insert(snap.txn);
                         entries.push((snap.txn, site, snap.epoch, false));

@@ -92,7 +92,7 @@ pub struct RestVerdict {
     pub wedged: usize,
     /// Committed home transactions across all sites.
     pub committed: usize,
-    /// Aborted (and not restarted) home transactions.
+    /// Aborted home transactions still waiting out their restart backoff.
     pub aborted: usize,
     /// Transactions still `Running` at capture.
     pub running: usize,

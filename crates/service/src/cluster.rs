@@ -34,8 +34,7 @@ pub type StableStore = Arc<Mutex<BTreeMap<SiteId, SiteStable>>>;
 /// Which socket flavour the cluster serves on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportKind {
-    /// Unix-domain sockets under the system temp directory (default; the
-    /// E14 loopback sweeps use this).
+    /// Unix-domain sockets under the system temp directory (default).
     Uds,
     /// TCP on 127.0.0.1 (ports reserved at startup).
     Tcp,
@@ -182,7 +181,8 @@ impl Cluster {
             .sum()
     }
 
-    /// Cleanly shuts down every site, returning their final reports.
+    /// Cleanly shuts down every site, returning their final reports (and,
+    /// through `Drop`, removes the run's socket directory).
     pub fn shutdown(mut self) -> Vec<SiteReport> {
         let mut out = Vec::new();
         for h in self.handles.iter_mut() {
@@ -202,6 +202,13 @@ impl Drop for Cluster {
         for h in self.handles.iter_mut() {
             if let Some(h) = h.take() {
                 h.crash(Duration::from_secs(2));
+            }
+        }
+        // Every site has joined, so each listener has unlinked its socket:
+        // the run's directory (see `alloc_addrs`) is empty. Best-effort.
+        if let Some(Addr::Uds(sock)) = self.addrs.first() {
+            if let Some(dir) = sock.parent() {
+                let _ = std::fs::remove_dir(dir);
             }
         }
     }

@@ -162,8 +162,6 @@ pub struct SiteCore {
     me: SiteId,
     n_sites: usize,
     tick_micros: u64,
-    /// Whether an aborted transaction restarts (so `Aborted` is not final).
-    restartable: bool,
     sim: Simulation<DdbMsg, GwNode>,
     outbox: Rc<RefCell<Vec<(SiteId, DdbMsg)>>>,
     peers: BTreeMap<SiteId, Peer>,
@@ -207,7 +205,6 @@ impl SiteCore {
             me,
             n_sites: cfg.n_sites,
             tick_micros: cfg.tick_micros,
-            restartable: cfg.ddb.resolution.restart_backoff().is_some(),
             sim,
             outbox,
             peers,
@@ -364,7 +361,6 @@ impl SiteCore {
     /// Emits `Granted` / `Done` for tracked transactions that got there.
     fn notify_progress(&mut self, out: &mut Vec<Output>) {
         let c = local_controller(&self.sim, self.me);
-        let restartable = self.restartable;
         self.inflight.retain(|&txn, t| {
             let Some(sn) = c.script_snapshot_of(txn) else {
                 return true;
@@ -376,16 +372,15 @@ impl SiteCore {
                     ServerFrame::Granted { req: t.req },
                 ));
             }
-            let committed = match sn.status {
-                TxnStatus::Committed => true,
-                TxnStatus::Aborted if !restartable => false,
-                _ => return true,
-            };
+            // An aborted victim restarts, so only a commit ends the tracking.
+            if sn.status != TxnStatus::Committed {
+                return true;
+            }
             out.push(Output::ToClient(
                 t.conn,
                 ServerFrame::Done {
                     req: t.req,
-                    committed,
+                    committed: true,
                     attempts: sn.attempts,
                 },
             ));

@@ -30,10 +30,9 @@
 //! binary with explicit tag bytes, reassembled by an incremental
 //! [`wire::FrameReader`] that rejects malformed lengths.
 //!
-//! Experiment E14 (`exp_service`) measures the stack end-to-end on
-//! loopback: sustained requests/sec, request→grant and request→Declare
-//! latency quantiles, probe overhead per detected deadlock, and
-//! time-to-recovery across a controller kill/restart.
+//! `benchmark/` (the `svc_*` workloads, `e2e.recovery_ms`) measures the
+//! stack end-to-end on loopback; `tests/service_e2e.rs` pins that it
+//! works — staged ring, kill/restart, open loop — over both transports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

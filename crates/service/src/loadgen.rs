@@ -54,16 +54,6 @@ impl Job {
             at_us: at.saturating_mul(tick_micros),
         }
     }
-
-    fn lock_requests(&self) -> u64 {
-        self.steps
-            .iter()
-            .map(|s| match s {
-                TxnStep::LockAll(reqs) => reqs.len() as u64,
-                TxnStep::Work { .. } => 0,
-            })
-            .sum()
-    }
 }
 
 /// Driving discipline.
@@ -98,23 +88,20 @@ pub struct LoadReport {
     pub submitted: usize,
     /// Transactions that committed.
     pub committed: usize,
-    /// Transactions that finished aborted (resolution without restart).
+    /// Transactions whose `Done` said not committed — 0 against any site
+    /// this crate runs, where an aborted victim always restarts.
     pub aborted: usize,
     /// Deadlock declarations observed (per declaration event).
     pub declared: usize,
     /// Submitted transactions with no final word by the deadline (or cut
     /// off by a connection loss / site crash).
     pub lost: usize,
-    /// Individual lock requests submitted (`LockAll` counts each lock).
-    pub lock_requests: u64,
     /// Request→grant latencies, µs (first step completed).
     pub grant_us: Vec<u64>,
     /// Request→Declare latencies, µs.
     pub declare_us: Vec<u64>,
     /// Request→final-outcome latencies, µs.
     pub txn_us: Vec<u64>,
-    /// Wall-clock duration of the run, ms.
-    pub wall_ms: u64,
 }
 
 impl LoadReport {
@@ -124,7 +111,6 @@ impl LoadReport {
         self.aborted += w.aborted;
         self.declared += w.declared;
         self.lost += w.lost;
-        self.lock_requests += w.lock_requests;
         self.grant_us.extend(w.grant_us);
         self.declare_us.extend(w.declare_us);
         self.txn_us.extend(w.txn_us);
@@ -158,7 +144,6 @@ pub fn run_load(addrs: &[Addr], jobs: Vec<Job>, cfg: LoadConfig) -> LoadReport {
             report.absorb(part);
         }
     }
-    report.wall_ms = started.elapsed().as_millis() as u64;
     report
 }
 
@@ -275,7 +260,6 @@ fn site_worker(
             }
             pending.insert(req, started.elapsed().as_micros() as u64);
             report.submitted += 1;
-            report.lock_requests += job.lock_requests();
             idx += 1;
         }
 

@@ -13,7 +13,7 @@
 //!   [`TransactionId`]; clients name requests by their own `req` id);
 //! * [`ServerFrame`] (tags `0x2*`) — server→client notifications:
 //!   first-lock grant, deadlock declaration against the transaction, and
-//!   terminal commit/abort.
+//!   the commit.
 
 use cmh_ddb::ids::{AgentId, DdbProbeTag, ResourceId, SiteId, TransactionId};
 use cmh_ddb::lock::LockMode;
@@ -88,7 +88,8 @@ pub enum ServerFrame {
     Done {
         /// The client's request id.
         req: u64,
-        /// `true` = committed, `false` = aborted for good.
+        /// `true` = committed. A site never sends `false`: an aborted
+        /// victim restarts, so the only terminal state is a commit.
         committed: bool,
         /// Times the script was started (restarts = attempts − 1).
         attempts: u32,

@@ -1715,11 +1715,6 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Simulation<M, P> {
         outcome
     }
 
-    /// True if no events remain.
-    pub fn is_quiescent(&self) -> bool {
-        self.shards.iter().all(|s| s.local.queue.is_empty())
-    }
-
     /// True if a process requested a halt.
     pub fn is_halted(&self) -> bool {
         self.shards.iter().any(|s| s.local.halted)

@@ -17,7 +17,7 @@
 //!
 //! The free functions answer one-shot queries. Hot paths (per-event
 //! soundness scoring, per-poll coordinator detection) should instead hold
-//! an [`Oracle`]: it keeps an [`OracleScratch`] of reusable index-based
+//! an [`Oracle`]: it keeps a scratch of reusable index-based
 //! buffers (iterative Tarjan with visited stamps, no per-query
 //! allocation) and memoizes `dark_cycle_members`/`permanently_blocked`/
 //! `knots` against the graph's identity and mutation counters. While no
@@ -41,7 +41,7 @@ use crate::graph::{EdgeColour, WaitForGraph};
 /// Tarjan's completion order — reverse topological, identical to
 /// [`dark_sccs`]).
 #[derive(Debug, Default)]
-pub struct OracleScratch {
+struct OracleScratch {
     /// `stamp[v] == cur` marks `v` visited in the current traversal; no
     /// per-query clearing needed.
     stamp: Vec<u64>,
@@ -62,7 +62,7 @@ pub struct OracleScratch {
 
 impl OracleScratch {
     /// Creates an empty scratch; buffers are sized lazily per graph.
-    pub fn new() -> Self {
+    fn new() -> Self {
         OracleScratch::default()
     }
 
@@ -242,14 +242,14 @@ impl OracleScratch {
 
     /// Strongly connected components of the dark subgraph — same output as
     /// the free [`dark_sccs`], reusing this scratch's buffers.
-    pub fn dark_sccs(&mut self, g: &WaitForGraph) -> Vec<Vec<NodeId>> {
+    fn dark_sccs(&mut self, g: &WaitForGraph) -> Vec<Vec<NodeId>> {
         self.full_dark_run(g);
         self.components(g)
     }
 
     /// `true` if `v` lies on a cycle all of whose edges are black, via a
     /// stamped forward scan (no allocation beyond buffer growth).
-    pub fn is_on_black_cycle(&mut self, g: &WaitForGraph, v: NodeId) -> bool {
+    fn is_on_black_cycle(&mut self, g: &WaitForGraph, v: NodeId) -> bool {
         let Some(vi) = g.dense_index(v) else {
             return false;
         };
@@ -295,7 +295,7 @@ impl MemoKey {
 
 /// A memoizing, incrementally-maintained oracle handle.
 ///
-/// Holds an [`OracleScratch`] plus cached answers keyed on the graph's
+/// Holds reusable traversal buffers plus cached answers keyed on the graph's
 /// identity and dark-set counters. Queries against an unchanged graph are
 /// free; queries after dark-edge *additions only* (the monotone case —
 /// no whiten, no [`WaitForGraph::clear`]) re-run Tarjan on just the region
@@ -429,8 +429,7 @@ impl Oracle {
 ///
 /// Components are returned in reverse topological order (Tarjan's natural
 /// output order); singleton components are included. For repeated queries
-/// hold an [`Oracle`] (memoized) or an [`OracleScratch`] (reused buffers)
-/// instead.
+/// hold an [`Oracle`] (memoized, reused buffers) instead.
 pub fn dark_sccs(g: &WaitForGraph) -> Vec<Vec<NodeId>> {
     OracleScratch::new().dark_sccs(g)
 }

@@ -40,9 +40,6 @@ fn workspace_is_lint_clean_with_exactly_the_audited_exceptions() {
     let expected: BTreeSet<(String, String, bool)> = [
         // E13's table has wall-clock columns (sim ms, events/sec).
         ("crates/bench/src/bin/exp_scale.rs", "D2", true),
-        // E14 benches the real-socket service: wall-clock round-trip
-        // timing plus quiesce sleeps before at-rest capture.
-        ("crates/bench/src/bin/exp_service.rs", "D2,D4", true),
         // The networked service's socket shell, orchestration and load
         // generator are wall-clock, multi-threaded code by design. Its
         // protocol logic (`crates/service/src/core.rs`) is deliberately
@@ -95,7 +92,7 @@ fn workspace_is_lint_clean_with_exactly_the_audited_exceptions() {
     // too.
     assert_eq!(
         report.exceptions.len(),
-        15,
+        14,
         "allow markers in the workspace"
     );
 }

@@ -1,15 +1,23 @@
 //! End-to-end tests for the networked detector service (`cmh-service`):
-//! a real multi-site cluster over Unix-domain sockets, driven by the load
-//! generator, verified with the at-rest snapshot oracle.
+//! a real multi-site cluster over loopback sockets (Unix-domain and TCP),
+//! driven by the load generator, verified with the at-rest snapshot
+//! oracle. How fast any of it runs is `benchmark/`'s business (the `svc_*`
+//! workloads and the `e2e.recovery_ms` row); these tests pin that it works.
 
 use std::time::Duration;
 
 use cmh_ddb::config::DdbConfig;
 use cmh_ddb::ids::SiteId;
 use cmh_ddb::lock::LockMode;
+use cmh_ddb::snapshot::RestVerdict;
 use cmh_ddb::txn::TxnStep;
-use cmh_service::cluster::{Cluster, ClusterConfig};
+use cmh_service::cluster::{Cluster, ClusterConfig, TransportKind};
 use cmh_service::loadgen::{self, Job, LoadConfig, Mode};
+use cmh_service::sock::Addr;
+use workloads::{random_transactions, DdbWorkloadConfig};
+
+/// The staged ring and the kill/restart run once per socket flavour.
+const TRANSPORTS: [TransportKind; 2] = [TransportKind::Uds, TransportKind::Tcp];
 
 /// A ring of single-lock-then-second-lock transactions over `sites`,
 /// guaranteed to deadlock once every first lock is held: txn homed at
@@ -62,10 +70,17 @@ fn local_jobs(n_sites: usize, per_site: usize) -> Vec<Job> {
 
 #[test]
 fn staged_ring_is_declared_over_real_sockets() {
+    for transport in TRANSPORTS {
+        staged_ring_is_declared(transport);
+    }
+}
+
+fn staged_ring_is_declared(transport: TransportKind) {
     // 3 sites, detection every 5k ticks (= 10 ms at 2 µs/tick), report
     // only — the ring must stay dark until declared.
     let mut cfg = ClusterConfig::new(3, DdbConfig::detect_only(5_000));
     cfg.seed = 7;
+    cfg.transport = transport;
     let cluster = Cluster::start(cfg);
 
     let report = loadgen::run_load(
@@ -104,8 +119,15 @@ fn staged_ring_is_declared_over_real_sockets() {
 
 #[test]
 fn controller_crash_and_restart_recovers_soundly() {
+    for transport in TRANSPORTS {
+        crash_and_restart_recovers_soundly(transport);
+    }
+}
+
+fn crash_and_restart_recovers_soundly(transport: TransportKind) {
     let mut cfg = ClusterConfig::new(3, DdbConfig::detect_only(5_000));
     cfg.seed = 11;
+    cfg.transport = transport;
     let mut cluster = Cluster::start(cfg);
 
     // Healthy warm-up traffic on every site.
@@ -154,4 +176,78 @@ fn controller_crash_and_restart_recovers_soundly() {
     );
     assert!(!verdict.cycle_txns.is_empty());
     cluster.shutdown();
+}
+
+/// The open loop: ordered (so deadlock-free) cross-site transactions
+/// submitted on their generated arrival schedule under an admission cap.
+/// Every job commits, and at rest nothing is left — no cycle, no
+/// declaration, no running or wedged script.
+#[test]
+fn ordered_open_loop_commits_every_job() {
+    let wl = DdbWorkloadConfig {
+        sites: 3,
+        transactions: 90,
+        resources_per_site: 64,
+        locks_min: 1,
+        locks_max: 3,
+        remote_prob: 0.4,
+        write_prob: 0.8,
+        work_min: 10,
+        work_max: 100,
+        mean_arrival_gap: 400,
+        ordered: true,
+        batch_prob: 0.0,
+        seed: 43,
+    };
+    let cfg = ClusterConfig::new(3, DdbConfig::detect_only(10_000));
+    let jobs: Vec<Job> = random_transactions(&wl)
+        .iter()
+        .map(|t| Job::from_txn(t.at, &t.txn, cfg.tick_micros))
+        .collect();
+    assert!(
+        jobs.windows(2).any(|w| w[0].at_us < w[1].at_us),
+        "the schedule must spread arrivals for the open loop to pace"
+    );
+    let cluster = Cluster::start(cfg);
+
+    let report = loadgen::run_load(
+        cluster.addrs(),
+        jobs,
+        LoadConfig {
+            mode: Mode::Open { max_inflight: 8 },
+            deadline: Duration::from_secs(10),
+        },
+    );
+    assert_eq!(
+        (report.submitted, report.committed, report.lost),
+        (wl.transactions, wl.transactions, 0),
+        "{report:?}"
+    );
+
+    let verdict = cluster.snapshot(Duration::from_secs(2)).verify_at_rest();
+    assert_eq!(
+        verdict,
+        RestVerdict {
+            committed: wl.transactions,
+            ..RestVerdict::default()
+        }
+    );
+    cluster.shutdown();
+}
+
+/// A cluster over Unix-domain sockets serves from a directory of its own
+/// under the temp dir; shutting it down must leave nothing behind.
+#[test]
+fn shutdown_removes_the_socket_directory() {
+    let cluster = Cluster::start(ClusterConfig::new(2, DdbConfig::detect_only(5_000)));
+    let Addr::Uds(sock) = cluster.addrs()[0].clone() else {
+        panic!("the default transport is Unix-domain sockets");
+    };
+    let dir = sock.parent().expect("socket path has a parent");
+    // The site threads bind asynchronously; a served commit proves it.
+    loadgen::probe_until_commit(&cluster.addrs()[0], Duration::from_secs(10))
+        .expect("site 0 never served a commit");
+    assert!(dir.is_dir());
+    cluster.shutdown();
+    assert!(!dir.exists(), "{} left behind", dir.display());
 }
