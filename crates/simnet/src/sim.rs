@@ -54,7 +54,6 @@
 //! assert!(outcome.quiescent);
 //! ```
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::equeue::{EntryId, EventQueue};
@@ -676,12 +675,14 @@ pub(crate) trait Sink {
 pub(crate) struct Sequencer {
     pub(crate) now: SimTime,
     seq: u64,
-    /// Per-channel FIFO clocks, keyed `(from, to)` sparsely. A dense
-    /// `[from][to]` table is two array lookups but O(N²) memory — at
-    /// 10⁵+ nodes (the `exp_scale` sweep) the table, not the event
-    /// queue, dominated the whole process. Channels actually used are
-    /// bounded by the traffic, so the sorted map stays small and cached.
-    channel_clock: BTreeMap<(usize, usize), SimTime>,
+    /// Per-channel FIFO clocks: one row per sender, each a vector of
+    /// `(receiver, clock)` sorted by receiver. A lookup is one indexed
+    /// load plus a search over that sender's out-degree, whatever N is
+    /// (one sorted map keyed `(from, to)` is a descent through every
+    /// channel of the run on each send; a dense `[from][to]` table is
+    /// O(N²) memory). Rows appear at the first FIFO send, entries at a
+    /// channel's, so memory is O(nodes + channels used).
+    channel_clock: Vec<Vec<(usize, SimTime)>>,
     pub(crate) latency: LatencyModel,
     pub(crate) rng: DetRng,
     pub(crate) metrics: Metrics,
@@ -764,9 +765,18 @@ impl Sequencer {
     }
 
     fn channel_clock_mut(&mut self, from: NodeId, to: NodeId) -> &mut SimTime {
-        self.channel_clock
-            .entry((from.0, to.0))
-            .or_insert(SimTime::ZERO)
+        if self.channel_clock.len() <= from.0 {
+            let rows = self.node_count.max(from.0 + 1);
+            self.channel_clock.resize_with(rows, Vec::new);
+        }
+        let row = &mut self.channel_clock[from.0];
+        let i = row
+            .binary_search_by_key(&to.0, |&(to, _)| to)
+            .unwrap_or_else(|i| {
+                row.insert(i, (to.0, SimTime::ZERO));
+                i
+            });
+        &mut row[i].1
     }
 
     /// One latency draw for a transmission whose wire-level sender is
@@ -1309,7 +1319,7 @@ impl SimBuilder {
         let seqr = Sequencer {
             now: SimTime::ZERO,
             seq: 0,
-            channel_clock: BTreeMap::new(),
+            channel_clock: Vec::new(),
             latency: self.latency,
             rng,
             metrics: Metrics::new(),
@@ -1900,6 +1910,72 @@ mod tests {
         for i in 1..4 {
             let seqs: Vec<u32> = sim.node(NodeId(i)).order.iter().map(|&(_, n)| n).collect();
             assert_eq!(seqs, vec![0, 1, 2, 3, 4], "FIFO violated at node {i}");
+        }
+    }
+
+    /// `n` [`Flood`] nodes of which only node 0 sends: five rounds, each
+    /// one message to every member of `targets` in turn.
+    fn fan_out(b: SimBuilder, n: usize, targets: &[usize]) -> Simulation<Msg, Flood> {
+        let mut sim = b.build::<Msg, Flood>();
+        let mut everyone: Vec<NodeId> = targets.iter().map(|&t| NodeId(t)).collect();
+        for _ in 0..n {
+            let (everyone, order) = (std::mem::take(&mut everyone), vec![]);
+            sim.add_node(Flood { everyone, order });
+        }
+        assert!(sim.run_to_quiescence(100_000).quiescent);
+        sim
+    }
+
+    #[test]
+    fn wide_fan_out_keeps_every_channel_fifo() {
+        // One sender, 1 000 channels, sends interleaved across them: each
+        // channel's clock is its own entry of the sender's row.
+        let builder = SimBuilder::new()
+            .seed(6)
+            .latency(LatencyModel::Uniform { lo: 1, hi: 10 });
+        at_shard_counts(builder, |b| {
+            let targets: Vec<usize> = (1..=1_000).collect();
+            let sim = fan_out(b, 1_001, &targets);
+            for &i in &targets {
+                let got: Vec<u32> = sim.node(NodeId(i)).order.iter().map(|&(_, k)| k).collect();
+                assert_eq!(got, vec![0, 1, 2, 3, 4], "FIFO violated at node {i}");
+            }
+            let receivers = sim.seqr.channel_clock[0].iter().map(|&(to, _)| to);
+            assert_eq!(receivers.collect::<Vec<_>>(), targets);
+            sim
+        });
+    }
+
+    #[test]
+    fn clock_rows_hold_channels_used_not_node_ids() {
+        // A receiver id far above its sender's costs one row entry, and
+        // senders that never sent hold an empty (unallocated) row.
+        at_shard_counts(SimBuilder::new().seed(8), |b| {
+            let sim = fan_out(b, 1_001, &[1_000]);
+            assert_eq!(sim.node(NodeId(1_000)).order.len(), 5);
+            let rows = &sim.seqr.channel_clock;
+            assert_eq!(rows.len(), 1_001);
+            assert_eq!((rows[0].len(), rows[0][0].0), (1, 1_000));
+            assert!(rows[1..].iter().all(|row| row.capacity() == 0));
+            sim
+        });
+    }
+
+    #[test]
+    fn non_fifo_and_reordered_sends_bypass_the_channel_clock() {
+        let wide = LatencyModel::Uniform { lo: 1, hi: 200 };
+        let ablation = SimBuilder::new().seed(4).fifo(false).latency(wide.clone());
+        let reordered = SimBuilder::new()
+            .seed(4)
+            .latency(wide)
+            .faults(FaultPlan::default().reorder(1.0, 50));
+        for builder in [ablation, reordered] {
+            at_shard_counts(builder, |b| {
+                let sim = fan_out(b, 2, &[1]);
+                assert_eq!(sim.node(NodeId(1)).order.len(), 5);
+                assert!(sim.seqr.channel_clock.is_empty(), "no clock was consulted");
+                sim
+            });
         }
     }
 
