@@ -19,7 +19,7 @@ use wfg::generators::Topology;
 fn probes_per_computation(net: &BasicNet) -> BTreeMap<ProbeTag, u64> {
     let mut per_tag: BTreeMap<ProbeTag, u64> = BTreeMap::new();
     for i in 0..net.node_count() {
-        for (&tag, &count) in net.node(NodeId(i)).probes_sent_per_tag() {
+        for (tag, count) in net.node(NodeId(i)).probes_sent_per_tag() {
             *per_tag.entry(tag).or_insert(0) += count;
         }
     }

@@ -20,7 +20,6 @@
 //! It never inspects the global graph; the shared [`Journal`] is written
 //! for *validation only* and is never read by the algorithm.
 
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -125,29 +124,39 @@ pub struct BasicProcess {
     /// All declarations made by this vertex (step A1).
     declarations: Vec<DeadlockReport>,
     wfgd: WfgdState,
-    /// Bumped on every request to a target (sparse, keyed by target); lets
-    /// delayed-initiation timers detect that "their" edge was deleted and a
-    /// new one created.
-    wait_epoch: VecMap<NodeId, u64>,
-    /// Pending delayed-initiation timers. `BTreeMap`, not `HashMap`
-    /// (cmh-lint D1): only keyed insert/remove today, but ordered by
-    /// construction so no future iteration can depend on `RandomState`.
-    delayed_timers: BTreeMap<TimerId, (NodeId, u64)>,
+    /// [`InitiationPolicy::Delayed`] bookkeeping, allocated by the first
+    /// request under that policy and untouched under the others. Boxed for
+    /// the struct's size, which `tests/alloc_regression.rs` pins and explains.
+    delayed: Option<Box<DelayedInit>>,
     serve_timer_pending: bool,
     /// Shared mutation journal (validation only — never read here).
     journal: Option<Arc<Mutex<Journal>>>,
-    /// Probes sent per computation, for experiments E1/E3.
-    probes_sent_per_tag: BTreeMap<ProbeTag, u64>,
+    /// Probes sent, as runs of one tag in send order (A0 and A2 send a
+    /// computation's probes in one burst: one run), for experiments E1/E3.
+    /// Read only after a run, by [`BasicProcess::probes_sent_per_tag`].
+    probes_sent_log: Vec<(ProbeTag, u64)>,
     /// At-most-one-probe-per-edge-per-computation invariant tracking:
     /// per initiator, the computation number last probed and the edges
-    /// used for it. Superseded computations are dropped, so the ledger is
-    /// bounded by N × degree instead of growing with every computation.
+    /// used for it (superseded computations are dropped: bounded by N ×
+    /// degree). Read by one `debug_assert!`, so it exists where that does.
+    #[cfg(debug_assertions)]
     probe_edges_used: BTreeMap<NodeId, (u64, VecSet<NodeId>)>,
     /// Armed seeded protocol mutation, if any. The field is always
     /// present (so a `mutations`-feature build is behaviourally identical
     /// with the feature off under cargo feature unification); only the
     /// setter is feature-gated.
     mutation: Option<BasicMutation>,
+}
+
+/// What [`InitiationPolicy::Delayed`] keeps per vertex.
+#[derive(Default)]
+struct DelayedInit {
+    /// Bumped on every request to a target (sparse, keyed by target); lets
+    /// a timer detect that "its" edge was deleted and a new one created.
+    wait_epoch: VecMap<NodeId, u64>,
+    /// Pending timers. `BTreeMap`, not `HashMap` (cmh-lint D1): ordered by
+    /// construction so no future iteration can depend on `RandomState`.
+    timers: BTreeMap<TimerId, (NodeId, u64)>,
 }
 
 /// Seeded protocol mutations for the schedule-space model checker's
@@ -197,11 +206,11 @@ impl BasicProcess {
             latest_high_water: 0,
             declarations: Vec::new(),
             wfgd: WfgdState::new(),
-            wait_epoch: VecMap::new(),
-            delayed_timers: BTreeMap::new(),
+            delayed: None,
             serve_timer_pending: false,
             journal: None,
-            probes_sent_per_tag: BTreeMap::new(),
+            probes_sent_log: Vec::new(),
+            #[cfg(debug_assertions)]
             probe_edges_used: BTreeMap::new(),
             mutation: None,
         }
@@ -243,19 +252,17 @@ impl BasicProcess {
             return Err(RequestError::AlreadyWaiting { target });
         }
         self.out_waits.insert(target);
-        let epoch = {
-            let e = self.wait_epoch.entry_or_default(target);
-            *e += 1;
-            *e
-        };
         self.record(ctx, GraphOp::CreateGrey(me, target));
         ctx.count(counters::REQUEST_SENT);
         ctx.send(target, BasicMsg::Request);
         match self.cfg.initiation {
             InitiationPolicy::OnBlock => self.initiate(ctx),
             InitiationPolicy::Delayed { t } => {
+                let d = self.delayed.get_or_insert_with(Default::default);
+                let epoch = d.wait_epoch.entry_or_default(target);
+                *epoch += 1;
                 let id = ctx.set_timer(t, TAG_DELAYED_INIT);
-                self.delayed_timers.insert(id, (target, epoch));
+                d.timers.insert(id, (target, *epoch));
             }
             InitiationPolicy::Never => {}
         }
@@ -331,8 +338,12 @@ impl BasicProcess {
     }
 
     /// Probes sent, per computation tag (experiment E1).
-    pub fn probes_sent_per_tag(&self) -> &BTreeMap<ProbeTag, u64> {
-        &self.probes_sent_per_tag
+    pub fn probes_sent_per_tag(&self) -> BTreeMap<ProbeTag, u64> {
+        let mut per_tag = BTreeMap::new();
+        for &(tag, n) in &self.probes_sent_log {
+            *per_tag.entry(tag).or_insert(0) += n;
+        }
+        per_tag
     }
 
     /// Current number of tracked foreign computations (§4.3 state).
@@ -360,27 +371,26 @@ impl BasicProcess {
     }
 
     fn send_probe(&mut self, ctx: &mut Context<'_, BasicMsg>, tag: ProbeTag, to: NodeId) {
-        let ledger = self
-            .probe_edges_used
-            .entry(tag.initiator)
-            .or_insert_with(|| (tag.n, VecSet::new()));
-        let first_use = match tag.n.cmp(&ledger.0) {
-            Ordering::Greater => {
+        #[cfg(debug_assertions)]
+        {
+            let (n, used) = self.probe_edges_used.entry(tag.initiator).or_default();
+            if tag.n > *n {
                 // A newer computation supersedes the old ledger entry.
-                ledger.0 = tag.n;
-                ledger.1.clear();
-                ledger.1.insert(to)
+                *n = tag.n;
+                used.clear();
             }
-            Ordering::Equal => ledger.1.insert(to),
             // A2's supersession check never forwards an older computation,
-            // so this arm is unreachable; treat it as satisfied.
-            Ordering::Less => true,
-        };
-        debug_assert!(
-            first_use || self.cfg.forward == ForwardPolicy::EveryMeaningful,
-            "invariant violated: second probe of {tag} on edge to {to}"
-        );
-        *self.probes_sent_per_tag.entry(tag).or_insert(0) += 1;
+            // so `tag.n < *n` is unreachable; treat it as satisfied.
+            let first_use = tag.n < *n || used.insert(to);
+            debug_assert!(
+                first_use || self.cfg.forward == ForwardPolicy::EveryMeaningful,
+                "invariant violated: second probe of {tag} on edge to {to}"
+            );
+        }
+        match self.probes_sent_log.last_mut() {
+            Some((last, n)) if *last == tag => *n += 1,
+            _ => self.probes_sent_log.push((tag, 1)),
+        }
         ctx.count(counters::PROBE_SENT);
         ctx.send(to, BasicMsg::Probe(tag));
     }
@@ -539,9 +549,10 @@ impl Process<BasicMsg> for BasicProcess {
                 // becomes active again (on Reply receipt).
             }
             TAG_DELAYED_INIT => {
-                if let Some((target, epoch)) = self.delayed_timers.remove(&timer) {
+                let Some(d) = &mut self.delayed else { return };
+                if let Some((target, epoch)) = d.timers.remove(&timer) {
                     let still_waiting = self.out_waits.contains(&target)
-                        && self.wait_epoch.get(&target).copied() == Some(epoch);
+                        && d.wait_epoch.get(&target).copied() == Some(epoch);
                     if still_waiting {
                         // §4.3: the edge persisted for T ticks — initiate.
                         self.initiate(ctx);
@@ -566,10 +577,13 @@ impl Process<BasicMsg> for BasicProcess {
     /// after restart, so its fresh computation finds the cycle again).
     fn on_restart(&mut self, ctx: &mut Context<'_, BasicMsg>) {
         self.latest.clear();
+        #[cfg(debug_assertions)]
         self.probe_edges_used.clear();
         // All timers armed before the crash are gone; forget their
         // bookkeeping so late firings are ignored, then re-arm.
-        self.delayed_timers.clear();
+        if let Some(d) = &mut self.delayed {
+            d.timers.clear();
+        }
         self.serve_timer_pending = false;
         self.schedule_serve_if_needed(ctx);
         if self.out_waits.is_empty() {
@@ -578,11 +592,11 @@ impl Process<BasicMsg> for BasicProcess {
         match self.cfg.initiation {
             InitiationPolicy::OnBlock => self.initiate(ctx),
             InitiationPolicy::Delayed { t } => {
-                for i in 0..self.out_waits.len() {
-                    let target = self.out_waits.as_slice()[i];
-                    let epoch = self.wait_epoch.get(&target).copied().unwrap_or(0);
+                let d = self.delayed.get_or_insert_with(Default::default);
+                for &target in self.out_waits.iter() {
+                    let epoch = d.wait_epoch.get(&target).copied().unwrap_or(0);
                     let id = ctx.set_timer(t, TAG_DELAYED_INIT);
-                    self.delayed_timers.insert(id, (target, epoch));
+                    d.timers.insert(id, (target, epoch));
                 }
             }
             InitiationPolicy::Never => {}
@@ -592,8 +606,10 @@ impl Process<BasicMsg> for BasicProcess {
 
 #[cfg(test)]
 mod tests {
+    use simnet::faults::FaultPlan;
     use simnet::latency::LatencyModel;
     use simnet::sim::{SimBuilder, Simulation};
+    use simnet::time::SimTime;
 
     use super::*;
 
@@ -739,7 +755,7 @@ mod tests {
         // The invariant is debug-asserted in send_probe; additionally check
         // the aggregate: per tag, probes sent <= number of edges (here k).
         for i in 0..k {
-            for (&tag, &count) in sim.node(n(i)).probes_sent_per_tag() {
+            for (tag, count) in sim.node(n(i)).probes_sent_per_tag() {
                 assert!(count <= 1, "vertex {i} sent {count} probes for {tag}");
             }
         }
@@ -792,6 +808,101 @@ mod tests {
             .min()
             .unwrap();
         assert!(t.ticks() >= 50);
+    }
+
+    #[test]
+    fn delayed_epoch_tells_a_recreated_edge_from_the_one_timed() {
+        // Edge 0 -> 1 is deleted and re-created inside `T`: the first
+        // edge's timer finds its target waited for again, and only the
+        // epoch says that wait is a different edge. Then the same once
+        // more after a crash/restart of node 0, which forgets the timers
+        // but not the epochs.
+        let cfg = BasicConfig {
+            initiation: InitiationPolicy::Delayed { t: 200 },
+            ..BasicConfig::manual()
+        };
+        let restart = SimTime::from_ticks(305);
+        let mut sim = SimBuilder::new()
+            .seed(31)
+            .latency(LatencyModel::Uniform { lo: 1, hi: 8 })
+            .faults(
+                FaultPlan::new()
+                    .crash(n(0), SimTime::from_ticks(300), Some(restart))
+                    .crash(n(0), SimTime::from_ticks(700), Some(restart + 400)),
+            )
+            .build();
+        sim.add_node(BasicProcess::new(cfg));
+        sim.add_node(BasicProcess::new(cfg));
+        let grant_and_rerequest = |sim: &mut Simulation<BasicMsg, BasicProcess>| {
+            let now = sim.now();
+            sim.run_until(now + 10);
+            assert_eq!(sim.with_node(n(1), |p, ctx| p.serve_pending(ctx)), 1);
+            sim.run_until(now + 20);
+            assert!(!sim.node(n(0)).is_blocked());
+            sim.with_node(n(0), |p, ctx| p.request(ctx, n(1)).unwrap());
+        };
+        sim.with_node(n(0), |p, ctx| p.request(ctx, n(1)).unwrap());
+        // Round 1's timer is the request's; round 2's is the one
+        // `on_restart` re-arms for the edge still held.
+        for (round, armed_at) in [(1, SimTime::ZERO), (2, restart)] {
+            sim.run_until(armed_at);
+            grant_and_rerequest(&mut sim);
+            sim.run_until(armed_at + 199);
+            assert_eq!(sim.metrics().get(counters::INITIATION_AVOIDED), round - 1);
+            sim.run_until(armed_at + 250);
+            assert_eq!(
+                sim.metrics().get(counters::INITIATION_AVOIDED),
+                round,
+                "round {round}: the superseded edge's timer must not initiate"
+            );
+            assert_eq!(
+                sim.node(n(0)).computations_initiated(),
+                round,
+                "round {round}: the live edge's timer must"
+            );
+        }
+        // A restart with the edge left alone re-arms under the edge's own
+        // epoch: that timer initiates.
+        sim.run_until(restart + 650);
+        assert_eq!(sim.metrics().get(counters::INITIATION_AVOIDED), 2);
+        assert_eq!(sim.node(n(0)).computations_initiated(), 3);
+        assert!(sim.node(n(1)).delayed.is_none(), "node 1 never requested");
+    }
+
+    #[test]
+    fn per_tag_counts_sum_runs_split_by_another_computation() {
+        // `EveryMeaningful` is the one policy under which a vertex sends a
+        // tag in more than one burst. Node 2 hears (0, 1) over a two-hop
+        // path and a five-hop path, forwards both times, and initiates
+        // its own computation in between.
+        let cfg = BasicConfig {
+            forward: ForwardPolicy::EveryMeaningful,
+            ..BasicConfig::manual()
+        };
+        let mut sim = SimBuilder::new()
+            .latency(LatencyModel::Fixed { ticks: 1 })
+            .build();
+        for _ in 0..7 {
+            sim.add_node(BasicProcess::new(cfg));
+        }
+        for (from, to) in [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 2)] {
+            sim.with_node(n(from), |p, ctx| p.request(ctx, n(to)).unwrap());
+        }
+        sim.run_to_quiescence(1_000);
+        let t0 = sim.now();
+        sim.with_node(n(0), |p, ctx| p.initiate(ctx));
+        sim.run_until(t0 + 3);
+        sim.with_node(n(2), |p, ctx| p.initiate(ctx));
+        sim.run_to_quiescence(1_000);
+        let (foreign, own) = (ProbeTag::new(n(0), 1), ProbeTag::new(n(2), 1));
+        assert_eq!(
+            sim.node(n(2)).probes_sent_log,
+            [(foreign, 1), (own, 1), (foreign, 1)]
+        );
+        assert_eq!(
+            sim.node(n(2)).probes_sent_per_tag(),
+            BTreeMap::from([(foreign, 2), (own, 1)])
+        );
     }
 
     #[test]

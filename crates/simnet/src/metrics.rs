@@ -3,15 +3,18 @@
 //! Experiments in `EXPERIMENTS.md` report message volume per message kind
 //! (probe, request, reply, WFGD set, snapshot, ...). Processes classify
 //! their own traffic by calling [`crate::sim::Context::count`] with a kind
-//! string; the simulator additionally maintains built-in totals.
+//! constant (a `&'static str` from their `counters` module, or [`builtin`]
+//! here); the simulator additionally maintains built-in totals.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Counter bundle for one simulation run.
 ///
-/// Kind strings are free-form; `BTreeMap` keeps reports deterministically
-/// ordered.
+/// One `(name, value)` slot per kind, in first-use order. [`Metrics::add`]
+/// finds its slot by the name's *address* and compares text only when no
+/// address matches, so a name at two addresses (a literal duplicated across
+/// crates) is still one counter. Reports — [`Metrics::iter`], `Display`,
+/// `Debug`, `==` — go by name and omit zeros: fill order is invisible.
 ///
 /// # Examples
 ///
@@ -22,11 +25,10 @@ use std::fmt;
 /// m.inc("probe.sent");
 /// m.add("probe.sent", 2);
 /// assert_eq!(m.get("probe.sent"), 3);
-/// assert_eq!(m.sum_prefix("probe."), 3);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default)]
 pub struct Metrics {
-    counters: BTreeMap<String, u64>,
+    slots: Vec<(&'static str, u64)>,
 }
 
 /// Built-in counter names maintained by the simulator itself.
@@ -64,69 +66,87 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Adds `n` to the counter named `kind`, creating it at zero if absent.
-    ///
-    /// The key `String` is only allocated the first time a kind is seen;
-    /// steady-state increments are a borrowed lookup. This sits on the
-    /// simulator's per-event hot path, so `entry(kind.to_owned())` — one
-    /// allocation per call — is deliberately avoided.
-    pub fn add(&mut self, kind: &str, n: u64) {
-        match self.counters.get_mut(kind) {
-            Some(v) => *v += n,
-            None => {
-                self.counters.insert(kind.to_owned(), n);
+    /// Adds `n` to the counter named `kind`. Several calls per event on
+    /// the simulator's hot path, hence the address scan: a run holds about
+    /// twenty kinds and each caller passes the same constant every time.
+    pub fn add(&mut self, kind: &'static str, n: u64) {
+        for (k, v) in &mut self.slots {
+            if std::ptr::eq(*k, kind) {
+                *v += n;
+                return;
             }
+        }
+        self.add_by_name(kind, n);
+    }
+
+    /// First sight of this address: the name may still be known.
+    #[cold]
+    fn add_by_name(&mut self, kind: &'static str, n: u64) {
+        match self.slots.iter_mut().find(|(k, _)| *k == kind) {
+            Some((_, v)) => *v += n,
+            None => self.slots.push((kind, n)),
         }
     }
 
     /// Increments the counter named `kind` by one.
-    pub fn inc(&mut self, kind: &str) {
+    pub fn inc(&mut self, kind: &'static str) {
         self.add(kind, 1);
     }
 
     /// Returns the value of the counter named `kind` (zero if never touched).
     pub fn get(&self, kind: &str) -> u64 {
-        self.counters.get(kind).copied().unwrap_or(0)
+        self.slots
+            .iter()
+            .find(|(k, _)| *k == kind)
+            .map_or(0, |&(_, v)| v)
     }
 
-    /// Iterates over `(kind, value)` pairs in lexicographic kind order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Sums all counters whose name starts with `prefix`.
-    ///
-    /// Useful for aggregating per-node counters such as `probe.sent.*`.
-    pub fn sum_prefix(&self, prefix: &str) -> u64 {
-        self.counters
-            .range::<str, _>((
-                std::ops::Bound::Included(prefix),
-                std::ops::Bound::Unbounded,
-            ))
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(_, &v)| v)
-            .sum()
+    /// The non-zero `(kind, value)` pairs in lexicographic kind order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        let mut rows: Vec<_> = self.slots.iter().copied().filter(|r| r.1 != 0).collect();
+        rows.sort_unstable();
+        rows.into_iter()
     }
 
     /// Merges another metric set into this one, summing shared counters.
     pub fn merge(&mut self, other: &Metrics) {
-        for (k, v) in other.iter() {
-            self.add(k, v);
+        for &(k, v) in &other.slots {
+            if v != 0 {
+                self.add(k, v);
+            }
         }
     }
 
-    /// Resets every counter to zero (removes them).
+    /// Resets every counter to zero. The slots stay, so a set drained and
+    /// refilled (a shard's, every window) still finds its kinds by address.
     pub fn clear(&mut self) {
-        self.counters.clear();
+        for (_, v) in &mut self.slots {
+            *v = 0;
+        }
+    }
+}
+
+impl PartialEq for Metrics {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Metrics {}
+
+impl fmt::Debug for Metrics {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
 impl fmt::Display for Metrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.counters.is_empty() {
+        let mut rows = self.iter().peekable();
+        if rows.peek().is_none() {
             return write!(f, "(no metrics)");
         }
-        for (k, v) in &self.counters {
+        for (k, v) in rows {
             writeln!(f, "{k:<40} {v}")?;
         }
         Ok(())
@@ -135,7 +155,10 @@ impl fmt::Display for Metrics {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
+    use crate::rng::DetRng;
 
     #[test]
     fn add_get_and_default_zero() {
@@ -144,17 +167,6 @@ mod tests {
         m.inc("x");
         m.add("x", 4);
         assert_eq!(m.get("x"), 5);
-    }
-
-    #[test]
-    fn sum_prefix_aggregates_only_matching() {
-        let mut m = Metrics::new();
-        m.add("probe.sent.0", 2);
-        m.add("probe.sent.1", 3);
-        m.add("probe.recv.0", 7);
-        m.add("prober", 100);
-        assert_eq!(m.sum_prefix("probe.sent."), 5);
-        assert_eq!(m.sum_prefix("probe."), 12);
     }
 
     #[test]
@@ -185,5 +197,157 @@ mod tests {
         m.inc("a");
         let keys: Vec<&str> = m.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec!["a", "b"]);
+    }
+
+    /// Names with the shared prefixes real counters have, one of them a
+    /// proper prefix of another.
+    const POOL: [&str; 24] = [
+        "sim.events",
+        "sim.messages_sent",
+        "sim.messages_delivered",
+        "sim.messages_dropped",
+        "sim.messages_duplicated",
+        "sim.timers_fired",
+        "sim.crashes",
+        "sim.restarts",
+        "reliable.retransmissions",
+        "reliable.acks_sent",
+        "reliable.duplicates_suppressed",
+        "reliable.deliveries_abandoned",
+        "probe.sent",
+        "probe.sent.late",
+        "probe.recv",
+        "probe.meaningful",
+        "probe.discarded",
+        "probe.computation.initiated",
+        "probe.initiation.avoided",
+        "basic.request.sent",
+        "basic.reply.sent",
+        "basic.reply.stale",
+        "deadlock.declared",
+        "wfgd.sent",
+    ];
+
+    /// The map the slot vector replaced, with the one rule the reports
+    /// follow: a counter at zero is not there.
+    #[derive(Clone, Default)]
+    struct Model(BTreeMap<String, u64>);
+
+    impl Model {
+        fn add(&mut self, kind: &str, n: u64) {
+            if n != 0 {
+                *self.0.entry(kind.to_owned()).or_insert(0) += n;
+            }
+        }
+
+        fn display(&self) -> String {
+            if self.0.is_empty() {
+                return "(no metrics)".to_owned();
+            }
+            self.0
+                .iter()
+                .map(|(k, v)| format!("{k:<40} {v}\n"))
+                .collect()
+        }
+    }
+
+    fn assert_agrees(m: &Metrics, model: &Model, step: usize) {
+        for name in POOL {
+            let want = model.0.get(name).copied().unwrap_or(0);
+            assert_eq!(m.get(name), want, "step {step}: {name}");
+        }
+        let rows: Vec<(String, u64)> = m.iter().map(|(k, v)| (k.to_owned(), v)).collect();
+        let want: Vec<(String, u64)> = model.0.clone().into_iter().collect();
+        assert_eq!(rows, want, "step {step}: iter()");
+        assert_eq!(m.to_string(), model.display(), "step {step}: Display");
+    }
+
+    #[test]
+    fn agrees_with_a_map_model_under_random_operations() {
+        let mut rng = DetRng::seed_from_u64(23);
+        // Two sets driven side by side so `merge` and `==` have a partner.
+        let mut sets = [Metrics::new(), Metrics::new()];
+        let mut models = [Model::default(), Model::default()];
+        for step in 0..4_000 {
+            let i = rng.next_below(2) as usize;
+            let name = POOL[rng.next_below(POOL.len() as u64) as usize];
+            match rng.next_below(20) {
+                0..=9 => {
+                    sets[i].inc(name);
+                    models[i].add(name, 1);
+                }
+                10..=15 => {
+                    let n = rng.next_below(5);
+                    sets[i].add(name, n);
+                    models[i].add(name, n);
+                }
+                16..=17 => {
+                    let other = sets[1 - i].clone();
+                    sets[i].merge(&other);
+                    for (k, v) in models[1 - i].0.clone() {
+                        models[i].add(&k, v);
+                    }
+                }
+                18 => {
+                    sets[i] = sets[1 - i].clone();
+                    models[i] = models[1 - i].clone();
+                }
+                _ => {
+                    sets[i].clear();
+                    models[i].0.clear();
+                }
+            }
+            assert_agrees(&sets[0], &models[0], step);
+            assert_agrees(&sets[1], &models[1], step);
+            assert_eq!(
+                sets[0] == sets[1],
+                models[0].0 == models[1].0,
+                "step {step}: =="
+            );
+        }
+    }
+
+    #[test]
+    fn fill_order_is_invisible() {
+        let mut a = Metrics::new();
+        let mut b = Metrics::new();
+        for (i, name) in POOL.iter().enumerate() {
+            a.add(name, i as u64 + 1);
+        }
+        for (i, name) in POOL.iter().enumerate().rev() {
+            b.add(name, i as u64 + 1);
+        }
+        assert_eq!(a, b);
+        assert_eq!(a.to_string(), b.to_string());
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        // A drained set keeps its slots and still equals a fresh one.
+        b.clear();
+        assert_eq!(b, Metrics::new());
+        assert_eq!(b.to_string(), "(no metrics)");
+    }
+
+    #[test]
+    fn one_name_at_two_addresses_is_one_counter() {
+        let literal: &'static str = "probe.sent";
+        let leaked: &'static str = Box::leak(String::from(literal).into_boxed_str());
+        assert!(!std::ptr::eq(literal, leaked));
+        let mut m = Metrics::new();
+        // Each address twice: first sight and again, in both orders.
+        for (n, kind) in [(1, literal), (10, leaked), (100, leaked), (1_000, literal)] {
+            m.add(kind, n);
+        }
+        assert_eq!(m.get("probe.sent"), 1_111);
+        assert_eq!(m.iter().collect::<Vec<_>>(), vec![("probe.sent", 1_111)]);
+        // A name that merely starts at the same address is another counter.
+        m.inc(&literal[..5]);
+        assert_eq!(m.get("probe"), 1);
+        assert_eq!(m.get("probe.sent"), 1_111);
+    }
+
+    #[test]
+    fn metrics_cross_threads() {
+        // The threaded handler pass moves shard metrics across workers.
+        fn assert_send<T: Send>() {}
+        assert_send::<Metrics>();
     }
 }

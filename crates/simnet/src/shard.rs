@@ -1315,11 +1315,11 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Simulation<M, P> {
     }
 
     /// Merges the shard-local metric counters of a windowed run into the
-    /// sequencer's aggregate (drained so repeated flushes never
-    /// double-count). Called at the end of every public driving call, so
-    /// the public accessors are exact at those boundaries. A lone shard's
-    /// handlers count on the sequencer directly: nothing to merge, and a
-    /// driver that single-steps should not pay for finding that out.
+    /// sequencer's aggregate, zeroing them in place (no double count; slots
+    /// stay). Called at the end of every public driving call, so the public
+    /// accessors are exact at those boundaries. A lone shard's handlers count
+    /// on the sequencer directly: nothing to merge, and a single-stepping
+    /// driver should not pay for finding that out.
     pub(crate) fn flush(&mut self) {
         if self.shards.len() == 1 {
             return;

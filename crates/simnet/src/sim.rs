@@ -514,12 +514,12 @@ impl<'a, M: fmt::Debug + Clone> Context<'a, M> {
     }
 
     /// Increments the metric counter named `kind`.
-    pub fn count(&mut self, kind: &str) {
+    pub fn count(&mut self, kind: &'static str) {
         self.count_n(kind, 1);
     }
 
     /// Adds `n` to the metric counter named `kind`.
-    pub fn count_n(&mut self, kind: &str, n: u64) {
+    pub fn count_n(&mut self, kind: &'static str, n: u64) {
         match &mut self.seqr {
             Some(seqr) => seqr.metrics.add(kind, n),
             None => self.local.metrics.add(kind, n),

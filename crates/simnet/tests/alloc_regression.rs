@@ -2,7 +2,7 @@
 //!
 //! The send→wire→deliver hot loop is supposed to be **allocation-free in
 //! steady state** when tracing is off: payloads move, the scheduler slab
-//! recycles slots, metric counters key by borrowed `&str`, and the
+//! recycles slots, metric counters are found by their name's address, and the
 //! reliable layer's delivery/reorder buffers are pooled. This binary pins
 //! that property with a counting global allocator:
 //!
@@ -22,7 +22,7 @@
 //! process-wide state, then build a fresh simulation of the same shape
 //! and step it until it has already delivered a healthy prefix of its
 //! messages — by which point every lazily-grown structure (scheduler
-//! slab, event heap, metric-key strings, per-channel maps, pooled
+//! slab, event heap, metric slots, per-channel maps, pooled
 //! buffers) has reached its steady size, because the in-flight
 //! population peaks early in these workloads. Only then snapshot the
 //! counter and charge the remaining run to its delivered messages.
@@ -89,6 +89,21 @@ struct Relay {
     limit: u64,
 }
 
+/// What a real run's processes add to the engine's own counters: about
+/// ten kinds of their own, a few of them touched on every delivery.
+const RELAY_COUNTERS: [&str; 10] = [
+    "relay.hop.0",
+    "relay.hop.1",
+    "relay.hop.2",
+    "relay.hop.3",
+    "relay.hop.4",
+    "relay.hop.5",
+    "relay.hop.6",
+    "relay.hop.7",
+    "relay.hop.8",
+    "relay.hop.9",
+];
+
 impl Process<Probe> for Relay {
     fn on_start(&mut self, ctx: &mut Context<'_, Probe>) {
         if ctx.id() == NodeId(0) {
@@ -99,6 +114,7 @@ impl Process<Probe> for Relay {
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, Probe>, _from: NodeId, msg: Probe) {
+        ctx.count(RELAY_COUNTERS[msg.hop as usize % RELAY_COUNTERS.len()]);
         if msg.hop < self.limit {
             ctx.send(self.next, Probe { hop: msg.hop + 1 });
         }
@@ -135,6 +151,11 @@ fn allocs_per_message(mk: impl Fn() -> SimBuilder, seeds: u64, hops: u64, warm_t
         assert!(sim.step(), "workload drained during warm-up");
     }
     let delivered_before = sim.metrics().get(builtin::MESSAGES_DELIVERED);
+    let live = sim.metrics().iter().count();
+    assert!(
+        live >= 12,
+        "the pin must be taken with a real run's counter population live, not {live}"
+    );
     let before = allocs();
     let out = sim.run_to_quiescence(u64::MAX);
     let after = allocs();
