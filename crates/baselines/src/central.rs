@@ -175,8 +175,7 @@ impl Coordinator {
 impl Process<CentralMsg> for CentralProcess {
     fn on_start(&mut self, ctx: &mut Context<'_, CentralMsg>) {
         if let CentralProcess::Coordinator(c) = self {
-            let jitter = ctx.rng().next_below(c.period.max(1));
-            ctx.set_timer(c.period + jitter, TAG_POLL);
+            ctx.set_timer_jittered(c.period, c.period, TAG_POLL);
         }
     }
 

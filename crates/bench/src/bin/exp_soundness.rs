@@ -12,17 +12,9 @@
 //! The paper proves the probe computation reports **zero** phantoms; the
 //! baselines trade that away.
 //!
-//! ## The `CMH_SHARDS` axis
-//!
-//! With `CMH_SHARDS=S` (S > 1) the probe-computation runs use the sharded
-//! conservative-window engine (bit-identical results — the golden tests
-//! pin this). The baselines stay at one shard regardless: the
-//! centralised poller draws `ctx.rng()` mid-handler, which the sharded
-//! engine deliberately serves from per-node substreams (DESIGN §12), so
-//! switching engines would change their sampled statistics and break
-//! comparability with the recorded tables.
-//!
-//! Every family's independent seeds fan out over a worker pool.
+//! With `CMH_SHARDS=S` every detector runs on `S` shards; the table is
+//! byte-identical at any `S`. Every family's independent seeds fan out
+//! over a worker pool.
 
 use baselines::{CentralNet, SnapshotMode, TimeoutNet};
 use cmh_bench::sweep::shards_from_env;
@@ -50,8 +42,11 @@ fn latency() -> LatencyModel {
     }
 }
 
-fn builder(seed: u64) -> SimBuilder {
-    SimBuilder::new().seed(seed).latency(latency())
+fn builder(seed: u64, shards: usize) -> SimBuilder {
+    SimBuilder::new()
+        .seed(seed)
+        .latency(latency())
+        .shards(shards)
 }
 
 fn schedule_for(seed: u64) -> workloads::Schedule {
@@ -96,7 +91,7 @@ fn main() {
     let shards = shards_from_env();
     println!("# E4: soundness/completeness Monte-Carlo ({RUNS} seeded runs per detector)\n");
     if shards > 1 {
-        println!("(CMH_SHARDS={shards}: sharded engine for the probe computation)\n");
+        println!("(CMH_SHARDS={shards}: sharded engine)\n");
     }
     let mut table = Table::new([
         "detector",
@@ -113,7 +108,7 @@ fn main() {
         let mut net = BasicNet::with_builder(
             sched.n,
             BasicConfig::on_block(SERVICE_DELAY),
-            builder(seed).shards(shards),
+            builder(seed, shards),
         );
         drive_schedule(
             &mut net,
@@ -146,7 +141,8 @@ fn main() {
     for timeout in [100u64, 400] {
         let outs = par_seeds(RUNS, |seed| {
             let sched = schedule_for(seed);
-            let mut net = TimeoutNet::with_builder(sched.n, timeout, SERVICE_DELAY, builder(seed));
+            let mut net =
+                TimeoutNet::with_builder(sched.n, timeout, SERVICE_DELAY, builder(seed, shards));
             drive_schedule(
                 &mut net,
                 &sched,
@@ -169,7 +165,8 @@ fn main() {
     ] {
         let outs = par_seeds(RUNS, |seed| {
             let sched = schedule_for(seed);
-            let mut net = CentralNet::with_builder(sched.n, mode, 80, SERVICE_DELAY, builder(seed));
+            let mut net =
+                CentralNet::with_builder(sched.n, mode, 80, SERVICE_DELAY, builder(seed, shards));
             drive_schedule(
                 &mut net,
                 &sched,

@@ -659,12 +659,12 @@ impl Controller {
         if let DdbInitiation::PeriodicQOpt { period } | DdbInitiation::PeriodicNaive { period } =
             self.cfg.initiation
         {
-            let jitter = if stagger {
-                ctx.rng().next_below(period.max(1))
+            let tag = enc_timer(K_PERIODIC, TransactionId(0), 0);
+            if stagger {
+                ctx.set_timer_jittered(period, period, tag);
             } else {
-                0
-            };
-            ctx.set_timer(period + jitter, enc_timer(K_PERIODIC, TransactionId(0), 0));
+                ctx.set_timer(period, tag);
+            }
         }
     }
 
@@ -673,8 +673,7 @@ impl Controller {
         if let Some(backoff) = self.cfg.resolution.restart_backoff() {
             // Randomised backoff: restarting at a deterministic offset can
             // recreate the same deadlock in lockstep, livelocking.
-            let jitter = ctx.rng().next_below(backoff.max(1));
-            ctx.set_timer(backoff + jitter, enc_timer(K_RESTART, id, 0));
+            ctx.set_timer_jittered(backoff, backoff, enc_timer(K_RESTART, id, 0));
         }
     }
 

@@ -17,8 +17,8 @@
 //!   (minimum latency and timer delay are both ≥ 1), so the frontier of
 //!   a tick is fixed when the tick starts and schedules within a tick
 //!   are permutations of a known set;
-//! * in explore mode ([`crate::sim::SimBuilder::explore`]) a node's RNG,
-//!   latency and fault draws come from per-node substreams, so two
+//! * in explore mode ([`crate::sim::SimBuilder::explore`]) a node's
+//!   latency, jitter and fault draws come from per-node substreams, so two
 //!   same-tick events whose *touch sets*
 //!   ([`crate::sim::EventClass::touches`]) are disjoint commute: both
 //!   orders reach bit-identical states;

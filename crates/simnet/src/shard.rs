@@ -8,8 +8,8 @@
 //! `i` lives on shard `i mod S` — its "site"). Each shard owns a
 //! slab-backed [`EventQueue`], the processes assigned to it, and
 //! struct-of-arrays bookkeeping for exactly those nodes (crash flags,
-//! reliable-transport channel state keyed by *receiving* node, per-node
-//! RNG substreams, a timer slab). Every event, at any `S`, is executed
+//! reliable-transport channel state keyed by *receiving* node, a timer
+//! slab). Every event, at any `S`, is executed
 //! by [`Shard::handle`]; what `S` selects is *when that handler's side
 //! effects reach the [`Sequencer`]* — and [`Context`] is the switch:
 //!
@@ -70,12 +70,10 @@
 //!
 //! Because every cross-shard-visible effect funnels through the barrier in
 //! the exact `S = 1` order, traces, metrics and digests are
-//! byte-identical for any shard count and any thread count. Processes that
-//! draw from [`crate::sim::Context::rng`] *inside handlers* are the one
-//! exception: deferred handlers draw from a per-node forked substream
-//! (stable across `S >= 2` and thread counts, but not equal to the global
-//! stream inline handlers draw from), so such processes should stay at
-//! `shards(1)`; see DESIGN §12.
+//! byte-identical for any shard count and any thread count. A handler
+//! draws nothing itself: the one randomness a process can ask for, a
+//! timer's jitter ([`crate::sim::Context::set_timer_jittered`]), is drawn
+//! by the sequencer when the `PushTimer` request replays.
 //!
 //! Threading is an opt-in capability captured at build time
 //! ([`crate::sim::SimBuilder::build_mt`]) because it needs `M: Send` and
@@ -93,18 +91,11 @@ use crate::equeue::{EntryId, EventQueue};
 use crate::faults::DropReason;
 use crate::metrics::{builtin, Metrics};
 use crate::reliable::{ReliableConfig, ReliableState, RetransmitVerdict, WireAccept};
-use crate::rng::DetRng;
 use crate::sim::{
     Context, EventKind, NodeId, Process, Sequencer, Simulation, Sink, TimerId, WindowStats,
 };
 use crate::time::SimTime;
 use crate::trace::TraceEvent;
-
-/// RNG substream id base for per-node handler streams (`ctx.rng()` in
-/// deferred mode): node `i` draws from `root.fork(NODE_RNG_STREAM ^ i)`,
-/// which depends only on the seed and the node id — never on the shard
-/// count or thread count.
-const NODE_RNG_STREAM: u64 = 0x5348_4152_4400_0000;
 
 /// Default pending-event backlog at which the threaded handler phase
 /// engages. With the persistent pool a window dispatch costs one wake-up
@@ -123,13 +114,15 @@ const DEFAULT_PAR_THRESHOLD: u64 = 512;
 pub(crate) enum Req<M> {
     /// Full application send ([`Sequencer::send`]).
     Send { from: NodeId, to: NodeId, msg: M },
-    /// Arm a timer allocated in the parallel phase.
+    /// Arm a timer allocated in the parallel phase
+    /// ([`Sequencer::arm_timer`]; the jitter draw happens at replay).
     PushTimer {
         node: NodeId,
         slot: u32,
         gen: u16,
         tag: u64,
         delay: u64,
+        spread: u64,
     },
     /// Cancel a timer owned by another shard (same-shard cancels resolve
     /// immediately in the parallel phase).
@@ -297,10 +290,6 @@ pub(crate) struct ShardLocal<M> {
     /// ticks `<= floor` stay safe, ticks beyond it would run out of
     /// order. Reset to `SimTime::MAX` at every window start.
     floor: SimTime,
-    /// The seeded root the per-node handler substreams fork from, and the
-    /// streams forked so far, indexed by local id (deferred mode only).
-    rng_root: DetRng,
-    rngs: Vec<DetRng>,
     pub(crate) tracing: bool,
     pub(crate) halted: bool,
     /// Events this shard has handled in windows, ever; a window's count
@@ -384,7 +373,7 @@ impl<M> ShardLocal<M> {
         });
     }
 
-    pub(crate) fn arm_timer(&mut self, node: NodeId, delay: u64, tag: u64) -> TimerId {
+    pub(crate) fn arm_timer(&mut self, node: NodeId, delay: u64, spread: u64, tag: u64) -> TimerId {
         let (slot, gen) = self.timers.alloc();
         self.defer(Req::PushTimer {
             node,
@@ -392,6 +381,7 @@ impl<M> ShardLocal<M> {
             gen,
             tag,
             delay,
+            spread,
         });
         TimerId(encode_timer(self.idx, slot, gen))
     }
@@ -439,18 +429,6 @@ impl<M> ShardLocal<M> {
             _ => {}
         }
     }
-
-    /// `node`'s handler substream, forked from the seeded root the first
-    /// time any node at or above its index asks.
-    pub(crate) fn node_rng(&mut self, node: NodeId) -> &mut DetRng {
-        let l = self.local_idx(node);
-        while self.rngs.len() <= l {
-            let id = self.rngs.len() * self.nshards + self.idx;
-            self.rngs
-                .push(self.rng_root.fork(NODE_RNG_STREAM ^ id as u64));
-        }
-        &mut self.rngs[l]
-    }
 }
 
 /// Inline mode's sink: the lone shard's own queue and channel state.
@@ -473,12 +451,10 @@ pub(crate) struct Shard<M, P> {
 }
 
 impl<M: fmt::Debug + Clone, P: Process<M>> Shard<M, P> {
-    /// Shard `idx` of `nshards`, empty. `rng_root` is the run's seeded
-    /// generator, before any draw.
+    /// Shard `idx` of `nshards`, empty.
     pub(crate) fn new(
         idx: usize,
         nshards: usize,
-        rng_root: &DetRng,
         reliable: Option<ReliableConfig>,
         tracing: bool,
     ) -> Self {
@@ -496,8 +472,6 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Shard<M, P> {
                 items: Vec::new(),
                 marks: Vec::new(),
                 floor: SimTime::MAX,
-                rng_root: rng_root.clone(),
-                rngs: Vec::new(),
                 tracing,
                 halted: false,
                 events: 0,
@@ -1254,6 +1228,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Simulation<M, P> {
                 gen,
                 tag,
                 delay,
+                spread,
             } => {
                 let (s, _) = place(node, self.shards.len());
                 let state = self.shards[s]
@@ -1263,21 +1238,25 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Simulation<M, P> {
                     .get(slot as usize)
                     .copied();
                 match state {
-                    Some(TimerSlot::Pending {
-                        gen: g,
-                        cancelled: false,
-                    }) if g == gen => {
-                        let entry =
-                            self.seqr
-                                .arm_timer(&mut self.shards, node, delay, tag, slot, gen);
-                        self.shards[s].local.timers.slots[slot as usize] =
-                            TimerSlot::Armed { gen, entry };
-                    }
-                    Some(TimerSlot::Pending {
-                        gen: g,
-                        cancelled: true,
-                    }) if g == gen => {
-                        self.shards[s].local.timers.release(slot);
+                    Some(TimerSlot::Pending { gen: g, cancelled }) if g == gen => {
+                        // Replay does what inline did: a timer cancelled
+                        // by the handler that armed it still took a seq
+                        // (and its jitter draw) before it was removed.
+                        let entry = self.seqr.arm_timer(
+                            &mut self.shards,
+                            node,
+                            delay,
+                            spread,
+                            tag,
+                            (slot, gen),
+                        );
+                        let local = &mut self.shards[s].local;
+                        if cancelled {
+                            local.queue.remove(entry);
+                            local.timers.release(slot);
+                        } else {
+                            local.timers.slots[slot as usize] = TimerSlot::Armed { gen, entry };
+                        }
                     }
                     _ => {}
                 }

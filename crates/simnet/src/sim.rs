@@ -72,7 +72,7 @@ use crate::trace::{Trace, TraceEvent};
 const FAULT_RNG_STREAM: u64 = 0xFA17;
 
 /// Base RNG substream id for explore mode's per-node streams: node `i`
-/// draws latency and handler randomness from
+/// draws its latency and timer jitter from
 /// `fork(EXPLORE_NODE_STREAM_BASE + i)`.
 const EXPLORE_NODE_STREAM_BASE: u64 = 0x4E0D_E000_0000;
 
@@ -82,7 +82,7 @@ const EXPLORE_FAULT_STREAM_BASE: u64 = 0xFA17_E000_0000;
 /// Explore-mode state (see [`SimBuilder::explore`] and
 /// [`crate::explore`]): everything that makes a node's observable
 /// behaviour a function of *which* events it handled rather than of the
-/// global order unrelated events ran in. Latency and handler RNG draws
+/// global order unrelated events ran in. Latency and timer-jitter draws
 /// come from the acting node's substream, fault decisions from the wire
 /// sender's substream, and [`Context::event_seq`] reports a monotone
 /// execution counter so `(time, seq)`-sorted external journals always
@@ -481,12 +481,27 @@ impl<'a, M: fmt::Debug + Clone> Context<'a, M> {
 
     /// Schedules `on_timer` to run after `delay` ticks with the given tag.
     pub fn set_timer(&mut self, delay: u64, tag: u64) -> TimerId {
+        self.arm_timer(delay, 0, tag)
+    }
+
+    /// Schedules `on_timer` to run after `delay + U[0, max(spread, 1))`
+    /// ticks: a timer staggered so that nodes arming the same period do
+    /// not fire in lockstep. This offset is the only randomness a process
+    /// can ask for, and the process never sees it: the engine draws it
+    /// where the timer is armed, in global event order like a latency
+    /// draw, so a run is identical at every shard count. Exactly one draw
+    /// per call, whatever `spread` is.
+    pub fn set_timer_jittered(&mut self, delay: u64, spread: u64, tag: u64) -> TimerId {
+        self.arm_timer(delay, spread.max(1), tag)
+    }
+
+    fn arm_timer(&mut self, delay: u64, spread: u64, tag: u64) -> TimerId {
         match &mut self.seqr {
             Some(seqr) => TimerId(
-                seqr.arm_timer(self.local, self.node, delay, tag, 0, 0)
+                seqr.arm_timer(self.local, self.node, delay, spread, tag, (0, 0))
                     .raw(),
             ),
-            None => self.local.arm_timer(self.node, delay, tag),
+            None => self.local.arm_timer(self.node, delay, spread, tag),
         }
     }
 
@@ -541,26 +556,6 @@ impl<'a, M: fmt::Debug + Clone> Context<'a, M> {
             node,
             text: text.into(),
         });
-    }
-
-    /// Deterministic random source.
-    ///
-    /// With one shard this is the simulation's single global stream. With
-    /// more, each node draws from its own substream forked from the seed
-    /// — stable across shard and thread counts, but *not* the same
-    /// sequence as the global stream, so processes whose digests are
-    /// pinned at `shards(1)` should not call this when running sharded
-    /// (see DESIGN §12). Explore mode ([`SimBuilder::explore`]) likewise
-    /// serves each node its own substream, so a handler's draws do not
-    /// depend on how unrelated events were interleaved.
-    pub fn rng(&mut self) -> &mut DetRng {
-        match &mut self.seqr {
-            Some(seqr) => match &mut seqr.explore {
-                Some(ex) => ex.node_rng(self.node),
-                None => &mut seqr.rng,
-            },
-            None => self.local.node_rng(self.node),
-        }
     }
 
     /// Stops the simulation after the current event completes (with
@@ -730,17 +725,25 @@ impl Sequencer {
         }
     }
 
-    /// Schedules `node`'s timer `delay` (at least one) ticks from now.
+    /// Schedules `node`'s timer `delay` plus a jitter drawn below `spread`
+    /// (no draw when 0) — at least one tick in all — from now, carrying
+    /// slab handle `(slot, gen)`. The draw is keyed like a latency draw:
+    /// the global stream, or the arming node's in explore mode.
     pub(crate) fn arm_timer<S: Sink>(
         &mut self,
         sink: &mut S,
         node: NodeId,
         delay: u64,
+        spread: u64,
         tag: u64,
-        slot: u32,
-        gen: u16,
+        (slot, gen): (u32, u16),
     ) -> EntryId {
-        let at = self.now + delay.max(1);
+        let jitter = match (spread, &mut self.explore) {
+            (0, _) => 0,
+            (n, Some(ex)) => ex.node_rng(node).next_below(n),
+            (n, None) => self.rng.next_below(n),
+        };
+        let at = self.now + (delay + jitter).max(1);
         let ev = EventKind::Timer {
             node,
             tag,
@@ -1177,7 +1180,7 @@ impl SimBuilder {
 
     /// Puts a single-shard simulation in *explore mode*, the substrate
     /// of the schedule-space model checker (see [`crate::explore`]):
-    /// handler and latency RNG draws move from the global stream to the
+    /// latency and timer-jitter draws move from the global stream to the
     /// acting node's substream, fault decisions to the wire sender's
     /// substream, and [`Context::event_seq`] reports a monotone
     /// execution counter instead of the creation seq. Together these
@@ -1199,8 +1202,8 @@ impl SimBuilder {
     /// are stepped under the conservative-window protocol of
     /// [`crate::shard`], which defers the effects and replays them in
     /// that same order. Observable behaviour is bit-identical for any
-    /// value (but see [`Context::rng`]); multi-threaded *execution* of
-    /// the shards additionally requires [`SimBuilder::build_mt`].
+    /// value; multi-threaded *execution* of the shards additionally
+    /// requires [`SimBuilder::build_mt`].
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
@@ -1307,7 +1310,7 @@ impl SimBuilder {
             "explore mode needs the single frontier of one shard (shards == 1)"
         );
         let shards = (0..self.shards)
-            .map(|idx| Shard::new(idx, self.shards, &rng, self.reliable, self.trace))
+            .map(|idx| Shard::new(idx, self.shards, self.reliable, self.trace))
             .collect();
         let win = Windows::new(
             self.shards,
@@ -1353,8 +1356,7 @@ impl Default for SimBuilder {
 /// ([`crate::shard`]), and `S` only selects when a handler's side
 /// effects reach the sequencer — inline with one shard, logged and
 /// replayed at a window barrier with more. Observable behaviour is
-/// bit-identical at any `S` for processes that do not draw from
-/// [`Context::rng`] inside handlers.
+/// bit-identical at any `S`.
 pub struct Simulation<M, P> {
     pub(crate) shards: Vec<Shard<M, P>>,
     pub(crate) seqr: Sequencer,

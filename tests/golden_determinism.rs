@@ -74,8 +74,9 @@ fn identical_runs_have_identical_digests() {
     assert_ne!(basic_digest(42), basic_digest(43));
 }
 
-fn ddb_digest() -> u64 {
-    let mut db = DdbNet::new(4, DdbConfig::detect_and_resolve(90, 70), 4);
+fn ddb_digest(shards: usize) -> u64 {
+    let builder = SimBuilder::new().seed(4).shards(shards);
+    let mut db = DdbNet::with_builder(4, DdbConfig::detect_and_resolve(90, 70), builder);
     for tt in dining_philosophers(4, 25, 15) {
         db.submit(tt.txn);
     }
@@ -94,14 +95,14 @@ fn ddb_digest() -> u64 {
 
 #[test]
 fn ddb_runs_are_reproducible() {
-    assert_eq!(ddb_digest(), ddb_digest());
+    assert_eq!(ddb_digest(1), ddb_digest(1));
 }
 
 /// A batched (`lock_all`) workload under resolution: the protocol path
 /// PR 6 changed — per-site grant attribution, holder back-edge probes,
 /// stale-completion suppression — pinned so the next refactor of the
 /// grant sweep can't silently change what this workload observes.
-fn ddb_batched_digest() -> u64 {
+fn ddb_batched_digest(shards: usize) -> u64 {
     let wl = workloads::DdbWorkloadConfig {
         sites: 3,
         transactions: 12,
@@ -112,7 +113,8 @@ fn ddb_batched_digest() -> u64 {
         seed: 6,
         ..workloads::DdbWorkloadConfig::default()
     };
-    let mut db = DdbNet::new(3, DdbConfig::detect_and_resolve(80, 60), 6);
+    let builder = SimBuilder::new().seed(6).shards(shards);
+    let mut db = DdbNet::with_builder(3, DdbConfig::detect_and_resolve(80, 60), builder);
     for tt in workloads::random_transactions(&wl) {
         db.run_until(SimTime::from_ticks(tt.at));
         db.submit(tt.txn);
@@ -131,7 +133,7 @@ fn ddb_batched_digest() -> u64 {
 
 #[test]
 fn batched_ddb_runs_are_reproducible() {
-    assert_eq!(ddb_batched_digest(), ddb_batched_digest());
+    assert_eq!(ddb_batched_digest(1), ddb_batched_digest(1));
 }
 
 /// A chaos run: churn workload over a faulty network (loss + duplication +
@@ -245,8 +247,8 @@ fn metrics_are_reproducible_across_runs() {
 fn digests_match_recorded_constants() {
     assert_eq!(basic_digest(42), 0x5399_b8da_2d09_5087);
     assert_eq!(basic_digest(43), 0x4f80_75ae_5018_59e6);
-    assert_eq!(ddb_digest(), 0xe092_e078_84b9_e85f);
-    assert_eq!(ddb_batched_digest(), 0x4347_d678_daca_905a);
+    assert_eq!(ddb_digest(1), 0xe092_e078_84b9_e85f);
+    assert_eq!(ddb_batched_digest(1), 0x4347_d678_daca_905a);
     assert_eq!(chaos_digest(11), 0xaaa5_cc8c_8eed_08f5);
     assert_eq!(chaos_digest(12), 0xf1fb_088e_b31e_4c9a);
     assert_eq!(metrics_digest(7), 0x852a_fe84_4bc3_2c00);
@@ -254,14 +256,18 @@ fn digests_match_recorded_constants() {
 
 /// The sharded conservative-window engine (PR 7) must be observationally
 /// *identical* to the sequential engine, not merely self-consistent: the
-/// same pinned constants must come out at every shard count. (The two DDB
-/// pins are exempt by design — the DDB controller draws from `ctx.rng()`
-/// inside handlers, which the sharded engine deliberately does not
-/// reproduce; DESIGN §12. DDB therefore always runs the sequential
-/// engine.)
+/// same pinned constants must come out at every shard count — the DDB
+/// pins included: the controller's restart and period jitter is drawn by
+/// the sequencer where the timer is armed, in event order at any `S`.
 #[test]
 fn sharded_engine_reproduces_pinned_digests() {
-    for shards in [2, 4] {
+    for shards in [2, 3, 4] {
+        assert_eq!(ddb_digest(shards), 0xe092_e078_84b9_e85f, "ddb, S={shards}");
+        assert_eq!(
+            ddb_batched_digest(shards),
+            0x4347_d678_daca_905a,
+            "batched ddb, S={shards}"
+        );
         assert_eq!(
             basic_digest_sharded(42, shards),
             0x5399_b8da_2d09_5087,

@@ -11,13 +11,16 @@
 //! first differing line.
 
 use cmh_core::{BasicConfig, BasicNet};
+use cmh_ddb::{DdbConfig, DdbNet};
 use proptest::prelude::*;
 use simnet::faults::FaultPlan;
 use simnet::latency::LatencyModel;
 use simnet::reliable::ReliableConfig;
 use simnet::sim::{Context, NodeId, Process, SimBuilder, TimerId};
 use simnet::time::SimTime;
-use workloads::{drive_schedule, random_churn, ChurnConfig};
+use workloads::{
+    drive_schedule, random_churn, random_transactions, ChurnConfig, DdbWorkloadConfig,
+};
 
 /// Runs one churn workload on `shards` shards (0 workers = auto) with a
 /// latency floor of `min_delay` ticks (1 = the default model; larger
@@ -243,6 +246,146 @@ fn chained_timers_survive_multi_tick_windows() {
     }
 }
 
+/// Every handler logs the `event_seq()` it runs under. A start or a timer
+/// arms a timer and cancels it in the same handler, pings a neighbour,
+/// and chains a 1-tick timer; `jittered` selects `set_timer_jittered` for
+/// every arm. The armed-and-cancelled timer is the case that told the
+/// engines apart: inline it takes a global seq (and, jittered, a draw)
+/// before it is removed, so the barrier has to spend both as well.
+struct SeqLogProc {
+    jittered: bool,
+    left: u32,
+    seqs: Vec<u64>,
+}
+
+impl SeqLogProc {
+    fn arm(&self, ctx: &mut Context<'_, u64>, delay: u64, tag: u64) -> TimerId {
+        if self.jittered {
+            ctx.set_timer_jittered(delay, 3, tag)
+        } else {
+            ctx.set_timer(delay, tag)
+        }
+    }
+
+    fn round(&mut self, ctx: &mut Context<'_, u64>) {
+        let dead = self.arm(ctx, 5, 1);
+        ctx.cancel_timer(dead);
+        let to = NodeId((ctx.id().0 + 1) % ctx.node_count());
+        ctx.send(to, 1);
+        if self.left > 0 {
+            self.left -= 1;
+            self.arm(ctx, 1, 0);
+        }
+    }
+}
+
+impl Process<u64> for SeqLogProc {
+    fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
+        self.seqs.push(ctx.event_seq());
+        self.round(ctx);
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<'_, u64>, _from: NodeId, msg: u64) {
+        self.seqs.push(ctx.event_seq());
+        if msg > 0 {
+            let to = NodeId((ctx.id().0 + 1) % ctx.node_count());
+            ctx.send(to, msg - 1);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, u64>, _id: TimerId, tag: u64) {
+        assert_eq!(tag, 0, "the cancelled timer fired");
+        self.seqs.push(ctx.event_seq());
+        self.round(ctx);
+    }
+}
+
+/// Runs three [`SeqLogProc`]s to quiescence; returns each node's
+/// `event_seq()` log, the rendered trace and the rendered metrics.
+fn run_seq_log(
+    jittered: bool,
+    (shards, workers): (usize, usize),
+    latency: LatencyModel,
+) -> (Vec<Vec<u64>>, String, String) {
+    let mut builder = SimBuilder::new()
+        .seed(9)
+        .trace(true)
+        .shards(shards)
+        .latency(latency);
+    if workers > 0 {
+        builder = builder.workers(workers);
+    }
+    let mut sim = builder.build_mt::<u64, SeqLogProc>();
+    for _ in 0..3 {
+        sim.add_node(SeqLogProc {
+            jittered,
+            left: 12,
+            seqs: Vec::new(),
+        });
+    }
+    let out = sim.run_to_quiescence(100_000);
+    assert!(out.quiescent, "S={shards} W={workers}");
+    let seqs = (0..3).map(|i| sim.node(NodeId(i)).seqs.clone()).collect();
+    (seqs, sim.trace().to_string(), sim.metrics().to_string())
+}
+
+/// `Context::event_seq`, the trace and the metrics are the same at every
+/// shard count (and with the threaded phase forced on) after handlers
+/// armed and cancelled timers, plain or jittered — chained 1-tick ones
+/// landing inside a multi-tick `wan` window included. The rendered trace
+/// never shows a seq, so only the seq logs see a barrier that skips one;
+/// a jitter draw skipped or made out of event order shows in all three.
+#[test]
+fn event_seqs_and_jittered_timers_are_shard_independent() {
+    for jittered in [false, true] {
+        for latency in [LatencyModel::default(), LatencyModel::wan()] {
+            let sequential = run_seq_log(jittered, (1, 0), latency.clone());
+            assert!(sequential.0.iter().all(|s| s.len() > 12), "every node ran");
+            for cfg in [(2, 0), (3, 0), (4, 2)] {
+                assert_eq!(
+                    sequential,
+                    run_seq_log(jittered, cfg, latency.clone()),
+                    "diverged at (S, W)={cfg:?}, jittered={jittered}, {latency:?}"
+                );
+            }
+        }
+    }
+}
+
+/// One seeded `random_transactions` workload under `detect_and_resolve`
+/// on `shards` shards: rendered declarations, outcomes and metrics.
+fn run_ddb(seed: u64, batch_prob: f64, shards: usize, min_delay: u64) -> String {
+    let wl = DdbWorkloadConfig {
+        sites: 4,
+        transactions: 12,
+        resources_per_site: 2,
+        remote_prob: 0.6,
+        write_prob: 0.9,
+        batch_prob,
+        seed,
+        ..DdbWorkloadConfig::default()
+    };
+    let builder = SimBuilder::new()
+        .seed(seed)
+        .shards(shards)
+        .latency(LatencyModel::Uniform {
+            lo: min_delay,
+            hi: min_delay + 9,
+        });
+    let mut db = DdbNet::with_builder(4, DdbConfig::detect_and_resolve(90, 70), builder);
+    for tt in random_transactions(&wl) {
+        db.run_until(SimTime::from_ticks(tt.at));
+        db.submit(tt.txn);
+    }
+    db.run_until(SimTime::from_ticks(30_000));
+    format!(
+        "{:?}\n{:?}\n{}",
+        db.declarations(),
+        db.outcomes(),
+        db.metrics()
+    )
+}
+
 /// The validation journal is a handler side effect recorded *outside* the
 /// engine, so the threaded handler phase appends under a lock in thread-
 /// schedule order. `Journal::record_at` re-sorts same-tick entries by the
@@ -337,5 +480,19 @@ proptest! {
         prop_assert_eq!(&seq.0, &sharded.0, "trace diverged (seed={}, n={}, d={})", seed, n, min_delay);
         let threaded = run(seed, n, mean_gap, 0.08, true, (4, 2), min_delay);
         prop_assert_eq!(&seq.0, &threaded.0, "threaded trace diverged (seed={}, n={}, d={})", seed, n, min_delay);
+    }
+
+    /// §6 controllers under abort/restart resolution: the detector period
+    /// stagger and every restart backoff are jittered timers, so this is
+    /// the sweep behind the two DDB golden pins holding at every `S`.
+    #[test]
+    fn sharded_ddb_matches_sequential(
+        seed in 0u64..100_000,
+        batch_prob in 0.0f64..1.0,
+        min_delay in 1u64..=4,
+    ) {
+        let seq = run_ddb(seed, batch_prob, 1, min_delay);
+        let sharded = run_ddb(seed, batch_prob, 4, min_delay);
+        prop_assert_eq!(seq, sharded, "ddb diverged (seed={}, d={})", seed, min_delay);
     }
 }
