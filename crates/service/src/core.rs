@@ -138,13 +138,15 @@ impl Process<DdbMsg> for GwNode {
     }
 }
 
-/// One peer: the reliable endpoint, and whether a link currently carries
-/// it. Nothing is emitted for a peer whose link is down; the endpoint
-/// keeps the payloads and the next [`Input::PeerUp`] replays them.
+/// One peer: the reliable endpoint, whether a link currently carries it,
+/// and whether a `Data` frame arrived since our last ack to it. Nothing
+/// is emitted for a peer whose link is down; the endpoint keeps the
+/// payloads and the next [`Input::PeerUp`] replays them.
 #[derive(Debug)]
 struct Peer {
     ep: Endpoint<DdbMsg>,
     up: bool,
+    owes_ack: bool,
 }
 
 /// A submitted transaction whose client is still owed notifications.
@@ -186,7 +188,12 @@ impl SiteCore {
                     .endpoints
                     .remove(&SiteId(s))
                     .unwrap_or_else(|| Endpoint::new(cfg.reliable_ms));
-                (SiteId(s), Peer { ep, up: false })
+                let peer = Peer {
+                    ep,
+                    up: false,
+                    owes_ack: false,
+                };
+                (SiteId(s), peer)
             })
             .collect();
         let outbox = Rc::new(RefCell::new(Vec::new()));
@@ -255,6 +262,7 @@ impl SiteCore {
                     return;
                 };
                 peer.up = true;
+                peer.owes_ack = false;
                 let next = peer.ep.ack_owed();
                 out.push(Output::ToPeer(p, PeerFrame::Ack { next }.encode()));
                 for (seq, msg) in peer.ep.unacked() {
@@ -273,10 +281,9 @@ impl SiteCore {
                 let Some(peer) = self.peers.get_mut(&p) else {
                     return;
                 };
-                let next = peer.ep.on_data(seq, msg, &mut self.scratch_deliver);
-                if peer.up {
-                    out.push(Output::ToPeer(p, PeerFrame::Ack { next }.encode()));
-                }
+                // Duplicates too: a retransmission may mean our ack was lost.
+                peer.ep.on_data(seq, msg, &mut self.scratch_deliver);
+                peer.owes_ack = true;
                 for m in self.scratch_deliver.drain(..) {
                     self.sim
                         .with_node(NodeId(p.0), |_n, ctx| ctx.send(my_slot, m));
@@ -292,11 +299,20 @@ impl SiteCore {
         }
     }
 
-    /// Moves the site to `now_us`: runs the gateway simulation up to the
+    /// Moves the site to `now_us`: acks every up peer that sent `Data`
+    /// since its last ack — one cumulative `Ack` each, ahead of anything
+    /// else this call emits for it — runs the gateway simulation up to the
     /// matching virtual tick, ships what the controller sent through the
     /// endpoints, polls retransmissions, and emits the client
     /// notifications and declaration forwards that fell out.
     pub fn advance(&mut self, now_us: u64, out: &mut Vec<Output>) {
+        for (&p, peer) in self.peers.iter_mut() {
+            if peer.up && peer.owes_ack {
+                peer.owes_ack = false;
+                let next = peer.ep.ack_owed();
+                out.push(Output::ToPeer(p, PeerFrame::Ack { next }.encode()));
+            }
+        }
         let target = SimTime::from_ticks(now_us / self.tick_micros);
         if target > self.sim.now() {
             let _ = self.sim.run_until(target);
@@ -430,5 +446,114 @@ fn local_controller(sim: &Simulation<DdbMsg, GwNode>, me: SiteId) -> &Controller
     match sim.node(NodeId(me.0)) {
         GwNode::Local(c) => c,
         GwNode::Relay(_) => unreachable!("own slot is always Local"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cmh_ddb::ids::ResourceId;
+    use cmh_ddb::lock::LockMode;
+    use cmh_ddb::txn::TxnStep;
+
+    /// The one peer of site 0 in a two-site topology.
+    const P: SiteId = SiteId(1);
+
+    /// Site 0 of two, its link to `P` up and the handshake taken.
+    fn site0() -> SiteCore {
+        let cfg = SiteConfig {
+            site: SiteId(0),
+            n_sites: 2,
+            ddb: DdbConfig::detect_only(5_000),
+            seed: 1,
+            tick_micros: 2,
+            addrs: Vec::new(),
+            reliable_ms: ReliableConfig::default(),
+        };
+        let mut core = SiteCore::recover(&cfg, SiteStable::default());
+        let mut out = Vec::new();
+        core.handle(Input::PeerUp(P), &mut out);
+        assert_eq!(out, [ack(0)]);
+        core
+    }
+
+    fn ack(next: u64) -> Output {
+        Output::ToPeer(P, PeerFrame::Ack { next }.encode())
+    }
+
+    fn data(seq: u64) -> Input {
+        let msg = DdbMsg::Abort {
+            txn: TransactionId(99),
+        };
+        Input::Peer(P, PeerFrame::Data { seq, msg })
+    }
+
+    fn peer_frames(out: &[Output]) -> Vec<PeerFrame> {
+        out.iter()
+            .filter_map(|o| match o {
+                Output::ToPeer(_, body) => Some(PeerFrame::decode(body).expect("emitted frame")),
+                Output::ToClient(..) => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_pass_owes_each_peer_one_ack_ahead_of_its_data() {
+        let mut core = site0();
+        let mut out = Vec::new();
+        // A remote lock: the advance ships a `RemoteRequest` to `P`.
+        let steps = vec![TxnStep::lock(P, ResourceId(5), LockMode::Exclusive)];
+        core.handle(
+            Input::Client(1, ClientFrame::Submit { req: 0, steps }),
+            &mut out,
+        );
+        for seq in 0..3 {
+            core.handle(data(seq), &mut out);
+        }
+        assert_eq!(out, [], "an arriving Data frame emits nothing by itself");
+        core.advance(1_000, &mut out);
+        let frames = peer_frames(&out);
+        assert_eq!(frames[0], PeerFrame::Ack { next: 3 });
+        assert!(frames.len() > 1, "{frames:?}");
+        assert!(
+            frames[1..]
+                .iter()
+                .all(|f| matches!(f, PeerFrame::Data { .. })),
+            "{frames:?}"
+        );
+        // Nothing arrived since: the next pass owes no ack.
+        out.clear();
+        core.advance(2_000, &mut out);
+        assert_eq!(out, []);
+    }
+
+    #[test]
+    fn a_duplicate_data_frame_still_acks() {
+        let mut core = site0();
+        let mut out = Vec::new();
+        core.handle(data(0), &mut out);
+        core.advance(1_000, &mut out);
+        assert_eq!(out, [ack(1)]);
+        out.clear();
+        core.handle(data(0), &mut out);
+        core.advance(2_000, &mut out);
+        assert_eq!(out, [ack(1)]);
+    }
+
+    #[test]
+    fn a_peer_down_at_advance_is_acked_by_its_next_handshake() {
+        let mut core = site0();
+        let mut out = Vec::new();
+        core.handle(data(0), &mut out);
+        core.handle(data(1), &mut out);
+        core.handle(Input::PeerDown(P), &mut out);
+        core.advance(1_000, &mut out);
+        assert_eq!(out, []);
+        core.handle(Input::PeerUp(P), &mut out);
+        assert_eq!(out, [ack(2)]);
+        // The handshake carried it: the pass owes nothing more.
+        out.clear();
+        core.advance(2_000, &mut out);
+        assert_eq!(out, []);
     }
 }

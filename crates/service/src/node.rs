@@ -11,6 +11,11 @@
 //! thread that forwards decoded frames into the drive loop's channel.
 //! Nothing here is shared mutably across threads except the
 //! crash-surviving stable store (see [`crate::cluster`]).
+//!
+//! A drive-loop pass is the unit of writing: everything the core emits in
+//! one pass is framed into one buffer per connection, in emission order,
+//! and each buffer goes out in one `write_all`. The shell counts both
+//! (`service.shell.frames`, `service.shell.writes` in [`SiteReport`]).
 
 // cmh-lint: allow-file(D2, D4) — the shell is the wall-clock,
 // multi-threaded half of the service by design; the protocol logic it
@@ -26,10 +31,11 @@ use std::time::{Duration, Instant};
 use cmh_ddb::ids::SiteId;
 
 use crate::cluster::StableStore;
-use crate::core::{Input, Output, SiteCore};
+use crate::core::{Input, Output, SiteCore, SiteStable};
 pub use crate::core::{SiteConfig, SiteReport};
 use crate::proto::{ClientFrame, PeerFrame};
 use crate::sock::{Listener, Sock};
+use crate::wire::put_frame;
 
 /// Ingress events handled per pass before the core is advanced again:
 /// bounds how far virtual time can fall behind the wall clock under a
@@ -62,12 +68,13 @@ pub enum Ctl {
 enum Ingress {
     /// A client connection completed its `Hello` (writer half).
     ClientConn(u64, Sock),
-    /// An inbound peer connection completed its `Hello` (writer half).
-    PeerConnIn(SiteId, Sock),
+    /// An inbound peer connection completed its `Hello`: the link's new
+    /// generation and the writer half.
+    PeerConnIn(SiteId, u64, Sock),
     /// A decoded frame, or a client connection's end, in the core's terms.
     Input(Input),
-    /// A peer connection broke.
-    PeerGone(SiteId),
+    /// The peer connection of this generation broke.
+    PeerGone(SiteId, u64),
     /// Control plane.
     Ctl(Ctl),
 }
@@ -132,7 +139,42 @@ pub fn spawn_site(cfg: SiteConfig, epoch: Instant, stable: StableStore) -> SiteH
 #[derive(Default)]
 struct Link {
     conn: Option<Sock>,
+    /// Names the connection in `conn`, so the end of one it replaced is
+    /// not taken for its own: the accept loop's number for an accepted
+    /// connection, one more than the last for a dialed one. A link's
+    /// connections are all accepted or all dialed, so numbers never repeat.
+    gen: u64,
     redial_at_us: u64,
+}
+
+/// Where an output goes: one byte stream each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum To {
+    Peer(SiteId),
+    Client(u64),
+}
+
+/// One pass's outgoing bytes, a buffer per connection (kept, and their
+/// capacity with them, from pass to pass), and what the shell has written.
+#[derive(Default)]
+struct Outbox {
+    bufs: BTreeMap<To, Vec<u8>>,
+    frames: u64,
+    writes: u64,
+}
+
+impl Outbox {
+    /// Frames each output onto its connection's buffer, in emission order.
+    fn stage(&mut self, out: impl Iterator<Item = Output>) {
+        for o in out {
+            let (to, body) = match o {
+                Output::ToPeer(p, body) => (To::Peer(p), body),
+                Output::ToClient(c, frame) => (To::Client(c), frame.encode()),
+            };
+            put_frame(self.bufs.entry(to).or_default(), &body);
+            self.frames += 1;
+        }
+    }
 }
 
 /// The drive loop's state: the core plus the sockets it talks through.
@@ -144,6 +186,7 @@ struct Shell {
     links: BTreeMap<SiteId, Link>,
     clients: BTreeMap<u64, Sock>,
     out: Vec<Output>,
+    outbox: Outbox,
 }
 
 fn run_site(
@@ -164,22 +207,11 @@ fn run_site(
     let stop = Arc::new(AtomicBool::new(false));
     let accept_join = spawn_accept_loop(listener, Arc::clone(&stop), tx.clone());
 
-    let mut shell = Shell {
-        core: SiteCore::recover(&cfg, recovered),
-        links: (0..cfg.n_sites)
-            .filter(|&s| s != me.0)
-            .map(|s| (SiteId(s), Link::default()))
-            .collect(),
-        clients: BTreeMap::new(),
-        out: Vec::new(),
-        cfg,
-        epoch,
-        tx,
-    };
+    let mut shell = Shell::new(cfg, epoch, tx, recovered);
     let exit = shell.serve(&rx);
 
     if let Ctl::Shutdown(reply) = &exit {
-        let _ = reply.send(shell.core.report());
+        let _ = reply.send(shell.report());
     }
     stop.store(true, Ordering::SeqCst);
     shell.clients.values().for_each(Sock::shutdown);
@@ -199,12 +231,45 @@ fn run_site(
 }
 
 impl Shell {
+    /// Boots the core from `recovered` with every link down.
+    fn new(
+        cfg: SiteConfig,
+        epoch: Instant,
+        tx: mpsc::Sender<Ingress>,
+        recovered: SiteStable,
+    ) -> Shell {
+        let me = cfg.site;
+        Shell {
+            core: SiteCore::recover(&cfg, recovered),
+            links: (0..cfg.n_sites)
+                .filter(|&s| s != me.0)
+                .map(|s| (SiteId(s), Link::default()))
+                .collect(),
+            clients: BTreeMap::new(),
+            out: Vec::new(),
+            outbox: Outbox::default(),
+            cfg,
+            epoch,
+            tx,
+        }
+    }
+
     fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// The drive loop: sleep, ingest a batch and write what it drew,
-    /// redial, advance the core to the wall clock, write what it emitted.
+    /// The core's report plus what the shell has written.
+    fn report(&self) -> SiteReport {
+        let mut report = self.core.report();
+        report.metrics.extend([
+            ("service.shell.frames".to_owned(), self.outbox.frames),
+            ("service.shell.writes".to_owned(), self.outbox.writes),
+        ]);
+        report
+    }
+
+    /// The drive loop, one pass at a time: sleep, ingest a batch, redial,
+    /// advance the core to the wall clock, write what the pass emitted.
     /// Returns the `Crash` or `Shutdown` command that ended it.
     fn serve(&mut self, rx: &mpsc::Receiver<Ingress>) -> Ctl {
         loop {
@@ -215,9 +280,6 @@ impl Shell {
                     return exit;
                 }
             }
-            // Acks leave now: behind the advance's `Data` frames they delay every
-            // probe hop by a write and a peer wake-up (svc_contended p50 +3.5 %).
-            self.flush();
             let now_us = self.now_us();
             self.redial_due(now_us);
             self.core.advance(now_us, &mut self.out);
@@ -257,18 +319,27 @@ impl Shell {
                 }
                 Some(input)
             }
-            Ingress::PeerConnIn(p, sock) => self.links.get_mut(&p).map(|link| {
+            Ingress::PeerConnIn(p, gen, sock) => self.links.get_mut(&p).map(|link| {
+                link.gen = gen;
                 if let Some(old) = link.conn.replace(sock) {
                     old.shutdown();
                 }
                 Input::PeerUp(p)
             }),
-            Ingress::PeerGone(p) => {
-                self.schedule_redial(p);
+            Ingress::PeerGone(p, gen) => {
+                // A replaced connection's reader reports the shutdown that
+                // replacing it caused: that says nothing about the link.
+                if self
+                    .links
+                    .get(&p)
+                    .is_some_and(|l| l.conn.is_some() && l.gen == gen)
+                {
+                    self.schedule_redial(p);
+                }
                 None
             }
             Ingress::Ctl(Ctl::Snapshot(reply)) => {
-                let _ = reply.send(self.core.report());
+                let _ = reply.send(self.report());
                 None
             }
             Ingress::Ctl(exit) => return ControlFlow::Break(exit),
@@ -279,28 +350,38 @@ impl Shell {
         ControlFlow::Continue(())
     }
 
-    /// Writes everything the core emitted. A failed peer write takes the
-    /// link down (the endpoint keeps the payload; reconnect replays it).
+    /// Writes everything the pass emitted, one `write_all` per connection.
+    /// A failed peer write takes only that link down (the endpoint keeps
+    /// the payloads; reconnect replays them); a failed client write drops
+    /// the client. A gone client's buffer goes with it.
     fn flush(&mut self) {
-        let mut out = std::mem::take(&mut self.out);
-        for o in out.drain(..) {
-            match o {
-                Output::ToPeer(p, body) => {
-                    let conn = self.links.get_mut(&p).and_then(|l| l.conn.as_mut());
-                    if conn.is_some_and(|sock| sock.send_frame(&body).is_err()) {
-                        self.schedule_redial(p);
-                    }
+        self.outbox.stage(self.out.drain(..));
+        let (links, clients) = (&mut self.links, &mut self.clients);
+        let writes = &mut self.outbox.writes;
+        let mut broken = Vec::new();
+        self.outbox.bufs.retain(|&to, buf| {
+            let sock = match to {
+                To::Peer(p) => links.get_mut(&p).and_then(|l| l.conn.as_mut()),
+                To::Client(c) => clients.get_mut(&c),
+            };
+            let live = sock.is_some();
+            if let Some(sock) = sock.filter(|_| !buf.is_empty()) {
+                *writes += 1;
+                if sock.write_all(buf).is_err() {
+                    broken.push(to);
                 }
-                Output::ToClient(id, frame) => {
-                    let conn = self.clients.get_mut(&id);
-                    if conn.is_some_and(|sock| sock.send_frame(&frame.encode()).is_err()) {
-                        self.clients.remove(&id);
-                    }
+            }
+            buf.clear();
+            live || matches!(to, To::Peer(_))
+        });
+        for to in broken {
+            match to {
+                To::Peer(p) => self.schedule_redial(p),
+                To::Client(c) => {
+                    self.clients.remove(&c);
                 }
             }
         }
-        out.append(&mut self.out);
-        self.out = out;
     }
 
     /// Takes the link to `p` down, tells the core, and (if we are the
@@ -333,12 +414,18 @@ impl Shell {
                 self.schedule_redial(p);
                 continue;
             };
+            // The `Hello` went out alone: it must precede the pass's frames.
+            self.outbox.frames += 1;
+            self.outbox.writes += 1;
+            let link = self.links.get_mut(&p).expect("dialable peer");
+            link.gen += 1;
+            link.conn = Some(sock);
+            let caller = Caller::Peer(p, link.gen);
             let tx = self.tx.clone();
             thread::Builder::new()
                 .name(format!("peer-rd-{}-{}", me.0, p.0))
-                .spawn(move || read_conn(reader, Caller::Peer(p), &tx))
+                .spawn(move || read_conn(reader, caller, &tx))
                 .expect("spawn peer reader");
-            self.links.get_mut(&p).expect("dialable peer").conn = Some(sock);
             self.core.handle(Input::PeerUp(p), &mut self.out);
         }
     }
@@ -376,9 +463,11 @@ fn spawn_accept_loop(
 /// Who is on the other end of a connection.
 #[derive(Clone, Copy)]
 enum Caller {
-    /// Accepted, first frame not yet seen; holds the id a client would get.
+    /// Accepted, first frame not yet seen; holds the connection's number,
+    /// which a client keeps as its id and a peer link as its generation.
     Unknown(u64),
-    Peer(SiteId),
+    /// A peer, and the link generation this connection is.
+    Peer(SiteId, u64),
     Client(u64),
 }
 
@@ -395,7 +484,7 @@ fn read_conn(mut sock: Sock, mut caller: Caller, tx: &mpsc::Sender<Ingress>) {
     };
     sock.pump(|body| {
         let ev = match caller {
-            Caller::Peer(p) => PeerFrame::decode(body)
+            Caller::Peer(p, _) => PeerFrame::decode(body)
                 .ok()
                 .map(|f| Ingress::Input(Input::Peer(p, f))),
             Caller::Client(c) => ClientFrame::decode(body)
@@ -403,8 +492,8 @@ fn read_conn(mut sock: Sock, mut caller: Caller, tx: &mpsc::Sender<Ingress>) {
                 .map(|f| Ingress::Input(Input::Client(c, f))),
             Caller::Unknown(id) => writer.take().and_then(|w| {
                 if let Ok(PeerFrame::Hello { site }) = PeerFrame::decode(body) {
-                    caller = Caller::Peer(site);
-                    Some(Ingress::PeerConnIn(site, w))
+                    caller = Caller::Peer(site, id);
+                    Some(Ingress::PeerConnIn(site, id, w))
                 } else if let Ok(ClientFrame::Hello) = ClientFrame::decode(body) {
                     caller = Caller::Client(id);
                     Some(Ingress::ClientConn(id, w))
@@ -419,7 +508,7 @@ fn read_conn(mut sock: Sock, mut caller: Caller, tx: &mpsc::Sender<Ingress>) {
         }
     });
     let _ = match caller {
-        Caller::Peer(p) => tx.send(Ingress::PeerGone(p)),
+        Caller::Peer(p, gen) => tx.send(Ingress::PeerGone(p, gen)),
         Caller::Client(c) => tx.send(Ingress::Input(Input::ClientGone(c))),
         Caller::Unknown(_) => Ok(()),
     };
@@ -428,7 +517,11 @@ fn read_conn(mut sock: Sock, mut caller: Caller, tx: &mpsc::Sender<Ingress>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::ServerFrame;
     use crate::wire::frame;
+    use cmh_ddb::config::DdbConfig;
+    use cmh_ddb::ids::TransactionId;
+    use cmh_ddb::msg::DdbMsg;
     use std::io::Write;
     use std::os::unix::net::UnixStream;
 
@@ -445,8 +538,8 @@ mod tests {
             ours.write_all(bytes).expect("write");
             for _ in 0..*events {
                 heard.push(match rx.recv_timeout(Duration::from_secs(5)) {
-                    Ok(Ingress::PeerConnIn(p, _)) => format!("PeerConnIn({})", p.0),
-                    Ok(Ingress::PeerGone(p)) => format!("PeerGone({})", p.0),
+                    Ok(Ingress::PeerConnIn(p, _, _)) => format!("PeerConnIn({})", p.0),
+                    Ok(Ingress::PeerGone(p, _)) => format!("PeerGone({})", p.0),
                     Ok(_) => "other".to_owned(),
                     Err(e) => e.to_string(),
                 });
@@ -464,5 +557,120 @@ mod tests {
         let one_write = [hello.clone(), bad_tag.clone()].concat();
         assert_eq!(heard(&[(one_write, 2)]), expected);
         assert_eq!(heard(&[(hello, 1), (bad_tag, 1)]), expected);
+    }
+
+    #[test]
+    fn a_pass_buffers_each_connections_frames_in_emission_order() {
+        let (a, b) = (SiteId(1), SiteId(2));
+        let peer = |to, n: u8| Output::ToPeer(to, vec![n; n as usize]);
+        let client = |req| Output::ToClient(9, ServerFrame::Granted { req });
+        let pass = [
+            peer(a, 1),
+            client(1),
+            peer(b, 2),
+            peer(a, 3),
+            client(2),
+            peer(a, 0),
+        ];
+        let mut outbox = Outbox::default();
+        for round in 1..=2 {
+            outbox.stage(pass.iter().cloned());
+            let want = |to: To| -> Vec<u8> {
+                let bodies = pass.iter().filter_map(|o| match o {
+                    Output::ToPeer(p, body) if to == To::Peer(*p) => Some(body.clone()),
+                    Output::ToClient(c, f) if to == To::Client(*c) => Some(f.encode()),
+                    _ => None,
+                });
+                bodies.flat_map(|body| frame(&body)).collect()
+            };
+            for to in [To::Peer(a), To::Peer(b), To::Client(9)] {
+                assert_eq!(outbox.bufs[&to], want(to), "{to:?}");
+            }
+            assert_eq!(outbox.bufs.len(), 3);
+            assert_eq!(outbox.frames, round * pass.len() as u64);
+            // What `flush` leaves behind: empty buffers, ready for reuse.
+            outbox.bufs.values_mut().for_each(Vec::clear);
+        }
+    }
+
+    #[test]
+    fn a_replaced_peer_connection_outlives_the_old_readers_end() {
+        let peer = SiteId(0);
+        let cfg = SiteConfig {
+            site: SiteId(1),
+            n_sites: 2,
+            ddb: DdbConfig::detect_only(5_000),
+            seed: 1,
+            tick_micros: 2,
+            addrs: Vec::new(),
+            reliable_ms: Default::default(),
+        };
+        let (tx, rx) = mpsc::channel();
+        let mut shell = Shell::new(cfg, Instant::now(), tx.clone(), SiteStable::default());
+        let recv = || {
+            rx.recv_timeout(Duration::from_secs(5))
+                .expect("drive loop event")
+        };
+
+        // The peer dials twice — it restarted, or redialed — and the
+        // second connection is accepted before the first one's end is seen.
+        let mut dialers = Vec::new();
+        let mut readers = Vec::new();
+        for id in [7, 8] {
+            let (mut ours, theirs) = UnixStream::pair().expect("socket pair");
+            ours.write_all(&frame(&PeerFrame::Hello { site: peer }.encode()))
+                .expect("hello");
+            let tx = tx.clone();
+            readers.push(thread::spawn(move || {
+                read_conn(Sock::Uds(theirs), Caller::Unknown(id), &tx)
+            }));
+            let conn_in = recv();
+            assert!(matches!(conn_in, Ingress::PeerConnIn(p, g, _) if p == peer && g == id));
+            assert!(shell.ingest(conn_in).is_continue());
+            dialers.push(ours);
+        }
+        // Swapping in the second connection shut the first: its reader ends.
+        let gone = recv();
+        assert!(matches!(gone, Ingress::PeerGone(p, 7) if p == peer));
+        assert!(shell.ingest(gone).is_continue());
+
+        // The link still holds the second connection, and the core still
+        // has the peer up: a `Data` frame from it is acked, over that one.
+        let link = &shell.links[&peer];
+        assert_eq!((link.conn.is_some(), link.gen), (true, 8));
+        let msg = DdbMsg::Abort {
+            txn: TransactionId(99),
+        };
+        shell.core.handle(
+            Input::Peer(peer, PeerFrame::Data { seq: 0, msg }),
+            &mut shell.out,
+        );
+        let now_us = shell.now_us();
+        shell.core.advance(now_us, &mut shell.out);
+        shell.flush();
+        let second = dialers.pop().expect("second dialer");
+        second
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        let mut acked = false;
+        Sock::Uds(second).pump(|body| {
+            acked = PeerFrame::decode(body) == Ok(PeerFrame::Ack { next: 1 });
+            if acked {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert!(acked, "the ack never reached the second connection");
+
+        drop(dialers);
+        shell
+            .links
+            .values()
+            .flat_map(|l| &l.conn)
+            .for_each(Sock::shutdown);
+        for r in readers {
+            r.join().expect("reader thread");
+        }
     }
 }

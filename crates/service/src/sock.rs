@@ -4,8 +4,10 @@
 //! `std::net` only — no async runtime is vendored, so every connection
 //! gets a blocking reader thread (spawned by [`crate::node`] /
 //! [`crate::loadgen`], the annotated wall-clock crates' drive loops)
-//! running [`Sock::pump`], the crate's one read loop, and writes go
-//! through [`Sock::send_frame`], one `write_all` per frame.
+//! running [`Sock::pump`], the crate's one read loop. Writes are one
+//! [`Sock::write_all`] of already-framed bytes: the site shell frames a
+//! whole drive-loop pass per connection into one buffer and writes it
+//! once; [`Sock::send_frame`] is the single-frame case.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -64,13 +66,17 @@ impl Sock {
         };
     }
 
-    /// Writes one length-prefixed frame with a single `write_all`.
-    pub fn send_frame(&mut self, body: &[u8]) -> io::Result<()> {
-        let bytes = frame(body);
+    /// Writes `bytes` — any number of whole frames — with one `write_all`.
+    pub fn write_all(&mut self, bytes: &[u8]) -> io::Result<()> {
         match self {
-            Sock::Uds(s) => s.write_all(&bytes),
-            Sock::Tcp(s) => s.write_all(&bytes),
+            Sock::Uds(s) => s.write_all(bytes),
+            Sock::Tcp(s) => s.write_all(bytes),
         }
+    }
+
+    /// Writes one length-prefixed frame ([`frame`]) with one `write_all`.
+    pub fn send_frame(&mut self, body: &[u8]) -> io::Result<()> {
+        self.write_all(&frame(body))
     }
 
     /// Reads into `buf`, returning the byte count (0 = clean EOF).

@@ -137,12 +137,20 @@ impl<'a> Dec<'a> {
     }
 }
 
+/// Appends `body` to `buf` as one length-prefixed frame: the crate's one
+/// framing rule. Frames appended back to back form a stream that
+/// [`FrameReader`] splits again, so a writer may batch any number of
+/// them into one `write_all`.
+pub fn put_frame(buf: &mut Vec<u8>, body: &[u8]) {
+    assert!(body.len() as u64 <= MAX_FRAME as u64, "oversized frame");
+    put_u32(buf, body.len() as u32);
+    buf.extend_from_slice(body);
+}
+
 /// Wraps a body in a length-prefixed frame ready for one `write_all`.
 pub fn frame(body: &[u8]) -> Vec<u8> {
-    assert!(body.len() as u64 <= MAX_FRAME as u64, "oversized frame");
     let mut out = Vec::with_capacity(4 + body.len());
-    put_u32(&mut out, body.len() as u32);
-    out.extend_from_slice(body);
+    put_frame(&mut out, body);
     out
 }
 

@@ -2,8 +2,10 @@
 //! hosted as ordinary `simnet` nodes.
 //!
 //! The host below plays the part of the socket shell in `node.rs` and
-//! nothing more: payloads are *encoded* [`PeerFrame`] bodies (the codec is
-//! on the path), the simulation's virtual tick is the core's `now_us`,
+//! nothing more: it writes what the shell writes — one message per peer
+//! per pass, the pass's encoded [`PeerFrame`]s framed back to back (codec
+//! and framing are on the path) — and splits what arrives with the
+//! shell's [`FrameReader`]; the simulation's virtual tick is the core's `now_us`,
 //! and `simnet`'s own reliable layer is **off** — so loss, duplication
 //! and crashes from the [`FaultPlan`] land on the service's
 //! [`Endpoint`](simnet::transport::Endpoint)s, whose retransmission,
@@ -24,6 +26,7 @@ use cmh_ddb::txn::TxnStep;
 use cmh_service::cluster::ClusterConfig;
 use cmh_service::core::{Input, Output, SiteConfig, SiteCore, SiteReport};
 use cmh_service::proto::{ClientFrame, PeerFrame, ServerFrame};
+use cmh_service::wire::{frame, put_frame, FrameReader};
 use simnet::faults::FaultPlan;
 use simnet::latency::LatencyModel;
 use simnet::sim::{Context, NodeId, Process, SimBuilder, Simulation, TimerId};
@@ -32,13 +35,24 @@ use simnet::time::SimTime;
 /// The one client connection each site serves in these tests.
 const CONN: u64 = 1;
 
-/// One frame put on the simulated wire.
+/// One message put on the simulated wire: a pass's frames for one peer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Sent {
     at_us: u64,
     from: SiteId,
     to: SiteId,
-    body: Vec<u8>,
+    bytes: Vec<u8>,
+}
+
+/// The frames of one message, split as the shell's reader splits a stream.
+fn frames(bytes: &[u8]) -> Vec<PeerFrame> {
+    let mut reader = FrameReader::new();
+    reader.push(bytes);
+    let mut frames = Vec::new();
+    while let Some(body) = reader.next_frame().expect("well-formed framing") {
+        frames.push(PeerFrame::decode(&body).expect("cores emit well-formed frames"));
+    }
+    frames
 }
 
 /// A `SiteCore` as a `simnet` process: the test-only counterpart of the
@@ -49,7 +63,7 @@ struct SiteHost {
     core: Option<SiteCore>,
     timer: Option<TimerId>,
     out: Vec<Output>,
-    /// Every peer frame this site emitted, in order.
+    /// Every message this site put on the wire, in order.
     sent: Vec<Sent>,
     /// Every notification this site's client was sent, in order.
     notes: Vec<ServerFrame>,
@@ -89,27 +103,30 @@ impl SiteHost {
     }
 
     /// What the shell does every pass: advance the core to the clock,
-    /// deliver what it emitted, sleep until its next wake.
+    /// write what the pass emitted — one message per peer — and sleep
+    /// until the core's next wake.
     fn pump(&mut self, ctx: &mut Context<'_, Vec<u8>>) {
         let now_us = ctx.now().ticks();
         let mut out = std::mem::take(&mut self.out);
         self.core().advance(now_us, &mut out);
+        let mut writes: BTreeMap<SiteId, Vec<u8>> = BTreeMap::new();
         for o in out.drain(..) {
             match o {
-                Output::ToPeer(to, body) => {
-                    self.sent.push(Sent {
-                        at_us: now_us,
-                        from: self.cfg.site,
-                        to,
-                        body: body.clone(),
-                    });
-                    ctx.send(NodeId(to.0), body);
-                }
+                Output::ToPeer(to, body) => put_frame(writes.entry(to).or_default(), &body),
                 Output::ToClient(conn, frame) => {
                     assert_eq!(conn, CONN);
                     self.notes.push(frame);
                 }
             }
+        }
+        for (to, bytes) in writes {
+            self.sent.push(Sent {
+                at_us: now_us,
+                from: self.cfg.site,
+                to,
+                bytes: bytes.clone(),
+            });
+            ctx.send(NodeId(to.0), bytes);
         }
         self.out = out;
         if let Some(t) = self.timer.take() {
@@ -134,17 +151,23 @@ impl Process<Vec<u8>> for SiteHost {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, Vec<u8>>, from: NodeId, body: Vec<u8>) {
+    /// One read: every frame in it goes to the core, then one pass.
+    fn on_message(&mut self, ctx: &mut Context<'_, Vec<u8>>, from: NodeId, bytes: Vec<u8>) {
         let from = SiteId(from.0);
-        let input = match PeerFrame::decode(&body).expect("cores emit well-formed frames") {
-            // The shell's handshake: a `Hello` is a link coming up.
-            PeerFrame::Hello { site } => {
-                assert_eq!(site, from);
-                Input::PeerUp(from)
-            }
-            frame => Input::Peer(from, frame),
-        };
-        self.input(ctx, input);
+        let mut out = std::mem::take(&mut self.out);
+        for frame in frames(&bytes) {
+            let input = match frame {
+                // The shell's handshake: a `Hello` is a link coming up.
+                PeerFrame::Hello { site } => {
+                    assert_eq!(site, from);
+                    Input::PeerUp(from)
+                }
+                frame => Input::Peer(from, frame),
+            };
+            self.core().handle(input, &mut out);
+        }
+        self.out = out;
+        self.pump(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Vec<u8>>, _timer: TimerId, _tag: u64) {
@@ -160,11 +183,12 @@ impl Process<Vec<u8>> for SiteHost {
         self.timer = None;
         self.out.clear();
         for p in self.peers().collect::<Vec<_>>() {
+            // Written alone, as the shell's dial writes it.
             let hello = PeerFrame::Hello {
                 site: self.cfg.site,
             }
             .encode();
-            ctx.send(NodeId(p.0), hello);
+            ctx.send(NodeId(p.0), frame(&hello));
             self.input(ctx, Input::PeerUp(p));
         }
     }
@@ -243,16 +267,22 @@ fn frame_log(sim: &Cluster) -> Vec<Sent> {
     log
 }
 
+/// The frames of one direction with their send times, in emission order.
+fn frames_sent(log: &[Sent], from: usize, to: usize) -> Vec<(u64, PeerFrame)> {
+    log.iter()
+        .filter(|s| s.from == SiteId(from) && s.to == SiteId(to))
+        .flat_map(|s| frames(&s.bytes).into_iter().map(move |f| (s.at_us, f)))
+        .collect()
+}
+
 /// The `Data` frames of one direction, in emission order.
 fn data_frames(log: &[Sent], from: usize, to: usize) -> Vec<(u64, u64, DdbMsg)> {
-    log.iter()
-        .filter(|f| f.from == SiteId(from) && f.to == SiteId(to))
-        .filter_map(
-            |f| match PeerFrame::decode(&f.body).expect("logged frame") {
-                PeerFrame::Data { seq, msg } => Some((f.at_us, seq, msg)),
-                _ => None,
-            },
-        )
+    frames_sent(log, from, to)
+        .into_iter()
+        .filter_map(|(at_us, f)| match f {
+            PeerFrame::Data { seq, msg } => Some((at_us, seq, msg)),
+            _ => None,
+        })
         .collect()
 }
 
@@ -262,9 +292,9 @@ fn distinct_seqs(log: &[Sent], from: usize, to: usize) -> usize {
 }
 
 fn declare_forwards(log: &[Sent], from: usize, to: usize) -> usize {
-    log.iter()
-        .filter(|f| f.from == SiteId(from) && f.to == SiteId(to))
-        .filter(|f| matches!(PeerFrame::decode(&f.body), Ok(PeerFrame::Declare { .. })))
+    frames_sent(log, from, to)
+        .iter()
+        .filter(|(_, f)| matches!(f, PeerFrame::Declare { .. }))
         .count()
 }
 
@@ -290,8 +320,9 @@ fn metric(r: &SiteReport, key: &str) -> u64 {
 fn retransmissions(log: &[Sent]) -> usize {
     let mut firsts = BTreeSet::new();
     log.iter()
-        .filter(|f| match PeerFrame::decode(&f.body) {
-            Ok(PeerFrame::Data { seq, .. }) => !firsts.insert((f.from, f.to, seq)),
+        .flat_map(|s| frames(&s.bytes).into_iter().map(move |f| (s.from, s.to, f)))
+        .filter(|(from, to, f)| match f {
+            PeerFrame::Data { seq, .. } => !firsts.insert((*from, *to, *seq)),
             _ => false,
         })
         .count()
@@ -406,11 +437,10 @@ fn crash_and_restart_keeps_ids_fresh_and_streams_exactly_once() {
         // The peer's endpoint accepted every seq in order, once (its
         // cumulative ack only moves that way), nothing was abandoned, and
         // its controller took exactly the messages the peers sent it.
-        let acked = log
-            .iter()
-            .filter(|f| f.from == SiteId(p) && f.to == SiteId(0))
-            .filter_map(|f| match PeerFrame::decode(&f.body) {
-                Ok(PeerFrame::Ack { next }) => Some(next),
+        let acked = frames_sent(&log, p, 0)
+            .into_iter()
+            .filter_map(|(_, f)| match f {
+                PeerFrame::Ack { next } => Some(next),
                 _ => None,
             })
             .max();

@@ -12,7 +12,7 @@ use cmh_ddb::msg::DdbMsg;
 use cmh_ddb::txn::{LockReq, TxnStep};
 use cmh_ddb::wfgd::AgentEdgeSet;
 use cmh_service::proto::{ClientFrame, PeerFrame, ServerFrame};
-use cmh_service::wire::{frame, FrameReader, WireError, MAX_FRAME};
+use cmh_service::wire::{frame, put_frame, FrameReader, WireError, MAX_FRAME};
 
 fn site() -> impl Strategy<Value = SiteId> {
     (0usize..64).prop_map(SiteId)
@@ -172,6 +172,38 @@ proptest! {
             }
         }
         prop_assert_eq!(decoded, frames);
+    }
+
+    /// A pass's per-connection buffer — frames appended with `put_frame`
+    /// into a reused buffer — is the concatenation of `frame(body)`, and
+    /// read back in random chunks it decodes to the same frame sequence.
+    #[test]
+    fn a_coalesced_write_reads_back_frame_by_frame(
+        passes in proptest::collection::vec(proptest::collection::vec(peer_frame(), 0..10), 1..4),
+        cuts in proptest::collection::vec(1usize..64, 1..64),
+    ) {
+        let mut buf = Vec::new();
+        for pass in &passes {
+            buf.clear();
+            for f in pass {
+                put_frame(&mut buf, &f.encode());
+            }
+            let framed: Vec<u8> = pass.iter().flat_map(|f| frame(&f.encode())).collect();
+            prop_assert_eq!(&buf, &framed);
+            let mut reader = FrameReader::new();
+            let mut decoded = Vec::new();
+            let mut cut = cuts.iter().cycle();
+            let mut rest = &buf[..];
+            while !rest.is_empty() {
+                let (chunk, tail) = rest.split_at((*cut.next().expect("cycle")).min(rest.len()));
+                reader.push(chunk);
+                rest = tail;
+                while let Some(body) = reader.next_frame().unwrap() {
+                    decoded.push(PeerFrame::decode(&body).unwrap());
+                }
+            }
+            prop_assert_eq!(&decoded, pass);
+        }
     }
 
     /// Appending junk to a well-formed body must fail decoding (the

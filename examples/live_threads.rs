@@ -57,7 +57,15 @@ fn scene(close: bool, deadline: Duration) -> (LoadReport, usize) {
         },
     );
     let verdict = cluster.snapshot(Duration::from_secs(2)).verify_at_rest();
-    cluster.shutdown();
+    for r in cluster.shutdown() {
+        let count = |key: &str| r.metrics.iter().find(|(k, _)| k == key).map_or(0, |m| m.1);
+        println!(
+            "  site {}: {} frames in {} writes",
+            r.snapshot.site.0,
+            count("service.shell.frames"),
+            count("service.shell.writes")
+        );
+    }
     assert_eq!(
         verdict.soundness_violations(),
         0,

@@ -12,12 +12,33 @@ use cmh_ddb::lock::LockMode;
 use cmh_ddb::snapshot::RestVerdict;
 use cmh_ddb::txn::TxnStep;
 use cmh_service::cluster::{Cluster, ClusterConfig, TransportKind};
+use cmh_service::core::SiteReport;
 use cmh_service::loadgen::{self, Job, LoadConfig, Mode};
 use cmh_service::sock::Addr;
 use workloads::{random_transactions, DdbWorkloadConfig};
 
 /// The staged ring and the kill/restart run once per socket flavour.
 const TRANSPORTS: [TransportKind; 2] = [TransportKind::Uds, TransportKind::Tcp];
+
+/// Shuts `cluster` down and checks what its shells wrote: something, and
+/// at most one write per frame on every site (a pass writes each
+/// connection's frames at once).
+fn shut_down(cluster: Cluster) {
+    let count =
+        |r: &SiteReport, key: &str| r.metrics.iter().find(|(k, _)| k == key).map_or(0, |m| m.1);
+    let mut writes = 0;
+    for r in cluster.shutdown() {
+        let frames = count(&r, "service.shell.frames");
+        let site_writes = count(&r, "service.shell.writes");
+        assert!(
+            site_writes <= frames,
+            "{:?}: {site_writes} writes for {frames} frames",
+            r.snapshot.site
+        );
+        writes += site_writes;
+    }
+    assert!(writes > 0, "no site wrote a frame");
+}
 
 /// A ring of single-lock-then-second-lock transactions over `sites`,
 /// guaranteed to deadlock once every first lock is held: txn homed at
@@ -114,7 +135,7 @@ fn staged_ring_is_declared(transport: TransportKind) {
         "at-rest soundness violated: {verdict:?}"
     );
     assert!(!verdict.declared.is_empty());
-    cluster.shutdown();
+    shut_down(cluster);
 }
 
 #[test]
@@ -175,7 +196,7 @@ fn crash_and_restart_recovers_soundly(transport: TransportKind) {
         "post-recovery soundness violated: {verdict:?}"
     );
     assert!(!verdict.cycle_txns.is_empty());
-    cluster.shutdown();
+    shut_down(cluster);
 }
 
 /// The open loop: ordered (so deadlock-free) cross-site transactions
@@ -232,7 +253,7 @@ fn ordered_open_loop_commits_every_job() {
             ..RestVerdict::default()
         }
     );
-    cluster.shutdown();
+    shut_down(cluster);
 }
 
 /// A cluster over Unix-domain sockets serves from a directory of its own
@@ -248,6 +269,6 @@ fn shutdown_removes_the_socket_directory() {
     loadgen::probe_until_commit(&cluster.addrs()[0], Duration::from_secs(10))
         .expect("site 0 never served a commit");
     assert!(dir.is_dir());
-    cluster.shutdown();
+    shut_down(cluster);
     assert!(!dir.exists(), "{} left behind", dir.display());
 }
