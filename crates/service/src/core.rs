@@ -1,8 +1,8 @@
 //! The sans-IO site core: everything a detector site *decides*.
 //!
-//! [`SiteCore`] hosts the unmodified [`Controller`] inside a private
-//! deterministic simulation whose other slots are relay stubs (the
-//! gateway simulation), one reliable [`Endpoint`] per peer, the
+//! [`SiteCore`] hosts the unmodified [`Controller`] as the one process of
+//! a `simnet` [`Solo`] host (its timers, and its sends to other sites
+//! handed back for the wire), one reliable [`Endpoint`] per peer, the
 //! client-request tracking and the transaction-id high-water mark. It is
 //! a plain state machine: [`SiteCore::handle`] takes one decoded
 //! [`Input`], [`SiteCore::advance`] moves it to a caller-supplied
@@ -15,9 +15,7 @@
 //! wall-clock shell in [`crate::node`], and `tests/sim_cluster.rs`, which
 //! runs N cores as ordinary `simnet` processes under a `FaultPlan`.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use cmh_ddb::config::DdbConfig;
 use cmh_ddb::controller::Controller;
@@ -25,8 +23,8 @@ use cmh_ddb::ids::{SiteId, TransactionId};
 use cmh_ddb::msg::DdbMsg;
 use cmh_ddb::snapshot::SiteSnapshot;
 use cmh_ddb::txn::TxnStatus;
-use simnet::latency::LatencyModel;
-use simnet::sim::{Context, NodeId, Process, SimBuilder, Simulation, TimerId};
+use simnet::sim::NodeId;
+use simnet::solo::Solo;
 use simnet::time::SimTime;
 use simnet::transport::{Endpoint, ReliableConfig};
 
@@ -42,7 +40,7 @@ pub struct SiteConfig {
     pub n_sites: usize,
     /// Controller behaviour (detection / resolution knobs).
     pub ddb: DdbConfig,
-    /// Seed for the site's private simulation.
+    /// Seed for the site's host (the controller's timer jitter).
     pub seed: u64,
     /// Duration of one virtual tick, in microseconds of the host's
     /// clock. Virtual time is advanced to `now_us / tick_micros` on every
@@ -63,10 +61,8 @@ pub struct SiteConfig {
 pub struct SiteReport {
     /// Controller-state snapshot for cluster-level verification.
     pub snapshot: SiteSnapshot,
-    /// The site simulation's metric counters (probe/message/txn counts).
+    /// The site host's metric counters (probe/message/txn counts).
     pub metrics: Vec<(String, u64)>,
-    /// Virtual time reached.
-    pub ticks: u64,
     /// Per-peer `(peer, unacked, abandoned)` transport occupancy.
     pub transport: Vec<(SiteId, usize, u64)>,
 }
@@ -106,38 +102,6 @@ pub enum Output {
     ToClient(u64, ServerFrame),
 }
 
-/// The gateway-simulation node: the local controller in its own slot,
-/// relay stubs capturing traffic bound for every remote site.
-#[derive(Debug)]
-enum GwNode {
-    Local(Box<Controller>),
-    Relay(Rc<RefCell<Vec<(SiteId, DdbMsg)>>>),
-}
-
-impl Process<DdbMsg> for GwNode {
-    fn on_start(&mut self, ctx: &mut Context<'_, DdbMsg>) {
-        if let GwNode::Local(c) = self {
-            c.on_start(ctx);
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, DdbMsg>, from: NodeId, msg: DdbMsg) {
-        match self {
-            GwNode::Local(c) => c.on_message(ctx, from, msg),
-            GwNode::Relay(outbox) => {
-                // This slot *is* the remote site: capture for the wire.
-                outbox.borrow_mut().push((SiteId(ctx.id().0), msg));
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, DdbMsg>, timer: TimerId, tag: u64) {
-        if let GwNode::Local(c) = self {
-            c.on_timer(ctx, timer, tag);
-        }
-    }
-}
-
 /// One peer: the reliable endpoint, whether a link currently carries it,
 /// and whether a `Data` frame arrived since our last ack to it. Nothing
 /// is emitted for a peer whose link is down; the endpoint keeps the
@@ -164,14 +128,14 @@ pub struct SiteCore {
     me: SiteId,
     n_sites: usize,
     tick_micros: u64,
-    sim: Simulation<DdbMsg, GwNode>,
-    outbox: Rc<RefCell<Vec<(SiteId, DdbMsg)>>>,
+    host: Solo<DdbMsg, Controller>,
     peers: BTreeMap<SiteId, Peer>,
     inflight: BTreeMap<TransactionId, Track>,
     next_txn: u32,
     decl_seen: usize,
     scratch_deliver: Vec<DdbMsg>,
     scratch_rto: Vec<(u64, DdbMsg)>,
+    scratch_sent: Vec<(NodeId, DdbMsg)>,
 }
 
 impl SiteCore {
@@ -196,30 +160,20 @@ impl SiteCore {
                 (SiteId(s), peer)
             })
             .collect();
-        let outbox = Rc::new(RefCell::new(Vec::new()));
-        let mut sim: Simulation<DdbMsg, GwNode> = SimBuilder::new()
-            .seed(cfg.seed ^ (me.0 as u64).wrapping_mul(0x9e3779b97f4a7c15))
-            .latency(LatencyModel::Fixed { ticks: 1 })
-            .build();
-        for s in 0..cfg.n_sites {
-            sim.add_node(if s == me.0 {
-                GwNode::Local(Box::new(Controller::new(me, cfg.ddb)))
-            } else {
-                GwNode::Relay(Rc::clone(&outbox))
-            });
-        }
+        let seed = cfg.seed ^ (me.0 as u64).wrapping_mul(0x9e3779b97f4a7c15);
+        let controller = Controller::new(me, cfg.ddb);
         SiteCore {
             me,
             n_sites: cfg.n_sites,
             tick_micros: cfg.tick_micros,
-            sim,
-            outbox,
+            host: Solo::new(NodeId(me.0), cfg.n_sites, seed, controller),
             peers,
             inflight: BTreeMap::new(),
             next_txn: stable.next_txn,
             decl_seen: 0,
             scratch_deliver: Vec::new(),
             scratch_rto: Vec::new(),
+            scratch_sent: Vec::new(),
         }
     }
 
@@ -231,11 +185,9 @@ impl SiteCore {
         }
     }
 
-    /// Applies one input. Inputs carry no time: effects inside the
-    /// gateway simulation happen at the virtual time the last
-    /// [`SiteCore::advance`] reached.
+    /// Applies one input. Inputs carry no time: the controller sees them
+    /// at the virtual time the last [`SiteCore::advance`] reached.
     pub fn handle(&mut self, input: Input, out: &mut Vec<Output>) {
-        let my_slot = NodeId(self.me.0);
         match input {
             Input::Client(conn, ClientFrame::Submit { req, steps }) => {
                 let tid = TransactionId(self.me.0 as u32 + self.next_txn * self.n_sites as u32);
@@ -250,11 +202,7 @@ impl SiteCore {
                         declared: false,
                     },
                 );
-                self.sim.with_node(my_slot, |n, ctx| {
-                    if let GwNode::Local(c) = n {
-                        c.start_txn(ctx, txn);
-                    }
-                });
+                self.host.with(|c, ctx| c.start_txn(ctx, txn));
             }
             Input::ClientGone(conn) => self.inflight.retain(|_, t| t.conn != conn),
             Input::PeerUp(p) => {
@@ -285,8 +233,7 @@ impl SiteCore {
                 peer.ep.on_data(seq, msg, &mut self.scratch_deliver);
                 peer.owes_ack = true;
                 for m in self.scratch_deliver.drain(..) {
-                    self.sim
-                        .with_node(NodeId(p.0), |_n, ctx| ctx.send(my_slot, m));
+                    self.host.deliver(NodeId(p.0), m);
                 }
             }
             Input::Peer(p, PeerFrame::Ack { next }) => {
@@ -301,8 +248,8 @@ impl SiteCore {
 
     /// Moves the site to `now_us`: acks every up peer that sent `Data`
     /// since its last ack — one cumulative `Ack` each, ahead of anything
-    /// else this call emits for it — runs the gateway simulation up to the
-    /// matching virtual tick, ships what the controller sent through the
+    /// else this call emits for it — runs the host up to the matching
+    /// virtual tick, ships what the controller sent to peers through the
     /// endpoints, polls retransmissions, and emits the client
     /// notifications and declaration forwards that fell out.
     pub fn advance(&mut self, now_us: u64, out: &mut Vec<Output>) {
@@ -314,14 +261,12 @@ impl SiteCore {
             }
         }
         let target = SimTime::from_ticks(now_us / self.tick_micros);
-        if target > self.sim.now() {
-            let _ = self.sim.run_until(target);
-        }
+        self.host.run_until(target, &mut self.scratch_sent);
         let now_ms = now_us / 1000;
 
-        let pending: Vec<(SiteId, DdbMsg)> = self.outbox.borrow_mut().drain(..).collect();
-        for (dest, msg) in pending {
-            let peer = self.peers.get_mut(&dest).expect("one relay slot per peer");
+        for (NodeId(site), msg) in self.scratch_sent.drain(..) {
+            let dest = SiteId(site);
+            let peer = self.peers.get_mut(&dest).expect("sends go to peers");
             if peer.up {
                 let body = PeerFrame::encode_data(peer.ep.next_seq(), &msg);
                 out.push(Output::ToPeer(dest, body));
@@ -361,7 +306,7 @@ impl SiteCore {
     /// (`id = ordinal * n_sites + home`). The forward is best-effort: it
     /// bypasses the endpoint, so a link that is down loses it.
     fn route_declarations(&mut self, out: &mut Vec<Output>) {
-        let all = local_controller(&self.sim, self.me).declarations();
+        let all = self.host.process().declarations();
         let new: Vec<TransactionId> = all[self.decl_seen..].iter().map(|d| d.txn).collect();
         self.decl_seen = all.len();
         for txn in new {
@@ -376,7 +321,7 @@ impl SiteCore {
 
     /// Emits `Granted` / `Done` for tracked transactions that got there.
     fn notify_progress(&mut self, out: &mut Vec<Output>) {
-        let c = local_controller(&self.sim, self.me);
+        let c = self.host.process();
         self.inflight.retain(|&txn, t| {
             let Some(sn) = c.script_snapshot_of(txn) else {
                 return true;
@@ -404,12 +349,12 @@ impl SiteCore {
         });
     }
 
-    /// When [`SiteCore::advance`] next has something to do — the gateway
-    /// simulation's next event or the earliest retransmission — on the
-    /// `now_us` clock. `None` when only an input can change anything.
-    pub fn next_wake_us(&mut self) -> Option<u64> {
+    /// When [`SiteCore::advance`] next has something to do — the host's
+    /// next event or the earliest retransmission — on the `now_us` clock.
+    /// `None` when only an input can change anything.
+    pub fn next_wake_us(&self) -> Option<u64> {
         let sim_due = self
-            .sim
+            .host
             .next_event_at()
             .map(|t| t.ticks().saturating_mul(self.tick_micros));
         let rto_due = self
@@ -424,28 +369,19 @@ impl SiteCore {
     /// A snapshot of controller state, counters and transport occupancy.
     pub fn report(&self) -> SiteReport {
         SiteReport {
-            snapshot: SiteSnapshot::capture(local_controller(&self.sim, self.me)),
+            snapshot: SiteSnapshot::capture(self.host.process()),
             metrics: self
-                .sim
+                .host
                 .metrics()
                 .iter()
                 .map(|(k, v)| (k.to_string(), v))
                 .collect(),
-            ticks: self.sim.now().ticks(),
             transport: self
                 .peers
                 .iter()
                 .map(|(&p, l)| (p, l.ep.in_flight(), l.ep.abandoned()))
                 .collect(),
         }
-    }
-}
-
-/// Borrows the local controller out of the gateway simulation.
-fn local_controller(sim: &Simulation<DdbMsg, GwNode>, me: SiteId) -> &Controller {
-    match sim.node(NodeId(me.0)) {
-        GwNode::Local(c) => c,
-        GwNode::Relay(_) => unreachable!("own slot is always Local"),
     }
 }
 
@@ -525,6 +461,28 @@ mod tests {
         out.clear();
         core.advance(2_000, &mut out);
         assert_eq!(out, []);
+    }
+
+    #[test]
+    fn an_inbound_request_is_answered_one_tick_later() {
+        let mut core = site0();
+        let mut out = Vec::new();
+        core.advance(1_000, &mut out);
+        let (txn, resource) = (TransactionId(1), ResourceId(7));
+        let msg = DdbMsg::RemoteRequest {
+            txn,
+            resource,
+            mode: LockMode::Exclusive,
+            home: P,
+        };
+        core.handle(Input::Peer(P, PeerFrame::Data { seq: 0, msg }), &mut out);
+        // One tick is 2 µs here: the grant leaves on the next tick.
+        core.advance(1_002, &mut out);
+        let msg = DdbMsg::Acquired { txn, resource };
+        assert_eq!(
+            peer_frames(&out),
+            [PeerFrame::Ack { next: 1 }, PeerFrame::Data { seq: 0, msg }]
+        );
     }
 
     #[test]

@@ -10,10 +10,9 @@
 //!
 //! A site is a sans-IO **core** behind a socket **shell**. The core
 //! ([`core::SiteCore`]) hosts the **unmodified**
-//! [`cmh_ddb::controller::Controller`] inside a private deterministic
-//! simulation (`simnet::sim`) whose other slots are relay stubs, so the
-//! algorithm code, its timers and its correctness arguments carry over
-//! from the simulator verbatim. Around it the core keeps one reliable
+//! [`cmh_ddb::controller::Controller`] as the one process of a
+//! [`simnet::solo::Solo`] host, so the algorithm code, its timers and its
+//! correctness arguments carry over from the simulator verbatim. Around it the core keeps one reliable
 //! [`simnet::transport::Endpoint`] per peer, the client-request tracking
 //! and the transaction-id high-water mark. Decoded frames and a
 //! microsecond clock go in, encoded frames come out; it touches no

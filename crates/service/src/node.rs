@@ -289,7 +289,7 @@ impl Shell {
 
     /// How long nothing needs doing: until the core's next wake or the
     /// next redial, within the sleep bounds.
-    fn sleep_for(&mut self) -> Duration {
+    fn sleep_for(&self) -> Duration {
         let redial = self.dialable().map(|(_, l)| l.redial_at_us).min();
         let due = self.core.next_wake_us().into_iter().chain(redial).min();
         let wait = due.map_or(MAX_SLEEP_US, |d| d.saturating_sub(self.now_us()));

@@ -62,6 +62,7 @@ pub mod reliable;
 pub mod rng;
 pub mod shard;
 pub mod sim;
+pub mod solo;
 pub mod time;
 pub mod trace;
 pub mod transport;

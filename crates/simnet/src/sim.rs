@@ -129,13 +129,6 @@ impl ExploreState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub usize);
 
-impl NodeId {
-    /// Returns the underlying index.
-    pub const fn index(self) -> usize {
-        self.0
-    }
-}
-
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "p{}", self.0)
@@ -1302,9 +1295,6 @@ impl SimBuilder {
         self,
         par: Option<crate::shard::ParExec<M, P>>,
     ) -> Simulation<M, P> {
-        let rng = DetRng::seed_from_u64(self.seed);
-        let faults = (!self.faults.is_noop())
-            .then(|| FaultState::new(self.faults.clone(), rng.fork(FAULT_RNG_STREAM)));
         assert!(
             !(self.explore && self.shards > 1),
             "explore mode needs the single frontier of one shard (shards == 1)"
@@ -1319,7 +1309,20 @@ impl SimBuilder {
             par,
             self.workers,
         );
-        let seqr = Sequencer {
+        Simulation {
+            shards,
+            seqr: self.sequencer(),
+            started: false,
+            win,
+        }
+    }
+
+    /// The run's [`Sequencer`]; [`crate::solo::Solo`] builds one too.
+    pub(crate) fn sequencer(self) -> Sequencer {
+        let rng = DetRng::seed_from_u64(self.seed);
+        let faults = (!self.faults.is_noop())
+            .then(|| FaultState::new(self.faults.clone(), rng.fork(FAULT_RNG_STREAM)));
+        Sequencer {
             now: SimTime::ZERO,
             seq: 0,
             channel_clock: Vec::new(),
@@ -1332,12 +1335,6 @@ impl SimBuilder {
             faults,
             crashed: Vec::new(),
             explore: self.explore.then(|| ExploreState::new(self.seed)),
-        };
-        Simulation {
-            shards,
-            seqr,
-            started: false,
-            win,
         }
     }
 }
@@ -1390,11 +1387,6 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Simulation<M, P> {
         self.seqr.node_count
     }
 
-    /// Number of shards the event loop is partitioned into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Window-level execution counters: windows dispatched, ticks they
     /// spanned, and wall-clock barrier cost. All zero with one shard.
     pub fn window_stats(&self) -> WindowStats {
@@ -1422,15 +1414,8 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Simulation<M, P> {
     ///
     /// Panics if `id` is out of range.
     pub fn node(&self, id: NodeId) -> &P {
-        self.try_node(id).expect("node id out of range")
-    }
-
-    /// Immutable access to a process's state, or `None` if `id` is out of
-    /// range. The non-panicking sibling of [`Simulation::node`], for
-    /// drivers that probe nodes speculatively.
-    pub fn try_node(&self, id: NodeId) -> Option<&P> {
         let (s, l) = place(id, self.shards.len());
-        self.shards[s].procs.get(l)
+        self.shards[s].procs.get(l).expect("node id out of range")
     }
 
     /// True if the fault plan currently has `id` crashed.
@@ -1498,14 +1483,6 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Simulation<M, P> {
             .map(|(_, kind)| (kind.classify().touches().0, kind.pending()))
     }
 
-    /// Number of scheduler slab slots ever allocated (summed across
-    /// shards). Bounded by the peak queue depth (slots are recycled),
-    /// *not* by events processed — the memory-bound regression tests
-    /// assert on this.
-    pub fn scheduler_slots(&self) -> usize {
-        self.shards.iter().map(|s| s.local.queue.slot_count()).sum()
-    }
-
     /// Runs `f` against a process with a live [`Context`], at the current
     /// virtual time. This is how drivers inject work (e.g. "start a
     /// transaction now") without a fake network message.
@@ -1544,19 +1521,6 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Simulation<M, P> {
             self.flush();
         }
         r
-    }
-
-    /// Like [`Simulation::with_node`] but returns `None` instead of
-    /// panicking when `id` is out of range.
-    pub fn try_with_node<R>(
-        &mut self,
-        id: NodeId,
-        f: impl FnOnce(&mut P, &mut Context<'_, M>) -> R,
-    ) -> Option<R> {
-        if id.0 >= self.node_count() {
-            return None;
-        }
-        Some(self.with_node(id, f))
     }
 
     fn ensure_started(&mut self) {
@@ -1796,7 +1760,7 @@ mod tests {
     ) -> (Simulation<Msg, P>, Simulation<Msg, P>) {
         let builder = builder.trace(true);
         let (a, b) = (scenario(builder.clone()), scenario(builder.shards(3)));
-        assert_eq!((a.shard_count(), b.shard_count()), (1, 3));
+        assert_eq!((a.shards.len(), b.shards.len()), (1, 3));
         (a, b)
     }
 
@@ -2371,24 +2335,6 @@ mod tests {
     }
 
     #[test]
-    fn try_node_and_try_with_node_handle_out_of_range() {
-        at_shard_counts(SimBuilder::new().seed(1), |b| {
-            let mut sim = pair_with(b);
-            assert!(sim.try_node(NodeId(0)).is_some());
-            assert!(sim.try_node(NodeId(1)).is_some());
-            for beyond in [2, 3, 9] {
-                assert!(sim.try_node(NodeId(beyond)).is_none());
-                assert_eq!(sim.try_with_node(NodeId(beyond), |_, _| ()), None);
-            }
-            assert_eq!(
-                sim.try_with_node(NodeId(0), |p, _| p.received.len()),
-                Some(0)
-            );
-            sim
-        });
-    }
-
-    #[test]
     fn reliable_abandons_after_max_attempts() {
         // Node 1 never comes back: every packet towards it is eventually
         // abandoned and the run still quiesces.
@@ -2450,11 +2396,10 @@ mod tests {
         assert!(out.quiescent);
         // 10^6 churn ticks + the final no-op tick + the last decoy firing.
         assert_eq!(sim.metrics().get(builtin::TIMERS_FIRED), 1_000_002);
-        assert!(
-            sim.scheduler_slots() <= 8,
-            "slab leaked: {} slots",
-            sim.scheduler_slots()
-        );
+        // Slab slots ever allocated: bounded by the peak depth (slots are
+        // recycled), not by events processed.
+        let slots = sim.shards[0].local.queue.slot_count();
+        assert!(slots <= 8, "slab leaked: {slots} slots");
         assert!(
             sim.peak_queue_depth() <= 8,
             "queue depth leaked: {}",

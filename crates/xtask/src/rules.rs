@@ -49,7 +49,7 @@ pub enum Rule {
     D8,
     /// No direct event-queue pops (`queue.pop(` / `queue.peek(` /
     /// `queue.peek_key(`) outside the sanctioned engine files
-    /// (`sim.rs`, `shard.rs`, `explore.rs`, `equeue.rs`): an event
+    /// (`sim.rs`, `shard.rs`, `solo.rs`, `explore.rs`, `equeue.rs`): an event
     /// consumed behind the engine's back is a schedule decision the
     /// `simnet::explore` model checker can neither see nor branch on.
     D9,
