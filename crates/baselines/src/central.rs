@@ -17,11 +17,12 @@
 //! (2·N messages per round, every round, deadlock or not) against the probe
 //! computation (messages only when waits persist).
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
+use cmh_core::process::{RequestError, Underlying, SERVE_TIMER};
+use cmh_core::ReplyPolicy;
 use simnet::metrics::Metrics;
 use simnet::sim::{Context, NodeId, Process, RunOutcome, SimBuilder, Simulation, TimerId};
 use simnet::time::SimTime;
@@ -30,7 +31,6 @@ use wfg::oracle::Oracle;
 use wfg::WaitForGraph;
 
 use crate::report::{classify, BaselineReport, Classified};
-use crate::substrate::{CoreMsg, CoreState, RequestError};
 
 /// Coordinator snapshot discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,8 +54,10 @@ pub mod counters {
 /// Messages of the centralised scheme.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CentralMsg {
-    /// Underlying request/reply traffic.
-    Core(CoreMsg),
+    /// The underlying computation's request.
+    Request,
+    /// The underlying computation's reply.
+    Reply,
     /// Coordinator asks a worker for its outgoing edges.
     SnapRequest {
         /// Poll round.
@@ -70,13 +72,12 @@ pub enum CentralMsg {
     },
 }
 
-const TAG_SERVE: u64 = 0;
 const TAG_POLL: u64 = 1;
 
 /// A node of the centralised system: worker or coordinator.
 pub enum CentralProcess {
     /// Runs the underlying computation and answers snapshot polls.
-    Worker(Worker),
+    Worker(Underlying<CentralMsg>),
     /// Polls, assembles the global graph, reports cycles. Boxed: the
     /// embedded graph + oracle scratch dwarf the worker variant.
     Coordinator(Box<Coordinator>),
@@ -87,7 +88,7 @@ impl fmt::Debug for CentralProcess {
         match self {
             CentralProcess::Worker(w) => f
                 .debug_struct("Worker")
-                .field("blocked", &w.core.is_blocked())
+                .field("blocked", &w.is_blocked())
                 .finish_non_exhaustive(),
             CentralProcess::Coordinator(c) => f
                 .debug_struct("Coordinator")
@@ -96,14 +97,6 @@ impl fmt::Debug for CentralProcess {
                 .finish_non_exhaustive(),
         }
     }
-}
-
-/// Worker state: the shared substrate plus service bookkeeping.
-#[derive(Debug)]
-pub struct Worker {
-    core: CoreState,
-    service_delay: u64,
-    serve_pending: bool,
 }
 
 /// Coordinator state.
@@ -171,7 +164,6 @@ impl Coordinator {
     }
 }
 
-#[allow(clippy::collapsible_match)] // guard has side effects; keep it visible
 impl Process<CentralMsg> for CentralProcess {
     fn on_start(&mut self, ctx: &mut Context<'_, CentralMsg>) {
         if let CentralProcess::Coordinator(c) = self {
@@ -181,21 +173,13 @@ impl Process<CentralMsg> for CentralProcess {
 
     fn on_message(&mut self, ctx: &mut Context<'_, CentralMsg>, from: NodeId, msg: CentralMsg) {
         match (self, msg) {
-            (CentralProcess::Worker(w), CentralMsg::Core(CoreMsg::Request)) => {
-                if w.core.on_request(ctx.now(), ctx.id(), from) && !w.serve_pending {
-                    w.serve_pending = true;
-                    ctx.set_timer(w.service_delay, TAG_SERVE);
-                }
-            }
-            (CentralProcess::Worker(w), CentralMsg::Core(CoreMsg::Reply)) => {
-                if w.core.on_reply(ctx.now(), ctx.id(), from) && !w.serve_pending {
-                    w.serve_pending = true;
-                    ctx.set_timer(w.service_delay, TAG_SERVE);
-                }
+            (CentralProcess::Worker(w), CentralMsg::Request) => w.on_request(ctx, from),
+            (CentralProcess::Worker(w), CentralMsg::Reply) => {
+                w.on_reply(ctx, from);
             }
             (CentralProcess::Worker(w), CentralMsg::SnapRequest { round }) => {
                 ctx.count(counters::SNAP_REPLY);
-                let out_waits = w.core.out_waits().iter().copied().collect();
+                let out_waits = w.out_waits().iter().copied().collect();
                 ctx.send(from, CentralMsg::SnapReply { round, out_waits });
             }
             (
@@ -216,12 +200,7 @@ impl Process<CentralMsg> for CentralProcess {
 
     fn on_timer(&mut self, ctx: &mut Context<'_, CentralMsg>, _timer: TimerId, tag: u64) {
         match (self, tag) {
-            (CentralProcess::Worker(w), TAG_SERVE) => {
-                w.serve_pending = false;
-                for r in w.core.serve_all(ctx.now(), ctx.id()) {
-                    ctx.send(r, CentralMsg::Core(CoreMsg::Reply));
-                }
-            }
+            (CentralProcess::Worker(w), SERVE_TIMER) => w.on_serve_timer(ctx, CentralMsg::Reply),
             (CentralProcess::Coordinator(c), TAG_POLL) => {
                 // Detect on whatever view has accumulated, then poll again.
                 if c.latest_reply.len() == c.n_workers {
@@ -242,7 +221,7 @@ impl Process<CentralMsg> for CentralProcess {
 /// Harness: `n` workers (nodes `0..n`) plus the coordinator (node `n`).
 pub struct CentralNet {
     sim: Simulation<CentralMsg, CentralProcess>,
-    journal: Rc<RefCell<Journal>>,
+    journal: Arc<Mutex<Journal>>,
     n_workers: usize,
 }
 
@@ -270,13 +249,12 @@ impl CentralNet {
         builder: SimBuilder,
     ) -> Self {
         let mut sim = builder.build();
-        let journal = Rc::new(RefCell::new(Journal::new()));
+        let journal = Arc::new(Mutex::new(Journal::new()));
         for _ in 0..n {
-            sim.add_node(CentralProcess::Worker(Worker {
-                core: CoreState::new(Some(Rc::clone(&journal))),
-                service_delay,
-                serve_pending: false,
-            }));
+            sim.add_node(CentralProcess::Worker(Underlying::new(
+                ReplyPolicy::AfterDelay { service_delay },
+                Some(Arc::clone(&journal)),
+            )));
         }
         sim.add_node(CentralProcess::Coordinator(Box::new(Coordinator {
             n_workers: n,
@@ -315,9 +293,7 @@ impl CentralNet {
             let CentralProcess::Worker(w) = p else {
                 unreachable!("node {from} is a worker")
             };
-            let msg = w.core.request(ctx.now(), ctx.id(), to)?;
-            ctx.send(to, CentralMsg::Core(msg));
-            Ok(())
+            w.request(ctx, to, CentralMsg::Request)
         })
     }
 
@@ -349,7 +325,7 @@ impl CentralNet {
 
     /// Classifies all reports against the journalled ground truth.
     pub fn classify_reports(&self) -> Classified {
-        classify(&self.journal.borrow(), &self.reports())
+        classify(&self.journal.lock().expect("journal lock"), &self.reports())
     }
 
     /// Metrics accumulated so far.

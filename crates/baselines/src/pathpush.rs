@@ -16,18 +16,18 @@
 //!   cycle that never existed at any instant (phantoms), which experiment
 //!   E4 measures.
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::fmt;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
+use cmh_core::process::{RequestError, Underlying, SERVE_TIMER};
+use cmh_core::ReplyPolicy;
 use simnet::metrics::Metrics;
 use simnet::sim::{Context, NodeId, Process, RunOutcome, SimBuilder, Simulation, TimerId};
 use simnet::time::SimTime;
 use wfg::journal::Journal;
 
 use crate::report::{classify, BaselineReport, Classified};
-use crate::substrate::{CoreMsg, CoreState, RequestError};
 
 /// Metric-counter names for the path-pushing detector.
 pub mod counters {
@@ -49,23 +49,25 @@ pub mod counters {
 /// [`counters::CAPPED`]) — the probe computation needs no such cap.
 pub const PATH_BUDGET: usize = 10_000;
 
-/// Messages: the shared substrate plus path payloads.
+/// Messages: the underlying computation plus path payloads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PathMsg {
-    /// Underlying request/reply traffic.
-    Core(CoreMsg),
+    /// The underlying computation's request.
+    Request,
+    /// The underlying computation's reply.
+    Reply,
     /// A wait-for path `p[0] → p[1] → … → sender → receiver`.
     Path(Vec<NodeId>),
 }
 
-const TAG_SERVE: u64 = 0;
 const TAG_PUSH_BASE: u64 = 1 << 32;
 
 /// A node running the underlying computation plus path pushing.
 pub struct PathProcess {
-    core: CoreState,
-    service_delay: u64,
-    serve_pending: bool,
+    core: Underlying<PathMsg>,
+    /// Bumped whenever the wait set changes; a push timer armed under an
+    /// older epoch is stale.
+    epoch: u64,
     /// Delay from blocking to the first push (and the re-push period while
     /// still blocked).
     push_delay: u64,
@@ -96,7 +98,7 @@ impl PathProcess {
             return;
         }
         let origin = path[0];
-        for target in self.core.out_waits().clone() {
+        for &target in self.core.out_waits().iter() {
             // Optimised rule: a path survives only while its origin is the
             // largest id seen — but the hop that returns to the origin
             // itself must be allowed, or no cycle would ever close.
@@ -113,34 +115,25 @@ impl PathProcess {
 
     fn arm_push_timer(&self, ctx: &mut Context<'_, PathMsg>) {
         // Encode the wait-state epoch so stale timers are recognised.
-        ctx.set_timer(
-            self.push_delay,
-            TAG_PUSH_BASE | (self.core.epoch() & 0xFFFF_FFFF),
-        );
+        ctx.set_timer(self.push_delay, TAG_PUSH_BASE | (self.epoch & 0xFFFF_FFFF));
     }
 }
 
 impl Process<PathMsg> for PathProcess {
     fn on_message(&mut self, ctx: &mut Context<'_, PathMsg>, from: NodeId, msg: PathMsg) {
         match msg {
-            PathMsg::Core(CoreMsg::Request) => {
-                if self.core.on_request(ctx.now(), ctx.id(), from) && !self.serve_pending {
-                    self.serve_pending = true;
-                    ctx.set_timer(self.service_delay, TAG_SERVE);
-                }
-            }
-            PathMsg::Core(CoreMsg::Reply) => {
-                if self.core.on_reply(ctx.now(), ctx.id(), from) && !self.serve_pending {
-                    self.serve_pending = true;
-                    ctx.set_timer(self.service_delay, TAG_SERVE);
+            PathMsg::Request => self.core.on_request(ctx, from),
+            PathMsg::Reply => {
+                if self.core.on_reply(ctx, from) {
+                    self.epoch += 1;
                 }
             }
             PathMsg::Path(path) => {
                 let me = ctx.id();
                 if path.contains(&me) {
                     // The path closed a cycle through this node.
-                    if self.last_declared_epoch != Some(self.core.epoch()) {
-                        self.last_declared_epoch = Some(self.core.epoch());
+                    if self.last_declared_epoch != Some(self.epoch) {
+                        self.last_declared_epoch = Some(self.epoch);
                         ctx.count(counters::DECLARED);
                         if ctx.tracing() {
                             ctx.note(format!("pathpush: {me} declares deadlock via {path:?}"));
@@ -158,16 +151,13 @@ impl Process<PathMsg> for PathProcess {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, PathMsg>, _timer: TimerId, tag: u64) {
-        if tag == TAG_SERVE {
-            self.serve_pending = false;
-            for r in self.core.serve_all(ctx.now(), ctx.id()) {
-                ctx.send(r, PathMsg::Core(CoreMsg::Reply));
-            }
+        if tag == SERVE_TIMER {
+            self.core.on_serve_timer(ctx, PathMsg::Reply);
             return;
         }
         // Push timer: only valid if the wait state is unchanged.
         let epoch = tag & 0xFFFF_FFFF;
-        if self.core.is_blocked() && (self.core.epoch() & 0xFFFF_FFFF) == epoch {
+        if self.core.is_blocked() && (self.epoch & 0xFFFF_FFFF) == epoch {
             self.push_path(ctx, vec![ctx.id()]);
             // Stay armed while blocked: new successors may appear.
             self.arm_push_timer(ctx);
@@ -178,7 +168,7 @@ impl Process<PathMsg> for PathProcess {
 /// Harness for the path-pushing detector.
 pub struct PathPushNet {
     sim: Simulation<PathMsg, PathProcess>,
-    journal: Rc<RefCell<Journal>>,
+    journal: Arc<Mutex<Journal>>,
 }
 
 impl fmt::Debug for PathPushNet {
@@ -209,12 +199,14 @@ impl PathPushNet {
         builder: SimBuilder,
     ) -> Self {
         let mut sim = builder.build();
-        let journal = Rc::new(RefCell::new(Journal::new()));
+        let journal = Arc::new(Mutex::new(Journal::new()));
         for _ in 0..n {
             sim.add_node(PathProcess {
-                core: CoreState::new(Some(Rc::clone(&journal))),
-                service_delay,
-                serve_pending: false,
+                core: Underlying::new(
+                    ReplyPolicy::AfterDelay { service_delay },
+                    Some(Arc::clone(&journal)),
+                ),
+                epoch: 0,
                 push_delay,
                 optimized,
                 sent: BTreeSet::new(),
@@ -232,8 +224,8 @@ impl PathPushNet {
     /// Propagates [`RequestError`].
     pub fn request(&mut self, from: NodeId, to: NodeId) -> Result<(), RequestError> {
         self.sim.with_node(from, |p, ctx| {
-            let msg = p.core.request(ctx.now(), ctx.id(), to)?;
-            ctx.send(to, PathMsg::Core(msg));
+            p.core.request(ctx, to, PathMsg::Request)?;
+            p.epoch += 1;
             // Arm the first push.
             p.arm_push_timer(ctx);
             Ok(())
@@ -276,7 +268,7 @@ impl PathPushNet {
 
     /// Classifies all reports against the journalled ground truth.
     pub fn classify_reports(&self) -> Classified {
-        classify(&self.journal.borrow(), &self.reports())
+        classify(&self.journal.lock().expect("journal lock"), &self.reports())
     }
 
     /// Metrics accumulated so far.

@@ -7,17 +7,17 @@
 //! have made progress. Experiment E4 measures that false-positive rate as
 //! a function of the timeout, next to the probe computation's proved zero.
 
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
+use cmh_core::process::{RequestError, Underlying, SERVE_TIMER};
+use cmh_core::ReplyPolicy;
 use simnet::metrics::Metrics;
 use simnet::sim::{Context, NodeId, Process, RunOutcome, SimBuilder, Simulation, TimerId};
 use simnet::time::SimTime;
 use wfg::journal::Journal;
 
 use crate::report::{classify, BaselineReport, Classified};
-use crate::substrate::{CoreMsg, CoreState, RequestError};
 
 /// Metric-counter names for the timeout detector.
 pub mod counters {
@@ -27,16 +27,21 @@ pub mod counters {
 
 /// Messages: only the underlying computation (detection is silent).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimeoutMsg(pub CoreMsg);
+pub enum TimeoutMsg {
+    /// The underlying computation's request.
+    Request,
+    /// The underlying computation's reply.
+    Reply,
+}
 
-const TAG_SERVE: u64 = 0;
 const TAG_TIMEOUT_BASE: u64 = 1 << 32;
 
 /// A node that presumes deadlock after a continuous wait of `t_timeout`.
 pub struct TimeoutProcess {
-    core: CoreState,
-    service_delay: u64,
-    serve_pending: bool,
+    core: Underlying<TimeoutMsg>,
+    /// Bumped whenever the wait set changes; a timeout armed under an
+    /// older epoch is stale.
+    epoch: u64,
     t_timeout: u64,
     declarations: Vec<SimTime>,
 }
@@ -52,34 +57,25 @@ impl fmt::Debug for TimeoutProcess {
 
 impl Process<TimeoutMsg> for TimeoutProcess {
     fn on_message(&mut self, ctx: &mut Context<'_, TimeoutMsg>, from: NodeId, msg: TimeoutMsg) {
-        match msg.0 {
-            CoreMsg::Request => {
-                if self.core.on_request(ctx.now(), ctx.id(), from) && !self.serve_pending {
-                    self.serve_pending = true;
-                    ctx.set_timer(self.service_delay, TAG_SERVE);
-                }
-            }
-            CoreMsg::Reply => {
-                if self.core.on_reply(ctx.now(), ctx.id(), from) && !self.serve_pending {
-                    self.serve_pending = true;
-                    ctx.set_timer(self.service_delay, TAG_SERVE);
+        match msg {
+            TimeoutMsg::Request => self.core.on_request(ctx, from),
+            TimeoutMsg::Reply => {
+                if self.core.on_reply(ctx, from) {
+                    self.epoch += 1;
                 }
             }
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, TimeoutMsg>, _timer: TimerId, tag: u64) {
-        if tag == TAG_SERVE {
-            self.serve_pending = false;
-            for r in self.core.serve_all(ctx.now(), ctx.id()) {
-                ctx.send(r, TimeoutMsg(CoreMsg::Reply));
-            }
+        if tag == SERVE_TIMER {
+            self.core.on_serve_timer(ctx, TimeoutMsg::Reply);
             return;
         }
         // Timeout check: valid only if the wait state has not changed since
         // the timer was armed.
         let epoch = tag & 0xFFFF_FFFF;
-        if self.core.is_blocked() && (self.core.epoch() & 0xFFFF_FFFF) == epoch {
+        if self.core.is_blocked() && (self.epoch & 0xFFFF_FFFF) == epoch {
             ctx.count(counters::DECLARED);
             if ctx.tracing() {
                 ctx.note(format!("timeout: {} presumes deadlock", ctx.id()));
@@ -92,7 +88,7 @@ impl Process<TimeoutMsg> for TimeoutProcess {
 /// Harness for the timeout detector.
 pub struct TimeoutNet {
     sim: Simulation<TimeoutMsg, TimeoutProcess>,
-    journal: Rc<RefCell<Journal>>,
+    journal: Arc<Mutex<Journal>>,
 }
 
 impl fmt::Debug for TimeoutNet {
@@ -111,12 +107,14 @@ impl TimeoutNet {
     /// Full builder control.
     pub fn with_builder(n: usize, t_timeout: u64, service_delay: u64, builder: SimBuilder) -> Self {
         let mut sim = builder.build();
-        let journal = Rc::new(RefCell::new(Journal::new()));
+        let journal = Arc::new(Mutex::new(Journal::new()));
         for _ in 0..n {
             sim.add_node(TimeoutProcess {
-                core: CoreState::new(Some(Rc::clone(&journal))),
-                service_delay,
-                serve_pending: false,
+                core: Underlying::new(
+                    ReplyPolicy::AfterDelay { service_delay },
+                    Some(Arc::clone(&journal)),
+                ),
+                epoch: 0,
                 t_timeout,
                 declarations: Vec::new(),
             });
@@ -131,10 +129,9 @@ impl TimeoutNet {
     /// Propagates [`RequestError`].
     pub fn request(&mut self, from: NodeId, to: NodeId) -> Result<(), RequestError> {
         self.sim.with_node(from, |p, ctx| {
-            let msg = p.core.request(ctx.now(), ctx.id(), to)?;
-            ctx.send(to, TimeoutMsg(msg));
-            let t = p.t_timeout;
-            ctx.set_timer(t, TAG_TIMEOUT_BASE | (p.core.epoch() & 0xFFFF_FFFF));
+            p.core.request(ctx, to, TimeoutMsg::Request)?;
+            p.epoch += 1;
+            ctx.set_timer(p.t_timeout, TAG_TIMEOUT_BASE | (p.epoch & 0xFFFF_FFFF));
             Ok(())
         })
     }
@@ -179,7 +176,7 @@ impl TimeoutNet {
 
     /// Classifies all reports against the journalled ground truth.
     pub fn classify_reports(&self) -> Classified {
-        classify(&self.journal.borrow(), &self.reports())
+        classify(&self.journal.lock().expect("journal lock"), &self.reports())
     }
 
     /// Metrics accumulated so far.

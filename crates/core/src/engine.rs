@@ -266,12 +266,6 @@ impl BasicNet {
         self.sim.peak_queue_depth()
     }
 
-    /// The window accounting of a sharded run (see
-    /// [`Simulation::window_stats`]); all-zero with one shard.
-    pub fn window_stats(&self) -> simnet::sim::WindowStats {
-        self.sim.window_stats()
-    }
-
     /// The trace (enable via [`BasicNet::with_builder`]).
     pub fn trace(&self) -> &Trace {
         self.sim.trace()

@@ -30,7 +30,7 @@
 //! | paper | module |
 //! |---|---|
 //! | §3.2 probe tags `(i, n)` | [`probe`] |
-//! | §3.4 algorithm A0/A1/A2 | [`process`] |
+//! | §2 underlying computation G1–G4 (shared with `baselines`); §3.4 A0/A1/A2 | [`process`] |
 //! | §4.2–§4.3 initiation rules, O(N) state | [`config`], [`process`] |
 //! | §5 WFGD computation | [`wfgd`] |
 //! | harness + validation | [`engine`] |

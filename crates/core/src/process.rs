@@ -2,9 +2,9 @@
 //!
 //! A [`BasicProcess`] plays both roles the paper distinguishes:
 //!
-//! * the **underlying computation** — it sends requests, becomes blocked,
-//!   receives requests, and replies when active (colouring the wait-for
-//!   graph according to axioms G1–G4);
+//! * the **underlying computation** ([`Underlying`], shared with the
+//!   baseline detectors) — it sends requests, becomes blocked, receives
+//!   requests, and replies when active (axioms G1–G4);
 //! * the **probe computation** — steps A0 (initiator sends probes on all
 //!   outgoing edges), A1 (initiator receives first meaningful probe ⇒
 //!   declares "I am on a black cycle"), A2 (non-initiator forwards on the
@@ -22,6 +22,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 
 use simnet::sim::{Context, NodeId, Process, TimerId};
@@ -101,17 +102,175 @@ pub mod counters {
     pub const REPLY_STALE: &str = "basic.reply.stale";
 }
 
-const TAG_SERVE: u64 = 0;
+/// Tag of [`Underlying`]'s serve timer: its owner routes the timer to
+/// [`Underlying::on_serve_timer`] and gives its own timers other tags.
+pub const SERVE_TIMER: u64 = 0;
 const TAG_DELAYED_INIT: u64 = 1;
+
+/// The underlying computation at one vertex (§2): it requests (G1), its
+/// incoming edge blackens when a request arrives (G2), it replies only
+/// while active (G3), and its outgoing edge is deleted when the reply
+/// arrives (G4). [`BasicProcess`] and the baseline detectors embed this one
+/// copy, so every detector is compared over the same computation.
+///
+/// Generic over the owner's message type: the owner passes the `Request` /
+/// `Reply` value to send and routes [`SERVE_TIMER`] here.
+#[derive(Debug)]
+pub struct Underlying<M> {
+    /// Targets of this vertex's outstanding requests (its outgoing edges).
+    out_waits: VecSet<NodeId>,
+    /// Requesters whose request was received and not yet answered (this
+    /// vertex's incoming black edges).
+    in_black: VecSet<NodeId>,
+    reply: ReplyPolicy,
+    serve_timer_pending: bool,
+    /// Shared mutation journal (validation only — never read here).
+    journal: Option<Arc<Mutex<Journal>>>,
+    msg: PhantomData<fn() -> M>,
+}
+
+impl<M: fmt::Debug + Clone> Underlying<M> {
+    /// An idle vertex that serves per `reply` and journals every wait-for
+    /// mutation into `journal`, if given.
+    pub fn new(reply: ReplyPolicy, journal: Option<Arc<Mutex<Journal>>>) -> Self {
+        Underlying {
+            out_waits: VecSet::new(),
+            in_black: VecSet::new(),
+            reply,
+            serve_timer_pending: false,
+            journal,
+            msg: PhantomData,
+        }
+    }
+
+    /// Sends `request` to `target`, creating the grey edge `(self, target)`.
+    ///
+    /// # Errors
+    ///
+    /// [`RequestError::AlreadyWaiting`] if an edge to `target` exists (G1),
+    /// [`RequestError::SelfRequest`] if `target` is this vertex.
+    pub fn request(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        target: NodeId,
+        request: M,
+    ) -> Result<(), RequestError> {
+        let me = ctx.id();
+        if target == me {
+            return Err(RequestError::SelfRequest);
+        }
+        if self.out_waits.contains(&target) {
+            return Err(RequestError::AlreadyWaiting { target });
+        }
+        self.out_waits.insert(target);
+        self.record(ctx, GraphOp::CreateGrey(me, target));
+        ctx.count(counters::REQUEST_SENT);
+        ctx.send(target, request);
+        Ok(())
+    }
+
+    /// A request from `from` arrived: the edge `(from, self)` is black.
+    pub fn on_request(&mut self, ctx: &mut Context<'_, M>, from: NodeId) {
+        self.in_black.insert(from);
+        self.record(ctx, GraphOp::Blacken(from, ctx.id()));
+        self.schedule_serve(ctx);
+    }
+
+    /// A reply from `from` arrived: the white edge `(self, from)` is
+    /// deleted. On a faulty wire (no reliable layer) a reply can arrive for
+    /// an edge this vertex no longer holds: the fault plan duplicated the
+    /// reply, or a reply outlived a crash/restart that rebuilt the wait
+    /// set. P1/P2 don't hold there, so such a reply is dropped, counted as
+    /// [`counters::REPLY_STALE`] and never journalled; returns `false`.
+    pub fn on_reply(&mut self, ctx: &mut Context<'_, M>, from: NodeId) -> bool {
+        if !self.out_waits.remove(&from) {
+            ctx.count(counters::REPLY_STALE);
+            return false;
+        }
+        self.record(ctx, GraphOp::DeleteWhite(ctx.id(), from));
+        // Becoming active may allow this vertex to serve others.
+        self.schedule_serve(ctx);
+        true
+    }
+
+    /// The [`SERVE_TIMER`] fired: serve, if active. If blocked, the serve
+    /// is retried when this vertex becomes active again (on Reply receipt).
+    pub fn on_serve_timer(&mut self, ctx: &mut Context<'_, M>, reply: M) {
+        self.serve_timer_pending = false;
+        self.serve_pending(ctx, reply);
+    }
+
+    /// Sends `reply` to every pending requester, in ascending order, if
+    /// this vertex is active (G3). Returns how many replies were sent (0 if
+    /// blocked or none pending).
+    pub fn serve_pending(&mut self, ctx: &mut Context<'_, M>, reply: M) -> usize {
+        if !self.out_waits.is_empty() {
+            return 0;
+        }
+        let me = ctx.id();
+        // Take the set instead of cloning it; the buffer is handed back
+        // below so the allocation is recycled across serve rounds.
+        let mut pending = std::mem::take(&mut self.in_black);
+        for &requester in pending.iter() {
+            self.record(ctx, GraphOp::Whiten(requester, me));
+            ctx.count(counters::REPLY_SENT);
+            ctx.send(requester, reply.clone());
+        }
+        let served = pending.len();
+        pending.clear();
+        self.in_black = pending;
+        served
+    }
+
+    /// Crash recovery: the edges are durable, timers are not, so the serve
+    /// timer is re-armed if one is owed.
+    pub fn on_restart(&mut self, ctx: &mut Context<'_, M>) {
+        self.serve_timer_pending = false;
+        self.schedule_serve(ctx);
+    }
+
+    /// `true` if this vertex has outstanding requests (is blocked).
+    pub fn is_blocked(&self) -> bool {
+        !self.out_waits.is_empty()
+    }
+
+    /// Targets of outstanding requests, in ascending order.
+    pub fn out_waits(&self) -> &VecSet<NodeId> {
+        &self.out_waits
+    }
+
+    /// Requesters not yet replied to, in ascending order.
+    pub fn in_black(&self) -> &VecSet<NodeId> {
+        &self.in_black
+    }
+
+    fn record(&self, ctx: &Context<'_, M>, op: GraphOp) {
+        if let Some(j) = &self.journal {
+            // Keyed by the handling event's global seq: same-tick appends
+            // from the threaded handler phase of a sharded run arrive in
+            // thread-schedule order, and this key restores the canonical
+            // (single-shard) order inside the journal.
+            j.lock()
+                .expect("journal lock")
+                .record_at(ctx.now(), ctx.event_seq(), op);
+        }
+    }
+
+    fn schedule_serve(&mut self, ctx: &mut Context<'_, M>) {
+        if let ReplyPolicy::AfterDelay { service_delay } = self.reply {
+            if !self.serve_timer_pending && self.out_waits.is_empty() && !self.in_black.is_empty() {
+                self.serve_timer_pending = true;
+                ctx.set_timer(service_delay, SERVE_TIMER);
+            }
+        }
+    }
+}
 
 /// A vertex of the basic model (see module docs).
 pub struct BasicProcess {
-    cfg: BasicConfig,
-    /// Targets of this process's outstanding requests (its outgoing edges).
-    out_waits: VecSet<NodeId>,
-    /// Requesters whose request was received and not yet answered (this
-    /// process's incoming black edges).
-    in_black: VecSet<NodeId>,
+    initiation: InitiationPolicy,
+    forward: ForwardPolicy,
+    core: Underlying<BasicMsg>,
     /// Number of probe computations this vertex has initiated.
     own_n: u64,
     /// §4.3 state: latest computation seen per foreign initiator, plus
@@ -128,9 +287,6 @@ pub struct BasicProcess {
     /// request under that policy and untouched under the others. Boxed for
     /// the struct's size, which `tests/alloc_regression.rs` pins and explains.
     delayed: Option<Box<DelayedInit>>,
-    serve_timer_pending: bool,
-    /// Shared mutation journal (validation only — never read here).
-    journal: Option<Arc<Mutex<Journal>>>,
     /// Probes sent, as runs of one tag in send order (A0 and A2 send a
     /// computation's probes in one burst: one run), for experiments E1/E3.
     /// Read only after a run, by [`BasicProcess::probes_sent_per_tag`].
@@ -186,8 +342,8 @@ pub enum BasicMutation {
 impl fmt::Debug for BasicProcess {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BasicProcess")
-            .field("out_waits", &self.out_waits)
-            .field("in_black", &self.in_black)
+            .field("out_waits", self.core.out_waits())
+            .field("in_black", self.core.in_black())
             .field("own_n", &self.own_n)
             .field("declared", &!self.declarations.is_empty())
             .finish_non_exhaustive()
@@ -198,17 +354,15 @@ impl BasicProcess {
     /// Creates a process with the given behaviour configuration.
     pub fn new(cfg: BasicConfig) -> Self {
         BasicProcess {
-            cfg,
-            out_waits: VecSet::new(),
-            in_black: VecSet::new(),
+            initiation: cfg.initiation,
+            forward: cfg.forward,
+            core: Underlying::new(cfg.reply, None),
             own_n: 0,
             latest: VecMap::new(),
             latest_high_water: 0,
             declarations: Vec::new(),
             wfgd: WfgdState::new(),
             delayed: None,
-            serve_timer_pending: false,
-            journal: None,
             probes_sent_log: Vec::new(),
             #[cfg(debug_assertions)]
             probe_edges_used: BTreeMap::new(),
@@ -219,7 +373,7 @@ impl BasicProcess {
     /// Attaches the shared validation journal (used by
     /// [`crate::engine::BasicNet`]).
     pub fn with_journal(mut self, journal: Arc<Mutex<Journal>>) -> Self {
-        self.journal = Some(journal);
+        self.core.journal = Some(journal);
         self
     }
 
@@ -244,18 +398,8 @@ impl BasicProcess {
         ctx: &mut Context<'_, BasicMsg>,
         target: NodeId,
     ) -> Result<(), RequestError> {
-        let me = ctx.id();
-        if target == me {
-            return Err(RequestError::SelfRequest);
-        }
-        if self.out_waits.contains(&target) {
-            return Err(RequestError::AlreadyWaiting { target });
-        }
-        self.out_waits.insert(target);
-        self.record(ctx, GraphOp::CreateGrey(me, target));
-        ctx.count(counters::REQUEST_SENT);
-        ctx.send(target, BasicMsg::Request);
-        match self.cfg.initiation {
+        self.core.request(ctx, target, BasicMsg::Request)?;
+        match self.initiation {
             InitiationPolicy::OnBlock => self.initiate(ctx),
             InitiationPolicy::Delayed { t } => {
                 let d = self.delayed.get_or_insert_with(Default::default);
@@ -273,7 +417,7 @@ impl BasicProcess {
     /// every outgoing edge. A no-op if the vertex has no outgoing edges
     /// (an active vertex cannot be on a cycle).
     pub fn initiate(&mut self, ctx: &mut Context<'_, BasicMsg>) {
-        if self.out_waits.is_empty() {
+        if !self.core.is_blocked() {
             return;
         }
         self.own_n += 1;
@@ -281,8 +425,8 @@ impl BasicProcess {
         ctx.count(counters::INITIATED);
         // Indexed walk: `send_probe` never touches `out_waits`, so the
         // slice is stable and no defensive clone is needed.
-        for i in 0..self.out_waits.len() {
-            let target = self.out_waits.as_slice()[i];
+        for i in 0..self.core.out_waits().len() {
+            let target = self.core.out_waits().as_slice()[i];
             self.send_probe(ctx, tag, target);
         }
     }
@@ -291,29 +435,26 @@ impl BasicProcess {
     /// (G3). Returns how many replies were sent (0 if blocked or none
     /// pending). Only useful with [`ReplyPolicy::Manual`].
     pub fn serve_pending(&mut self, ctx: &mut Context<'_, BasicMsg>) -> usize {
-        if !self.out_waits.is_empty() {
-            return 0;
-        }
-        self.reply_all_pending(ctx)
+        self.core.serve_pending(ctx, BasicMsg::Reply)
     }
 
     // ----- accessors -----
 
     /// `true` if this process has outstanding requests (is blocked).
     pub fn is_blocked(&self) -> bool {
-        !self.out_waits.is_empty()
+        self.core.is_blocked()
     }
 
     /// Targets of outstanding requests (this vertex's outgoing edges),
     /// in ascending order.
     pub fn out_waits(&self) -> &VecSet<NodeId> {
-        &self.out_waits
+        self.core.out_waits()
     }
 
     /// Requesters not yet replied to (this vertex's incoming black edges),
     /// in ascending order.
     pub fn in_black(&self) -> &VecSet<NodeId> {
-        &self.in_black
+        self.core.in_black()
     }
 
     /// The first deadlock declaration, if any.
@@ -358,18 +499,6 @@ impl BasicProcess {
 
     // ----- internals -----
 
-    fn record(&self, ctx: &Context<'_, BasicMsg>, op: GraphOp) {
-        if let Some(j) = &self.journal {
-            // Keyed by the handling event's global seq: same-tick appends
-            // from the threaded handler phase of a sharded run arrive in
-            // thread-schedule order, and this key restores the canonical
-            // (single-shard) order inside the journal.
-            j.lock()
-                .expect("journal lock")
-                .record_at(ctx.now(), ctx.event_seq(), op);
-        }
-    }
-
     fn send_probe(&mut self, ctx: &mut Context<'_, BasicMsg>, tag: ProbeTag, to: NodeId) {
         #[cfg(debug_assertions)]
         {
@@ -383,7 +512,7 @@ impl BasicProcess {
             // so `tag.n < *n` is unreachable; treat it as satisfied.
             let first_use = tag.n < *n || used.insert(to);
             debug_assert!(
-                first_use || self.cfg.forward == ForwardPolicy::EveryMeaningful,
+                first_use || self.forward == ForwardPolicy::EveryMeaningful,
                 "invariant violated: second probe of {tag} on edge to {to}"
             );
         }
@@ -393,37 +522,6 @@ impl BasicProcess {
         }
         ctx.count(counters::PROBE_SENT);
         ctx.send(to, BasicMsg::Probe(tag));
-    }
-
-    /// Replies to every pending requester, in ascending order. The caller
-    /// has already established that this process is active (G3).
-    fn reply_all_pending(&mut self, ctx: &mut Context<'_, BasicMsg>) -> usize {
-        debug_assert!(
-            self.out_waits.is_empty(),
-            "G3: blocked process cannot reply"
-        );
-        let me = ctx.id();
-        // Take the set instead of cloning it; the buffer is handed back
-        // below so the allocation is recycled across serve rounds.
-        let mut pending = std::mem::take(&mut self.in_black);
-        for &requester in pending.iter() {
-            self.record(ctx, GraphOp::Whiten(requester, me));
-            ctx.count(counters::REPLY_SENT);
-            ctx.send(requester, BasicMsg::Reply);
-        }
-        let served = pending.len();
-        pending.clear();
-        self.in_black = pending;
-        served
-    }
-
-    fn schedule_serve_if_needed(&mut self, ctx: &mut Context<'_, BasicMsg>) {
-        if let ReplyPolicy::AfterDelay { service_delay } = self.cfg.reply {
-            if !self.serve_timer_pending && self.out_waits.is_empty() && !self.in_black.is_empty() {
-                self.serve_timer_pending = true;
-                ctx.set_timer(service_delay, TAG_SERVE);
-            }
-        }
     }
 
     /// Step A1/A2 dispatch for a *meaningful* probe.
@@ -447,7 +545,7 @@ impl BasicProcess {
                     ));
                 }
                 // §5: begin the WFGD propagation along incoming black edges.
-                let msgs = self.wfgd.start(me, self.in_black.iter().copied());
+                let msgs = self.wfgd.start(me, self.core.in_black().iter().copied());
                 for (to, set) in msgs {
                     ctx.count(counters::WFGD_SENT);
                     ctx.send(to, BasicMsg::Wfgd(set));
@@ -464,15 +562,13 @@ impl BasicProcess {
             .copied()
             .unwrap_or((0, false));
         let already_forwarded = tag.n == seen_n && forwarded;
-        if tag.n < seen_n
-            || (already_forwarded && self.cfg.forward == ForwardPolicy::FirstMeaningful)
-        {
+        if tag.n < seen_n || (already_forwarded && self.forward == ForwardPolicy::FirstMeaningful) {
             return; // superseded, or already forwarded
         }
         self.latest.insert(tag.initiator, (tag.n, true));
         self.latest_high_water = self.latest_high_water.max(self.latest.len());
-        for i in 0..self.out_waits.len() {
-            let target = self.out_waits.as_slice()[i];
+        for i in 0..self.core.out_waits().len() {
+            let target = self.core.out_waits().as_slice()[i];
             self.send_probe(ctx, tag, target);
         }
     }
@@ -481,22 +577,10 @@ impl BasicProcess {
 impl Process<BasicMsg> for BasicProcess {
     fn on_message(&mut self, ctx: &mut Context<'_, BasicMsg>, from: NodeId, msg: BasicMsg) {
         match msg {
-            BasicMsg::Request => {
-                // The request's arrival blackens the edge (from, me).
-                self.in_black.insert(from);
-                self.record(ctx, GraphOp::Blacken(from, ctx.id()));
-                self.schedule_serve_if_needed(ctx);
-            }
+            BasicMsg::Request => self.core.on_request(ctx, from),
             BasicMsg::Reply => {
-                // The reply's arrival deletes the (white) edge (me, from).
-                // On a faulty wire (no reliable layer) a reply can arrive
-                // for an edge this process no longer holds: the fault plan
-                // duplicated the reply, or a reply outlived a crash/restart
-                // that rebuilt the wait set. P1/P2 don't hold there, so a
-                // reply with no matching edge is dropped and counted — it
-                // must not reach the journal as a bogus delete.
                 if self.mutation == Some(BasicMutation::SkipDeleteWhite)
-                    && !self.in_black.is_empty()
+                    && !self.core.in_black().is_empty()
                 {
                     // Seeded bug: the grant is silently lost whenever the
                     // grantee has its own serving backlog. The process
@@ -505,20 +589,14 @@ impl Process<BasicMsg> for BasicProcess {
                     ctx.count(counters::REPLY_STALE);
                     return;
                 }
-                if !self.out_waits.remove(&from) {
-                    ctx.count(counters::REPLY_STALE);
-                    return;
-                }
-                self.record(ctx, GraphOp::DeleteWhite(ctx.id(), from));
-                // Becoming active may allow this process to serve others.
-                self.schedule_serve_if_needed(ctx);
+                self.core.on_reply(ctx, from);
             }
             BasicMsg::Probe(tag) => {
                 ctx.count(counters::PROBE_RECV);
                 // Meaningful iff edge (from, me) exists and is black now —
                 // which this process observes locally as "I received a
                 // request from `from` and have not replied" (P3).
-                if self.in_black.contains(&from)
+                if self.core.in_black().contains(&from)
                     || self.mutation == Some(BasicMutation::StaleEchoDeclare)
                 {
                     self.on_meaningful_probe(ctx, tag);
@@ -529,7 +607,7 @@ impl Process<BasicMsg> for BasicProcess {
             BasicMsg::Wfgd(set) => {
                 let msgs = self
                     .wfgd
-                    .receive(ctx.id(), &set, self.in_black.iter().copied());
+                    .receive(ctx.id(), &set, self.core.in_black().iter().copied());
                 for (to, m) in msgs {
                     ctx.count(counters::WFGD_SENT);
                     ctx.send(to, BasicMsg::Wfgd(m));
@@ -540,18 +618,11 @@ impl Process<BasicMsg> for BasicProcess {
 
     fn on_timer(&mut self, ctx: &mut Context<'_, BasicMsg>, timer: TimerId, tag: u64) {
         match tag {
-            TAG_SERVE => {
-                self.serve_timer_pending = false;
-                if self.out_waits.is_empty() {
-                    self.reply_all_pending(ctx);
-                }
-                // If blocked, the serve is retried when this process
-                // becomes active again (on Reply receipt).
-            }
+            SERVE_TIMER => self.core.on_serve_timer(ctx, BasicMsg::Reply),
             TAG_DELAYED_INIT => {
                 let Some(d) = &mut self.delayed else { return };
                 if let Some((target, epoch)) = d.timers.remove(&timer) {
-                    let still_waiting = self.out_waits.contains(&target)
+                    let still_waiting = self.core.out_waits().contains(&target)
                         && d.wait_epoch.get(&target).copied() == Some(epoch);
                     if still_waiting {
                         // §4.3: the edge persisted for T ticks — initiate.
@@ -584,16 +655,15 @@ impl Process<BasicMsg> for BasicProcess {
         if let Some(d) = &mut self.delayed {
             d.timers.clear();
         }
-        self.serve_timer_pending = false;
-        self.schedule_serve_if_needed(ctx);
-        if self.out_waits.is_empty() {
+        self.core.on_restart(ctx);
+        if !self.core.is_blocked() {
             return;
         }
-        match self.cfg.initiation {
+        match self.initiation {
             InitiationPolicy::OnBlock => self.initiate(ctx),
             InitiationPolicy::Delayed { t } => {
                 let d = self.delayed.get_or_insert_with(Default::default);
-                for &target in self.out_waits.iter() {
+                for &target in self.core.out_waits().iter() {
                     let epoch = d.wait_epoch.get(&target).copied().unwrap_or(0);
                     let id = ctx.set_timer(t, TAG_DELAYED_INIT);
                     d.timers.insert(id, (target, epoch));

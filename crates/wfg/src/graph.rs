@@ -544,12 +544,6 @@ impl WaitForGraph {
         self.out_degree(v) == 0
     }
 
-    /// `true` if `v` has at least one incoming **black** edge (the locally
-    /// observable fact of process axiom P3).
-    pub fn has_incoming_black(&self, v: NodeId) -> bool {
-        self.in_edges(v).any(|e| e.colour == EdgeColour::Black)
-    }
-
     /// All edges, ordered by `(from, to)`.
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
         self.ids.iter().flat_map(move |(&from, &ui)| {
@@ -634,31 +628,6 @@ impl WaitForGraph {
     /// Dark edges created since the last shrink event, in creation order.
     pub(crate) fn dark_adds(&self) -> &[(u32, u32)] {
         &self.dark_adds
-    }
-
-    /// Renders the graph in Graphviz DOT format, edges coloured by state
-    /// (grey/black edges solid, white edges dashed). Handy for debugging:
-    /// `dot -Tsvg` the output of any journal replay.
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("digraph wait_for {\n  rankdir=LR;\n  node [shape=circle];\n");
-        for v in self.vertex_iter() {
-            let _ = writeln!(out, "  p{};", v.0);
-        }
-        for e in self.edges() {
-            let (colour, style) = match e.colour {
-                EdgeColour::Grey => ("gray60", "solid"),
-                EdgeColour::Black => ("black", "solid"),
-                EdgeColour::White => ("gray80", "dashed"),
-            };
-            let _ = writeln!(
-                out,
-                "  p{} -> p{} [color={colour}, style={style}];",
-                e.from.0, e.to.0
-            );
-        }
-        out.push_str("}\n");
-        out
     }
 }
 
@@ -798,8 +767,6 @@ mod tests {
         assert_eq!(g.out_degree(n(0)), 2);
         assert!(!g.is_active(n(0)));
         assert!(g.is_active(n(1)));
-        assert!(g.has_incoming_black(n(1)));
-        assert!(!g.has_incoming_black(n(2))); // still grey
         assert_eq!(g.vertices(), [n(0), n(1), n(2)].into_iter().collect());
     }
 
@@ -925,18 +892,5 @@ mod tests {
         assert_eq!(g.to_string(), "(empty wait-for graph)");
         g.create_grey(n(0), n(1)).unwrap();
         assert!(g.to_string().contains("p0 -> p1 [grey]"));
-    }
-
-    #[test]
-    fn dot_export_colours_edges() {
-        let mut g = WaitForGraph::new();
-        g.create_grey(n(0), n(1)).unwrap();
-        g.create_grey(n(1), n(2)).unwrap();
-        g.blacken(n(1), n(2)).unwrap();
-        let dot = g.to_dot();
-        assert!(dot.starts_with("digraph wait_for {"));
-        assert!(dot.contains("p0 -> p1 [color=gray60, style=solid];"));
-        assert!(dot.contains("p1 -> p2 [color=black, style=solid];"));
-        assert!(dot.trim_end().ends_with('}'));
     }
 }
