@@ -1,8 +1,9 @@
 //! Load generation against a running cluster.
 //!
-//! One worker thread per site, each multiplexing its whole job list over
-//! a single client connection (a blocking reader thread feeds decoded
-//! [`ServerFrame`]s back through a channel). Two driving disciplines:
+//! One worker thread per site multiplexes its whole job list over one
+//! client connection: each round it writes every `Submit` it admits at
+//! once, then reads the connection itself, under a read timeout, and
+//! decodes each [`ServerFrame`] in place. Two driving disciplines:
 //!
 //! * **closed loop** — a fixed population of outstanding transactions per
 //!   site; a completion immediately admits the next job. Measures
@@ -21,8 +22,8 @@
 // multi-thread site topology from worker threads.
 
 use std::collections::BTreeMap;
+use std::io::ErrorKind::{TimedOut, WouldBlock};
 use std::ops::ControlFlow;
-use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -31,6 +32,7 @@ use cmh_ddb::txn::{Transaction, TxnStep};
 
 use crate::proto::{ClientFrame, ServerFrame};
 use crate::sock::{Addr, Sock};
+use crate::wire::{put_frame_with, FrameReader};
 
 /// One transaction to submit.
 #[derive(Debug, Clone)]
@@ -152,53 +154,64 @@ pub fn run_load(addrs: &[Addr], jobs: Vec<Job>, cfg: LoadConfig) -> LoadReport {
 /// deadline passes first.
 pub fn probe_until_commit(addr: &Addr, deadline: Duration) -> Option<u64> {
     let started = Instant::now();
+    let probe = Job {
+        site: SiteId(0),
+        steps: vec![TxnStep::Work { ticks: 1 }],
+        at_us: 0,
+    };
     while started.elapsed() < deadline {
-        if let Some((mut sock, rx)) = open_session(addr) {
-            let submit = ClientFrame::Submit {
-                req: 1,
-                steps: vec![TxnStep::Work { ticks: 1 }],
-            };
-            if sock.send_frame(&submit.encode()).is_ok() {
-                let wait =
-                    Duration::from_millis(500).min(deadline.saturating_sub(started.elapsed()));
-                let wait_until = Instant::now() + wait;
-                loop {
-                    let left = wait_until.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        break;
-                    }
-                    match rx.recv_timeout(left) {
-                        Ok(ServerFrame::Done {
-                            committed: true, ..
-                        }) => return Some(started.elapsed().as_millis() as u64),
-                        Ok(_) => continue,
-                        Err(_) => break,
-                    }
-                }
-            }
-            sock.shutdown();
+        // One attempt: a window-1 run of the probe, for at most 500 ms.
+        let wait = Duration::from_millis(500).min(deadline.saturating_sub(started.elapsed()));
+        let one = vec![probe.clone()];
+        let closed = Mode::Closed { per_site: 1 };
+        if site_worker(addr.clone(), one, closed, started, Instant::now() + wait).committed > 0 {
+            return Some(started.elapsed().as_millis() as u64);
         }
         thread::sleep(Duration::from_millis(20));
     }
     None
 }
 
-/// Connects, says hello, and spawns the reader thread, which feeds
-/// decoded frames back until the stream ends or one fails to decode.
-fn open_session(addr: &Addr) -> Option<(Sock, mpsc::Receiver<ServerFrame>)> {
+/// A client connection, read by the thread that writes it.
+struct Session {
+    sock: Sock,
+    reader: FrameReader,
+    /// The read timeout last set on `sock`.
+    wait: Option<Duration>,
+}
+
+/// Connects and says hello.
+fn open_session(addr: &Addr) -> Option<Session> {
     let mut sock = Sock::connect(addr).ok()?;
     sock.send_frame(&ClientFrame::Hello.encode()).ok()?;
-    let mut reader = sock.try_clone().ok()?;
-    let (tx, rx) = mpsc::channel();
-    let on_frame = move |body: &[u8]| match ServerFrame::decode(body).map(|f| tx.send(f)) {
-        Ok(Ok(())) => ControlFlow::Continue(()),
-        _ => ControlFlow::Break(()),
-    };
-    thread::Builder::new()
-        .name("load-rd".into())
-        .spawn(move || reader.pump(on_frame))
-        .ok()?;
-    Some((sock, rx))
+    Some(Session {
+        sock,
+        reader: FrameReader::new(),
+        wait: None,
+    })
+}
+
+impl Session {
+    /// Waits up to `wait` for one read and hands each frame it completed
+    /// to `on_frame`. `Break` means the connection is lost: EOF, a read
+    /// error or a frame that does not decode; an expired wait continues.
+    fn read(&mut self, wait: Duration, mut on_frame: impl FnMut(ServerFrame)) -> ControlFlow<()> {
+        if self.wait != Some(wait) {
+            if self.sock.set_read_timeout(wait).is_err() {
+                return ControlFlow::Break(());
+            }
+            self.wait = Some(wait);
+        }
+        let on_body = |body: &[u8]| match ServerFrame::decode(body).map(&mut on_frame) {
+            Ok(()) => ControlFlow::Continue(()),
+            Err(_) => ControlFlow::Break(()),
+        };
+        match self.sock.read_frames(&mut self.reader, on_body) {
+            Ok(flow) => flow,
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => ControlFlow::Continue(()),
+            Err(_) => ControlFlow::Break(()),
+        }
+    }
 }
 
 fn site_worker(
@@ -213,55 +226,52 @@ fn site_worker(
     let mut pending: BTreeMap<u64, u64> = BTreeMap::new();
     let mut next_req: u64 = 1;
     let mut idx = 0usize;
+    let mut round = Vec::new();
+    let window = match mode {
+        Mode::Closed { per_site } => per_site,
+        Mode::Open { max_inflight } => max_inflight,
+    };
 
     // Initial connect, with a grace window for a cluster still binding.
     let mut session = None;
-    let connect_until = Instant::now() + Duration::from_secs(2);
+    let connect_until = deadline_at.min(Instant::now() + Duration::from_secs(2));
     while session.is_none() && Instant::now() < connect_until {
         session = open_session(&addr);
         if session.is_none() {
             thread::sleep(Duration::from_millis(20));
         }
     }
-    let Some((mut sock, mut rx)) = session else {
+    let Some(mut session) = session else {
         report.lost = jobs.len();
         return report;
     };
 
     loop {
-        let now = Instant::now();
-        if now >= deadline_at {
+        if Instant::now() >= deadline_at {
             break;
         }
         let now_us = started.elapsed().as_micros() as u64;
 
-        // Admit work.
-        let window = match mode {
-            Mode::Closed { per_site } => per_site,
-            Mode::Open { max_inflight } => max_inflight,
-        };
-        let mut wrote_err = false;
-        while idx < jobs.len() && pending.len() < window {
-            if let Mode::Open { .. } = mode {
-                if jobs[idx].at_us > now_us {
-                    break;
-                }
-            }
-            let job = &jobs[idx];
-            let req = next_req;
+        // Admit work: every job due and within the window, framed into
+        // one round and written at once.
+        let due = jobs[idx..]
+            .iter()
+            .take(window.saturating_sub(pending.len()))
+            .take_while(|j| matches!(mode, Mode::Closed { .. }) || j.at_us <= now_us);
+        let first = next_req;
+        round.clear();
+        for job in due {
+            put_frame_with(&mut round, |buf| {
+                ClientFrame::put_submit(buf, next_req, &job.steps)
+            });
             next_req += 1;
-            let frame = ClientFrame::Submit {
-                req,
-                steps: job.steps.clone(),
-            };
-            if sock.send_frame(&frame.encode()).is_err() {
-                wrote_err = true;
-                break;
-            }
-            pending.insert(req, started.elapsed().as_micros() as u64);
-            report.submitted += 1;
-            idx += 1;
         }
+        let admitted = (next_req - first) as usize;
+        idx += admitted;
+        report.submitted += admitted;
+        let wrote_err = admitted > 0 && session.sock.write_all(&round).is_err();
+        let sent_us = started.elapsed().as_micros() as u64;
+        pending.extend((first..next_req).map(|req| (req, sent_us)));
 
         if !wrote_err && idx >= jobs.len() && pending.is_empty() {
             break;
@@ -269,49 +279,37 @@ fn site_worker(
 
         // Next wake: deadline, or the next open-loop arrival.
         let mut wait = deadline_at.saturating_duration_since(Instant::now());
-        if let Mode::Open { .. } = mode {
-            if idx < jobs.len() {
-                let until = Duration::from_micros(
-                    jobs[idx]
-                        .at_us
-                        .saturating_sub(started.elapsed().as_micros() as u64),
-                );
-                wait = wait.min(until);
-            }
+        if let (Mode::Open { .. }, Some(next)) = (mode, jobs.get(idx)) {
+            let now_us = started.elapsed().as_micros() as u64;
+            wait = wait.min(Duration::from_micros(next.at_us.saturating_sub(now_us)));
         }
         wait = wait.clamp(Duration::from_millis(1), Duration::from_millis(100));
 
         let lost_conn = wrote_err
-            || match rx.recv_timeout(wait) {
-                Ok(f) => {
-                    handle_frame(f, started, &mut pending, &mut report);
-                    while let Ok(f) = rx.try_recv() {
-                        handle_frame(f, started, &mut pending, &mut report);
-                    }
-                    false
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => false,
-                Err(mpsc::RecvTimeoutError::Disconnected) => true,
-            };
+            || session
+                .read(wait, |f| {
+                    handle_frame(f, started, &mut pending, &mut report)
+                })
+                .is_break();
 
         if lost_conn {
             // The site (or our link) died: everything outstanding on this
             // connection is lost — its notifications can never reach us.
             report.lost += pending.len();
             pending.clear();
-            sock.shutdown();
-            let Some(session) = open_session(&addr).or_else(|| {
+            session.sock.shutdown();
+            let Some(next) = open_session(&addr).or_else(|| {
                 thread::sleep(Duration::from_millis(50));
                 open_session(&addr)
             }) else {
                 break;
             };
-            (sock, rx) = session;
+            session = next;
         }
     }
 
     report.lost += pending.len() + (jobs.len() - idx);
-    sock.shutdown();
+    session.sock.shutdown();
     report
 }
 
@@ -343,6 +341,133 @@ fn handle_frame(
                     report.aborted += 1;
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::frame;
+    use cmh_ddb::ids::ResourceId;
+    use cmh_ddb::lock::LockMode;
+    use std::io::{Read, Write};
+    use std::os::unix::net::{UnixListener, UnixStream};
+
+    /// The closed window every test runs with.
+    const WINDOW: usize = 16;
+
+    /// `n` jobs for site 0, no two scripts alike.
+    fn jobs(n: usize) -> Vec<Job> {
+        (0..n as u64)
+            .map(|k| Job {
+                site: SiteId(0),
+                steps: vec![
+                    TxnStep::lock(SiteId(0), ResourceId(k), LockMode::Exclusive),
+                    TxnStep::Work { ticks: k },
+                ],
+                at_us: 0,
+            })
+            .collect()
+    }
+
+    /// What a site should read first from a client given `jobs`: its
+    /// `Hello`, then a `Submit` per job of the first window, in `req` order.
+    fn first_window(jobs: &[Job]) -> Vec<u8> {
+        let submits = (1..).zip(&jobs[..WINDOW]).map(|(req, job)| {
+            let steps = job.steps.clone();
+            frame(&ClientFrame::Submit { req, steps }.encode())
+        });
+        let hello = frame(&ClientFrame::Hello.encode());
+        std::iter::once(hello).chain(submits).flatten().collect()
+    }
+
+    /// Runs `jobs` against a fake site that accepts one connection, stops
+    /// listening (so a reconnect is refused) and hands the connection to
+    /// `site`. Returns the report, how long `run_load` took against its
+    /// 60 s deadline, and what `site` returned.
+    fn against_fake_site<T: Send + 'static>(
+        name: &str,
+        jobs: Vec<Job>,
+        site: impl FnOnce(UnixStream) -> T + Send + 'static,
+    ) -> (LoadReport, Duration, T) {
+        let pid = std::process::id();
+        let path = std::env::temp_dir().join(format!("cmh-loadgen-{pid}-{name}.sock"));
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).expect("bind the fake site");
+        let server = thread::spawn(move || {
+            let (conn, _) = listener.accept().expect("accept the client");
+            drop(listener);
+            site(conn)
+        });
+        let t0 = Instant::now();
+        let cfg = LoadConfig {
+            mode: Mode::Closed { per_site: WINDOW },
+            deadline: Duration::from_secs(60),
+        };
+        let report = run_load(&[Addr::Uds(path.clone())], jobs, cfg);
+        let took = t0.elapsed();
+        let answer = server.join().expect("fake site");
+        let _ = std::fs::remove_file(&path);
+        (report, took, answer)
+    }
+
+    #[test]
+    fn a_closed_window_goes_out_as_exact_submits_in_req_order() {
+        let jobs = jobs(WINDOW + 4);
+        let want = first_window(&jobs);
+        let len = want.len();
+        let (report, _, (got, more)) = against_fake_site("window", jobs, move |mut conn| {
+            let mut got = vec![0; len];
+            conn.read_exact(&mut got)
+                .expect("hello and a window of submits");
+            // Nothing else is due until a `Done` opens the window.
+            conn.set_read_timeout(Some(Duration::from_millis(50)))
+                .expect("read timeout");
+            (got, conn.read(&mut [0]).ok())
+        });
+        assert!(
+            got == want,
+            "the first window is not the submits framed in turn"
+        );
+        assert_eq!(more, None, "a submit beyond the window went out");
+        assert_eq!((report.submitted, report.lost), (WINDOW, WINDOW + 4));
+    }
+
+    #[test]
+    fn an_undecodable_frame_or_a_close_loses_the_connection_at_once() {
+        for undecodable in [true, false] {
+            let jobs = jobs(WINDOW + 4);
+            let len = first_window(&jobs).len();
+            let (report, took, ()) = against_fake_site(
+                if undecodable { "bad" } else { "close" },
+                jobs,
+                move |mut conn| {
+                    conn.read_exact(&mut vec![0; len])
+                        .expect("the first window");
+                    let done = ServerFrame::Done {
+                        req: 1,
+                        committed: true,
+                        attempts: 1,
+                    };
+                    let mut answer = frame(&done.encode());
+                    if undecodable {
+                        answer.extend(frame(&[0x7f]));
+                    }
+                    conn.write_all(&answer).expect("answer");
+                    if undecodable {
+                        // Hold the connection until the client hangs up.
+                        let _ = conn.read_to_end(&mut Vec::new());
+                    }
+                },
+            );
+            // The `Done` ahead of the end still counts; the rest is lost.
+            assert_eq!(
+                (report.committed, report.lost),
+                (1, WINDOW + 3),
+                "undecodable {undecodable}: {report:?}"
+            );
+            assert!(took < Duration::from_secs(5), "waited {took:?}");
         }
     }
 }

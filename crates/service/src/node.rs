@@ -8,14 +8,18 @@
 //!
 //! Threading (thread-per-core shape): one drive-loop thread per site owns
 //! the core and every writer half; every socket gets a blocking reader
-//! thread that forwards decoded frames into the drive loop's channel.
-//! Nothing here is shared mutably across threads except the
+//! thread that decodes what arrives and forwards it into the drive loop's
+//! channel. Nothing here is shared mutably across threads except the
 //! crash-surviving stable store (see [`crate::cluster`]).
 //!
-//! A drive-loop pass is the unit of writing: everything the core emits in
-//! one pass is framed into one buffer per connection, in emission order,
-//! and each buffer goes out in one `write_all`. The shell counts both
-//! (`service.shell.frames`, `service.shell.writes` in [`SiteReport`]).
+//! A `read` is the unit of reading: every frame one read completes goes
+//! to the drive loop as one `Ingress::Frames` batch, in arrival order,
+//! with the reader's counts of reads and frames riding along
+//! (`service.shell.reads`, `service.shell.frames_in`). A drive-loop pass
+//! is the unit of writing: everything the core emits in one pass is
+//! framed into one buffer per connection, in emission order, and each
+//! buffer goes out in one `write_all` (`service.shell.frames`,
+//! `service.shell.writes`). All four counters are in [`SiteReport`].
 
 // cmh-lint: allow-file(D2, D4) — the shell is the wall-clock,
 // multi-threaded half of the service by design; the protocol logic it
@@ -35,11 +39,11 @@ use crate::core::{Input, Output, SiteCore, SiteStable};
 pub use crate::core::{SiteConfig, SiteReport};
 use crate::proto::{ClientFrame, PeerFrame};
 use crate::sock::{Listener, Sock};
-use crate::wire::put_frame;
+use crate::wire::{put_frame, FrameReader};
 
-/// Ingress events handled per pass before the core is advanced again:
-/// bounds how far virtual time can fall behind the wall clock under a
-/// flood of frames.
+/// Inputs handled per pass before the core is advanced again: bounds how
+/// far virtual time can fall behind the wall clock under a flood of
+/// frames. A batch is never split, so a pass may overshoot by one read.
 const INGRESS_BATCH: usize = 512;
 /// Shortest sleep, µs: a pass costs about this much, so waking sooner for
 /// a dense run of virtual-time events only spins.
@@ -71,8 +75,16 @@ enum Ingress {
     /// An inbound peer connection completed its `Hello`: the link's new
     /// generation and the writer half.
     PeerConnIn(SiteId, u64, Sock),
-    /// A decoded frame, or a client connection's end, in the core's terms.
-    Input(Input),
+    /// The frames one read completed, decoded in arrival order, and the
+    /// reads and frames (a `Hello` included) the connection's reader has
+    /// taken since its last batch.
+    Frames {
+        inputs: Vec<Input>,
+        reads: u64,
+        frames: u64,
+    },
+    /// The client connection closed.
+    ClientGone(u64),
     /// The peer connection of this generation broke.
     PeerGone(SiteId, u64),
     /// Control plane.
@@ -187,6 +199,9 @@ struct Shell {
     clients: BTreeMap<u64, Sock>,
     out: Vec<Output>,
     outbox: Outbox,
+    /// Reads the reader threads made, and frames they decoded.
+    reads: u64,
+    frames_in: u64,
 }
 
 fn run_site(
@@ -248,6 +263,8 @@ impl Shell {
             clients: BTreeMap::new(),
             out: Vec::new(),
             outbox: Outbox::default(),
+            reads: 0,
+            frames_in: 0,
             cfg,
             epoch,
             tx,
@@ -258,26 +275,37 @@ impl Shell {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// The core's report plus what the shell has written.
+    /// The core's report plus what the shell has read and written.
     fn report(&self) -> SiteReport {
         let mut report = self.core.report();
         report.metrics.extend([
             ("service.shell.frames".to_owned(), self.outbox.frames),
             ("service.shell.writes".to_owned(), self.outbox.writes),
+            ("service.shell.reads".to_owned(), self.reads),
+            ("service.shell.frames_in".to_owned(), self.frames_in),
         ]);
         report
     }
 
-    /// The drive loop, one pass at a time: sleep, ingest a batch, redial,
-    /// advance the core to the wall clock, write what the pass emitted.
-    /// Returns the `Crash` or `Shutdown` command that ended it.
+    /// The drive loop, one pass at a time: sleep, ingest up to
+    /// [`INGRESS_BATCH`] inputs, redial, advance the core to the wall
+    /// clock, write what the pass emitted. Returns the `Crash` or
+    /// `Shutdown` command that ended it.
     fn serve(&mut self, rx: &mpsc::Receiver<Ingress>) -> Ctl {
         loop {
             // A timeout is the only error: the shell itself holds a sender.
             let first = rx.recv_timeout(self.sleep_for()).ok();
-            for ev in first.into_iter().chain(rx.try_iter()).take(INGRESS_BATCH) {
+            let mut inputs = 0;
+            for ev in first.into_iter().chain(rx.try_iter()) {
+                inputs += match &ev {
+                    Ingress::Frames { inputs, .. } => inputs.len(),
+                    _ => 1,
+                };
                 if let ControlFlow::Break(exit) = self.ingest(ev) {
                     return exit;
+                }
+                if inputs >= INGRESS_BATCH {
+                    break;
                 }
             }
             let now_us = self.now_us();
@@ -306,18 +334,28 @@ impl Shell {
     }
 
     /// Registers what an ingress event did to the sockets and hands the
-    /// core the input it amounts to; answers the control plane.
+    /// core the inputs it amounts to; answers the control plane.
     fn ingest(&mut self, ev: Ingress) -> ControlFlow<Ctl> {
         let input = match ev {
             Ingress::ClientConn(id, sock) => {
                 self.clients.insert(id, sock);
                 None
             }
-            Ingress::Input(input) => {
-                if let Input::ClientGone(id) = input {
-                    self.clients.remove(&id);
+            Ingress::Frames {
+                inputs,
+                reads,
+                frames,
+            } => {
+                self.reads += reads;
+                self.frames_in += frames;
+                for input in inputs {
+                    self.core.handle(input, &mut self.out);
                 }
-                Some(input)
+                None
+            }
+            Ingress::ClientGone(id) => {
+                self.clients.remove(&id);
+                Some(Input::ClientGone(id))
             }
             Ingress::PeerConnIn(p, gen, sock) => self.links.get_mut(&p).map(|link| {
                 link.gen = gen;
@@ -471,47 +509,85 @@ enum Caller {
     Client(u64),
 }
 
-/// Reads one connection to its end, routing decoded frames into the
-/// drive loop. A dialed connection knows its caller; an accepted one
-/// learns it from the first frame (a peer or client `Hello`) and hands
-/// the drive loop the writer half. Whatever ends the stream — EOF or a
-/// frame that does not decode, in the same read as the `Hello` or a later
-/// one — the drive loop hears `PeerGone` / `ClientGone` exactly once.
+/// Reads one connection to its end, handing the drive loop the frames of
+/// each read as one [`Ingress::Frames`]. A dialed connection knows its
+/// caller; an accepted one learns it from the first frame (a peer or
+/// client `Hello`) and hands the drive loop the writer half at once,
+/// ahead of the frames that follow it. Whatever ends the stream — EOF or
+/// a frame that does not decode, in the same read as the `Hello` or a
+/// later one — the frames decoded before it still arrive, and then the
+/// drive loop hears `PeerGone` / `ClientGone` exactly once.
 fn read_conn(mut sock: Sock, mut caller: Caller, tx: &mpsc::Sender<Ingress>) {
     let mut writer = match caller {
         Caller::Unknown(_) => sock.try_clone().ok(),
         _ => None,
     };
-    sock.pump(|body| {
-        let ev = match caller {
-            Caller::Peer(p, _) => PeerFrame::decode(body)
-                .ok()
-                .map(|f| Ingress::Input(Input::Peer(p, f))),
-            Caller::Client(c) => ClientFrame::decode(body)
-                .ok()
-                .map(|f| Ingress::Input(Input::Client(c, f))),
-            Caller::Unknown(id) => writer.take().and_then(|w| {
-                if let Ok(PeerFrame::Hello { site }) = PeerFrame::decode(body) {
-                    caller = Caller::Peer(site, id);
-                    Some(Ingress::PeerConnIn(site, id, w))
-                } else if let Ok(ClientFrame::Hello) = ClientFrame::decode(body) {
-                    caller = Caller::Client(id);
-                    Some(Ingress::ClientConn(id, w))
-                } else {
-                    None
-                }
-            }),
-        };
-        match ev.map(|ev| tx.send(ev)) {
-            Some(Ok(())) => ControlFlow::Continue(()),
-            _ => ControlFlow::Break(()),
+    let mut reader = FrameReader::new();
+    let (mut reads, mut frames, mut inputs) = (0, 0, Vec::new());
+    loop {
+        let read = sock.read_frames(&mut reader, |body| {
+            let decoded = match caller {
+                Caller::Peer(p, _) => PeerFrame::decode(body)
+                    .map(|f| inputs.push(Input::Peer(p, f)))
+                    .is_ok(),
+                Caller::Client(c) => ClientFrame::decode(body)
+                    .map(|f| inputs.push(Input::Client(c, f)))
+                    .is_ok(),
+                Caller::Unknown(id) => writer
+                    .take()
+                    .and_then(|w| handshake(body, id, w))
+                    .is_some_and(|(known, ev)| {
+                        caller = known;
+                        tx.send(ev).is_ok()
+                    }),
+            };
+            frames += u64::from(decoded);
+            if decoded {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
+            }
+        });
+        reads += 1;
+        if !inputs.is_empty() {
+            let inputs = std::mem::take(&mut inputs);
+            if tx
+                .send(Ingress::Frames {
+                    inputs,
+                    reads,
+                    frames,
+                })
+                .is_err()
+            {
+                break;
+            }
+            (reads, frames) = (0, 0);
         }
-    });
+        if !matches!(read, Ok(ControlFlow::Continue(()))) {
+            break;
+        }
+    }
     let _ = match caller {
         Caller::Peer(p, gen) => tx.send(Ingress::PeerGone(p, gen)),
-        Caller::Client(c) => tx.send(Ingress::Input(Input::ClientGone(c))),
+        Caller::Client(c) => tx.send(Ingress::ClientGone(c)),
         Caller::Unknown(_) => Ok(()),
     };
+}
+
+/// Who an accepted connection's first frame says is calling, and the
+/// event that hands the drive loop its writer half; `None` if the frame
+/// is no `Hello`.
+fn handshake(body: &[u8], id: u64, writer: Sock) -> Option<(Caller, Ingress)> {
+    if let Ok(PeerFrame::Hello { site }) = PeerFrame::decode(body) {
+        Some((
+            Caller::Peer(site, id),
+            Ingress::PeerConnIn(site, id, writer),
+        ))
+    } else if let Ok(ClientFrame::Hello) = ClientFrame::decode(body) {
+        Some((Caller::Client(id), Ingress::ClientConn(id, writer)))
+    } else {
+        None
+    }
 }
 
 #[cfg(test)]
@@ -539,6 +615,7 @@ mod tests {
             for _ in 0..*events {
                 heard.push(match rx.recv_timeout(Duration::from_secs(5)) {
                     Ok(Ingress::PeerConnIn(p, _, _)) => format!("PeerConnIn({})", p.0),
+                    Ok(Ingress::Frames { inputs, .. }) => format!("{inputs:?}"),
                     Ok(Ingress::PeerGone(p, _)) => format!("PeerGone({})", p.0),
                     Ok(_) => "other".to_owned(),
                     Err(e) => e.to_string(),
@@ -549,13 +626,37 @@ mod tests {
         heard
     }
 
+    /// The frames of one write reach the drive loop as one batch, in
+    /// order, after the handshake; an undecodable frame ends the link,
+    /// but only after the frames decoded ahead of it in the same read.
     #[test]
     fn undecodable_frame_tears_the_link_down_however_the_bytes_were_chunked() {
         let hello = frame(&PeerFrame::Hello { site: SiteId(3) }.encode());
+        let acks: Vec<u8> = (1..=3)
+            .flat_map(|next| frame(&PeerFrame::Ack { next }.encode()))
+            .collect();
         let bad_tag = frame(&[0x7f, 1, 2, 3]);
+        let batch = (1..=3)
+            .map(|next| Input::Peer(SiteId(3), PeerFrame::Ack { next }))
+            .collect::<Vec<_>>();
+        let expected = [
+            "PeerConnIn(3)".to_owned(),
+            format!("{batch:?}"),
+            "PeerGone(3)".to_owned(),
+        ];
+        let one_write = [hello.clone(), acks.clone(), bad_tag.clone()].concat();
+        assert_eq!(heard(&[(one_write, 3)]), expected);
+        let acks_then_bad = [acks.clone(), bad_tag.clone()].concat();
+        assert_eq!(heard(&[(hello.clone(), 1), (acks_then_bad, 2)]), expected);
+        assert_eq!(
+            heard(&[(hello.clone(), 1), (acks, 1), (bad_tag.clone(), 1)]),
+            expected
+        );
         let expected = ["PeerConnIn(3)", "PeerGone(3)"];
-        let one_write = [hello.clone(), bad_tag.clone()].concat();
-        assert_eq!(heard(&[(one_write, 2)]), expected);
+        assert_eq!(
+            heard(&[([hello.clone(), bad_tag.clone()].concat(), 2)]),
+            expected
+        );
         assert_eq!(heard(&[(hello, 1), (bad_tag, 1)]), expected);
     }
 
@@ -652,15 +753,17 @@ mod tests {
         second
             .set_read_timeout(Some(Duration::from_secs(5)))
             .expect("read timeout");
+        let (mut second, mut reader) = (Sock::Uds(second), FrameReader::new());
         let mut acked = false;
-        Sock::Uds(second).pump(|body| {
-            acked = PeerFrame::decode(body) == Ok(PeerFrame::Ack { next: 1 });
-            if acked {
-                ControlFlow::Break(())
-            } else {
+        while !acked {
+            let read = second.read_frames(&mut reader, |body| {
+                acked |= PeerFrame::decode(body) == Ok(PeerFrame::Ack { next: 1 });
                 ControlFlow::Continue(())
+            });
+            if !matches!(read, Ok(ControlFlow::Continue(()))) {
+                break;
             }
-        });
+        }
         assert!(acked, "the ack never reached the second connection");
 
         drop(dialers);

@@ -406,19 +406,24 @@ impl PeerFrame {
 }
 
 impl ClientFrame {
+    /// Appends the body of `ClientFrame::Submit { req, steps }` from
+    /// borrowed steps: the load client frames a round of submissions
+    /// straight into its write buffer, with no clone and no body of its own.
+    pub(crate) fn put_submit(buf: &mut Vec<u8>, req: u64, steps: &[TxnStep]) {
+        put_u8(buf, T_CLIENT_SUBMIT);
+        put_u64(buf, req);
+        put_u32(buf, steps.len() as u32);
+        for s in steps {
+            put_step(buf, s);
+        }
+    }
+
     /// Encodes into a fresh body buffer.
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(32);
         match self {
             ClientFrame::Hello => put_u8(&mut b, T_CLIENT_HELLO),
-            ClientFrame::Submit { req, steps } => {
-                put_u8(&mut b, T_CLIENT_SUBMIT);
-                put_u64(&mut b, *req);
-                put_u32(&mut b, steps.len() as u32);
-                for s in steps {
-                    put_step(&mut b, s);
-                }
-            }
+            ClientFrame::Submit { req, steps } => ClientFrame::put_submit(&mut b, *req, steps),
         }
         b
     }

@@ -1,13 +1,16 @@
 //! Socket substrate: one address/stream/listener type over both
 //! Unix-domain and TCP loopback transports.
 //!
-//! `std::net` only — no async runtime is vendored, so every connection
-//! gets a blocking reader thread (spawned by [`crate::node`] /
-//! [`crate::loadgen`], the annotated wall-clock crates' drive loops)
-//! running [`Sock::pump`], the crate's one read loop. Writes are one
-//! [`Sock::write_all`] of already-framed bytes: the site shell frames a
-//! whole drive-loop pass per connection into one buffer and writes it
-//! once; [`Sock::send_frame`] is the single-frame case.
+//! `std::net` only — no async runtime is vendored, so reads block: a site
+//! gives each connection a reader thread ([`crate::node`]), and a load
+//! worker reads its own connection under a read timeout
+//! ([`crate::loadgen`]). Both read with [`Sock::read_frames`], the
+//! crate's one read step: one `read` into a [`FrameReader`], then every
+//! frame it completed. Writes are one [`Sock::write_all`] of
+//! already-framed bytes: the site shell frames a whole drive-loop pass
+//! per connection into one buffer and the load worker a whole admission
+//! round, and each writes it once; [`Sock::send_frame`] is the
+//! single-frame case.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -87,26 +90,35 @@ impl Sock {
         }
     }
 
-    /// The frame pump: reads until the stream ends, handing each complete
-    /// frame body to `on_frame`. Returns on EOF, on a read error, on a
-    /// length prefix the [`FrameReader`] rejects, or when `on_frame`
-    /// breaks — one rule for every caller: whatever cannot be decoded
-    /// ends the connection, however the bytes were chunked into reads.
-    pub fn pump(&mut self, mut on_frame: impl FnMut(&[u8]) -> ControlFlow<()>) {
-        let mut reader = FrameReader::new();
-        let mut buf = [0u8; 16 * 1024];
+    /// Bounds how long a read blocks; an expired wait is a `WouldBlock`
+    /// or `TimedOut` error from it. `wait` must not be zero.
+    pub fn set_read_timeout(&self, wait: Duration) -> io::Result<()> {
+        match self {
+            Sock::Uds(s) => s.set_read_timeout(Some(wait)),
+            Sock::Tcp(s) => s.set_read_timeout(Some(wait)),
+        }
+    }
+
+    /// The read step: one `read` into `reader`, then each frame body it
+    /// completed, in order, to `on_frame`. `Ok(Continue)` once they are
+    /// all taken; `Ok(Break)` at EOF, on a length prefix the reader
+    /// rejects, or when `on_frame` breaks — one rule for every caller:
+    /// whatever cannot be decoded ends the connection, however the bytes
+    /// were chunked into reads. A read error (an expired read timeout
+    /// included) is returned with nothing read.
+    pub fn read_frames(
+        &mut self,
+        reader: &mut FrameReader,
+        mut on_frame: impl FnMut(&[u8]) -> ControlFlow<()>,
+    ) -> io::Result<ControlFlow<()>> {
+        if reader.fill(|buf| self.read_some(buf))? == 0 {
+            return Ok(ControlFlow::Break(()));
+        }
         loop {
-            let n = match self.read_some(&mut buf) {
-                Ok(0) | Err(_) => return,
-                Ok(n) => n,
-            };
-            reader.push(&buf[..n]);
-            loop {
-                match reader.next_frame() {
-                    Ok(Some(body)) if on_frame(&body).is_continue() => {}
-                    Ok(None) => break,
-                    _ => return,
-                }
+            match reader.next_frame() {
+                Ok(Some(body)) if on_frame(body).is_continue() => {}
+                Ok(None) => return Ok(ControlFlow::Continue(())),
+                _ => return Ok(ControlFlow::Break(())),
             }
         }
     }

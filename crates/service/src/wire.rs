@@ -13,6 +13,7 @@
 //! chunkings.
 
 use std::fmt;
+use std::io;
 
 /// Hard upper bound on a frame body, in bytes. Large enough for any
 /// legitimate message (the biggest is a §5 WFGD edge set or a batched
@@ -137,14 +138,22 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// Appends `body` to `buf` as one length-prefixed frame: the crate's one
-/// framing rule. Frames appended back to back form a stream that
-/// [`FrameReader`] splits again, so a writer may batch any number of
-/// them into one `write_all`.
+/// Appends one length-prefixed frame to `buf`, its body written in place
+/// by `body`: the crate's one framing rule. Frames appended back to back
+/// form a stream that [`FrameReader`] splits again, so a writer may batch
+/// any number of them into one `write_all`.
+pub(crate) fn put_frame_with(buf: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = buf.len();
+    put_u32(buf, 0);
+    body(buf);
+    let len = buf.len() - at - 4;
+    assert!(len as u64 <= MAX_FRAME as u64, "oversized frame");
+    buf[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+}
+
+/// Appends `body` to `buf` as one length-prefixed frame.
 pub fn put_frame(buf: &mut Vec<u8>, body: &[u8]) {
-    assert!(body.len() as u64 <= MAX_FRAME as u64, "oversized frame");
-    put_u32(buf, body.len() as u32);
-    buf.extend_from_slice(body);
+    put_frame_with(buf, |buf| buf.extend_from_slice(body));
 }
 
 /// Wraps a body in a length-prefixed frame ready for one `write_all`.
@@ -154,17 +163,23 @@ pub fn frame(body: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Room [`FrameReader::fill`] offers each read, in bytes.
+const READ_ROOM: usize = 16 * 1024;
+
 /// Incremental frame reassembly from an arbitrarily chunked byte stream.
 ///
-/// Feed bytes with [`push`](FrameReader::push); pull complete frame bodies
-/// with [`next`](FrameReader::next). A length prefix larger than
-/// [`MAX_FRAME`] fails immediately (before any body bytes arrive), after
-/// which the reader is poisoned — a stream with a corrupt length has lost
-/// framing for good, so the connection must be dropped.
+/// Feed bytes with [`push`](FrameReader::push), or let a read write them
+/// in place with [`fill`](FrameReader::fill); borrow complete frame
+/// bodies with [`next_frame`](FrameReader::next_frame). A length prefix
+/// larger than [`MAX_FRAME`] fails immediately (before any body bytes
+/// arrive), after which the reader is poisoned — a stream with a corrupt
+/// length has lost framing for good, so the connection must be dropped.
 #[derive(Debug, Default)]
 pub struct FrameReader {
+    /// Unread bytes are `buf[pos..end]`; `buf[end..]` is room to read into.
     buf: Vec<u8>,
     pos: usize,
+    end: usize,
     poisoned: bool,
 }
 
@@ -176,45 +191,56 @@ impl FrameReader {
 
     /// Appends raw bytes from the stream.
     pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.make_room(bytes.len());
+        self.buf[self.end..self.end + bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
     }
 
-    /// Extracts the next complete frame body, `Ok(None)` if more bytes are
+    /// Appends what one `read` writes into the reader's own buffer:
+    /// `read` gets at least 16 KiB of room and returns the byte count, as
+    /// [`std::io::Read::read`] does (0 = end of stream).
+    pub fn fill(&mut self, read: impl FnOnce(&mut [u8]) -> io::Result<usize>) -> io::Result<usize> {
+        self.make_room(READ_ROOM);
+        let n = read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Makes room for `more` bytes after the unread ones: slides those to
+    /// the front, and grows the buffer only if that is not enough — so a
+    /// long-lived connection's buffer stays one read plus one frame.
+    fn make_room(&mut self, more: usize) {
+        if self.buf.len() - self.end >= more {
+            return;
+        }
+        self.buf.copy_within(self.pos..self.end, 0);
+        self.end -= self.pos;
+        self.pos = 0;
+        if self.buf.len() - self.end < more {
+            self.buf.resize(self.end + more, 0);
+        }
+    }
+
+    /// Borrows the next complete frame body, `Ok(None)` if more bytes are
     /// needed, or [`WireError::FrameTooBig`] on a malformed length prefix.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, WireError> {
         if self.poisoned {
             return Err(WireError::FrameTooBig { len: 0 });
         }
-        let avail = self.buf.len() - self.pos;
-        if avail < 4 {
-            self.compact();
+        let unread = &self.buf[self.pos..self.end];
+        let Some(len_bytes) = unread.get(..4) else {
             return Ok(None);
-        }
-        let len_bytes: [u8; 4] = self.buf[self.pos..self.pos + 4]
-            .try_into()
-            .expect("4 bytes");
-        let len = u32::from_le_bytes(len_bytes);
+        };
+        let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes"));
         if len > MAX_FRAME {
             self.poisoned = true;
             return Err(WireError::FrameTooBig { len });
         }
-        if avail < 4 + len as usize {
-            self.compact();
+        let Some(body) = unread.get(4..4 + len as usize) else {
             return Ok(None);
-        }
-        let start = self.pos + 4;
-        let body = self.buf[start..start + len as usize].to_vec();
-        self.pos = start + len as usize;
+        };
+        self.pos += 4 + body.len();
         Ok(Some(body))
-    }
-
-    /// Drops the consumed prefix once it dominates the buffer, so a
-    /// long-lived connection does not grow its buffer monotonically.
-    fn compact(&mut self) {
-        if self.pos > 4096 && self.pos * 2 >= self.buf.len() {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
     }
 }
 
@@ -227,7 +253,7 @@ mod tests {
         let body = vec![1u8, 2, 3, 4, 5];
         let mut r = FrameReader::new();
         r.push(&frame(&body));
-        assert_eq!(r.next_frame().unwrap(), Some(body));
+        assert_eq!(r.next_frame().unwrap(), Some(&body[..]));
         assert_eq!(r.next_frame().unwrap(), None);
     }
 
@@ -243,7 +269,7 @@ mod tests {
         for &byte in &stream {
             r.push(&[byte]);
             while let Some(b) = r.next_frame().unwrap() {
-                got.push(b);
+                got.push(b.to_vec());
             }
         }
         assert_eq!(got, bodies);

@@ -50,7 +50,7 @@ fn frames(bytes: &[u8]) -> Vec<PeerFrame> {
     reader.push(bytes);
     let mut frames = Vec::new();
     while let Some(body) = reader.next_frame().expect("well-formed framing") {
-        frames.push(PeerFrame::decode(&body).expect("cores emit well-formed frames"));
+        frames.push(PeerFrame::decode(body).expect("cores emit well-formed frames"));
     }
     frames
 }

@@ -149,11 +149,13 @@ proptest! {
     }
 
     /// A stream of length-prefixed frames reassembles identically no
-    /// matter how the byte stream is chopped into reads.
+    /// matter how the byte stream is chopped into reads, whether a chunk
+    /// is pushed or read in place (`fill`, the sockets' path), and every
+    /// borrowed body is byte for byte the encoded one.
     #[test]
     fn framing_survives_arbitrary_chunking(
         frames in proptest::collection::vec(peer_frame(), 1..10),
-        cuts in proptest::collection::vec(1usize..17, 0..64),
+        cuts in proptest::collection::vec((1usize..17, any::<bool>()), 0..64),
     ) {
         let mut stream = Vec::new();
         for f in &frames {
@@ -164,11 +166,21 @@ proptest! {
         let mut pos = 0usize;
         let mut cut = cuts.iter().cycle();
         while pos < stream.len() {
-            let take = (*cut.next().unwrap_or(&7)).min(stream.len() - pos);
-            reader.push(&stream[pos..pos + take]);
-            pos += take;
+            let &(take, in_place) = cut.next().unwrap_or(&(7, false));
+            let chunk = &stream[pos..pos + take.min(stream.len() - pos)];
+            if in_place {
+                let read = reader.fill(|room| {
+                    room[..chunk.len()].copy_from_slice(chunk);
+                    Ok(chunk.len())
+                });
+                prop_assert_eq!(read.unwrap(), chunk.len());
+            } else {
+                reader.push(chunk);
+            }
+            pos += chunk.len();
             while let Some(body) = reader.next_frame().unwrap() {
-                decoded.push(PeerFrame::decode(&body).unwrap());
+                prop_assert_eq!(body, &frames[decoded.len()].encode()[..]);
+                decoded.push(PeerFrame::decode(body).unwrap());
             }
         }
         prop_assert_eq!(decoded, frames);
@@ -199,7 +211,7 @@ proptest! {
                 reader.push(chunk);
                 rest = tail;
                 while let Some(body) = reader.next_frame().unwrap() {
-                    decoded.push(PeerFrame::decode(&body).unwrap());
+                    decoded.push(PeerFrame::decode(body).unwrap());
                 }
             }
             prop_assert_eq!(&decoded, pass);
@@ -243,7 +255,7 @@ proptest! {
         // Completing the bytes completes the frame.
         reader.push(&full[keep..]);
         prop_assert_eq!(
-            PeerFrame::decode(&reader.next_frame().unwrap().unwrap()).unwrap(),
+            PeerFrame::decode(reader.next_frame().unwrap().unwrap()).unwrap(),
             f
         );
     }
