@@ -273,11 +273,12 @@ pub struct BasicProcess {
     core: Underlying<BasicMsg>,
     /// Number of probe computations this vertex has initiated.
     own_n: u64,
-    /// §4.3 state: latest computation seen per foreign initiator, plus
-    /// whether A2 has already run for it — the paper's O(N) array, stored
-    /// sparsely (sorted by initiator id) so a vertex's footprint scales
-    /// with the initiators it actually hears from, not the network size.
-    latest: VecMap<NodeId, (u64, bool)>,
+    /// §4.3 state: per foreign initiator, the latest computation this
+    /// vertex has run A2 for — the paper's O(N) array, stored sparsely
+    /// (sorted by initiator id) so a vertex's footprint scales with the
+    /// initiators it actually hears from, not the network size. An entry
+    /// exists only once A2 has run, so it needs no "forwarded" flag.
+    latest: VecMap<NodeId, u64>,
     /// High-water mark of `latest.len()`, for experiment E3.
     latest_high_water: usize,
     /// All declarations made by this vertex (step A1).
@@ -556,16 +557,14 @@ impl BasicProcess {
         // A2 for a foreign computation: act on the *first* meaningful probe
         // of the latest computation of each initiator (unless the ablation
         // forwarding policy is in force).
-        let (seen_n, forwarded) = self
-            .latest
-            .get(&tag.initiator)
-            .copied()
-            .unwrap_or((0, false));
-        let already_forwarded = tag.n == seen_n && forwarded;
-        if tag.n < seen_n || (already_forwarded && self.forward == ForwardPolicy::FirstMeaningful) {
+        let seen_n = self.latest.get(&tag.initiator).copied();
+        let already_forwarded = seen_n == Some(tag.n);
+        if tag.n < seen_n.unwrap_or(0)
+            || (already_forwarded && self.forward == ForwardPolicy::FirstMeaningful)
+        {
             return; // superseded, or already forwarded
         }
-        self.latest.insert(tag.initiator, (tag.n, true));
+        self.latest.insert(tag.initiator, tag.n);
         self.latest_high_water = self.latest_high_water.max(self.latest.len());
         for i in 0..self.core.out_waits().len() {
             let target = self.core.out_waits().as_slice()[i];

@@ -5,11 +5,14 @@
 //! so a constructor that allocates, or a process that grows, multiplies
 //! straight into a gated benchmark metric; its `work_per_s` pays for every
 //! heap block a vertex acquires between its request and the WFGD fixed
-//! point, so that count is pinned too. And once a knot's `S_j` sets have
-//! converged every further §5 message is a no-op (`M ⊆ S_j`, every
-//! predecessor already sent a message of that size) — that common case must
-//! touch the heap only for the `Vec` it returns, which is empty and so
-//! never allocates either.
+//! point, so that count is pinned too. A vertex of degree one owns no
+//! block for its wait sets, its §4.3 table or its sender's channel-clock
+//! row — each keeps its first elements inline — so the size pins below
+//! keep those types at 24 bytes and the count is what is left. And once
+//! a knot's `S_j` sets have converged every further §5 message is a
+//! no-op (`M ⊆ S_j`, every predecessor already sent a message of that
+//! size) — that common case must touch the heap only for the `Vec` it
+//! returns, which is empty and so never allocates either.
 //!
 //! Same counting-allocator pattern as `crates/simnet/tests/alloc_regression.rs`:
 //! everything in a single `#[test]` so parallel libtest threads cannot
@@ -20,6 +23,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use cmh_core::vset::{VecMap, VecSet};
 use cmh_core::wfgd::{EdgeSet, WfgdState};
 use cmh_core::{BasicConfig, BasicMsg, BasicProcess};
 use simnet::sim::{NodeId, SimBuilder, Simulation};
@@ -119,6 +123,21 @@ fn construction_and_converged_wfgd_do_not_allocate() {
          32 MiB or every basic_scale build maps and faults a fresh buffer (setup_s x2)"
     );
     assert!(std::mem::size_of::<WfgdState>() <= 48);
+    println!(
+        "sizes: BasicProcess {size}, WfgdState {}, VecSet<NodeId> {}, EdgeSet {}, \
+         VecMap<NodeId, usize> {}, BasicMsg {}",
+        std::mem::size_of::<WfgdState>(),
+        std::mem::size_of::<VecSet<NodeId>>(),
+        std::mem::size_of::<EdgeSet>(),
+        std::mem::size_of::<VecMap<NodeId, usize>>(),
+        std::mem::size_of::<BasicMsg>(),
+    );
+    // A set or map of zero or one element lives inside its 24 bytes, and
+    // a message carrying one stays a word-triple.
+    assert_eq!(std::mem::size_of::<VecSet<NodeId>>(), 24);
+    assert_eq!(std::mem::size_of::<EdgeSet>(), 24);
+    assert_eq!(std::mem::size_of::<VecMap<NodeId, usize>>(), 24);
+    assert_eq!(std::mem::size_of::<BasicMsg>(), 24);
     drop(process);
 
     // --- A converged vertex: v2 of the black cycle 0 -> 1 -> 2 -> 0, with
@@ -138,13 +157,15 @@ fn construction_and_converged_wfgd_do_not_allocate() {
     }
     assert_eq!(st.known_edges(), &cycle);
 
-    // --- The `Delayed` bookkeeping (its box, the epoch table, the timer
-    // map's leaf) is paid for by `Delayed` requests only. ---
+    // --- The `Delayed` bookkeeping (its box and the timer map's leaf; the
+    // epoch table's first entry is inline) is paid for by `Delayed`
+    // requests only. ---
     let never = request_allocs(BasicConfig::manual());
     let on_block = request_allocs(BasicConfig::on_block(4));
     let delayed = request_allocs(BasicConfig::delayed(50, 4));
-    assert_eq!(delayed - never, 3, "box, epoch table, timer-map leaf");
-    let probe_side = if cfg!(debug_assertions) { 3 } else { 1 };
+    println!("request allocs: never {never}, on_block {on_block}, delayed {delayed}");
+    assert_eq!(delayed - never, 2, "box, timer-map leaf");
+    let probe_side = if cfg!(debug_assertions) { 2 } else { 1 };
     assert_eq!(
         on_block - never,
         probe_side,
@@ -153,16 +174,21 @@ fn construction_and_converged_wfgd_do_not_allocate() {
     );
 
     // --- One closed triple's whole life, and what each further triple
-    // adds once the engine's own tables exist. Recorded at PR 23's parent:
-    // 73 and 56 in both profiles (the ledger's and the per-tag map's
-    // B-tree leaves, the epoch table, a `String` per counter). The debug
-    // build still keeps the ledger. ---
+    // adds once the engine's own tables exist: the measured counts, so
+    // any new block fails here. A degree-one vertex's sets, maps and
+    // channel-clock row are inline; what remains per triple is the probe
+    // log, the declarations, the WFGD edge sets and messages, and the
+    // engine's own queue growth. The debug build also keeps the ledger. ---
     triple_life_allocs(1);
     let (one, nine) = (triple_life_allocs(1), triple_life_allocs(9));
+    println!(
+        "closed triple allocs: first {one}, each further {}",
+        (nine - one) / 8
+    );
     let (one_cap, further_cap) = if cfg!(debug_assertions) {
-        (62, 53)
+        (38, 29)
     } else {
-        (50, 41)
+        (35, 26)
     };
     assert!(
         one <= one_cap && (nine - one) / 8 <= further_cap,

@@ -663,14 +663,13 @@ pub(crate) trait Sink {
 pub(crate) struct Sequencer {
     pub(crate) now: SimTime,
     seq: u64,
-    /// Per-channel FIFO clocks: one row per sender, each a vector of
-    /// `(receiver, clock)` sorted by receiver. A lookup is one indexed
-    /// load plus a search over that sender's out-degree, whatever N is
-    /// (one sorted map keyed `(from, to)` is a descent through every
-    /// channel of the run on each send; a dense `[from][to]` table is
-    /// O(N²) memory). Rows appear at the first FIFO send, entries at a
-    /// channel's, so memory is O(nodes + channels used).
-    channel_clock: Vec<Vec<(usize, SimTime)>>,
+    /// Per-channel FIFO clocks: one [`ClockRow`] per sender. A lookup is
+    /// one indexed load plus a search over that sender's out-degree,
+    /// whatever N is (one sorted map keyed `(from, to)` is a descent
+    /// through every channel of the run on each send; a dense `[from][to]`
+    /// table is O(N²) memory). Rows appear at the first FIFO send, entries
+    /// at a channel's, so memory is O(nodes + channels used).
+    channel_clock: Vec<ClockRow>,
     pub(crate) latency: LatencyModel,
     pub(crate) rng: DetRng,
     pub(crate) metrics: Metrics,
@@ -686,6 +685,66 @@ pub(crate) struct Sequencer {
     /// (so always with `S > 1`), leaving every other configuration
     /// bit-identical to before.
     explore: Option<ExploreState>,
+}
+
+/// One sender's FIFO channel clocks, `(receiver, clock)` per channel it
+/// has used. The first two channels live inline — a vertex of a closed
+/// cycle sends probes to its successor and §5 messages to its predecessor,
+/// so two is its working set and most rows never own a heap block — and a
+/// third spills the row into a vector sorted by receiver.
+enum ClockRow {
+    /// Slots fill in order; a free slot's receiver is [`ClockRow::FREE`].
+    Inline([(usize, SimTime); 2]),
+    Spilled(Vec<(usize, SimTime)>),
+}
+
+impl ClockRow {
+    /// No receiver: [`NodeId`]s index the node table, so none reaches it.
+    const FREE: usize = usize::MAX;
+    const EMPTY: ClockRow = ClockRow::Inline([(Self::FREE, SimTime::ZERO); 2]);
+
+    /// The clock of the channel to `to`, created at `SimTime::ZERO`.
+    fn clock_mut(&mut self, to: usize) -> &mut SimTime {
+        // Slots fill in order: a taken second slot means both are.
+        if let ClockRow::Inline(slots) = self {
+            let [(a, _), (b, _)] = *slots;
+            if b != Self::FREE && a != to && b != to {
+                let mut row = Vec::with_capacity(4);
+                row.extend_from_slice(slots);
+                row.push((to, SimTime::ZERO));
+                row.sort_unstable_by_key(|&(r, _)| r);
+                *self = ClockRow::Spilled(row);
+            }
+        }
+        match self {
+            ClockRow::Spilled(row) => {
+                let i = row
+                    .binary_search_by_key(&to, |&(r, _)| r)
+                    .unwrap_or_else(|i| {
+                        row.insert(i, (to, SimTime::ZERO));
+                        i
+                    });
+                &mut row[i].1
+            }
+            ClockRow::Inline(slots) => {
+                let i = usize::from(slots[0].0 != to && slots[0].0 != Self::FREE);
+                slots[i].0 = to;
+                &mut slots[i].1
+            }
+        }
+    }
+
+    /// The receivers this sender has a clock for, ascending.
+    #[cfg(test)]
+    fn receivers(&self) -> Vec<usize> {
+        let mut out: Vec<usize> = match self {
+            ClockRow::Inline(slots) => slots.iter().map(|&(r, _)| r).collect(),
+            ClockRow::Spilled(row) => row.iter().map(|&(r, _)| r).collect(),
+        };
+        out.retain(|&r| r != Self::FREE);
+        out.sort_unstable();
+        out
+    }
 }
 
 impl Sequencer {
@@ -763,16 +822,9 @@ impl Sequencer {
     fn channel_clock_mut(&mut self, from: NodeId, to: NodeId) -> &mut SimTime {
         if self.channel_clock.len() <= from.0 {
             let rows = self.node_count.max(from.0 + 1);
-            self.channel_clock.resize_with(rows, Vec::new);
+            self.channel_clock.resize_with(rows, || ClockRow::EMPTY);
         }
-        let row = &mut self.channel_clock[from.0];
-        let i = row
-            .binary_search_by_key(&to.0, |&(to, _)| to)
-            .unwrap_or_else(|i| {
-                row.insert(i, (to.0, SimTime::ZERO));
-                i
-            });
-        &mut row[i].1
+        self.channel_clock[from.0].clock_mut(to.0)
     }
 
     /// One latency draw for a transmission whose wire-level sender is
@@ -1906,8 +1958,7 @@ mod tests {
                 let got: Vec<u32> = sim.node(NodeId(i)).order.iter().map(|&(_, k)| k).collect();
                 assert_eq!(got, vec![0, 1, 2, 3, 4], "FIFO violated at node {i}");
             }
-            let receivers = sim.seqr.channel_clock[0].iter().map(|&(to, _)| to);
-            assert_eq!(receivers.collect::<Vec<_>>(), targets);
+            assert_eq!(sim.seqr.channel_clock[0].receivers(), targets);
             sim
         });
     }
@@ -1915,16 +1966,42 @@ mod tests {
     #[test]
     fn clock_rows_hold_channels_used_not_node_ids() {
         // A receiver id far above its sender's costs one row entry, and
-        // senders that never sent hold an empty (unallocated) row.
+        // senders that never sent hold an empty inline row.
         at_shard_counts(SimBuilder::new().seed(8), |b| {
             let sim = fan_out(b, 1_001, &[1_000]);
             assert_eq!(sim.node(NodeId(1_000)).order.len(), 5);
             let rows = &sim.seqr.channel_clock;
             assert_eq!(rows.len(), 1_001);
-            assert_eq!((rows[0].len(), rows[0][0].0), (1, 1_000));
-            assert!(rows[1..].iter().all(|row| row.capacity() == 0));
+            assert_eq!(rows[0].receivers(), [1_000]);
+            let unused =
+                |row: &ClockRow| matches!(row, ClockRow::Inline(_)) && row.receivers().is_empty();
+            assert!(rows[1..].iter().all(unused));
             sim
         });
+    }
+
+    #[test]
+    fn clock_rows_stay_fifo_across_the_spill() {
+        // One, two and three receivers: the third channel moves the row
+        // from its inline slots into a vector after the first round, and
+        // every channel's later sends still queue behind its earlier ones.
+        let builder = SimBuilder::new()
+            .seed(9)
+            .latency(LatencyModel::Uniform { lo: 1, hi: 10 });
+        for degree in 1..=3 {
+            at_shard_counts(builder.clone(), |b| {
+                let targets: Vec<usize> = (1..=degree).collect();
+                let sim = fan_out(b, degree + 1, &targets);
+                for &i in &targets {
+                    let got: Vec<u32> = sim.node(NodeId(i)).order.iter().map(|&(_, k)| k).collect();
+                    assert_eq!(got, vec![0, 1, 2, 3, 4], "FIFO violated at node {i}");
+                }
+                let row = &sim.seqr.channel_clock[0];
+                assert_eq!(row.receivers(), targets);
+                assert_eq!(matches!(row, ClockRow::Spilled(_)), degree > 2);
+                sim
+            });
+        }
     }
 
     #[test]
