@@ -42,13 +42,14 @@
 //! running *through* a remotely held resource is invisible: the holder
 //! agent has no outgoing edges, so probes die there and the Q-rule never
 //! initiates for the home agent it blocks. Probe forwarding
-//! ([`Controller::probes_for_labels`]), probe meaningfulness, the §6.7
+//! ([`Controller::probes_for_label`]), probe meaningfulness, the §6.7
 //! subject selection and the harness's graph reconstruction all carry
 //! the edge.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
+use cmh_core::vset::{VecMap, VecSet};
 use simnet::sim::{Context, NodeId, Process, TimerId};
 use simnet::time::SimTime;
 
@@ -56,7 +57,7 @@ use crate::config::{DdbConfig, DdbInitiation, Resolution};
 use crate::ids::{AgentId, DdbProbeTag, ResourceId, SiteId, TransactionId};
 use crate::lock::{LockOutcome, LockTable};
 use crate::msg::DdbMsg;
-use crate::probe::{CompState, DdbDeadlock};
+use crate::probe::{window_cutoff, CompState, CompWindow, DdbDeadlock};
 use crate::txn::{Transaction, TxnStatus, TxnStep};
 use crate::wfgd::{AgentEdgeSet, DdbWfgdState, LocalTopology, WfgdSend};
 
@@ -262,7 +263,9 @@ pub struct Controller {
     own_declared: BTreeSet<u64>,
     /// Bumped every time this controller processes an abort.
     abort_gen: u64,
-    comps: BTreeMap<DdbProbeTag, CompState>,
+    /// The computations this controller takes part in, one window per
+    /// initiator.
+    comps: VecMap<SiteId, CompWindow>,
     declarations: Vec<DdbDeadlock>,
     declared_txns: BTreeSet<TransactionId>,
     wfgd: DdbWfgdState,
@@ -327,7 +330,7 @@ impl Controller {
             own_gen: BTreeMap::new(),
             own_declared: BTreeSet::new(),
             abort_gen: 0,
-            comps: BTreeMap::new(),
+            comps: VecMap::new(),
             declarations: Vec::new(),
             declared_txns: BTreeSet::new(),
             wfgd: DdbWfgdState::new(),
@@ -360,12 +363,10 @@ impl Controller {
     }
 
     /// Outgoing inter-controller wait edges of local home agents, as
-    /// `(txn, remote site)` pairs (deduplicated).
-    pub fn remote_wait_edges(&self) -> BTreeSet<(TransactionId, SiteId)> {
-        self.remote_waits
-            .iter()
-            .flat_map(|(&t, set)| set.iter().map(move |&(m, _)| (t, m)))
-            .collect()
+    /// `(txn, remote site)` pairs, ascending and deduplicated.
+    pub(crate) fn remote_wait_edges(&self) -> impl Iterator<Item = (TransactionId, SiteId)> + '_ {
+        let waits = self.remote_waits.iter();
+        dedup_sorted(waits.flat_map(|(&t, set)| set.iter().map(move |&(m, _)| (t, m))))
     }
 
     /// Outcomes of all transactions homed here.
@@ -509,29 +510,26 @@ impl Controller {
         self.own_subjects.insert(self.own_n, subject);
         self.own_gen.insert(self.own_n, self.abort_gen);
         if let Some(cutoff) = self.window_cutoff(self.own_n) {
-            if self
-                .own_subjects
-                .keys()
-                .next()
-                .is_some_and(|&n| n <= cutoff)
-            {
-                self.own_subjects.retain(|&n, _| n > cutoff);
-                self.own_gen.retain(|&n, _| n > cutoff);
-                self.own_declared.retain(|&n| n > cutoff);
+            let superseded = |n: Option<&u64>| n.is_some_and(|&n| n <= cutoff);
+            while superseded(self.own_subjects.keys().next()) {
+                self.own_subjects.pop_first();
+            }
+            while superseded(self.own_gen.keys().next()) {
+                self.own_gen.pop_first();
+            }
+            while superseded(self.own_declared.first()) {
+                self.own_declared.pop_first();
             }
         }
         // A0, local part: label everything reachable from the subject along
         // intra-controller edges; a local cycle is declared with no probes.
-        let mut closure = self.locks.reachable_from(subject);
+        let closure = self.locks.reachable_from(subject);
         if closure.contains(&subject) {
             ctx.count(counters::LOCAL_CYCLE);
             self.declare(ctx, subject, None);
             return true;
         }
-        closure.insert(subject);
-        let mut comp = CompState::new();
-        let fresh = comp.add_labels(closure);
-        self.forward(ctx, tag, comp, &fresh);
+        self.forward(ctx, tag, CompState::new(), with_one(&closure, subject));
         true
     }
 
@@ -835,9 +833,9 @@ impl Controller {
 
     // ----- internals: probe computation -----
 
-    /// Probes implied by freshly labelled processes: one per labelled
-    /// process × distinct outgoing inter-controller edge, deduplicated per
-    /// computation. Two edge classes leave a local agent `(a, S_me)`:
+    /// Probes implied by a freshly labelled process: one per distinct
+    /// outgoing inter-controller edge, deduplicated per computation. Two
+    /// edge classes leave a local agent `(a, S_me)`:
     ///
     /// * at `a`'s **home** — one edge per distinct remote wait site;
     /// * at a **remote** site — the holder back-edge `(a, S_me) → (a,
@@ -849,44 +847,42 @@ impl Controller {
     ///   condition keeps the edge out while `a` still has an un-granted
     ///   request here — otherwise the back-edge plus `a`'s own wait edge
     ///   would form a phantom 2-cycle of `a` with itself.
-    fn probes_for_labels(
+    ///
+    /// Sends them as `tag`'s probes, wait edges in ascending site order
+    /// (`remote_waits` is sorted by site), then the back-edge.
+    fn probes_for_label(
         &self,
+        ctx: &mut Context<'_, DdbMsg>,
+        tag: DdbProbeTag,
         comp: &mut CompState,
-        fresh: &[TransactionId],
-    ) -> Vec<(SiteId, (AgentId, AgentId))> {
-        let mut out = Vec::new();
-        for &a in fresh {
-            let sites: BTreeSet<SiteId> = self
-                .remote_waits
-                .get(&a)
-                .into_iter()
-                .flatten()
-                .map(|&(m, _)| m)
-                .collect();
-            for m in sites {
-                if comp.mark_sent(a, m) {
-                    let edge = (AgentId::new(a, self.site), AgentId::new(a, m));
-                    out.push((m, edge));
-                }
-            }
-            if let Some(&home) = self.txn_home.get(&a) {
-                if home != self.site
-                    && self.locks.holds_any(a)
-                    && !self.locks.is_waiting_anywhere(a)
-                    && comp.mark_sent(a, home)
-                {
-                    let edge = (AgentId::new(a, self.site), AgentId::new(a, home));
-                    out.push((home, edge));
-                }
+        a: TransactionId,
+    ) {
+        let mut send = |m: SiteId| {
+            ctx.count(counters::PROBE_SENT);
+            let edge = (AgentId::new(a, self.site), AgentId::new(a, m));
+            ctx.send(m.node(), DdbMsg::Probe { tag, edge });
+        };
+        let waits = self.remote_waits.get(&a).into_iter().flatten();
+        for m in dedup_sorted(waits.map(|&(m, _)| m)) {
+            if comp.mark_sent(a, m) {
+                send(m);
             }
         }
-        out
+        if let Some(&home) = self.txn_home.get(&a) {
+            if home != self.site
+                && self.locks.holds_any(a)
+                && !self.locks.is_waiting_anywhere(a)
+                && comp.mark_sent(a, home)
+            {
+                send(home);
+            }
+        }
     }
 
     /// True iff the holder back-edge `(t, from) → (t, S_me)` exists: `t`
     /// is homed here and Running, holds something at `from`, and has no
     /// outstanding un-granted request at `from` (idle remote holder; see
-    /// [`Self::probes_for_labels`]).
+    /// [`Self::probes_for_label`]).
     fn holder_edge_from(&self, from: SiteId, t: TransactionId) -> bool {
         if self.scripts.get(&t).map(|s| s.status) != Some(TxnStatus::Running) {
             return false;
@@ -903,48 +899,44 @@ impl Controller {
     }
 
     /// Incoming holder back-edges of home agents, as `(txn, remote site)`
-    /// pairs: the agent-level edge `(txn, m) → (txn, S_me)` exists for
-    /// each (see [`Self::probes_for_labels`] for the edge semantics). Used
-    /// by the harness's graph reconstruction.
-    pub fn holder_back_edges(&self) -> BTreeSet<(TransactionId, SiteId)> {
+    /// pairs, ascending and deduplicated: the agent-level edge `(txn, m) →
+    /// (txn, S_me)` exists for each (see [`Self::probes_for_label`] for
+    /// the edge semantics).
+    pub(crate) fn holder_back_edges(&self) -> impl Iterator<Item = (TransactionId, SiteId)> + '_ {
         let held = self.remote_held.iter();
-        held.flat_map(|(&t, at)| at.iter().map(move |&(m, _)| (t, m)))
-            .filter(|&(t, m)| self.holder_edge_from(m, t))
-            .collect()
+        let pairs = held.flat_map(|(&t, at)| at.iter().map(move |&(m, _)| (t, m)));
+        dedup_sorted(pairs).filter(|&(t, m)| self.holder_edge_from(m, t))
     }
 
     /// Window supersession (module docs): once computation `newest`
     /// exists, those numbered at or below the cutoff are superseded.
     fn window_cutoff(&self, newest: u64) -> Option<u64> {
-        newest.checked_sub(self.cfg.comp_window.max(1))
+        window_cutoff(newest, self.cfg.comp_window)
     }
 
     /// [`Self::window_cutoff`] of `initiator`'s newest computation here.
     fn comp_cutoff(&self, initiator: SiteId) -> Option<u64> {
-        let of = |n| DdbProbeTag { initiator, n };
-        let newest = self.comps.range(of(0)..=of(u64::MAX)).next_back();
-        self.window_cutoff(newest.map_or(0, |(k, _)| k.n))
+        let window = self.comps.get(&initiator);
+        window.and_then(|w| w.cutoff(self.cfg.comp_window))
     }
 
-    /// A2: records computation `tag` (superseding what fell out of its
-    /// initiator's window) and sends the probes `fresh` labels imply.
+    /// A2: labels `closure` (ascending), sends the probes each newly
+    /// labelled process implies, and records computation `tag`
+    /// (superseding what fell out of its initiator's window).
     fn forward(
         &mut self,
         ctx: &mut Context<'_, DdbMsg>,
         tag: DdbProbeTag,
         mut comp: CompState,
-        fresh: &[TransactionId],
+        closure: impl Iterator<Item = TransactionId>,
     ) {
-        let to_send = self.probes_for_labels(&mut comp, fresh);
-        self.comps.insert(tag, comp);
-        if let Some(cutoff) = self.comp_cutoff(tag.initiator) {
-            self.comps
-                .retain(|k, _| k.initiator != tag.initiator || k.n > cutoff);
+        for a in closure {
+            if comp.label(a) {
+                self.probes_for_label(ctx, tag, &mut comp, a);
+            }
         }
-        for (dest, edge) in to_send {
-            ctx.count(counters::PROBE_SENT);
-            ctx.send(dest.node(), DdbMsg::Probe { tag, edge });
-        }
+        let window = self.comps.entry_or_default(tag.initiator);
+        window.put(tag.n, comp, self.cfg.comp_window);
     }
 
     fn handle_probe(
@@ -983,10 +975,8 @@ impl Controller {
             return;
         }
         // A1/A2: label (t, S_me) and everything locally reachable from it.
-        let mut closure = self.locks.reachable_from(t);
-        closure.insert(t);
-        let mut comp = self.comps.remove(&tag).unwrap_or_default();
-        let fresh = comp.add_labels(closure.iter().copied());
+        let closure = self.locks.reachable_from(t);
+        let comp = self.comps.entry_or_default(tag.initiator).take(tag.n);
         // A1: if this is our own computation and its subject is reachable
         // from the probe's entry process, the subject is on a dark cycle.
         //
@@ -1003,13 +993,14 @@ impl Controller {
         let mut completed = None;
         if tag.initiator == self.site && !self.own_declared.contains(&tag.n) {
             if let Some(&subject) = self.own_subjects.get(&tag.n) {
-                if closure.contains(&subject) && !self.declared_txns.contains(&subject) {
+                let reached = subject == t || closure.contains(&subject);
+                if reached && !self.declared_txns.contains(&subject) {
                     self.own_declared.insert(tag.n);
                     completed = Some(subject);
                 }
             }
         }
-        self.forward(ctx, tag, comp, &fresh);
+        self.forward(ctx, tag, comp, with_one(&closure, t));
         let Some(subject) = completed else {
             return;
         };
@@ -1071,8 +1062,7 @@ impl Controller {
         // Step 1 (both variants benefit, but only QOpt specifies it):
         // purely local cycles need no probes at all.
         if !naive {
-            let local_waiters: Vec<TransactionId> =
-                self.locks.waiting_transactions().into_iter().collect();
+            let local_waiters: Vec<TransactionId> = self.locks.waiting_transactions().collect();
             for t in local_waiters {
                 if !self.declared_txns.contains(&t) && self.locks.on_local_cycle(t) {
                     ctx.count(counters::LOCAL_CYCLE);
@@ -1080,17 +1070,13 @@ impl Controller {
                 }
             }
         }
-        // Step 2: choose which processes get a probe computation.
-        let subjects: BTreeSet<TransactionId> = if naive {
+        // Step 2: choose which processes get a probe computation, in
+        // ascending order.
+        let mut subjects: Vec<TransactionId> = if naive {
             // Every blocked constituent process.
-            let mut s: BTreeSet<TransactionId> = self.locks.waiting_transactions();
-            s.extend(
-                self.remote_waits
-                    .iter()
-                    .filter(|(_, w)| !w.is_empty())
-                    .map(|(&t, _)| t),
-            );
-            s
+            let remote = self.remote_waits.iter().filter(|(_, w)| !w.is_empty());
+            let local = self.locks.waiting_transactions();
+            local.chain(remote.map(|(&t, _)| t)).collect()
         } else {
             // Q-optimisation: only processes with an incoming black
             // inter-controller edge. Incoming edges of local agents come
@@ -1099,15 +1085,35 @@ impl Controller {
             // into a *home* agent from its idle remote holders — without
             // the latter, a cycle whose only entry into this site runs
             // through a remotely held resource gets no computation.
-            let mut s: BTreeSet<TransactionId> =
-                self.pending_remote.keys().map(|&(t, _)| t).collect();
-            s.extend(self.holder_back_edges().into_iter().map(|(t, _)| t));
-            s
+            let queued = self.pending_remote.keys().map(|&(t, _)| t);
+            queued
+                .chain(self.holder_back_edges().map(|(t, _)| t))
+                .collect()
         };
+        subjects.sort_unstable();
+        subjects.dedup();
         for t in subjects {
             self.initiate_for(ctx, t);
         }
     }
+}
+
+/// `set ∪ {x}`, ascending, without building it (`x` twice if it is in
+/// `set`: labelling skips a label it already has).
+fn with_one(
+    set: &VecSet<TransactionId>,
+    x: TransactionId,
+) -> impl Iterator<Item = TransactionId> + '_ {
+    let items = set.as_slice();
+    let (below, rest) = items.split_at(items.partition_point(|&y| y < x));
+    let (below, rest) = (below.iter().copied(), rest.iter().copied());
+    below.chain([x]).chain(rest)
+}
+
+/// The distinct items of an ascending iterator, in order.
+fn dedup_sorted<T: Copy + PartialEq>(items: impl Iterator<Item = T>) -> impl Iterator<Item = T> {
+    let mut last = None;
+    items.filter(move |&x| last.replace(x) != Some(x))
 }
 
 impl Process<DdbMsg> for Controller {

@@ -187,21 +187,39 @@ impl LockTable {
     /// Transactions blocking the queue entry at `pos`: conflicting holders
     /// plus conflicting waiters ahead of it, in ascending id order.
     fn blockers_of(e: &Entry, pos: usize) -> Vec<TransactionId> {
-        let (txn, mode) = e.queue[pos];
-        let mut out: Vec<TransactionId> = e
-            .holders
-            .iter()
-            .filter(|&(&h, &hm)| h != txn && !mode.compatible(hm))
-            .map(|(&h, _)| h)
-            .collect();
-        for &(ahead, ahead_mode) in e.queue.iter().take(pos) {
-            if ahead != txn && !(mode.compatible(ahead_mode)) {
-                out.push(ahead);
-            }
-        }
+        let mut out: Vec<TransactionId> = Self::blockers(e, pos).collect();
         out.sort_unstable();
         out.dedup();
         out
+    }
+
+    /// [`Self::blockers_of`] without the list: conflicting holders in
+    /// ascending order, then conflicting waiters ahead in queue order. A
+    /// contended upgrade is both a holder and queued, so a transaction may
+    /// appear twice.
+    fn blockers(e: &Entry, pos: usize) -> impl Iterator<Item = TransactionId> + '_ {
+        let (txn, mode) = e.queue[pos];
+        let holders = e.holders.iter().map(|(&h, &hm)| (h, hm));
+        let ahead = e.queue.iter().take(pos).copied();
+        holders
+            .chain(ahead)
+            .filter(move |&(b, bm)| b != txn && !mode.compatible(bm))
+            .map(|(b, _)| b)
+    }
+
+    /// The heads of `v`'s intra-controller edges, via [`Self::blockers`]
+    /// of every entry `v` is queued in (possibly repeated).
+    fn blockers_of_waiter(&self, v: TransactionId) -> impl Iterator<Item = TransactionId> + '_ {
+        let resources = self.waiting_in.get(&v).into_iter().flatten();
+        resources.flat_map(move |r| {
+            let e = &self.entries[r];
+            let pos = e
+                .queue
+                .iter()
+                .position(|&(t, _)| t == v)
+                .expect("waiting_in coherent with queue");
+            Self::blockers(e, pos)
+        })
     }
 
     /// Releases `txn`'s lock on `resource` (and removes any queued request
@@ -313,21 +331,42 @@ impl LockTable {
             .flat_map(|e| e.holders.keys().copied())
     }
 
-    /// The wait-for edges one entry implies, as `(waiter, blocker)` pairs.
-    fn edges_of(e: &Entry) -> impl Iterator<Item = (TransactionId, TransactionId)> + '_ {
-        (0..e.queue.len()).flat_map(move |pos| {
-            let blockers = Self::blockers_of(e, pos).into_iter();
-            blockers.map(move |b| (e.queue[pos].0, b))
-        })
-    }
-
     /// The intra-controller wait-for edges implied by this table (§6.4):
     /// `(waiter, holder-or-waiter-ahead)` pairs, deduplicated, in order.
     ///
     /// These edges are always black: the controller knows about both
     /// endpoints locally.
     pub fn wait_edges(&self) -> BTreeSet<(TransactionId, TransactionId)> {
-        self.entries.values().flat_map(Self::edges_of).collect()
+        let mut out = Vec::new();
+        self.wait_edges_into(&mut out, |a, b| (a, b));
+        out.into_iter().collect()
+    }
+
+    /// Appends [`LockTable::wait_edges`] to `out` as `edge(waiter,
+    /// blocker)`, in the same ascending order, without building the set:
+    /// the appended tail is sorted and deduplicated in place, so `edge`
+    /// must preserve the order of the pairs (as tagging both ends with one
+    /// site does).
+    pub fn wait_edges_into<E: Ord>(
+        &self,
+        out: &mut Vec<E>,
+        edge: impl Fn(TransactionId, TransactionId) -> E,
+    ) {
+        let start = out.len();
+        for e in self.entries.values() {
+            for (pos, &(waiter, _)) in e.queue.iter().enumerate() {
+                out.extend(Self::blockers(e, pos).map(|b| edge(waiter, b)));
+            }
+        }
+        out[start..].sort_unstable();
+        let mut kept = start;
+        for i in start..out.len() {
+            if kept == start || out[i] != out[kept - 1] {
+                out.swap(kept, i);
+                kept += 1;
+            }
+        }
+        out.truncate(kept);
     }
 
     /// The tails of the intra-controller edges **into** `p`: every `q` with
@@ -337,8 +376,14 @@ impl LockTable {
     pub fn waiters_blocked_by(&self, p: TransactionId) -> Vec<TransactionId> {
         let indexes = [&self.holding_in, &self.waiting_in].into_iter();
         let resources = indexes.flat_map(|ix| ix.get(&p).into_iter().flatten());
-        let edges = resources.flat_map(|r| Self::edges_of(&self.entries[r]));
-        let mut out: Vec<TransactionId> = edges.filter(|&(_, b)| b == p).map(|(q, _)| q).collect();
+        let mut out = Vec::new();
+        for e in resources.map(|r| &self.entries[r]) {
+            for (pos, &(q, _)) in e.queue.iter().enumerate() {
+                if Self::blockers(e, pos).any(|b| b == p) {
+                    out.push(q);
+                }
+            }
+        }
         out.sort_unstable();
         out.dedup();
         out
@@ -346,39 +391,51 @@ impl LockTable {
 
     /// Transactions reachable from `start` along intra-controller wait-for
     /// edges, **excluding** the trivial empty path — i.e. the paper's
-    /// "label all processes reachable from (T_i, S_j)" closure. `start`
-    /// itself appears in the result iff it lies on a local cycle.
+    /// "label all processes reachable from (T_i, S_j)" closure, ascending.
+    /// `start` itself appears in the result iff it lies on a local cycle.
     ///
-    /// Runs a direct BFS over the waiting-in reverse index: only entries a
-    /// frontier transaction is actually queued in are examined, instead of
-    /// materialising the full wait-for edge set per call.
-    pub fn reachable_from(&self, start: TransactionId) -> BTreeSet<TransactionId> {
-        let mut seen = BTreeSet::new();
-        let mut frontier = vec![start];
-        while let Some(v) = frontier.pop() {
-            let Some(resources) = self.waiting_in.get(&v) else {
-                continue;
-            };
-            for r in resources.iter() {
-                let e = &self.entries[r];
-                let pos = e
-                    .queue
-                    .iter()
-                    .position(|&(t, _)| t == v)
-                    .expect("waiting_in coherent with queue");
-                for b in Self::blockers_of(e, pos) {
-                    if seen.insert(b) {
-                        frontier.push(b);
+    /// Runs a direct walk over the waiting-in reverse index: only entries
+    /// a frontier transaction is actually queued in are examined, instead
+    /// of materialising the full wait-for edge set per call.
+    pub fn reachable_from(&self, start: TransactionId) -> VecSet<TransactionId> {
+        let mut seen = VecSet::new();
+        self.walk(start, &mut seen, |_| false);
+        seen
+    }
+
+    /// `true` if `start` lies on a cycle of intra-controller edges; stops
+    /// at the first edge back into `start`.
+    pub fn on_local_cycle(&self, start: TransactionId) -> bool {
+        self.walk(start, &mut VecSet::new(), |b| b == start)
+    }
+
+    /// Adds to `seen` what is reachable from `start` along intra edges,
+    /// returning `true` as soon as an edge leads to a transaction `stop`
+    /// accepts (the walk is then cut short). The next transaction to
+    /// expand waits in `next`, so a chain of single waits never spills
+    /// into the `frontier`.
+    fn walk(
+        &self,
+        start: TransactionId,
+        seen: &mut VecSet<TransactionId>,
+        stop: impl Fn(TransactionId) -> bool,
+    ) -> bool {
+        let mut frontier = Vec::new();
+        let mut next = Some(start);
+        while let Some(v) = next.take().or_else(|| frontier.pop()) {
+            for b in self.blockers_of_waiter(v) {
+                if stop(b) {
+                    return true;
+                }
+                if seen.insert(b) {
+                    match next {
+                        None => next = Some(b),
+                        Some(_) => frontier.push(b),
                     }
                 }
             }
         }
-        seen
-    }
-
-    /// `true` if `start` lies on a cycle of intra-controller edges.
-    pub fn on_local_cycle(&self, start: TransactionId) -> bool {
-        self.reachable_from(start).contains(&start)
+        false
     }
 
     /// Total number of held locks (for stats).
@@ -391,9 +448,10 @@ impl LockTable {
         self.entries.values().map(|e| e.queue.len()).sum()
     }
 
-    /// All transactions currently queued anywhere in this table.
-    pub fn waiting_transactions(&self) -> BTreeSet<TransactionId> {
-        self.waiting_in.keys().copied().collect()
+    /// All transactions currently queued anywhere in this table, in
+    /// ascending order.
+    pub fn waiting_transactions(&self) -> impl Iterator<Item = TransactionId> + '_ {
+        self.waiting_in.keys().copied()
     }
 }
 
@@ -553,9 +611,11 @@ mod tests {
     fn waiters_blocked_by_is_the_reverse_of_wait_edges() {
         // Random requests (shared and exclusive, so upgrades queue at the
         // front while still holding) and releases over a small universe.
+        // The closures and the appended edge list are checked against the
+        // edge set too.
         let mut rng = simnet::rng::DetRng::seed_from_u64(0x10c6);
         let mut lt = LockTable::new();
-        let mut upgrades = 0;
+        let (mut upgrades, mut cycles) = (0, 0);
         for _ in 0..4_000 {
             let (txn, res) = (t(rng.next_below(8) as u32), r(rng.next_below(4)));
             match rng.next_below(5) {
@@ -569,6 +629,9 @@ mod tests {
                 }
             }
             let edges = lt.wait_edges();
+            let mut appended = vec![(t(99), t(99))];
+            lt.wait_edges_into(&mut appended, |a, b| (a, b));
+            assert!(appended.remove(0) == (t(99), t(99)) && appended.iter().eq(&edges));
             for p in (0..8).map(t) {
                 let want: Vec<TransactionId> = edges
                     .iter()
@@ -576,9 +639,32 @@ mod tests {
                     .map(|&(q, _)| q)
                     .collect();
                 assert_eq!(lt.waiters_blocked_by(p), want, "waiters behind {p}");
+                let reach = bfs(&edges, p);
+                assert_eq!(lt.reachable_from(p), reach, "reachable from {p}");
+                assert_eq!(lt.on_local_cycle(p), reach.contains(&p), "cycle at {p}");
+                cycles += usize::from(reach.contains(&p));
             }
         }
         assert!(upgrades > 20, "only {upgrades} contended upgrades");
+        assert!(cycles > 20, "only {cycles} local cycles");
+    }
+
+    /// The literal closure: breadth-first search over the edge set,
+    /// excluding the empty path.
+    fn bfs(
+        edges: &BTreeSet<(TransactionId, TransactionId)>,
+        start: TransactionId,
+    ) -> BTreeSet<TransactionId> {
+        let mut seen = BTreeSet::new();
+        let mut queue = VecDeque::from([start]);
+        while let Some(v) = queue.pop_front() {
+            for &(_, b) in edges.range((v, t(0))..=(v, t(u32::MAX))) {
+                if seen.insert(b) {
+                    queue.push_back(b);
+                }
+            }
+        }
+        seen
     }
 
     #[test]
@@ -590,7 +676,10 @@ mod tests {
         lt.request(t(2), r(1), X); // t2 waits for t1: local deadlock
         assert!(lt.on_local_cycle(t(1)));
         assert!(lt.on_local_cycle(t(2)));
-        assert_eq!(lt.reachable_from(t(1)), [t(1), t(2)].into_iter().collect());
+        assert_eq!(
+            lt.reachable_from(t(1)),
+            [t(1), t(2)].into_iter().collect::<BTreeSet<_>>()
+        );
     }
 
     #[test]
@@ -600,7 +689,10 @@ mod tests {
         lt.request(t(2), r(1), X);
         assert!(!lt.on_local_cycle(t(1)));
         assert!(!lt.on_local_cycle(t(2)));
-        assert_eq!(lt.reachable_from(t(2)), [t(1)].into_iter().collect());
+        assert_eq!(
+            lt.reachable_from(t(2)),
+            [t(1)].into_iter().collect::<BTreeSet<_>>()
+        );
     }
 
     #[test]
@@ -618,6 +710,6 @@ mod tests {
         lt.request(t(1), r(1), X);
         lt.request(t(2), r(1), S);
         lt.request(t(3), r(2), X);
-        assert_eq!(lt.waiting_transactions(), [t(2)].into_iter().collect());
+        assert_eq!(lt.waiting_transactions().collect::<Vec<_>>(), [t(2)]);
     }
 }

@@ -196,6 +196,11 @@ struct AgentGraph {
     agents: Vec<AgentId>,
     /// Per site, the sorted edges last collected from its controller.
     edges: Vec<Vec<(AgentId, AgentId)>>,
+    /// The buffer the next re-collection fills: the list a refresh
+    /// replaces becomes the next one's buffer.
+    spare: Vec<(AgentId, AgentId)>,
+    /// The additions of the diff in progress, applied after its removals.
+    added: Vec<(AgentId, AgentId)>,
     /// Per site: its controller may have changed since `edges` was
     /// collected. A site beyond the end is dirty (`clear()` = all are).
     dirty: Vec<bool>,
@@ -226,22 +231,43 @@ impl AgentGraph {
             if !std::mem::take(&mut self.dirty[s]) {
                 continue;
             }
-            let old = std::mem::take(&mut self.edges[s]);
-            let mut fresh = Vec::with_capacity(old.len());
+            let mut fresh = std::mem::take(&mut self.spare);
+            fresh.clear();
             agent_edges(sim.node(NodeId(s)), &mut fresh);
             fresh.sort_unstable();
-            if fresh != old {
-                for &(a, b) in old.iter().filter(|e| fresh.binary_search(e).is_err()) {
+            let old = std::mem::replace(&mut self.edges[s], fresh);
+            self.apply_diff(&old, s);
+            self.spare = old;
+        }
+    }
+
+    /// Brings the graph from site `s`'s `old` edges to its current ones in
+    /// one merge walk of the two sorted lists: removals as the walk meets
+    /// them, then the additions in ascending order (interning new agents
+    /// in that order).
+    fn apply_diff(&mut self, old: &[(AgentId, AgentId)], s: usize) {
+        let mut added = std::mem::take(&mut self.added);
+        let fresh = &self.edges[s];
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() || j < fresh.len() {
+            match (old.get(i), fresh.get(j)) {
+                (Some(o), Some(f)) if o == f => (i, j) = (i + 1, j + 1),
+                (Some(&(a, b)), f) if f.is_none_or(|f| (a, b) < *f) => {
                     self.g.remove_edge(self.index[&a], self.index[&b]);
+                    i += 1;
                 }
-                for &(a, b) in fresh.iter().filter(|e| old.binary_search(e).is_err()) {
-                    let (va, vb) = (self.vertex(a), self.vertex(b));
-                    self.g.create_grey(va, vb).expect("edge owned by one site");
-                    self.g.blacken(va, vb).expect("fresh grey edge");
+                (_, f) => {
+                    added.push(*f.expect("one list has an edge left"));
+                    j += 1;
                 }
             }
-            self.edges[s] = fresh;
         }
+        for (a, b) in added.drain(..) {
+            let (va, vb) = (self.vertex(a), self.vertex(b));
+            self.g.create_grey(va, vb).expect("edge owned by one site");
+            self.g.blacken(va, vb).expect("fresh grey edge");
+        }
+        self.added = added;
     }
 
     /// The agents on at least one dark cycle.
@@ -432,13 +458,17 @@ impl DdbNet {
                 }
             }
             let (node, ev) = self.sim.peek_event().expect("an event is due");
-            let (candidate, dirties) = classify_event(&ev);
+            let (candidate, dirties) = classify_event(SiteId(node.0), &ev);
             if candidate {
                 self.graph();
             }
             self.sim.step();
             outcome.events += 1;
             let fresh = self.collect_new_declarations();
+            debug_assert!(
+                candidate || fresh.is_empty(),
+                "an event classified as unable to declare declared {fresh:?}"
+            );
             if !fresh.is_empty() {
                 self.validate_declarations(&fresh);
             }
@@ -843,16 +873,20 @@ impl DdbNet {
     }
 }
 
-/// `(may_declare, changes_graph)` for the next scheduled event. The
-/// stepping harness snapshots the agent graph before events that may
-/// declare, and invalidates the snapshot after events that may change the
-/// graph. Conservative in both directions: probes and WFGD gossip never
-/// touch lock state, detector timers only declare (the abort they can
-/// trigger is caught separately via the declaration count), while
-/// anything that delivers protocol payloads or drives scripts dirties.
-fn classify_event(ev: &PendingEvent<'_, DdbMsg>) -> (bool, bool) {
+/// `(may_declare, changes_graph)` for the next scheduled event, due at
+/// `site`'s controller. The stepping harness snapshots the agent graph
+/// before events that may declare, and invalidates the snapshot after
+/// events that may change the graph. Conservative in both directions:
+/// probes and WFGD gossip never touch lock state, detector timers only
+/// declare (the abort they can trigger is caught separately via the
+/// declaration count), while anything that delivers protocol payloads or
+/// drives scripts dirties. A probe can complete a computation (A1) only
+/// at the controller that initiated it; elsewhere it only labels and
+/// forwards. [`DdbNet::run_until`] checks, in debug builds, that an event
+/// classified as unable to declare did not.
+fn classify_event(site: SiteId, ev: &PendingEvent<'_, DdbMsg>) -> (bool, bool) {
     match ev {
-        PendingEvent::Deliver(DdbMsg::Probe { .. }) => (true, false),
+        PendingEvent::Deliver(DdbMsg::Probe { tag, .. }) => (tag.initiator == site, false),
         PendingEvent::Deliver(DdbMsg::Wfgd { .. }) => (false, false),
         PendingEvent::Deliver(_) => (false, true),
         PendingEvent::Timer { tag } => (timer_may_declare(*tag), timer_drives_script(*tag)),
@@ -930,6 +964,22 @@ mod tests {
                 .lock(s(((i + 1) % k) as usize), r(((i + 1) % k) as u64), X);
             db.submit(txn);
         }
+    }
+
+    #[test]
+    fn a_probe_may_declare_only_at_its_initiator() {
+        let tag = crate::ids::DdbProbeTag {
+            initiator: s(1),
+            n: 4,
+        };
+        let edge = (AgentId::new(t(2), s(0)), AgentId::new(t(2), s(1)));
+        let probe = DdbMsg::Probe { tag, edge };
+        let ev = PendingEvent::Deliver(&probe);
+        assert_eq!(classify_event(s(1), &ev), (true, false), "own computation");
+        assert_eq!(classify_event(s(0), &ev), (false, false), "foreign");
+        assert_eq!(classify_event(s(2), &ev), (false, false), "foreign");
+        // A reliable-layer arrival may carry anything, a probe included.
+        assert_eq!(classify_event(s(0), &PendingEvent::Wire), (true, true));
     }
 
     #[test]

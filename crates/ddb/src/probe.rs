@@ -4,12 +4,14 @@
 //! set of **labelled** local processes and the set of inter-controller
 //! edges it already sent a probe along — "send a probe to `C_b` along edge
 //! `((T_a, S_m), (T_a, S_b))` **if such a probe has not already been
-//! sent**". [`CompState`] encapsulates exactly that bookkeeping; the
-//! controller supplies the lock-table closure and the transport.
+//! sent**". [`CompState`] encapsulates exactly that bookkeeping, and
+//! `CompWindow` holds one initiator's computations; the controller
+//! supplies the lock-table closure and the transport.
 
-use std::collections::BTreeSet;
+use std::collections::VecDeque;
 use std::fmt;
 
+use cmh_core::vset::VecSet;
 use simnet::time::SimTime;
 
 use crate::ids::{DdbProbeTag, SiteId, TransactionId};
@@ -47,11 +49,12 @@ impl fmt::Display for DdbDeadlock {
 }
 
 /// Labelling/deduplication state of one probe computation at one
-/// controller.
+/// controller: two sorted sets, which hold a handful of processes and
+/// edges and are walked in order on every hop.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompState {
-    labels: BTreeSet<TransactionId>,
-    sent: BTreeSet<(TransactionId, SiteId)>,
+    labels: VecSet<TransactionId>,
+    sent: VecSet<(TransactionId, SiteId)>,
 }
 
 impl CompState {
@@ -60,25 +63,10 @@ impl CompState {
         CompState::default()
     }
 
-    /// Folds a label closure into the state, returning the transactions
-    /// that are **newly** labelled (whose inter-controller edges still need
-    /// probes).
-    pub fn add_labels(
-        &mut self,
-        closure: impl IntoIterator<Item = TransactionId>,
-    ) -> Vec<TransactionId> {
-        let mut fresh = Vec::new();
-        for t in closure {
-            if self.labels.insert(t) {
-                fresh.push(t);
-            }
-        }
-        fresh
-    }
-
-    /// `true` if `txn`'s local process is labelled in this computation.
-    pub fn is_labelled(&self, txn: TransactionId) -> bool {
-        self.labels.contains(&txn)
+    /// Labels `txn`'s local process; returns `true` if it is **newly**
+    /// labelled (its inter-controller edges still need probes).
+    pub fn label(&mut self, txn: TransactionId) -> bool {
+        self.labels.insert(txn)
     }
 
     /// Registers the edge `(txn → site)` as probed; returns `true` if this
@@ -88,9 +76,55 @@ impl CompState {
         self.sent.insert((txn, site))
     }
 
-    /// Current labelled set.
-    pub fn labels(&self) -> &BTreeSet<TransactionId> {
+    /// Current labelled set, ascending.
+    pub fn labels(&self) -> &VecSet<TransactionId> {
         &self.labels
+    }
+}
+
+/// The cutoff of a window of `width` computations whose newest is
+/// `newest`: those numbered at or below it are superseded (see
+/// [`crate::controller`]'s module docs). `None` while nothing is.
+pub(crate) fn window_cutoff(newest: u64, width: u64) -> Option<u64> {
+    newest.checked_sub(width.max(1))
+}
+
+/// One initiator's computations at a controller, ascending by `n`: the
+/// sliding window the controller's module docs describe. The newest is at
+/// the back and supersession pops from the front, so a hop finds its
+/// computation by binary search and prunes without scanning.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CompWindow {
+    comps: VecDeque<(u64, CompState)>,
+}
+
+impl CompWindow {
+    /// [`window_cutoff`] of the newest computation held.
+    pub(crate) fn cutoff(&self, width: u64) -> Option<u64> {
+        window_cutoff(self.comps.back().map_or(0, |&(n, _)| n), width)
+    }
+
+    /// Takes computation `n`'s state out (fresh if it has none); its slot
+    /// stays in place for [`CompWindow::put`].
+    pub(crate) fn take(&mut self, n: u64) -> CompState {
+        match self.comps.binary_search_by_key(&n, |&(m, _)| m) {
+            Ok(i) => std::mem::take(&mut self.comps[i].1),
+            Err(_) => CompState::default(),
+        }
+    }
+
+    /// Stores computation `n`'s state, then drops every computation at or
+    /// below the cutoff of the newest.
+    pub(crate) fn put(&mut self, n: u64, comp: CompState, width: u64) {
+        match self.comps.binary_search_by_key(&n, |&(m, _)| m) {
+            Ok(i) => self.comps[i].1 = comp,
+            Err(i) => self.comps.insert(i, (n, comp)),
+        }
+        if let Some(cutoff) = self.cutoff(width) {
+            while self.comps.front().is_some_and(|&(m, _)| m <= cutoff) {
+                self.comps.pop_front();
+            }
+        }
     }
 }
 
@@ -103,13 +137,83 @@ mod tests {
     }
 
     #[test]
-    fn add_labels_reports_only_new() {
+    fn label_reports_only_new() {
         let mut c = CompState::new();
-        assert_eq!(c.add_labels([t(1), t(2)]), vec![t(1), t(2)]);
-        assert_eq!(c.add_labels([t(2), t(3)]), vec![t(3)]);
-        assert!(c.is_labelled(t(1)) && c.is_labelled(t(3)));
-        assert!(!c.is_labelled(t(9)));
-        assert_eq!(c.labels().len(), 3);
+        assert!(c.label(t(2)) && c.label(t(1)));
+        assert!(!c.label(t(2)) && c.label(t(3)));
+        assert_eq!(c.labels().as_slice(), [t(1), t(2), t(3)]);
+    }
+
+    #[test]
+    fn window_matches_the_literal_map_and_retain() {
+        use std::collections::BTreeMap;
+        // Random arrival orders of tags from three initiators, numbered
+        // around a moving newest so that tags land at, below and above
+        // the cutoff; each arrival is a hop (skip if superseded, else
+        // take, label, mark, put back) run against the window and
+        // against the map it replaced.
+        let mut rng = simnet::rng::DetRng::seed_from_u64(0x3d0c);
+        for width in [1, 2, 5] {
+            let mut windows: BTreeMap<SiteId, CompWindow> = BTreeMap::new();
+            let mut literal: BTreeMap<DdbProbeTag, CompState> = BTreeMap::new();
+            let mut newest = [0u64; 3];
+            let (mut superseded, mut revisits) = (0, 0);
+            for _ in 0..3_000 {
+                let i = rng.next_below(3) as usize;
+                let initiator = SiteId(i);
+                if rng.next_below(4) == 0 {
+                    newest[i] += 1 + rng.next_below(2);
+                }
+                let n = (newest[i] + 2).saturating_sub(rng.next_below(width + 4));
+                if n == 0 {
+                    continue;
+                }
+                let tag = DdbProbeTag { initiator, n };
+                let (label, site) = (
+                    t(rng.next_below(6) as u32),
+                    SiteId(rng.next_below(3) as usize),
+                );
+                // The literal bookkeeping.
+                let literal_cutoff = |literal: &BTreeMap<DdbProbeTag, CompState>| {
+                    let of = |n| DdbProbeTag { initiator, n };
+                    let back = literal.range(of(0)..=of(u64::MAX)).next_back();
+                    window_cutoff(back.map_or(0, |(k, _)| k.n), width)
+                };
+                let cutoff = literal_cutoff(&literal);
+                let window = windows.entry(initiator).or_default();
+                assert_eq!(window.cutoff(width), cutoff, "cutoff of {initiator}");
+                if cutoff.is_some_and(|c| n <= c) {
+                    superseded += 1;
+                    continue;
+                }
+                let mut want = literal.remove(&tag).unwrap_or_default();
+                revisits += usize::from(want != CompState::default());
+                want.label(label);
+                want.mark_sent(label, site);
+                literal.insert(tag, want);
+                if let Some(cutoff) = literal_cutoff(&literal) {
+                    literal.retain(|k, _| k.initiator != initiator || k.n > cutoff);
+                }
+                // The window.
+                let mut comp = window.take(n);
+                comp.label(label);
+                comp.mark_sent(label, site);
+                window.put(n, comp, width);
+                let held = windows.iter().flat_map(|(&initiator, w)| {
+                    w.comps
+                        .iter()
+                        .map(move |(n, c)| (DdbProbeTag { initiator, n: *n }, c))
+                });
+                assert!(
+                    held.eq(literal.iter().map(|(&k, c)| (k, c))),
+                    "width {width}"
+                );
+            }
+            assert!(
+                superseded > 100 && revisits > 100,
+                "{superseded} / {revisits}"
+            );
+        }
     }
 
     #[test]

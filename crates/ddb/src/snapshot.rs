@@ -185,21 +185,21 @@ impl ClusterSnapshot {
 /// The §6.4 agent edges one controller's state implies, appended to `out`:
 /// the one derivation behind the stepping validator's agent graph and the
 /// service's at-rest verdict, so the two cannot drift.
+///
+/// Three ascending runs, each deduplicated, built on no intermediate set.
 pub(crate) fn agent_edges(c: &Controller, out: &mut Vec<(AgentId, AgentId)>) {
     let site = c.site();
-    // Intra-controller edges from the lock table.
-    for (a, b) in c.locks().wait_edges() {
-        out.push((AgentId::new(a, site), AgentId::new(b, site)));
-    }
+    let agent = |t| AgentId::new(t, site);
+    // Intra-controller edges from the lock table (one site on both ends
+    // keeps the pairs' order).
+    c.locks().wait_edges_into(out, |a, b| (agent(a), agent(b)));
     // Inter-controller edges from outstanding remote waits.
-    for (t, m) in c.remote_wait_edges() {
-        out.push((AgentId::new(t, site), AgentId::new(t, m)));
-    }
+    let waits = c.remote_wait_edges();
+    out.extend(waits.map(|(t, m)| (agent(t), AgentId::new(t, m))));
     // Holder back-edges (§6.4 completion): an idle remote holder
     // agent waits for its home agent to send more work or commit.
-    for (t, m) in c.holder_back_edges() {
-        out.push((AgentId::new(t, m), AgentId::new(t, site)));
-    }
+    let back = c.holder_back_edges();
+    out.extend(back.map(|(t, m)| (AgentId::new(t, m), agent(t))));
 }
 
 /// Builds the all-black wait-for graph over `edges` (duplicates folded),
@@ -259,6 +259,82 @@ mod tests {
                 );
             db.submit(txn);
         }
+    }
+
+    /// The sequence [`agent_edges`] produced when each of its three runs
+    /// was collected into a `BTreeSet` first.
+    fn tree_agent_edges(c: &Controller) -> Vec<(AgentId, AgentId)> {
+        let site = c.site();
+        let agent = |t| AgentId::new(t, site);
+        let intra = c.locks().wait_edges().into_iter();
+        let waits: BTreeSet<_> = c.remote_wait_edges().collect();
+        let back: BTreeSet<_> = c.holder_back_edges().collect();
+        intra
+            .map(|(a, b)| (agent(a), agent(b)))
+            .chain(
+                waits
+                    .into_iter()
+                    .map(|(t, m)| (agent(t), AgentId::new(t, m))),
+            )
+            .chain(
+                back.into_iter()
+                    .map(|(t, m)| (AgentId::new(t, m), agent(t))),
+            )
+            .collect()
+    }
+
+    #[test]
+    fn agent_edges_equal_the_tree_built_sequence() {
+        use crate::txn::LockReq;
+        // Random contended transactions over three sites under resolution
+        // (shared and exclusive locks, lock_all batches, aborts and
+        // restarts), compared at every site every few ticks.
+        let mut rng = simnet::rng::DetRng::seed_from_u64(0xed6e);
+        let mut db = DdbNet::new(3, DdbConfig::detect_and_resolve(150, 60), 11);
+        let (mut compared, mut busy) = (0, 0);
+        for i in 0..60u32 {
+            let mut reqs: Vec<LockReq> = Vec::new();
+            for _ in 0..2 + rng.next_below(3) {
+                let (site, resource) = (SiteId(rng.next_below(3) as usize), rng.next_below(3));
+                let resource = crate::ids::ResourceId(resource);
+                if !reqs
+                    .iter()
+                    .any(|q| (q.site, q.resource) == (site, resource))
+                {
+                    let mode = [LockMode::Shared, LockMode::Exclusive][rng.next_below(2) as usize];
+                    reqs.push(LockReq {
+                        site,
+                        resource,
+                        mode,
+                    });
+                }
+            }
+            let home = SiteId(rng.next_below(3) as usize);
+            let mut txn = Transaction::new(TransactionId(i + 1), home);
+            if rng.next_below(2) == 0 {
+                txn = txn.lock_all(reqs).work(30);
+            } else {
+                for q in reqs {
+                    txn = txn.lock(q.site, q.resource, q.mode).work(30);
+                }
+            }
+            db.submit(txn);
+            for _ in 0..4 {
+                db.run_until(SimTime::from_ticks(db.now().ticks() + 5));
+                for s in 0..3 {
+                    let c = db.controller(SiteId(s));
+                    let mut edges = vec![];
+                    agent_edges(c, &mut edges);
+                    assert_eq!(edges, tree_agent_edges(c), "site {s} at {}", db.now());
+                    compared += 1;
+                    busy += usize::from(edges.len() >= 4);
+                }
+            }
+        }
+        assert!(
+            busy > compared / 4,
+            "{busy} of {compared} reads had 4+ edges"
+        );
     }
 
     #[test]

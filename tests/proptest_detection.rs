@@ -161,7 +161,8 @@ proptest! {
             }
             // Invariant 2: wait edges are irreflexive and only from
             // currently waiting transactions.
-            let waiting = lt.waiting_transactions();
+            let waiting: std::collections::BTreeSet<TransactionId> =
+                lt.waiting_transactions().collect();
             for (a, b) in lt.wait_edges() {
                 prop_assert_ne!(a, b);
                 prop_assert!(waiting.contains(&a), "edge tail {:?} not waiting", a);
