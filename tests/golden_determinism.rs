@@ -12,7 +12,7 @@
 //! changelog.
 
 use cmh_core::{BasicConfig, BasicNet};
-use cmh_ddb::{DdbConfig, DdbNet};
+use cmh_ddb::{DdbConfig, DdbInitiation, DdbNet, Resolution, SiteId};
 use simnet::faults::FaultPlan;
 use simnet::latency::LatencyModel;
 use simnet::reliable::ReliableConfig;
@@ -134,6 +134,110 @@ fn ddb_batched_digest(shards: usize) -> u64 {
 #[test]
 fn batched_ddb_runs_are_reproducible() {
     assert_eq!(ddb_batched_digest(1), ddb_batched_digest(1));
+}
+
+/// A contended `random_transactions` input under `OnBlockDelayed`
+/// initiation and resolution, over the reliable transport, with a crash
+/// and restart of a site that holds queued remote requests: the per-wait
+/// §4.3 checks (home and remote), the re-arming of both after a restart,
+/// and grants that reach a home after its transaction aborted. Digests
+/// the trace and the metrics, so every message, note and counter counts.
+fn ddb_on_block_digest() -> u64 {
+    // The crashing site and its crash window.
+    let (site, at, back) = (1, 400, 900);
+    let wl = workloads::DdbWorkloadConfig {
+        sites: 3,
+        transactions: 24,
+        resources_per_site: 3,
+        remote_prob: 0.6,
+        write_prob: 0.9,
+        work_min: 20,
+        work_max: 80,
+        mean_arrival_gap: 15,
+        seed: 9,
+        ..workloads::DdbWorkloadConfig::default()
+    };
+    let plan = FaultPlan::new().crash(
+        NodeId(site),
+        SimTime::from_ticks(at),
+        Some(SimTime::from_ticks(back)),
+    );
+    let builder = SimBuilder::new()
+        .seed(9)
+        .trace(true)
+        .faults(plan)
+        .reliable(ReliableConfig::default());
+    let cfg = DdbConfig {
+        initiation: DdbInitiation::OnBlockDelayed { t: 60 },
+        resolution: Resolution::AbortSubject {
+            restart_backoff: 70,
+        },
+        ..DdbConfig::default()
+    };
+    let mut db = DdbNet::with_builder(3, cfg, builder);
+    let txns = workloads::random_transactions(&wl);
+    let homes: Vec<_> = txns.iter().map(|tt| (tt.txn.id(), tt.txn.home())).collect();
+    for tt in txns {
+        db.run_until(SimTime::from_ticks(tt.at));
+        db.submit(tt.txn);
+    }
+    db.run_until(SimTime::from_ticks(at - 1));
+    let crashing = db.controller(SiteId(site));
+    let queued_remote = crashing
+        .locks()
+        .waiting_transactions()
+        .filter(|t| homes.iter().any(|&(id, home)| id == *t && home.0 != site))
+        .count();
+    assert!(
+        queued_remote > 0,
+        "the crashing site queues remote requests"
+    );
+    db.run_until(SimTime::from_ticks(60_000));
+    let rendered = format!("{}{}", db.trace(), db.metrics());
+    fnv1a(rendered.as_bytes())
+}
+
+/// The naive §6.7 rule (one computation per blocked process, home waits
+/// on remote sites included) under resolution on a contended input:
+/// trace and metrics, as in [`ddb_on_block_digest`].
+fn ddb_naive_digest() -> u64 {
+    let wl = workloads::DdbWorkloadConfig {
+        sites: 3,
+        transactions: 20,
+        resources_per_site: 3,
+        remote_prob: 0.6,
+        write_prob: 0.9,
+        work_min: 20,
+        work_max: 80,
+        mean_arrival_gap: 15,
+        seed: 10,
+        ..workloads::DdbWorkloadConfig::default()
+    };
+    let builder = SimBuilder::new().seed(10).trace(true);
+    let cfg = DdbConfig {
+        initiation: DdbInitiation::PeriodicNaive { period: 90 },
+        ..DdbConfig::detect_and_resolve(90, 70)
+    };
+    let mut db = DdbNet::with_builder(3, cfg, builder);
+    for tt in workloads::random_transactions(&wl) {
+        db.run_until(SimTime::from_ticks(tt.at));
+        db.submit(tt.txn);
+    }
+    db.run_until(SimTime::from_ticks(60_000));
+    let rendered = format!("{}{}", db.trace(), db.metrics());
+    fnv1a(rendered.as_bytes())
+}
+
+/// The two DDB paths [`ddb_digest`] and [`ddb_batched_digest`] leave
+/// out: both run `PeriodicQOpt` and crash nothing. Recorded at the commit
+/// before the controller stopped keeping second copies of its waits
+/// (outgoing remote waits, queued remote requests, one map per
+/// own-computation fact), so they hold that change to its word: a
+/// representation change, not a behaviour change.
+#[test]
+fn ddb_paths_without_a_periodic_q_digest_are_pinned() {
+    assert_eq!(ddb_on_block_digest(), 0x24a8_a1bb_eac5_c8a5);
+    assert_eq!(ddb_naive_digest(), 0x3709_9cbb_4890_a35f);
 }
 
 /// A chaos run: churn workload over a faulty network (loss + duplication +
