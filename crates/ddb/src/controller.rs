@@ -7,7 +7,11 @@
 //! * **transaction driver** — executes the scripts of transactions homed
 //!   at this site. The one blocking step is `LockAll` (AND semantics; its
 //!   remote locks go to the managing controller as `RemoteRequest` /
-//!   `Acquired` / `RemoteRelease`) and the one wait state is [`Waiting`];
+//!   `Acquired` / `RemoteRelease`) and the one wait state is [`Waiting`].
+//!   Each §6.4 inter-controller edge is kept once: an outgoing one `(T,
+//!   S_me) → (T, S_m)` is an `S_m` entry of home script `T`'s wait set, an
+//!   incoming one `(T, S_h) → (T, S_me)` is remote agent `T` queued in the
+//!   lock table with home `S_h` in `agent_home`;
 //! * **deadlock detector** — the §6.6 probe computation: on a meaningful
 //!   probe towards local process `(T_p, S_m)`, label `T_p`'s process and
 //!   everything reachable along intra-controller edges, forward probes
@@ -189,6 +193,19 @@ pub enum Waiting {
     Work,
 }
 
+impl Waiting {
+    /// The outstanding grants at sites other than `me`, ascending: the
+    /// outgoing inter-controller edges of a home agent's lock step.
+    fn remote(&self, me: SiteId) -> impl Iterator<Item = (SiteId, ResourceId)> + '_ {
+        static NONE: BTreeSet<(SiteId, ResourceId)> = BTreeSet::new();
+        let pending = match self {
+            Waiting::Locks(pending) => pending,
+            Waiting::None | Waiting::Work => &NONE,
+        };
+        pending.iter().copied().filter(move |&(m, _)| m != me)
+    }
+}
+
 /// Point-in-time execution state of one home script, for liveness
 /// auditing (see [`crate::liveness`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -231,17 +248,14 @@ pub struct Controller {
     cfg: DdbConfig,
     locks: LockTable,
     scripts: BTreeMap<TransactionId, ScriptState>,
-    txn_home: BTreeMap<TransactionId, SiteId>,
-    /// Outgoing inter-controller edges of home agents:
-    /// `(T, S_me) → (T, m)` exists while `(m, r)` is in `remote_waits[T]`.
-    remote_waits: BTreeMap<TransactionId, BTreeSet<(SiteId, ResourceId)>>,
+    /// The home site of every remote agent that ever requested a lock
+    /// here. A transaction queued in `locks` with an entry here is the
+    /// head of an incoming inter-controller edge `(T, home) → (T, S_me)`.
+    agent_home: BTreeMap<TransactionId, SiteId>,
     /// Resources acquired remotely (needed for release on commit/abort).
     remote_held: BTreeMap<TransactionId, BTreeSet<(SiteId, ResourceId)>>,
-    /// Incoming black inter-controller edges: `(txn, resource) → origin`.
-    /// Present from `RemoteRequest` receipt until the grant is sent.
-    pending_remote: BTreeMap<(TransactionId, ResourceId), SiteId>,
     /// Cancellation tombstones: a `RemoteRelease` that found neither a
-    /// hold, a queued request, nor a pending grant for `(txn, resource)`
+    /// hold nor a queued request for `(txn, resource)`
     /// must have **overtaken** the `RemoteRequest` it cancels (links
     /// reorder under the latency model). The count is recorded here and
     /// the late request is dropped on arrival — otherwise it would
@@ -250,17 +264,16 @@ pub struct Controller {
     /// batching wedge: aborts with many in-flight `lock_all` requests).
     cancelled: BTreeMap<(TransactionId, ResourceId), u32>,
     own_n: u64,
-    own_subjects: BTreeMap<u64, TransactionId>,
-    /// `abort_gen` at each own computation's initiation. Probe-chain
-    /// evidence certifies edges as of probe-send time; an abort processed
-    /// here after initiation may have dissolved the certified cycle, so a
+    /// Each own computation still in the window and not yet completed:
+    /// `n → (subject, abort_gen at initiation)`. Probe-chain evidence
+    /// certifies edges as of probe-send time; an abort processed here
+    /// after initiation may have dissolved the certified cycle, so a
     /// completion under a newer generation is suppressed and the
     /// computation re-initiated (§4) rather than declared on stale
     /// evidence. Aborts are the only event that can dissolve a dark
     /// cycle, which makes this the exact staleness condition observable
     /// at the declaring site.
-    own_gen: BTreeMap<u64, u64>,
-    own_declared: BTreeSet<u64>,
+    own: BTreeMap<u64, (TransactionId, u64)>,
     /// Bumped every time this controller processes an abort.
     abort_gen: u64,
     /// The computations this controller takes part in, one window per
@@ -320,15 +333,11 @@ impl Controller {
             cfg,
             locks: LockTable::new(),
             scripts: BTreeMap::new(),
-            txn_home: BTreeMap::new(),
-            remote_waits: BTreeMap::new(),
+            agent_home: BTreeMap::new(),
             remote_held: BTreeMap::new(),
-            pending_remote: BTreeMap::new(),
             cancelled: BTreeMap::new(),
             own_n: 0,
-            own_subjects: BTreeMap::new(),
-            own_gen: BTreeMap::new(),
-            own_declared: BTreeSet::new(),
+            own: BTreeMap::new(),
             abort_gen: 0,
             comps: VecMap::new(),
             declarations: Vec::new(),
@@ -365,8 +374,25 @@ impl Controller {
     /// Outgoing inter-controller wait edges of local home agents, as
     /// `(txn, remote site)` pairs, ascending and deduplicated.
     pub(crate) fn remote_wait_edges(&self) -> impl Iterator<Item = (TransactionId, SiteId)> + '_ {
-        let waits = self.remote_waits.iter();
-        dedup_sorted(waits.flat_map(|(&t, set)| set.iter().map(move |&(m, _)| (t, m))))
+        let waits = self
+            .scripts
+            .iter()
+            .flat_map(|(&t, st)| st.waiting.remote(self.site).map(move |(m, _)| (t, m)));
+        dedup_sorted(waits)
+    }
+
+    /// The outgoing inter-controller edges of home agent `(t, S_me)`: the
+    /// remote half of its wait set, ascending.
+    fn remote_waits(&self, t: TransactionId) -> impl Iterator<Item = (SiteId, ResourceId)> + '_ {
+        let st = self.scripts.get(&t).into_iter();
+        st.flat_map(|st| st.waiting.remote(self.site))
+    }
+
+    /// The remote agents queued in the lock table (heads of incoming
+    /// inter-controller wait edges), ascending.
+    fn queued_remote_agents(&self) -> impl Iterator<Item = TransactionId> + '_ {
+        let waiting = self.locks.waiting_transactions();
+        waiting.filter(|t| self.agent_home.contains_key(t))
     }
 
     /// Outcomes of all transactions homed here.
@@ -433,8 +459,8 @@ impl Controller {
     }
 
     /// Runs one §5 step against the live local topology — the lock table
-    /// and the un-granted remote requests, read in place — and transmits
-    /// the messages it emits.
+    /// and the remote agents' homes, read in place — and transmits the
+    /// messages it emits.
     fn wfgd_step(
         &mut self,
         ctx: &mut Context<'_, DdbMsg>,
@@ -442,7 +468,7 @@ impl Controller {
     ) {
         let topo = LocalTopology {
             locks: &self.locks,
-            incoming_inter: &self.pending_remote,
+            homes: &self.agent_home,
         };
         for m in step(&mut self.wfgd, self.site, topo) {
             ctx.count(counters::WFGD_SENT);
@@ -481,7 +507,6 @@ impl Controller {
             },
         );
         assert!(prev.is_none(), "duplicate transaction {id}");
-        self.txn_home.insert(id, self.site);
         self.advance(ctx, id);
     }
 
@@ -494,11 +519,7 @@ impl Controller {
             return false;
         }
         let blocked_locally = self.locks.is_waiting_anywhere(subject);
-        let blocked_remotely = self
-            .remote_waits
-            .get(&subject)
-            .is_some_and(|s| !s.is_empty());
-        if !blocked_locally && !blocked_remotely {
+        if !blocked_locally && self.remote_waits(subject).next().is_none() {
             return false;
         }
         self.own_n += 1;
@@ -507,18 +528,10 @@ impl Controller {
             n: self.own_n,
         };
         ctx.count(counters::INITIATED);
-        self.own_subjects.insert(self.own_n, subject);
-        self.own_gen.insert(self.own_n, self.abort_gen);
+        self.own.insert(self.own_n, (subject, self.abort_gen));
         if let Some(cutoff) = self.window_cutoff(self.own_n) {
-            let superseded = |n: Option<&u64>| n.is_some_and(|&n| n <= cutoff);
-            while superseded(self.own_subjects.keys().next()) {
-                self.own_subjects.pop_first();
-            }
-            while superseded(self.own_gen.keys().next()) {
-                self.own_gen.pop_first();
-            }
-            while superseded(self.own_declared.first()) {
-                self.own_declared.pop_first();
+            while let Some(first) = self.own.first_entry().filter(|e| *e.key() <= cutoff) {
+                first.remove();
             }
         }
         // A0, local part: label everything reachable from the subject along
@@ -554,7 +567,7 @@ impl Controller {
                     if ctx.tracing() {
                         ctx.note(format!("{id} committed"));
                     }
-                    self.release_everything(ctx, id);
+                    self.release_everything(ctx, id, Waiting::None);
                     return;
                 }
                 Some(&TxnStep::Work { ticks }) => {
@@ -575,10 +588,6 @@ impl Controller {
                                 continue;
                             }
                         } else {
-                            self.remote_waits
-                                .entry(id)
-                                .or_default()
-                                .insert((req.site, req.resource));
                             ctx.count(counters::REMOTE_REQUEST);
                             ctx.send(
                                 req.site.node(),
@@ -631,8 +640,8 @@ impl Controller {
         } else {
             // Low bits of a resource id: an oversize id can at worst make
             // the check look at a sibling request of the same transaction.
-            self.pending_from(txn)
-                .any(|(r, _)| r.0 & PAYLOAD_MASK == payload)
+            let mut queued = self.locks.waiting_resources(txn);
+            queued.any(|r| r.0 & PAYLOAD_MASK == payload)
         };
         if !same_wait || self.declared_txns.contains(&txn) {
             return;
@@ -675,19 +684,17 @@ impl Controller {
         }
     }
 
-    /// The un-granted remote requests of `t` queued here, as `(resource,
-    /// origin)` — one contiguous key range, no full-map scan.
-    fn pending_from(&self, t: TransactionId) -> impl Iterator<Item = (ResourceId, SiteId)> + '_ {
-        self.pending_remote
-            .range((t, ResourceId(0))..=(t, ResourceId(u64::MAX)))
-            .map(|(&(_, r), &origin)| (r, origin))
-    }
-
-    fn release_everything(&mut self, ctx: &mut Context<'_, DdbMsg>, id: TransactionId) {
+    /// Releases everything `id` holds here and elsewhere, and cancels the
+    /// remote half of `wait`, the wait it just left.
+    fn release_everything(
+        &mut self,
+        ctx: &mut Context<'_, DdbMsg>,
+        id: TransactionId,
+        wait: Waiting,
+    ) {
         self.sweep_release_all(ctx, id);
-        let mut remote: BTreeSet<(SiteId, ResourceId)> =
-            self.remote_waits.remove(&id).unwrap_or_default();
-        remote.extend(self.remote_held.remove(&id).unwrap_or_default());
+        let mut remote = self.remote_held.remove(&id).unwrap_or_default();
+        remote.extend(wait.remote(self.site));
         for (m, r) in remote {
             ctx.count(counters::REMOTE_RELEASE);
             ctx.send(
@@ -729,11 +736,11 @@ impl Controller {
             // A grant dissolves whatever deadlock `g` was declared part of;
             // allow future re-declaration if it deadlocks again.
             self.declared_txns.remove(&g);
-            if let Some(origin) = self.pending_remote.remove(&(g, resource)) {
+            if let Some(&home) = self.agent_home.get(&g) {
                 // A remote agent acquired the resource: whiten the
                 // inter-controller edge by sending the grant home.
                 ctx.count(counters::ACQUIRED_SENT);
-                ctx.send(origin.node(), DdbMsg::Acquired { txn: g, resource });
+                ctx.send(home.node(), DdbMsg::Acquired { txn: g, resource });
             } else {
                 self.granted(ctx, g, (self.site, resource));
             }
@@ -815,16 +822,16 @@ impl Controller {
         }
         st.status = TxnStatus::Aborted;
         st.finished_at = Some(ctx.now());
-        st.waiting = Waiting::None;
+        let wait = std::mem::replace(&mut st.waiting, Waiting::None);
         st.epoch += 1;
         // Evidence gathered by in-flight computations may certify a cycle
-        // this abort dissolves; see `own_gen`.
+        // this abort dissolves; see `own`.
         self.abort_gen += 1;
         ctx.count(counters::ABORTED);
         if ctx.tracing() {
             ctx.note(format!("{id} aborted for deadlock resolution"));
         }
-        self.release_everything(ctx, id);
+        self.release_everything(ctx, id, wait);
         // The victim is no longer deadlocked; allow future declarations if
         // its restart deadlocks again.
         self.declared_txns.remove(&id);
@@ -849,7 +856,7 @@ impl Controller {
     ///   would form a phantom 2-cycle of `a` with itself.
     ///
     /// Sends them as `tag`'s probes, wait edges in ascending site order
-    /// (`remote_waits` is sorted by site), then the back-edge.
+    /// (the wait set is sorted by site), then the back-edge.
     fn probes_for_label(
         &self,
         ctx: &mut Context<'_, DdbMsg>,
@@ -862,15 +869,13 @@ impl Controller {
             let edge = (AgentId::new(a, self.site), AgentId::new(a, m));
             ctx.send(m.node(), DdbMsg::Probe { tag, edge });
         };
-        let waits = self.remote_waits.get(&a).into_iter().flatten();
-        for m in dedup_sorted(waits.map(|&(m, _)| m)) {
+        for m in dedup_sorted(self.remote_waits(a).map(|(m, _)| m)) {
             if comp.mark_sent(a, m) {
                 send(m);
             }
         }
-        if let Some(&home) = self.txn_home.get(&a) {
-            if home != self.site
-                && self.locks.holds_any(a)
+        if let Some(&home) = self.agent_home.get(&a) {
+            if self.locks.holds_any(a)
                 && !self.locks.is_waiting_anywhere(a)
                 && comp.mark_sent(a, home)
             {
@@ -884,18 +889,15 @@ impl Controller {
     /// outstanding un-granted request at `from` (idle remote holder; see
     /// [`Self::probes_for_label`]).
     fn holder_edge_from(&self, from: SiteId, t: TransactionId) -> bool {
-        if self.scripts.get(&t).map(|s| s.status) != Some(TxnStatus::Running) {
+        let Some(st) = self.scripts.get(&t) else {
             return false;
-        }
+        };
         let holds = self
             .remote_held
             .get(&t)
             .is_some_and(|s| s.iter().any(|&(m, _)| m == from));
-        let waits = self
-            .remote_waits
-            .get(&t)
-            .is_some_and(|s| s.iter().any(|&(m, _)| m == from));
-        holds && !waits
+        let waits = st.waiting.remote(self.site).any(|(m, _)| m == from);
+        st.status == TxnStatus::Running && holds && !waits
     }
 
     /// Incoming holder back-edges of home agents, as `(txn, remote site)`
@@ -954,14 +956,15 @@ impl Controller {
         );
         let t = tail.txn;
         // Meaningful iff the inter-controller edge exists and is black (P3).
-        // Two disjoint cases: a *wait* edge — we hold an un-granted remote
-        // request for `t` from `tail.site` — or a *holder back-edge* into
+        // Two disjoint cases: a *wait* edge — `t`, homed at `tail.site`, is
+        // queued here for a remote request — or a *holder back-edge* into
         // `t`'s home agent here (disjoint because a back-edge requires `t`
         // idle at `tail.site`, while a wait edge requires an un-granted
         // request there). A conservative rejection while messages are in
         // flight only delays detection (the §4 timeout re-initiates); it
         // never declares falsely.
-        let meaningful = self.pending_from(t).any(|(_, origin)| origin == tail.site)
+        let waits_here = self.locks.is_waiting_anywhere(t);
+        let meaningful = (waits_here && self.agent_home.get(&t) == Some(&tail.site))
             || self.holder_edge_from(tail.site, t);
         if !meaningful {
             ctx.count(counters::PROBE_DISCARDED);
@@ -991,24 +994,24 @@ impl Controller {
         // reaches the subject through intra-controller edges that are part
         // of the (permanent) cycle and therefore present right now.
         let mut completed = None;
-        if tag.initiator == self.site && !self.own_declared.contains(&tag.n) {
-            if let Some(&subject) = self.own_subjects.get(&tag.n) {
+        if tag.initiator == self.site {
+            if let Some(&(subject, gen)) = self.own.get(&tag.n) {
                 let reached = subject == t || closure.contains(&subject);
                 if reached && !self.declared_txns.contains(&subject) {
-                    self.own_declared.insert(tag.n);
-                    completed = Some(subject);
+                    self.own.remove(&tag.n);
+                    completed = Some((subject, gen));
                 }
             }
         }
         self.forward(ctx, tag, comp, with_one(&closure, t));
-        let Some(subject) = completed else {
+        let Some((subject, gen)) = completed else {
             return;
         };
         // Staleness guard: an abort processed since this computation
         // started may have dissolved the cycle the probe chain certified;
         // re-initiate under the current generation (§4) instead of risking
         // a phantom declaration.
-        if self.own_gen.get(&tag.n) == Some(&self.abort_gen) {
+        if gen == self.abort_gen {
             self.declare(ctx, subject, Some(tag));
         } else {
             ctx.count(counters::DECL_SUPPRESSED_STALE);
@@ -1048,7 +1051,7 @@ impl Controller {
         // §5: disseminate the deadlocked portion backwards from the subject.
         self.wfgd_step(ctx, |wfgd, me, topo| wfgd.start(me, subject, topo));
         if let Resolution::AbortSubject { .. } = self.cfg.resolution {
-            let home = self.txn_home.get(&subject).copied().unwrap_or(self.site);
+            let home = self.agent_home.get(&subject).copied().unwrap_or(self.site);
             if home == self.site {
                 self.abort_local(ctx, subject);
             } else {
@@ -1074,18 +1077,18 @@ impl Controller {
         // ascending order.
         let mut subjects: Vec<TransactionId> = if naive {
             // Every blocked constituent process.
-            let remote = self.remote_waits.iter().filter(|(_, w)| !w.is_empty());
+            let remote = self.remote_wait_edges().map(|(t, _)| t);
             let local = self.locks.waiting_transactions();
-            local.chain(remote.map(|(&t, _)| t)).collect()
+            local.chain(remote).collect()
         } else {
             // Q-optimisation: only processes with an incoming black
             // inter-controller edge. Incoming edges of local agents come
-            // in two classes: un-granted remote requests queued here
-            // (wait edges into a remote agent), and holder back-edges
-            // into a *home* agent from its idle remote holders — without
-            // the latter, a cycle whose only entry into this site runs
-            // through a remotely held resource gets no computation.
-            let queued = self.pending_remote.keys().map(|&(t, _)| t);
+            // in two classes: remote agents queued here (wait edges into
+            // them), and holder back-edges into a *home* agent from its
+            // idle remote holders — without the latter, a cycle whose
+            // only entry into this site runs through a remotely held
+            // resource gets no computation.
+            let queued = self.queued_remote_agents();
             queued
                 .chain(self.holder_back_edges().map(|(t, _)| t))
                 .collect()
@@ -1143,14 +1146,13 @@ impl Process<DdbMsg> for Controller {
                     }
                     return;
                 }
-                self.txn_home.insert(txn, home);
+                self.agent_home.insert(txn, home);
                 match self.locks.request(txn, resource, mode) {
                     LockOutcome::Granted => {
                         ctx.count(counters::ACQUIRED_SENT);
                         ctx.send(home.node(), DdbMsg::Acquired { txn, resource });
                     }
                     LockOutcome::Queued { .. } => {
-                        self.pending_remote.insert((txn, resource), home);
                         // The remote agent (txn, S_me) just blocked here:
                         // its wait can close a cycle, so it needs an
                         // initiation check of its own (§4.2 applied to
@@ -1167,32 +1169,25 @@ impl Process<DdbMsg> for Controller {
                 // phantom hold at the wrong site and keeps waiting for a
                 // grant the real site already sent — forever (the other
                 // face of the ISSUE 6 batching wedge).
-                let Some(waits) = self.remote_waits.get_mut(&txn) else {
-                    return; // transaction already aborted; release is in flight
-                };
                 let mut entry = (SiteId(from.0), resource);
                 if self.mutation == Some(DdbMutation::GrantByResourceOnly) {
-                    // Seeded bug: first wait matching the resource id,
-                    // regardless of which site granted.
-                    if let Some(&e) = waits.iter().find(|&&(_, r)| r == resource) {
-                        entry = e;
-                    }
+                    // Seeded bug: first remote wait matching the resource
+                    // id, regardless of which site granted.
+                    let mut waits = self.remote_waits(txn);
+                    entry = waits.find(|&(_, r)| r == resource).unwrap_or(entry);
                 }
-                if !waits.remove(&entry) {
-                    return; // stale grant from an aborted attempt
-                }
-                if waits.is_empty() {
-                    self.remote_waits.remove(&txn);
+                let waiting = self.scripts.get(&txn).map(|st| &st.waiting);
+                if !matches!(waiting, Some(Waiting::Locks(p)) if p.contains(&entry)) {
+                    return; // aborted (release in flight) or a stale attempt's grant
                 }
                 self.remote_held.entry(txn).or_default().insert(entry);
                 self.granted(ctx, txn, entry);
             }
             DdbMsg::RemoteRelease { txn, resource } => {
-                let had_pending = self.pending_remote.remove(&(txn, resource)).is_some();
                 let had_lock =
                     self.locks.holds(txn, resource) || self.locks.is_waiting(txn, resource);
                 self.declared_txns.remove(&txn);
-                if had_pending || had_lock {
+                if had_lock {
                     self.sweep_release(ctx, txn, resource);
                 } else {
                     // Nothing to release: this cancellation overtook its
@@ -1247,7 +1242,7 @@ impl Process<DdbMsg> for Controller {
     ///
     /// Lock tables, scripts and inter-site wait bookkeeping model durable
     /// state; the detector's window of probe computations (`comps`,
-    /// `own_subjects`, `own_declared`) is volatile and lost — any
+    /// `own`) is volatile and lost — any
     /// computation crossing the outage dies and is superseded by fresh
     /// ones. Every timer armed before the crash is gone, so recovery
     /// re-arms each under a fresh epoch: the periodic detector, the work
@@ -1256,8 +1251,7 @@ impl Process<DdbMsg> for Controller {
     /// lock table.
     fn on_restart(&mut self, ctx: &mut Context<'_, DdbMsg>) {
         self.comps.clear();
-        self.own_subjects.clear();
-        self.own_declared.clear();
+        self.own.clear();
         self.arm_periodic(ctx, true);
         let ids: Vec<TransactionId> = self.scripts.keys().copied().collect();
         for id in ids {
@@ -1289,8 +1283,10 @@ impl Process<DdbMsg> for Controller {
                 }
             }
         }
-        for &(txn, resource) in self.pending_remote.keys() {
-            self.arm_check(ctx, enc_timer(K_CHECK_REMOTE, txn, resource.0));
+        for txn in self.queued_remote_agents() {
+            for resource in self.locks.waiting_resources(txn) {
+                self.arm_check(ctx, enc_timer(K_CHECK_REMOTE, txn, resource.0));
+            }
         }
     }
 }

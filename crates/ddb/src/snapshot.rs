@@ -25,7 +25,7 @@ use wfg::{oracle, WaitForGraph};
 
 use simnet::sim::NodeId;
 
-use crate::controller::{Controller, ScriptSnapshot, TxnOutcome, Waiting};
+use crate::controller::{Controller, ScriptSnapshot, Waiting};
 use crate::ids::{AgentId, SiteId, TransactionId};
 use crate::probe::DdbDeadlock;
 use crate::txn::TxnStatus;
@@ -42,8 +42,6 @@ pub struct SiteSnapshot {
     pub declarations: Vec<DdbDeadlock>,
     /// Execution state of every home script.
     pub scripts: Vec<ScriptSnapshot>,
-    /// Outcome summaries of every home transaction.
-    pub outcomes: Vec<TxnOutcome>,
 }
 
 impl SiteSnapshot {
@@ -56,7 +54,6 @@ impl SiteSnapshot {
             agent_edges: edges,
             declarations: c.declarations().to_vec(),
             scripts: c.script_snapshots(),
-            outcomes: c.txn_outcomes(),
         }
     }
 }
@@ -436,7 +433,6 @@ mod tests {
         // the declarations they made.
         snap.sites[0].agent_edges.clear();
         snap.sites[0].scripts.clear();
-        snap.sites[0].outcomes.clear();
         snap.sites[0].declarations.clear();
         // Site 1's remote edges into the dead site no longer close a
         // cycle; drop them as a restarted site-0 peer would.

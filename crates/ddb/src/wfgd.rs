@@ -9,7 +9,7 @@
 //!
 //! * vertices are **agents** `(T, S)`; edges are the intra-controller
 //!   edges (derived from lock tables) and the inter-controller edges
-//!   (outstanding remote requests);
+//!   (remote agents queued in them);
 //! * messages are **sets of agent edges** flowing backwards: within a
 //!   controller the propagation is a local fixpoint over intra edges;
 //!   across controllers one [`crate::msg::DdbMsg`] message per hop carries
@@ -21,8 +21,8 @@
 //!   argument).
 //!
 //! [`DdbWfgdState`] is a pure state machine: the controller lends it the
-//! current local topology (its lock table and its un-granted remote
-//! requests) and transports the messages it emits.
+//! current local topology (its lock table and its remote agents' homes)
+//! and transports the messages it emits.
 //!
 //! The sets are the basic model's ([`cmh_core::wfgd`]): sorted vectors,
 //! one [`VecSet::union_with`] per intra edge walked, and duplicates
@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 
 use cmh_core::vset::VecSet;
 
-use crate::ids::{AgentId, ResourceId, SiteId, TransactionId};
+use crate::ids::{AgentId, SiteId, TransactionId};
 use crate::lock::LockTable;
 
 /// A set of agent-level wait-for edges (the WFGD message payload).
@@ -59,9 +59,11 @@ pub struct LocalTopology<'a> {
     /// are looked up per worklist pop
     /// ([`LockTable::waiters_blocked_by`]).
     pub locks: &'a LockTable,
-    /// The incoming black inter-controller edges: each un-granted remote
-    /// request queued here, `(txn, resource) → home site`.
-    pub incoming_inter: &'a BTreeMap<(TransactionId, ResourceId), SiteId>,
+    /// The home site of each remote agent. A transaction queued in
+    /// `locks` with an entry here is the head of an incoming black
+    /// inter-controller edge `(T, home) → (T, S_me)`; an entry of a
+    /// transaction queued nowhere here is no edge.
+    pub homes: &'a BTreeMap<TransactionId, SiteId>,
 }
 
 /// Per-controller WFGD state: `S` sets for local processes plus the
@@ -153,15 +155,14 @@ impl DdbWfgdState {
         // actually in the backward closure: the origin itself (its home
         // waits on a declared/informed process even when its own `S` is
         // still empty) or a process whose `S` set is non-empty. Emitting
-        // for every pending remote request would "inform" homes of
+        // for every queued remote agent would "inform" homes of
         // transactions that merely pass through this site and are not
         // behind the deadlock at all.
         let mut out = Vec::new();
-        let mut pending = topo.incoming_inter.iter().peekable();
-        while let Some((&(t, _), &home)) = pending.next() {
-            if pending.peek().is_some_and(|(&(next, _), _)| next == t) {
-                continue; // one inter edge per transaction, however many requests
-            }
+        for t in topo.locks.waiting_transactions() {
+            let Some(&home) = topo.homes.get(&t) else {
+                continue; // a home agent: no incoming inter edge
+            };
             let s_t = self.s.get(&t).filter(|s| !s.is_empty());
             if s_t.is_none() && t != origin {
                 continue;
@@ -189,6 +190,7 @@ mod tests {
     use simnet::rng::DetRng;
 
     use super::*;
+    use crate::ids::ResourceId;
     use crate::lock::LockMode::Exclusive as X;
 
     fn t(i: u32) -> TransactionId {
@@ -212,25 +214,35 @@ mod tests {
         lt
     }
 
-    /// One un-granted remote request per `(txn, home site)` pair.
-    fn inter(incoming: &[(u32, usize)]) -> BTreeMap<(TransactionId, ResourceId), SiteId> {
-        incoming
-            .iter()
-            .map(|&(txn, home)| ((t(txn), ResourceId(0)), s(home)))
-            .collect()
-    }
+    /// Holds every resource a remote request queues for, and waits for
+    /// nothing: no `S` set crosses an edge into it.
+    const HOLDER: u32 = 99;
 
     /// Owns what a [`LocalTopology`] borrows.
-    struct Topo(LockTable, BTreeMap<(TransactionId, ResourceId), SiteId>);
+    struct Topo(LockTable, BTreeMap<TransactionId, SiteId>);
 
     impl Topo {
+        /// The intra edges of [`table`], plus one remote request of each
+        /// `(txn, home site)` pair.
         fn new(intra: &[(u32, u32)], incoming: &[(u32, usize)]) -> Self {
-            Topo(table(intra), inter(incoming))
+            let mut topo = Topo(table(intra), BTreeMap::new());
+            for &(txn, home) in incoming {
+                topo.queue_remote(txn, 0, home);
+            }
+            topo
+        }
+        /// Queues remote request `r` of `txn`, homed at `home`, behind
+        /// [`HOLDER`].
+        fn queue_remote(&mut self, txn: u32, r: u64, home: usize) {
+            let resource = ResourceId(1_000 + 4 * u64::from(txn) + r);
+            self.0.request(t(HOLDER), resource, X);
+            self.0.request(t(txn), resource, X);
+            self.1.insert(t(txn), s(home));
         }
         fn view(&self) -> LocalTopology<'_> {
             LocalTopology {
                 locks: &self.0,
-                incoming_inter: &self.1,
+                homes: &self.1,
             }
         }
     }
@@ -275,9 +287,9 @@ mod tests {
         ) -> Vec<LiteralSend> {
             let intra = topo.locks.wait_edges();
             let incoming_inter: BTreeMap<TransactionId, SiteId> = topo
-                .incoming_inter
-                .iter()
-                .map(|(&(t, _), &home)| (t, home))
+                .locks
+                .waiting_transactions()
+                .filter_map(|t| Some((t, *topo.homes.get(&t)?)))
                 .collect();
             let mut dirty: Vec<TransactionId> = vec![origin];
             let mut touched: BTreeSet<TransactionId> = [origin].into_iter().collect();
@@ -344,7 +356,7 @@ mod tests {
                 for txn in 0..TXNS {
                     // None, one or two un-granted requests of one origin.
                     for r in 0..rng.next_below(4).saturating_sub(1) {
-                        topo.1.insert((t(txn), ResourceId(r)), s(home(txn)));
+                        topo.queue_remote(txn, r, home(txn));
                     }
                 }
                 let blocks = |q, p| intra.contains(&(q, p));

@@ -77,16 +77,19 @@ fn construction_and_no_news_wfgd_do_not_allocate_more() {
     drop(db);
 
     // --- A converged process: (T1, S0) has an incoming inter edge from
-    // its home S1 and a local waiter T2; it has learnt two edges and told
-    // both. Hearing them again, whole or in part, is no news. ---
-    let (t1, t2) = (TransactionId(1), TransactionId(2));
+    // its home S1 (its request queued behind T9, which waits for nothing)
+    // and a local waiter T2; it has learnt two edges and told both.
+    // Hearing them again, whole or in part, is no news. ---
+    let (t1, t2, t9) = (TransactionId(1), TransactionId(2), TransactionId(9));
     let mut locks = LockTable::new();
     locks.request(t1, ResourceId(0), LockMode::Exclusive);
     locks.request(t2, ResourceId(0), LockMode::Exclusive);
-    let incoming_inter = BTreeMap::from([((t1, ResourceId(9)), SiteId(1))]);
+    locks.request(t9, ResourceId(9), LockMode::Exclusive);
+    locks.request(t1, ResourceId(9), LockMode::Exclusive);
+    let homes = BTreeMap::from([(t1, SiteId(1))]);
     let topo = LocalTopology {
         locks: &locks,
-        incoming_inter: &incoming_inter,
+        homes: &homes,
     };
     let agent = |t, s| AgentId::new(t, SiteId(s));
     let learnt: AgentEdgeSet = [(agent(t1, 0), agent(t1, 2)), (agent(t1, 2), agent(t2, 2))]

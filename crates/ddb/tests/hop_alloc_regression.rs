@@ -5,7 +5,9 @@
 //! Each used to build trees (`BTreeSet` closures, label and sent sets, a
 //! `BTreeMap` of computations, per-refresh edge sets); the caps are the
 //! counts measured once they run on sorted slices, so a tree that comes
-//! back fails here.
+//! back fails here. A remote lock step is pinned too: its wait is kept
+//! once, in the home script's wait set and the managing site's lock
+//! table, so a second copy that comes back fails here as well.
 //!
 //! Same counting-allocator pattern as `alloc_regression.rs`, in its own
 //! binary so that each holds a single `#[test]`: parallel libtest threads
@@ -62,8 +64,20 @@ fn allocs_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
 const HOP_ALLOCS: u64 = 1;
 
 /// Heap blocks of the first periodic pass at a ring site, which
-/// initiates one computation (21 before).
-const PERIODIC_ALLOCS: u64 = 7;
+/// initiates one computation (21 before the pass ran on sorted slices, 7
+/// before a computation's subject and generation shared one map entry).
+const PERIODIC_ALLOCS: u64 = 6;
+
+/// Heap blocks of a home `start_txn` whose one step locks one remote
+/// resource: its wait set (2 when the home kept a second copy of its
+/// remote waits).
+const REMOTE_HOME_ALLOCS: u64 = 1;
+
+/// Heap blocks of the managing site queueing that request, the first
+/// remote request it queues: the resource's lock queue and the request's
+/// `waits_for` list (3 when the site kept a second copy of its queued
+/// remote requests, whose first entry took a block).
+const REMOTE_QUEUED_ALLOCS: u64 = 2;
 
 /// Heap blocks of re-reading one dirty site whose edges did not change
 /// (6 before): none, so the pin is an equality.
@@ -112,12 +126,12 @@ fn probe_hop_periodic_pass_and_site_refresh_build_no_trees() {
     };
     hop(&mut db, 1);
     let sent = db.metrics().get(counters::PROBE_SENT);
-    let n = hop(&mut db, 2);
+    let hop_n = hop(&mut db, 2);
     assert_eq!(db.metrics().get(counters::PROBE_SENT), sent + 1);
     assert_eq!(db.metrics().get(counters::PROBE_MEANINGFUL), 2);
     assert!(
-        n <= HOP_ALLOCS,
-        "a probe hop allocates {n} times, was {HOP_ALLOCS}"
+        hop_n <= HOP_ALLOCS,
+        "a probe hop allocates {hop_n} times, was {HOP_ALLOCS}"
     );
 
     // --- The stepping validator re-reads a site marked dirty: S1 again,
@@ -127,9 +141,9 @@ fn probe_hop_periodic_pass_and_site_refresh_build_no_trees() {
         db.verify_wfgd_edges_exist().unwrap();
         db.with_controller(SiteId(1), |_, _| ());
     }
-    let (n, checked) = allocs_in(|| db.verify_wfgd_edges_exist());
+    let (refresh_n, checked) = allocs_in(|| db.verify_wfgd_edges_exist());
     assert_eq!(checked, Ok(0));
-    assert_eq!(n, REFRESH_ALLOCS, "a site refresh allocates");
+    assert_eq!(refresh_n, REFRESH_ALLOCS, "a site refresh allocates");
 
     // --- The first periodic pass after the ring closes: step the engine
     // up to the first timer (the scripts have no work steps, so under
@@ -144,10 +158,59 @@ fn probe_hop_periodic_pass_and_site_refresh_build_no_trees() {
     while !matches!(sim.peek_event(), Some((_, PendingEvent::Timer { .. }))) {
         assert!(sim.step(), "the detector timer is armed");
     }
-    let (n, _) = allocs_in(|| sim.step());
+    let (periodic_n, _) = allocs_in(|| sim.step());
     assert_eq!(sim.metrics().get(counters::INITIATED), 1);
     assert!(
-        n <= PERIODIC_ALLOCS,
-        "a periodic pass allocates {n} times, was {PERIODIC_ALLOCS}"
+        periodic_n <= PERIODIC_ALLOCS,
+        "a periodic pass allocates {periodic_n} times, was {PERIODIC_ALLOCS}"
+    );
+
+    // --- A remote lock step on a warm pair of sites: S1 has granted a
+    // remote request at once and queued a local one before, but never
+    // queued a remote one. T5, homed at S0, then waits for r0@S1, which
+    // T4 holds. ---
+    let mut sim: Simulation<DdbMsg, Controller> = SimBuilder::new().seed(7).build();
+    for s in 0..2 {
+        sim.add_node(Controller::new(
+            SiteId(s),
+            DdbConfig::detect_only(1_000_000),
+        ));
+    }
+    let (s0, s1) = (SiteId(0), SiteId(1));
+    let lock = |id, home, r, work| {
+        let txn = Transaction::new(t(id), home);
+        txn.lock(s1, ResourceId(r), LockMode::Exclusive).work(work)
+    };
+    let warm_up = [lock(1, s0, 0, 10), lock(2, s1, 1, 50), lock(3, s1, 1, 10)];
+    for round in [warm_up.to_vec(), vec![lock(4, s1, 0, 1_000_000)]] {
+        for txn in round {
+            sim.with_node(txn.home().node(), |c, ctx| c.start_txn(ctx, txn));
+        }
+        sim.run_until(sim.now() + 1_000);
+    }
+    let txn = lock(5, s0, 0, 10);
+    let home_n = sim.with_node(s0.node(), |c, ctx| allocs_in(|| c.start_txn(ctx, txn)).0);
+    assert!(
+        home_n <= REMOTE_HOME_ALLOCS,
+        "a remote lock step allocates {home_n} times at its home, was {REMOTE_HOME_ALLOCS}"
+    );
+    let request = |ev: Option<(NodeId, PendingEvent<'_, DdbMsg>)>| {
+        matches!(
+            ev,
+            Some((_, PendingEvent::Deliver(DdbMsg::RemoteRequest { .. })))
+        )
+    };
+    while !request(sim.peek_event()) {
+        assert!(sim.step(), "the request is in flight");
+    }
+    let (queued_n, _) = allocs_in(|| sim.step());
+    assert!(sim.node(s1.node()).locks().is_waiting(t(5), ResourceId(0)));
+    assert!(
+        queued_n <= REMOTE_QUEUED_ALLOCS,
+        "queueing a remote request allocates {queued_n} times, was {REMOTE_QUEUED_ALLOCS}"
+    );
+    eprintln!(
+        "blocks: hop {hop_n}, refresh {refresh_n}, periodic {periodic_n}, \
+         remote step home {home_n} + queued {queued_n}"
     );
 }
