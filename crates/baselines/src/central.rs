@@ -19,18 +19,15 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use cmh_core::process::{RequestError, Underlying, SERVE_TIMER};
-use cmh_core::ReplyPolicy;
-use simnet::metrics::Metrics;
-use simnet::sim::{Context, NodeId, Process, RunOutcome, SimBuilder, Simulation, TimerId};
-use simnet::time::SimTime;
-use wfg::journal::Journal;
+use cmh_core::{Net, ReplyPolicy, Vertex};
+use simnet::sim::{Context, NodeId, Process, SimBuilder, TimerId};
 use wfg::oracle::Oracle;
 use wfg::WaitForGraph;
 
-use crate::report::{classify, BaselineReport, Classified};
+use crate::report::{BaselineReport, Claims};
 
 /// Coordinator snapshot discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,45 +215,53 @@ impl Process<CentralMsg> for CentralProcess {
     }
 }
 
-/// Harness: `n` workers (nodes `0..n`) plus the coordinator (node `n`).
-pub struct CentralNet {
-    sim: Simulation<CentralMsg, CentralProcess>,
-    journal: Arc<Mutex<Journal>>,
-    n_workers: usize,
-}
+impl Vertex for CentralProcess {
+    type Msg = CentralMsg;
 
-impl fmt::Debug for CentralNet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CentralNet")
-            .field("workers", &self.n_workers)
-            .finish_non_exhaustive()
+    /// Panics on the coordinator, which runs no underlying computation.
+    fn request(
+        &mut self,
+        ctx: &mut Context<'_, CentralMsg>,
+        to: NodeId,
+    ) -> Result<(), RequestError> {
+        let CentralProcess::Worker(w) = self else {
+            panic!("cannot request from the coordinator")
+        };
+        w.request(ctx, to, CentralMsg::Request)
     }
 }
 
-impl CentralNet {
-    /// Creates the system with `n` workers, a poll `period`, the given
-    /// snapshot `mode` and worker service delay.
-    pub fn new(n: usize, mode: SnapshotMode, period: u64, service_delay: u64, seed: u64) -> Self {
-        Self::with_builder(n, mode, period, service_delay, SimBuilder::new().seed(seed))
-    }
-
-    /// Full builder control (latency, tracing).
-    pub fn with_builder(
-        n: usize,
-        mode: SnapshotMode,
-        period: u64,
-        service_delay: u64,
-        builder: SimBuilder,
-    ) -> Self {
-        let mut sim = builder.build();
-        let journal = Arc::new(Mutex::new(Journal::new()));
-        for _ in 0..n {
-            sim.add_node(CentralProcess::Worker(Underlying::new(
-                ReplyPolicy::AfterDelay { service_delay },
-                Some(Arc::clone(&journal)),
-            )));
+impl Claims for CentralProcess {
+    fn claims(&self, _me: NodeId, out: &mut Vec<BaselineReport>) {
+        if let CentralProcess::Coordinator(c) = self {
+            out.extend_from_slice(&c.reports);
         }
-        sim.add_node(CentralProcess::Coordinator(Box::new(Coordinator {
+    }
+}
+
+/// The centralised detector in the journalled harness: `n` workers
+/// (nodes `0..n`) plus the coordinator (node `n`); see [`net`]. The
+/// coordinator polls forever, so the queue never drains: run it with
+/// `run_until`.
+pub type CentralNet = Net<CentralProcess>;
+
+/// `n` workers that serve a request `service_delay` after it arrives,
+/// then the coordinator, polling every `period` in snapshot `mode`.
+pub fn net(
+    n: usize,
+    mode: SnapshotMode,
+    period: u64,
+    service_delay: u64,
+    builder: SimBuilder,
+) -> CentralNet {
+    Net::build(builder, n + 1, |i, journal| {
+        if i < n {
+            return CentralProcess::Worker(Underlying::new(
+                ReplyPolicy::AfterDelay { service_delay },
+                Some(Arc::clone(journal)),
+            ));
+        }
+        CentralProcess::Coordinator(Box::new(Coordinator {
             n_workers: n,
             period,
             mode,
@@ -267,82 +272,20 @@ impl CentralNet {
             reports: Vec::new(),
             graph: WaitForGraph::new(),
             oracle: Oracle::new(),
-        })));
-        CentralNet {
-            sim,
-            journal,
-            n_workers: n,
-        }
-    }
-
-    /// Has worker `from` request worker `to`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RequestError`] (duplicate edge or self-request).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is the coordinator node.
-    pub fn request(&mut self, from: NodeId, to: NodeId) -> Result<(), RequestError> {
-        assert!(
-            from.0 < self.n_workers,
-            "cannot request from the coordinator"
-        );
-        self.sim.with_node(from, |p, ctx| {
-            let CentralProcess::Worker(w) = p else {
-                unreachable!("node {from} is a worker")
-            };
-            w.request(ctx, to, CentralMsg::Request)
-        })
-    }
-
-    /// Issues requests for a topology edge list.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`RequestError`].
-    pub fn request_edges(&mut self, edges: &[(usize, usize)]) -> Result<(), RequestError> {
-        for &(a, b) in edges {
-            self.request(NodeId(a), NodeId(b))?;
-        }
-        Ok(())
-    }
-
-    /// Runs until `deadline` (the coordinator polls forever, so the event
-    /// queue never drains).
-    pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        self.sim.run_until(deadline)
-    }
-
-    /// All reports made by the coordinator so far.
-    pub fn reports(&self) -> Vec<BaselineReport> {
-        match self.sim.node(NodeId(self.n_workers)) {
-            CentralProcess::Coordinator(c) => c.reports.clone(),
-            CentralProcess::Worker(_) => unreachable!("last node is the coordinator"),
-        }
-    }
-
-    /// Classifies all reports against the journalled ground truth.
-    pub fn classify_reports(&self) -> Classified {
-        classify(&self.journal.lock().expect("journal lock"), &self.reports())
-    }
-
-    /// Metrics accumulated so far.
-    pub fn metrics(&self) -> &Metrics {
-        self.sim.metrics()
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
-    }
+        }))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{classify, reports};
+    use simnet::time::SimTime;
     use wfg::generators;
+
+    fn seeded(n: usize, mode: SnapshotMode, period: u64, service: u64, seed: u64) -> CentralNet {
+        net(n, mode, period, service, SimBuilder::new().seed(seed))
+    }
 
     fn deadline(x: u64) -> SimTime {
         SimTime::from_ticks(x)
@@ -351,30 +294,30 @@ mod tests {
     #[test]
     fn detects_a_real_cycle() {
         for mode in [SnapshotMode::OnePhase, SnapshotMode::TwoPhase] {
-            let mut net = CentralNet::new(4, mode, 50, 5, 1);
+            let mut net = seeded(4, mode, 50, 5, 1);
             net.request_edges(&generators::cycle(4)).unwrap();
             net.run_until(deadline(2_000));
-            let reports = net.reports();
+            let reports = reports(&net);
             assert_eq!(reports.len(), 4, "{mode:?}: all members reported");
-            let c = net.classify_reports();
+            let c = classify(&net);
             assert_eq!(c.phantom, 0, "{mode:?}: stable cycle is genuine");
         }
     }
 
     #[test]
     fn quiet_system_reports_nothing() {
-        let mut net = CentralNet::new(5, SnapshotMode::OnePhase, 40, 3, 2);
+        let mut net = seeded(5, SnapshotMode::OnePhase, 40, 3, 2);
         net.request_edges(&generators::chain(5)).unwrap();
         net.run_until(deadline(3_000));
-        assert!(net.reports().is_empty());
+        assert!(reports(&net).is_empty());
         // But the polling bill was still paid: rounds * n messages.
         assert!(net.metrics().get(counters::SNAP_REQUEST) >= 5 * 10);
     }
 
     #[test]
     fn coordinator_cost_scales_with_n_even_when_idle() {
-        let mut small = CentralNet::new(4, SnapshotMode::TwoPhase, 50, 3, 3);
-        let mut large = CentralNet::new(16, SnapshotMode::TwoPhase, 50, 3, 3);
+        let mut small = seeded(4, SnapshotMode::TwoPhase, 50, 3, 3);
+        let mut large = seeded(16, SnapshotMode::TwoPhase, 50, 3, 3);
         small.run_until(deadline(2_000));
         large.run_until(deadline(2_000));
         let s = small.metrics().get(counters::SNAP_REQUEST);
@@ -384,12 +327,12 @@ mod tests {
 
     #[test]
     fn two_phase_requires_two_rounds() {
-        let mut net = CentralNet::new(3, SnapshotMode::TwoPhase, 100, 5, 4);
+        let mut net = seeded(3, SnapshotMode::TwoPhase, 100, 5, 4);
         net.request_edges(&generators::cycle(3)).unwrap();
         // After only ~one round, two-phase cannot have declared yet.
         net.run_until(deadline(120));
-        assert!(net.reports().is_empty());
+        assert!(reports(&net).is_empty());
         net.run_until(deadline(2_000));
-        assert_eq!(net.reports().len(), 3);
+        assert_eq!(reports(&net).len(), 3);
     }
 }

@@ -19,8 +19,12 @@
 //!   messages, full of false positives under contention.
 //!
 //! All three embed the underlying computation `cmh_core::BasicProcess`
-//! runs (`cmh_core::process::Underlying`), journal the true wait-for graph
-//! through it, and classify their reports against it ([`report::classify`]).
+//! runs (`cmh_core::process::Underlying`) and run in the same journalled
+//! harness, `cmh_core::Net`: each module's `net(..)` builds one, the
+//! harness drives requests and the simulation, and [`classify`] splits
+//! every report into genuine and phantom against the harness's one
+//! as-of-time ground truth — the one the probe computation's QRP2 check
+//! reads.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -33,8 +37,86 @@ pub mod timeout;
 
 pub use central::{CentralNet, SnapshotMode};
 pub use pathpush::PathPushNet;
-pub use report::{classify, BaselineReport, Classified};
+pub use report::{classify, reports, BaselineReport, Claims, Classified};
 pub use timeout::TimeoutNet;
+
+use std::fmt;
+use std::sync::{Arc, Mutex};
+
+use cmh_core::process::{Underlying, SERVE_TIMER};
+use cmh_core::ReplyPolicy;
+use simnet::sim::{Context, NodeId};
+use simnet::time::SimTime;
+use wfg::journal::Journal;
+
+/// What a node that declares itself deadlocked (timeout, path pushing)
+/// runs: the underlying computation, a wait-state epoch bumped whenever
+/// the wait set changes (a timer armed under an older epoch is stale),
+/// and the times it declared.
+struct Waiter<M> {
+    core: Underlying<M>,
+    epoch: u64,
+    declarations: Vec<SimTime>,
+}
+
+impl<M: fmt::Debug + Clone> fmt::Debug for Waiter<M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Waiter")
+            .field("blocked", &self.core.is_blocked())
+            .field("declared", &self.declarations.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<M: fmt::Debug + Clone> Waiter<M> {
+    /// A node that serves a request `service_delay` after it arrives.
+    fn new(service_delay: u64, journal: &Arc<Mutex<Journal>>) -> Self {
+        let journal = Some(Arc::clone(journal));
+        Waiter {
+            core: Underlying::new(ReplyPolicy::AfterDelay { service_delay }, journal),
+            epoch: 0,
+            declarations: Vec::new(),
+        }
+    }
+
+    /// A request went out: a new wait state, with a timer `delay` ahead.
+    fn requested(&mut self, ctx: &mut Context<'_, M>, delay: u64) {
+        self.epoch += 1;
+        self.arm(ctx, delay);
+    }
+
+    /// Arms a timer `delay` ahead, tagged with the current wait state (bit
+    /// 32 set, so never the serve timer's tag).
+    fn arm(&self, ctx: &mut Context<'_, M>, delay: u64) {
+        ctx.set_timer(delay, (1 << 32) | (self.epoch & 0xFFFF_FFFF));
+    }
+
+    fn on_reply(&mut self, ctx: &mut Context<'_, M>, from: NodeId) {
+        if self.core.on_reply(ctx, from) {
+            self.epoch += 1;
+        }
+    }
+
+    /// Handles a fired timer: the serve timer sends `reply`; any other is
+    /// `true` iff it was armed in the current wait, which still blocks.
+    fn on_timer(&mut self, ctx: &mut Context<'_, M>, tag: u64, reply: M) -> bool {
+        if tag == SERVE_TIMER {
+            self.core.on_serve_timer(ctx, reply);
+            return false;
+        }
+        self.core.is_blocked() && (self.epoch & 0xFFFF_FFFF) == tag & 0xFFFF_FFFF
+    }
+
+    /// The claims of this node, `me`: itself, at each declaration.
+    fn claims(&self, me: NodeId, out: &mut Vec<BaselineReport>) {
+        let claim = |&at| BaselineReport {
+            detector: me,
+            subject: me,
+            at,
+        };
+        out.extend(self.declarations.iter().map(claim));
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -61,11 +143,11 @@ mod tests {
             assert!(m.get(REPLY_SENT) >= 3);
             assert_eq!(m.get(REPLY_STALE), 2 * m.get(REPLY_SENT) - 3);
         };
-        let mut timeout = TimeoutNet::with_builder(4, 500, 2, dup());
+        let mut timeout = timeout::net(4, 500, 2, dup());
         timeout.request_edges(&generators::chain(4)).unwrap();
         assert!(timeout.run_to_quiescence(100_000).quiescent);
         check(timeout.metrics());
-        let mut pathpush = PathPushNet::with_builder(4, 20, 2, false, dup());
+        let mut pathpush = pathpush::net(4, 20, 2, false, dup());
         pathpush.request_edges(&generators::chain(4)).unwrap();
         assert!(pathpush.run_until(SimTime::from_ticks(100_000)).quiescent);
         check(pathpush.metrics());

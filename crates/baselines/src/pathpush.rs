@@ -18,16 +18,13 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::{Arc, Mutex};
 
-use cmh_core::process::{RequestError, Underlying, SERVE_TIMER};
-use cmh_core::ReplyPolicy;
-use simnet::metrics::Metrics;
-use simnet::sim::{Context, NodeId, Process, RunOutcome, SimBuilder, Simulation, TimerId};
-use simnet::time::SimTime;
-use wfg::journal::Journal;
+use cmh_core::process::RequestError;
+use cmh_core::{Net, Vertex};
+use simnet::sim::{Context, NodeId, Process, SimBuilder, TimerId};
 
-use crate::report::{classify, BaselineReport, Classified};
+use crate::report::{BaselineReport, Claims};
+use crate::Waiter;
 
 /// Metric-counter names for the path-pushing detector.
 pub mod counters {
@@ -60,14 +57,9 @@ pub enum PathMsg {
     Path(Vec<NodeId>),
 }
 
-const TAG_PUSH_BASE: u64 = 1 << 32;
-
 /// A node running the underlying computation plus path pushing.
 pub struct PathProcess {
-    core: Underlying<PathMsg>,
-    /// Bumped whenever the wait set changes; a push timer armed under an
-    /// older epoch is stale.
-    epoch: u64,
+    wait: Waiter<PathMsg>,
     /// Delay from blocking to the first push (and the re-push period while
     /// still blocked).
     push_delay: u64,
@@ -76,7 +68,6 @@ pub struct PathProcess {
     optimized: bool,
     /// `(path, successor)` pairs already transmitted, to avoid repeats.
     sent: BTreeSet<(Vec<NodeId>, NodeId)>,
-    declarations: Vec<SimTime>,
     /// Wait-state epoch of the last declaration: one report per blocking
     /// episode (re-pushed paths would otherwise re-report every period).
     last_declared_epoch: Option<u64>,
@@ -85,8 +76,7 @@ pub struct PathProcess {
 impl fmt::Debug for PathProcess {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PathProcess")
-            .field("blocked", &self.core.is_blocked())
-            .field("declared", &self.declarations.len())
+            .field("wait", &self.wait)
             .finish_non_exhaustive()
     }
 }
@@ -98,7 +88,7 @@ impl PathProcess {
             return;
         }
         let origin = path[0];
-        for &target in self.core.out_waits().iter() {
+        for &target in self.wait.core.out_waits().iter() {
             // Optimised rule: a path survives only while its origin is the
             // largest id seen — but the hop that returns to the origin
             // itself must be allowed, or no cycle would ever close.
@@ -112,35 +102,26 @@ impl PathProcess {
             }
         }
     }
-
-    fn arm_push_timer(&self, ctx: &mut Context<'_, PathMsg>) {
-        // Encode the wait-state epoch so stale timers are recognised.
-        ctx.set_timer(self.push_delay, TAG_PUSH_BASE | (self.epoch & 0xFFFF_FFFF));
-    }
 }
 
 impl Process<PathMsg> for PathProcess {
     fn on_message(&mut self, ctx: &mut Context<'_, PathMsg>, from: NodeId, msg: PathMsg) {
         match msg {
-            PathMsg::Request => self.core.on_request(ctx, from),
-            PathMsg::Reply => {
-                if self.core.on_reply(ctx, from) {
-                    self.epoch += 1;
-                }
-            }
+            PathMsg::Request => self.wait.core.on_request(ctx, from),
+            PathMsg::Reply => self.wait.on_reply(ctx, from),
             PathMsg::Path(path) => {
                 let me = ctx.id();
                 if path.contains(&me) {
                     // The path closed a cycle through this node.
-                    if self.last_declared_epoch != Some(self.epoch) {
-                        self.last_declared_epoch = Some(self.epoch);
+                    if self.last_declared_epoch != Some(self.wait.epoch) {
+                        self.last_declared_epoch = Some(self.wait.epoch);
                         ctx.count(counters::DECLARED);
                         if ctx.tracing() {
                             ctx.note(format!("pathpush: {me} declares deadlock via {path:?}"));
                         }
-                        self.declarations.push(ctx.now());
+                        self.wait.declarations.push(ctx.now());
                     }
-                } else if self.core.is_blocked() {
+                } else if self.wait.core.is_blocked() {
                     let mut extended = path;
                     extended.push(me);
                     self.push_path(ctx, extended);
@@ -151,136 +132,66 @@ impl Process<PathMsg> for PathProcess {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, PathMsg>, _timer: TimerId, tag: u64) {
-        if tag == SERVE_TIMER {
-            self.core.on_serve_timer(ctx, PathMsg::Reply);
-            return;
-        }
-        // Push timer: only valid if the wait state is unchanged.
-        let epoch = tag & 0xFFFF_FFFF;
-        if self.core.is_blocked() && (self.epoch & 0xFFFF_FFFF) == epoch {
+        // A push counts only if the wait it was armed in persists.
+        if self.wait.on_timer(ctx, tag, PathMsg::Reply) {
             self.push_path(ctx, vec![ctx.id()]);
             // Stay armed while blocked: new successors may appear.
-            self.arm_push_timer(ctx);
+            self.wait.arm(ctx, self.push_delay);
         }
     }
 }
 
-/// Harness for the path-pushing detector.
-pub struct PathPushNet {
-    sim: Simulation<PathMsg, PathProcess>,
-    journal: Arc<Mutex<Journal>>,
-}
+impl Vertex for PathProcess {
+    type Msg = PathMsg;
 
-impl fmt::Debug for PathPushNet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PathPushNet").finish_non_exhaustive()
-    }
-}
-
-impl PathPushNet {
-    /// Creates `n` nodes with the given push delay/period; `optimized`
-    /// enables the origin-is-maximum forwarding rule.
-    pub fn new(n: usize, push_delay: u64, service_delay: u64, optimized: bool, seed: u64) -> Self {
-        Self::with_builder(
-            n,
-            push_delay,
-            service_delay,
-            optimized,
-            SimBuilder::new().seed(seed),
-        )
-    }
-
-    /// Full builder control.
-    pub fn with_builder(
-        n: usize,
-        push_delay: u64,
-        service_delay: u64,
-        optimized: bool,
-        builder: SimBuilder,
-    ) -> Self {
-        let mut sim = builder.build();
-        let journal = Arc::new(Mutex::new(Journal::new()));
-        for _ in 0..n {
-            sim.add_node(PathProcess {
-                core: Underlying::new(
-                    ReplyPolicy::AfterDelay { service_delay },
-                    Some(Arc::clone(&journal)),
-                ),
-                epoch: 0,
-                push_delay,
-                optimized,
-                sent: BTreeSet::new(),
-                declarations: Vec::new(),
-                last_declared_epoch: None,
-            });
-        }
-        PathPushNet { sim, journal }
-    }
-
-    /// Has node `from` request node `to`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RequestError`].
-    pub fn request(&mut self, from: NodeId, to: NodeId) -> Result<(), RequestError> {
-        self.sim.with_node(from, |p, ctx| {
-            p.core.request(ctx, to, PathMsg::Request)?;
-            p.epoch += 1;
-            // Arm the first push.
-            p.arm_push_timer(ctx);
-            Ok(())
-        })
-    }
-
-    /// Issues requests for a topology edge list.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`RequestError`].
-    pub fn request_edges(&mut self, edges: &[(usize, usize)]) -> Result<(), RequestError> {
-        for &(a, b) in edges {
-            self.request(NodeId(a), NodeId(b))?;
-        }
+    /// Requests `to` and arms the first push.
+    fn request(&mut self, ctx: &mut Context<'_, PathMsg>, to: NodeId) -> Result<(), RequestError> {
+        self.wait.core.request(ctx, to, PathMsg::Request)?;
+        self.wait.requested(ctx, self.push_delay);
         Ok(())
     }
+}
 
-    /// Runs until `deadline` (push timers re-arm while deadlocked, so the
-    /// queue never drains under a real deadlock).
-    pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        self.sim.run_until(deadline)
+impl Claims for PathProcess {
+    fn claims(&self, me: NodeId, out: &mut Vec<BaselineReport>) {
+        self.wait.claims(me, out);
     }
+}
 
-    /// All declarations `(subject declared itself at time)`.
-    pub fn reports(&self) -> Vec<BaselineReport> {
-        let mut out = Vec::new();
-        for i in 0..self.sim.node_count() {
-            for &at in &self.sim.node(NodeId(i)).declarations {
-                out.push(BaselineReport {
-                    detector: NodeId(i),
-                    subject: NodeId(i),
-                    at,
-                });
-            }
-        }
-        out.sort_by_key(|r| (r.at, r.subject));
-        out
-    }
+/// The path-pushing detector in the journalled harness (see [`net`]).
+/// Push timers re-arm while a node is blocked, so under a real deadlock
+/// the queue never drains: run it with `run_until`.
+pub type PathPushNet = Net<PathProcess>;
 
-    /// Classifies all reports against the journalled ground truth.
-    pub fn classify_reports(&self) -> Classified {
-        classify(&self.journal.lock().expect("journal lock"), &self.reports())
-    }
-
-    /// Metrics accumulated so far.
-    pub fn metrics(&self) -> &Metrics {
-        self.sim.metrics()
-    }
+/// `n` nodes that push paths `push_delay` after blocking (and every
+/// `push_delay` while still blocked) and serve a request `service_delay`
+/// after it arrives; `optimized` enables the origin-is-maximum rule.
+pub fn net(
+    n: usize,
+    push_delay: u64,
+    service_delay: u64,
+    optimized: bool,
+    builder: SimBuilder,
+) -> PathPushNet {
+    Net::build(builder, n, |_, journal| PathProcess {
+        wait: Waiter::new(service_delay, journal),
+        push_delay,
+        optimized,
+        sent: BTreeSet::new(),
+        last_declared_epoch: None,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{classify, reports};
+    use simnet::time::SimTime;
     use wfg::generators;
+
+    fn seeded(n: usize, push: u64, service: u64, optimized: bool, seed: u64) -> PathPushNet {
+        net(n, push, service, optimized, SimBuilder::new().seed(seed))
+    }
 
     fn deadline(x: u64) -> SimTime {
         SimTime::from_ticks(x)
@@ -289,28 +200,28 @@ mod tests {
     #[test]
     fn cycle_detected_in_both_variants() {
         for optimized in [false, true] {
-            let mut net = PathPushNet::new(5, 20, 5, optimized, 1);
+            let mut net = seeded(5, 20, 5, optimized, 1);
             net.request_edges(&generators::cycle(5)).unwrap();
             net.run_until(deadline(5_000));
-            let reports = net.reports();
+            let reports = reports(&net);
             assert!(!reports.is_empty(), "optimized={optimized}");
-            assert_eq!(net.classify_reports().phantom, 0);
+            assert_eq!(classify(&net).phantom, 0);
         }
     }
 
     #[test]
     fn optimized_detects_at_max_member_only() {
-        let mut net = PathPushNet::new(6, 20, 5, true, 2);
+        let mut net = seeded(6, 20, 5, true, 2);
         net.request_edges(&generators::cycle(6)).unwrap();
         net.run_until(deadline(5_000));
-        let subjects: BTreeSet<NodeId> = net.reports().iter().map(|r| r.subject).collect();
+        let subjects: BTreeSet<NodeId> = reports(&net).iter().map(|r| r.subject).collect();
         assert_eq!(subjects, [NodeId(5)].into_iter().collect());
     }
 
     #[test]
     fn optimized_sends_fewer_messages() {
         let run = |optimized| {
-            let mut net = PathPushNet::new(8, 20, 5, optimized, 3);
+            let mut net = seeded(8, 20, 5, optimized, 3);
             net.request_edges(&generators::cycle(8)).unwrap();
             net.run_until(deadline(400));
             net.metrics().get(counters::PATH_SENT)
@@ -323,9 +234,9 @@ mod tests {
 
     #[test]
     fn chain_produces_no_declarations() {
-        let mut net = PathPushNet::new(5, 15, 50, false, 4);
+        let mut net = seeded(5, 15, 50, false, 4);
         net.request_edges(&generators::chain(5)).unwrap();
         net.run_until(deadline(5_000));
-        assert!(net.reports().is_empty());
+        assert!(reports(&net).is_empty());
     }
 }

@@ -2,16 +2,14 @@
 //! detectors.
 //!
 //! Unlike the probe computation (proved sound, QRP2), the baselines can
-//! report **phantom deadlocks**. Each harness journals the true wait-for
-//! graph, so every report can be classified post-hoc: was the subject on a
+//! report **phantom deadlocks**. Each runs in the journalled harness
+//! ([`cmh_core::Net`]), so every report can be classified post-hoc
+//! against the harness's as-of-time ground truth: was the subject on a
 //! dark cycle at the moment it was declared deadlocked?
 
-use std::fmt;
-
+use cmh_core::{Net, Vertex};
 use simnet::sim::NodeId;
 use simnet::time::SimTime;
-use wfg::journal::{Journal, ReplayCursor};
-use wfg::oracle::Oracle;
 
 /// One "deadlock" claim by a baseline detector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,16 +20,6 @@ pub struct BaselineReport {
     pub subject: NodeId,
     /// Claim time.
     pub at: SimTime,
-}
-
-impl fmt::Display for BaselineReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: {} reports {} deadlocked",
-            self.at, self.detector, self.subject
-        )
-    }
 }
 
 /// Split of reports into genuine and phantom.
@@ -55,75 +43,64 @@ impl Classified {
     }
 }
 
-/// Classifies `reports` against the journalled ground truth.
+/// A baseline vertex that makes deadlock claims.
+pub trait Claims: Vertex {
+    /// Appends the claims this vertex (`me`) has made to `out`.
+    fn claims(&self, me: NodeId, out: &mut Vec<BaselineReport>);
+}
+
+/// Every claim made in `net` so far, ordered by time and subject.
+pub fn reports<P: Claims>(net: &Net<P>) -> Vec<BaselineReport> {
+    let mut out = Vec::new();
+    for i in 0..net.node_count() {
+        net.node(NodeId(i)).claims(NodeId(i), &mut out);
+    }
+    out.sort_by_key(|r| (r.at, r.subject));
+    out
+}
+
+/// Classifies every claim in `net` against its journalled ground truth.
 ///
 /// # Panics
 ///
 /// Panics if the journal is not a legal G1–G4 history (a harness bug).
-pub fn classify(journal: &Journal, reports: &[BaselineReport]) -> Classified {
-    let mut out = Classified::default();
-    // Reports arrive in claim order, so the cursor mostly seeks forward;
-    // checkpoints make the occasional backward seek cheap too.
-    let mut cursor = ReplayCursor::new();
-    let mut oracle = Oracle::new();
-    for r in reports {
-        let g = cursor
-            .seek(journal, r.at)
-            .expect("harness journal must be a legal history");
-        if oracle.is_on_dark_cycle(g, r.subject) {
-            out.genuine += 1;
-        } else {
-            out.phantom += 1;
-        }
-    }
-    out
+pub fn classify<P: Claims>(net: &Net<P>) -> Classified {
+    let reports = reports(net);
+    let dark = |r: &&BaselineReport| net.on_dark_cycle_at(r.subject, r.at).expect("journal");
+    let genuine = reports.iter().filter(dark).count();
+    let phantom = reports.len() - genuine;
+    Classified { genuine, phantom }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use wfg::journal::GraphOp;
+    use simnet::sim::SimBuilder;
 
-    fn n(i: usize) -> NodeId {
-        NodeId(i)
-    }
-    fn t(x: u64) -> SimTime {
-        SimTime::from_ticks(x)
-    }
+    use super::*;
+    use crate::timeout;
 
     #[test]
     fn classify_distinguishes_genuine_from_phantom() {
-        let mut j = Journal::new();
-        j.record(t(1), GraphOp::CreateGrey(n(0), n(1)));
-        j.record(t(2), GraphOp::Blacken(n(0), n(1)));
-        j.record(t(3), GraphOp::CreateGrey(n(1), n(0)));
-        j.record(t(4), GraphOp::Blacken(n(1), n(0)));
-        let reports = [
-            BaselineReport {
-                detector: n(9),
-                subject: n(0),
-                at: t(2),
-            }, // not yet a cycle
-            BaselineReport {
-                detector: n(9),
-                subject: n(0),
-                at: t(4),
-            }, // now deadlocked
-        ];
-        let c = classify(&j, &reports);
+        // A 2-cycle (0, 1) and a slow wait 2 → 3: all three time out, but
+        // only the cycle's members are deadlocked.
+        let mut net = timeout::net(4, 30, 200, SimBuilder::new().seed(1));
+        net.request_edges(&[(0, 1), (1, 0), (2, 3)]).unwrap();
+        net.run_until(SimTime::from_ticks(100));
+        let subjects: Vec<NodeId> = reports(&net).iter().map(|r| r.subject).collect();
+        assert_eq!(subjects, [NodeId(0), NodeId(1), NodeId(2)]);
+        let c = classify(&net);
         assert_eq!(
             c,
             Classified {
-                genuine: 1,
+                genuine: 2,
                 phantom: 1
             }
         );
-        assert!((c.phantom_rate() - 0.5).abs() < 1e-9);
+        assert!((c.phantom_rate() - 1.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_reports_zero_rate() {
-        let c = classify(&Journal::new(), &[]);
-        assert_eq!(c.phantom_rate(), 0.0);
+        assert_eq!(Classified::default().phantom_rate(), 0.0);
     }
 }

@@ -5,12 +5,18 @@
 //! period forever, and path-pushing ships whole paths. We drive the same
 //! churn schedule into all detectors at several system sizes and tabulate
 //! detection-message counts, detections and phantom counts.
+//!
+//! With `CMH_SHARDS=S` every detector runs on `S` shards; the table is
+//! byte-identical at any `S`.
 
-use baselines::{CentralNet, PathPushNet, SnapshotMode, TimeoutNet};
-use cmh_bench::Table;
+use baselines::{central, classify, pathpush, timeout, Classified, SnapshotMode};
+use cmh_bench::sweep::shards_from_env;
+use cmh_bench::{drive, Table};
+use cmh_core::process::counters::PROBE_SENT;
 use cmh_core::{BasicConfig, BasicNet};
+use simnet::sim::SimBuilder;
 use simnet::time::SimTime;
-use workloads::{drive_schedule, random_churn, ChurnConfig, Schedule};
+use workloads::{random_churn, ChurnConfig, Schedule};
 
 const SERVICE_DELAY: u64 = 20;
 const HORIZON: u64 = 15_000;
@@ -34,126 +40,67 @@ struct Row {
     phantom: usize,
 }
 
-fn run_all(n: usize, seed: u64) -> Vec<Row> {
-    let sched = schedule_for(n, seed);
-    let mut rows = Vec::new();
+impl Row {
+    fn new(detector: &str, detection_msgs: u64, c: Classified) -> Row {
+        Row {
+            detector: detector.into(),
+            detection_msgs,
+            reports: c.genuine + c.phantom,
+            genuine: c.genuine,
+            phantom: c.phantom,
+        }
+    }
+}
 
-    // CMH on-block.
-    {
-        let mut net = BasicNet::new(n, BasicConfig::on_block(SERVICE_DELAY), seed);
-        drive_schedule(
-            &mut net,
-            &sched,
-            |x, at| {
-                x.run_until(at);
-            },
-            |x, f, t| x.request(f, t).is_ok(),
-        );
+fn run_all(n: usize, seed: u64, shards: usize) -> Vec<Row> {
+    let sched = schedule_for(n, seed);
+    let builder = || SimBuilder::new().seed(seed).shards(shards);
+    let horizon = SimTime::from_ticks(HORIZON);
+    let mut rows = Vec::new();
+    for (label, cfg) in [
+        ("CMH (on-block)", BasicConfig::on_block(SERVICE_DELAY)),
+        ("CMH (T=100)", BasicConfig::delayed(100, SERVICE_DELAY)),
+    ] {
+        let mut net = BasicNet::with_builder(n, cfg, builder());
+        drive(&mut net, &sched);
         net.run_to_quiescence(100_000_000);
-        let checked = net.verify_soundness().expect("QRP2");
-        rows.push(Row {
-            detector: "CMH (on-block)".into(),
-            detection_msgs: net.metrics().get(cmh_core::process::counters::PROBE_SENT),
-            reports: checked,
-            genuine: checked,
+        // QRP2 holds, so every declaration is genuine.
+        let genuine = net.verify_soundness().expect("QRP2");
+        let c = Classified {
+            genuine,
             phantom: 0,
-        });
+        };
+        rows.push(Row::new(label, net.metrics().get(PROBE_SENT), c));
     }
-    // CMH delayed T=100.
-    {
-        let mut net = BasicNet::new(n, BasicConfig::delayed(100, SERVICE_DELAY), seed);
-        drive_schedule(
-            &mut net,
-            &sched,
-            |x, at| {
-                x.run_until(at);
-            },
-            |x, f, t| x.request(f, t).is_ok(),
-        );
-        net.run_to_quiescence(100_000_000);
-        let checked = net.verify_soundness().expect("QRP2");
-        rows.push(Row {
-            detector: "CMH (T=100)".into(),
-            detection_msgs: net.metrics().get(cmh_core::process::counters::PROBE_SENT),
-            reports: checked,
-            genuine: checked,
-            phantom: 0,
-        });
-    }
-    // Central one- and two-phase.
     for (mode, label) in [
         (SnapshotMode::OnePhase, "central 1-phase"),
         (SnapshotMode::TwoPhase, "central 2-phase"),
     ] {
-        let mut net = CentralNet::new(n, mode, 100, SERVICE_DELAY, seed);
-        drive_schedule(
-            &mut net,
-            &sched,
-            |x, at| {
-                x.run_until(at);
-            },
-            |x, f, t| x.request(f, t).is_ok(),
-        );
-        net.run_until(SimTime::from_ticks(HORIZON));
-        let c = net.classify_reports();
-        rows.push(Row {
-            detector: label.into(),
-            detection_msgs: net
-                .metrics()
-                .get(baselines::central::counters::SNAP_REQUEST)
-                + net.metrics().get(baselines::central::counters::SNAP_REPLY),
-            reports: c.genuine + c.phantom,
-            genuine: c.genuine,
-            phantom: c.phantom,
-        });
+        let mut net = central::net(n, mode, 100, SERVICE_DELAY, builder());
+        drive(&mut net, &sched);
+        net.run_until(horizon);
+        let polls = net.metrics().get(central::counters::SNAP_REQUEST)
+            + net.metrics().get(central::counters::SNAP_REPLY);
+        rows.push(Row::new(label, polls, classify(&net)));
     }
-    // Path pushing (optimised).
-    {
-        let mut net = PathPushNet::new(n, 100, SERVICE_DELAY, true, seed);
-        drive_schedule(
-            &mut net,
-            &sched,
-            |x, at| {
-                x.run_until(at);
-            },
-            |x, f, t| x.request(f, t).is_ok(),
-        );
-        net.run_until(SimTime::from_ticks(HORIZON));
-        let c = net.classify_reports();
-        rows.push(Row {
-            detector: "path-pushing (opt)".into(),
-            detection_msgs: net.metrics().get(baselines::pathpush::counters::PATH_SENT),
-            reports: c.genuine + c.phantom,
-            genuine: c.genuine,
-            phantom: c.phantom,
-        });
-    }
-    // Timeout.
-    {
-        let mut net = TimeoutNet::new(n, 200, SERVICE_DELAY, seed);
-        drive_schedule(
-            &mut net,
-            &sched,
-            |x, at| {
-                x.run_until(at);
-            },
-            |x, f, t| x.request(f, t).is_ok(),
-        );
-        net.run_to_quiescence(100_000_000);
-        let c = net.classify_reports();
-        rows.push(Row {
-            detector: "timeout (T=200)".into(),
-            detection_msgs: 0,
-            reports: c.genuine + c.phantom,
-            genuine: c.genuine,
-            phantom: c.phantom,
-        });
-    }
+    let mut net = pathpush::net(n, 100, SERVICE_DELAY, true, builder());
+    drive(&mut net, &sched);
+    net.run_until(horizon);
+    let paths = net.metrics().get(pathpush::counters::PATH_SENT);
+    rows.push(Row::new("path-pushing (opt)", paths, classify(&net)));
+    let mut net = timeout::net(n, 200, SERVICE_DELAY, builder());
+    drive(&mut net, &sched);
+    net.run_to_quiescence(100_000_000);
+    rows.push(Row::new("timeout (T=200)", 0, classify(&net)));
     rows
 }
 
 fn main() {
+    let shards = shards_from_env();
     println!("# E6: detection-message bill vs baselines (same schedules, 3 seeds)\n");
+    if shards > 1 {
+        println!("(CMH_SHARDS={shards}: sharded engine)\n");
+    }
     let mut t = Table::new([
         "N",
         "detector",
@@ -166,7 +113,7 @@ fn main() {
     for n in [8usize, 16, 32, 64] {
         let mut acc: Vec<Row> = Vec::new();
         for seed in [5u64, 6, 7] {
-            for (i, r) in run_all(n, seed).into_iter().enumerate() {
+            for (i, r) in run_all(n, seed, shards).into_iter().enumerate() {
                 if acc.len() <= i {
                     acc.push(r);
                 } else {

@@ -7,7 +7,7 @@
 //! under two latency models and report the measured latency from cycle
 //! formation (journal ground truth) to declaration.
 
-use cmh_bench::{formation_time, Table};
+use cmh_bench::Table;
 use cmh_core::{BasicConfig, BasicNet};
 use simnet::latency::LatencyModel;
 use simnet::sim::SimBuilder;
@@ -20,13 +20,14 @@ fn run(n: usize, latency: LatencyModel, seed: u64) -> u64 {
     net.request_edges(&generators::cycle(n)).unwrap();
     net.run_to_quiescence(100_000_000);
     net.verify_soundness().expect("QRP2");
-    let journal = net.journal_snapshot();
     let first = net
         .declarations()
         .into_iter()
         .min_by_key(|d| d.at)
         .expect("cycle must be detected");
-    let formed = formation_time(&journal, first.detector, first.at);
+    let formed = net
+        .formation_time(first.detector, first.at)
+        .expect("legal history");
     first.at.ticks() - formed.ticks()
 }
 

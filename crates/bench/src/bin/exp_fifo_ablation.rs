@@ -16,13 +16,13 @@
 //! With FIFO on, both counts are zero by theorem; with FIFO off, misses
 //! appear readily (falses need a rarer interleaving).
 
-use cmh_bench::Table;
+use cmh_bench::{drive, Table};
 use cmh_core::engine::ValidationError;
 use cmh_core::{BasicConfig, BasicNet};
 use simnet::latency::LatencyModel;
 use simnet::sim::SimBuilder;
 use wfg::generators;
-use workloads::{drive_schedule, random_churn, ChurnConfig};
+use workloads::{random_churn, ChurnConfig};
 
 const SEEDS: u64 = 200;
 
@@ -93,14 +93,7 @@ fn churn_runs(fifo: bool) -> (usize, u64, u64) {
         });
         let mut net =
             BasicNet::with_builder(sched.n, BasicConfig::on_block(15), builder(seed, fifo));
-        drive_schedule(
-            &mut net,
-            &sched,
-            |x, at| {
-                x.run_until(at);
-            },
-            |x, f, t| x.request(f, t).is_ok(),
-        );
+        drive(&mut net, &sched);
         net.run_to_quiescence(10_000_000);
         match net.verify_soundness() {
             Ok(n) => reports += n,

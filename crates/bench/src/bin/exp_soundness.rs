@@ -16,15 +16,14 @@
 //! byte-identical at any `S`. Every family's independent seeds fan out
 //! over a worker pool.
 
-use baselines::{CentralNet, SnapshotMode, TimeoutNet};
+use baselines::{central, classify, timeout, Classified, SnapshotMode};
 use cmh_bench::sweep::shards_from_env;
-use cmh_bench::Table;
+use cmh_bench::{drive, Table};
 use cmh_core::{BasicConfig, BasicNet};
 use simnet::batch::par_seeds;
 use simnet::latency::LatencyModel;
 use simnet::sim::SimBuilder;
-use simnet::time::SimTime;
-use workloads::{drive_schedule, random_churn, ChurnConfig};
+use workloads::{random_churn, ChurnConfig};
 
 const RUNS: u64 = 40;
 const SERVICE_DELAY: u64 = 60; // slow services: long non-deadlock waits
@@ -60,29 +59,23 @@ fn schedule_for(seed: u64) -> workloads::Schedule {
     })
 }
 
-/// One baseline's table row from its per-seed `(genuine, phantom)` counts.
+/// One baseline's table row from its per-seed classifications.
 /// `expect_phantoms` is the claim for that baseline: it must report some.
-fn baseline_row(label: String, outs: &[(usize, usize)], expect_phantoms: bool) -> [String; 6] {
-    let genuine: usize = outs.iter().map(|(g, _)| g).sum();
-    let phantom: usize = outs.iter().map(|(_, p)| p).sum();
-    let total = genuine + phantom;
+fn baseline_row(label: String, outs: &[Classified], expect_phantoms: bool) -> [String; 6] {
+    let sum = Classified {
+        genuine: outs.iter().map(|c| c.genuine).sum(),
+        phantom: outs.iter().map(|c| c.phantom).sum(),
+    };
     assert!(
-        phantom > 0 || !expect_phantoms,
+        sum.phantom > 0 || !expect_phantoms,
         "{label} reported no phantom under this workload"
     );
     [
         label,
-        total.to_string(),
-        genuine.to_string(),
-        phantom.to_string(),
-        format!(
-            "{:.3}",
-            if total == 0 {
-                0.0
-            } else {
-                phantom as f64 / total as f64
-            }
-        ),
+        (sum.genuine + sum.phantom).to_string(),
+        sum.genuine.to_string(),
+        sum.phantom.to_string(),
+        format!("{:.3}", sum.phantom_rate()),
         "-".to_string(),
     ]
 }
@@ -110,14 +103,7 @@ fn main() {
             BasicConfig::on_block(SERVICE_DELAY),
             builder(seed, shards),
         );
-        drive_schedule(
-            &mut net,
-            &sched,
-            |n, at| {
-                n.run_until(at);
-            },
-            |n, from, to| n.request(from, to).is_ok(),
-        );
+        drive(&mut net, &sched);
         net.run_to_quiescence(100_000_000);
         // QRP2: every declaration checked against ground truth (panics on
         // violation — soundness is an invariant here, not a statistic).
@@ -138,24 +124,15 @@ fn main() {
     ]);
 
     // --- Timeout detector ---
-    for timeout in [100u64, 400] {
+    for t in [100u64, 400] {
         let outs = par_seeds(RUNS, |seed| {
             let sched = schedule_for(seed);
-            let mut net =
-                TimeoutNet::with_builder(sched.n, timeout, SERVICE_DELAY, builder(seed, shards));
-            drive_schedule(
-                &mut net,
-                &sched,
-                |n, at| {
-                    n.run_until(at);
-                },
-                |n, from, to| n.request(from, to).is_ok(),
-            );
+            let mut net = timeout::net(sched.n, t, SERVICE_DELAY, builder(seed, shards));
+            drive(&mut net, &sched);
             net.run_to_quiescence(100_000_000);
-            let c = net.classify_reports();
-            (c.genuine, c.phantom)
+            classify(&net)
         });
-        table.row(baseline_row(format!("timeout (T={timeout})"), &outs, true));
+        table.row(baseline_row(format!("timeout (T={t})"), &outs, true));
     }
 
     // --- Centralised detector ---
@@ -165,21 +142,11 @@ fn main() {
     ] {
         let outs = par_seeds(RUNS, |seed| {
             let sched = schedule_for(seed);
-            let mut net =
-                CentralNet::with_builder(sched.n, mode, 80, SERVICE_DELAY, builder(seed, shards));
-            drive_schedule(
-                &mut net,
-                &sched,
-                |n, at| {
-                    n.run_until(at);
-                },
-                |n, from, to| n.request(from, to).is_ok(),
-            );
+            let mut net = central::net(sched.n, mode, 80, SERVICE_DELAY, builder(seed, shards));
+            drive(&mut net, &sched);
             // Give the poller time to settle after the last event.
-            let end = net.now() + 5_000;
-            net.run_until(SimTime::from_ticks(end.ticks()));
-            let c = net.classify_reports();
-            (c.genuine, c.phantom)
+            net.run_until(net.now() + 5_000);
+            classify(&net)
         });
         let one_phase = mode == SnapshotMode::OnePhase;
         table.row(baseline_row(label.to_string(), &outs, one_phase));

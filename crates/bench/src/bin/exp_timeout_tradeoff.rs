@@ -12,11 +12,11 @@
 //!   zero — a guaranteed deadlock. We measure detection latency from cycle
 //!   formation (journal ground truth) to the first declaration, per T.
 
-use cmh_bench::{formation_time, Table};
+use cmh_bench::{drive, Table};
 use cmh_core::process::counters;
 use cmh_core::{BasicConfig, BasicNet, InitiationPolicy, ReplyPolicy};
 use wfg::generators;
-use workloads::{acyclic_churn, drive_schedule, ChurnConfig};
+use workloads::{acyclic_churn, ChurnConfig};
 
 const SERVICE_DELAY: u64 = 25;
 const SEEDS: [u64; 5] = [101, 202, 303, 404, 505];
@@ -61,14 +61,7 @@ fn part_a() {
                 seed,
             });
             let mut net = BasicNet::new(sched.n, policy(t), seed);
-            issued += drive_schedule(
-                &mut net,
-                &sched,
-                |x, at| {
-                    x.run_until(at);
-                },
-                |x, f, to| x.request(f, to).is_ok(),
-            );
+            issued += drive(&mut net, &sched);
             let out = net.run_to_quiescence(100_000_000);
             assert!(out.quiescent, "deadlock-free run must quiesce");
             net.verify_soundness().expect("QRP2");
@@ -117,13 +110,14 @@ fn part_b() {
             net.request_edges(&generators::cycle(6)).unwrap();
             net.run_to_quiescence(10_000_000);
             net.verify_soundness().expect("QRP2");
-            let journal = net.journal_snapshot();
             let first = net
                 .declarations()
                 .into_iter()
                 .min_by_key(|d| d.at)
                 .expect("ring must be detected");
-            let formed = formation_time(&journal, first.detector, first.at);
+            let formed = net
+                .formation_time(first.detector, first.at)
+                .expect("legal history");
             lat_sum += first.at.ticks() - formed.ticks();
             comp_sum += net.metrics().get(counters::INITIATED);
         }

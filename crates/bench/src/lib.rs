@@ -28,10 +28,8 @@
 
 pub mod sweep;
 
-use simnet::sim::NodeId;
-use simnet::time::SimTime;
-use wfg::journal::{Journal, ReplayCursor};
-use wfg::oracle::Oracle;
+use cmh_core::{Net, Vertex};
+use workloads::{drive_schedule, Schedule};
 
 /// Minimal markdown table builder for experiment output.
 #[derive(Debug, Clone, Default)]
@@ -94,52 +92,19 @@ impl Table {
     }
 }
 
-/// Earliest time `v` was on a dark cycle, given that it was at `declared_at`
-/// (dark cycles persist, so membership is monotone in time and binary
-/// search over the journal applies). Used to compute detection latency.
-///
-/// # Panics
-///
-/// Panics if `v` is not on a dark cycle at `declared_at` or the journal is
-/// not a legal history.
-pub fn formation_time(journal: &Journal, v: NodeId, declared_at: SimTime) -> SimTime {
-    let entries = journal.entries();
-    // One checkpointed cursor serves the initial assertion and every
-    // binary-search probe: each seek applies O(K + distance) deltas
-    // instead of rebuilding the whole prefix from entry 0.
-    let mut cursor = ReplayCursor::new();
-    let mut oracle = Oracle::new();
-    let on_cycle_after = |cursor: &mut ReplayCursor, oracle: &mut Oracle, n: usize| -> bool {
-        let g = cursor.seek_to_index(journal, n).expect("legal history");
-        oracle.is_on_dark_cycle(g, v)
+/// Drives `schedule` into `net`, each request issued at its tick — the
+/// one schedule feed every detector shares. Returns how many were issued.
+pub fn drive<P: Vertex>(net: &mut Net<P>, schedule: &Schedule) -> usize {
+    let advance = |net: &mut Net<P>, at| {
+        net.run_until(at);
     };
-    let mut hi = entries.partition_point(|&(t, _)| t <= declared_at);
-    assert!(
-        on_cycle_after(&mut cursor, &mut oracle, hi),
-        "subject not deadlocked at declaration"
-    );
-    // Binary search over journal entry indices for the first prefix under
-    // which v is on a dark cycle.
-    let mut lo = 0usize; // first lo entries applied: not yet known cyclic
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if on_cycle_after(&mut cursor, &mut oracle, mid) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    if lo == 0 {
-        SimTime::ZERO
-    } else {
-        entries[lo - 1].0
-    }
+    let request = |net: &mut Net<P>, from, to| net.request(from, to).is_ok();
+    drive_schedule(net, schedule, advance, request)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wfg::journal::GraphOp;
 
     #[test]
     fn table_renders_markdown() {
@@ -156,18 +121,5 @@ mod tests {
     fn table_rejects_bad_rows() {
         let mut t = Table::new(["a"]);
         t.row(["1", "2"]);
-    }
-
-    #[test]
-    fn formation_time_finds_cycle_closure() {
-        let n = NodeId;
-        let mut j = Journal::new();
-        j.record(SimTime::from_ticks(1), GraphOp::CreateGrey(n(0), n(1)));
-        j.record(SimTime::from_ticks(5), GraphOp::Blacken(n(0), n(1)));
-        j.record(SimTime::from_ticks(9), GraphOp::CreateGrey(n(1), n(0)));
-        j.record(SimTime::from_ticks(12), GraphOp::Blacken(n(1), n(0)));
-        // The dark cycle exists as soon as both edges exist (grey counts).
-        let t = formation_time(&j, n(0), SimTime::from_ticks(40));
-        assert_eq!(t, SimTime::from_ticks(9));
     }
 }

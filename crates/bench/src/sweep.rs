@@ -1,6 +1,6 @@
-//! The engine-selection environment switches of `exp_scale` and
-//! `exp_soundness` (and of the CI `multicore-determinism` job, which
-//! diffs their totals across settings).
+//! The engine-selection environment switches of `exp_scale`,
+//! `exp_soundness` and `exp_baselines` (and of the CI
+//! `multicore-determinism` job, which diffs their output across settings).
 
 use simnet::latency::LatencyModel;
 

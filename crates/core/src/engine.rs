@@ -1,8 +1,12 @@
-//! Assembled basic-model networks with built-in validation.
+//! The journalled harness of the basic model's detectors, with built-in
+//! validation.
 //!
-//! [`BasicNet`] wires [`BasicProcess`] vertices into a `simnet` simulation,
-//! journals every wait-for-graph mutation, and can *prove* (per run) the
-//! paper's two properties against the [`wfg::oracle`]:
+//! [`Net`] runs `n` vertices in a `simnet` simulation, journals every
+//! wait-for-graph mutation, and answers every "was `v` on a cycle at `t`?"
+//! from one checkpointed cursor and one memoized [`wfg::oracle`]. The
+//! probe computation runs in it as [`BasicNet`], the `baselines` crate's
+//! three detectors too. For the probe computation it *proves* (per run)
+//! the paper's two properties:
 //!
 //! * **QRP2 / soundness** ([`BasicNet::verify_soundness`]): every
 //!   declaration happened while the declarer was on a black cycle;
@@ -11,15 +15,15 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use simnet::metrics::Metrics;
-use simnet::sim::{Context, NodeId, RunOutcome, SimBuilder, Simulation};
+use simnet::sim::{Context, NodeId, Process, RunOutcome, SimBuilder, Simulation};
 use simnet::time::SimTime;
 use simnet::trace::Trace;
 use wfg::journal::{Journal, ReplayCursor};
 use wfg::oracle::Oracle;
-use wfg::{oracle, WaitForGraph};
+use wfg::{oracle, EdgeColour, WaitForGraph};
 
 use crate::config::BasicConfig;
 use crate::probe::DeadlockReport;
@@ -101,32 +105,31 @@ pub enum NodeClass {
 
 impl std::error::Error for ValidationError {}
 
-/// A basic-model network: `n` [`BasicProcess`] vertices over a seeded,
-/// latency-modelled, journalled simulation.
-///
-/// # Examples
-///
-/// Detect the 3-cycle deadlock and validate both properties:
-///
-/// ```
-/// use cmh_core::config::BasicConfig;
-/// use cmh_core::engine::BasicNet;
-/// use simnet::sim::NodeId;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut net = BasicNet::new(3, BasicConfig::on_block(5), 42);
-/// for i in 0..3 {
-///     net.request(NodeId(i), NodeId((i + 1) % 3))?;
-/// }
-/// net.run_to_quiescence(100_000);
-/// assert!(!net.declarations().is_empty());
-/// net.verify_soundness()?;
-/// net.verify_completeness()?;
-/// # Ok(())
-/// # }
-/// ```
-pub struct BasicNet {
-    sim: Simulation<BasicMsg, BasicProcess>,
+/// A vertex a [`Net`] can drive: a process whose underlying computation
+/// issues requests (§2 G1).
+pub trait Vertex: Process<Self::Msg> + Send + 'static {
+    /// The messages the vertex exchanges.
+    type Msg: fmt::Debug + Clone + Send + 'static;
+
+    /// Has this vertex request `to`; [`RequestError`] on a duplicate edge
+    /// or a self-request.
+    fn request(&mut self, ctx: &mut Context<'_, Self::Msg>, to: NodeId)
+        -> Result<(), RequestError>;
+}
+
+impl Vertex for BasicProcess {
+    type Msg = BasicMsg;
+
+    fn request(&mut self, ctx: &mut Context<'_, BasicMsg>, to: NodeId) -> Result<(), RequestError> {
+        BasicProcess::request(self, ctx, to)
+    }
+}
+
+/// A journalled network: vertices of type `P` over a seeded,
+/// latency-modelled simulation, every wait-for-graph mutation journalled,
+/// and one as-of-time ground truth over the journal.
+pub struct Net<P: Vertex> {
+    sim: Simulation<P::Msg, P>,
     journal: Arc<Mutex<Journal>>,
     /// Checkpointed seek state over `journal`, shared by every as-of-time
     /// query so repeated validation passes replay O(K) deltas, not the
@@ -136,31 +139,31 @@ pub struct BasicNet {
     oracle: RefCell<Oracle>,
 }
 
-impl fmt::Debug for BasicNet {
+/// The basic model's network: `n` [`BasicProcess`] vertices (the crate
+/// docs' quick start runs one).
+pub type BasicNet = Net<BasicProcess>;
+
+impl<P: Vertex> fmt::Debug for Net<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BasicNet")
-            .field("nodes", &self.sim.node_count())
-            .field("now", &self.sim.now())
-            .finish_non_exhaustive()
+        f.debug_tuple("Net").field(&self.sim).finish()
     }
 }
 
-impl BasicNet {
-    /// Creates a network of `n` identically configured vertices with the
-    /// default latency model and the given seed.
-    pub fn new(n: usize, cfg: BasicConfig, seed: u64) -> Self {
-        Self::with_builder(n, cfg, SimBuilder::new().seed(seed))
-    }
-
-    /// Creates a network with full control over the simulation builder
-    /// (latency model, tracing, seed).
-    pub fn with_builder(n: usize, cfg: BasicConfig, builder: SimBuilder) -> Self {
+impl<P: Vertex> Net<P> {
+    /// Builds `n` vertices over `builder`'s simulation (threaded when it
+    /// asks for shards): vertex `i` is `vertex(i, journal)`, added in index
+    /// order, journalling into the one shared journal.
+    pub fn build(
+        builder: SimBuilder,
+        n: usize,
+        mut vertex: impl FnMut(usize, &Arc<Mutex<Journal>>) -> P,
+    ) -> Self {
         let mut sim = builder.build_mt();
         let journal = Arc::new(Mutex::new(Journal::new()));
-        for _ in 0..n {
-            sim.add_node(BasicProcess::new(cfg).with_journal(Arc::clone(&journal)));
+        for i in 0..n {
+            sim.add_node(vertex(i, &journal));
         }
-        BasicNet {
+        Net {
             sim,
             journal,
             cursor: RefCell::new(ReplayCursor::new()),
@@ -191,25 +194,12 @@ impl BasicNet {
         Ok(())
     }
 
-    /// Arms a seeded protocol mutation on every vertex (model-checker
-    /// harness only; see [`crate::process::BasicMutation`]).
-    #[cfg(feature = "mutations")]
-    pub fn set_mutation(&mut self, m: crate::process::BasicMutation) {
-        for i in 0..self.sim.node_count() {
-            self.sim.with_node(NodeId(i), |p, _| p.set_mutation(m));
-        }
-    }
-
-    /// The pending-event frontier, for the schedule-space explorer. See
-    /// [`Simulation::frontier_events`]; requires a simulation built with
-    /// [`SimBuilder::explore`].
+    /// See [`Simulation::frontier_events`] (explore mode only).
     pub fn frontier_events(&mut self) -> Vec<simnet::sim::FrontierEvent> {
         self.sim.frontier_events()
     }
 
-    /// Executes the pending event with creation seq `seq`. See
-    /// [`Simulation::step_seq`]; requires a simulation built with
-    /// [`SimBuilder::explore`].
+    /// See [`Simulation::step_seq`] (explore mode only).
     pub fn step_seq(&mut self, seq: u64) -> bool {
         self.sim.step_seq(seq)
     }
@@ -218,7 +208,7 @@ impl BasicNet {
     pub fn with_node<R>(
         &mut self,
         id: NodeId,
-        f: impl FnOnce(&mut BasicProcess, &mut Context<'_, BasicMsg>) -> R,
+        f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>) -> R,
     ) -> R {
         self.sim.with_node(id, f)
     }
@@ -234,13 +224,12 @@ impl BasicNet {
     }
 
     /// Immutable access to a vertex.
-    pub fn node(&self, id: NodeId) -> &BasicProcess {
+    pub fn node(&self, id: NodeId) -> &P {
         self.sim.node(id)
     }
 
     /// True if the fault plan currently has `id` crashed (see
-    /// [`simnet::faults::FaultPlan`]; install one via
-    /// [`BasicNet::with_builder`]).
+    /// [`simnet::faults::FaultPlan`]; install one via the builder).
     pub fn is_crashed(&self, id: NodeId) -> bool {
         self.sim.is_crashed(id)
     }
@@ -266,24 +255,36 @@ impl BasicNet {
         self.sim.peak_queue_depth()
     }
 
-    /// The trace (enable via [`BasicNet::with_builder`]).
+    /// The trace (enable via the builder).
     pub fn trace(&self) -> &Trace {
         self.sim.trace()
     }
 
-    /// All deadlock declarations made so far, ordered by time.
-    pub fn declarations(&self) -> Vec<DeadlockReport> {
-        let mut ds: Vec<DeadlockReport> = (0..self.node_count())
-            .flat_map(|i| self.node(NodeId(i)).declarations().to_vec())
-            .collect();
-        ds.sort_by_key(|d| (d.at, d.detector));
-        ds
+    fn journal(&self) -> MutexGuard<'_, Journal> {
+        self.journal.lock().expect("journal lock")
     }
 
-    /// A clone of the full mutation journal (for offline analyses such as
-    /// detection-latency measurement).
+    /// A clone of the full mutation journal (for offline analyses).
     pub fn journal_snapshot(&self) -> Journal {
-        self.journal.lock().expect("journal lock").clone()
+        self.journal().clone()
+    }
+
+    /// `q` over the wait-for graph as of `at` and the memoized oracle: the
+    /// one as-of-time ground truth every check reads. Queries in time order
+    /// move the cursor forward only; a backward seek restores a checkpoint.
+    fn as_of<R>(
+        &self,
+        journal: &Journal,
+        at: SimTime,
+        q: impl FnOnce(&WaitForGraph, &mut Oracle) -> R,
+    ) -> Result<R, ValidationError> {
+        let mut cursor = self.cursor.borrow_mut();
+        let g = cursor
+            .seek(journal, at)
+            .map_err(|e| ValidationError::IllegalHistory {
+                detail: e.to_string(),
+            })?;
+        Ok(q(g, &mut self.oracle.borrow_mut()))
     }
 
     /// Reconstructs the wait-for graph as of time `at` from the journal.
@@ -292,13 +293,7 @@ impl BasicNet {
     ///
     /// [`ValidationError::IllegalHistory`] if the journal violates G1–G4.
     pub fn graph_at(&self, at: SimTime) -> Result<WaitForGraph, ValidationError> {
-        self.cursor
-            .borrow_mut()
-            .seek(&self.journal.lock().expect("journal lock"), at)
-            .cloned()
-            .map_err(|e| ValidationError::IllegalHistory {
-                detail: e.to_string(),
-            })
+        self.as_of(&self.journal(), at, |g, _| g.clone())
     }
 
     /// The wait-for graph right now.
@@ -308,6 +303,71 @@ impl BasicNet {
     /// [`ValidationError::IllegalHistory`] if the journal violates G1–G4.
     pub fn current_graph(&self) -> Result<WaitForGraph, ValidationError> {
         self.graph_at(SimTime::MAX)
+    }
+
+    /// `true` if `v` was on a dark cycle at time `at`.
+    ///
+    /// # Errors
+    ///
+    /// [`ValidationError::IllegalHistory`] if the journal violates G1–G4.
+    pub fn on_dark_cycle_at(&self, v: NodeId, at: SimTime) -> Result<bool, ValidationError> {
+        self.as_of(&self.journal(), at, |g, o| o.is_on_dark_cycle(g, v))
+    }
+
+    /// The earliest time `v` was on a dark cycle, given that it was at
+    /// `at`. Dark cycles persist, so a binary search over the journal's
+    /// timestamps finds it.
+    ///
+    /// # Errors
+    ///
+    /// [`ValidationError::IllegalHistory`] if the journal violates G1–G4.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not on a dark cycle at `at`.
+    pub fn formation_time(&self, v: NodeId, at: SimTime) -> Result<SimTime, ValidationError> {
+        let journal = self.journal();
+        let on_cycle = |t| self.as_of(&journal, t, |g, o| o.is_on_dark_cycle(g, v));
+        assert!(on_cycle(at)?, "{v} is not on a dark cycle at {at}");
+        // Every seek below replays a prefix of the one just checked.
+        let upto = journal.entries().partition_point(|&(t, _)| t <= at);
+        let first = journal.entries()[..upto]
+            .partition_point(|&(t, _)| !on_cycle(t).expect("prefix of a legal history"));
+        Ok(journal.entries()[first].0)
+    }
+}
+
+impl BasicNet {
+    /// Creates a network of `n` identically configured vertices with the
+    /// default latency model and the given seed.
+    pub fn new(n: usize, cfg: BasicConfig, seed: u64) -> Self {
+        Self::with_builder(n, cfg, SimBuilder::new().seed(seed))
+    }
+
+    /// Creates a network with full control over the simulation builder
+    /// (latency model, tracing, seed, faults, shards).
+    pub fn with_builder(n: usize, cfg: BasicConfig, builder: SimBuilder) -> Self {
+        Net::build(builder, n, |_, j| {
+            BasicProcess::new(cfg).with_journal(Arc::clone(j))
+        })
+    }
+
+    /// Arms a seeded protocol mutation on every vertex (model-checker
+    /// harness only; see [`crate::process::BasicMutation`]).
+    #[cfg(feature = "mutations")]
+    pub fn set_mutation(&mut self, m: crate::process::BasicMutation) {
+        for i in 0..self.sim.node_count() {
+            self.sim.with_node(NodeId(i), |p, _| p.set_mutation(m));
+        }
+    }
+
+    /// All deadlock declarations made so far, ordered by time.
+    pub fn declarations(&self) -> Vec<DeadlockReport> {
+        let mut ds: Vec<DeadlockReport> = (0..self.node_count())
+            .flat_map(|i| self.node(NodeId(i)).declarations().to_vec())
+            .collect();
+        ds.sort_by_key(|d| (d.at, d.detector));
+        ds
     }
 
     /// Verifies property QRP2 on everything declared so far: at the moment
@@ -323,16 +383,9 @@ impl BasicNet {
         let ds = self.declarations();
         // Declarations are time-sorted, so the cursor only moves forward;
         // the whole pass applies each journal entry at most once.
-        let journal = self.journal.lock().expect("journal lock");
-        let mut cursor = self.cursor.borrow_mut();
-        let mut oracle = self.oracle.borrow_mut();
+        let journal = self.journal();
         for d in &ds {
-            let g = cursor
-                .seek(&journal, d.at)
-                .map_err(|e| ValidationError::IllegalHistory {
-                    detail: e.to_string(),
-                })?;
-            if !oracle.is_on_black_cycle(g, d.detector) {
+            if !self.as_of(&journal, d.at, |g, o| o.is_on_black_cycle(g, d.detector))? {
                 return Err(ValidationError::FalseDeadlock { report: *d });
             }
         }
@@ -353,17 +406,9 @@ impl BasicNet {
     /// [`ValidationError::MissedDeadlock`] listing an undetected cycle's
     /// members, or [`ValidationError::IllegalHistory`].
     pub fn verify_completeness(&self) -> Result<usize, ValidationError> {
-        let journal = self.journal.lock().expect("journal lock");
-        let mut cursor = self.cursor.borrow_mut();
-        let g =
-            cursor
-                .seek(&journal, SimTime::MAX)
-                .map_err(|e| ValidationError::IllegalHistory {
-                    detail: e.to_string(),
-                })?;
         // The free function keeps `MissedDeadlock` member order pinned
         // (Tarjan pop order), independent of the memoized oracle state.
-        let sccs = oracle::dark_sccs(g);
+        let sccs = self.as_of(&self.journal(), SimTime::MAX, |g, _| oracle::dark_sccs(g))?;
         let mut total = 0;
         for scc in sccs.into_iter().filter(|c| c.len() >= 2) {
             total += scc.len();
@@ -375,86 +420,52 @@ impl BasicNet {
         Ok(total)
     }
 
-    /// Classifies every vertex of the current graph (see [`NodeClass`]).
-    /// Crashed vertices are skipped — their edges are torn down on crash
-    /// and whatever waits on them is the fault model's business, not a
-    /// liveness bug.
-    ///
-    /// # Errors
-    ///
-    /// [`ValidationError::IllegalHistory`] if the journal is broken.
-    pub fn liveness_classes(&self) -> Result<Vec<(NodeId, NodeClass)>, ValidationError> {
-        let g = self.current_graph()?;
-        let mut oracle = self.oracle.borrow_mut();
-        let dark = oracle.dark_cycle_members(&g);
-        let in_flight = self.sim.in_flight_messages();
-        let mut out = Vec::new();
-        for i in 0..self.sim.node_count() {
-            let v = NodeId(i);
-            if self.is_crashed(v) {
-                continue;
-            }
-            if g.is_active(v) {
-                out.push((v, NodeClass::Active));
-                continue;
-            }
-            // A white out-edge with nothing in flight is a lost grant:
-            // the server already replied (Whiten) and the wire has
-            // delivered everything, yet this requester never recorded
-            // DeleteWhite. P1/P2 make that unreachable in a correct run
-            // — no second reply is coming, so the wait can never end.
-            if in_flight == 0
-                && g.out_edges(v)
-                    .any(|e| e.colour == wfg::graph::EdgeColour::White)
-            {
-                out.push((v, NodeClass::Wedged));
-                continue;
-            }
-            // BFS along wait chains: whatever this vertex transitively
-            // waits on decides whether the wait can ever end.
-            let mut seen = std::collections::BTreeSet::new();
-            let mut queue = std::collections::VecDeque::new();
-            seen.insert(v);
-            queue.push_back(v);
-            let mut class = None;
-            let mut reaches_exit = false;
-            while let Some(u) = queue.pop_front() {
-                if dark.contains(&u) {
-                    class = Some(if u == v {
-                        NodeClass::Deadlocked
-                    } else {
-                        NodeClass::GenuinelyWaiting
-                    });
-                    break;
-                }
-                if u != v && g.is_active(u) {
-                    reaches_exit = true;
-                }
-                for e in g.out_edges(u) {
-                    if seen.insert(e.to) {
-                        queue.push_back(e.to);
-                    }
-                }
-            }
-            let class = class.unwrap_or(if reaches_exit || in_flight > 0 {
-                NodeClass::GenuinelyWaiting
-            } else {
-                NodeClass::Wedged
-            });
-            out.push((v, class));
-        }
-        Ok(out)
-    }
-
-    /// Runs [`BasicNet::liveness_classes`] and fails if any vertex is
-    /// wedged.
+    /// Classifies every vertex of the current graph (see [`NodeClass`])
+    /// and fails if any is wedged. Crashed vertices are skipped — their
+    /// edges are torn down on crash and whatever waits on them is the
+    /// fault model's business, not a liveness bug.
     ///
     /// # Errors
     ///
     /// [`ValidationError::Wedged`] listing the wedged vertices, or
     /// [`ValidationError::IllegalHistory`].
     pub fn verify_liveness(&self) -> Result<Vec<(NodeId, NodeClass)>, ValidationError> {
-        let classes = self.liveness_classes()?;
+        let in_flight = self.sim.in_flight_messages();
+        let classes = self.as_of(&self.journal(), SimTime::MAX, |g, o| {
+            let dark = o.dark_cycle_members(g);
+            let class = |v: NodeId| {
+                if g.is_active(v) {
+                    return NodeClass::Active;
+                }
+                // A white out-edge with nothing in flight is a lost grant:
+                // the server already replied (Whiten) and the wire has
+                // delivered everything, yet this requester never recorded
+                // DeleteWhite. P1/P2 make that unreachable in a correct run
+                // — no second reply is coming, so the wait can never end.
+                let white = g.out_edges(v).any(|e| e.colour == EdgeColour::White);
+                if in_flight == 0 && white {
+                    return NodeClass::Wedged;
+                }
+                if dark.contains(&v) {
+                    return NodeClass::Deadlocked;
+                }
+                // Whatever this vertex transitively waits on decides
+                // whether the wait can ever end: a dark cycle (resolution's
+                // problem), an active vertex (which can release), or a
+                // message in flight.
+                let reach = oracle::reachable(g, v, |_| true);
+                let exit = |u: &NodeId| dark.contains(u) || (*u != v && g.is_active(*u));
+                if in_flight > 0 || reach.iter().any(exit) {
+                    NodeClass::GenuinelyWaiting
+                } else {
+                    NodeClass::Wedged
+                }
+            };
+            let live = (0..self.node_count()).map(NodeId);
+            live.filter(|&v| !self.is_crashed(v))
+                .map(|v| (v, class(v)))
+                .collect::<Vec<_>>()
+        })?;
         let wedged: Vec<NodeId> = classes
             .iter()
             .filter(|(_, c)| *c == NodeClass::Wedged)
@@ -607,6 +618,26 @@ mod tests {
         assert!(out.quiescent);
         net.verify_soundness().unwrap();
         assert!(!net.declarations().is_empty());
+    }
+
+    #[test]
+    fn formation_time_is_when_the_cycle_closed() {
+        let cfg = BasicConfig {
+            reply: crate::config::ReplyPolicy::Manual,
+            ..BasicConfig::on_block(0)
+        };
+        let mut net = BasicNet::new(2, cfg, 3);
+        net.request(n(0), n(1)).unwrap();
+        net.run_until(SimTime::from_ticks(20));
+        // The second grey edge closes the dark cycle at t = 20.
+        net.request(n(1), n(0)).unwrap();
+        net.run_to_quiescence(100_000);
+        let first = net.declarations()[0];
+        assert!(first.at > SimTime::from_ticks(20));
+        let formed = net.formation_time(first.detector, first.at).unwrap();
+        assert_eq!(formed, SimTime::from_ticks(20));
+        assert!(!net.on_dark_cycle_at(n(0), SimTime::from_ticks(19)).unwrap());
+        assert!(net.on_dark_cycle_at(n(0), formed).unwrap());
     }
 
     #[test]

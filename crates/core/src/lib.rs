@@ -33,7 +33,7 @@
 //! | §2 underlying computation G1–G4 (shared with `baselines`); §3.4 A0/A1/A2 | [`process`] |
 //! | §4.2–§4.3 initiation rules, O(N) state | [`config`], [`process`] |
 //! | §5 WFGD computation | [`wfgd`] |
-//! | harness + validation | [`engine`] |
+//! | journalled harness (shared with `baselines`) + validation | [`engine`] |
 //!
 //! ## Quick start
 //!
@@ -75,6 +75,6 @@ pub mod vset;
 pub mod wfgd;
 
 pub use config::{BasicConfig, ForwardPolicy, InitiationPolicy, ReplyPolicy};
-pub use engine::{BasicNet, NodeClass, ValidationError};
+pub use engine::{BasicNet, Net, NodeClass, ValidationError, Vertex};
 pub use probe::{DeadlockReport, ProbeTag};
 pub use process::{BasicMsg, BasicProcess, RequestError};

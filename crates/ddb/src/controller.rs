@@ -248,8 +248,9 @@ pub struct Controller {
     cfg: DdbConfig,
     locks: LockTable,
     scripts: BTreeMap<TransactionId, ScriptState>,
-    /// The home site of every remote agent that ever requested a lock
-    /// here. A transaction queued in `locks` with an entry here is the
+    /// The home site of every remote agent in the lock table: added by
+    /// its first request, dropped when its last hold or queued request is
+    /// released. A transaction queued in `locks` with an entry here is the
     /// head of an incoming inter-controller edge `(T, home) → (T, S_me)`.
     agent_home: BTreeMap<TransactionId, SiteId>,
     /// Resources acquired remotely (needed for release on commit/abort).
@@ -1197,6 +1198,11 @@ impl Process<DdbMsg> for Controller {
                     *self.cancelled.entry((txn, resource)).or_insert(0) += 1;
                     ctx.count(counters::CANCEL_TOMBSTONED);
                 }
+                // An agent that holds nothing here and waits for nothing
+                // has left the lock table: its home is needed no more.
+                if !self.locks.holds_any(txn) && !self.locks.is_waiting_anywhere(txn) {
+                    self.agent_home.remove(&txn);
+                }
             }
             DdbMsg::Probe { tag, edge } => self.handle_probe(ctx, tag, edge),
             DdbMsg::Abort { txn } => self.abort_local(ctx, txn),
@@ -1345,6 +1351,27 @@ mod tests {
         assert!(net.metrics().get(counters::REMOTE_REQUEST) >= 1);
         assert!(net.metrics().get(counters::ACQUIRED_SENT) >= 1);
         assert!(net.metrics().get(counters::REMOTE_RELEASE) >= 1);
+    }
+
+    #[test]
+    fn remote_agent_home_is_dropped_when_the_agent_leaves_the_lock_table() {
+        let mut net = sim(2, DdbConfig::default(), 2);
+        let txn = Transaction::new(t(1), s(0))
+            .lock(s(1), r(7), X)
+            .lock(s(1), r(8), X)
+            .work(500);
+        net.with_node(s(0).node(), |c, ctx| c.start_txn(ctx, txn));
+        net.run_until(simnet::time::SimTime::from_ticks(300));
+        // Mid-work, the agent holds both locks at S1, which knows its home.
+        let managing = net.node(s(1).node());
+        assert_eq!(managing.locks().held_count(), 2);
+        assert_eq!(managing.agent_home.get(&t(1)), Some(&s(0)));
+        net.run_until(simnet::time::SimTime::from_ticks(10_000));
+        assert_eq!(
+            net.node(s(0).node()).txn_status(t(1)),
+            Some(TxnStatus::Committed)
+        );
+        assert!(net.node(s(1).node()).agent_home.is_empty());
     }
 
     #[test]

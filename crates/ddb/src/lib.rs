@@ -49,7 +49,7 @@ pub mod wfgd;
 pub use config::{DdbConfig, DdbInitiation, Resolution};
 pub use controller::Controller;
 pub use ids::{AgentId, DdbProbeTag, ResourceId, SiteId, TransactionId};
-pub use liveness::{LivenessReport, TxnClass, TxnLiveness, Watchdog};
+pub use liveness::{LivenessReport, TxnClass, TxnLiveness};
 pub use lock::{LockMode, LockOutcome, LockTable};
 pub use net::{DdbNet, DdbValidationError};
 pub use probe::DdbDeadlock;

@@ -1,4 +1,4 @@
-//! Liveness auditing: wedge taxonomy and the deterministic stall watchdog.
+//! Liveness auditing: the wedge taxonomy.
 //!
 //! The paper proves **safety** of detection (P1–P4, Theorems 1–2); this
 //! module machine-checks the **liveness** premise those proofs stand on —
@@ -9,16 +9,6 @@
 //! still unblock it, and no progressing transaction anywhere in its reach
 //! — nothing will ever wake it. A correct controller never produces one;
 //! [`crate::net::DdbNet::verify_liveness`] fails loudly if one appears.
-//!
-//! The [`Watchdog`] is the dynamic counterpart: it tracks per-transaction
-//! progress epochs across observations in *sim time* (deterministic — no
-//! wall clock) and flags transactions whose epoch has not advanced within
-//! a threshold. Stalled-but-classifiable transactions (long lock queues,
-//! genuine deadlocks before the detector's period elapses) are expected;
-//! the watchdog's output is a suspect list for the classifier, not a
-//! verdict.
-
-use std::collections::BTreeMap;
 
 use simnet::time::SimTime;
 
@@ -90,98 +80,12 @@ impl LivenessReport {
     }
 }
 
-/// Deterministic sim-time stall detector.
-///
-/// Feed it `(txn, epoch)` observations (e.g. from
-/// [`crate::net::DdbNet::progress_epochs`]) together with the current
-/// virtual time; it remembers when each transaction's epoch last moved
-/// and returns the transactions stalled for longer than the threshold.
-/// Purely a function of the observation sequence — two identical runs
-/// produce identical suspect lists.
-#[derive(Debug, Clone)]
-pub struct Watchdog {
-    threshold: u64,
-    seen: BTreeMap<TransactionId, (u64, SimTime)>,
-}
-
-impl Watchdog {
-    /// A watchdog flagging transactions whose epoch has not advanced for
-    /// more than `threshold` ticks.
-    pub fn new(threshold: u64) -> Self {
-        Watchdog {
-            threshold: threshold.max(1),
-            seen: BTreeMap::new(),
-        }
-    }
-
-    /// Records one observation and returns the current suspect list:
-    /// transactions observed before whose epoch has not moved for more
-    /// than the threshold. Transactions absent from `observation`
-    /// (committed) are dropped from tracking.
-    pub fn observe(
-        &mut self,
-        now: SimTime,
-        observation: impl IntoIterator<Item = (TransactionId, u64)>,
-    ) -> Vec<TransactionId> {
-        let mut present: BTreeMap<TransactionId, u64> = BTreeMap::new();
-        for (t, e) in observation {
-            present.insert(t, e);
-        }
-        self.seen.retain(|t, _| present.contains_key(t));
-        let mut stalled = Vec::new();
-        for (t, e) in present {
-            match self.seen.get_mut(&t) {
-                Some((last, since)) if *last == e => {
-                    if now.ticks().saturating_sub(since.ticks()) > self.threshold {
-                        stalled.push(t);
-                    }
-                }
-                Some(entry) => *entry = (e, now),
-                None => {
-                    self.seen.insert(t, (e, now));
-                }
-            }
-        }
-        stalled
-    }
-
-    /// Number of transactions currently tracked.
-    pub fn tracked(&self) -> usize {
-        self.seen.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn t(i: u32) -> TransactionId {
         TransactionId(i)
-    }
-
-    #[test]
-    fn watchdog_flags_only_after_threshold() {
-        let mut w = Watchdog::new(100);
-        assert!(w.observe(SimTime::from_ticks(0), [(t(1), 5)]).is_empty());
-        // Epoch unchanged but within threshold: quiet.
-        assert!(w.observe(SimTime::from_ticks(80), [(t(1), 5)]).is_empty());
-        // Past threshold with no movement: flagged.
-        assert_eq!(w.observe(SimTime::from_ticks(200), [(t(1), 5)]), vec![t(1)]);
-        // Epoch moved: timer resets.
-        assert!(w.observe(SimTime::from_ticks(250), [(t(1), 6)]).is_empty());
-        assert!(w.observe(SimTime::from_ticks(320), [(t(1), 6)]).is_empty());
-        assert_eq!(w.observe(SimTime::from_ticks(400), [(t(1), 6)]), vec![t(1)]);
-    }
-
-    #[test]
-    fn watchdog_drops_terminated_transactions() {
-        let mut w = Watchdog::new(10);
-        w.observe(SimTime::from_ticks(0), [(t(1), 1), (t(2), 1)]);
-        assert_eq!(w.tracked(), 2);
-        // T2 committed and vanished from the observation.
-        let stalled = w.observe(SimTime::from_ticks(50), [(t(1), 1)]);
-        assert_eq!(stalled, vec![t(1)]);
-        assert_eq!(w.tracked(), 1);
     }
 
     #[test]

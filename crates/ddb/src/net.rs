@@ -784,22 +784,6 @@ impl DdbNet {
         Ok(total)
     }
 
-    /// Progress epochs of every non-terminal transaction, the observation
-    /// stream a [`crate::liveness::Watchdog`] consumes.
-    pub fn progress_epochs(&self) -> Vec<(TransactionId, u64)> {
-        let mut out = Vec::new();
-        for s in 0..self.n_sites {
-            for snap in self.controller(SiteId(s)).script_snapshots() {
-                // An aborted victim restarts, so only a commit is final.
-                if snap.status != TxnStatus::Committed {
-                    out.push((snap.txn, snap.epoch));
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
     /// Classifies every non-terminal transaction (see
     /// [`crate::liveness::TxnClass`]): progressing on its own, genuinely
     /// waiting (its wait chain reaches a dark cycle, a progressing

@@ -376,9 +376,8 @@ impl Oracle {
     }
 
     /// Vertices from which a dark cycle is dark-reachable (members
-    /// included) — equals the free [`permanently_blocked`]. Computed
-    /// lazily from the memoized membership and cached until the dark set
-    /// changes.
+    /// included; see the free [`permanently_blocked`]). Computed lazily
+    /// from the memoized membership and cached until the dark set changes.
     pub fn permanently_blocked(&mut self, g: &WaitForGraph) -> &BTreeSet<NodeId> {
         self.refresh(g);
         if self.blocked.is_none() {
@@ -396,17 +395,16 @@ impl Oracle {
         self.blocked.as_ref().expect("just filled")
     }
 
-    /// The distinct knots (non-trivial dark SCCs as sorted sets) — equals
-    /// the free [`knots`]. Recomputed in full on first query after a memo
-    /// miss (a new edge can merge knots, so they are not monotone), then
-    /// cached.
+    /// The distinct knots (non-trivial dark SCCs as sorted sets, in
+    /// [`dark_sccs`] order; see the free [`knots`]). Recomputed in full on
+    /// first query after a memo miss (a new edge can merge knots, so they
+    /// are not monotone), then cached.
     pub fn knots(&mut self, g: &WaitForGraph) -> &[BTreeSet<NodeId>] {
         self.refresh(g);
         if self.knots.is_none() {
-            self.scratch.full_dark_run(g);
             let ks = self
                 .scratch
-                .components(g)
+                .dark_sccs(g)
                 .into_iter()
                 .filter(|c| c.len() >= 2)
                 .map(|c| c.into_iter().collect())
@@ -456,13 +454,10 @@ pub fn is_on_dark_cycle(g: &WaitForGraph, v: NodeId) -> bool {
 
 /// The distinct **knots** of the graph: each non-trivial strongly
 /// connected component of the dark subgraph, as a sorted vertex set.
-/// One declaration per knot is what completeness requires (§4.2).
+/// One declaration per knot is what completeness requires (§4.2). A
+/// one-shot [`Oracle::knots`].
 pub fn knots(g: &WaitForGraph) -> Vec<BTreeSet<NodeId>> {
-    dark_sccs(g)
-        .into_iter()
-        .filter(|c| c.len() >= 2)
-        .map(|c| c.into_iter().collect())
-        .collect()
+    Oracle::new().knots(g).to_vec()
 }
 
 /// `true` if `v` lies on a cycle **all of whose edges are black**.
@@ -478,23 +473,10 @@ pub fn is_on_black_cycle(g: &WaitForGraph, v: NodeId) -> bool {
 ///
 /// Such a vertex has an outgoing wait that can never be resolved, because
 /// the chain of waits it heads ends in a dark cycle; by G3 none of the
-/// edges on the chain can ever be whitened.
+/// edges on the chain can ever be whitened. A one-shot
+/// [`Oracle::permanently_blocked`].
 pub fn permanently_blocked(g: &WaitForGraph) -> BTreeSet<NodeId> {
-    let cycle = dark_cycle_members(g);
-    if cycle.is_empty() {
-        return BTreeSet::new();
-    }
-    // Walk dark edges backwards from the cycle members.
-    let mut blocked = cycle.clone();
-    let mut frontier: Vec<NodeId> = cycle.into_iter().collect();
-    while let Some(v) = frontier.pop() {
-        for e in g.in_edges(v) {
-            if e.colour.is_dark() && blocked.insert(e.from) {
-                frontier.push(e.from);
-            }
-        }
-    }
-    blocked
+    Oracle::new().permanently_blocked(g).clone()
 }
 
 /// Black edges `(a, b)` that are **permanently black**: `b` is permanently
@@ -803,6 +785,24 @@ mod tests {
         ];
         for g in &graphs {
             assert_eq!(scratch.dark_sccs(g), dark_sccs(g));
+            // The free knots / permanently_blocked delegate to `Oracle`:
+            // check them against their definitions.
+            let by_scc: Vec<BTreeSet<NodeId>> = dark_sccs(g)
+                .into_iter()
+                .filter(|c| c.len() >= 2)
+                .map(|c| c.into_iter().collect())
+                .collect();
+            assert_eq!(knots(g), by_scc);
+            let members = dark_cycle_members(g);
+            let blocked: BTreeSet<NodeId> = g
+                .vertex_iter()
+                .filter(|&v| {
+                    reachable(g, v, EdgeColour::is_dark)
+                        .iter()
+                        .any(|u| members.contains(u))
+                })
+                .collect();
+            assert_eq!(permanently_blocked(g), blocked);
             for i in 0..7 {
                 assert_eq!(
                     scratch.is_on_black_cycle(g, n(i)),

@@ -1,7 +1,7 @@
 //! Liveness audit over the stress-shaped batched DDB workload: drives the
-//! 6-site/48-transaction mixed workload under detect-and-resolve with the
-//! stall watchdog sampling every 500 ticks, classifies every non-terminal
-//! transaction along the way, and writes a machine-readable summary to
+//! 6-site/48-transaction mixed workload under detect-and-resolve,
+//! classifies every non-terminal transaction every 500 ticks along the
+//! way, and writes a machine-readable summary to
 //! `target/experiments/liveness.json` (uploaded as a CI artifact by the
 //! `stress` job).
 //!
@@ -10,7 +10,7 @@
 
 use std::fmt::Write as _;
 
-use cmh_ddb::{DdbConfig, DdbNet, TxnClass, TxnStatus, Watchdog};
+use cmh_ddb::{DdbConfig, DdbNet, TxnClass, TxnStatus};
 use simnet::time::SimTime;
 use workloads::DdbWorkloadConfig;
 
@@ -27,8 +27,6 @@ fn main() {
         ..DdbWorkloadConfig::default()
     };
     let mut db = DdbNet::new(6, DdbConfig::detect_and_resolve(100, 80), 77);
-    let mut watchdog = Watchdog::new(2_000);
-    let mut stall_samples = 0usize;
     let mut max_deadlocked = 0usize;
     let mut max_waiting = 0usize;
 
@@ -49,10 +47,6 @@ fn main() {
         db.run_until(SimTime::from_ticks(next));
         now = next;
 
-        let suspects = watchdog.observe(SimTime::from_ticks(now), db.progress_epochs());
-        if !suspects.is_empty() {
-            stall_samples += 1;
-        }
         let report = db.liveness_report();
         max_deadlocked = max_deadlocked.max(report.count(TxnClass::Deadlocked));
         max_waiting = max_waiting.max(report.count(TxnClass::GenuinelyWaiting));
@@ -82,7 +76,7 @@ fn main() {
 
     println!(
         "drained {committed}/{} by t={}, peak deadlocked {max_deadlocked}, \
-         peak waiting {max_waiting}, watchdog-stall samples {stall_samples}",
+         peak waiting {max_waiting}",
         outcomes.len(),
         now
     );
@@ -102,7 +96,6 @@ fn main() {
     let _ = writeln!(json, "  \"wedged\": {},", wedged.len());
     let _ = writeln!(json, "  \"peak_deadlocked\": {max_deadlocked},");
     let _ = writeln!(json, "  \"peak_genuinely_waiting\": {max_waiting},");
-    let _ = writeln!(json, "  \"watchdog_stall_samples\": {stall_samples},");
     let _ = writeln!(json, "  \"soundness_ok\": {},", soundness.is_ok());
     let _ = writeln!(json, "  \"stale_echoes\": {},", db.stale_echoes());
     for c in [
