@@ -6,7 +6,7 @@
 //! 10⁴, 10⁵ and 10⁶ vertices and prints raw engine throughput
 //! (events/sec), detector throughput (probes/sec) and the memory
 //! footprint per vertex (`VmHWM / N`) — the headline numbers for the
-//! sharded conservative-window engine (DESIGN §12) and the sparse
+//! sharded one-tick-window engine (DESIGN §12) and the sparse
 //! per-vertex tables that replaced the dense O(N) arrays (quadratic in
 //! aggregate at this scale).
 //!
@@ -19,16 +19,14 @@
 //! expected-declaration count is the correctness check.
 //!
 //! `CMH_SHARDS=S` selects the sharded engine (workers engage on windows
-//! with enough backlog); `CMH_LATENCY=wan` swaps in the 3-tick latency
-//! floor so the sharded engine coalesces multi-tick windows;
-//! `CMH_SCALE_MAX` overrides the largest N.
+//! with enough backlog); `CMH_SCALE_MAX` overrides the largest N.
 
 // cmh-lint: allow-file(D2) — the table's `sim ms` and per-second columns are wall clock.
 use std::time::Instant;
 
-use cmh_bench::sweep::{latency_from_env, shards_from_env};
+use cmh_bench::sweep::shards_from_env;
 use cmh_bench::Table;
-use cmh_core::process::counters as basic_counters;
+use cmh_core::process::{counters as basic_counters, BasicMsg};
 use cmh_core::{BasicConfig, BasicProcess};
 use simnet::metrics::builtin;
 use simnet::sim::{NodeId, SimBuilder, Simulation};
@@ -56,11 +54,8 @@ fn peak_rss_bytes() -> u64 {
 /// quiescence. Returns (events, probes, declared, expected_declared,
 /// wall-clock ms of inject + run).
 fn run_point(n: usize, shards: usize) -> (u64, u64, usize, usize, f64) {
-    let mut sim: Simulation<_, BasicProcess> = SimBuilder::new()
-        .seed(4242)
-        .latency(latency_from_env())
-        .shards(shards)
-        .build_mt::<cmh_core::process::BasicMsg, BasicProcess>();
+    let mut sim: Simulation<BasicMsg, BasicProcess> =
+        SimBuilder::new().seed(4242).shards(shards).build_mt();
     for _ in 0..n {
         sim.add_node(BasicProcess::new(BasicConfig::on_block(10)));
     }

@@ -71,14 +71,6 @@ pub enum LatencyModel {
         /// Extra delay per unit of node-id distance.
         per_hop: u64,
     },
-    /// A deliberately broken model for the draw-site guard test: claims
-    /// `claimed` as its floor but always samples 1 tick.
-    #[cfg(test)]
-    #[doc(hidden)]
-    Lying {
-        /// The advertised (and violated) minimum delay.
-        claimed: u64,
-    },
 }
 
 impl LatencyModel {
@@ -110,64 +102,8 @@ impl LatencyModel {
                 let hops = from.0.abs_diff(to.0) as u64;
                 base.saturating_add(per_hop.saturating_mul(hops))
             }
-            #[cfg(test)]
-            LatencyModel::Lying { .. } => 1,
-        };
-        let d = d.max(1);
-        // A model that draws below its declared floor silently breaks the
-        // conservative windows of a sharded run (a cross-shard effect
-        // could land inside an already-drained window), so catch the lie
-        // at the draw site.
-        debug_assert!(
-            d >= self.min_delay(),
-            "latency model {self:?} sampled {d} below its declared min_delay {}",
-            self.min_delay()
-        );
-        d
-    }
-
-    /// The smallest delay this model can ever produce — the conservative
-    /// lookahead bound of the sharded stepper (see [`crate::shard`]).
-    ///
-    /// Every model clamps samples to at least 1 tick, so `min_delay() >= 1`
-    /// always holds: an event handled at tick `t` can only schedule
-    /// consequences at `t + min_delay()` or later, which makes a window of
-    /// `min_delay()` ticks safe to advance without cross-shard
-    /// synchronisation. For each model:
-    ///
-    /// * `Fixed { ticks }` → `max(ticks, 1)`;
-    /// * `Uniform { lo, hi }` → `max(min(lo, hi), 1)` (sample normalises
-    ///   swapped bounds the same way);
-    /// * `Skewed { mean }` → 1 (the clamped-exponential tail reaches 1);
-    /// * `Bimodal { .. }` → the smaller of the two mode minima, floor 1;
-    /// * `Distance { base, .. }` → `max(base, 1)` (a zero-hop self-send
-    ///   pays only the base delay).
-    pub fn min_delay(&self) -> u64 {
-        let d = match *self {
-            LatencyModel::Fixed { ticks } => ticks,
-            LatencyModel::Uniform { lo, hi } => lo.min(hi),
-            LatencyModel::Skewed { .. } => 1,
-            LatencyModel::Bimodal {
-                fast_lo,
-                fast_hi,
-                slow_lo,
-                slow_hi,
-                ..
-            } => fast_lo.min(fast_hi).min(slow_lo.min(slow_hi)),
-            LatencyModel::Distance { base, .. } => base,
-            #[cfg(test)]
-            LatencyModel::Lying { claimed } => claimed,
         };
         d.max(1)
-    }
-
-    /// A wide-area preset: uniform delay in `[3, 12]` ticks. Its
-    /// `min_delay()` of 3 gives a sharded run a three-tick
-    /// conservative window, making this the workspace's standard
-    /// multi-tick-window configuration (`CMH_LATENCY=wan` in the
-    /// experiment binaries; see DESIGN §12).
-    pub fn wan() -> Self {
-        LatencyModel::Uniform { lo: 3, hi: 12 }
     }
 }
 
@@ -196,7 +132,7 @@ mod tests {
     }
 
     #[test]
-    fn min_delay_bounds_every_model_sample() {
+    fn every_model_samples_at_least_one_tick() {
         let models = [
             LatencyModel::Fixed { ticks: 7 },
             LatencyModel::Fixed { ticks: 0 },
@@ -205,7 +141,7 @@ mod tests {
             LatencyModel::Uniform { lo: 0, hi: 2 },
             LatencyModel::Skewed { mean: 12 },
             LatencyModel::Bimodal {
-                fast_lo: 2,
+                fast_lo: 0,
                 fast_hi: 5,
                 slow_lo: 40,
                 slow_hi: 80,
@@ -222,62 +158,11 @@ mod tests {
         ];
         let mut r = rng();
         for m in &models {
-            let lo = m.min_delay();
-            assert!(lo >= 1, "{m:?} min_delay below 1");
             for i in 0..500 {
                 let d = m.sample(&mut r, NodeId(i % 7), NodeId((i * 3) % 7));
-                assert!(d >= lo, "{m:?} sampled {d} below min_delay {lo}");
+                assert!(d >= 1, "{m:?} sampled {d}");
             }
         }
-    }
-
-    #[test]
-    fn min_delay_exact_values() {
-        assert_eq!(LatencyModel::Fixed { ticks: 7 }.min_delay(), 7);
-        assert_eq!(LatencyModel::Fixed { ticks: 0 }.min_delay(), 1);
-        assert_eq!(LatencyModel::Uniform { lo: 9, hi: 3 }.min_delay(), 3);
-        assert_eq!(LatencyModel::Skewed { mean: 100 }.min_delay(), 1);
-        assert_eq!(
-            LatencyModel::Bimodal {
-                fast_lo: 6,
-                fast_hi: 9,
-                slow_lo: 2,
-                slow_hi: 80,
-                slow_prob: 0.5,
-            }
-            .min_delay(),
-            2
-        );
-        assert_eq!(
-            LatencyModel::Distance {
-                base: 5,
-                per_hop: 9
-            }
-            .min_delay(),
-            5
-        );
-    }
-
-    #[test]
-    fn wan_preset_has_multi_tick_floor() {
-        assert!(LatencyModel::wan().min_delay() >= 2);
-        let mut r = rng();
-        for _ in 0..200 {
-            let d = LatencyModel::wan().sample(&mut r, NodeId(0), NodeId(1));
-            assert!((3..=12).contains(&d));
-        }
-    }
-
-    /// The draw-site guard must trip on a model whose samples undercut
-    /// its declared `min_delay` — that lie is otherwise invisible until a
-    /// sharded trace silently diverges.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "below its declared min_delay")]
-    fn draw_site_guard_catches_lying_model() {
-        let mut r = rng();
-        let m = LatencyModel::Lying { claimed: 5 };
-        let _ = m.sample(&mut r, NodeId(0), NodeId(1));
     }
 
     #[test]

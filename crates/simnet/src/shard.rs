@@ -1,6 +1,6 @@
 //! Shards: per-node-partition event queues, the one event handler, and
-//! the conservative-lookahead windows that run `S > 1` shards
-//! bit-identically to `S = 1`.
+//! the one-tick windows that run `S > 1` shards bit-identically to
+//! `S = 1`.
 //!
 //! # Architecture
 //!
@@ -18,24 +18,14 @@
 //!   effect is applied to the sequencer the moment the handler asks for
 //!   it. No window, no log, no barrier; this order is the reference the
 //!   other mode reproduces.
-//! * **Deferred (`S > 1`).** Simulated time advances in **multi-tick
-//!   conservative windows** `[t, t + L)`: every
-//!   [`crate::latency::LatencyModel`] guarantees a send at tick `τ` lands
-//!   at `τ + min_delay()` or later (`min_delay() >= 1`), so with `L`
-//!   bounded by `min_delay()` (and by the reliable layer's first
-//!   retransmission timeout, the one cross-shard push that bypasses a
-//!   latency draw) no *cross-shard* effect deferred inside the window can
-//!   land before the window closes. Within a window each shard drains its
-//!   own queue in local `(time, seq)` order — pre-armed shard-local
-//!   timers and earlier self-sends that land inside the window included —
-//!   folding consecutive sparse ticks into a single dispatch and barrier.
-//!   The only sub-`min_delay()` effects a handler can create are timers
-//!   and retransmission re-arms, and both land on the *deferring* shard
-//!   itself, so each shard truncates its own drain at the earliest such
-//!   landing (its **hazard floor**) and picks the pending event up next
-//!   window, after the barrier has armed it in `S = 1` order. With the
-//!   workspace default models (`min_delay() == 1`) the window degenerates
-//!   to a single tick.
+//! * **Deferred (`S > 1`).** Simulated time advances one **window** at a
+//!   time, and a window is exactly the events of one tick: the earliest
+//!   pending tick on any shard. Every send, timer and retransmission
+//!   lands at least one tick after the handler that made it (latency
+//!   samples, timer delays and backoffs are all clamped `>= 1`), so
+//!   nothing deferred inside a window can land before the window closes,
+//!   and the events of one tick are independent across shards. Each
+//!   shard drains its own events of the tick in local seq order.
 //!
 //! # Two-phase windows (why the result is bit-identical)
 //!
@@ -81,7 +71,7 @@
 //! identical results.
 
 // cmh-lint: allow-file(D4) — the windowed mode's parallel handler phase:
-// pooled worker threads advance disjoint shards inside one conservative
+// pooled worker threads advance disjoint shards inside one tick's
 // window; all RNG, trace and scheduling order is replayed sequentially at
 // the window barrier, so results are bit-identical to single-threaded runs.
 
@@ -283,13 +273,6 @@ pub(crate) struct ShardLocal<M> {
     /// order, indexed per originating event by `marks`.
     items: Vec<Item<M>>,
     marks: Vec<Mark>,
-    /// Hazard floor of the current window: the earliest tick at which a
-    /// timer or retransmission re-arm deferred *this window* will land
-    /// back on this shard. The drain must not advance past it — the
-    /// pending event replays at the barrier with a fresh (larger) seq, so
-    /// ticks `<= floor` stay safe, ticks beyond it would run out of
-    /// order. Reset to `SimTime::MAX` at every window start.
-    floor: SimTime,
     pub(crate) tracing: bool,
     pub(crate) halted: bool,
     /// Events this shard has handled in windows, ever; a window's count
@@ -339,19 +322,8 @@ impl<M> ShardLocal<M> {
 
     // ---- Deferred-mode halves of the `Context` operations ----
 
-    /// Logs `req` for the barrier. A timer or a retransmission re-arm
-    /// lands back on this shard, so the drain must not advance past that
-    /// tick (see `floor`).
+    /// Logs `req` for the barrier.
     pub(crate) fn defer(&mut self, req: Req<M>) {
-        let landing = match &req {
-            Req::PushTimer { delay, .. } => self.now + (*delay).max(1),
-            Req::Retransmit {
-                verdict: RetransmitVerdict::Retry(backoff),
-                ..
-            } => self.now + *backoff,
-            _ => SimTime::MAX,
-        };
-        self.floor = self.floor.min(landing);
         self.items.push(Item::Req(req));
     }
 
@@ -471,7 +443,6 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Shard<M, P> {
                 timers: TimerSlab::new(),
                 items: Vec::new(),
                 marks: Vec::new(),
-                floor: SimTime::MAX,
                 tracing,
                 halted: false,
                 events: 0,
@@ -485,32 +456,20 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Shard<M, P> {
         self.local.queue.peek_key()
     }
 
-    /// Parallel phase: handle up to `limit` events due before `end`, in
-    /// local `(time, seq)` order, deferring all globally ordered side
-    /// effects. The drain spans multiple ticks (the conservative window),
-    /// truncated by the shard's own hazard floor — the earliest landing
-    /// time of any timer/re-arm it deferred this window, which must
-    /// replay at the barrier before later ticks may run.
-    fn pass1(&mut self, end: SimTime, limit: u64) -> u64 {
-        self.local.floor = SimTime::MAX;
+    /// `true` if this shard holds an event due at `tick`.
+    fn due(&self, tick: SimTime) -> bool {
+        self.next_key().is_some_and(|(at, _)| at == tick)
+    }
+
+    /// Parallel phase: handle up to `limit` events due at `tick`, in
+    /// local seq order, deferring all globally ordered side effects.
+    /// Everything they defer lands at a later tick, so the drain never
+    /// meets an event the barrier has yet to arm.
+    fn pass1(&mut self, tick: SimTime, limit: u64) -> u64 {
+        self.local.now = tick;
         let mut handled = 0u64;
-        while handled < limit {
-            let Some((at, _)) = self.local.queue.peek_key() else {
-                break;
-            };
-            if at >= end || at > self.local.floor {
-                break;
-            }
-            if at != self.local.now {
-                // Tick boundary inside the window. A halt raised at an
-                // earlier tick stops the drain here: the remaining ticks
-                // belong to runs the engine will never execute.
-                if handled > 0 && self.local.halted {
-                    break;
-                }
-                self.local.now = at;
-            }
-            let (entry, (_, seq), ev) = self.local.queue.pop().expect("peeked entry");
+        while handled < limit && self.due(tick) {
+            let (entry, (at, seq), ev) = self.local.queue.pop().expect("peeked entry");
             handled += 1;
             self.local.events += 1;
             self.local.cur_seq = seq;
@@ -689,7 +648,7 @@ pub(crate) type ParExec<M, P> =
     fn(&mut Vec<Shard<M, P>>, SimTime, usize, &mut Option<Box<dyn std::any::Any>>);
 
 /// A unit of parallel-phase work: shard `idx`, moved to a worker by
-/// value, advanced through the window ending at `end`, and moved back on
+/// value, advanced through the window at `tick`, and moved back on
 /// the pool's return channel. Moving whole shards (a few hundred bytes of
 /// queue/metrics headers; the heap payloads don't move) keeps the pool
 /// free of `unsafe` — the workspace's `forbid(unsafe_code)` floor (lint
@@ -697,7 +656,7 @@ pub(crate) type ParExec<M, P> =
 struct Job<M, P> {
     idx: usize,
     shard: Shard<M, P>,
-    end: SimTime,
+    tick: SimTime,
 }
 
 /// Persistent worker threads for the parallel handler phase. Threads park
@@ -739,7 +698,7 @@ where
                     while let Ok(Job {
                         idx,
                         mut shard,
-                        end,
+                        tick,
                     }) = rx.recv()
                     {
                         // A handler panic must not wedge the dispatcher
@@ -747,7 +706,7 @@ where
                         // and let the dispatcher re-raise after draining.
                         let res =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                                shard.pass1(end, u64::MAX);
+                                shard.pass1(tick, u64::MAX);
                                 shard
                             }));
                         if done.send((idx, res.ok())).is_err() {
@@ -767,20 +726,20 @@ where
         }
     }
 
-    /// Moves every shard with work before `end` to a worker (round-robin),
+    /// Moves every shard with work at `tick` to a worker (round-robin),
     /// blocks until all of them return, and restores the shard vector in
     /// its original order. Panics (after draining every response) if any
     /// worker's shard panicked mid-handler.
-    fn run(&mut self, shards: &mut Vec<Shard<M, P>>, end: SimTime) {
+    fn run(&mut self, shards: &mut Vec<Shard<M, P>>, tick: SimTime) {
         let n = shards.len();
         if self.slots.len() < n {
             self.slots.resize_with(n, || None);
         }
         let mut sent = 0usize;
         for (idx, shard) in shards.drain(..).enumerate() {
-            if shard.next_key().is_some_and(|(at, _)| at < end) {
+            if shard.due(tick) {
                 self.jobs[sent % self.jobs.len()]
-                    .send(Job { idx, shard, end })
+                    .send(Job { idx, shard, tick })
                     .expect("shard worker alive");
                 sent += 1;
             } else {
@@ -814,8 +773,8 @@ impl<M, P> Drop for WorkerPool<M, P> {
 }
 
 /// What only the windowed mode (`S > 1`) uses of a [`Simulation`]: the
-/// threading capability, the window length, and recycled barrier
-/// buffers. Inert — and allocation-free — at `S = 1`.
+/// threading capability and recycled barrier buffers. Inert — and
+/// allocation-free — at `S = 1`.
 pub(crate) struct Windows<M, P> {
     /// Captured threading capability (`M: Send + P: Send` proven at build
     /// time); `None` runs the parallel phase on the calling thread.
@@ -830,12 +789,6 @@ pub(crate) struct Windows<M, P> {
     /// threshold (tests use this to drive the threaded path on small
     /// configs).
     forced_workers: bool,
-    /// Conservative window length in ticks: the latency model's
-    /// `min_delay()`, clamped by the reliable layer's first retransmission
-    /// timeout (the one cross-shard push that bypasses a latency draw).
-    /// Each dispatched window `[t, t + win_len)` is further narrowed by
-    /// the hazard rule in [`Simulation::next_window`].
-    win_len: u64,
     /// Persistent parked worker threads, created lazily (by the captured
     /// `par_exec` capability, which carries the necessary bounds) on the
     /// first window that engages the threaded phase. Type-erased so the
@@ -872,13 +825,13 @@ fn worker_budget(shards: usize) -> usize {
 }
 
 /// The threaded parallel phase: the persistent pool's workers advance the
-/// due shards through the window ending at `end`. Captured as a plain
+/// due shards through the window at `tick`. Captured as a plain
 /// `fn` pointer by [`crate::sim::SimBuilder::build_mt`], where the
 /// `Send + 'static` bounds hold; the pool is created lazily into the
 /// simulation's type-erased `slot` on the first engaged window.
 pub(crate) fn pool_pass1<M, P>(
     shards: &mut Vec<Shard<M, P>>,
-    end: SimTime,
+    tick: SimTime,
     workers: usize,
     slot: &mut Option<Box<dyn std::any::Any>>,
 ) where
@@ -889,14 +842,12 @@ pub(crate) fn pool_pass1<M, P>(
         .get_or_insert_with(|| Box::new(WorkerPool::<M, P>::new(workers)))
         .downcast_mut::<WorkerPool<M, P>>()
         .expect("pool slot holds this simulation's worker pool");
-    pool.run(shards, end);
+    pool.run(shards, tick);
 }
 
 impl<M, P> Windows<M, P> {
     pub(crate) fn new(
         nshards: usize,
-        min_delay: u64,
-        reliable: Option<ReliableConfig>,
         par_exec: Option<ParExec<M, P>>,
         workers: Option<usize>,
     ) -> Self {
@@ -904,9 +855,6 @@ impl<M, P> Windows<M, P> {
             par_exec,
             workers: workers.map(|w| w.clamp(1, nshards)),
             forced_workers: workers.is_some(),
-            win_len: reliable
-                .map_or(min_delay, |cfg| min_delay.min(cfg.backoff(1)))
-                .max(1),
             pool: None,
             stats: WindowStats::default(),
             log_scratch: Vec::new(),
@@ -918,75 +866,30 @@ impl<M, P> Windows<M, P> {
 /// The windowed mode of the drive loop: what [`Simulation`]'s `step`,
 /// `run_until`, `run_to_quiescence` and `with_node` do when `S > 1`.
 impl<M: fmt::Debug + Clone, P: Process<M>> Simulation<M, P> {
-    /// Computes the next window `[start, end)`, or `None` at quiescence.
-    ///
-    /// `start` is the earliest pending key across shards; `end` stretches
-    /// to `start + win_len`, narrowed by the **hazard rule**: a handler at
-    /// tick `τ` may arm a timer (or retransmission re-arm) landing at
-    /// `τ + 1`, and that fresh event — replayed at the barrier with a
-    /// fresh seq — must globally precede any *pre-window* event at a
-    /// strictly later tick. The arming shard truncates its own drain at
-    /// the landing (its hazard floor), but another shard's drain cannot
-    /// see that floor mid-flight, so the dispatch must ensure no other
-    /// shard could process a tick `>= τ + 2`. With `m2` the earliest
-    /// pending tick on any shard other than the owner of `start`:
-    ///
-    /// * `m2 >= start + win_len`: only one shard has work in the window —
-    ///   it runs the full window, its own floor truncation sufficing.
-    /// * `m2 > start + 1`: the leader runs alone up to `m2` (the
-    ///   runner-up's first tick stays outside the window).
-    /// * otherwise: multiple shards are due; two consecutive ticks are
-    ///   always safe (`τ + 2` can't fit inside them), more are not.
-    ///
-    /// With `win_len == 1` (the default models) every branch collapses to
-    /// a single-tick window.
-    fn next_window(&self) -> Option<(SimTime, SimTime)> {
-        let mut first: Option<(SimTime, u64)> = None;
-        let mut m2 = SimTime::MAX;
-        for s in &self.shards {
-            let Some((at, seq)) = s.next_key() else {
-                continue;
-            };
-            match first {
-                Some((fat, fseq)) if (at, seq) < (fat, fseq) => {
-                    m2 = m2.min(fat);
-                    first = Some((at, seq));
-                }
-                Some(_) => m2 = m2.min(at),
-                None => first = Some((at, seq)),
-            }
-        }
-        let (start, _) = first?;
-        let full = start + self.win.win_len;
-        let end = if m2 >= full {
-            full
-        } else if m2 > start + 1 {
-            m2
-        } else {
-            full.min(start + 2)
-        };
-        Some((start, end))
-    }
-
-    /// Runs the next window — if it opens at or before `deadline`, and no
-    /// further than the deadline: events past it belong to the caller's
-    /// next run call — handling at most `limit` events. Returns events
-    /// handled, `Some(0)` when the window opens past the deadline, `None`
-    /// at quiescence. Never inlined: the inline loop of one shard shares
-    /// its callers, and must not share a stack frame with all this.
+    /// Runs the next window — the earliest pending tick, if it is at or
+    /// before `deadline`: events past it belong to the caller's next run
+    /// call — handling at most `limit` events. Returns events handled,
+    /// `Some(0)` when the window opens past the deadline, `None` at
+    /// quiescence. Never inlined: the inline loop of one shard shares its
+    /// callers, and must not share a stack frame with all this.
     #[inline(never)]
     pub(crate) fn run_window(&mut self, deadline: SimTime, limit: u64) -> Option<u64> {
-        let (start, end) = self.next_window()?;
-        if start > deadline {
+        let tick = self
+            .shards
+            .iter()
+            .filter_map(|s| s.next_key())
+            .map(|(at, _)| at)
+            .min()?;
+        if tick > deadline {
             return Some(0);
         }
-        Some(self.exec_window(start, end.min(deadline + 1), limit))
+        Some(self.exec_window(tick, limit))
     }
 
-    /// Runs one window `[start, end)`: the parallel handler phase
-    /// (threaded when the capability and enough work are present), then
-    /// the sequential barrier replay. Returns events handled.
-    fn exec_window(&mut self, start: SimTime, end: SimTime, limit: u64) -> u64 {
+    /// Runs the window at `tick`: the parallel handler phase (threaded
+    /// when the capability and enough work are present), then the
+    /// sequential barrier replay. Returns events handled.
+    fn exec_window(&mut self, tick: SimTime, limit: u64) -> u64 {
         let node_count = self.seqr.node_count;
         let (mut before, mut pending) = (0u64, 0u64);
         for s in &mut self.shards {
@@ -1007,11 +910,10 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Simulation<M, P> {
             // was pinned explicitly, which is an opt-in to always
             // thread). Either execution is bit-identical, so this is
             // purely a scheduling heuristic.
-            let due = |s: &Shard<M, P>| s.next_key().is_some_and(|(at, _)| at < end);
             let threads = match self.win.par_exec {
                 Some(exec)
                     if (self.win.forced_workers || pending >= DEFAULT_PAR_THRESHOLD)
-                        && self.shards.iter().filter(|s| due(s)).count() > 1 =>
+                        && self.shards.iter().filter(|s| s.due(tick)).count() > 1 =>
                 {
                     let nshards = self.shards.len();
                     let workers = *self
@@ -1023,53 +925,38 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Simulation<M, P> {
                 _ => None,
             };
             if let Some((exec, workers)) = threads {
-                exec(&mut self.shards, end, workers, &mut self.win.pool);
+                exec(&mut self.shards, tick, workers, &mut self.win.pool);
             } else {
-                for shard in self.shards.iter_mut().filter(|s| due(s)) {
-                    shard.pass1(end, u64::MAX);
+                for shard in self.shards.iter_mut().filter(|s| s.due(tick)) {
+                    shard.pass1(tick, u64::MAX);
                 }
             }
         } else {
             // The budget may bind mid-window: it must truncate at the
             // same point an inline run would, so take events one at a
-            // time in global (time, seq) order instead of handing shard 0
-            // the whole budget ahead of lower-seq events on later
-            // shards. Each single-event pass1 resets the shard's hazard
-            // floor, so fold every floor into the window end by hand —
-            // an event must not run past a timer an earlier one armed.
+            // time in global seq order instead of handing shard 0 the
+            // whole budget ahead of lower-seq events on later shards.
             // O(S) per event, but this path only runs when the
             // `max_events` liveness backstop is about to fire (or a
             // driver single-steps).
-            let mut remaining = limit;
-            let mut wend = end;
-            while remaining > 0 {
-                let due = self
+            for _ in 0..limit {
+                let next = self
                     .shards
                     .iter()
                     .enumerate()
-                    .filter_map(|(i, s)| s.next_key().map(|k| (k, i)))
-                    .filter(|&((at, _), _)| at < wend)
+                    .filter_map(|(i, s)| match s.next_key() {
+                        Some((at, seq)) if at == tick => Some((seq, i)),
+                        _ => None,
+                    })
                     .min();
-                let Some(((at, _), i)) = due else { break };
-                self.shards[i].pass1(at + 1, 1);
-                wend = wend.min(self.shards[i].local.floor + 1);
-                remaining -= 1;
+                let Some((_, i)) = next else { break };
+                self.shards[i].pass1(tick, 1);
             }
         }
-        // Window accounting: the frontier is the last tick any shard
-        // actually drained to (shards with an empty window log keep a
-        // stale `now` and are skipped).
-        let frontier = self
-            .shards
-            .iter()
-            .filter(|s| !s.local.marks.is_empty())
-            .map(|s| s.local.now)
-            .fold(start, SimTime::max);
         self.win.stats.windows += 1;
-        self.win.stats.ticks += frontier.since(start) + 1;
         // cmh-lint: allow(D2) — wall-clock here meters the barrier's own cost for perf accounting; it never feeds simulated behavior.
         let t0 = std::time::Instant::now();
-        self.barrier(start);
+        self.barrier(tick);
         self.win.stats.barrier_nanos += t0.elapsed().as_nanos() as u64;
         let after: u64 = self.shards.iter().map(|s| s.local.events).sum();
         after - before
@@ -1189,10 +1076,6 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Simulation<M, P> {
     /// items leave `Item::Consumed` tombstones behind so the buffer can
     /// be recycled without shifting.
     fn replay_run(&mut self, mark: Mark, items: &mut [Item<M>], end: usize) {
-        // Multi-tick windows replay marks from several ticks in one
-        // barrier; the sequencer's clock tracks the originating tick so
-        // replayed delay arithmetic matches an inline run's.
-        self.seqr.now = self.seqr.now.max(mark.at);
         let mut k = mark.start as usize;
         while k < end {
             if matches!(items[k], Item::Trace(_)) {

@@ -1179,14 +1179,10 @@ pub struct RunOutcome {
 /// shard, which has no windows or barriers).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowStats {
-    /// Conservative windows dispatched (= barrier count), a
+    /// One-tick windows dispatched (= barrier count), a
     /// [`Simulation::step`] being a window of one event; driver
     /// injections via [`Simulation::with_node`] are not counted.
     pub windows: u64,
-    /// Total ticks those windows actually spanned (first to last drained
-    /// tick, inclusive); `ticks / windows` is the mean window width, 1.0
-    /// when every window degenerates to a single tick.
-    pub ticks: u64,
     /// Wall-clock nanoseconds spent in the sequential barrier phase.
     pub barrier_nanos: u64,
 }
@@ -1244,7 +1240,7 @@ impl SimBuilder {
     /// Partitions the event loop into `shards` shards (node `i` lives on
     /// shard `i mod shards`). With `1` (the default) handlers' side
     /// effects apply inline, in `(time, seq)` order; with more, shards
-    /// are stepped under the conservative-window protocol of
+    /// are stepped one tick at a time under the window protocol of
     /// [`crate::shard`], which defers the effects and replays them in
     /// that same order. Observable behaviour is bit-identical for any
     /// value; multi-threaded *execution* of the shards additionally
@@ -1354,13 +1350,7 @@ impl SimBuilder {
         let shards = (0..self.shards)
             .map(|idx| Shard::new(idx, self.shards, self.reliable, self.trace))
             .collect();
-        let win = Windows::new(
-            self.shards,
-            self.latency.min_delay(),
-            self.reliable,
-            par,
-            self.workers,
-        );
+        let win = Windows::new(self.shards, par, self.workers);
         Simulation {
             shards,
             seqr: self.sequencer(),
@@ -1439,8 +1429,8 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Simulation<M, P> {
         self.seqr.node_count
     }
 
-    /// Window-level execution counters: windows dispatched, ticks they
-    /// spanned, and wall-clock barrier cost. All zero with one shard.
+    /// Window-level execution counters: windows dispatched and wall-clock
+    /// barrier cost. All zero with one shard.
     pub fn window_stats(&self) -> WindowStats {
         self.win.stats
     }

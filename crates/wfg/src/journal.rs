@@ -113,34 +113,24 @@ impl Journal {
     /// Entries are kept sorted by `(time, seq)` (stable: equal keys keep
     /// arrival order). Handlers of a sharded simulation's window record
     /// shard by shard — and, threaded, under a lock in thread-schedule
-    /// order — so appends can arrive out of chronological order within
-    /// the engine's current conservative window (a multi-tick window
-    /// replays one shard's ticks before another's); the insertion sort
-    /// restores the canonical order a single-shard run records.
-    /// Insertion only ever lands inside the trailing window span, so a
-    /// [`ReplayCursor`] stays valid as long as it is not seeked over a
-    /// tick the simulation may still be executing (e.g. resuming a run
-    /// whose `max_events` budget stopped it mid-window).
+    /// order — so same-tick appends can arrive out of seq order; the
+    /// insertion sort restores the canonical order a single-shard run
+    /// records. Such an insertion only ever lands inside the window's
+    /// tick, so a [`ReplayCursor`] stays valid as long as it is not
+    /// seeked over a tick the simulation may still be executing (e.g.
+    /// resuming a run whose `max_events` budget stopped it mid-window).
     pub fn record_at(&mut self, at: SimTime, seq: u64, op: GraphOp) {
-        // Upper-bound binary search over (time, seq); entries predating
-        // the tag field (deserialized journals) sort as u64::MAX.
+        // Upper-bound binary search over (time, seq).
         let key = (at, seq);
         let mut lo = 0;
         let mut hi = self.entries.len();
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            let mid_key = (
-                self.entries[mid].0,
-                self.seqs.get(mid).copied().unwrap_or(u64::MAX),
-            );
-            if mid_key <= key {
+            if (self.entries[mid].0, self.seqs[mid]) <= key {
                 lo = mid + 1;
             } else {
                 hi = mid;
             }
-        }
-        if self.seqs.len() < self.entries.len() {
-            self.seqs.resize(self.entries.len(), u64::MAX);
         }
         self.entries.insert(lo, (at, op));
         self.seqs.insert(lo, seq);

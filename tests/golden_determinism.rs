@@ -421,13 +421,12 @@ fn threaded_execution_reproduces_pinned_digests() {
     }
 }
 
-/// Churn over the [`LatencyModel::wan`] preset (3-tick latency floor):
-/// the sharded engine coalesces *multi-tick* conservative windows here
-/// (PR 8), so this pin guards the window-dispatch hazard rule — timers
-/// armed inside a window, the per-shard floor, the two-tick cap — across
-/// shard counts and worker counts. Recorded once on the sequential
-/// engine; every sharded/threaded configuration must reproduce it.
-fn wan_digest_opts(seed: u64, shards: usize, workers: usize) -> u64 {
+/// Churn under a wide latency floor (`Uniform { lo: 3, hi: 12 }`: no
+/// message is faster than 3 ticks, while timers still land 1 tick out),
+/// pinned across shard counts and worker counts. Recorded once on the
+/// sequential engine; every sharded/threaded configuration must
+/// reproduce it.
+fn wide_floor_digest_opts(seed: u64, shards: usize, workers: usize) -> u64 {
     let sched = random_churn(&ChurnConfig {
         n: 8,
         duration: 2_000,
@@ -439,7 +438,7 @@ fn wan_digest_opts(seed: u64, shards: usize, workers: usize) -> u64 {
     let mut builder = SimBuilder::new()
         .seed(seed)
         .trace(true)
-        .latency(LatencyModel::wan())
+        .latency(LatencyModel::Uniform { lo: 3, hi: 12 })
         .shards(shards);
     if workers > 0 {
         builder = builder.workers(workers);
@@ -458,20 +457,20 @@ fn wan_digest_opts(seed: u64, shards: usize, workers: usize) -> u64 {
 }
 
 #[test]
-fn wan_multi_tick_windows_reproduce_pinned_digest() {
+fn wide_latency_floor_reproduces_pinned_digest() {
     const PIN: u64 = 0xf700_0758_8b12_8b75;
     for shards in [1usize, 2, 4] {
         assert_eq!(
-            wan_digest_opts(77, shards, 0),
+            wide_floor_digest_opts(77, shards, 0),
             PIN,
-            "wan seed 77, S={shards}"
+            "wide floor seed 77, S={shards}"
         );
     }
     for workers in [2usize, 4] {
         assert_eq!(
-            wan_digest_opts(77, 4, workers),
+            wide_floor_digest_opts(77, 4, workers),
             PIN,
-            "wan seed 77, S=4, W={workers}"
+            "wide floor seed 77, S=4, W={workers}"
         );
     }
 }

@@ -1,5 +1,5 @@
 //! Property-based equivalence: for *arbitrary* seeded topologies and
-//! churn workloads, the sharded conservative-window engine (S > 1) must
+//! churn workloads, the sharded engine (S > 1) must
 //! produce the byte-identical event trace and metrics of the sequential
 //! engine (S = 1) — not merely the same declarations. The golden tests
 //! pin a handful of configurations to recorded constants; this sweep
@@ -9,6 +9,8 @@
 //! divergence in delivery times, RNG draws, FIFO tie-breaks, fault
 //! decisions, crash handling or retransmission scheduling fails with the
 //! first differing line.
+
+use std::collections::BTreeSet;
 
 use cmh_core::{BasicConfig, BasicNet};
 use cmh_ddb::{DdbConfig, DdbNet};
@@ -24,8 +26,8 @@ use workloads::{
 
 /// Runs one churn workload on `shards` shards (0 workers = auto) with a
 /// latency floor of `min_delay` ticks (1 = the default model; larger
-/// floors widen the sharded engine's conservative windows to multiple
-/// ticks) and returns the rendered trace plus the rendered metrics.
+/// floors spread a run's events over more, sparser ticks) and returns
+/// the rendered trace plus the rendered metrics.
 fn run(
     seed: u64,
     n: usize,
@@ -43,8 +45,7 @@ fn run(
         cycle_len: 3,
         seed,
     });
-    // `{1, 10}` is the default model, so `min_delay == 1` reproduces the
-    // historical single-tick-window configuration exactly.
+    // `{1, 10}` is the default model.
     let mut builder = SimBuilder::new()
         .seed(seed)
         .trace(true)
@@ -177,21 +178,32 @@ fn binding_event_budget_truncates_identically() {
 }
 
 /// Re-arms a 1-tick timer on every firing and pings a neighbour each
-/// time. Under a multi-tick latency floor every window's first tick arms
-/// a timer that lands *inside* the window with a fresh post-barrier
-/// sequence number — exactly the in-window hazard the dispatch rule in
-/// `next_window` has to bound. Each ping also forwards once, keeping all
-/// shards busy so windows overlap.
+/// time. Under a wide latency floor every tick arms a timer that lands
+/// on the next tick with a fresh post-barrier sequence number, ahead of
+/// the pings in flight. Each ping also forwards once, keeping all shards
+/// busy. `handled` logs the tick of every handler run.
 struct TimerChainProc {
     left: u32,
+    handled: Vec<SimTime>,
+}
+
+impl TimerChainProc {
+    fn new(left: u32) -> Self {
+        TimerChainProc {
+            left,
+            handled: Vec::new(),
+        }
+    }
 }
 
 impl Process<u64> for TimerChainProc {
     fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
+        self.handled.push(ctx.now());
         ctx.set_timer(1, 0);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, u64>, _from: NodeId, msg: u64) {
+        self.handled.push(ctx.now());
         ctx.count("pings");
         if msg > 0 {
             let to = NodeId((ctx.id().0 + 1) % ctx.node_count());
@@ -200,6 +212,7 @@ impl Process<u64> for TimerChainProc {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, u64>, _id: TimerId, _tag: u64) {
+        self.handled.push(ctx.now());
         let to = NodeId((ctx.id().0 + 1) % ctx.node_count());
         ctx.send(to, 2);
         if self.left > 0 {
@@ -209,23 +222,23 @@ impl Process<u64> for TimerChainProc {
     }
 }
 
-/// Chained 1-tick timers under the `wan` latency floor (3-tick windows):
-/// the worst case for the in-window timer hazard, pinned byte-identical
-/// across S ∈ {1, 2, 4} and with the threaded phase forced on.
+/// Chained 1-tick timers under a 3-tick latency floor, pinned
+/// byte-identical across S ∈ {1, 2, 4} and with the threaded phase
+/// forced on.
 #[test]
-fn chained_timers_survive_multi_tick_windows() {
+fn chained_timers_survive_a_wide_latency_floor() {
     let run = |shards: usize, workers: usize| {
         let mut builder = SimBuilder::new()
             .seed(5)
             .trace(true)
             .shards(shards)
-            .latency(LatencyModel::wan());
+            .latency(LatencyModel::Uniform { lo: 3, hi: 12 });
         if workers > 0 {
             builder = builder.workers(workers);
         }
         let mut sim = builder.build_mt::<u64, TimerChainProc>();
         for _ in 0..9 {
-            sim.add_node(TimerChainProc { left: 40 });
+            sim.add_node(TimerChainProc::new(40));
         }
         let out = sim.run_to_quiescence(1_000_000);
         assert!(out.quiescent, "S={shards} W={workers}");
@@ -244,6 +257,28 @@ fn chained_timers_survive_multi_tick_windows() {
             "metrics diverged at S={shards}, W={workers}"
         );
     }
+}
+
+/// A sharded window is exactly the events of one tick: under a 3-tick
+/// latency floor, where nothing stops a scheduler from running several
+/// sparse ticks per barrier, the window count still equals the number of
+/// distinct ticks at which a handler ran.
+#[test]
+fn a_sharded_window_is_one_tick() {
+    let mut sim = SimBuilder::new()
+        .seed(5)
+        .shards(2)
+        .latency(LatencyModel::Uniform { lo: 3, hi: 12 })
+        .build::<u64, TimerChainProc>();
+    for _ in 0..9 {
+        sim.add_node(TimerChainProc::new(40));
+    }
+    assert!(sim.run_to_quiescence(1_000_000).quiescent);
+    let ticks: BTreeSet<SimTime> = (0..9)
+        .flat_map(|i| sim.node(NodeId(i)).handled.iter().copied())
+        .collect();
+    assert!(ticks.len() > 40, "the timer chain spans its ticks");
+    assert_eq!(sim.window_stats().windows, ticks.len() as u64);
 }
 
 /// Every handler logs the `event_seq()` it runs under. A start or a timer
@@ -332,13 +367,16 @@ fn run_seq_log(
 /// `Context::event_seq`, the trace and the metrics are the same at every
 /// shard count (and with the threaded phase forced on) after handlers
 /// armed and cancelled timers, plain or jittered — chained 1-tick ones
-/// landing inside a multi-tick `wan` window included. The rendered trace
+/// under a 3-tick latency floor included. The rendered trace
 /// never shows a seq, so only the seq logs see a barrier that skips one;
 /// a jitter draw skipped or made out of event order shows in all three.
 #[test]
 fn event_seqs_and_jittered_timers_are_shard_independent() {
     for jittered in [false, true] {
-        for latency in [LatencyModel::default(), LatencyModel::wan()] {
+        for latency in [
+            LatencyModel::default(),
+            LatencyModel::Uniform { lo: 3, hi: 12 },
+        ] {
             let sequential = run_seq_log(jittered, (1, 0), latency.clone());
             assert!(sequential.0.iter().all(|s| s.len() > 12), "every node ran");
             for cfg in [(2, 0), (3, 0), (4, 2)] {
@@ -390,13 +428,11 @@ fn run_ddb(seed: u64, batch_prob: f64, shards: usize, min_delay: u64) -> String 
 /// engine, so the threaded handler phase appends under a lock in thread-
 /// schedule order. `Journal::record_at` re-sorts same-tick entries by the
 /// handling event's global seq, so snapshots must be identical across
-/// engines and worker counts.
-/// Multi-tick windows additionally replay one shard's ticks before
-/// another's, so `record_at` must tolerate out-of-order appends within a
-/// window; the `wan` configuration exercises that path.
+/// engines and worker counts, under the default latency model and a
+/// 3-tick floor alike.
 #[test]
 fn journal_snapshot_is_identical_across_shards_and_workers() {
-    let run = |shards: usize, workers: usize, wan: bool| {
+    let run = |shards: usize, workers: usize, wide: bool| {
         let sched = random_churn(&ChurnConfig {
             n: 8,
             duration: 1_200,
@@ -406,8 +442,8 @@ fn journal_snapshot_is_identical_across_shards_and_workers() {
             seed: 21,
         });
         let mut builder = SimBuilder::new().seed(21).shards(shards);
-        if wan {
-            builder = builder.latency(LatencyModel::wan());
+        if wide {
+            builder = builder.latency(LatencyModel::Uniform { lo: 3, hi: 12 });
         }
         if workers > 0 {
             builder = builder.workers(workers);
@@ -424,18 +460,18 @@ fn journal_snapshot_is_identical_across_shards_and_workers() {
         net.run_to_quiescence(10_000_000);
         net.journal_snapshot()
     };
-    for wan in [false, true] {
-        let sequential = run(1, 0, wan);
+    for wide in [false, true] {
+        let sequential = run(1, 0, wide);
         assert!(
             !sequential.is_empty(),
-            "workload must journal something (wan={wan})"
+            "workload must journal something (wide={wide})"
         );
         for (shards, workers) in [(4, 0), (4, 2), (4, 4)] {
-            let sharded = run(shards, workers, wan);
+            let sharded = run(shards, workers, wide);
             assert_eq!(
                 sequential.entries(),
                 sharded.entries(),
-                "journal diverged at S={shards}, W={workers}, wan={wan}"
+                "journal diverged at S={shards}, W={workers}, wide={wide}"
             );
         }
     }
@@ -447,9 +483,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Clean network: S=1 and S=4 produce byte-identical traces/metrics
-    /// across latency floors 1..=4 — window lengths 1 (the historical
-    /// single-tick configuration) through 4 (multi-tick coalescing with
-    /// the in-window timer hazard rule active).
+    /// across latency floors 1..=4.
     #[test]
     fn sharded_trace_matches_sequential(
         seed in 0u64..100_000,
@@ -467,7 +501,7 @@ proptest! {
     /// Faulty network (loss, duplication, reordering, crash/restart) with
     /// the reliable transport: still byte-identical — including with the
     /// threaded handler phase forced on (pinned worker count) and across
-    /// multi-tick window lengths.
+    /// latency floors 1..=4.
     #[test]
     fn sharded_trace_matches_sequential_under_faults(
         seed in 0u64..100_000,
