@@ -217,6 +217,7 @@ impl Process<CentralMsg> for CentralProcess {
 
 impl Vertex for CentralProcess {
     type Msg = CentralMsg;
+    type Error = RequestError;
 
     /// Panics on the coordinator, which runs no underlying computation.
     fn request(

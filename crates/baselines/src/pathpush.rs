@@ -143,6 +143,7 @@ impl Process<PathMsg> for PathProcess {
 
 impl Vertex for PathProcess {
     type Msg = PathMsg;
+    type Error = RequestError;
 
     /// Requests `to` and arms the first push.
     fn request(&mut self, ctx: &mut Context<'_, PathMsg>, to: NodeId) -> Result<(), RequestError> {

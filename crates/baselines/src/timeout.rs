@@ -58,6 +58,7 @@ impl Process<TimeoutMsg> for TimeoutProcess {
 
 impl Vertex for TimeoutProcess {
     type Msg = TimeoutMsg;
+    type Error = RequestError;
 
     /// Requests `to` and arms the timeout.
     fn request(

@@ -11,10 +11,14 @@
 //!   the declaration (the OR semantics: any one sender can rescue);
 //! * Monte-Carlo random block/send scenarios show zero false and zero
 //!   missed OR-deadlocks (both machine-checked against the journal).
+//!
+//! With `CMH_SHARDS=S` every run is on `S` shards; the tables are
+//! byte-identical at any `S`.
 
+use cmh_bench::sweep::shards_from_env;
 use cmh_bench::Table;
 use cmh_core::ormodel::{counters, OrNet};
-use simnet::sim::NodeId;
+use simnet::sim::{NodeId, SimBuilder};
 use workloads::{drive_or, random_or_scenario, OrScenarioConfig};
 
 fn ring(net: &mut OrNet, k: usize) {
@@ -30,7 +34,11 @@ fn complete_knot(net: &mut OrNet, k: usize) {
     }
 }
 
-fn part_a() {
+fn or_net(n: usize, init_delay: Option<u64>, seed: u64, shards: usize) -> OrNet {
+    OrNet::with_builder(n, init_delay, SimBuilder::new().seed(seed).shards(shards))
+}
+
+fn part_a(shards: usize) {
     println!("## Part A: deterministic knots, message bounds\n");
     let mut t = Table::new([
         "scenario",
@@ -42,7 +50,7 @@ fn part_a() {
         "sound",
     ]);
     for k in [2usize, 4, 8, 16, 32] {
-        let mut net = OrNet::new(k, None, k as u64);
+        let mut net = or_net(k, None, k as u64, shards);
         ring(&mut net, k);
         net.initiate(NodeId(0));
         net.run_to_quiescence(10_000_000);
@@ -62,7 +70,7 @@ fn part_a() {
         ]);
     }
     for k in [4usize, 8, 12] {
-        let mut net = OrNet::new(k, None, k as u64);
+        let mut net = or_net(k, None, k as u64, shards);
         complete_knot(&mut net, k);
         net.initiate(NodeId(0));
         net.run_to_quiescence(10_000_000);
@@ -87,7 +95,7 @@ fn part_a() {
     }
     // A knot with a single active escape hatch: must NOT declare.
     for k in [4usize, 8] {
-        let mut net = OrNet::new(k + 1, None, 3);
+        let mut net = or_net(k + 1, None, 3, shards);
         for i in 0..k {
             let mut deps = vec![NodeId((i + 1) % k)];
             if i == k / 2 {
@@ -111,7 +119,7 @@ fn part_a() {
     t.print();
 }
 
-fn part_b() {
+fn part_b(shards: usize) {
     println!("## Part B: Monte-Carlo random block/send scenarios (120 seeds)\n");
     let mut reports = 0usize;
     let mut deadlocked = 0usize;
@@ -125,7 +133,7 @@ fn part_b() {
             deps_max: 3,
             seed,
         });
-        let mut net = OrNet::new(10, Some(25), seed);
+        let mut net = or_net(10, Some(25), seed, shards);
         drive_or(&mut net, &scenario);
         net.run_to_quiescence(10_000_000);
         reports += net
@@ -153,9 +161,13 @@ fn part_b() {
 }
 
 fn main() {
+    let shards = shards_from_env();
     println!("# E10: OR-model (communication deadlock) detector\n");
-    part_a();
-    part_b();
+    if shards > 1 {
+        println!("(CMH_SHARDS={shards}: sharded engine)\n");
+    }
+    part_a(shards);
+    part_b(shards);
     println!("claim check: knots detected within one query + one reply per edge; an");
     println!("active escape suppresses declaration; random scenarios show zero false and");
     println!("zero missed OR-deadlocks (machine-checked). PASS");

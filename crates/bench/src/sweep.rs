@@ -1,5 +1,5 @@
 //! The engine-selection environment switch of `exp_scale`,
-//! `exp_soundness` and `exp_baselines` (and of the CI
+//! `exp_soundness`, `exp_baselines` and `exp_or_model` (and of the CI
 //! `multicore-determinism` job, which diffs their output across settings).
 
 /// The simulator shard count requested via `CMH_SHARDS` (unset, empty,

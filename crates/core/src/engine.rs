@@ -5,8 +5,8 @@
 //! wait-for-graph mutation, and answers every "was `v` on a cycle at `t`?"
 //! from one checkpointed cursor and one memoized [`wfg::oracle`]. The
 //! probe computation runs in it as [`BasicNet`], the `baselines` crate's
-//! three detectors too. For the probe computation it *proves* (per run)
-//! the paper's two properties:
+//! three detectors and the OR model's [`crate::ormodel::OrNet`] too. For
+//! the probe computation it *proves* (per run) the paper's two properties:
 //!
 //! * **QRP2 / soundness** ([`BasicNet::verify_soundness`]): every
 //!   declaration happened while the declarer was on a black cycle;
@@ -32,15 +32,16 @@ use crate::process::{BasicMsg, BasicProcess, RequestError};
 /// A validation failure found by the checkers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ValidationError {
-    /// QRP2 violated: a vertex declared deadlock while not on a black cycle.
+    /// QRP2 violated: a vertex declared deadlock while not on a black cycle
+    /// (in the OR model: while not OR-deadlocked).
     FalseDeadlock {
         /// The offending declaration.
         report: DeadlockReport,
     },
     /// QRP1 violated: a dark cycle exists at quiescence but no member of it
-    /// has declared.
+    /// has declared (in the OR model: an OR-deadlocked vertex's closure).
     MissedDeadlock {
-        /// Members of the undetected dark cycle(s).
+        /// Members of the undetected dark cycle(s) or closure.
         cycle_members: Vec<NodeId>,
     },
     /// The journal is not a legal G1–G4 history (a bug in the simulation,
@@ -66,11 +67,11 @@ impl fmt::Display for ValidationError {
         match self {
             ValidationError::FalseDeadlock { report } => write!(
                 f,
-                "false deadlock: {report} but declarer was not on a black cycle"
+                "false deadlock: {report} but declarer was not deadlocked then"
             ),
             ValidationError::MissedDeadlock { cycle_members } => write!(
                 f,
-                "missed deadlock: dark cycle over {cycle_members:?} but no member declared"
+                "missed deadlock: {cycle_members:?} deadlocked but no member declared"
             ),
             ValidationError::IllegalHistory { detail } => {
                 write!(f, "journal is not a legal G1-G4 history: {detail}")
@@ -111,14 +112,17 @@ pub trait Vertex: Process<Self::Msg> + Send + 'static {
     /// The messages the vertex exchanges.
     type Msg: fmt::Debug + Clone + Send + 'static;
 
-    /// Has this vertex request `to`; [`RequestError`] on a duplicate edge
-    /// or a self-request.
-    fn request(&mut self, ctx: &mut Context<'_, Self::Msg>, to: NodeId)
-        -> Result<(), RequestError>;
+    /// Why a request is refused.
+    type Error;
+
+    /// Has this vertex request `to`; [`Self::Error`] if it may not (the
+    /// basic model's [`RequestError`]: a duplicate edge or a self-request).
+    fn request(&mut self, ctx: &mut Context<'_, Self::Msg>, to: NodeId) -> Result<(), Self::Error>;
 }
 
 impl Vertex for BasicProcess {
     type Msg = BasicMsg;
+    type Error = RequestError;
 
     fn request(&mut self, ctx: &mut Context<'_, BasicMsg>, to: NodeId) -> Result<(), RequestError> {
         BasicProcess::request(self, ctx, to)
@@ -176,9 +180,8 @@ impl<P: Vertex> Net<P> {
     ///
     /// # Errors
     ///
-    /// Propagates [`RequestError`] from the process (duplicate edge or
-    /// self-request).
-    pub fn request(&mut self, from: NodeId, to: NodeId) -> Result<(), RequestError> {
+    /// Propagates the vertex's [`Vertex::Error`].
+    pub fn request(&mut self, from: NodeId, to: NodeId) -> Result<(), P::Error> {
         self.sim.with_node(from, |p, ctx| p.request(ctx, to))
     }
 
@@ -186,8 +189,8 @@ impl<P: Vertex> Net<P> {
     ///
     /// # Errors
     ///
-    /// Propagates the first [`RequestError`].
-    pub fn request_edges(&mut self, edges: &[(usize, usize)]) -> Result<(), RequestError> {
+    /// Propagates the first [`Vertex::Error`].
+    pub fn request_edges(&mut self, edges: &[(usize, usize)]) -> Result<(), P::Error> {
         for &(a, b) in edges {
             self.request(NodeId(a), NodeId(b))?;
         }
@@ -260,7 +263,7 @@ impl<P: Vertex> Net<P> {
         self.sim.trace()
     }
 
-    fn journal(&self) -> MutexGuard<'_, Journal> {
+    pub(crate) fn journal(&self) -> MutexGuard<'_, Journal> {
         self.journal.lock().expect("journal lock")
     }
 
@@ -272,7 +275,7 @@ impl<P: Vertex> Net<P> {
     /// `q` over the wait-for graph as of `at` and the memoized oracle: the
     /// one as-of-time ground truth every check reads. Queries in time order
     /// move the cursor forward only; a backward seek restores a checkpoint.
-    fn as_of<R>(
+    pub(crate) fn as_of<R>(
         &self,
         journal: &Journal,
         at: SimTime,

@@ -29,15 +29,16 @@
 //! outside), so it is deadlocked. A single *active* process reachable from
 //! the initiator breaks the chain of replies and no declaration happens.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
-use simnet::metrics::Metrics;
-use simnet::sim::{Context, NodeId, Process, RunOutcome, SimBuilder, Simulation, TimerId};
+use simnet::sim::{Context, NodeId, Process, SimBuilder, TimerId};
 use simnet::time::SimTime;
+use wfg::journal::{GraphOp, Journal};
+use wfg::oracle;
 
+use crate::engine::{Net, ValidationError, Vertex};
 use crate::probe::{DeadlockReport, ProbeTag};
 
 /// Metric-counter names for the OR-model detector.
@@ -66,69 +67,6 @@ pub enum OrMsg {
     Query(ProbeTag),
     /// Diffusion reply of the tagged computation.
     Reply(ProbeTag),
-}
-
-/// One entry of the blocked/unblocked ground-truth journal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum OrOp {
-    /// The process became blocked on the given dependent set.
-    Block(NodeId, BTreeSet<NodeId>),
-    /// The process became active again.
-    Unblock(NodeId),
-}
-
-/// Chronological record of blocking state, for validation.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OrJournal {
-    entries: Vec<(SimTime, OrOp)>,
-}
-
-impl OrJournal {
-    /// Records an operation.
-    pub fn record(&mut self, at: SimTime, op: OrOp) {
-        debug_assert!(self.entries.last().is_none_or(|&(t, _)| t <= at));
-        self.entries.push((at, op));
-    }
-
-    /// Blocking state as of time `at`: `Some(set)` when blocked on `set`.
-    pub fn state_at(&self, at: SimTime) -> BTreeMap<NodeId, Option<BTreeSet<NodeId>>> {
-        let mut state: BTreeMap<NodeId, Option<BTreeSet<NodeId>>> = BTreeMap::new();
-        for (t, op) in &self.entries {
-            if *t > at {
-                break;
-            }
-            match op {
-                OrOp::Block(v, set) => {
-                    state.insert(*v, Some(set.clone()));
-                }
-                OrOp::Unblock(v) => {
-                    state.insert(*v, None);
-                }
-            }
-        }
-        state
-    }
-}
-
-/// Ground truth: `v` is OR-deadlocked in `state` iff every process in the
-/// dependency closure of `v` (following dependent sets) is blocked.
-///
-/// Members of such a closure wait only on closure members, and no closure
-/// member can ever send, so the condition is permanent.
-pub fn is_or_deadlocked(state: &BTreeMap<NodeId, Option<BTreeSet<NodeId>>>, v: NodeId) -> bool {
-    let mut seen = BTreeSet::new();
-    let mut frontier = vec![v];
-    while let Some(u) = frontier.pop() {
-        if !seen.insert(u) {
-            continue;
-        }
-        match state.get(&u) {
-            Some(Some(deps)) => frontier.extend(deps.iter().copied()),
-            // An active (or never-seen) process in the closure can send.
-            _ => return false,
-        }
-    }
-    true
 }
 
 #[derive(Debug)]
@@ -177,7 +115,8 @@ pub struct OrProcess {
     own_n: u64,
     engagements: BTreeMap<NodeId, Engagement>,
     declarations: Vec<DeadlockReport>,
-    journal: Option<Rc<RefCell<OrJournal>>>,
+    /// Shared mutation journal (validation only — never read here).
+    journal: Option<Arc<Mutex<Journal>>>,
     /// If set, a blocked process initiates after this many ticks blocked.
     init_delay: Option<u64>,
 }
@@ -206,19 +145,9 @@ impl OrProcess {
         }
     }
 
-    fn with_journal(mut self, journal: Rc<RefCell<OrJournal>>) -> Self {
-        self.journal = Some(journal);
-        self
-    }
-
     /// `true` while blocked.
     pub fn is_blocked(&self) -> bool {
         self.waiting_on.is_some()
-    }
-
-    /// The current dependent set, if blocked.
-    pub fn waiting_on(&self) -> Option<&BTreeSet<NodeId>> {
-        self.waiting_on.as_ref()
     }
 
     /// Declarations made by this process.
@@ -243,10 +172,8 @@ impl OrProcess {
         if deps.is_empty() || deps.contains(&ctx.id()) {
             return Err(OrRequestError::BadDependentSet);
         }
-        if let Some(j) = &self.journal {
-            j.borrow_mut()
-                .record(ctx.now(), OrOp::Block(ctx.id(), deps.clone()));
-        }
+        let me = ctx.id();
+        self.record(ctx, deps.iter().map(|&d| GraphOp::CreateGrey(me, d)));
         self.waiting_on = Some(deps);
         self.epoch += 1;
         if let Some(t) = self.init_delay {
@@ -272,6 +199,17 @@ impl OrProcess {
         ctx.count(counters::DATA_SENT);
         ctx.send(to, OrMsg::Data);
         Ok(())
+    }
+
+    /// Journals `ops` at the handling event's `(time, seq)`, as
+    /// `BasicProcess` does, so a sharded run journals in single-shard order.
+    fn record(&self, ctx: &Context<'_, OrMsg>, ops: impl IntoIterator<Item = GraphOp>) {
+        if let Some(j) = &self.journal {
+            let mut j = j.lock().expect("journal lock");
+            for op in ops {
+                j.record_at(ctx.now(), ctx.event_seq(), op);
+            }
+        }
     }
 
     /// Starts a diffusion for this (blocked) process. No-op when active.
@@ -383,9 +321,7 @@ impl Process<OrMsg> for OrProcess {
                 if unblocks {
                     self.waiting_on = None;
                     self.epoch += 1;
-                    if let Some(j) = &self.journal {
-                        j.borrow_mut().record(ctx.now(), OrOp::Unblock(ctx.id()));
-                    }
+                    self.record(ctx, [GraphOp::Release(ctx.id())]);
                 }
                 // Data from outside the dependent set is application
                 // traffic this model ignores.
@@ -403,37 +339,19 @@ impl Process<OrMsg> for OrProcess {
     }
 }
 
-/// Validation failure for an OR-model run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum OrValidationError {
-    /// A declaration whose subject was not OR-deadlocked at declare time.
-    FalseDeadlock {
-        /// The offending declaration.
-        report: DeadlockReport,
-    },
-    /// An OR-deadlocked process with automatic initiation never declared.
-    MissedDeadlock {
-        /// The overlooked process.
-        victim: NodeId,
-    },
-}
+impl Vertex for OrProcess {
+    type Msg = OrMsg;
+    type Error = OrRequestError;
 
-impl fmt::Display for OrValidationError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            OrValidationError::FalseDeadlock { report } => {
-                write!(f, "false OR-deadlock: {report}")
-            }
-            OrValidationError::MissedDeadlock { victim } => {
-                write!(f, "missed OR-deadlock at {victim}")
-            }
-        }
+    /// Blocks on `{to}`: with one dependent, an OR wait is an AND request.
+    fn request(&mut self, ctx: &mut Context<'_, OrMsg>, to: NodeId) -> Result<(), OrRequestError> {
+        self.block_on(ctx, BTreeSet::from([to]))
     }
 }
 
-impl std::error::Error for OrValidationError {}
-
-/// Harness for OR-model simulations.
+/// The OR model's network: [`OrProcess`] vertices in the one journalled
+/// [`Net`]. A block journals a grey edge per dependent, an unblock releases
+/// them, and the verdicts read [`wfg::oracle::Oracle::or_deadlocked`].
 ///
 /// # Examples
 ///
@@ -455,18 +373,7 @@ impl std::error::Error for OrValidationError {}
 /// # Ok(())
 /// # }
 /// ```
-pub struct OrNet {
-    sim: Simulation<OrMsg, OrProcess>,
-    journal: Rc<RefCell<OrJournal>>,
-}
-
-impl fmt::Debug for OrNet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("OrNet")
-            .field("nodes", &self.sim.node_count())
-            .finish_non_exhaustive()
-    }
-}
+pub type OrNet = Net<OrProcess>;
 
 impl OrNet {
     /// Creates `n` processes; `init_delay` arms automatic delayed
@@ -475,14 +382,12 @@ impl OrNet {
         Self::with_builder(n, init_delay, SimBuilder::new().seed(seed))
     }
 
-    /// Full builder control.
+    /// Full builder control (latency, faults, tracing, shards).
     pub fn with_builder(n: usize, init_delay: Option<u64>, builder: SimBuilder) -> Self {
-        let mut sim = builder.build();
-        let journal = Rc::new(RefCell::new(OrJournal::default()));
-        for _ in 0..n {
-            sim.add_node(OrProcess::new(init_delay).with_journal(Rc::clone(&journal)));
-        }
-        OrNet { sim, journal }
+        Net::build(builder, n, |_, j| OrProcess {
+            journal: Some(Arc::clone(j)),
+            ..OrProcess::new(init_delay)
+        })
     }
 
     /// Blocks process `v` on the given dependent set.
@@ -496,7 +401,7 @@ impl OrNet {
         deps: impl IntoIterator<Item = NodeId>,
     ) -> Result<(), OrRequestError> {
         let deps: BTreeSet<NodeId> = deps.into_iter().collect();
-        self.sim.with_node(v, |p, ctx| p.block_on(ctx, deps))
+        self.with_node(v, |p, ctx| p.block_on(ctx, deps))
     }
 
     /// Has active process `from` send data to `to`.
@@ -505,37 +410,17 @@ impl OrNet {
     ///
     /// Propagates [`OrRequestError::SenderBlocked`].
     pub fn send_data(&mut self, from: NodeId, to: NodeId) -> Result<(), OrRequestError> {
-        self.sim.with_node(from, |p, ctx| p.send_data(ctx, to))
+        self.with_node(from, |p, ctx| p.send_data(ctx, to))
     }
 
     /// Manually initiates a diffusion at `v`.
     pub fn initiate(&mut self, v: NodeId) {
-        self.sim.with_node(v, |p, ctx| p.initiate(ctx));
-    }
-
-    /// See [`Simulation::run_to_quiescence`].
-    pub fn run_to_quiescence(&mut self, max_events: u64) -> RunOutcome {
-        self.sim.run_to_quiescence(max_events)
-    }
-
-    /// See [`Simulation::run_until`].
-    pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        self.sim.run_until(deadline)
-    }
-
-    /// Read access to one process.
-    pub fn node(&self, v: NodeId) -> &OrProcess {
-        self.sim.node(v)
-    }
-
-    /// Metrics so far.
-    pub fn metrics(&self) -> &Metrics {
-        self.sim.metrics()
+        self.with_node(v, |p, ctx| p.initiate(ctx));
     }
 
     /// All declarations, time-ordered.
     pub fn declarations(&self) -> Vec<DeadlockReport> {
-        let mut out: Vec<DeadlockReport> = (0..self.sim.node_count())
+        let mut out: Vec<DeadlockReport> = (0..self.node_count())
             .flat_map(|i| self.node(NodeId(i)).declarations().to_vec())
             .collect();
         out.sort_by_key(|d| (d.at, d.detector));
@@ -543,19 +428,21 @@ impl OrNet {
     }
 
     /// Checks every declaration against the journalled ground truth: the
-    /// declarer's dependency closure must be fully blocked at declare
-    /// time. Returns the number checked.
+    /// declarer must be OR-deadlocked at declare time. Returns the number
+    /// checked.
     ///
     /// # Errors
     ///
-    /// [`OrValidationError::FalseDeadlock`] on the first violation.
-    pub fn verify_soundness(&self) -> Result<usize, OrValidationError> {
+    /// [`ValidationError::FalseDeadlock`] on the first violation, or
+    /// [`ValidationError::IllegalHistory`].
+    pub fn verify_soundness(&self) -> Result<usize, ValidationError> {
         let ds = self.declarations();
-        let journal = self.journal.borrow();
+        let journal = self.journal();
         for d in &ds {
-            let state = journal.state_at(d.at);
-            if !is_or_deadlocked(&state, d.detector) {
-                return Err(OrValidationError::FalseDeadlock { report: *d });
+            if !self.as_of(&journal, d.at, |g, o| {
+                o.or_deadlocked(g).contains(&d.detector)
+            })? {
+                return Err(ValidationError::FalseDeadlock { report: *d });
             }
         }
         Ok(ds.len())
@@ -570,36 +457,24 @@ impl OrNet {
     ///
     /// # Errors
     ///
-    /// [`OrValidationError::MissedDeadlock`] for the first process whose
-    /// whole closure is silent.
-    pub fn verify_completeness(&self) -> Result<usize, OrValidationError> {
-        let state = self.journal.borrow().state_at(SimTime::MAX);
-        let mut total = 0;
-        for i in 0..self.sim.node_count() {
-            let v = NodeId(i);
-            if !(is_or_deadlocked(&state, v) && state.get(&v).is_some_and(Option::is_some)) {
-                continue;
-            }
-            total += 1;
-            // Dependency closure of v.
-            let mut closure = BTreeSet::new();
-            let mut frontier = vec![v];
-            while let Some(u) = frontier.pop() {
-                if !closure.insert(u) {
-                    continue;
-                }
-                if let Some(Some(deps)) = state.get(&u) {
-                    frontier.extend(deps.iter().copied());
+    /// [`ValidationError::MissedDeadlock`] with the closure of the first
+    /// process whose whole closure is silent, or
+    /// [`ValidationError::IllegalHistory`].
+    pub fn verify_completeness(&self) -> Result<usize, ValidationError> {
+        self.as_of(&self.journal(), SimTime::MAX, |g, o| {
+            let stuck = o.or_deadlocked(g);
+            for &v in stuck {
+                let closure = oracle::reachable(g, v, |_| true);
+                if closure
+                    .iter()
+                    .all(|&u| self.node(u).declarations().is_empty())
+                {
+                    let cycle_members = closure.into_iter().collect();
+                    return Err(ValidationError::MissedDeadlock { cycle_members });
                 }
             }
-            let any_declared = closure
-                .iter()
-                .any(|&u| !self.node(u).declarations().is_empty());
-            if !any_declared {
-                return Err(OrValidationError::MissedDeadlock { victim: v });
-            }
-        }
-        Ok(total)
+            Ok(stuck.len())
+        })?
     }
 }
 
@@ -726,30 +601,5 @@ mod tests {
         // soundness holds for each.
         assert!(net.verify_soundness().unwrap() >= 1);
         assert_eq!(net.node(n(0)).declarations().len(), 2);
-    }
-
-    #[test]
-    fn ground_truth_oracle_basics() {
-        let mut state: BTreeMap<NodeId, Option<BTreeSet<NodeId>>> = BTreeMap::new();
-        state.insert(n(0), Some([n(1)].into_iter().collect()));
-        state.insert(n(1), Some([n(0)].into_iter().collect()));
-        assert!(is_or_deadlocked(&state, n(0)));
-        // Add an escape: 1 also waits on the (absent = active) 2.
-        state.insert(n(1), Some([n(0), n(2)].into_iter().collect()));
-        assert!(!is_or_deadlocked(&state, n(0)));
-        // Blocked-on-2 only, 2 active.
-        state.insert(n(2), None);
-        assert!(!is_or_deadlocked(&state, n(1)));
-    }
-
-    #[test]
-    fn journal_state_reconstruction() {
-        let mut j = OrJournal::default();
-        let deps: BTreeSet<NodeId> = [n(1)].into_iter().collect();
-        j.record(SimTime::from_ticks(1), OrOp::Block(n(0), deps.clone()));
-        j.record(SimTime::from_ticks(5), OrOp::Unblock(n(0)));
-        assert_eq!(j.state_at(SimTime::from_ticks(2))[&n(0)], Some(deps));
-        assert_eq!(j.state_at(SimTime::from_ticks(9))[&n(0)], None);
-        assert!(j.state_at(SimTime::ZERO).is_empty());
     }
 }

@@ -412,6 +412,28 @@ impl WaitForGraph {
         }
     }
 
+    /// Drops every out-edge of `from`: the OR model's unblock on a message
+    /// from any one dependent, which G3 cannot express (the other
+    /// dependents may still be blocked). Bumps the shrink epoch.
+    ///
+    /// # Errors
+    ///
+    /// [`AxiomViolation::NoSuchEdge`] (`to == from`) if `from` has no out-edge.
+    pub fn release(&mut self, from: NodeId) -> Result<(), AxiomViolation> {
+        let ui = self
+            .idx(from)
+            .filter(|&ui| !self.out[ui as usize].is_empty());
+        let Some(ui) = ui else {
+            return Err(AxiomViolation::NoSuchEdge { from, to: from });
+        };
+        while let Some(pos) = self.out[ui as usize].len().checked_sub(1) {
+            self.unlink(ui, pos, from);
+        }
+        self.shrink_epoch += 1;
+        self.dark_adds.clear();
+        Ok(())
+    }
+
     /// Drops the edge at `out[ui][pos]` (tail `from`) from both indexes.
     fn unlink(&mut self, ui: u32, pos: usize, from: NodeId) {
         let (vi, _) = self.out[ui as usize].remove(pos);
@@ -861,6 +883,28 @@ mod tests {
         // The same edge can come back, as a fresh grey one.
         g.create_grey(n(0), n(1)).unwrap();
         assert_eq!(g.colour(n(0), n(1)), Some(EdgeColour::Grey));
+    }
+
+    #[test]
+    fn release_drops_every_out_edge_and_only_those() {
+        let mut g = WaitForGraph::new();
+        for (a, b) in [(0, 1), (0, 2), (1, 0), (2, 0)] {
+            g.create_grey(n(a), n(b)).unwrap();
+        }
+        g.blacken(n(0), n(1)).unwrap();
+        let epoch = g.shrink_epoch();
+        g.release(n(0)).unwrap();
+        assert!(g.shrink_epoch() > epoch);
+        assert!(g.is_active(n(0)));
+        assert_eq!(g.in_edges(n(1)).count(), 0);
+        assert_eq!(g.in_edges(n(0)).count(), 2, "in-edges stay");
+        assert_eq!(g.edge_count(), 2);
+        let err = Err(AxiomViolation::NoSuchEdge {
+            from: n(0),
+            to: n(0),
+        });
+        assert_eq!(g.release(n(0)), err, "nothing left to release");
+        assert!(g.release(n(9)).is_err(), "never interned");
     }
 
     #[test]

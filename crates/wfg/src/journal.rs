@@ -31,6 +31,8 @@ pub enum GraphOp {
     Whiten(NodeId, NodeId),
     /// G4: a white edge disappeared (the reply arrived).
     DeleteWhite(NodeId, NodeId),
+    /// OR-model unblock: every out-edge of the vertex disappeared.
+    Release(NodeId),
 }
 
 impl GraphOp {
@@ -46,6 +48,7 @@ impl GraphOp {
             GraphOp::Blacken(a, b) => g.blacken(a, b),
             GraphOp::Whiten(a, b) => g.whiten(a, b),
             GraphOp::DeleteWhite(a, b) => g.delete_white(a, b),
+            GraphOp::Release(a) => g.release(a),
         }
     }
 }
@@ -57,6 +60,7 @@ impl fmt::Display for GraphOp {
             GraphOp::Blacken(a, b) => write!(f, "blacken     {a} -> {b}"),
             GraphOp::Whiten(a, b) => write!(f, "whiten      {a} -> {b}"),
             GraphOp::DeleteWhite(a, b) => write!(f, "delete      {a} -> {b}"),
+            GraphOp::Release(a) => write!(f, "release     {a}"),
         }
     }
 }
@@ -167,15 +171,6 @@ impl Journal {
             op.apply(&mut g)?;
         }
         Ok(g)
-    }
-
-    /// Replays the full journal.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Journal::replay_until`].
-    pub fn replay_all(&self) -> Result<WaitForGraph, AxiomViolation> {
-        self.replay_until(SimTime::MAX)
     }
 }
 
@@ -356,7 +351,7 @@ mod tests {
             j.replay_until(t(5)).unwrap().colour(n(0), n(1)),
             Some(White)
         );
-        assert!(j.replay_all().unwrap().is_empty());
+        assert!(j.replay_until(SimTime::MAX).unwrap().is_empty());
         assert_eq!(j.len(), 4);
     }
 
@@ -364,7 +359,29 @@ mod tests {
     fn illegal_history_is_reported() {
         let mut j = Journal::new();
         j.record(t(1), GraphOp::Blacken(n(0), n(1))); // never created
-        assert!(j.replay_all().is_err());
+        assert!(j.replay_until(SimTime::MAX).is_err());
+    }
+
+    #[test]
+    fn release_replays_and_cursor_seeks_across_it() {
+        // An OR wait: 0 blocks on {1, 2} at t=1, is released at t=5.
+        let mut j = Journal::new();
+        j.record(t(1), GraphOp::CreateGrey(n(0), n(1)));
+        j.record(t(1), GraphOp::CreateGrey(n(0), n(2)));
+        j.record(t(5), GraphOp::Release(n(0)));
+        let blocked = j.replay_until(t(2)).unwrap();
+        assert_eq!(blocked.out_degree(n(0)), 2);
+        assert!(j.replay_until(t(9)).unwrap().is_empty());
+        assert!(j.replay_until(SimTime::ZERO).unwrap().is_empty());
+        let mut c = ReplayCursor::with_spacing(2);
+        for at in [9, 2, 9, 0, 5, 4] {
+            assert_eq!(*c.seek(&j, t(at)).unwrap(), j.replay_until(t(at)).unwrap());
+        }
+        // A second release of the now-active 0 is not a legal history.
+        j.record(t(7), GraphOp::Release(n(0)));
+        assert!(j.replay_until(SimTime::MAX).is_err());
+        assert!(c.seek(&j, SimTime::MAX).is_err());
+        assert_eq!(GraphOp::Release(n(3)).to_string(), "release     p3");
     }
 
     #[test]
@@ -379,7 +396,7 @@ mod tests {
     fn empty_journal() {
         let j = Journal::new();
         assert!(j.is_empty());
-        assert!(j.replay_all().unwrap().is_empty());
+        assert!(j.replay_until(SimTime::MAX).unwrap().is_empty());
     }
 
     /// A journal cycling one edge per 4-op block: `create, blacken,

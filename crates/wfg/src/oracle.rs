@@ -20,10 +20,11 @@
 //! an [`Oracle`]: it keeps a scratch of reusable index-based
 //! buffers (iterative Tarjan with visited stamps, no per-query
 //! allocation) and memoizes `dark_cycle_members`/`permanently_blocked`/
-//! `knots` against the graph's identity and mutation counters. While no
-//! dark edge is removed (no whiten/clear — the common monotone case),
-//! dark-cycle membership only grows, and a repeat query after k new edges
-//! re-runs Tarjan only on the region reachable from those edges' heads.
+//! `knots`/`or_deadlocked` against the graph's identity and mutation
+//! counters. While no dark edge is removed (no whiten/clear — the common
+//! monotone case), dark-cycle membership only grows, and a repeat query
+//! after k new edges re-runs Tarjan only on the region reachable from
+//! those edges' heads.
 
 use std::collections::BTreeSet;
 
@@ -326,6 +327,7 @@ pub struct Oracle {
     members: BTreeSet<NodeId>,
     blocked: Option<BTreeSet<NodeId>>,
     knots: Option<Vec<BTreeSet<NodeId>>>,
+    or_stuck: Option<BTreeSet<NodeId>>,
 }
 
 impl Oracle {
@@ -359,6 +361,7 @@ impl Oracle {
             .collect_cycle_members_into(g, &mut self.members);
         self.blocked = None;
         self.knots = None;
+        self.or_stuck = None;
         self.key = Some(key);
     }
 
@@ -412,6 +415,29 @@ impl Oracle {
             self.knots = Some(ks);
         }
         self.knots.as_deref().expect("just filled")
+    }
+
+    /// The **OR-deadlocked** vertices of the communication model (the
+    /// paper's reference \[1\]): blocked, with no active vertex
+    /// dark-reachable from them (Barbosa's definition). A vertex whose only
+    /// out-edges are white counts as active: its reply is on the way.
+    /// Cached until the dark set changes, like [`Oracle::knots`].
+    pub fn or_deadlocked(&mut self, g: &WaitForGraph) -> &BTreeSet<NodeId> {
+        self.refresh(g);
+        self.or_stuck.get_or_insert_with(|| {
+            // One reverse pass from the sinks: whatever reaches one can escape.
+            let sink = |v| !g.out_edges(v).any(|e| e.colour.is_dark());
+            let mut free: BTreeSet<NodeId> = g.vertex_iter().filter(|&v| sink(v)).collect();
+            let mut frontier: Vec<NodeId> = free.iter().copied().collect();
+            while let Some(v) = frontier.pop() {
+                for e in g.in_edges(v) {
+                    if e.colour.is_dark() && free.insert(e.from) {
+                        frontier.push(e.from);
+                    }
+                }
+            }
+            g.vertex_iter().filter(|v| !free.contains(v)).collect()
+        })
     }
 
     /// `true` if `v` lies on an all-black cycle. Not memoized (the black
@@ -811,6 +837,33 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn or_deadlocked_is_no_active_vertex_reachable() {
+        let mut o = Oracle::new();
+        // A closed knot 0 <-> 1, plus 2 waiting on it: all stuck.
+        let mut g = build(&[(0, 1, Grey), (1, 0, Grey), (2, 0, Grey)]);
+        assert_eq!(*o.or_deadlocked(&g), (0..=2).map(n).collect());
+        // An escape: 1 also waits on the active 3, which any of them can
+        // now reach.
+        g.create_grey(n(1), n(3)).unwrap();
+        assert!(o.or_deadlocked(&g).is_empty());
+        // Blocked on an active vertex only.
+        assert!(Oracle::new()
+            .or_deadlocked(&build(&[(4, 5, Grey)]))
+            .is_empty());
+    }
+
+    #[test]
+    fn or_deadlocked_memo_flips_after_release() {
+        let mut g = build(&[(0, 1, Grey), (1, 0, Grey)]);
+        let mut o = Oracle::new();
+        assert_eq!(o.or_deadlocked(&g).len(), 2);
+        // Same graph object, no dark edge added: only the shrink epoch
+        // tells the memo that 1 is active again.
+        g.release(n(1)).unwrap();
+        assert!(o.or_deadlocked(&g).is_empty());
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //! block/send scenarios, declarations are sound (journal-verified) and
 //! every OR-deadlocked knot has a declarer.
 
-use cmh_core::ormodel::{is_or_deadlocked, OrNet};
+use cmh_core::ormodel::OrNet;
 use proptest::prelude::*;
 use simnet::sim::NodeId;
+use wfg::oracle::Oracle;
+use wfg::WaitForGraph;
 use workloads::{drive_or, random_or_scenario, OrScenarioConfig};
 
 proptest! {
@@ -36,6 +38,8 @@ proptest! {
 
     /// The ground-truth oracle itself: a closure that contains any active
     /// process is never deadlocked; a fully blocked closed set always is.
+    /// `Oracle::or_deadlocked` over the drawn state's wait-for graph (one
+    /// grey edge per dependency) is checked against that definition.
     #[test]
     fn oracle_closure_properties(
         edges in proptest::collection::vec((0usize..8, 0usize..8), 1..24),
@@ -51,10 +55,14 @@ proptest! {
             }
         }
         let mut state: BTreeMap<NodeId, Option<BTreeSet<NodeId>>> = BTreeMap::new();
+        let mut g = WaitForGraph::new();
         for v in 0..8usize {
             let blocked = (blocked_mask >> v) & 1 == 1;
             match deps.get(&v) {
                 Some(d) if blocked => {
+                    for &u in d {
+                        g.create_grey(NodeId(v), u).expect("fresh edge");
+                    }
                     state.insert(NodeId(v), Some(d.clone()));
                 }
                 _ => {
@@ -62,10 +70,10 @@ proptest! {
                 }
             }
         }
+        let stuck = Oracle::new().or_deadlocked(&g).clone();
         for v in 0..8usize {
             let v = NodeId(v);
-            let verdict = is_or_deadlocked(&state, v);
-            // Recompute by definition: closure must be all blocked.
+            // By definition: the dependency closure must be all blocked.
             let mut closure = BTreeSet::new();
             let mut frontier = vec![v];
             let mut all_blocked = true;
@@ -81,7 +89,7 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(verdict, all_blocked, "vertex {}", v);
+            prop_assert_eq!(stuck.contains(&v), all_blocked, "vertex {}", v);
         }
     }
 }

@@ -114,7 +114,7 @@ proptest! {
         for (i, &op) in accepted.iter().enumerate() {
             j.record(SimTime::from_ticks(i as u64), op);
         }
-        prop_assert_eq!(j.replay_all().expect("legal history"), g);
+        prop_assert_eq!(j.replay_until(SimTime::MAX).expect("legal history"), g);
         if !accepted.is_empty() {
             let half = accepted.len() / 2;
             let g_half = j.replay_until(SimTime::from_ticks(half as u64)).unwrap();
