@@ -22,12 +22,10 @@ use std::fmt;
 use std::sync::Arc;
 
 use cmh_core::process::{RequestError, Underlying, SERVE_TIMER};
-use cmh_core::{Net, ReplyPolicy, Vertex};
+use cmh_core::{DeadlockReport, Net, ReplyPolicy, Vertex};
 use simnet::sim::{Context, NodeId, Process, SimBuilder, TimerId};
 use wfg::oracle::Oracle;
 use wfg::WaitForGraph;
-
-use crate::report::{BaselineReport, Claims};
 
 /// Coordinator snapshot discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,7 +110,7 @@ pub struct Coordinator {
     latest_reply: BTreeMap<NodeId, Vec<NodeId>>,
     prev_view: Option<BTreeSet<(NodeId, NodeId)>>,
     currently_reported: BTreeSet<NodeId>,
-    reports: Vec<BaselineReport>,
+    reports: Vec<DeadlockReport>,
     /// Per-round view graph, cleared and rebuilt each poll so vertex
     /// interning and row allocations are reused across rounds.
     graph: WaitForGraph,
@@ -150,9 +148,10 @@ impl Coordinator {
                 if ctx.tracing() {
                     ctx.note(format!("central: {v} reported deadlocked"));
                 }
-                self.reports.push(BaselineReport {
+                self.reports.push(DeadlockReport {
                     detector: ctx.id(),
                     subject: v,
+                    tag: None,
                     at: ctx.now(),
                 });
             }
@@ -230,13 +229,15 @@ impl Vertex for CentralProcess {
         };
         w.request(ctx, to, CentralMsg::Request)
     }
-}
 
-impl Claims for CentralProcess {
-    fn claims(&self, _me: NodeId, out: &mut Vec<BaselineReport>) {
+    fn claims(&self, _me: NodeId, out: &mut Vec<DeadlockReport>) {
         if let CentralProcess::Coordinator(c) = self {
             out.extend_from_slice(&c.reports);
         }
+    }
+
+    fn deadlocked(g: &WaitForGraph, o: &mut Oracle, v: NodeId) -> bool {
+        crate::on_dark_cycle(g, o, v)
     }
 }
 
@@ -280,7 +281,6 @@ pub fn net(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{classify, reports};
     use simnet::time::SimTime;
     use wfg::generators;
 
@@ -298,10 +298,12 @@ mod tests {
             let mut net = seeded(4, mode, 50, 5, 1);
             net.request_edges(&generators::cycle(4)).unwrap();
             net.run_until(deadline(2_000));
-            let reports = reports(&net);
-            assert_eq!(reports.len(), 4, "{mode:?}: all members reported");
-            let c = classify(&net);
-            assert_eq!(c.phantom, 0, "{mode:?}: stable cycle is genuine");
+            let c = net.classify();
+            assert_eq!(
+                (c.genuine, c.phantom),
+                (4, 0),
+                "{mode:?}: all members, genuinely"
+            );
         }
     }
 
@@ -310,7 +312,7 @@ mod tests {
         let mut net = seeded(5, SnapshotMode::OnePhase, 40, 3, 2);
         net.request_edges(&generators::chain(5)).unwrap();
         net.run_until(deadline(3_000));
-        assert!(reports(&net).is_empty());
+        assert!(net.declarations().is_empty());
         // But the polling bill was still paid: rounds * n messages.
         assert!(net.metrics().get(counters::SNAP_REQUEST) >= 5 * 10);
     }
@@ -332,8 +334,8 @@ mod tests {
         net.request_edges(&generators::cycle(3)).unwrap();
         // After only ~one round, two-phase cannot have declared yet.
         net.run_until(deadline(120));
-        assert!(reports(&net).is_empty());
+        assert!(net.declarations().is_empty());
         net.run_until(deadline(2_000));
-        assert_eq!(reports(&net).len(), 3);
+        assert_eq!(net.declarations().len(), 3);
     }
 }

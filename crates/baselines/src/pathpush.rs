@@ -20,10 +20,11 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use cmh_core::process::RequestError;
-use cmh_core::{Net, Vertex};
+use cmh_core::{DeadlockReport, Net, Vertex};
 use simnet::sim::{Context, NodeId, Process, SimBuilder, TimerId};
+use wfg::oracle::Oracle;
+use wfg::WaitForGraph;
 
-use crate::report::{BaselineReport, Claims};
 use crate::Waiter;
 
 /// Metric-counter names for the path-pushing detector.
@@ -151,11 +152,13 @@ impl Vertex for PathProcess {
         self.wait.requested(ctx, self.push_delay);
         Ok(())
     }
-}
 
-impl Claims for PathProcess {
-    fn claims(&self, me: NodeId, out: &mut Vec<BaselineReport>) {
+    fn claims(&self, me: NodeId, out: &mut Vec<DeadlockReport>) {
         self.wait.claims(me, out);
+    }
+
+    fn deadlocked(g: &WaitForGraph, o: &mut Oracle, v: NodeId) -> bool {
+        crate::on_dark_cycle(g, o, v)
     }
 }
 
@@ -186,7 +189,6 @@ pub fn net(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{classify, reports};
     use simnet::time::SimTime;
     use wfg::generators;
 
@@ -204,9 +206,8 @@ mod tests {
             let mut net = seeded(5, 20, 5, optimized, 1);
             net.request_edges(&generators::cycle(5)).unwrap();
             net.run_until(deadline(5_000));
-            let reports = reports(&net);
-            assert!(!reports.is_empty(), "optimized={optimized}");
-            assert_eq!(classify(&net).phantom, 0);
+            assert!(!net.declarations().is_empty(), "optimized={optimized}");
+            assert_eq!(net.classify().phantom, 0);
         }
     }
 
@@ -215,7 +216,7 @@ mod tests {
         let mut net = seeded(6, 20, 5, true, 2);
         net.request_edges(&generators::cycle(6)).unwrap();
         net.run_until(deadline(5_000));
-        let subjects: BTreeSet<NodeId> = reports(&net).iter().map(|r| r.subject).collect();
+        let subjects: BTreeSet<NodeId> = net.declarations().iter().map(|r| r.subject).collect();
         assert_eq!(subjects, [NodeId(5)].into_iter().collect());
     }
 
@@ -238,6 +239,6 @@ mod tests {
         let mut net = seeded(5, 15, 50, false, 4);
         net.request_edges(&generators::chain(5)).unwrap();
         net.run_until(deadline(5_000));
-        assert!(reports(&net).is_empty());
+        assert!(net.declarations().is_empty());
     }
 }

@@ -8,10 +8,11 @@
 //! a function of the timeout, next to the probe computation's proved zero.
 
 use cmh_core::process::RequestError;
-use cmh_core::{Net, Vertex};
+use cmh_core::{DeadlockReport, Net, Vertex};
 use simnet::sim::{Context, NodeId, Process, SimBuilder, TimerId};
+use wfg::oracle::Oracle;
+use wfg::WaitForGraph;
 
-use crate::report::{BaselineReport, Claims};
 use crate::Waiter;
 
 /// Metric-counter names for the timeout detector.
@@ -70,11 +71,13 @@ impl Vertex for TimeoutProcess {
         self.wait.requested(ctx, self.t_timeout);
         Ok(())
     }
-}
 
-impl Claims for TimeoutProcess {
-    fn claims(&self, me: NodeId, out: &mut Vec<BaselineReport>) {
+    fn claims(&self, me: NodeId, out: &mut Vec<DeadlockReport>) {
         self.wait.claims(me, out);
+    }
+
+    fn deadlocked(g: &WaitForGraph, o: &mut Oracle, v: NodeId) -> bool {
+        crate::on_dark_cycle(g, o, v)
     }
 }
 
@@ -93,7 +96,6 @@ pub fn net(n: usize, t_timeout: u64, service_delay: u64, builder: SimBuilder) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{classify, reports};
     use wfg::generators;
 
     fn seeded(n: usize, t_timeout: u64, service_delay: u64, seed: u64) -> TimeoutNet {
@@ -105,10 +107,10 @@ mod tests {
         let mut net = seeded(3, 100, 5, 1);
         net.request_edges(&generators::cycle(3)).unwrap();
         net.run_to_quiescence(100_000);
-        let reports = reports(&net);
+        let reports = net.declarations();
         assert_eq!(reports.len(), 3);
         assert!(reports.iter().all(|r| r.at.ticks() >= 100));
-        assert_eq!(classify(&net).phantom, 0);
+        assert_eq!(net.classify().phantom, 0);
     }
 
     #[test]
@@ -118,7 +120,7 @@ mod tests {
         let mut net = seeded(4, 30, 200, 2);
         net.request_edges(&generators::chain(4)).unwrap();
         net.run_to_quiescence(100_000);
-        let c = classify(&net);
+        let c = net.classify();
         assert!(c.phantom >= 1, "slow waits should be misdeclared");
         assert_eq!(c.genuine, 0);
     }
@@ -128,7 +130,7 @@ mod tests {
         let mut net = seeded(4, 500, 2, 3);
         net.request_edges(&generators::chain(4)).unwrap();
         net.run_to_quiescence(100_000);
-        assert!(reports(&net).is_empty());
+        assert!(net.declarations().is_empty());
     }
 
     #[test]

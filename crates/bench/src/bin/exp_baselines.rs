@@ -9,11 +9,11 @@
 //! With `CMH_SHARDS=S` every detector runs on `S` shards; the table is
 //! byte-identical at any `S`.
 
-use baselines::{central, classify, pathpush, timeout, Classified, SnapshotMode};
+use baselines::{central, pathpush, timeout, SnapshotMode};
 use cmh_bench::sweep::shards_from_env;
 use cmh_bench::{drive, Table};
 use cmh_core::process::counters::PROBE_SENT;
-use cmh_core::{BasicConfig, BasicNet};
+use cmh_core::{BasicConfig, BasicNet, Classified};
 use simnet::sim::SimBuilder;
 use simnet::time::SimTime;
 use workloads::{random_churn, ChurnConfig, Schedule};
@@ -65,11 +65,8 @@ fn run_all(n: usize, seed: u64, shards: usize) -> Vec<Row> {
         drive(&mut net, &sched);
         net.run_to_quiescence(100_000_000);
         // QRP2 holds, so every declaration is genuine.
-        let genuine = net.verify_soundness().expect("QRP2");
-        let c = Classified {
-            genuine,
-            phantom: 0,
-        };
+        let c = net.classify();
+        assert_eq!(c.phantom, 0, "QRP2");
         rows.push(Row::new(label, net.metrics().get(PROBE_SENT), c));
     }
     for (mode, label) in [
@@ -81,17 +78,17 @@ fn run_all(n: usize, seed: u64, shards: usize) -> Vec<Row> {
         net.run_until(horizon);
         let polls = net.metrics().get(central::counters::SNAP_REQUEST)
             + net.metrics().get(central::counters::SNAP_REPLY);
-        rows.push(Row::new(label, polls, classify(&net)));
+        rows.push(Row::new(label, polls, net.classify()));
     }
     let mut net = pathpush::net(n, 100, SERVICE_DELAY, true, builder());
     drive(&mut net, &sched);
     net.run_until(horizon);
     let paths = net.metrics().get(pathpush::counters::PATH_SENT);
-    rows.push(Row::new("path-pushing (opt)", paths, classify(&net)));
+    rows.push(Row::new("path-pushing (opt)", paths, net.classify()));
     let mut net = timeout::net(n, 200, SERVICE_DELAY, builder());
     drive(&mut net, &sched);
     net.run_to_quiescence(100_000_000);
-    rows.push(Row::new("timeout (T=200)", 0, classify(&net)));
+    rows.push(Row::new("timeout (T=200)", 0, net.classify()));
     rows
 }
 

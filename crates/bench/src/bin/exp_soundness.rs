@@ -16,10 +16,10 @@
 //! byte-identical at any `S`. Every family's independent seeds fan out
 //! over a worker pool.
 
-use baselines::{central, classify, timeout, Classified, SnapshotMode};
+use baselines::{central, timeout, SnapshotMode};
 use cmh_bench::sweep::shards_from_env;
 use cmh_bench::{drive, Table};
-use cmh_core::{BasicConfig, BasicNet};
+use cmh_core::{BasicConfig, BasicNet, Classified};
 use simnet::batch::par_seeds;
 use simnet::latency::LatencyModel;
 use simnet::sim::SimBuilder;
@@ -130,7 +130,7 @@ fn main() {
             let mut net = timeout::net(sched.n, t, SERVICE_DELAY, builder(seed, shards));
             drive(&mut net, &sched);
             net.run_to_quiescence(100_000_000);
-            classify(&net)
+            net.classify()
         });
         table.row(baseline_row(format!("timeout (T={t})"), &outs, true));
     }
@@ -146,7 +146,7 @@ fn main() {
             drive(&mut net, &sched);
             // Give the poller time to settle after the last event.
             net.run_until(net.now() + 5_000);
-            classify(&net)
+            net.classify()
         });
         let one_phase = mode == SnapshotMode::OnePhase;
         table.row(baseline_row(label.to_string(), &outs, one_phase));

@@ -1,15 +1,18 @@
-//! The journalled harness of the basic model's detectors, with built-in
-//! validation.
+//! The journalled harness of every detector, with built-in validation.
 //!
 //! [`Net`] runs `n` vertices in a `simnet` simulation, journals every
-//! wait-for-graph mutation, and answers every "was `v` on a cycle at `t`?"
+//! wait-for-graph mutation, and answers every "was `v` deadlocked at `t`?"
 //! from one checkpointed cursor and one memoized [`wfg::oracle`]. The
 //! probe computation runs in it as [`BasicNet`], the `baselines` crate's
-//! three detectors and the OR model's [`crate::ormodel::OrNet`] too. For
-//! the probe computation it *proves* (per run) the paper's two properties:
+//! three detectors and the OR model's [`crate::ormodel::OrNet`] too. Each
+//! vertex type names its claims ([`Vertex::claims`]) and the ground truth
+//! a claim asserts ([`Vertex::deadlocked`]); the harness checks them once
+//! for every model:
 //!
-//! * **QRP2 / soundness** ([`BasicNet::verify_soundness`]): every
-//!   declaration happened while the declarer was on a black cycle;
+//! * **QRP2 / soundness** ([`Net::verify_soundness`]): every declaration
+//!   happened while its subject was deadlocked — for the probe
+//!   computation, on a black cycle; [`Net::classify`] splits a baseline's
+//!   claims into genuine and phantom by the same test;
 //! * **QRP1 / completeness** ([`BasicNet::verify_completeness`]): once the
 //!   run quiesces, if a dark cycle exists then some member declared.
 
@@ -32,8 +35,8 @@ use crate::process::{BasicMsg, BasicProcess, RequestError};
 /// A validation failure found by the checkers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ValidationError {
-    /// QRP2 violated: a vertex declared deadlock while not on a black cycle
-    /// (in the OR model: while not OR-deadlocked).
+    /// QRP2 violated: a claim's subject was not deadlocked when declared
+    /// (see [`Vertex::deadlocked`]).
     FalseDeadlock {
         /// The offending declaration.
         report: DeadlockReport,
@@ -65,6 +68,13 @@ pub enum ValidationError {
 impl fmt::Display for ValidationError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            ValidationError::FalseDeadlock { report } if report.detector != report.subject => {
+                let subject = report.subject;
+                write!(
+                    f,
+                    "false deadlock: {report} but {subject} was not deadlocked then"
+                )
+            }
             ValidationError::FalseDeadlock { report } => write!(
                 f,
                 "false deadlock: {report} but declarer was not deadlocked then"
@@ -106,8 +116,30 @@ pub enum NodeClass {
 
 impl std::error::Error for ValidationError {}
 
+/// Split of a run's claims into genuine and phantom (see
+/// [`Net::classify`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Classified {
+    /// Claims whose subject was deadlocked when declared.
+    pub genuine: usize,
+    /// Claims whose subject was **not** deadlocked when declared.
+    pub phantom: usize,
+}
+
+impl Classified {
+    /// Fraction of claims that were phantom (0 if there were none).
+    pub fn phantom_rate(&self) -> f64 {
+        let total = self.genuine + self.phantom;
+        if total == 0 {
+            0.0
+        } else {
+            self.phantom as f64 / total as f64
+        }
+    }
+}
+
 /// A vertex a [`Net`] can drive: a process whose underlying computation
-/// issues requests (§2 G1).
+/// issues requests (§2 G1) and that makes deadlock claims.
 pub trait Vertex: Process<Self::Msg> + Send + 'static {
     /// The messages the vertex exchanges.
     type Msg: fmt::Debug + Clone + Send + 'static;
@@ -118,6 +150,13 @@ pub trait Vertex: Process<Self::Msg> + Send + 'static {
     /// Has this vertex request `to`; [`Self::Error`] if it may not (the
     /// basic model's [`RequestError`]: a duplicate edge or a self-request).
     fn request(&mut self, ctx: &mut Context<'_, Self::Msg>, to: NodeId) -> Result<(), Self::Error>;
+
+    /// Appends the claims this vertex (`me`) has made so far to `out`.
+    fn claims(&self, me: NodeId, out: &mut Vec<DeadlockReport>);
+
+    /// The ground truth a claim about `v` asserts, read on the wait-for
+    /// graph `g` as of the claim.
+    fn deadlocked(g: &WaitForGraph, o: &mut Oracle, v: NodeId) -> bool;
 }
 
 impl Vertex for BasicProcess {
@@ -126,6 +165,15 @@ impl Vertex for BasicProcess {
 
     fn request(&mut self, ctx: &mut Context<'_, BasicMsg>, to: NodeId) -> Result<(), RequestError> {
         BasicProcess::request(self, ctx, to)
+    }
+
+    fn claims(&self, _me: NodeId, out: &mut Vec<DeadlockReport>) {
+        out.extend_from_slice(self.declarations());
+    }
+
+    /// QRP2: the declarer is on a **black** cycle.
+    fn deadlocked(g: &WaitForGraph, o: &mut Oracle, v: NodeId) -> bool {
+        o.is_on_black_cycle(g, v)
     }
 }
 
@@ -308,119 +356,63 @@ impl<P: Vertex> Net<P> {
         self.graph_at(SimTime::MAX)
     }
 
-    /// `true` if `v` was on a dark cycle at time `at`.
-    ///
-    /// # Errors
-    ///
-    /// [`ValidationError::IllegalHistory`] if the journal violates G1–G4.
-    pub fn on_dark_cycle_at(&self, v: NodeId, at: SimTime) -> Result<bool, ValidationError> {
-        self.as_of(&self.journal(), at, |g, o| o.is_on_dark_cycle(g, v))
-    }
-
-    /// The earliest time `v` was on a dark cycle, given that it was at
-    /// `at`. Dark cycles persist, so a binary search over the journal's
-    /// timestamps finds it.
-    ///
-    /// # Errors
-    ///
-    /// [`ValidationError::IllegalHistory`] if the journal violates G1–G4.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not on a dark cycle at `at`.
-    pub fn formation_time(&self, v: NodeId, at: SimTime) -> Result<SimTime, ValidationError> {
-        let journal = self.journal();
-        let on_cycle = |t| self.as_of(&journal, t, |g, o| o.is_on_dark_cycle(g, v));
-        assert!(on_cycle(at)?, "{v} is not on a dark cycle at {at}");
-        // Every seek below replays a prefix of the one just checked.
-        let upto = journal.entries().partition_point(|&(t, _)| t <= at);
-        let first = journal.entries()[..upto]
-            .partition_point(|&(t, _)| !on_cycle(t).expect("prefix of a legal history"));
-        Ok(journal.entries()[first].0)
-    }
-}
-
-impl BasicNet {
-    /// Creates a network of `n` identically configured vertices with the
-    /// default latency model and the given seed.
-    pub fn new(n: usize, cfg: BasicConfig, seed: u64) -> Self {
-        Self::with_builder(n, cfg, SimBuilder::new().seed(seed))
-    }
-
-    /// Creates a network with full control over the simulation builder
-    /// (latency model, tracing, seed, faults, shards).
-    pub fn with_builder(n: usize, cfg: BasicConfig, builder: SimBuilder) -> Self {
-        Net::build(builder, n, |_, j| {
-            BasicProcess::new(cfg).with_journal(Arc::clone(j))
-        })
-    }
-
-    /// Arms a seeded protocol mutation on every vertex (model-checker
-    /// harness only; see [`crate::process::BasicMutation`]).
-    #[cfg(feature = "mutations")]
-    pub fn set_mutation(&mut self, m: crate::process::BasicMutation) {
-        for i in 0..self.sim.node_count() {
-            self.sim.with_node(NodeId(i), |p, _| p.set_mutation(m));
-        }
-    }
-
-    /// All deadlock declarations made so far, ordered by time.
+    /// Every claim made so far, ordered by time and subject.
     pub fn declarations(&self) -> Vec<DeadlockReport> {
-        let mut ds: Vec<DeadlockReport> = (0..self.node_count())
-            .flat_map(|i| self.node(NodeId(i)).declarations().to_vec())
-            .collect();
-        ds.sort_by_key(|d| (d.at, d.detector));
+        let mut ds = Vec::new();
+        for i in 0..self.node_count() {
+            self.node(NodeId(i)).claims(NodeId(i), &mut ds);
+        }
+        ds.sort_by_key(|d| (d.at, d.subject));
         ds
     }
 
+    /// Every claim in time order, each with its verdict: was the subject
+    /// deadlocked ([`Vertex::deadlocked`]) when it was declared? The cursor
+    /// only moves forward, so a pass applies each journal entry at most
+    /// once.
+    fn judged(&self) -> impl Iterator<Item = Result<(DeadlockReport, bool), ValidationError>> + '_ {
+        let journal = self.journal();
+        self.declarations().into_iter().map(move |d| {
+            let holds = self.as_of(&journal, d.at, |g, o| P::deadlocked(g, o, d.subject))?;
+            Ok((d, holds))
+        })
+    }
+
     /// Verifies property QRP2 on everything declared so far: at the moment
-    /// of each declaration, the declarer was on a **black** cycle.
-    ///
-    /// Returns the number of declarations checked.
+    /// of each declaration, its subject was deadlocked. Returns the number
+    /// of declarations checked.
     ///
     /// # Errors
     ///
     /// [`ValidationError::FalseDeadlock`] on the first violation, or
     /// [`ValidationError::IllegalHistory`] if the journal itself is broken.
     pub fn verify_soundness(&self) -> Result<usize, ValidationError> {
-        let ds = self.declarations();
-        // Declarations are time-sorted, so the cursor only moves forward;
-        // the whole pass applies each journal entry at most once.
-        let journal = self.journal();
-        for d in &ds {
-            if !self.as_of(&journal, d.at, |g, o| o.is_on_black_cycle(g, d.detector))? {
-                return Err(ValidationError::FalseDeadlock { report: *d });
+        let mut checked = 0;
+        for verdict in self.judged() {
+            let (report, holds) = verdict?;
+            if !holds {
+                return Err(ValidationError::FalseDeadlock { report });
             }
+            checked += 1;
         }
-        Ok(ds.len())
+        Ok(checked)
     }
 
-    /// Verifies property QRP1 at the current instant: for **every** dark
-    /// cycle in the current graph, at least one member has declared.
+    /// Splits every claim made so far into genuine and phantom by the test
+    /// [`Net::verify_soundness`] applies.
     ///
-    /// Call after the run has quiesced (probe computations complete);
-    /// requires an initiation policy under which cycle members initiate
-    /// (e.g. `OnBlock`, where the vertex closing the cycle initiates).
+    /// # Panics
     ///
-    /// Returns the number of deadlocked vertices found.
-    ///
-    /// # Errors
-    ///
-    /// [`ValidationError::MissedDeadlock`] listing an undetected cycle's
-    /// members, or [`ValidationError::IllegalHistory`].
-    pub fn verify_completeness(&self) -> Result<usize, ValidationError> {
-        // The free function keeps `MissedDeadlock` member order pinned
-        // (Tarjan pop order), independent of the memoized oracle state.
-        let sccs = self.as_of(&self.journal(), SimTime::MAX, |g, _| oracle::dark_sccs(g))?;
-        let mut total = 0;
-        for scc in sccs.into_iter().filter(|c| c.len() >= 2) {
-            total += scc.len();
-            let any_declared = scc.iter().any(|&v| self.node(v).deadlock().is_some());
-            if !any_declared {
-                return Err(ValidationError::MissedDeadlock { cycle_members: scc });
+    /// Panics if the journal is not a legal G1–G4 history (a harness bug).
+    pub fn classify(&self) -> Classified {
+        let mut c = Classified::default();
+        for verdict in self.judged() {
+            match verdict.expect("a legal G1-G4 history") {
+                (_, true) => c.genuine += 1,
+                (_, false) => c.phantom += 1,
             }
         }
-        Ok(total)
+        c
     }
 
     /// Classifies every vertex of the current graph (see [`NodeClass`])
@@ -482,6 +474,81 @@ impl BasicNet {
                 at: self.now(),
             })
         }
+    }
+
+    /// The earliest time `v` was on a dark cycle, given that it was at
+    /// `at`. Dark cycles persist, so a binary search over the journal's
+    /// timestamps finds it.
+    ///
+    /// # Errors
+    ///
+    /// [`ValidationError::IllegalHistory`] if the journal violates G1–G4.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not on a dark cycle at `at`.
+    pub fn formation_time(&self, v: NodeId, at: SimTime) -> Result<SimTime, ValidationError> {
+        let journal = self.journal();
+        let on_cycle = |t| self.as_of(&journal, t, |g, o| o.is_on_dark_cycle(g, v));
+        assert!(on_cycle(at)?, "{v} is not on a dark cycle at {at}");
+        // Every seek below replays a prefix of the one just checked.
+        let upto = journal.entries().partition_point(|&(t, _)| t <= at);
+        let first = journal.entries()[..upto]
+            .partition_point(|&(t, _)| !on_cycle(t).expect("prefix of a legal history"));
+        Ok(journal.entries()[first].0)
+    }
+}
+
+impl BasicNet {
+    /// Creates a network of `n` identically configured vertices with the
+    /// default latency model and the given seed.
+    pub fn new(n: usize, cfg: BasicConfig, seed: u64) -> Self {
+        Self::with_builder(n, cfg, SimBuilder::new().seed(seed))
+    }
+
+    /// Creates a network with full control over the simulation builder
+    /// (latency model, tracing, seed, faults, shards).
+    pub fn with_builder(n: usize, cfg: BasicConfig, builder: SimBuilder) -> Self {
+        Net::build(builder, n, |_, j| {
+            BasicProcess::new(cfg).with_journal(Arc::clone(j))
+        })
+    }
+
+    /// Arms a seeded protocol mutation on every vertex (model-checker
+    /// harness only; see [`crate::process::BasicMutation`]).
+    #[cfg(feature = "mutations")]
+    pub fn set_mutation(&mut self, m: crate::process::BasicMutation) {
+        for i in 0..self.sim.node_count() {
+            self.sim.with_node(NodeId(i), |p, _| p.set_mutation(m));
+        }
+    }
+
+    /// Verifies property QRP1 at the current instant: for **every** dark
+    /// cycle in the current graph, at least one member has declared.
+    ///
+    /// Call after the run has quiesced (probe computations complete);
+    /// requires an initiation policy under which cycle members initiate
+    /// (e.g. `OnBlock`, where the vertex closing the cycle initiates).
+    ///
+    /// Returns the number of deadlocked vertices found.
+    ///
+    /// # Errors
+    ///
+    /// [`ValidationError::MissedDeadlock`] listing an undetected cycle's
+    /// members, or [`ValidationError::IllegalHistory`].
+    pub fn verify_completeness(&self) -> Result<usize, ValidationError> {
+        // The free function keeps `MissedDeadlock` member order pinned
+        // (Tarjan pop order), independent of the memoized oracle state.
+        let sccs = self.as_of(&self.journal(), SimTime::MAX, |g, _| oracle::dark_sccs(g))?;
+        let mut total = 0;
+        for scc in sccs.into_iter().filter(|c| c.len() >= 2) {
+            total += scc.len();
+            let any_declared = scc.iter().any(|&v| self.node(v).deadlock().is_some());
+            if !any_declared {
+                return Err(ValidationError::MissedDeadlock { cycle_members: scc });
+            }
+        }
+        Ok(total)
     }
 }
 
@@ -639,8 +706,9 @@ mod tests {
         assert!(first.at > SimTime::from_ticks(20));
         let formed = net.formation_time(first.detector, first.at).unwrap();
         assert_eq!(formed, SimTime::from_ticks(20));
-        assert!(!net.on_dark_cycle_at(n(0), SimTime::from_ticks(19)).unwrap());
-        assert!(net.on_dark_cycle_at(n(0), formed).unwrap());
+        let on_cycle = |t| oracle::is_on_dark_cycle(&net.graph_at(t).unwrap(), n(0));
+        assert!(!on_cycle(SimTime::from_ticks(19)));
+        assert!(on_cycle(formed));
     }
 
     #[test]

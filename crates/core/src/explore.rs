@@ -1,151 +1,79 @@
-//! Schedule-space exploration adapter for the basic model.
+//! Schedule-space exploration adapter for every [`Net`].
 //!
-//! [`BasicRunner`] wraps a [`BasicNet`] built in explore mode
+//! [`NetRunner`] wraps a [`Net`] built in explore mode
 //! ([`SimBuilder::explore`]) behind the
 //! [`simnet::explore::ScheduleRunner`] interface, so the DPOR explorer
 //! ([`simnet::explore::Explorer`]) can enumerate the delivery/timer
 //! interleavings of a bounded workload and machine-check, per schedule:
 //!
-//! * **QRP1 / soundness** — every declaration happened on a black cycle
-//!   (as-of-event oracle; prefix-safe, checked on truncated runs too);
-//! * **QRP2 / completeness** — at quiescence, any persisting dark cycle
-//!   has a declaring member;
-//! * **liveness** — no vertex is wedged (blocked forever off-cycle) at
-//!   quiescence;
+//! * **QRP2 / soundness** — every claim's subject was deadlocked when
+//!   declared ([`Net::verify_soundness`]; as-of-event oracle, prefix-safe,
+//!   checked on truncated runs too);
+//! * **QRP1 / completeness** — at quiescence, the model's own check (for
+//!   the basic model: any persisting dark cycle has a declaring member);
+//! * **liveness** — no vertex is wedged (blocked forever with no way
+//!   out) at quiescence;
 //! * **trace invariants** — FIFO exactly-once delivery and finite delay
 //!   on clean wires, conservation accounting on faulty ones
 //!   ([`simnet::explore::check_trace`]).
 //!
-//! The workload is a fixed list of [`Inject`]ions — timed driver
-//! actions. Injections are part of the *configuration*, not the
-//! schedule space: they apply deterministically once the run's clock
-//! passes their time (after the preceding tick drains), identically
-//! along every explored branch of that prefix.
+//! The workload is a [`Script`] of timed driver actions, part of the
+//! configuration rather than the schedule space.
 
-use std::collections::VecDeque;
+use simnet::explore::{ScheduleRunner, Script};
+use simnet::sim::{FrontierEvent, SimBuilder};
 
-use simnet::explore::ScheduleRunner;
-use simnet::sim::{FrontierEvent, NodeId, SimBuilder};
-use simnet::time::SimTime;
+use crate::engine::{Net, ValidationError, Vertex};
+use crate::process::BasicProcess;
 
-use crate::config::BasicConfig;
-use crate::engine::BasicNet;
-
-/// A timed driver action of an exploration workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Inject {
-    /// `from` requests `to` (rule G1) once the clock passes `at`.
-    Request {
-        /// Earliest tick after which the request is issued.
-        at: SimTime,
-        /// Requesting vertex.
-        from: NodeId,
-        /// Target vertex.
-        to: NodeId,
-    },
-    /// `node` manually initiates a probe computation once the clock
-    /// passes `at` (pair with [`crate::config::InitiationPolicy::Never`]
-    /// or [`BasicConfig::manual`]).
-    Initiate {
-        /// Earliest tick after which the computation starts.
-        at: SimTime,
-        /// Initiating vertex.
-        node: NodeId,
-    },
-}
-
-impl Inject {
-    fn at(&self) -> SimTime {
-        match self {
-            Inject::Request { at, .. } | Inject::Initiate { at, .. } => *at,
-        }
-    }
-}
-
-/// One bounded, replayable basic-model run under exploration.
+/// One bounded, replayable run of a [`Net`] under exploration.
 ///
 /// Build one per schedule inside the `fresh` closure handed to
 /// [`simnet::explore::Explorer::explore`]; determinism of the underlying
 /// simulation (per-node RNG substreams, creation-seq naming) makes every
 /// instance bit-identical up to the explorer's schedule choices.
 #[derive(Debug)]
-pub struct BasicRunner {
-    net: BasicNet,
-    pending: VecDeque<Inject>,
+pub struct NetRunner<P: Vertex> {
+    net: Net<P>,
+    script: Script<Net<P>>,
     fifo: bool,
+    complete: fn(&Net<P>) -> Result<usize, ValidationError>,
 }
 
-impl BasicRunner {
-    /// Creates a runner over `n` vertices with the given behaviour
-    /// config, simulation builder (latency model, seed, fault plan —
-    /// `explore` and `trace` are forced on), and workload. `fifo`
-    /// declares whether the wire preserves per-channel order and
-    /// delivers exactly once (false under loss/duplication fault plans
-    /// or `fifo(false)`), selecting both the explorer's eligibility
-    /// filter semantics and the trace checker mode.
+/// The basic model's runner.
+pub type BasicRunner = NetRunner<BasicProcess>;
+
+impl<P: Vertex> NetRunner<P> {
+    /// Creates a runner over the net `build` makes from `builder`
+    /// (latency model, seed, fault plan — `explore` and `trace` are forced
+    /// on), driven by `script`. `fifo` declares whether the wire preserves
+    /// per-channel order and delivers exactly once (false under
+    /// loss/duplication fault plans or `fifo(false)`), selecting the trace
+    /// checker mode; `complete` is the model's completeness check.
     pub fn new(
-        n: usize,
-        cfg: BasicConfig,
+        build: impl FnOnce(SimBuilder) -> Net<P>,
         builder: SimBuilder,
-        mut injections: Vec<Inject>,
+        script: Script<Net<P>>,
         fifo: bool,
+        complete: fn(&Net<P>) -> Result<usize, ValidationError>,
     ) -> Self {
-        injections.sort_by_key(Inject::at);
-        let net = BasicNet::with_builder(n, cfg, builder.explore(true).trace(true));
-        BasicRunner {
-            net,
-            pending: injections.into(),
+        NetRunner {
+            net: build(builder.explore(true).trace(true)),
+            script,
             fifo,
+            complete,
         }
     }
 
     /// The wrapped net, e.g. to arm a mutation before the run starts.
-    pub fn net_mut(&mut self) -> &mut BasicNet {
+    pub fn net_mut(&mut self) -> &mut Net<P> {
         &mut self.net
-    }
-
-    /// The wrapped net, read-only.
-    pub fn net(&self) -> &BasicNet {
-        &self.net
-    }
-
-    /// Applies every injection whose time the run has passed — the next
-    /// pending event is strictly later (so the injection's tick has
-    /// drained), or the queue is empty — and returns the resulting
-    /// frontier. The frontier is recomputed after each application, so
-    /// an injection's own events (which gate later injections) are
-    /// visible before the next one is considered.
-    fn apply_due(&mut self) -> Vec<FrontierEvent> {
-        loop {
-            let frontier = self.net.frontier_events();
-            let Some(inj) = self.pending.front().copied() else {
-                return frontier;
-            };
-            let due = match frontier.first() {
-                None => true,
-                Some(e) => e.at > inj.at(),
-            };
-            if !due {
-                return frontier;
-            }
-            self.pending.pop_front();
-            match inj {
-                Inject::Request { from, to, .. } => {
-                    self.net
-                        .request(from, to)
-                        .unwrap_or_else(|e| panic!("bad workload: request {from}->{to}: {e:?}"));
-                }
-                Inject::Initiate { node, .. } => {
-                    self.net.with_node(node, |p, ctx| p.initiate(ctx));
-                }
-            }
-        }
     }
 }
 
-impl ScheduleRunner for BasicRunner {
+impl<P: Vertex> ScheduleRunner for NetRunner<P> {
     fn frontier(&mut self) -> Vec<FrontierEvent> {
-        self.apply_due()
+        self.script.apply_due(&mut self.net, Net::frontier_events)
     }
 
     fn execute(&mut self, seq: u64) -> bool {
@@ -159,9 +87,7 @@ impl ScheduleRunner for BasicRunner {
         simnet::explore::check_trace(self.net.trace().events(), self.fifo, !truncated)
             .map_err(|e| format!("trace: {e}"))?;
         if !truncated {
-            self.net
-                .verify_completeness()
-                .map_err(|e| format!("completeness: {e}"))?;
+            (self.complete)(&self.net).map_err(|e| format!("completeness: {e}"))?;
             self.net
                 .verify_liveness()
                 .map_err(|e| format!("liveness: {e}"))?;
@@ -170,47 +96,70 @@ impl ScheduleRunner for BasicRunner {
     }
 }
 
-/// Canned 3-process exploration workloads, shared by the unit tests,
-/// the root-level DPOR regression test, and the `xtask mck` driver.
+/// Canned exploration workloads, shared by the unit tests, the
+/// root-level DPOR regression test, and the `xtask mck` driver.
 pub mod configs {
     use super::*;
+    use crate::config::{BasicConfig, InitiationPolicy, ReplyPolicy};
+    use crate::engine::BasicNet;
+    use crate::ormodel::{OrNet, OrProcess};
     use simnet::faults::FaultPlan;
     use simnet::latency::LatencyModel;
+    use simnet::sim::NodeId;
+    use simnet::time::SimTime;
 
     fn never_initiate(service_delay: u64) -> BasicConfig {
         BasicConfig {
-            initiation: crate::config::InitiationPolicy::Never,
-            reply: crate::config::ReplyPolicy::AfterDelay { service_delay },
+            initiation: InitiationPolicy::Never,
+            reply: ReplyPolicy::AfterDelay { service_delay },
             ..BasicConfig::default()
         }
+    }
+
+    /// A seeded builder whose every hop takes `ticks`.
+    fn fixed(seed: u64, ticks: u64) -> SimBuilder {
+        SimBuilder::new()
+            .seed(seed)
+            .latency(LatencyModel::Fixed { ticks })
+    }
+
+    fn t(ticks: u64) -> SimTime {
+        SimTime::from_ticks(ticks)
+    }
+
+    /// `from` requests `to` (rule G1).
+    fn request(from: usize, to: usize) -> impl FnOnce(&mut BasicNet) {
+        move |net| {
+            net.request(NodeId(from), NodeId(to))
+                .unwrap_or_else(|e| panic!("bad workload: request {from}->{to}: {e:?}"));
+        }
+    }
+
+    /// A 3-process basic-model runner.
+    fn basic(
+        cfg: BasicConfig,
+        builder: SimBuilder,
+        script: Script<BasicNet>,
+        fifo: bool,
+    ) -> BasicRunner {
+        let build = move |b| BasicNet::with_builder(3, cfg, b);
+        NetRunner::new(build, builder, script, fifo, BasicNet::verify_completeness)
+    }
+
+    /// The requests `0→1→2→0`, all at time zero.
+    fn ring_requests() -> Script<BasicNet> {
+        (0..3).fold(Script::default(), |s, i| {
+            s.at(t(0), request(i, (i + 1) % 3))
+        })
     }
 
     /// A 3-process ring deadlock (`0→1→2→0`, on-block initiation): every
     /// schedule must declare the (real, persisting) deadlock.
     pub fn ring(seed: u64) -> BasicRunner {
-        BasicRunner::new(
-            3,
+        basic(
             BasicConfig::on_block(5),
-            SimBuilder::new()
-                .seed(seed)
-                .latency(LatencyModel::Fixed { ticks: 1 }),
-            vec![
-                Inject::Request {
-                    at: SimTime::from_ticks(0),
-                    from: NodeId(0),
-                    to: NodeId(1),
-                },
-                Inject::Request {
-                    at: SimTime::from_ticks(0),
-                    from: NodeId(1),
-                    to: NodeId(2),
-                },
-                Inject::Request {
-                    at: SimTime::from_ticks(0),
-                    from: NodeId(2),
-                    to: NodeId(0),
-                },
-            ],
+            fixed(seed, 1),
+            ring_requests(),
             true,
         )
     }
@@ -226,26 +175,10 @@ pub mod configs {
     ///
     /// [`BasicMutation::SkipDeleteWhite`]: crate::process::BasicMutation::SkipDeleteWhite
     pub fn grant_request_collision(seed: u64) -> BasicRunner {
-        BasicRunner::new(
-            3,
-            never_initiate(5),
-            SimBuilder::new()
-                .seed(seed)
-                .latency(LatencyModel::Fixed { ticks: 3 }),
-            vec![
-                Inject::Request {
-                    at: SimTime::from_ticks(0),
-                    from: NodeId(0),
-                    to: NodeId(1),
-                },
-                Inject::Request {
-                    at: SimTime::from_ticks(8),
-                    from: NodeId(2),
-                    to: NodeId(0),
-                },
-            ],
-            true,
-        )
+        let script = Script::default()
+            .at(t(0), request(0, 1))
+            .at(t(8), request(2, 0));
+        basic(never_initiate(5), fixed(seed, 3), script, true)
     }
 
     /// The ring workload over a duplicating wire: every message may be
@@ -261,32 +194,8 @@ pub mod configs {
     /// only the *first* meaningful probe per computation) and the cycle
     /// never unwinds, so late echoes stay truthful.
     pub fn faulty_ring(seed: u64) -> BasicRunner {
-        BasicRunner::new(
-            3,
-            BasicConfig::on_block(5),
-            SimBuilder::new()
-                .seed(seed)
-                .latency(LatencyModel::Fixed { ticks: 1 })
-                .faults(FaultPlan::new().duplicate(0.25)),
-            vec![
-                Inject::Request {
-                    at: SimTime::from_ticks(0),
-                    from: NodeId(0),
-                    to: NodeId(1),
-                },
-                Inject::Request {
-                    at: SimTime::from_ticks(0),
-                    from: NodeId(1),
-                    to: NodeId(2),
-                },
-                Inject::Request {
-                    at: SimTime::from_ticks(0),
-                    from: NodeId(2),
-                    to: NodeId(0),
-                },
-            ],
-            false,
-        )
+        let builder = fixed(seed, 1).faults(FaultPlan::new().duplicate(0.25));
+        basic(BasicConfig::on_block(5), builder, ring_requests(), false)
     }
 
     /// The stale-probe workload: `0` initiates a computation whose probe
@@ -301,34 +210,42 @@ pub mod configs {
     ///
     /// [`BasicMutation::StaleEchoDeclare`]: crate::process::BasicMutation::StaleEchoDeclare
     pub fn stale_probe(seed: u64) -> BasicRunner {
-        BasicRunner::new(
-            3,
-            never_initiate(3),
-            SimBuilder::new()
-                .seed(seed)
-                .latency(LatencyModel::Fixed { ticks: 1 }),
-            vec![
-                Inject::Request {
-                    at: SimTime::from_ticks(0),
-                    from: NodeId(1),
-                    to: NodeId(2),
-                },
-                Inject::Request {
-                    at: SimTime::from_ticks(2),
-                    from: NodeId(0),
-                    to: NodeId(1),
-                },
-                Inject::Initiate {
-                    at: SimTime::from_ticks(4),
-                    node: NodeId(0),
-                },
-                Inject::Request {
-                    at: SimTime::from_ticks(4),
-                    from: NodeId(2),
-                    to: NodeId(0),
-                },
-            ],
+        let script = Script::default()
+            .at(t(0), request(1, 2))
+            .at(t(2), request(0, 1))
+            .at(t(4), |net: &mut BasicNet| {
+                net.with_node(NodeId(0), |p, ctx| p.initiate(ctx));
+            })
+            .at(t(4), request(2, 0));
+        basic(never_initiate(3), fixed(seed, 1), script, true)
+    }
+
+    /// An OR-model knot with one escape: `0` waits on `{1}`, `1` on `{2}`
+    /// and `2` on `{0, 3}`, each initiating 2 ticks after it blocks, and
+    /// the active `3` sends `2` data at tick 3. Every blocked process can
+    /// reach `3`, so no schedule may declare; once `2` is released, `0`
+    /// and `1` still wait on a process that could release them.
+    pub fn or_knot_escape(seed: u64) -> NetRunner<OrProcess> {
+        let block = |v: usize, deps: &'static [usize]| {
+            move |net: &mut OrNet| {
+                net.block_on(NodeId(v), deps.iter().copied().map(NodeId))
+                    .expect("an active process blocks");
+            }
+        };
+        let script = Script::default()
+            .at(t(0), block(0, &[1]))
+            .at(t(0), block(1, &[2]))
+            .at(t(0), block(2, &[0, 3]))
+            .at(t(3), |net: &mut OrNet| {
+                net.send_data(NodeId(3), NodeId(2)).expect("3 is active");
+            });
+        let build = |b| OrNet::with_builder(4, Some(2), b);
+        NetRunner::new(
+            build,
+            fixed(seed, 1),
+            script,
             true,
+            OrNet::verify_completeness,
         )
     }
 }
@@ -370,6 +287,14 @@ mod tests {
         let report = Explorer::default().explore(|| configs::stale_probe(7));
         assert!(report.clean(), "violations: {:?}", report.violations);
         assert!(report.schedules >= 2, "the probe/grant race must branch");
+    }
+
+    #[test]
+    fn or_knot_escape_every_schedule_clean() {
+        let report = Explorer::default().explore(|| configs::or_knot_escape(7));
+        assert!(report.clean(), "violations: {:?}", report.violations);
+        assert!(!report.capped);
+        assert_eq!(report.truncated, 0, "every schedule quiesces");
     }
 
     #[cfg(feature = "mutations")]

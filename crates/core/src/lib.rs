@@ -21,7 +21,7 @@
 //! * **QRP2** — if the initiator receives a meaningful probe, it is on a
 //!   black cycle at that moment (no false deadlock).
 //!
-//! [`engine::BasicNet::verify_soundness`] and
+//! [`engine::Net::verify_soundness`] and
 //! [`engine::BasicNet::verify_completeness`] machine-check both properties
 //! on every simulated run, against the centralised [`wfg::oracle`].
 //!
@@ -75,6 +75,6 @@ pub mod vset;
 pub mod wfgd;
 
 pub use config::{BasicConfig, ForwardPolicy, InitiationPolicy, ReplyPolicy};
-pub use engine::{BasicNet, Net, NodeClass, ValidationError, Vertex};
+pub use engine::{BasicNet, Classified, Net, NodeClass, ValidationError, Vertex};
 pub use probe::{DeadlockReport, ProbeTag};
 pub use process::{BasicMsg, BasicProcess, RequestError};

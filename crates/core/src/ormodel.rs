@@ -36,7 +36,8 @@ use std::sync::{Arc, Mutex};
 use simnet::sim::{Context, NodeId, Process, SimBuilder, TimerId};
 use simnet::time::SimTime;
 use wfg::journal::{GraphOp, Journal};
-use wfg::oracle;
+use wfg::oracle::{self, Oracle};
+use wfg::WaitForGraph;
 
 use crate::engine::{Net, ValidationError, Vertex};
 use crate::probe::{DeadlockReport, ProbeTag};
@@ -293,7 +294,8 @@ impl OrProcess {
             if tag.n == self.own_n {
                 let report = DeadlockReport {
                     detector: me,
-                    tag,
+                    subject: me,
+                    tag: Some(tag),
                     at: ctx.now(),
                 };
                 self.declarations.push(report);
@@ -346,6 +348,15 @@ impl Vertex for OrProcess {
     /// Blocks on `{to}`: with one dependent, an OR wait is an AND request.
     fn request(&mut self, ctx: &mut Context<'_, OrMsg>, to: NodeId) -> Result<(), OrRequestError> {
         self.block_on(ctx, BTreeSet::from([to]))
+    }
+
+    fn claims(&self, _me: NodeId, out: &mut Vec<DeadlockReport>) {
+        out.extend_from_slice(&self.declarations);
+    }
+
+    /// Barbosa's OR deadlock: blocked, and no active vertex reachable.
+    fn deadlocked(g: &WaitForGraph, o: &mut Oracle, v: NodeId) -> bool {
+        o.or_deadlocked(g).contains(&v)
     }
 }
 
@@ -416,36 +427,6 @@ impl OrNet {
     /// Manually initiates a diffusion at `v`.
     pub fn initiate(&mut self, v: NodeId) {
         self.with_node(v, |p, ctx| p.initiate(ctx));
-    }
-
-    /// All declarations, time-ordered.
-    pub fn declarations(&self) -> Vec<DeadlockReport> {
-        let mut out: Vec<DeadlockReport> = (0..self.node_count())
-            .flat_map(|i| self.node(NodeId(i)).declarations().to_vec())
-            .collect();
-        out.sort_by_key(|d| (d.at, d.detector));
-        out
-    }
-
-    /// Checks every declaration against the journalled ground truth: the
-    /// declarer must be OR-deadlocked at declare time. Returns the number
-    /// checked.
-    ///
-    /// # Errors
-    ///
-    /// [`ValidationError::FalseDeadlock`] on the first violation, or
-    /// [`ValidationError::IllegalHistory`].
-    pub fn verify_soundness(&self) -> Result<usize, ValidationError> {
-        let ds = self.declarations();
-        let journal = self.journal();
-        for d in &ds {
-            if !self.as_of(&journal, d.at, |g, o| {
-                o.or_deadlocked(g).contains(&d.detector)
-            })? {
-                return Err(ValidationError::FalseDeadlock { report: *d });
-            }
-        }
-        Ok(ds.len())
     }
 
     /// Checks that (with automatic initiation enabled) every OR-deadlocked

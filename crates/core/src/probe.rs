@@ -18,10 +18,8 @@ use simnet::time::SimTime;
 /// use cmh_core::probe::ProbeTag;
 /// use simnet::sim::NodeId;
 ///
-/// let old = ProbeTag::new(NodeId(3), 1);
-/// let new = ProbeTag::new(NodeId(3), 2);
-/// assert!(new.supersedes(old));
-/// assert_eq!(new.to_string(), "(p3, 2)");
+/// let tag = ProbeTag::new(NodeId(3), 2);
+/// assert_eq!(tag.to_string(), "(p3, 2)");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProbeTag {
@@ -36,13 +34,6 @@ impl ProbeTag {
     pub fn new(initiator: NodeId, n: u64) -> Self {
         ProbeTag { initiator, n }
     }
-
-    /// `true` if this tag supersedes `other` (§4.3: computation `(i, n)`
-    /// makes all `(i, k)`, `k < n`, ignorable). Tags of different
-    /// initiators never supersede each other.
-    pub fn supersedes(self, other: ProbeTag) -> bool {
-        self.initiator == other.initiator && self.n > other.n
-    }
 }
 
 impl fmt::Display for ProbeTag {
@@ -51,41 +42,42 @@ impl fmt::Display for ProbeTag {
     }
 }
 
-/// Emitted when an initiator declares "I am on a black cycle" (step A1).
+/// One deadlock claim: `detector` declared `subject` deadlocked at `at`.
+/// The probe computation's initiator declares itself (step A1) and names
+/// the computation; a baseline's claim carries no tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeadlockReport {
-    /// The declaring vertex (always the computation's initiator).
+    /// The declaring vertex (a probe computation's initiator, a baseline's
+    /// coordinator, or the subject itself).
     pub detector: NodeId,
-    /// The computation that produced the meaningful probe.
-    pub tag: ProbeTag,
+    /// The vertex claimed to be deadlocked.
+    pub subject: NodeId,
+    /// The computation that produced the meaningful probe, if any.
+    pub tag: Option<ProbeTag>,
     /// Virtual time of the declaration.
     pub at: SimTime,
 }
 
 impl fmt::Display for DeadlockReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: {} declares deadlock via probe computation {}",
-            self.at, self.detector, self.tag
-        )
+        match self.tag {
+            Some(tag) => write!(
+                f,
+                "{}: {} declares deadlock via probe computation {tag}",
+                self.at, self.detector
+            ),
+            None => write!(
+                f,
+                "{}: {} declares {} deadlocked",
+                self.at, self.detector, self.subject
+            ),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn supersession_is_per_initiator() {
-        let a1 = ProbeTag::new(NodeId(1), 1);
-        let a2 = ProbeTag::new(NodeId(1), 2);
-        let b5 = ProbeTag::new(NodeId(2), 5);
-        assert!(a2.supersedes(a1));
-        assert!(!a1.supersedes(a2));
-        assert!(!b5.supersedes(a1));
-        assert!(!a1.supersedes(a1));
-    }
 
     #[test]
     fn tag_ordering_groups_by_initiator() {
@@ -111,9 +103,21 @@ mod tests {
         assert_eq!(tag.to_string(), "(p3, 7)");
         let r = DeadlockReport {
             detector: NodeId(3),
-            tag,
+            subject: NodeId(3),
+            tag: Some(tag),
             at: SimTime::from_ticks(40),
         };
-        assert!(r.to_string().contains("p3 declares deadlock"));
+        assert!(r
+            .to_string()
+            .contains("p3 declares deadlock via probe computation (p3, 7)"));
+        let untagged = DeadlockReport {
+            detector: NodeId(4),
+            subject: NodeId(1),
+            tag: None,
+            ..r
+        };
+        assert!(untagged
+            .to_string()
+            .ends_with(": p4 declares p1 deadlocked"));
     }
 }

@@ -488,11 +488,6 @@ impl BasicProcess {
         per_tag
     }
 
-    /// Current number of tracked foreign computations (§4.3 state).
-    pub fn tracked_computations(&self) -> usize {
-        self.latest.len()
-    }
-
     /// High-water mark of tracked foreign computations (experiment E3).
     pub fn tracked_computations_high_water(&self) -> usize {
         self.latest_high_water
@@ -532,10 +527,11 @@ impl BasicProcess {
         if tag.initiator == me {
             // A1: only the current computation counts; older ones are
             // superseded (§4.3) and may be ignored.
-            if tag.n == self.own_n && !self.declarations.iter().any(|d| d.tag == tag) {
+            if tag.n == self.own_n && !self.declarations.iter().any(|d| d.tag == Some(tag)) {
                 let report = DeadlockReport {
                     detector: me,
-                    tag,
+                    subject: me,
+                    tag: Some(tag),
                     at: ctx.now(),
                 };
                 self.declarations.push(report);
@@ -843,8 +839,8 @@ mod tests {
             sim.with_node(n(0), |p, ctx| p.initiate(ctx));
             sim.run_to_quiescence(10_000);
         }
-        assert_eq!(sim.node(n(1)).tracked_computations(), 1);
-        assert_eq!(sim.node(n(2)).tracked_computations(), 1);
+        assert_eq!(sim.node(n(1)).tracked_computations_high_water(), 1);
+        assert_eq!(sim.node(n(2)).tracked_computations_high_water(), 1);
         assert_eq!(sim.node(n(0)).computations_initiated(), 3);
         // And node 0 declared (it is genuinely deadlocked).
         assert!(sim.node(n(0)).deadlock().is_some());

@@ -26,9 +26,7 @@
 //! * **trace invariants** ([`simnet::explore::check_trace`]) — in
 //!   prefix mode, since in-flight messages at the deadline are expected.
 
-use std::collections::VecDeque;
-
-use simnet::explore::ScheduleRunner;
+use simnet::explore::{ScheduleRunner, Script};
 use simnet::sim::{FrontierEvent, SimBuilder};
 use simnet::time::SimTime;
 
@@ -40,7 +38,7 @@ use crate::txn::Transaction;
 #[derive(Debug)]
 pub struct DdbRunner {
     net: DdbNet,
-    pending: VecDeque<(SimTime, Transaction)>,
+    script: Script<DdbNet>,
     deadline: SimTime,
     /// Run the completeness check only if the schedule reached at least
     /// this virtual time — a freshly formed cycle needs a detection
@@ -51,10 +49,9 @@ pub struct DdbRunner {
 
 impl DdbRunner {
     /// Creates a runner over `n_sites` controllers. `submissions` are
-    /// timed transaction submissions (the workload — applied
-    /// deterministically once the run's clock passes their time, like
-    /// the basic adapter's injections); `deadline` bounds every
-    /// schedule's virtual-time window.
+    /// timed transaction submissions (the workload — a [`Script`],
+    /// applied deterministically once the run's clock passes their time);
+    /// `deadline` bounds every schedule's virtual-time window.
     pub fn new(
         n_sites: usize,
         cfg: DdbConfig,
@@ -64,10 +61,10 @@ impl DdbRunner {
         completeness_after: SimTime,
     ) -> Self {
         submissions.sort_by_key(|(at, t)| (*at, t.id()));
-        let net = DdbNet::with_builder(n_sites, cfg, builder.explore(true).trace(true));
+        let submit = |s: Script<DdbNet>, (at, txn)| s.at(at, |net| net.submit(txn));
         DdbRunner {
-            net,
-            pending: submissions.into(),
+            net: DdbNet::with_builder(n_sites, cfg, builder.explore(true).trace(true)),
+            script: submissions.into_iter().fold(Script::default(), submit),
             deadline,
             completeness_after,
         }
@@ -77,35 +74,16 @@ impl DdbRunner {
     pub fn net_mut(&mut self) -> &mut DdbNet {
         &mut self.net
     }
-
-    /// The wrapped net, read-only.
-    pub fn net(&self) -> &DdbNet {
-        &self.net
-    }
-
-    fn apply_due(&mut self) -> Vec<FrontierEvent> {
-        loop {
-            let mut frontier = self.net.frontier_events();
-            frontier.retain(|e| e.at <= self.deadline);
-            let Some((at, _)) = self.pending.front() else {
-                return frontier;
-            };
-            let due = match frontier.first() {
-                None => true,
-                Some(e) => e.at > *at,
-            };
-            if !due {
-                return frontier;
-            }
-            let (_, txn) = self.pending.pop_front().expect("front checked");
-            self.net.submit(txn);
-        }
-    }
 }
 
 impl ScheduleRunner for DdbRunner {
     fn frontier(&mut self) -> Vec<FrontierEvent> {
-        self.apply_due()
+        let deadline = self.deadline;
+        self.script.apply_due(&mut self.net, |net| {
+            let mut frontier = net.frontier_events();
+            frontier.retain(|e| e.at <= deadline);
+            frontier
+        })
     }
 
     fn execute(&mut self, seq: u64) -> bool {

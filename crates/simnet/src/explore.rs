@@ -40,7 +40,8 @@
 // replay-error path of the model checker, never the per-message delivery
 // path D7 protects (exploration replays bounded 3-process workloads).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt;
 
 use crate::sim::{EventClass, FrontierEvent};
 use crate::time::SimTime;
@@ -57,8 +58,8 @@ use crate::trace::TraceEvent;
 pub trait ScheduleRunner {
     /// The current frontier, sorted by creation seq (see
     /// [`crate::sim::Simulation::frontier_events`]). Implementations
-    /// apply any due fixed driver injections (workload requests) before
-    /// reading the frontier — injections are part of the configuration,
+    /// apply their [`Script`]'s due driver actions (workload requests)
+    /// before reading the frontier — those are part of the configuration,
     /// not of the schedule space. Empty means the run is quiescent.
     fn frontier(&mut self) -> Vec<FrontierEvent>;
 
@@ -83,6 +84,67 @@ pub trait ScheduleRunner {
     ///
     /// A human-readable description of the violated property.
     fn verdict(&mut self, truncated: bool) -> Result<(), String>;
+}
+
+/// A timed driver action of a [`Script`].
+type Action<N> = Box<dyn FnOnce(&mut N)>;
+
+/// The timed driver actions of an exploration workload (requests,
+/// submissions, manual initiations) over a net `N`.
+///
+/// Actions are part of the *configuration*, not the schedule space: each
+/// applies once the run's clock has passed its time (the tick has
+/// drained), identically along every explored branch of that prefix.
+pub struct Script<N> {
+    pending: VecDeque<(SimTime, Action<N>)>,
+}
+
+impl<N> fmt::Debug for Script<N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let times: Vec<SimTime> = self.pending.iter().map(|&(at, _)| at).collect();
+        f.debug_struct("Script").field("pending", &times).finish()
+    }
+}
+
+impl<N> Default for Script<N> {
+    fn default() -> Self {
+        Script {
+            pending: VecDeque::new(),
+        }
+    }
+}
+
+impl<N> Script<N> {
+    /// Adds `action`, applied once the clock passes `at`; actions of one
+    /// time apply in the order they were added.
+    #[must_use]
+    pub fn at(mut self, at: SimTime, action: impl FnOnce(&mut N) + 'static) -> Self {
+        let i = self.pending.partition_point(|&(t, _)| t <= at);
+        self.pending.insert(i, (at, Box::new(action)));
+        self
+    }
+
+    /// Applies every action whose time the run has passed — the earliest
+    /// event of `frontier(net)` is strictly later, or there is none — and
+    /// returns the resulting frontier. The frontier is re-read after each
+    /// action, so an action's own events (which gate later actions) are
+    /// seen before the next one is considered.
+    pub fn apply_due(
+        &mut self,
+        net: &mut N,
+        mut frontier: impl FnMut(&mut N) -> Vec<FrontierEvent>,
+    ) -> Vec<FrontierEvent> {
+        loop {
+            let events = frontier(net);
+            match self.pending.front() {
+                Some(&(at, _)) if events.first().is_none_or(|e| e.at > at) => {
+                    let (_, action) = self.pending.pop_front().expect("front checked");
+                    action(net);
+                }
+                _ => return events,
+            }
+        }
+    }
 }
 
 /// A schedule that violated a property, with its replay witness.

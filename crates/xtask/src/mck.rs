@@ -1,7 +1,7 @@
 //! `cargo run -p xtask --features mck -- mck` — the schedule-space
 //! model-checking sweep (DESIGN §13).
 //!
-//! Two suites, both over the canned 3-process / 3-site workloads the
+//! Two suites, both over the canned 3–4 process / 3-site workloads the
 //! protocol crates export from their `explore::configs` modules:
 //!
 //! * **base sweep** — each workload is explored exhaustively twice,
@@ -26,7 +26,7 @@
 
 use std::fmt::Write as _;
 
-use cmh_core::explore::configs as basic;
+use cmh_core::explore::configs::{self as basic, or_knot_escape};
 use cmh_core::explore::BasicRunner;
 use cmh_core::process::BasicMutation;
 use cmh_ddb::controller::DdbMutation;
@@ -160,6 +160,11 @@ pub fn run_sweep() -> MckReport {
             name: "basic/faulty_ring",
             dpor: dpor().explore(|| basic::faulty_ring(SEED)),
             brute: brute().explore(|| basic::faulty_ring(SEED)),
+        },
+        BaseCase {
+            name: "or/knot_escape",
+            dpor: dpor().explore(|| or_knot_escape(SEED)),
+            brute: brute().explore(|| or_knot_escape(SEED)),
         },
         BaseCase {
             name: "ddb/grant_misattribution",
