@@ -23,9 +23,11 @@
 //!
 //! Nothing in the basic model dissolves a deadlock, so `S_j` only grows and
 //! every message carries all of it: the cost of a message is the cost of
-//! the set operations on it. An [`EdgeSet`] is a sorted vector
-//! ([`VecSet`]), `S_j ∪ M` is one two-pointer merge
-//! ([`VecSet::union_with`], which writes nothing when `M ⊆ S_j` — the
+//! the set operations on it. An [`EdgeSet`] is an [`EdgeBitSet`]: a sorted
+//! list of 64-bit blocks of a bitmap over the edge key `tail << 32 | head`,
+//! so one block holds a tail's edges to 64 neighbouring heads. `S_j ∪ M`
+//! is one merge of two block lists that ORs the shared blocks
+//! ([`EdgeBitSet::union_with`], which writes nothing when `M ⊆ S_j` — the
 //! common case once a knot has converged), and "already sent that exact
 //! message to `v_k`" is decided from the **size** of the last message sent
 //! to `v_k`, not a stored copy of it:
@@ -35,8 +37,10 @@
 //!   initiator step's `X`);
 //! * for `X ⊆ X'` on that chain, `X ∪ {e} ⊆ X' ∪ {e}`, so the two messages
 //!   are equal iff they have the same cardinality;
-//! * the would-be cardinality is `|S_j| + [(v_k, v_j) ∉ S_j]` — one binary
-//!   search — and the payload is copied only for a message actually sent.
+//! * the would-be cardinality is `|S_j| + [(v_k, v_j) ∉ S_j]` — `|S_j|`
+//!   counted once per message, then one block search per predecessor —
+//!   and the payload is copied, block by block, only for a message
+//!   actually sent.
 //!
 //! [`WfgdState`] is a pure state machine — the transport is supplied by the
 //! caller (in this workspace, [`crate::process::BasicProcess`]) — so the
@@ -44,10 +48,29 @@
 
 use simnet::sim::NodeId;
 
-use crate::vset::{VecMap, VecSet};
+use crate::vset::{EdgeBitSet, PackedVertex, VecMap};
 
 /// A set of wait-for edges, the message payload of the WFGD computation.
-pub type EdgeSet = VecSet<(NodeId, NodeId)>;
+pub type EdgeSet = EdgeBitSet<NodeId>;
+
+/// A basic-model edge packs into a `u64`, its tail in the high half.
+impl PackedVertex for NodeId {
+    type Key = u64;
+
+    #[inline]
+    fn pack_edge(tail: NodeId, head: NodeId) -> u64 {
+        let half = |v: NodeId| match u32::try_from(v.0) {
+            Ok(half) => u64::from(half),
+            Err(_) => panic!("{v} does not fit a 32-bit half of an edge key"),
+        };
+        half(tail) << 32 | half(head)
+    }
+
+    #[inline]
+    fn unpack_edge(key: u64) -> (NodeId, NodeId) {
+        (NodeId((key >> 32) as usize), NodeId(key as u32 as usize))
+    }
+}
 
 /// Per-vertex state of the WFGD computation.
 ///
@@ -118,10 +141,11 @@ impl WfgdState {
         black_predecessors: impl IntoIterator<Item = NodeId>,
     ) -> Vec<(NodeId, EdgeSet)> {
         self.s.union_with(msg);
+        let len = self.s.len();
         let mut out = Vec::new();
         for vk in black_predecessors {
             let edge = (vk, me);
-            let size = self.s.len() + usize::from(!self.s.contains(&edge));
+            let size = len + usize::from(!self.s.contains(&edge));
             if self.last_sent.insert(vk, size) != Some(size) {
                 out.push((vk, self.s.with(edge)));
             }
@@ -185,7 +209,7 @@ mod tests {
             msg: &EdgeSet,
             preds: &[NodeId],
         ) -> Vec<(NodeId, BTreeSet<(NodeId, NodeId)>)> {
-            self.s.extend(msg.iter().copied());
+            self.s.extend(msg.iter());
             let mut out = Vec::new();
             for &vk in preds {
                 let mut m = self.s.clone();
@@ -225,7 +249,6 @@ mod tests {
                         let keep = rng.next_below(4);
                         st.known_edges()
                             .iter()
-                            .copied()
                             .filter(|_| rng.next_below(4) >= keep)
                             .collect()
                     } else {
@@ -312,6 +335,30 @@ mod tests {
         for (v, s) in st.iter().enumerate() {
             assert_eq!(*s.known_edges(), all, "S_{v} incomplete");
         }
+    }
+
+    #[test]
+    fn node_edges_pack_in_tuple_order() {
+        let ids = [0, 1, 63, 64, 65_536, u32::MAX as usize].map(n);
+        for a in ids {
+            for b in ids {
+                let key = NodeId::pack_edge(a, b);
+                assert_eq!(NodeId::unpack_edge(key), (a, b));
+                for c in ids {
+                    for d in ids {
+                        let other = NodeId::pack_edge(c, d);
+                        assert_eq!(key.cmp(&other), (a, b).cmp(&(c, d)));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn a_node_id_past_32_bits_panics_instead_of_aliasing() {
+        // Truncated, its edge would be (p0, p0).
+        EdgeSet::new().insert((n(1 << 32), n(0)));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use std::fmt;
 
+use cmh_core::vset::PackedVertex;
 use simnet::sim::NodeId;
 
 /// A transaction `T_i`.
@@ -50,6 +51,38 @@ impl AgentId {
     /// Creates an agent id.
     pub fn new(txn: TransactionId, site: SiteId) -> Self {
         AgentId { txn, site }
+    }
+
+    /// `txn << 32 | site`: one word that sorts as the agent does.
+    fn packed(self) -> u64 {
+        match u32::try_from(self.site.0) {
+            Ok(site) => u64::from(self.txn.0) << 32 | u64::from(site),
+            Err(_) => panic!("{} does not fit 32 bits of an edge key", self.site),
+        }
+    }
+
+    /// The inverse of [`AgentId::packed`].
+    fn unpacked(word: u64) -> AgentId {
+        AgentId::new(
+            TransactionId((word >> 32) as u32),
+            SiteId(word as u32 as usize),
+        )
+    }
+}
+
+/// An agent edge packs into two words, the tail's and the head's: the §5
+/// sets of the DDB model are [`cmh_core::vset::EdgeBitSet`]s of agents.
+impl PackedVertex for AgentId {
+    type Key = (u64, u64);
+
+    #[inline]
+    fn pack_edge(tail: AgentId, head: AgentId) -> (u64, u64) {
+        (tail.packed(), head.packed())
+    }
+
+    #[inline]
+    fn unpack_edge((tail, head): (u64, u64)) -> (AgentId, AgentId) {
+        (AgentId::unpacked(tail), AgentId::unpacked(head))
     }
 }
 
@@ -108,6 +141,71 @@ mod tests {
     #[test]
     fn site_maps_to_node() {
         assert_eq!(SiteId(5).node(), NodeId(5));
+    }
+
+    #[test]
+    fn agent_edges_pack_in_tuple_order() {
+        let agents = [(0, 0), (0, 63), (0, 64), (1, 127), (1, 128), (65_536, 3)]
+            .into_iter()
+            .chain([(u32::MAX, u32::MAX as usize)])
+            .map(|(t, s)| AgentId::new(TransactionId(t), SiteId(s)));
+        let agents: Vec<AgentId> = agents.collect();
+        for &a in &agents {
+            for &b in &agents {
+                let key = AgentId::pack_edge(a, b);
+                assert_eq!(AgentId::unpack_edge(key), (a, b));
+                for &c in &agents {
+                    for &d in &agents {
+                        let other = AgentId::pack_edge(c, d);
+                        assert_eq!(key.cmp(&other), (a, b).cmp(&(c, d)));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn agent_edge_sets_match_btreeset() {
+        use std::collections::BTreeSet;
+
+        use cmh_core::vset::EdgeBitSet;
+        use simnet::rng::DetRng;
+
+        // Sites either side of a block boundary, ids past 16 bits.
+        let agent = |i: u64| {
+            let txn = [0, 1, 65_536, u32::MAX][i as usize % 4];
+            let site = [0, 63, 64, 127, 128, 70_000][i as usize / 4 % 6];
+            AgentId::new(TransactionId(txn), SiteId(site))
+        };
+        let mut rng = DetRng::seed_from_u64(0xa6e7);
+        let mut edge = || (agent(rng.next_below(24)), agent(rng.next_below(24)));
+        let (mut s, mut model) = (EdgeBitSet::new(), BTreeSet::new());
+        for step in 0..2_000 {
+            let e = edge();
+            if step % 3 == 0 {
+                let other: EdgeBitSet<AgentId> = [e, edge(), edge()].into_iter().collect();
+                let before = model.len();
+                model.extend(other.iter());
+                assert_eq!(s.union_with(&other), model.len() > before);
+            } else {
+                assert_eq!(s.contains(&e), model.contains(&e));
+                assert_eq!(
+                    s.with(e),
+                    model.iter().copied().chain([e]).collect::<BTreeSet<_>>()
+                );
+                assert_eq!(s.insert(e), model.insert(e));
+            }
+            assert_eq!(s.len(), model.len());
+            assert!(s.iter().eq(model.iter().copied()));
+            assert_eq!(format!("{s:?}"), format!("{model:?}"));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn a_site_past_32_bits_panics_instead_of_aliasing() {
+        let agent = |site| AgentId::new(TransactionId(0), SiteId(site));
+        AgentId::pack_edge(agent(1 << 32), agent(0));
     }
 
     #[test]

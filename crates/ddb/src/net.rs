@@ -686,7 +686,7 @@ impl DdbNet {
             let c = self.controller(site);
             for txn in c.wfgd_informed() {
                 checked += 1;
-                for &(a, b) in &c.deadlocked_portion(txn) {
+                for (a, b) in &c.deadlocked_portion(txn) {
                     let ok = index
                         .get(&a)
                         .zip(index.get(&b))

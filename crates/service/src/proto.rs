@@ -210,8 +210,8 @@ pub fn put_ddb_msg(buf: &mut Vec<u8>, msg: &DdbMsg) {
             put_txn_id(buf, *txn);
             put_u32(buf, edges.len() as u32);
             for (a, b) in edges {
-                put_agent(buf, *a);
-                put_agent(buf, *b);
+                put_agent(buf, a);
+                put_agent(buf, b);
             }
         }
     }

@@ -443,6 +443,9 @@ fn contended_shape(sites: usize, transactions: usize, seed: u64) -> DdbWorkloadC
     }
 }
 
+/// The first row: scripts of single locks only.
+const UNBATCHED_ROW: [u64; 7] = [8_568, 918, 4_571, 354, 354, 107, 48_473];
+
 /// Stream pin for the §5 propagation under resolution. The constants were
 /// recorded at the commit *before* `cmh_ddb::wfgd` moved from `BTreeSet`s
 /// compared whole to sorted vectors compared by size: a change in how many
@@ -455,19 +458,30 @@ fn contended_shape(sites: usize, transactions: usize, seed: u64) -> DdbWorkloadC
 /// `LockAll` of one.
 #[test]
 fn contended_resolution_stream_is_pinned() {
-    stream_is_pinned(0.0, [8_568, 918, 4_571, 354, 354, 107, 48_473]);
+    stream_is_pinned(0.0, UNBATCHED_ROW);
     stream_is_pinned(0.5, [2_429, 161, 951, 65, 65, 67, 10_514]);
 }
 
-fn stream_is_pinned(batch_prob: f64, want: [u64; 7]) {
+/// The net and transactions of [`stream_is_pinned`]'s run.
+fn contended_resolution(batch_prob: f64) -> (DdbNet, Vec<workloads::TimedTxn>) {
     const SEED: u64 = 1;
-    let mut db = DdbNet::new(3, DdbConfig::detect_and_resolve(2_000, 500), SEED);
+    let db = DdbNet::new(3, DdbConfig::detect_and_resolve(2_000, 500), SEED);
     let shape = DdbWorkloadConfig {
         batch_prob,
         ..contended_shape(3, 50, SEED)
     };
-    submit_all(&mut db, random_transactions(&shape));
+    (db, random_transactions(&shape))
+}
+
+fn stream_is_pinned(batch_prob: f64, want: [u64; 7]) {
+    let (mut db, txns) = contended_resolution(batch_prob);
+    submit_all(&mut db, txns);
     db.run_until(SimTime::from_ticks(400_000));
+    check_stream(&db, batch_prob, want);
+}
+
+/// Asserts `db`'s end state against a [`contended_resolution_stream_is_pinned`] row.
+fn check_stream(db: &DdbNet, batch_prob: f64, want: [u64; 7]) {
     for o in db.outcomes() {
         assert_eq!(o.status, TxnStatus::Committed, "{} did not drain", o.txn);
     }
@@ -492,4 +506,55 @@ fn stream_is_pinned(batch_prob: f64, want: [u64; 7]) {
     assert_eq!(got, want, "batch_prob {batch_prob}");
     assert_eq!(m.get(counters::WEDGE_REPAIRED), 0);
     assert_eq!(m.get(counters::GRANT_ORPHAN), 0);
+}
+
+/// The `S` sets of [`contended_resolution_stream_is_pinned`]'s first run,
+/// every edge of them, in iteration order: a digest of each informed
+/// transaction's `deadlocked_portion` at every site, at the end of each
+/// 250-tick slice. The trace and the stream row see only a payload's head
+/// and the sets' sizes. Recorded on the sorted-vector `AgentEdgeSet`,
+/// before it became a block bitmap; the sliced run is the pinned one (its
+/// row is checked too).
+#[test]
+fn contended_resolution_wfgd_sets_are_pinned_per_slice() {
+    const SLICE: u64 = 250;
+    const END: u64 = 400_000;
+    // FNV-1a's mixing step a word at a time: the run ends with ~48k edges
+    // in its sets, hashed 1 600 times.
+    fn mix(h: &mut u64, words: [u64; 4]) {
+        for w in words {
+            *h = (*h ^ w).wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+    let (mut db, txns) = contended_resolution(0.0);
+    let mut txns = txns.into_iter().peekable();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for end in (SLICE..=END).step_by(SLICE as usize) {
+        while let Some(tt) = txns.next_if(|tt| tt.at <= end) {
+            db.run_until(SimTime::from_ticks(tt.at));
+            db.submit(tt.txn);
+        }
+        db.run_until(SimTime::from_ticks(end));
+        for site in (0..3).map(SiteId) {
+            let c = db.controller(site);
+            for txn in c.wfgd_informed() {
+                let set = c.deadlocked_portion(txn);
+                mix(&mut h, [end, site.0 as u64, txn.0.into(), set.len() as u64]);
+                for e in set.iter() {
+                    let (a, b) = (e.0, e.1);
+                    mix(
+                        &mut h,
+                        [
+                            a.txn.0.into(),
+                            a.site.0 as u64,
+                            b.txn.0.into(),
+                            b.site.0 as u64,
+                        ],
+                    );
+                }
+            }
+        }
+    }
+    check_stream(&db, 0.0, UNBATCHED_ROW);
+    assert_eq!(h, 0x2d04_906f_68dd_a2ca);
 }

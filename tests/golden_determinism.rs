@@ -22,7 +22,11 @@ use workloads::{dining_philosophers, drive_schedule, random_churn, ChurnConfig};
 
 /// FNV-1a over the rendered trace: stable, dependency-free digest.
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// FNV-1a continued from digest `h` over `bytes`.
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x1000_0000_01b3);
@@ -66,6 +70,55 @@ fn basic_digest_opts(seed: u64, shards: usize, workers: usize) -> u64 {
     net.run_to_quiescence(10_000_000);
     let rendered = net.trace().to_string();
     fnv1a(rendered.as_bytes())
+}
+
+/// [`basic_digest`]'s run driven one tick at a time: returns the trace
+/// digest and a digest of every vertex's §5 set `S_j` (its `Debug` text)
+/// after each tick, up to quiescence. The trace truncates each message to
+/// 160 characters, so it pins only the head of a long `Wfgd` payload;
+/// the second digest pins every edge of every `S_j` the run passes
+/// through.
+fn basic_wfgd_sets_digest(seed: u64) -> (u64, u64) {
+    let sched = random_churn(&ChurnConfig {
+        n: 8,
+        duration: 2_000,
+        mean_gap: 25,
+        cycle_prob: 0.08,
+        cycle_len: 3,
+        seed,
+    });
+    let builder = SimBuilder::new().seed(seed).trace(true);
+    let mut net = BasicNet::with_builder(sched.n, BasicConfig::on_block(10), builder);
+    let mut events = sched.events.iter().peekable();
+    let mut sets = fnv1a(b"");
+    for tick in 0.. {
+        while let Some(ev) = events.next_if(|ev| ev.at <= tick) {
+            net.run_until(SimTime::from_ticks(ev.at));
+            let _ = net.request(NodeId(ev.from), NodeId(ev.to));
+        }
+        let out = net.run_until(SimTime::from_ticks(tick));
+        for v in 0..sched.n {
+            let text = format!("{tick} {v} {:?}\n", net.node(NodeId(v)).wfgd_edges());
+            sets = fnv1a_extend(sets, text.as_bytes());
+        }
+        if out.quiescent && events.peek().is_none() {
+            break;
+        }
+    }
+    (fnv1a(net.trace().to_string().as_bytes()), sets)
+}
+
+/// Pins the §5 sets themselves, not only the trace's head of each
+/// `Wfgd` payload. Recorded on the sorted-vector `EdgeSet`, before it
+/// became a block bitmap: the bitmap must carry the same edges in the
+/// same order at every tick. The trace digest is `basic_digest(42)`'s
+/// pin, so the tick-by-tick drive is the pinned run.
+#[test]
+fn basic_wfgd_sets_are_pinned_per_tick() {
+    assert_eq!(
+        basic_wfgd_sets_digest(42),
+        (0x5399_b8da_2d09_5087, 0xbd60_2af9_e051_e5df)
+    );
 }
 
 #[test]
