@@ -75,6 +75,6 @@ pub mod vset;
 pub mod wfgd;
 
 pub use config::{BasicConfig, ForwardPolicy, InitiationPolicy, ReplyPolicy};
-pub use engine::{BasicNet, Classified, Net, NodeClass, ValidationError, Vertex};
+pub use engine::{BasicNet, Classified, Net, ValidationError, Vertex};
 pub use probe::{DeadlockReport, ProbeTag};
 pub use process::{BasicMsg, BasicProcess, RequestError};

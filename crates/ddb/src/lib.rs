@@ -28,6 +28,7 @@
 //! | §6.5–§6.6 probe computation | [`probe`], [`controller`] |
 //! | §6.7 Q-optimisation | [`controller`], [`config`] |
 //! | resolution (deferred by the paper) | [`config::Resolution`] |
+//! | QRP1, QRP2, liveness (`wfg::oracle`, `cmh_core::ValidationError`) | [`net`] (simulator), [`snapshot`] (at rest), [`explore`] (`mck`) |
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -37,7 +38,6 @@ pub mod config;
 pub mod controller;
 pub mod explore;
 pub mod ids;
-pub mod liveness;
 pub mod lock;
 pub mod msg;
 pub mod net;
@@ -49,8 +49,7 @@ pub mod wfgd;
 pub use config::{DdbConfig, DdbInitiation, Resolution};
 pub use controller::Controller;
 pub use ids::{AgentId, DdbProbeTag, ResourceId, SiteId, TransactionId};
-pub use liveness::{LivenessReport, TxnClass, TxnLiveness};
 pub use lock::{LockMode, LockOutcome, LockTable};
-pub use net::{DdbNet, DdbValidationError};
+pub use net::DdbNet;
 pub use probe::DdbDeadlock;
 pub use txn::{LockReq, Transaction, TxnStatus, TxnStep};

@@ -9,7 +9,11 @@
 //! * **QRP1 (completeness)**: whenever a permanent dark cycle exists and a
 //!   member initiates, a declaration must eventually follow;
 //! * **§5 WFGD**: the sets `S_j` computed by the distributed propagation
-//!   must equal [`wfgd_ground_truth`].
+//!   must equal [`wfgd_ground_truth`];
+//! * **liveness**: no blocked process is wedged ([`liveness`]).
+//!
+//! Every model and substrate states QRP1 and liveness through
+//! [`undeclared_cycles`] and [`liveness`].
 //!
 //! All queries are observational; none mutate the graph.
 //!
@@ -26,7 +30,7 @@
 //! after k new edges re-runs Tarjan only on the region reachable from
 //! those edges' heads.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 use simnet::sim::NodeId;
 
@@ -537,6 +541,81 @@ pub fn reachable(
     seen
 }
 
+/// QRP1 over `g`: the dark cycles (non-trivial dark SCCs, in
+/// [`dark_sccs`] order) with no `declared` member, and the number of
+/// vertices on dark cycles.
+pub fn undeclared_cycles(
+    g: &WaitForGraph,
+    declared: impl Fn(NodeId) -> bool,
+) -> (usize, Vec<Vec<NodeId>>) {
+    let cycles: Vec<_> = dark_sccs(g).into_iter().filter(|c| c.len() >= 2).collect();
+    let on_cycles = cycles.iter().map(Vec::len).sum();
+    let missed = cycles
+        .into_iter()
+        .filter(|c| !c.iter().any(|&v| declared(v)));
+    (on_cycles, missed.collect())
+}
+
+/// Liveness class of one process (see [`liveness`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Liveness {
+    /// Not blocked: able to move on its own.
+    Active,
+    /// Blocked, but its wait chain reaches a dark cycle (resolution's
+    /// problem) or a process that can move, or a message is in flight.
+    GenuinelyWaiting,
+    /// Its wait reaches a dark cycle through its own vertices first.
+    Deadlocked,
+    /// Blocked forever with no way out: a protocol or harness bug.
+    Wedged,
+}
+
+/// The [`Liveness`] of the process whose wait starts at `start` (`None`:
+/// its first edge is still in flight), given the dark-cycle members
+/// `dark`, the process's own vertices `me`, the vertices that `can_move`
+/// on their own and the messages `in_flight`. A white out-edge of `start`
+/// with nothing in flight is a lost grant: the reply was delivered but
+/// the requester never deleted the edge. Otherwise a breadth-first search
+/// from `start` decides: the first dark vertex it meets is deadlocked if
+/// it is one of `me` (a §6.4 remote agent can sit on a cycle its home
+/// agent is not on) and waiting if not; with no dark vertex in reach, the
+/// wait ends only through a vertex that can move or a message in flight.
+pub fn liveness(
+    g: &WaitForGraph,
+    dark: &BTreeSet<NodeId>,
+    start: Option<NodeId>,
+    me: impl Fn(NodeId) -> bool,
+    can_move: impl Fn(NodeId) -> bool,
+    in_flight: usize,
+) -> Liveness {
+    if start.is_some_and(&can_move) {
+        return Liveness::Active;
+    }
+    let white = |v| g.out_edges(v).any(|e| e.colour == EdgeColour::White);
+    if in_flight == 0 && start.is_some_and(white) {
+        return Liveness::Wedged;
+    }
+    let mut seen: BTreeSet<NodeId> = start.into_iter().collect();
+    let mut queue: VecDeque<NodeId> = start.into_iter().collect();
+    let mut exit = in_flight > 0;
+    while let Some(v) = queue.pop_front() {
+        if dark.contains(&v) {
+            return if me(v) {
+                Liveness::Deadlocked
+            } else {
+                Liveness::GenuinelyWaiting
+            };
+        }
+        exit |= can_move(v);
+        queue.extend(g.out_edges(v).map(|e| e.to).filter(|&to| seen.insert(to)));
+    }
+    if exit {
+        Liveness::GenuinelyWaiting
+    } else {
+        Liveness::Wedged
+    }
+}
+
 /// Ground truth for the §5 WFGD computation: the set `S_j` that vertex
 /// `subject` should converge to after initiator `initiator` (a vertex on a
 /// black cycle) starts the propagation.
@@ -636,7 +715,7 @@ mod tests {
         g
     }
 
-    use EdgeColour::{Black, Grey};
+    use EdgeColour::{Black, Grey, White};
 
     #[test]
     fn triangle_black_cycle_detected() {
@@ -837,6 +916,89 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// [`liveness`] of `v` with `me = {v}` and the basic model's "can
+    /// move" (no outgoing edge).
+    fn basic_class(g: &WaitForGraph, v: usize, in_flight: usize) -> Liveness {
+        let dark = dark_cycle_members(g);
+        let active = |u| g.is_active(u);
+        liveness(g, &dark, Some(n(v)), |u| u == n(v), active, in_flight)
+    }
+
+    #[test]
+    fn liveness_chain_into_a_dark_cycle_waits_on_resolution() {
+        // 3 -> 2 -> 0 <-> 1: only 0 and 1 are deadlocked.
+        let g = build(&[(0, 1, Black), (1, 0, Grey), (2, 0, Black), (3, 2, Grey)]);
+        assert_eq!(basic_class(&g, 0, 0), Liveness::Deadlocked);
+        assert_eq!(basic_class(&g, 3, 0), Liveness::GenuinelyWaiting);
+        assert_eq!(basic_class(&g, 2, 0), Liveness::GenuinelyWaiting);
+    }
+
+    #[test]
+    fn liveness_chain_to_a_vertex_that_can_move_waits() {
+        let g = build(&[(0, 1, Black), (1, 2, Grey)]);
+        assert_eq!(basic_class(&g, 0, 0), Liveness::GenuinelyWaiting);
+        assert_eq!(basic_class(&g, 2, 0), Liveness::Active);
+        // The same chain with nobody able to move is wedged.
+        let dark = dark_cycle_members(&g);
+        let stuck = liveness(&g, &dark, Some(n(0)), |u| u == n(0), |_| false, 0);
+        assert_eq!(stuck, Liveness::Wedged);
+    }
+
+    #[test]
+    fn liveness_chain_kept_alive_only_by_a_message_in_flight() {
+        let g = build(&[(0, 1, Black), (1, 2, Black)]);
+        let dark = dark_cycle_members(&g);
+        let class = |start, in_flight| liveness(&g, &dark, start, |_| false, |_| false, in_flight);
+        assert_eq!(class(Some(n(0)), 1), Liveness::GenuinelyWaiting);
+        assert_eq!(class(Some(n(0)), 0), Liveness::Wedged);
+        // A wait whose first edge is itself still in flight.
+        assert_eq!(class(None, 1), Liveness::GenuinelyWaiting);
+        assert_eq!(class(None, 0), Liveness::Wedged);
+    }
+
+    #[test]
+    fn liveness_white_edge_with_nothing_in_flight_is_a_lost_grant() {
+        // 1 replied (whitened) and is active; 0 never deleted the edge.
+        let g = build(&[(0, 1, White)]);
+        assert_eq!(basic_class(&g, 0, 0), Liveness::Wedged);
+        assert_eq!(basic_class(&g, 0, 1), Liveness::GenuinelyWaiting);
+    }
+
+    #[test]
+    fn liveness_remote_agent_cycle_that_misses_the_home_vertex() {
+        // Transaction A's home agent 0 waits on its remote agent 1, which
+        // sits on the cycle 1 <-> 2 with transaction B's agent 2; the
+        // cycle does not pass through 0.
+        let g = build(&[(0, 1, Black), (1, 2, Black), (2, 1, Black)]);
+        let dark = dark_cycle_members(&g);
+        assert!(!dark.contains(&n(0)));
+        let class = |me: &dyn Fn(NodeId) -> bool| liveness(&g, &dark, Some(n(0)), me, |_| false, 0);
+        assert_eq!(class(&|v| v.0 <= 1), Liveness::Deadlocked, "A's own agent");
+        assert_eq!(
+            class(&|v| v == n(0)),
+            Liveness::GenuinelyWaiting,
+            "B's cycle"
+        );
+    }
+
+    #[test]
+    fn undeclared_cycles_names_each_silent_cycle() {
+        let g = build(&[
+            (0, 1, Black),
+            (1, 0, Black),
+            (2, 3, Grey),
+            (3, 2, Black),
+            (4, 0, Grey),
+        ]);
+        let (on_cycles, missed) = undeclared_cycles(&g, |v| v == n(3));
+        assert_eq!(on_cycles, 4);
+        assert_eq!(missed.len(), 1);
+        let mut members = missed[0].clone();
+        members.sort_unstable();
+        assert_eq!(members, [n(0), n(1)]);
+        assert!(undeclared_cycles(&g, |v| v.0 % 2 == 1).1.is_empty());
     }
 
     #[test]

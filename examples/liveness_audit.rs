@@ -10,8 +10,9 @@
 
 use std::fmt::Write as _;
 
-use cmh_ddb::{DdbConfig, DdbNet, TxnClass, TxnStatus};
+use cmh_ddb::{DdbConfig, DdbNet, TxnStatus};
 use simnet::time::SimTime;
+use wfg::oracle::Liveness;
 use workloads::DdbWorkloadConfig;
 
 fn main() {
@@ -48,12 +49,13 @@ fn main() {
         now = next;
 
         let report = db.liveness_report();
-        max_deadlocked = max_deadlocked.max(report.count(TxnClass::Deadlocked));
-        max_waiting = max_waiting.max(report.count(TxnClass::GenuinelyWaiting));
+        let count = |class| report.iter().filter(|(_, c)| *c == class).count();
+        max_deadlocked = max_deadlocked.max(count(Liveness::Deadlocked));
+        max_waiting = max_waiting.max(count(Liveness::GenuinelyWaiting));
         // Fully drained: every submitted transaction is terminal and no
         // more arrivals are due (detector timers keep ticking forever, so
         // don't wait for an empty event queue).
-        if report.classes.is_empty()
+        if report.is_empty()
             && txns.peek().is_none()
             && db
                 .outcomes()
@@ -69,8 +71,12 @@ fn main() {
         .iter()
         .filter(|o| o.status == TxnStatus::Committed)
         .count();
-    let final_report = db.liveness_report();
-    let wedged = final_report.wedged();
+    let wedged: Vec<_> = db
+        .liveness_report()
+        .into_iter()
+        .filter(|(_, c)| *c == Liveness::Wedged)
+        .map(|(home, _)| home)
+        .collect();
     let soundness = db.verify_soundness();
     let metrics = db.metrics();
 
@@ -109,7 +115,7 @@ fn main() {
     ] {
         let _ = writeln!(json, "  \"{c}\": {},", metrics.get(c));
     }
-    let _ = writeln!(json, "  \"live\": {}", final_report.is_live());
+    let _ = writeln!(json, "  \"live\": {}", wedged.is_empty());
     json.push_str("}\n");
 
     let out_dir = std::path::Path::new("target/experiments");

@@ -61,6 +61,6 @@ proptest! {
         let report = db
             .verify_liveness()
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
-        prop_assert_eq!(report.classes.len(), 0, "all transactions terminal");
+        prop_assert_eq!(report.len(), 0, "all transactions terminal");
     }
 }

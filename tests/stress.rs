@@ -110,7 +110,7 @@ fn wide_ddb_mixed_workload_with_resolution_terminates() {
     );
     // A drained workload must classify as live: nothing wedged.
     let report = db.verify_liveness().unwrap();
-    assert_eq!(report.classes.len(), 0, "all transactions terminal");
+    assert_eq!(report.len(), 0, "all transactions terminal");
 }
 
 /// The benchmark's contended shape at twice `ddb_resolve`'s size, all
