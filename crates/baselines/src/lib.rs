@@ -163,10 +163,7 @@ mod tests {
         assert_eq!((phantom.subject, phantom.tag), (NodeId(2), None));
         assert_eq!(
             net.verify_soundness(),
-            Err(ValidationError::FalseDeadlock {
-                report: phantom,
-                against: "at the instant of declaration"
-            })
+            Err(ValidationError::FalseDeadlock { report: phantom })
         );
     }
 

@@ -42,15 +42,11 @@ use crate::process::{BasicMsg, BasicProcess, RequestError};
 /// uses `cmh_ddb::DdbDeadlock` and agents).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ValidationError<C = DeadlockReport, K = NodeId> {
-    /// QRP2 violated: a claim's subject was not deadlocked when declared
-    /// (see [`Vertex::deadlocked`]).
+    /// QRP2 violated: a claim's subject was not deadlocked at the instant
+    /// it was declared (see [`Vertex::deadlocked`]).
     FalseDeadlock {
         /// The offending declaration.
         report: C,
-        /// The graph its subject was judged on: "at the instant of
-        /// declaration", or "in the final graph" (the §6 database without
-        /// resolution, where deadlocks are permanent).
-        against: &'static str,
     },
     /// QRP1 violated: a dark cycle exists at quiescence but no member of it
     /// has declared (in the OR model: an OR-deadlocked vertex's closure).
@@ -118,9 +114,10 @@ impl<C, K: Copy> ValidationError<C, K> {
 impl<C: fmt::Display, K: fmt::Debug> fmt::Display for ValidationError<C, K> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ValidationError::FalseDeadlock { report, against } => write!(
+            ValidationError::FalseDeadlock { report } => write!(
                 f,
-                "false deadlock: {report} but its subject was not deadlocked {against}"
+                "false deadlock: {report} but its subject was not deadlocked \
+                 at the instant of declaration"
             ),
             ValidationError::MissedDeadlock { cycle_members } => write!(
                 f,
@@ -417,10 +414,7 @@ impl<P: Vertex> Net<P> {
         for verdict in self.judged() {
             let (report, holds) = verdict?;
             if !holds {
-                return Err(ValidationError::FalseDeadlock {
-                    report,
-                    against: "at the instant of declaration",
-                });
+                return Err(ValidationError::FalseDeadlock { report });
             }
             checked += 1;
         }

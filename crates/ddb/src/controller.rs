@@ -46,7 +46,7 @@
 //! running *through* a remotely held resource is invisible: the holder
 //! agent has no outgoing edges, so probes die there and the Q-rule never
 //! initiates for the home agent it blocks. Probe forwarding
-//! ([`Controller::probes_for_label`]), probe meaningfulness, the §6.7
+//! (`Controller::probes_for_label`), probe meaningfulness, the §6.7
 //! subject selection and the harness's graph reconstruction all carry
 //! the edge.
 
@@ -135,17 +135,10 @@ const REARMED: u64 = 1 << 60;
 const TXN_SHIFT: u32 = 28;
 const PAYLOAD_MASK: u64 = (1 << TXN_SHIFT) - 1;
 
-/// True if a controller timer with this tag can produce a deadlock
-/// declaration when it fires (the detector timer kinds). The stepping
-/// harness in [`crate::net`] uses this to decide when it needs a
-/// pre-event snapshot of the agent graph.
-pub(crate) fn timer_may_declare(tag: u64) -> bool {
-    !timer_drives_script(tag)
-}
-
 /// True if a controller timer re-drives a script when it fires (work-step
 /// completions and restart backoffs) and can therefore change the
-/// wait-for graph without declaring anything.
+/// wait-for graph without declaring anything; every other kind is a
+/// detector timer, which may declare.
 pub(crate) fn timer_drives_script(tag: u64) -> bool {
     matches!(tag >> KIND_SHIFT, K_WORK | K_RESTART)
 }
@@ -1607,7 +1600,7 @@ mod tests {
                 (K_CHECK_REMOTE, true, TransactionId(id), PAYLOAD_MASK)
             );
             assert!(timer_drives_script(enc_timer(K_WORK, TransactionId(id), 1)));
-            assert!(timer_may_declare(tag));
+            assert!(!timer_drives_script(tag));
         }
     }
 

@@ -12,17 +12,15 @@
 //!
 //! Per-schedule verdict:
 //!
-//! * **soundness** ([`DdbNet::verify_soundness`]) — final-graph
-//!   certification under [`Resolution::None`] (deadlocks are permanent,
-//!   so the evidence survives to the deadline), instant per-event
-//!   verdicts (via [`DdbNet::step_validated`]) under
-//!   [`Resolution::AbortSubject`];
+//! * **soundness** ([`DdbNet::verify_soundness`]) — every declaration
+//!   judged on the agent graph as it stood just before its event (via
+//!   [`DdbNet::step_validated`]), with or without resolution;
 //! * **completeness** ([`DdbNet::verify_completeness`] on the agent
 //!   reconstruction, plus [`DdbNet::verify_lock_cycles`] on the raw
 //!   lock tables, which survives corrupted home-side bookkeeping) —
 //!   every persisting cycle contains a declared member; only checked
-//!   when the deadline leaves the detector enough time
-//!   ([`DdbRunner::completeness_after`]);
+//!   when the deadline leaves the detector enough time (the runner's
+//!   `completeness_after` argument);
 //! * **liveness** ([`DdbNet::verify_liveness`]) — no transaction is
 //!   wedged, as [`cmh_core::explore::NetRunner`] checks for every other
 //!   model; run after both completeness checks, so a missed deadlock is
@@ -239,6 +237,58 @@ mod tests {
         assert!(verdict.starts_with("liveness:"), "got: {verdict}");
         assert!(verdict.contains("TransactionId(1)"), "got: {verdict}");
         assert!(!verdict.contains("TransactionId(9)"), "got: {verdict}");
+    }
+
+    /// The model checker's path judges a declaration at its instant
+    /// without resolution too: T1 (homed at S0) locks r0@S0 and then
+    /// r1@S1, T2 (homed at S1) locks r1@S1, works 5 000 ticks and then
+    /// locks r0@S0. A probe forged as the run passes t = 400 completes
+    /// S1's own computation for T1 long before that cycle forms. By the deadline
+    /// T1 is deadlocked for real, so only the instant verdict fails.
+    #[test]
+    fn a_forged_declaration_fails_soundness_without_resolution() {
+        use crate::ids::{AgentId, DdbProbeTag, ResourceId, SiteId, TransactionId};
+        use crate::lock::LockMode;
+        use crate::msg::DdbMsg;
+        use simnet::explore::run_naive;
+        use simnet::sim::{NodeId, Process};
+
+        let (s0, s1, x) = (SiteId(0), SiteId(1), LockMode::Exclusive);
+        let (r0, r1) = (ResourceId(0), ResourceId(1));
+        let t1 = Transaction::new(TransactionId(1), s0)
+            .lock(s0, r0, x)
+            .work(10)
+            .lock(s1, r1, x);
+        let t2 = Transaction::new(TransactionId(2), s1)
+            .lock(s1, r1, x)
+            .work(5_000)
+            .lock(s0, r0, x);
+        let at0 = SimTime::from_ticks(0);
+        let mut runner = DdbRunner::new(
+            2,
+            DdbConfig::detect_only(100),
+            SimBuilder::new().seed(3),
+            vec![(at0, t1), (at0, t2)],
+            SimTime::from_ticks(20_000),
+            SimTime::MAX,
+        );
+        let edge = (
+            AgentId::new(TransactionId(1), s0),
+            AgentId::new(TransactionId(1), s1),
+        );
+        let script = std::mem::take(&mut runner.script);
+        runner.script = script.at(SimTime::from_ticks(400), move |net: &mut DdbNet| {
+            let tag = DdbProbeTag {
+                initiator: s1,
+                n: net.computations_initiated(),
+            };
+            net.with_controller(s1, |c, ctx| {
+                c.on_message(ctx, NodeId(0), DdbMsg::Probe { tag, edge });
+            });
+        });
+        let verdict = run_naive(&mut runner, 100_000).unwrap_err();
+        assert!(verdict.starts_with("soundness:"), "got: {verdict}");
+        assert!(verdict.contains("(T1,S1)"), "got: {verdict}");
     }
 
     #[cfg(feature = "mutations")]

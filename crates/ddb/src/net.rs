@@ -5,13 +5,16 @@
 //! **agent-level wait-for graph** of §6.4 from controller state so the
 //! distributed detector can be checked against the [`wfg::oracle`].
 //!
-//! The reconstruction is exact when no messages are in flight (all edges
-//! black); deadlocks are permanent without resolution, so validating at a
-//! late quiescent point checks every declaration made earlier. Every
-//! verdict is the basic model's, read on the agent graph
-//! ([`cmh_core::ValidationError`] over [`DdbDeadlock`] and [`AgentId`]):
+//! Every way the net moves — [`DdbNet::run_until`],
+//! [`DdbNet::step_validated`] and [`DdbNet::with_controller`] — is one
+//! **validated step**: the agent graph is read before anything that can
+//! declare, and each fresh declaration is judged on that graph, whatever
+//! the [`crate::config::Resolution`]. Every verdict is the basic model's,
+//! read on the agent graph ([`cmh_core::ValidationError`] over
+//! [`DdbDeadlock`] and [`AgentId`]):
 //!
-//! * **soundness** — a declared process must (still) be on a dark cycle;
+//! * **soundness** — a declared process was on a dark cycle at the
+//!   instant of its declaration;
 //! * **completeness** — every cycle must contain a declared process
 //!   ([`oracle::undeclared_cycles`]);
 //! * **liveness** — no transaction is wedged ([`oracle::liveness`]).
@@ -27,8 +30,8 @@ use simnet::time::SimTime;
 use wfg::oracle::{Liveness, Oracle};
 use wfg::{oracle, WaitForGraph};
 
-use crate::config::{DdbConfig, Resolution};
-use crate::controller::{timer_drives_script, timer_may_declare, Controller, TxnOutcome};
+use crate::config::DdbConfig;
+use crate::controller::{timer_drives_script, Controller, TxnOutcome};
 use crate::ids::{AgentId, SiteId, TransactionId};
 use crate::msg::DdbMsg;
 use crate::probe::DdbDeadlock;
@@ -68,13 +71,10 @@ use crate::txn::Transaction;
 pub struct DdbNet {
     sim: Simulation<DdbMsg, Controller>,
     n_sites: usize,
-    cfg: DdbConfig,
     /// The agent graph every check reads, behind [`DdbNet::graph`].
     graph: RefCell<AgentGraph>,
-    /// Per-site count of declarations already validated by the stepping
-    /// harness (under resolution, [`DdbNet::run_until`] steps
-    /// event-by-event and checks each fresh declaration against the
-    /// pre-event graph before the triggered abort dissolves it).
+    /// Per-site count of declarations already validated (each fresh one
+    /// is checked against the graph as it stood before its event).
     decl_seen: Vec<usize>,
     /// Declarations instant-validated so far.
     instant_checked: usize,
@@ -224,7 +224,6 @@ impl DdbNet {
         DdbNet {
             sim,
             n_sites,
-            cfg,
             graph: RefCell::default(),
             decl_seen: vec![0; n_sites],
             instant_checked: 0,
@@ -247,14 +246,17 @@ impl DdbNet {
             .with_node(home.node(), |c, ctx| c.start_txn(ctx, txn));
     }
 
-    /// Driver access to one controller.
+    /// Driver access to one controller, as a validated step: `f` may
+    /// declare (a forged probe can), so the graph is read before it and
+    /// the site's fresh declarations are judged on that graph after it.
     pub fn with_controller<R>(
         &mut self,
         site: SiteId,
         f: impl FnOnce(&mut Controller, &mut Context<'_, DdbMsg>) -> R,
     ) -> R {
+        let (r, _) = self.validated(true, |sim| sim.with_node(site.node(), f));
         self.graph.get_mut().mark_dirty(site);
-        self.sim.with_node(site.node(), f)
+        r
     }
 
     /// Arms a seeded protocol mutation on every controller
@@ -275,25 +277,12 @@ impl DdbNet {
     }
 
     /// Executes the pending event with creation seq `seq` (explore mode
-    /// only), replaying [`DdbNet::run_until`]'s per-event instant
-    /// validation: under [`Resolution::AbortSubject`] every fresh
-    /// declaration is checked against the agent graph as it stood
-    /// immediately before the event. The graph is brought up to date
-    /// before every step and every site counts as changed after it —
-    /// conservative but exact, and cheap at the 3–5-site scale the
-    /// explorer runs at.
+    /// only) as a validated step, like one of [`DdbNet::run_until`]'s.
+    /// The graph is brought up to date before every step and every site
+    /// counts as changed after it — conservative but exact, and cheap at
+    /// the 3–5-site scale the explorer runs at.
     pub fn step_validated(&mut self, seq: u64) -> bool {
-        let instant = matches!(self.cfg.resolution, Resolution::AbortSubject { .. });
-        if instant {
-            self.graph();
-        }
-        let ok = self.sim.step_seq(seq);
-        if ok && instant {
-            let fresh = self.collect_new_declarations();
-            if !fresh.is_empty() {
-                self.validate_declarations(&fresh);
-            }
-        }
+        let (ok, _) = self.validated(true, |sim| sim.step_seq(seq));
         self.graph.get_mut().dirty.clear(); // which site ran is not known here: all
         ok
     }
@@ -301,19 +290,14 @@ impl DdbNet {
     /// Runs until `deadline` (periodic detectors keep the queue non-empty,
     /// so quiescence-based runs are not meaningful for the DDB).
     ///
-    /// Under [`Resolution::AbortSubject`] this steps event-by-event and
-    /// validates every fresh declaration against the agent graph **as it
-    /// stood immediately before the declaring event** — the abort a
-    /// declaration triggers dissolves its own evidence, so the final
-    /// graph cannot re-check it (the phantom-declaration failure mode
-    /// [`DdbNet::verify_soundness`] used to report). The graph is brought
-    /// up to date lazily: only before events that can declare, and only
-    /// at the sites an event that can change it has run on since.
+    /// Steps event-by-event and validates every fresh declaration against
+    /// the agent graph **as it stood immediately before the declaring
+    /// event**: a declaration is judged when it is made, not on a later
+    /// graph that an abort (or a cycle forming after it) has changed. The
+    /// graph is brought up to date lazily: only before events that can
+    /// declare, and only at the sites an event that can change it has run
+    /// on since.
     pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        if !matches!(self.cfg.resolution, Resolution::AbortSubject { .. }) {
-            self.graph.get_mut().dirty.clear(); // every site may change
-            return self.sim.run_until(deadline);
-        }
         let mut outcome = RunOutcome::default();
         loop {
             if self.sim.is_halted() {
@@ -333,24 +317,37 @@ impl DdbNet {
             }
             let (node, ev) = self.sim.peek_event().expect("an event is due");
             let (candidate, dirties) = classify_event(SiteId(node.0), &ev);
-            if candidate {
-                self.graph();
-            }
-            self.sim.step();
+            let (_, declared) = self.validated(candidate, Simulation::step);
             outcome.events += 1;
-            let fresh = self.collect_new_declarations();
-            debug_assert!(
-                candidate || fresh.is_empty(),
-                "an event classified as unable to declare declared {fresh:?}"
-            );
-            if !fresh.is_empty() {
-                self.validate_declarations(&fresh);
-            }
             // A declaration's abort changes the graph too.
-            if dirties || !fresh.is_empty() {
+            if dirties || declared {
                 self.graph.get_mut().mark_dirty(SiteId(node.0));
             }
         }
+    }
+
+    /// One validated step: reads the graph first if `step` may declare
+    /// (`candidate`), runs it, then judges every fresh declaration on
+    /// that read. Returns `step`'s result and whether it declared; the
+    /// caller marks what `step` changed dirty afterwards.
+    fn validated<R>(
+        &mut self,
+        candidate: bool,
+        step: impl FnOnce(&mut Simulation<DdbMsg, Controller>) -> R,
+    ) -> (R, bool) {
+        if candidate {
+            self.graph();
+        }
+        let r = step(&mut self.sim);
+        let fresh = self.collect_new_declarations();
+        debug_assert!(
+            candidate || fresh.is_empty(),
+            "an event classified as unable to declare declared {fresh:?}"
+        );
+        if !fresh.is_empty() {
+            self.validate_declarations(&fresh);
+        }
+        (r, !fresh.is_empty())
     }
 
     /// Read access to a controller.
@@ -456,9 +453,9 @@ impl DdbNet {
     }
 
     /// Checks fresh declarations against the agent graph as last read.
-    /// Every event that can declare is preceded by a read
-    /// ([`classify_event`]) and its site is marked dirty only after this
-    /// returns, so that is the pre-event graph.
+    /// Every step that can declare is preceded by a read
+    /// ([`DdbNet::validated`]) and its site is marked dirty only after
+    /// this returns, so that is the pre-event graph.
     fn validate_declarations(&mut self, fresh: &[DdbDeadlock]) {
         let ag = self.graph.get_mut();
         // Remember who is deadlocked *right now*: an abort two ticks from
@@ -502,43 +499,24 @@ impl DdbNet {
     }
 
     /// Checks that every declaration points at a process that was on a
-    /// dark cycle when it was declared. Without resolution, deadlocks are
-    /// permanent, so every declaration is checked against the final
-    /// reconstructed graph. Under [`Resolution::AbortSubject`], the
-    /// triggered abort dissolves the evidence, so this instead reports the
-    /// verdicts the stepping [`DdbNet::run_until`] gathered **at the
-    /// instant of each declaration** — with one latency-bounded allowance:
-    /// a declaration whose subject was observed on a dark cycle within the
-    /// last `STALE_ECHO_GRACE` ticks is a *stale echo* (the deadlock was
-    /// real; a concurrent abort raced the probes certifying it), counted
-    /// via [`DdbNet::stale_echoes`] rather than reported as a phantom. No
-    /// distributed detector can avoid echoes without a global snapshot.
-    /// Returns the number of declarations checked.
+    /// dark cycle when it was declared: reports the verdicts the validated
+    /// steps gathered **at the instant of each declaration** — with one
+    /// latency-bounded allowance: a declaration whose subject was observed
+    /// on a dark cycle within the last `STALE_ECHO_GRACE` ticks is a
+    /// *stale echo* (the deadlock was real; a concurrent abort raced the
+    /// probes certifying it), counted via [`DdbNet::stale_echoes`] rather
+    /// than reported as a phantom. No distributed detector can avoid
+    /// echoes without a global snapshot. Returns the number of
+    /// declarations checked.
     ///
     /// # Errors
     ///
     /// [`ValidationError::FalseDeadlock`] on the first violation.
     pub fn verify_soundness(&self) -> Result<usize, ValidationError<DdbDeadlock, AgentId>> {
-        if matches!(self.cfg.resolution, Resolution::AbortSubject { .. }) {
-            return match self.instant_violation {
-                Some(report) => Err(ValidationError::FalseDeadlock {
-                    report,
-                    against: "at the instant of declaration",
-                }),
-                None => Ok(self.instant_checked),
-            };
+        match self.instant_violation {
+            Some(report) => Err(ValidationError::FalseDeadlock { report }),
+            None => Ok(self.instant_checked),
         }
-        let mut ag = self.graph();
-        let ds = self.declarations();
-        for d in &ds {
-            if !ag.is_dark(AgentId::new(d.txn, d.site)) {
-                return Err(ValidationError::FalseDeadlock {
-                    report: *d,
-                    against: "in the final graph",
-                });
-            }
-        }
-        Ok(ds.len())
     }
 
     /// Checks the §5 WFGD dissemination: every agent-level edge any
@@ -603,8 +581,9 @@ impl DdbNet {
     /// graph is reconstructed partly from home-side wait state, this
     /// check survives corrupted home bookkeeping (a mis-booked grant
     /// removes the cycle from the *reconstruction*, not from the
-    /// tables). Only meaningful under [`Resolution::None`], where cycles
-    /// are permanent; give the detector time to run before calling.
+    /// tables). Only meaningful under
+    /// [`crate::config::Resolution::None`], where cycles are permanent;
+    /// give the detector time to run before calling.
     /// Returns the number of deadlocked transactions found.
     ///
     /// # Errors
@@ -684,14 +663,15 @@ impl DdbNet {
 /// declaration count), while anything that delivers protocol payloads or
 /// drives scripts dirties. A probe can complete a computation (A1) only
 /// at the controller that initiated it; elsewhere it only labels and
-/// forwards. [`DdbNet::run_until`] checks, in debug builds, that an event
+/// forwards. [`DdbNet::validated`] checks, in debug builds, that an event
 /// classified as unable to declare did not.
 fn classify_event(site: SiteId, ev: &PendingEvent<'_, DdbMsg>) -> (bool, bool) {
     match ev {
         PendingEvent::Deliver(DdbMsg::Probe { tag, .. }) => (tag.initiator == site, false),
         PendingEvent::Deliver(DdbMsg::Wfgd { .. }) => (false, false),
         PendingEvent::Deliver(_) => (false, true),
-        PendingEvent::Timer { tag } => (timer_may_declare(*tag), timer_drives_script(*tag)),
+        PendingEvent::Timer { tag } if timer_drives_script(*tag) => (false, true),
+        PendingEvent::Timer { .. } => (true, false),
         // Reliable-layer arrival: could deliver anything, including probes.
         PendingEvent::Wire => (true, true),
         // Starts and crash/restart markers reset node state.
@@ -790,10 +770,50 @@ mod tests {
             ring(&mut db, k);
             db.run_until(SimTime::from_ticks(60_000));
             assert!(!db.declarations().is_empty(), "k={k}");
-            db.verify_soundness().unwrap();
+            // Every declaration was judged at its instant.
+            assert_eq!(db.verify_soundness(), Ok(db.declarations().len()), "k={k}");
             db.verify_completeness().unwrap();
             assert_eq!(db.deadlocked_agents().len(), 2 * k as usize, "k={k}");
         }
+    }
+
+    /// A declaration is judged when it is made, in detect-only runs too:
+    /// a probe forged at t = 400 completes S1's own computation for T1
+    /// about 4 700 ticks before the real cycle forms (T2 works until
+    /// then). On the final graph T1 is deadlocked, so only the instant
+    /// verdict sees the phantom.
+    #[test]
+    fn a_forged_declaration_is_judged_at_its_instant_without_resolution() {
+        let mut db = DdbNet::new(2, DdbConfig::detect_only(100), 3);
+        db.submit(
+            Transaction::new(t(1), s(0))
+                .lock(s(0), r(0), X)
+                .work(10)
+                .lock(s(1), r(1), X),
+        );
+        db.submit(
+            Transaction::new(t(2), s(1))
+                .lock(s(1), r(1), X)
+                .work(5_000)
+                .lock(s(0), r(0), X),
+        );
+        db.run_until(SimTime::from_ticks(400));
+        let tag = crate::ids::DdbProbeTag {
+            initiator: s(1),
+            n: db.computations_initiated(),
+        };
+        let edge = (AgentId::new(t(1), s(0)), AgentId::new(t(1), s(1)));
+        db.with_controller(s(1), |c, ctx| {
+            use simnet::sim::Process;
+            c.on_message(ctx, NodeId(0), DdbMsg::Probe { tag, edge });
+        });
+        db.run_until(SimTime::from_ticks(20_000));
+        let forged = db.declarations()[0];
+        assert_eq!((forged.txn, forged.at), (t(1), SimTime::from_ticks(400)));
+        assert_eq!(
+            db.verify_soundness(),
+            Err(ValidationError::FalseDeadlock { report: forged })
+        );
     }
 
     #[test]
@@ -1112,22 +1132,16 @@ mod tests {
             }),
             at: SimTime::from_ticks(668),
         };
-        let err = ValidationError::<_, AgentId>::FalseDeadlock {
-            report: decl,
-            against: "at the instant of declaration",
-        };
+        let err = ValidationError::<_, AgentId>::FalseDeadlock { report: decl };
         let msg = err.to_string();
         for needle in ["C3", "(T17,S3)", "t=668", "(S3, 9)", "at the instant"] {
             assert!(msg.contains(needle), "{needle:?} missing from {msg:?}");
         }
         // A local-cycle declaration has no computation tag.
         let report = DdbDeadlock { tag: None, ..decl };
-        let err = ValidationError::<_, AgentId>::FalseDeadlock {
-            report,
-            against: "in the final graph",
-        };
+        let err = ValidationError::<_, AgentId>::FalseDeadlock { report };
         let msg = err.to_string();
-        for needle in ["C3", "(T17,S3)", "t=668", "local cycle", "final graph"] {
+        for needle in ["C3", "(T17,S3)", "t=668", "local cycle", "at the instant"] {
             assert!(msg.contains(needle), "{needle:?} missing from {msg:?}");
         }
     }

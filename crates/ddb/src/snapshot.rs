@@ -1,8 +1,11 @@
 //! At-rest cluster snapshots and the post-mortem verdict.
 //!
 //! The networked service (`cmh-service`) cannot use the stepping
-//! harness's instant-by-instant validation — sites run on wall clocks
-//! behind real sockets, so there is no global instant to check. What it
+//! harness's instant-by-instant validation — the one soundness check
+//! [`crate::net::DdbNet`] runs, under every resolution mode — because
+//! its sites run on wall clocks behind real sockets, so there is no
+//! global instant to check. This verdict is therefore the only one in
+//! the crate that judges declarations on a final graph. What the service
 //! *can* do is drain load, let the detector quiesce, capture every
 //! surviving controller's state, and judge the union **at rest**: with no
 //! messages in flight, the reconstructed agent-level wait-for graph of

@@ -23,7 +23,7 @@
 //! [`crate::transport::Endpoint`]) lives in the substrate-generic
 //! [`crate::transport`] module — the same halves run over the virtual
 //! wire here and over real sockets in the networked detector service.
-//! This module keeps the simulator-specific plumbing: [`ReliableState`]
+//! This module keeps the simulator-specific plumbing: `ReliableState`
 //! holds every ordered channel of one simulation and decides arrivals,
 //! acks and due retransmission timers; `sim`/`shard` schedule those as
 //! simulator events and apply the verdicts.

@@ -10,8 +10,8 @@
 //! struct-of-arrays bookkeeping for exactly those nodes (crash flags,
 //! reliable-transport channel state keyed by *receiving* node, a timer
 //! slab). Every event, at any `S`, is executed
-//! by [`Shard::handle`]; what `S` selects is *when that handler's side
-//! effects reach the [`Sequencer`]* — and [`Context`] is the switch:
+//! by `Shard::handle`; what `S` selects is *when that handler's side
+//! effects reach the `Sequencer`* — and [`Context`] is the switch:
 //!
 //! * **Inline (`S = 1`).** The one shard holds every event, so popping
 //!   its queue in `(time, seq)` order *is* the global order and each

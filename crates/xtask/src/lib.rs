@@ -5,7 +5,7 @@
 //! * **cmh-lint** (`cargo run -p xtask -- lint`) — the static-analysis
 //!   pass described below;
 //! * **mck** (`cargo run -p xtask --features mck -- mck`) — the
-//!   schedule-space model-checking sweep (see [`mck`], DESIGN §13):
+//!   schedule-space model-checking sweep (see the `mck` module, DESIGN §13):
 //!   bounded exhaustive interleaving exploration with DPOR over the
 //!   deterministic simulator, plus the seeded-mutation must-trip
 //!   harness. Feature-gated so the lint-only build stays
