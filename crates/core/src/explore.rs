@@ -73,7 +73,13 @@ impl<P: Vertex> NetRunner<P> {
 
 impl<P: Vertex> ScheduleRunner for NetRunner<P> {
     fn frontier(&mut self) -> Vec<FrontierEvent> {
-        self.script.apply_due(&mut self.net, Net::frontier_events)
+        // Nothing is pending before a due action's time: `run_until`
+        // only moves the clock.
+        let clock = |net: &mut Net<P>, at| {
+            net.run_until(at);
+        };
+        self.script
+            .apply_due(&mut self.net, Net::frontier_events, clock)
     }
 
     fn execute(&mut self, seq: u64) -> bool {

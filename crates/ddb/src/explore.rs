@@ -81,11 +81,18 @@ impl DdbRunner {
 impl ScheduleRunner for DdbRunner {
     fn frontier(&mut self) -> Vec<FrontierEvent> {
         let deadline = self.deadline;
-        self.script.apply_due(&mut self.net, |net| {
+        let frontier = |net: &mut DdbNet| {
             let mut frontier = net.frontier_events();
             frontier.retain(|e| e.at <= deadline);
             frontier
-        })
+        };
+        // Nothing is pending before a due action's time, except past the
+        // deadline, where the filter hides events the explorer never
+        // chose: there the clock stops at the deadline.
+        let clock = |net: &mut DdbNet, at: SimTime| {
+            net.run_until(at.min(deadline));
+        };
+        self.script.apply_due(&mut self.net, frontier, clock)
     }
 
     fn execute(&mut self, seq: u64) -> bool {
@@ -242,8 +249,8 @@ mod tests {
     /// The model checker's path judges a declaration at its instant
     /// without resolution too: T1 (homed at S0) locks r0@S0 and then
     /// r1@S1, T2 (homed at S1) locks r1@S1, works 5 000 ticks and then
-    /// locks r0@S0. A probe forged as the run passes t = 400 completes
-    /// S1's own computation for T1 long before that cycle forms. By the deadline
+    /// locks r0@S0. A probe forged at t = 400 completes S1's own
+    /// computation for T1 long before that cycle forms. By the deadline
     /// T1 is deadlocked for real, so only the instant verdict fails.
     #[test]
     fn a_forged_declaration_fails_soundness_without_resolution() {
@@ -289,6 +296,38 @@ mod tests {
         let verdict = run_naive(&mut runner, 100_000).unwrap_err();
         assert!(verdict.starts_with("soundness:"), "got: {verdict}");
         assert!(verdict.contains("(T1,S1)"), "got: {verdict}");
+        // The forged probe acts at its own time, not at the last event's.
+        assert!(verdict.contains("t=400:"), "got: {verdict}");
+    }
+
+    /// A due action runs at its own time, but one timed past the deadline
+    /// runs with the clock at the deadline: moving the clock further would
+    /// run the periodic detectors' timers that the deadline hides from
+    /// the explorer.
+    #[test]
+    fn script_actions_run_at_their_time_and_never_past_the_deadline() {
+        use simnet::explore::run_naive;
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        let mut runner = DdbRunner::new(
+            2,
+            DdbConfig::detect_only(12),
+            SimBuilder::new().seed(7),
+            vec![],
+            SimTime::from_ticks(40),
+            SimTime::MAX,
+        );
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let mut script = std::mem::take(&mut runner.script);
+        for at in [7, 100] {
+            let seen = Rc::clone(&seen);
+            let record = move |net: &mut DdbNet| seen.borrow_mut().push(net.now().ticks());
+            script = script.at(SimTime::from_ticks(at), record);
+        }
+        runner.script = script;
+        assert_eq!(run_naive(&mut runner, 10_000), Ok(()));
+        assert_eq!(*seen.borrow(), [7, 40]);
     }
 
     #[cfg(feature = "mutations")]

@@ -93,7 +93,7 @@ type Action<N> = Box<dyn FnOnce(&mut N)>;
 /// submissions, manual initiations) over a net `N`.
 ///
 /// Actions are part of the *configuration*, not the schedule space: each
-/// applies once the run's clock has passed its time (the tick has
+/// applies at its time once every earlier event has run (the tick has
 /// drained), identically along every explored branch of that prefix.
 pub struct Script<N> {
     pending: VecDeque<(SimTime, Action<N>)>,
@@ -124,21 +124,25 @@ impl<N> Script<N> {
         self
     }
 
-    /// Applies every action whose time the run has passed — the earliest
+    /// Applies every action whose time the run has reached — the earliest
     /// event of `frontier(net)` is strictly later, or there is none — and
-    /// returns the resulting frontier. The frontier is re-read after each
+    /// returns the resulting frontier. `clock(net, at)` runs first and
+    /// must set the net's clock to `at` without running an event, so the
+    /// action acts at its own time. The frontier is re-read after each
     /// action, so an action's own events (which gate later actions) are
     /// seen before the next one is considered.
     pub fn apply_due(
         &mut self,
         net: &mut N,
         mut frontier: impl FnMut(&mut N) -> Vec<FrontierEvent>,
+        mut clock: impl FnMut(&mut N, SimTime),
     ) -> Vec<FrontierEvent> {
         loop {
             let events = frontier(net);
             match self.pending.front() {
                 Some(&(at, _)) if events.first().is_none_or(|e| e.at > at) => {
                     let (_, action) = self.pending.pop_front().expect("front checked");
+                    clock(net, at);
                     action(net);
                 }
                 _ => return events,
@@ -175,7 +179,8 @@ pub struct ExploreReport {
     /// True when the schedule cap stopped exploration before the space
     /// was exhausted; counts above are then lower bounds.
     pub capped: bool,
-    /// Every property violation found, with replay witnesses.
+    /// The property violation found, if any, with its replay witness
+    /// (exploration stops at the first).
     pub violations: Vec<ScheduleViolation>,
 }
 
@@ -199,16 +204,6 @@ pub struct Explorer {
     /// `true` = sleep sets + DPOR; `false` = brute-force enumeration of
     /// the whole (FIFO-respecting) schedule space.
     pub reduction: bool,
-    /// Treat per-channel FIFO order of raw deliveries as a scheduling
-    /// constraint, not a branch point: among same-tick deliveries on one
-    /// channel only the earliest-sent is eligible. Matches the clean
-    /// network's ordered-delivery guarantee; turn off for `fifo(false)`
-    /// or fault plans that reorder/duplicate, where the wire itself may
-    /// overtake.
-    pub respect_fifo: bool,
-    /// Stop at the first violating schedule instead of exhausting the
-    /// space (the violation's witness is already complete).
-    pub stop_on_violation: bool,
 }
 
 impl Default for Explorer {
@@ -217,8 +212,6 @@ impl Default for Explorer {
             max_steps: 10_000,
             max_schedules: u64::MAX,
             reduction: true,
-            respect_fifo: true,
-            stop_on_violation: true,
         }
     }
 }
@@ -284,7 +277,8 @@ impl Explorer {
                     .any(|n| n.pending.iter().any(|p| !n.done.contains(p)));
                 return report;
             }
-            if self.stop_on_violation && !report.violations.is_empty() {
+            // The first violation's witness is complete: stop there.
+            if !report.violations.is_empty() {
                 return report;
             }
         }
@@ -329,11 +323,10 @@ impl Explorer {
     }
 
     /// FIFO eligibility filter over a frontier (sorted by seq): at most
-    /// one raw delivery per channel — the earliest sent.
-    fn eligible(&self, frontier: &[FrontierEvent]) -> Vec<FrontierEvent> {
-        if !self.respect_fifo {
-            return frontier.to_vec();
-        }
+    /// one raw delivery per channel — the earliest sent. Per-channel FIFO
+    /// order of raw deliveries is a scheduling constraint, not a branch
+    /// point, as the clean network's ordered delivery guarantees.
+    fn eligible(frontier: &[FrontierEvent]) -> Vec<FrontierEvent> {
         let mut channels: BTreeSet<(usize, usize)> = BTreeSet::new();
         frontier
             .iter()
@@ -374,7 +367,7 @@ impl Explorer {
                 break RunEnd::Truncated;
             }
             report.max_frontier = report.max_frontier.max(frontier.len());
-            let cands = self.eligible(&frontier);
+            let cands = Self::eligible(&frontier);
             let at = cands[0].at;
             if tick_at != Some(at) {
                 // Tick boundary: cross-tick order is fixed by time, so

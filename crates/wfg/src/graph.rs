@@ -30,9 +30,9 @@
 //! (sorted by neighbour `NodeId`, so iteration at the API boundary keeps
 //! the historical `BTreeMap` order). The [`crate::oracle`] queries run over
 //! these dense rows (and a CSR snapshot of the dark subgraph) instead of
-//! pointer-chasing tree maps. A monotone [`WaitForGraph::version`] counter
-//! and a dark-edge delta log let [`crate::oracle::Oracle`] memoize and
-//! incrementally maintain ground-truth answers across mutations.
+//! pointer-chasing tree maps. One private counter, bumped whenever the
+//! grey ∪ black edge set changes, lets [`crate::oracle::Oracle`] tell
+//! whether its memoized answers still hold.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
@@ -159,7 +159,7 @@ impl Error for AxiomViolation {}
 
 /// Process-wide source of unique graph identities for oracle memoization.
 /// Values never repeat, so an [`crate::oracle::Oracle`] can tell two graph
-/// objects apart even when their version counters coincide. Identities are
+/// objects apart even when their dark-set counters coincide. Identities are
 /// never ordered or exposed, so assignment order cannot affect determinism.
 static NEXT_UID: AtomicU64 = AtomicU64::new(1);
 
@@ -209,16 +209,9 @@ pub struct WaitForGraph {
     rin: Vec<Vec<u32>>,
     /// Number of edges currently present (any colour).
     n_edges: usize,
-    /// Bumped on every successful mutation.
-    version: u64,
-    /// Bumped whenever a dark edge is removed (whiten) or the graph content
-    /// is replaced wholesale (`clear`/`restore_from`); while it holds
-    /// still, dark-cycle membership can only grow.
-    shrink_epoch: u64,
-    /// Dark edges (dense pairs) created since the last shrink event, in
-    /// creation order. Lets the oracle re-run Tarjan only on the region the
-    /// new edges can affect.
-    dark_adds: Vec<(u32, u32)>,
+    /// Bumped on every change to the grey ∪ black edge set; blackening
+    /// and white-edge deletion leave it, so memos survive them.
+    dark_version: u64,
     /// Unique object identity for oracle memoization (fresh per clone).
     uid: u64,
 }
@@ -240,9 +233,7 @@ impl Clone for WaitForGraph {
             out: self.out.clone(),
             rin: self.rin.clone(),
             n_edges: self.n_edges,
-            version: self.version,
-            shrink_epoch: self.shrink_epoch,
-            dark_adds: self.dark_adds.clone(),
+            dark_version: self.dark_version,
             uid: fresh_uid(),
         }
     }
@@ -265,18 +256,9 @@ impl WaitForGraph {
             out: Vec::new(),
             rin: Vec::new(),
             n_edges: 0,
-            version: 0,
-            shrink_epoch: 0,
-            dark_adds: Vec::new(),
+            dark_version: 0,
             uid: fresh_uid(),
         }
-    }
-
-    /// Monotone mutation counter: bumped by every successful mutation
-    /// (including [`WaitForGraph::clear`]). Lets callers cheaply detect
-    /// "has this graph changed since I last looked?".
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Number of edges currently present (any colour).
@@ -348,8 +330,7 @@ impl WaitForGraph {
                 };
                 self.rin[vi as usize].insert(rpos, ui);
                 self.n_edges += 1;
-                self.version += 1;
-                self.dark_adds.push((ui, vi));
+                self.dark_version += 1;
                 Ok(())
             }
         }
@@ -379,10 +360,7 @@ impl WaitForGraph {
             }
         }
         self.transition(from, to, EdgeColour::Black, EdgeColour::White)?;
-        // A dark edge left the dark subgraph: memoized oracle state built
-        // on the grown-only delta log is no longer extendable.
-        self.shrink_epoch += 1;
-        self.dark_adds.clear();
+        self.dark_version += 1;
         Ok(())
     }
 
@@ -414,7 +392,7 @@ impl WaitForGraph {
 
     /// Drops every out-edge of `from`: the OR model's unblock on a message
     /// from any one dependent, which G3 cannot express (the other
-    /// dependents may still be blocked). Bumps the shrink epoch.
+    /// dependents may still be blocked).
     ///
     /// # Errors
     ///
@@ -429,8 +407,7 @@ impl WaitForGraph {
         while let Some(pos) = self.out[ui as usize].len().checked_sub(1) {
             self.unlink(ui, pos, from);
         }
-        self.shrink_epoch += 1;
-        self.dark_adds.clear();
+        self.dark_version += 1;
         Ok(())
     }
 
@@ -445,7 +422,6 @@ impl WaitForGraph {
         };
         self.rin[vi as usize].remove(rpos);
         self.n_edges -= 1;
-        self.version += 1;
     }
 
     /// Removes edge `(from, to)` whatever its colour; `false` if it was
@@ -453,7 +429,7 @@ impl WaitForGraph {
     /// is for a graph that *mirrors* state reconstructed elsewhere and is
     /// kept up to date edge by edge (the DDB harness's agent graph, where
     /// an abort removes black edges whose heads are still blocked), not
-    /// for one legal history. Removing a dark edge bumps the shrink epoch.
+    /// for one legal history.
     pub fn remove_edge(&mut self, from: NodeId, to: NodeId) -> bool {
         let Some((ui, pos)) = self
             .idx(from)
@@ -462,8 +438,7 @@ impl WaitForGraph {
             return false;
         };
         if self.out[ui as usize][pos].1.is_dark() {
-            self.shrink_epoch += 1;
-            self.dark_adds.clear();
+            self.dark_version += 1;
         }
         self.unlink(ui, pos, from);
         true
@@ -485,7 +460,6 @@ impl WaitForGraph {
         let c = &mut self.out[ui as usize][pos].1;
         if *c == expected {
             *c = new;
-            self.version += 1;
             Ok(())
         } else {
             Err(AxiomViolation::WrongColour {
@@ -501,7 +475,7 @@ impl WaitForGraph {
     /// allocations for reuse. Unlike the per-edge mutators this bypasses
     /// the axioms — it models tearing a snapshot down to rebuild it (e.g.
     /// a coordinator's per-round view), not a legal evolution of one
-    /// history. Bumps both [`WaitForGraph::version`] and the shrink epoch.
+    /// history.
     pub fn clear(&mut self) {
         for row in &mut self.out {
             row.clear();
@@ -510,15 +484,13 @@ impl WaitForGraph {
             row.clear();
         }
         self.n_edges = 0;
-        self.version += 1;
-        self.shrink_epoch += 1;
-        self.dark_adds.clear();
+        self.dark_version += 1;
     }
 
     /// Replaces this graph's content with a copy of `other`'s, reusing
     /// allocations where possible. Identity (`uid`) is kept — the receiver
-    /// is still "the same graph object" to oracle memos, so the shrink
-    /// epoch is bumped to invalidate them. Used by
+    /// is still "the same graph object" to oracle memos, so the dark-set
+    /// counter is bumped to invalidate them. Used by
     /// [`crate::journal::ReplayCursor`] to rewind to a checkpoint.
     pub(crate) fn restore_from(&mut self, other: &WaitForGraph) {
         self.ids.clone_from(&other.ids);
@@ -526,9 +498,7 @@ impl WaitForGraph {
         self.out.clone_from(&other.out);
         self.rin.clone_from(&other.rin);
         self.n_edges = other.n_edges;
-        self.version += 1;
-        self.shrink_epoch += 1;
-        self.dark_adds.clear();
+        self.dark_version += 1;
     }
 
     /// Outgoing edges of `v`, in head order.
@@ -637,19 +607,10 @@ impl WaitForGraph {
             .filter(move |&i| !self.out[i as usize].is_empty() || !self.rin[i as usize].is_empty())
     }
 
-    /// Unique object identity (fresh per clone) for oracle memoization.
-    pub(crate) fn uid(&self) -> u64 {
-        self.uid
-    }
-
-    /// Epoch of the last dark-edge removal (or wholesale replacement).
-    pub(crate) fn shrink_epoch(&self) -> u64 {
-        self.shrink_epoch
-    }
-
-    /// Dark edges created since the last shrink event, in creation order.
-    pub(crate) fn dark_adds(&self) -> &[(u32, u32)] {
-        &self.dark_adds
+    /// Oracle memo key: object identity (fresh per clone) and dark-set
+    /// counter. A memo is valid while both hold still.
+    pub(crate) fn memo_key(&self) -> (u64, u64) {
+        (self.uid, self.dark_version)
     }
 }
 
@@ -813,25 +774,51 @@ mod tests {
         g.blacken(n(0), n(1)).unwrap();
         g.create_grey(n(1), n(2)).unwrap();
         let before = g.clone();
-        let version = g.version();
+        let version = g.dark_version;
         let _ = g.whiten(n(0), n(1)); // G3 violation
         let _ = g.create_grey(n(0), n(1)); // G1 violation
         let _ = g.delete_white(n(0), n(1)); // wrong colour
+        let _ = g.blacken(n(0), n(1)); // wrong colour
+        let _ = g.release(n(5)); // nothing to release
+        assert!(!g.remove_edge(n(2), n(0)));
         assert_eq!(g, before);
-        assert_eq!(g.version(), version, "failed mutations must not bump");
+        assert_eq!(g.dark_version, version, "failed mutations must not bump");
     }
 
     #[test]
-    fn version_bumps_on_every_successful_mutation() {
+    fn dark_version_bumps_on_every_dark_set_change() {
         let mut g = WaitForGraph::new();
-        let v0 = g.version();
+        let mut last = g.dark_version;
+        let mut step = |g: &WaitForGraph, bumps: bool, what: &str| {
+            assert_eq!(g.dark_version > last, bumps, "{what}");
+            last = g.dark_version;
+        };
         g.create_grey(n(0), n(1)).unwrap();
+        step(&g, true, "create_grey adds a dark edge");
         g.blacken(n(0), n(1)).unwrap();
+        step(&g, false, "blacken keeps the dark set");
         g.whiten(n(0), n(1)).unwrap();
-        g.delete_white(n(0), n(1)).unwrap();
-        assert_eq!(g.version(), v0 + 4);
+        step(&g, true, "whiten drops a dark edge");
+        assert!(g.remove_edge(n(0), n(1)));
+        step(&g, false, "removing a white edge keeps the dark set");
+        for (a, b) in [(0, 1), (1, 2), (2, 0)] {
+            g.create_grey(n(a), n(b)).unwrap();
+        }
+        step(&g, true, "three creations");
+        assert!(g.remove_edge(n(2), n(0)));
+        step(&g, true, "removing a dark edge");
+        g.blacken(n(1), n(2)).unwrap();
+        g.whiten(n(1), n(2)).unwrap();
+        step(&g, true, "whiten");
+        g.delete_white(n(1), n(2)).unwrap();
+        step(&g, false, "delete_white keeps the dark set");
+        g.release(n(0)).unwrap();
+        step(&g, true, "release drops every out-edge");
         g.clear();
-        assert_eq!(g.version(), v0 + 5);
+        step(&g, true, "clear");
+        let snapshot = g.clone();
+        g.restore_from(&snapshot);
+        step(&g, true, "restore_from replaces the content");
     }
 
     #[test]
@@ -872,11 +859,11 @@ mod tests {
             g.blacken(n(a), n(b)).unwrap();
         }
         assert!(g.whiten(n(0), n(1)).is_err());
-        let v = g.version();
+        let v = g.dark_version;
         assert!(g.remove_edge(n(0), n(1)));
         assert!(!g.remove_edge(n(0), n(1)), "already gone");
         assert!(!g.remove_edge(n(7), n(0)), "never interned");
-        assert_eq!(g.version(), v + 1);
+        assert_eq!(g.dark_version, v + 1);
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.in_edges(n(1)).count(), 0);
         assert_eq!(g.out_degree(n(0)), 0);
@@ -892,9 +879,9 @@ mod tests {
             g.create_grey(n(a), n(b)).unwrap();
         }
         g.blacken(n(0), n(1)).unwrap();
-        let epoch = g.shrink_epoch();
+        let version = g.dark_version;
         g.release(n(0)).unwrap();
-        assert!(g.shrink_epoch() > epoch);
+        assert!(g.dark_version > version);
         assert!(g.is_active(n(0)));
         assert_eq!(g.in_edges(n(1)).count(), 0);
         assert_eq!(g.in_edges(n(0)).count(), 2, "in-edges stay");
@@ -926,7 +913,7 @@ mod tests {
     fn clones_have_distinct_identities() {
         let g = WaitForGraph::new();
         let h = g.clone();
-        assert_ne!(g.uid(), h.uid());
+        assert_ne!(g.uid, h.uid);
         assert_eq!(g, h);
     }
 

@@ -15,7 +15,7 @@
 //! * [`oracle`] — centralised ground-truth queries (dark-cycle membership,
 //!   permanently blocked sets, WFGD closures) used to validate the
 //!   distributed algorithm; hot paths hold an [`oracle::Oracle`] for
-//!   memoized, incrementally-maintained answers;
+//!   answers memoized until the graph's dark edge set changes;
 //! * [`generators`] — topologies for tests and experiments;
 //! * [`journal`] — timestamped mutation journals for as-of-time replay,
 //!   with [`journal::ReplayCursor`] for cheap repeated seeks.

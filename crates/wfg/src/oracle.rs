@@ -24,11 +24,8 @@
 //! an [`Oracle`]: it keeps a scratch of reusable index-based
 //! buffers (iterative Tarjan with visited stamps, no per-query
 //! allocation) and memoizes `dark_cycle_members`/`permanently_blocked`/
-//! `knots`/`or_deadlocked` against the graph's identity and mutation
-//! counters. While no dark edge is removed (no whiten/clear — the common
-//! monotone case), dark-cycle membership only grows, and a repeat query
-//! after k new edges re-runs Tarjan only on the region reachable from
-//! those edges' heads.
+//! `knots`/`or_deadlocked` against the graph's identity and its dark-set
+//! counter. A query is either a memo hit or one full Tarjan run.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -60,7 +57,7 @@ struct OracleScratch {
     call: Vec<(u32, u32)>,
     pop_order: Vec<u32>,
     comp_starts: Vec<u32>,
-    /// CSR snapshot of the dark subgraph for full-graph runs.
+    /// CSR snapshot of the dark subgraph.
     csr_off: Vec<u32>,
     csr_heads: Vec<u32>,
 }
@@ -97,11 +94,11 @@ impl OracleScratch {
         self.csr_off.push(self.csr_heads.len() as u32);
     }
 
-    /// Tarjan over the dark subgraph from the given roots. `use_csr`
-    /// selects the CSR snapshot (full runs, after [`Self::build_dark_csr`])
-    /// or direct filtered traversal of the graph's dense rows (regional
-    /// runs, where snapshotting the whole graph would defeat the purpose).
-    fn run_tarjan(&mut self, g: &WaitForGraph, roots: impl Iterator<Item = u32>, use_csr: bool) {
+    /// Tarjan over a CSR snapshot of the dark subgraph, rooted at every
+    /// vertex with an incident edge in ascending `NodeId` order (the root
+    /// order of [`dark_sccs`]).
+    fn full_dark_run(&mut self, g: &WaitForGraph) {
+        self.build_dark_csr(g);
         self.ensure(g.dense_count());
         self.cur += 1;
         let OracleScratch {
@@ -124,7 +121,7 @@ impl OracleScratch {
         comp_starts.clear();
         let mut next_index = 0u32;
 
-        for root in roots {
+        for root in g.incident_dense_ids() {
             if stamp[root as usize] == cur {
                 continue;
             }
@@ -139,28 +136,12 @@ impl OracleScratch {
             while let Some(frame) = call.last_mut() {
                 let v = frame.0;
                 // Next unvisited-position dark successor of v, if any.
-                let next = if use_csr {
-                    let at = csr_off[v as usize] + frame.1;
-                    if at < csr_off[v as usize + 1] {
-                        frame.1 += 1;
-                        Some(csr_heads[at as usize])
-                    } else {
-                        None
-                    }
+                let at = csr_off[v as usize] + frame.1;
+                let next = if at < csr_off[v as usize + 1] {
+                    frame.1 += 1;
+                    Some(csr_heads[at as usize])
                 } else {
-                    let row = g.dense_out(v);
-                    let mut pos = frame.1 as usize;
-                    let mut found = None;
-                    while pos < row.len() {
-                        let (h, c) = row[pos];
-                        pos += 1;
-                        if c.is_dark() {
-                            found = Some(h);
-                            break;
-                        }
-                    }
-                    frame.1 = pos as u32;
-                    found
+                    None
                 };
                 match next {
                     Some(w) => {
@@ -198,26 +179,6 @@ impl OracleScratch {
             }
         }
         comp_starts.push(pop_order.len() as u32);
-    }
-
-    /// Full-graph Tarjan: CSR snapshot, roots = every vertex with an
-    /// incident edge in ascending `NodeId` order (matching the historical
-    /// root order of [`dark_sccs`]).
-    fn full_dark_run(&mut self, g: &WaitForGraph) {
-        self.build_dark_csr(g);
-        // `incident_dense_ids` borrows g, which run_tarjan also borrows —
-        // both shared, so collect-free chaining is fine.
-        self.run_tarjan(g, g.incident_dense_ids(), true);
-    }
-
-    /// Regional Tarjan rooted at the heads of `g`'s dark-edge additions
-    /// from `consumed` onward. The dark-reachable region of those heads is
-    /// successor-closed, so the SCCs found are *exact* SCCs of the full
-    /// dark graph; any cycle created since must contain a new edge and
-    /// therefore lies inside the region.
-    fn regional_dark_run(&mut self, g: &WaitForGraph, consumed: usize) {
-        let roots = g.dark_adds()[consumed..].iter().map(|&(_, head)| head);
-        self.run_tarjan(g, roots, false);
     }
 
     /// Adds the members of every non-trivial component from the last run
@@ -278,34 +239,12 @@ impl OracleScratch {
     }
 }
 
-/// Memo validity key: graph identity plus the mutation counters that the
-/// dark edge set depends on. Blackening and white-edge deletion change
-/// neither counter — the dark set is untouched, so memos survive them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct MemoKey {
-    uid: u64,
-    shrink_epoch: u64,
-    dark_len: usize,
-}
-
-impl MemoKey {
-    fn of(g: &WaitForGraph) -> Self {
-        MemoKey {
-            uid: g.uid(),
-            shrink_epoch: g.shrink_epoch(),
-            dark_len: g.dark_adds().len(),
-        }
-    }
-}
-
-/// A memoizing, incrementally-maintained oracle handle.
+/// A memoizing oracle handle.
 ///
-/// Holds reusable traversal buffers plus cached answers keyed on the graph's
-/// identity and dark-set counters. Queries against an unchanged graph are
-/// free; queries after dark-edge *additions only* (the monotone case —
-/// no whiten, no [`WaitForGraph::clear`]) re-run Tarjan on just the region
-/// the new edges can reach and grow the cached membership; anything else
-/// falls back to one full recomputation.
+/// Holds reusable traversal buffers plus cached answers keyed on the
+/// graph's identity and dark-set counter. Queries against a graph whose
+/// grey ∪ black edges are unchanged (blackening and white-edge deletion
+/// leave them) are free; any other query runs one full Tarjan.
 ///
 /// `is_on_black_cycle` is deliberately **not** memoized: the black edge
 /// set changes on blacken/whiten, which the dark-set key cannot see.
@@ -322,12 +261,13 @@ impl MemoKey {
 /// g.create_grey(NodeId(0), NodeId(1)).unwrap();
 /// assert!(!oracle.is_on_dark_cycle(&g, NodeId(0)));
 /// g.create_grey(NodeId(1), NodeId(0)).unwrap(); // closes a dark cycle
-/// assert!(oracle.is_on_dark_cycle(&g, NodeId(0))); // incremental update
+/// assert!(oracle.is_on_dark_cycle(&g, NodeId(0))); // the dark set changed: recomputed
 /// ```
 #[derive(Debug, Default)]
 pub struct Oracle {
     scratch: OracleScratch,
-    key: Option<MemoKey>,
+    /// `(uid, dark_version)` of the graph the memos describe.
+    key: Option<(u64, u64)>,
     members: BTreeSet<NodeId>,
     blocked: Option<BTreeSet<NodeId>>,
     knots: Option<Vec<BTreeSet<NodeId>>>,
@@ -342,25 +282,12 @@ impl Oracle {
 
     /// Brings the cached dark-cycle membership up to date with `g`.
     fn refresh(&mut self, g: &WaitForGraph) {
-        let key = MemoKey::of(g);
+        let key = g.memo_key();
         if self.key == Some(key) {
             return;
         }
-        match self.key {
-            // Same graph object, no dark edge ever removed since the memo:
-            // membership is monotone, extend it from the new edges only.
-            Some(old)
-                if old.uid == key.uid
-                    && old.shrink_epoch == key.shrink_epoch
-                    && old.dark_len < key.dark_len =>
-            {
-                self.scratch.regional_dark_run(g, old.dark_len);
-            }
-            _ => {
-                self.scratch.full_dark_run(g);
-                self.members.clear();
-            }
-        }
+        self.scratch.full_dark_run(g);
+        self.members.clear();
         self.scratch
             .collect_cycle_members_into(g, &mut self.members);
         self.blocked = None;
@@ -387,31 +314,22 @@ impl Oracle {
     /// from the memoized membership and cached until the dark set changes.
     pub fn permanently_blocked(&mut self, g: &WaitForGraph) -> &BTreeSet<NodeId> {
         self.refresh(g);
-        if self.blocked.is_none() {
-            let mut blocked = self.members.clone();
-            let mut frontier: Vec<NodeId> = self.members.iter().copied().collect();
-            while let Some(v) = frontier.pop() {
-                for e in g.in_edges(v) {
-                    if e.colour.is_dark() && blocked.insert(e.from) {
-                        frontier.push(e.from);
-                    }
-                }
-            }
-            self.blocked = Some(blocked);
-        }
-        self.blocked.as_ref().expect("just filled")
+        let members = &self.members;
+        self.blocked
+            .get_or_insert_with(|| search(g, members.clone(), true, &EdgeColour::is_dark))
     }
 
     /// The distinct knots (non-trivial dark SCCs as sorted sets, in
-    /// [`dark_sccs`] order; see the free [`knots`]). Recomputed in full on
-    /// first query after a memo miss (a new edge can merge knots, so they
-    /// are not monotone), then cached.
+    /// [`dark_sccs`] order; see the free [`knots`]). Read off the memo's
+    /// Tarjan run on first query after a memo miss, then cached.
     pub fn knots(&mut self, g: &WaitForGraph) -> &[BTreeSet<NodeId>] {
         self.refresh(g);
         if self.knots.is_none() {
+            // The scratch's last run is the memo's: only `refresh` runs
+            // Tarjan here, and `is_on_black_cycle` leaves components be.
             let ks = self
                 .scratch
-                .dark_sccs(g)
+                .components(g)
                 .into_iter()
                 .filter(|c| c.len() >= 2)
                 .map(|c| c.into_iter().collect())
@@ -431,15 +349,8 @@ impl Oracle {
         self.or_stuck.get_or_insert_with(|| {
             // One reverse pass from the sinks: whatever reaches one can escape.
             let sink = |v| !g.out_edges(v).any(|e| e.colour.is_dark());
-            let mut free: BTreeSet<NodeId> = g.vertex_iter().filter(|&v| sink(v)).collect();
-            let mut frontier: Vec<NodeId> = free.iter().copied().collect();
-            while let Some(v) = frontier.pop() {
-                for e in g.in_edges(v) {
-                    if e.colour.is_dark() && free.insert(e.from) {
-                        frontier.push(e.from);
-                    }
-                }
-            }
+            let sinks = g.vertex_iter().filter(|&v| sink(v)).collect();
+            let free = search(g, sinks, true, &EdgeColour::is_dark);
             g.vertex_iter().filter(|v| !free.contains(v)).collect()
         })
     }
@@ -528,14 +439,30 @@ pub fn reachable(
     start: NodeId,
     keep: impl Fn(EdgeColour) -> bool,
 ) -> BTreeSet<NodeId> {
-    let mut seen = BTreeSet::new();
-    seen.insert(start);
-    let mut frontier = vec![start];
+    search(g, BTreeSet::from([start]), false, &keep)
+}
+
+/// `seen` grown by every vertex reachable from it along edges whose
+/// colour satisfies `keep`: forward, or against the edges if `backward`
+/// (the vertices that reach `seen`). Not generic, so it is compiled once
+/// here rather than into every crate that calls [`reachable`].
+fn search(
+    g: &WaitForGraph,
+    mut seen: BTreeSet<NodeId>,
+    backward: bool,
+    keep: &dyn Fn(EdgeColour) -> bool,
+) -> BTreeSet<NodeId> {
+    let mut frontier: Vec<NodeId> = seen.iter().copied().collect();
     while let Some(v) = frontier.pop() {
-        for e in g.out_edges(v) {
-            if keep(e.colour) && seen.insert(e.to) {
-                frontier.push(e.to);
+        let mut visit = |w, c| {
+            if keep(c) && seen.insert(w) {
+                frontier.push(w);
             }
+        };
+        if backward {
+            g.in_edges(v).for_each(|e| visit(e.from, e.colour));
+        } else {
+            g.out_edges(v).for_each(|e| visit(e.to, e.colour));
         }
     }
     seen
@@ -628,18 +555,9 @@ pub fn wfgd_ground_truth(
     subject: NodeId,
     initiator: NodeId,
 ) -> BTreeSet<(NodeId, NodeId)> {
-    let fwd = reachable(g, subject, |c| c == EdgeColour::Black);
-    // Backward reachability to the initiator over black edges.
-    let mut to_init = BTreeSet::new();
-    to_init.insert(initiator);
-    let mut frontier = vec![initiator];
-    while let Some(v) = frontier.pop() {
-        for e in g.in_edges(v) {
-            if e.colour == EdgeColour::Black && to_init.insert(e.from) {
-                frontier.push(e.from);
-            }
-        }
-    }
+    let black = |c| c == EdgeColour::Black;
+    let fwd = reachable(g, subject, black);
+    let to_init = search(g, BTreeSet::from([initiator]), true, &black);
     g.edges()
         .filter(|e| {
             e.colour == EdgeColour::Black && fwd.contains(&e.from) && to_init.contains(&e.to)
@@ -1022,10 +940,21 @@ mod tests {
         let mut g = build(&[(0, 1, Grey), (1, 0, Grey)]);
         let mut o = Oracle::new();
         assert_eq!(o.or_deadlocked(&g).len(), 2);
-        // Same graph object, no dark edge added: only the shrink epoch
-        // tells the memo that 1 is active again.
+        // Same graph object, no dark edge added: only the dark-set
+        // counter tells the memo that 1 is active again.
         g.release(n(1)).unwrap();
         assert!(o.or_deadlocked(&g).is_empty());
+    }
+
+    #[test]
+    fn or_deadlocked_memo_flips_after_whiten() {
+        // 2 waits on the knot 0 <-> 1 and on the active 3, its escape.
+        let mut g = build(&[(0, 1, Grey), (1, 0, Grey), (2, 0, Grey), (2, 3, Black)]);
+        let mut o = Oracle::new();
+        assert_eq!(*o.or_deadlocked(&g), [n(0), n(1)].into_iter().collect());
+        // 3 replies: the members do not move, but 2 has lost its escape.
+        g.whiten(n(2), n(3)).unwrap();
+        assert_eq!(*o.or_deadlocked(&g), (0..=2).map(n).collect());
     }
 
     #[test]
@@ -1043,17 +972,17 @@ mod tests {
     }
 
     #[test]
-    fn oracle_grows_membership_incrementally() {
+    fn oracle_follows_edge_additions() {
         let mut g = WaitForGraph::new();
         let mut o = Oracle::new();
         // Chain 0 -> 1 -> 2, no cycle yet.
         g.create_grey(n(0), n(1)).unwrap();
         g.create_grey(n(1), n(2)).unwrap();
         assert!(o.dark_cycle_members(&g).is_empty());
-        // Close the loop; additions only, so the incremental path runs.
+        // Close the loop: the memo of the chain must not be served.
         g.create_grey(n(2), n(0)).unwrap();
         assert_eq!(*o.dark_cycle_members(&g), (0..=2).map(n).collect());
-        // A disjoint second cycle, again via additions.
+        // A disjoint second cycle.
         g.create_grey(n(3), n(4)).unwrap();
         g.create_grey(n(4), n(3)).unwrap();
         assert_eq!(*o.dark_cycle_members(&g), (0..=4).map(n).collect());
@@ -1075,7 +1004,7 @@ mod tests {
             *o.dark_cycle_members(&g),
             [n(0), n(1)].into_iter().collect()
         );
-        // Additions after the removal extend the recomputed memo.
+        // An addition after the removal invalidates the memo again.
         g.create_grey(n(2), n(0)).unwrap();
         assert_eq!(*o.dark_cycle_members(&g), dark_cycle_members(&g));
         assert_eq!(o.dark_cycle_members(&g).len(), 3);

@@ -24,6 +24,36 @@ fn op_strategy() -> impl Strategy<Value = GraphOp> {
     })
 }
 
+/// One step of the memoized-oracle churn: an arbitrary axiom move,
+/// `remove_edge`, `release` or `clear` on the graph under test, or a seek
+/// of a checkpointed cursor to the given tick. The graph has four
+/// vertices, few enough that the one shape where a whiten changes an
+/// answer (a vertex whose last escape whitens next to an OR knot) turns up.
+#[derive(Debug, Clone, Copy)]
+enum Churn {
+    Op(GraphOp),
+    Remove(NodeId, NodeId),
+    Release(NodeId),
+    Clear,
+    Seek(u64),
+}
+
+fn churn_strategy() -> impl Strategy<Value = Churn> {
+    (0u8..16, 0usize..4, 0usize..4, 0u64..130).prop_map(|(k, a, b, t)| {
+        let (a, b) = (NodeId(a), NodeId(b));
+        match k {
+            0..=4 => Churn::Op(GraphOp::CreateGrey(a, b)),
+            5..=7 => Churn::Op(GraphOp::Blacken(a, b)),
+            8 | 9 => Churn::Op(GraphOp::Whiten(a, b)),
+            10 => Churn::Op(GraphOp::DeleteWhite(a, b)),
+            11 => Churn::Remove(a, b),
+            12 => Churn::Release(a),
+            13 => Churn::Clear,
+            _ => Churn::Seek(t),
+        }
+    })
+}
+
 /// Applies ops, keeping only the legal ones; returns the graph and the
 /// accepted (legal) history.
 fn apply_legal(ops: &[GraphOp]) -> (WaitForGraph, Vec<GraphOp>) {
@@ -137,37 +167,70 @@ proptest! {
         }
     }
 
-    /// The incremental `Oracle` agrees with the from-scratch SCC functions
-    /// and with brute force **after every mutation** of a random churn
-    /// sequence — exercising memo hits (repeat queries), the incremental
-    /// grow path (runs of creations) and full invalidation (whitens).
+    /// One memoizing `Oracle` agrees with the from-scratch functions and
+    /// with brute force **after every step** of a random churn that changes
+    /// the dark edge set every way a graph can: the axiom moves,
+    /// `remove_edge`, `release` and `clear` on one graph, and seeks of a
+    /// checkpointed cursor (a backward one restores a checkpoint in place)
+    /// on another. Each step queries the graph it touched, so a repeat
+    /// query is a memo hit, and a change the memo key misses serves a
+    /// stale answer.
     #[test]
-    fn incremental_oracle_matches_scratch_under_churn(
-        ops in proptest::collection::vec(op_strategy(), 0..120),
+    fn memoized_oracle_matches_scratch_under_churn(
+        churn in proptest::collection::vec(churn_strategy(), 0..120),
+        history in proptest::collection::vec(op_strategy(), 0..120),
+        spacing in 1usize..5,
     ) {
+        let (_, accepted) = apply_legal(&history);
+        let mut journal = Journal::new();
+        for (i, &op) in accepted.iter().enumerate() {
+            journal.record(SimTime::from_ticks(i as u64), op);
+        }
+        let mut cursor = ReplayCursor::with_spacing(spacing);
         let mut g = WaitForGraph::new();
-        let mut incr = Oracle::new();
-        for &op in &ops {
-            let _ = op.apply(&mut g);
-            let scratch: Vec<NodeId> = oracle::dark_sccs(&g)
+        let mut memo = Oracle::new();
+        for &step in &churn {
+            let h = match step {
+                Churn::Op(op) => {
+                    let _ = op.apply(&mut g);
+                    &g
+                }
+                Churn::Remove(a, b) => {
+                    g.remove_edge(a, b);
+                    &g
+                }
+                Churn::Release(a) => {
+                    let _ = g.release(a);
+                    &g
+                }
+                Churn::Clear => {
+                    g.clear();
+                    &g
+                }
+                Churn::Seek(t) => cursor
+                    .seek(&journal, SimTime::from_ticks(t))
+                    .expect("legal history"),
+            };
+            let scratch: std::collections::BTreeSet<NodeId> = oracle::dark_sccs(h)
                 .into_iter()
                 .filter(|c| c.len() >= 2)
                 .flatten()
                 .collect();
-            let scratch_set: std::collections::BTreeSet<NodeId> =
-                scratch.into_iter().collect();
-            prop_assert_eq!(incr.dark_cycle_members(&g), &scratch_set);
+            prop_assert_eq!(memo.dark_cycle_members(h), &scratch, "after {:?}", step);
             for v in 0..V {
                 let v = NodeId(v);
                 prop_assert_eq!(
-                    incr.is_on_dark_cycle(&g, v),
-                    oracle::is_on_dark_cycle_bruteforce(&g, v),
-                    "vertex {}", v
+                    memo.is_on_dark_cycle(h, v),
+                    oracle::is_on_dark_cycle_bruteforce(h, v),
+                    "vertex {} after {:?}", v, step
                 );
             }
-            // The derived memoized queries agree with their free twins too.
-            prop_assert_eq!(incr.permanently_blocked(&g), &oracle::permanently_blocked(&g));
-            prop_assert_eq!(incr.knots(&g), &oracle::knots(&g)[..]);
+            // The derived memoized queries agree with fresh answers too.
+            let blocked = oracle::permanently_blocked(h);
+            prop_assert_eq!(memo.permanently_blocked(h), &blocked, "after {:?}", step);
+            prop_assert_eq!(memo.knots(h), &oracle::knots(h)[..], "after {:?}", step);
+            let stuck = Oracle::new().or_deadlocked(h).clone();
+            prop_assert_eq!(memo.or_deadlocked(h), &stuck, "after {:?}", step);
         }
     }
 
