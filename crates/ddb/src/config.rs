@@ -4,19 +4,12 @@
 /// When a controller initiates probe computations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DdbInitiation {
-    /// When a process blocks — a home script on a lock step, or a remote
-    /// agent queued here — start a timer of `t` ticks; if it is still in
-    /// that wait and undeclared when the timer fires, initiate for it and
-    /// start the timer again (the §4.3 rule per process: the timeout exists
-    /// so blocked processes *retry* after a lost probe).
-    OnBlockDelayed {
-        /// Persistence threshold before initiating.
-        t: u64,
-    },
     /// Every `period` ticks, run the §6.7 procedure: first look for purely
     /// local (intra-controller) cycles — declared without any probes —
     /// then initiate **Q** computations, one per constituent process with
-    /// an incoming black inter-controller edge.
+    /// an incoming black inter-controller edge. A subject still waiting
+    /// next period gets a fresh computation, so a computation whose probes
+    /// were lost is retried.
     PeriodicQOpt {
         /// Detector period.
         period: u64,

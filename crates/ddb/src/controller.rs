@@ -19,8 +19,9 @@
 //!   computation), and declare if its own computation's subject becomes
 //!   labelled. §6.7's Q-optimisation (local-cycle check first, then one
 //!   computation per process with an incoming black inter-controller edge)
-//!   and the naive per-process rule are both available; `OnBlockDelayed`
-//!   gives each blocked process a §4.3 check that re-arms while it waits.
+//!   runs every period, and the naive per-process rule is its baseline.
+//!   Each period re-initiates for every subject still waiting, which is
+//!   also what retries a computation whose probes were lost.
 //!
 //! ## Deviation noted (probe-computation bookkeeping)
 //!
@@ -102,10 +103,6 @@ pub mod counters {
     /// desynchronises from the lock table — the wedge class this counter
     /// exists to surface).
     pub const WEDGE_REPAIRED: &str = "ddb.wedge.repaired";
-    /// §4 re-initiation timers re-armed for still-blocked processes.
-    pub const REPROBE_ARMED: &str = "ddb.reprobe.armed";
-    /// Probe computations started by a re-armed (non-first) check.
-    pub const REPROBE_INITIATED: &str = "ddb.reprobe.initiated";
     /// `RemoteRelease` messages that overtook the request they cancel and
     /// left a tombstone behind (possible whenever a link reorders).
     pub const CANCEL_TOMBSTONED: &str = "ddb.cancel.tombstoned";
@@ -118,20 +115,17 @@ pub mod counters {
     pub const DECL_SUPPRESSED_STALE: &str = "ddb.decl.suppressed_stale";
 }
 
+/// A work step's completion; the payload is the wait's epoch.
 const K_WORK: u64 = 0;
-/// §4.3 check of a home script's wait; the payload is the wait's epoch.
-const K_CHECK: u64 = 1;
 const K_PERIODIC: u64 = 2;
 const K_RESTART: u64 = 3;
-/// §4.3 check of a *remote* agent queued in our lock table; the payload
-/// is the low bits of the resource id it queued for.
-const K_CHECK_REMOTE: u64 = 4;
 
-// Timer tag: kind (3 bits) | re-armed flag | transaction id (all 32 bits)
-// | payload (28 bits). Epochs and resource ids compare under the payload
-// mask: a timer outlives its arming by one period, never by 2^28 waits.
+// Timer tag: kind (3 bits) | unused bit | transaction id (all 32 bits)
+// | payload (28 bits). Epochs compare under the payload mask: a work
+// timer outlives its arming by one step, never by 2^28 waits. Tags are
+// printed in the DDB trace digests, so neither the kinds nor the layout
+// may be renumbered without a re-pin.
 const KIND_SHIFT: u32 = 61;
-const REARMED: u64 = 1 << 60;
 const TXN_SHIFT: u32 = 28;
 const PAYLOAD_MASK: u64 = (1 << TXN_SHIFT) - 1;
 
@@ -147,11 +141,10 @@ fn enc_timer(kind: u64, txn: TransactionId, payload: u64) -> u64 {
     (kind << KIND_SHIFT) | ((txn.0 as u64) << TXN_SHIFT) | (payload & PAYLOAD_MASK)
 }
 
-/// `(kind, re-armed, transaction, payload)` of a timer tag.
-fn dec_timer(tag: u64) -> (u64, bool, TransactionId, u64) {
+/// `(kind, transaction, payload)` of a timer tag.
+fn dec_timer(tag: u64) -> (u64, TransactionId, u64) {
     (
         tag >> KIND_SHIFT,
-        tag & REARMED != 0,
         TransactionId((tag >> TXN_SHIFT) as u32),
         tag & PAYLOAD_MASK,
     )
@@ -213,9 +206,6 @@ pub struct ScriptSnapshot {
     pub step_count: usize,
     /// Times the script was started (1 = never aborted).
     pub attempts: u32,
-    /// Progress epoch: bumped whenever a wait begins or ends, so a stalled
-    /// epoch across a widening time window means a stalled transaction.
-    pub epoch: u64,
     /// What the script is blocked on right now.
     pub waiting: Waiting,
 }
@@ -403,11 +393,6 @@ impl Controller {
             .collect()
     }
 
-    /// Status of a transaction homed here.
-    pub fn txn_status(&self, txn: TransactionId) -> Option<TxnStatus> {
-        self.scripts.get(&txn).map(|s| s.status)
-    }
-
     /// Execution snapshot of one home script, or `None` if `txn` is not
     /// homed here. A keyed lookup, unlike [`Controller::script_snapshots`]
     /// — the networked service polls its in-flight transactions every
@@ -423,7 +408,6 @@ impl Controller {
             pc: s.pc,
             step_count: s.txn.steps().len(),
             attempts: s.attempts,
-            epoch: s.epoch,
             waiting: s.waiting.clone(),
         }
     }
@@ -505,16 +489,15 @@ impl Controller {
     }
 
     /// Explicitly initiates a probe computation for local process
-    /// `(subject, S_me)` (steps A0 of §6.6). Returns `true` if a
-    /// computation was actually started (the process must be blocked and
-    /// not already declared).
-    pub fn initiate_for(&mut self, ctx: &mut Context<'_, DdbMsg>, subject: TransactionId) -> bool {
+    /// `(subject, S_me)` (steps A0 of §6.6). Starts nothing unless the
+    /// process is blocked and not already declared.
+    pub fn initiate_for(&mut self, ctx: &mut Context<'_, DdbMsg>, subject: TransactionId) {
         if self.declared_txns.contains(&subject) {
-            return false;
+            return;
         }
         let blocked_locally = self.locks.is_waiting_anywhere(subject);
         if !blocked_locally && self.remote_waits(subject).next().is_none() {
-            return false;
+            return;
         }
         self.own_n += 1;
         let tag = DdbProbeTag {
@@ -534,10 +517,9 @@ impl Controller {
         if closure.contains(&subject) {
             ctx.count(counters::LOCAL_CYCLE);
             self.declare(ctx, subject, None);
-            return true;
+            return;
         }
         self.forward(ctx, tag, CompState::new(), with_one(&closure, subject));
-        true
     }
 
     // ----- internals: script driving -----
@@ -604,46 +586,8 @@ impl Controller {
             }
             st.waiting = Waiting::Locks(pending);
             st.epoch += 1;
-            let check = enc_timer(K_CHECK, id, st.epoch);
-            self.arm_check(ctx, check);
             return;
         }
-    }
-
-    /// Arms the §4.3 check `tag` ([`REARMED`] set if a fired check is
-    /// re-arming itself). Only [`DdbInitiation::OnBlockDelayed`] has
-    /// per-process checks; the periodic rules re-initiate on their own.
-    fn arm_check(&self, ctx: &mut Context<'_, DdbMsg>, tag: u64) {
-        if let DdbInitiation::OnBlockDelayed { t } = self.cfg.initiation {
-            if tag & REARMED != 0 {
-                ctx.count(counters::REPROBE_ARMED);
-            }
-            ctx.set_timer(t, tag);
-        }
-    }
-
-    /// A §4.3 check fired. If its process is still in the same wait and
-    /// not yet declared, initiate for it and re-arm: the timeout `T` exists
-    /// so blocked processes retry, and a computation whose probes were lost
-    /// is otherwise simply dead. The chain stops when the wait ends (epoch
-    /// moved on, request left the queue) or the process is declared.
-    fn on_check(&mut self, ctx: &mut Context<'_, DdbMsg>, tag: u64) {
-        let (kind, rearmed, txn, payload) = dec_timer(tag);
-        let same_wait = if kind == K_CHECK {
-            matches!(self.wait_named(txn, payload), Some(Waiting::Locks(_)))
-        } else {
-            // Low bits of a resource id: an oversize id can at worst make
-            // the check look at a sibling request of the same transaction.
-            let mut queued = self.locks.waiting_resources(txn);
-            queued.any(|r| r.0 & PAYLOAD_MASK == payload)
-        };
-        if !same_wait || self.declared_txns.contains(&txn) {
-            return;
-        }
-        if self.initiate_for(ctx, txn) && rearmed {
-            ctx.count(counters::REPROBE_INITIATED);
-        }
-        self.arm_check(ctx, tag | REARMED);
     }
 
     /// The current wait of running `txn`, if a timer whose payload is
@@ -1141,18 +1085,9 @@ impl Process<DdbMsg> for Controller {
                     return;
                 }
                 self.agent_home.insert(txn, home);
-                match self.locks.request(txn, resource, mode) {
-                    LockOutcome::Granted => {
-                        ctx.count(counters::ACQUIRED_SENT);
-                        ctx.send(home.node(), DdbMsg::Acquired { txn, resource });
-                    }
-                    LockOutcome::Queued { .. } => {
-                        // The remote agent (txn, S_me) just blocked here:
-                        // its wait can close a cycle, so it needs an
-                        // initiation check of its own (§4.2 applied to
-                        // every process, not just home scripts).
-                        self.arm_check(ctx, enc_timer(K_CHECK_REMOTE, txn, resource.0));
-                    }
+                if let LockOutcome::Granted = self.locks.request(txn, resource, mode) {
+                    ctx.count(counters::ACQUIRED_SENT);
+                    ctx.send(home.node(), DdbMsg::Acquired { txn, resource });
                 }
             }
             DdbMsg::Acquired { txn, resource } => {
@@ -1206,14 +1141,13 @@ impl Process<DdbMsg> for Controller {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, DdbMsg>, _timer: TimerId, tag: u64) {
-        let (kind, _, txn, payload) = dec_timer(tag);
+        let (kind, txn, payload) = dec_timer(tag);
         match kind {
             K_WORK => {
                 if self.wait_named(txn, payload) == Some(&Waiting::Work) {
                     self.step_done(ctx, txn);
                 }
             }
-            K_CHECK | K_CHECK_REMOTE => self.on_check(ctx, tag),
             K_PERIODIC => {
                 let naive = matches!(self.cfg.initiation, DdbInitiation::PeriodicNaive { .. });
                 self.periodic_detect(ctx, naive);
@@ -1245,9 +1179,9 @@ impl Process<DdbMsg> for Controller {
     /// computation crossing the outage dies and is superseded by fresh
     /// ones. Every timer armed before the crash is gone, so recovery
     /// re-arms each under a fresh epoch: the periodic detector, the work
-    /// timer or §4.3 check of every live script, restart backoffs for
-    /// aborted victims, and checks for remote agents queued in the local
-    /// lock table.
+    /// timer of every working script and restart backoffs for aborted
+    /// victims. A blocked script's wait is durable (lock queues survive)
+    /// and needs no timer: the next period re-initiates for it.
     fn on_restart(&mut self, ctx: &mut Context<'_, DdbMsg>) {
         self.comps.clear();
         self.own.clear();
@@ -1273,18 +1207,9 @@ impl Process<DdbMsg> for Controller {
                     };
                     ctx.set_timer(ticks, enc_timer(K_WORK, id, st.epoch));
                 }
-                (TxnStatus::Running, Waiting::Locks(_)) => {
-                    // The wait itself is durable (lock queues survive);
-                    // only its check needs re-arming.
-                    st.epoch += 1;
-                    let check = enc_timer(K_CHECK, id, st.epoch);
-                    self.arm_check(ctx, check);
-                }
-            }
-        }
-        for txn in self.queued_remote_agents() {
-            for resource in self.locks.waiting_resources(txn) {
-                self.arm_check(ctx, enc_timer(K_CHECK_REMOTE, txn, resource.0));
+                // Recovery moves every live script's epoch, a blocked one's
+                // too (DESIGN §7 item 9); its wait arms no timer.
+                (TxnStatus::Running, Waiting::Locks(_)) => st.epoch += 1,
             }
         }
     }
@@ -1314,6 +1239,14 @@ mod tests {
     fn r(i: u64) -> ResourceId {
         ResourceId(i)
     }
+    fn status(
+        net: &Simulation<DdbMsg, Controller>,
+        site: SiteId,
+        txn: TransactionId,
+    ) -> Option<TxnStatus> {
+        let snap = net.node(site.node()).script_snapshot_of(txn);
+        snap.map(|s| s.status)
+    }
     use LockMode::Exclusive as X;
 
     #[test]
@@ -1322,10 +1255,7 @@ mod tests {
         let txn = Transaction::new(t(1), s(0)).lock(s(0), r(1), X).work(10);
         net.with_node(s(0).node(), |c, ctx| c.start_txn(ctx, txn));
         net.run_until(simnet::time::SimTime::from_ticks(10_000));
-        assert_eq!(
-            net.node(s(0).node()).txn_status(t(1)),
-            Some(TxnStatus::Committed)
-        );
+        assert_eq!(status(&net, s(0), t(1)), Some(TxnStatus::Committed));
         assert_eq!(net.node(s(0).node()).locks().held_count(), 0);
     }
 
@@ -1335,10 +1265,7 @@ mod tests {
         let txn = Transaction::new(t(1), s(0)).lock(s(1), r(7), X).work(5);
         net.with_node(s(0).node(), |c, ctx| c.start_txn(ctx, txn));
         net.run_until(simnet::time::SimTime::from_ticks(10_000));
-        assert_eq!(
-            net.node(s(0).node()).txn_status(t(1)),
-            Some(TxnStatus::Committed)
-        );
+        assert_eq!(status(&net, s(0), t(1)), Some(TxnStatus::Committed));
         // The remote lock was granted and then released.
         assert_eq!(net.node(s(1).node()).locks().held_count(), 0);
         assert!(net.metrics().get(counters::REMOTE_REQUEST) >= 1);
@@ -1360,10 +1287,7 @@ mod tests {
         assert_eq!(managing.locks().held_count(), 2);
         assert_eq!(managing.agent_home.get(&t(1)), Some(&s(0)));
         net.run_until(simnet::time::SimTime::from_ticks(10_000));
-        assert_eq!(
-            net.node(s(0).node()).txn_status(t(1)),
-            Some(TxnStatus::Committed)
-        );
+        assert_eq!(status(&net, s(0), t(1)), Some(TxnStatus::Committed));
         assert!(net.node(s(1).node()).agent_home.is_empty());
     }
 
@@ -1445,7 +1369,7 @@ mod tests {
         net.run_until(simnet::time::SimTime::from_ticks(50_000));
         for i in 1..=3 {
             assert_eq!(
-                net.node(s(0).node()).txn_status(t(i)),
+                status(&net, s(0), t(i)),
                 Some(TxnStatus::Committed),
                 "T{i} should commit"
             );
@@ -1472,14 +1396,8 @@ mod tests {
         net.with_node(s(1).node(), |c, ctx| c.start_txn(ctx, t2));
         net.run_until(simnet::time::SimTime::from_ticks(100_000));
         // Both transactions must eventually commit (victim restarts).
-        assert_eq!(
-            net.node(s(0).node()).txn_status(t(1)),
-            Some(TxnStatus::Committed)
-        );
-        assert_eq!(
-            net.node(s(1).node()).txn_status(t(2)),
-            Some(TxnStatus::Committed)
-        );
+        assert_eq!(status(&net, s(0), t(1)), Some(TxnStatus::Committed));
+        assert_eq!(status(&net, s(1), t(2)), Some(TxnStatus::Committed));
         assert!(net.metrics().get(counters::ABORTED) >= 1);
         assert!(net.metrics().get(counters::RESTARTED) >= 1);
         // All locks everywhere are free at the end.
@@ -1487,30 +1405,6 @@ mod tests {
             assert_eq!(net.node(NodeId(i)).locks().held_count(), 0);
             assert_eq!(net.node(NodeId(i)).locks().waiting_count(), 0);
         }
-    }
-
-    #[test]
-    fn on_block_delayed_initiation_detects() {
-        let cfg = DdbConfig {
-            initiation: DdbInitiation::OnBlockDelayed { t: 80 },
-            ..DdbConfig::default()
-        };
-        let mut net = sim(2, cfg, 8);
-        let t1 = Transaction::new(t(1), s(0))
-            .lock(s(0), r(1), X)
-            .work(10)
-            .lock(s(1), r(2), X);
-        let t2 = Transaction::new(t(2), s(1))
-            .lock(s(1), r(2), X)
-            .work(10)
-            .lock(s(0), r(1), X);
-        net.with_node(s(0).node(), |c, ctx| c.start_txn(ctx, t1));
-        net.with_node(s(1).node(), |c, ctx| c.start_txn(ctx, t2));
-        net.run_until(simnet::time::SimTime::from_ticks(20_000));
-        let total: usize = (0..2)
-            .map(|i| net.node(NodeId(i)).declarations().len())
-            .sum();
-        assert!(total >= 1);
     }
 
     #[test]
@@ -1539,10 +1433,7 @@ mod tests {
             .work(10);
         net.with_node(s(0).node(), |c, ctx| c.start_txn(ctx, txn));
         net.run_until(simnet::time::SimTime::from_ticks(20_000));
-        assert_eq!(
-            net.node(s(0).node()).txn_status(t(1)),
-            Some(TxnStatus::Committed)
-        );
+        assert_eq!(status(&net, s(0), t(1)), Some(TxnStatus::Committed));
         for i in 0..3 {
             assert_eq!(net.node(NodeId(i)).locks().held_count(), 0);
         }
@@ -1588,56 +1479,27 @@ mod tests {
 
     #[test]
     fn timer_encoding_roundtrip() {
-        for id in [0xABCDE, 1 << 24, u32::MAX] {
-            let tag = enc_timer(K_RESTART, TransactionId(id), 0x234_5678);
-            assert_eq!(
-                dec_timer(tag),
-                (K_RESTART, false, TransactionId(id), 0x234_5678)
-            );
-            let tag = enc_timer(K_CHECK_REMOTE, TransactionId(id), u64::MAX) | REARMED;
-            assert_eq!(
-                dec_timer(tag),
-                (K_CHECK_REMOTE, true, TransactionId(id), PAYLOAD_MASK)
-            );
-            assert!(timer_drives_script(enc_timer(K_WORK, TransactionId(id), 1)));
-            assert!(!timer_drives_script(tag));
+        for id in [0, 0xABCDE, 1 << 24, u32::MAX].map(TransactionId) {
+            for kind in [K_WORK, K_PERIODIC, K_RESTART] {
+                let tag = enc_timer(kind, id, 0x234_5678);
+                assert_eq!(dec_timer(tag), (kind, id, 0x234_5678));
+                assert_eq!(timer_drives_script(tag), kind != K_PERIODIC);
+            }
+            // An epoch past the payload mask keeps its low bits and leaves
+            // the kind and the transaction intact.
+            let epoch = PAYLOAD_MASK + 5;
+            let tag = enc_timer(K_WORK, id, epoch);
+            assert_eq!(dec_timer(tag), (K_WORK, id, epoch & PAYLOAD_MASK));
         }
     }
 
     #[test]
-    fn remote_check_runs_for_an_oversize_resource_id() {
-        // Resource ids arrive from clients over the wire; one wider than
-        // the tag's payload must still get its queued remote agent checked.
-        let cfg = DdbConfig {
-            initiation: DdbInitiation::OnBlockDelayed { t: 80 },
-            ..DdbConfig::default()
-        };
-        let big = ResourceId((1 << 40) + 7);
-        let mut net = sim(2, cfg, 12);
-        let holder = Transaction::new(t(1), s(1)).lock(s(1), big, X).work(10_000);
-        let waiter = Transaction::new(t(2), s(0)).lock(s(1), big, X);
-        net.with_node(s(1).node(), |c, ctx| c.start_txn(ctx, holder));
-        net.with_node(s(0).node(), |c, ctx| c.start_txn(ctx, waiter));
-        net.run_until(simnet::time::SimTime::from_ticks(1_000));
-        // T2's agent at S1 is blocked, so its check initiates (and, the
-        // wait being no deadlock, keeps re-arming without declaring).
-        assert!(net.node(s(1).node()).computations_initiated() >= 2);
-        assert!(net.metrics().get(counters::REPROBE_ARMED) >= 2);
-        assert_eq!(net.metrics().get(counters::DECLARED), 0);
-    }
-
-    #[test]
-    fn partial_grant_keeps_the_waits_check_armed() {
+    fn partial_grant_cycle_is_declared() {
         // T1 holds r1@S0 and AND-waits on r2@S1 (held by T2) and r3@S2
-        // (free). r3's grant lands well before the check's timeout; T2 then
-        // requests r1@S0 and closes the cycle. The epoch names the wait,
-        // not its size, so the check armed when T1 blocked still fires.
+        // (free). r3 is granted while r2 is not; T2 then requests r1@S0
+        // and closes a cycle through T1's partially granted wait.
         use crate::txn::LockReq;
-        let cfg = DdbConfig {
-            initiation: DdbInitiation::OnBlockDelayed { t: 80 },
-            ..DdbConfig::default()
-        };
-        let mut net = sim(3, cfg, 13);
+        let mut net = sim(3, DdbConfig::detect_only(80), 13);
         let req = |site, resource| LockReq {
             site,
             resource,
@@ -1655,14 +1517,6 @@ mod tests {
         net.run_until(simnet::time::SimTime::from_ticks(35));
         let snap = net.node(s(0).node()).script_snapshot_of(t(1)).unwrap();
         assert_eq!(snap.waiting, Waiting::Locks([(s(1), r(2))].into()));
-        // S0's only check before tick ~120 is the one armed at tick 0 for
-        // T1's wait (T2's agent does not queue here before tick 40).
-        net.run_until(simnet::time::SimTime::from_ticks(79));
-        assert_eq!(net.node(s(0).node()).computations_initiated(), 0);
-        net.run_until(simnet::time::SimTime::from_ticks(81));
-        let now = net.node(s(0).node()).script_snapshot_of(t(1)).unwrap();
-        assert_eq!(now.epoch, snap.epoch, "a partial grant is not a new wait");
-        assert_eq!(net.node(s(0).node()).computations_initiated(), 1);
         net.run_until(simnet::time::SimTime::from_ticks(5_000));
         let total: usize = (0..3)
             .map(|i| net.node(NodeId(i)).declarations().len())
@@ -1691,7 +1545,7 @@ mod tests {
         // Nothing commits: no resolution configured.
         for i in 0..3u32 {
             assert_eq!(
-                net.node(s(i as usize).node()).txn_status(t(i + 1)),
+                status(&net, s(i as usize), t(i + 1)),
                 Some(TxnStatus::Running)
             );
         }

@@ -302,11 +302,6 @@ impl LockTable {
             .is_some_and(|s| s.contains(&resource))
     }
 
-    /// The resources `txn` is queued for in this table, in ascending order.
-    pub fn waiting_resources(&self, txn: TransactionId) -> impl Iterator<Item = ResourceId> + '_ {
-        self.waiting_in.get(&txn).into_iter().flatten().copied()
-    }
-
     /// `true` if `txn` is queued for any resource in this table — the O(1)
     /// membership test behind the controller's "locally blocked" check.
     pub fn is_waiting_anywhere(&self, txn: TransactionId) -> bool {

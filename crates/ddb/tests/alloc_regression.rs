@@ -116,7 +116,9 @@ fn construction_and_no_news_wfgd_do_not_allocate_more() {
     });
     let (n, ()) = allocs_in(|| db.submit(txn));
     assert_eq!(
-        db.controller(SiteId(0)).txn_status(t1),
+        db.controller(SiteId(0))
+            .script_snapshot_of(t1)
+            .map(|s| s.status),
         Some(TxnStatus::Committed)
     );
     assert!(

@@ -109,8 +109,6 @@ fn main() {
         "ddb.txn.aborted",
         "ddb.txn.restarted",
         "ddb.decl.suppressed_stale",
-        "ddb.reprobe.armed",
-        "ddb.reprobe.initiated",
         "ddb.wedge.repaired",
     ] {
         let _ = writeln!(json, "  \"{c}\": {},", metrics.get(c));

@@ -87,39 +87,6 @@ fn philosophers_all_eat_with_resolution_for_various_table_sizes() {
 }
 
 #[test]
-fn on_block_delayed_matches_periodic_detection_outcomes() {
-    let wl = DdbWorkloadConfig {
-        sites: 3,
-        transactions: 10,
-        resources_per_site: 2,
-        write_prob: 1.0,
-        remote_prob: 0.7,
-        seed: 5,
-        ..DdbWorkloadConfig::default()
-    };
-    let mk = |initiation| DdbConfig {
-        initiation,
-        resolution: Resolution::None,
-        ..DdbConfig::default()
-    };
-    let mut periodic = DdbNet::new(3, mk(DdbInitiation::PeriodicQOpt { period: 100 }), 5);
-    let mut onblock = DdbNet::new(3, mk(DdbInitiation::OnBlockDelayed { t: 100 }), 5);
-    submit_all(&mut periodic, random_transactions(&wl));
-    submit_all(&mut onblock, random_transactions(&wl));
-    periodic.run_until(SimTime::from_ticks(50_000));
-    onblock.run_until(SimTime::from_ticks(50_000));
-    periodic.verify_completeness().unwrap();
-    onblock.verify_completeness().unwrap();
-    periodic.verify_soundness().unwrap();
-    onblock.verify_soundness().unwrap();
-    // Detection traffic perturbs timing, so the two runs may wedge into
-    // slightly different (but always correctly detected) deadlock shapes;
-    // this workload is contended enough that both must deadlock somewhere.
-    assert!(!periodic.deadlocked_agents().is_empty());
-    assert!(!onblock.deadlocked_agents().is_empty());
-}
-
-#[test]
 fn never_policy_detects_nothing_but_graph_shows_deadlock() {
     let mut db = DdbNet::new(
         3,
@@ -313,26 +280,17 @@ fn cross_site_deadlock(db: &mut DdbNet) {
     );
 }
 
-/// §4.3 per-process initiation with timeout `t` = 100, no resolution.
-fn on_block_delayed() -> DdbConfig {
-    DdbConfig {
-        initiation: DdbInitiation::OnBlockDelayed { t: 100 },
-        resolution: Resolution::None,
-        ..DdbConfig::default()
-    }
-}
-
 #[test]
 fn reprobe_rearms_while_blocked_without_phantom_declarations() {
     // A long wait that is NOT a deadlock: T2 queues behind T1 while T1
-    // works for 3000 ticks. Under OnBlockDelayed the initiation check
-    // re-arms every period for as long as T2 stays blocked — and every
+    // works for 3000 ticks. The §6.7 period re-initiates for T2's queued
+    // agent every 100 ticks for as long as it stays blocked — and every
     // one of those computations must come back empty.
     use cmh_ddb::lock::LockMode;
     use cmh_ddb::txn::Transaction;
     use cmh_ddb::{ResourceId, TransactionId};
 
-    let mut db = DdbNet::new(2, on_block_delayed(), 3);
+    let mut db = DdbNet::new(2, DdbConfig::detect_only(100), 3);
     db.submit(
         Transaction::new(TransactionId(1), SiteId(0))
             .lock(SiteId(0), ResourceId(0), LockMode::Exclusive)
@@ -351,27 +309,27 @@ fn reprobe_rearms_while_blocked_without_phantom_declarations() {
     assert!(db.declarations().is_empty(), "phantom on a plain wait");
     db.verify_soundness().unwrap();
     db.verify_completeness().unwrap();
-    let armed = db.metrics().get(counters::REPROBE_ARMED);
+    let initiated = db.metrics().get(counters::INITIATED);
     assert!(
-        armed >= 10,
-        "a ~3000-tick wait at t=100 should re-arm many times, got {armed}"
+        initiated >= 10,
+        "a ~3000-tick wait at period 100 should re-initiate many times, got {initiated}"
     );
 }
 
 #[test]
 fn reprobe_recovers_detection_after_a_partition_eats_the_probes() {
-    // §4's timeout T, demonstrated end to end. The cross-site deadlock
+    // Re-initiation, demonstrated end to end. The cross-site deadlock
     // forms by ~t=40; a partition between the two sites over [60, 5000)
-    // swallows the first checks' probes (no reliable layer, so the drop
-    // is final) and those computations are simply dead. The checks
-    // re-arm every period, and the first computation initiated after the
-    // partition heals completes and declares.
+    // swallows every probe of the first periods (no reliable layer, so
+    // the drop is final) and those computations are simply dead. Each
+    // period re-initiates for every Q-subject, and the first computation
+    // initiated after the partition heals completes and declares.
     let builder = SimBuilder::new().seed(9).faults(FaultPlan::new().partition(
         vec![NodeId(0)],
         SimTime::from_ticks(60),
         SimTime::from_ticks(5_000),
     ));
-    let mut db = DdbNet::with_builder(2, on_block_delayed(), builder);
+    let mut db = DdbNet::with_builder(2, DdbConfig::detect_only(100), builder);
     cross_site_deadlock(&mut db);
     db.run_until(SimTime::from_ticks(30_000));
     db.verify_soundness().unwrap();
@@ -380,7 +338,9 @@ fn reprobe_recovers_detection_after_a_partition_eats_the_probes() {
         "re-initiation after the partition heals must find the cycle"
     );
     db.verify_completeness().unwrap();
-    assert!(db.metrics().get(counters::REPROBE_INITIATED) > 0);
+    let healed = SimTime::from_ticks(5_000);
+    assert!(db.declarations().iter().all(|d| d.at >= healed));
+    assert!(db.metrics().get(counters::INITIATED) > 0);
 }
 
 #[test]

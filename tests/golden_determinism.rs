@@ -189,13 +189,14 @@ fn batched_ddb_runs_are_reproducible() {
     assert_eq!(ddb_batched_digest(1), ddb_batched_digest(1));
 }
 
-/// A contended `random_transactions` input under `OnBlockDelayed`
-/// initiation and resolution, over the reliable transport, with a crash
-/// and restart of a site that holds queued remote requests: the per-wait
-/// §4.3 checks (home and remote), the re-arming of both after a restart,
-/// and grants that reach a home after its transaction aborted. Digests
-/// the trace and the metrics, so every message, note and counter counts.
-fn ddb_on_block_digest() -> u64 {
+/// A contended `random_transactions` input under the §6.7 Q-optimised
+/// rule and resolution, over the reliable transport, with a crash and
+/// restart of a site that holds queued remote requests: the detector
+/// state lost at the crash, the timers re-armed under fresh epochs after
+/// the restart, and grants that reach a home after its transaction
+/// aborted. Digests the trace and the metrics, so every message, note and
+/// counter counts.
+fn ddb_crash_digest() -> u64 {
     // The crashing site and its crash window.
     let (site, at, back) = (1, 400, 900);
     let wl = workloads::DdbWorkloadConfig {
@@ -221,7 +222,7 @@ fn ddb_on_block_digest() -> u64 {
         .faults(plan)
         .reliable(ReliableConfig::default());
     let cfg = DdbConfig {
-        initiation: DdbInitiation::OnBlockDelayed { t: 60 },
+        initiation: DdbInitiation::PeriodicQOpt { period: 60 },
         resolution: Resolution::AbortSubject {
             restart_backoff: 70,
         },
@@ -252,7 +253,7 @@ fn ddb_on_block_digest() -> u64 {
 
 /// The naive §6.7 rule (one computation per blocked process, home waits
 /// on remote sites included) under resolution on a contended input:
-/// trace and metrics, as in [`ddb_on_block_digest`].
+/// trace and metrics, as in [`ddb_crash_digest`].
 fn ddb_naive_digest() -> u64 {
     let wl = workloads::DdbWorkloadConfig {
         sites: 3,
@@ -282,14 +283,16 @@ fn ddb_naive_digest() -> u64 {
 }
 
 /// The two DDB paths [`ddb_digest`] and [`ddb_batched_digest`] leave
-/// out: both run `PeriodicQOpt` and crash nothing. Recorded at the commit
-/// before the controller stopped keeping second copies of its waits
-/// (outgoing remote waits, queued remote requests, one map per
-/// own-computation fact), so they hold that change to its word: a
-/// representation change, not a behaviour change.
+/// out: a crash and restart, and the naive rule. The naive pin was
+/// recorded at the commit before the controller stopped keeping second
+/// copies of its waits (outgoing remote waits, queued remote requests,
+/// one map per own-computation fact); the crash pin at the commit before
+/// the per-wait check timers went, which no periodic rule ever armed.
+/// Each holds its change to its word: a representation change, not a
+/// behaviour change.
 #[test]
-fn ddb_paths_without_a_periodic_q_digest_are_pinned() {
-    assert_eq!(ddb_on_block_digest(), 0x24a8_a1bb_eac5_c8a5);
+fn ddb_crash_and_naive_digests_are_pinned() {
+    assert_eq!(ddb_crash_digest(), 0x0bf2_1a0f_c655_084d);
     assert_eq!(ddb_naive_digest(), 0x3709_9cbb_4890_a35f);
 }
 
