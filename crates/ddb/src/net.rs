@@ -300,10 +300,6 @@ impl DdbNet {
     pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
         let mut outcome = RunOutcome::default();
         loop {
-            if self.sim.is_halted() {
-                outcome.halted = true;
-                return outcome;
-            }
             match self.sim.next_event_at() {
                 Some(at) if at <= deadline => {}
                 _ => {
@@ -311,7 +307,6 @@ impl DdbNet {
                     // the scheduler advance the clock the usual way.
                     let tail = self.sim.run_until(deadline);
                     outcome.quiescent = tail.quiescent;
-                    outcome.halted = tail.halted;
                     return outcome;
                 }
             }

@@ -145,11 +145,6 @@ impl Cluster {
         }
     }
 
-    /// Whether `site` is currently up.
-    pub fn is_up(&self, site: SiteId) -> bool {
-        self.handles[site.0].is_some()
-    }
-
     /// Live reports from every running site (down sites are skipped).
     pub fn reports(&self, timeout: Duration) -> Vec<SiteReport> {
         self.handles

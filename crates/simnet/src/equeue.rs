@@ -189,13 +189,6 @@ impl<T> EventQueue<T> {
         self.peak
     }
 
-    /// Number of slab slots ever allocated — the queue's memory footprint:
-    /// bounded by [`EventQueue::peak_depth`], *not* by the total number of
-    /// pushes over the queue's lifetime (slots are recycled).
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Inserts an entry and returns a handle usable with
     /// [`EventQueue::remove`] until the entry pops. `key.1` must exceed
     /// the `seq` of every earlier push (see the module documentation).
@@ -262,9 +255,9 @@ impl<T> EventQueue<T> {
     }
 
     /// Iterates over the pending entries as `(key, value)` pairs in
-    /// arbitrary (slab) order, `O(slot_count)`. The schedule explorer
-    /// uses this to enumerate the frontier — every entry whose time ties
-    /// with [`EventQueue::peek_key`] is a candidate branch.
+    /// arbitrary (slab) order, in time linear in the slab. The schedule
+    /// explorer uses this to enumerate the frontier — every entry whose
+    /// time ties with [`EventQueue::peek_key`] is a candidate branch.
     pub fn entries(&self) -> impl Iterator<Item = (EventKey, &T)> {
         self.slots
             .iter()

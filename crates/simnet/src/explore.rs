@@ -68,12 +68,6 @@ pub trait ScheduleRunner {
     /// an internal error: it only requests events it just observed).
     fn execute(&mut self, seq: u64) -> bool;
 
-    /// True when the run should stop before the step bound (e.g. a
-    /// process halted). Checked before every step.
-    fn halted(&mut self) -> bool {
-        false
-    }
-
     /// Renders the end-of-schedule verdict. `truncated` is true when the
     /// step bound cut the run off with events still pending; checkers
     /// that need quiescence (completeness, exact accounting) should then
@@ -165,7 +159,7 @@ pub struct ScheduleViolation {
 /// Outcome of one [`Explorer::explore`] call.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExploreReport {
-    /// Schedules run to completion (quiescence/halt) and verified.
+    /// Schedules run to completion (quiescence) and verified.
     pub schedules: u64,
     /// Of those, schedules cut off by the step bound.
     pub truncated: u64,
@@ -238,7 +232,7 @@ struct DecisionNode {
 
 /// How one run ended.
 enum RunEnd {
-    /// Quiescent or halted: a complete schedule.
+    /// Quiescent: a complete schedule.
     Complete,
     /// Step bound hit with events still pending.
     Truncated,
@@ -356,9 +350,6 @@ impl Explorer {
         let mut tick: Vec<(EventClass, Option<usize>)> = Vec::new();
         let mut tick_at: Option<SimTime> = None;
         let end = loop {
-            if inst.halted() {
-                break RunEnd::Complete;
-            }
             let frontier = inst.frontier();
             if frontier.is_empty() {
                 break RunEnd::Complete;
@@ -539,9 +530,6 @@ impl Explorer {
 /// error if the runner refuses its own frontier.
 pub fn run_naive<R: ScheduleRunner>(runner: &mut R, max_steps: usize) -> Result<(), String> {
     for _ in 0..max_steps {
-        if runner.halted() {
-            return runner.verdict(false);
-        }
         let frontier = runner.frontier();
         let Some(first) = frontier.first() else {
             return runner.verdict(false);

@@ -37,7 +37,6 @@
 //! assert!(FaultPlan::new().is_noop());
 //! ```
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::rng::DetRng;
@@ -70,21 +69,6 @@ impl fmt::Display for DropReason {
         };
         write!(f, "{s}")
     }
-}
-
-/// Per-channel fault-rate override (applies to one ordered `(from, to)`
-/// pair, replacing the plan-wide rates entirely for that channel).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ChannelFaults {
-    /// Probability in `[0, 1]` that a message on this channel is lost.
-    pub loss: f64,
-    /// Probability in `[0, 1]` that a message is delivered twice.
-    pub duplicate: f64,
-    /// Probability in `[0, 1]` that a message bypasses FIFO ordering and
-    /// picks up extra delay.
-    pub reorder: f64,
-    /// Maximum extra delay (ticks) a reordered message may pick up.
-    pub max_extra_delay: u64,
 }
 
 /// A scheduled crash of one node, with an optional restart.
@@ -132,7 +116,8 @@ impl Partition {
 /// A seeded, deterministic description of every fault a run will inject.
 ///
 /// Build one with the fluent methods, then install it with
-/// [`crate::sim::SimBuilder::faults`]. Probabilities are clamped to
+/// [`crate::sim::SimBuilder::faults`]. The loss, duplication and reorder
+/// rates apply to every channel alike. Probabilities are clamped to
 /// `[0, 1]` at decision time.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
@@ -145,9 +130,6 @@ pub struct FaultPlan {
     pub reorder: f64,
     /// Maximum extra delay (ticks) for reordered messages.
     pub max_extra_delay: u64,
-    /// Per-channel overrides; a present entry replaces the plan-wide rates
-    /// for that ordered `(from, to)` pair.
-    pub channels: BTreeMap<(NodeId, NodeId), ChannelFaults>,
     /// Scheduled crashes (and restarts).
     pub crashes: Vec<Crash>,
     /// Scheduled partitions.
@@ -176,12 +158,6 @@ impl FaultPlan {
     pub fn reorder(mut self, p: f64, max_extra_delay: u64) -> Self {
         self.reorder = p;
         self.max_extra_delay = max_extra_delay;
-        self
-    }
-
-    /// Overrides the fault rates of one ordered channel.
-    pub fn channel(mut self, from: NodeId, to: NodeId, faults: ChannelFaults) -> Self {
-        self.channels.insert((from, to), faults);
         self
     }
 
@@ -222,21 +198,8 @@ impl FaultPlan {
         self.loss == 0.0
             && self.duplicate == 0.0
             && self.reorder == 0.0
-            && self.channels.is_empty()
             && self.crashes.is_empty()
             && self.partitions.is_empty()
-    }
-
-    fn rates(&self, from: NodeId, to: NodeId) -> ChannelFaults {
-        self.channels
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(ChannelFaults {
-                loss: self.loss,
-                duplicate: self.duplicate,
-                reorder: self.reorder,
-                max_extra_delay: self.max_extra_delay,
-            })
     }
 }
 
@@ -312,13 +275,12 @@ impl FaultState {
         {
             return SendFate::Lost(DropReason::Partitioned);
         }
-        let rates = plan.rates(from, to);
-        if rates.loss > 0.0 && rng.chance(rates.loss.min(1.0)) {
+        if plan.loss > 0.0 && rng.chance(plan.loss.min(1.0)) {
             return SendFate::Lost(DropReason::Loss);
         }
-        let duplicate = rates.duplicate > 0.0 && rng.chance(rates.duplicate.min(1.0));
-        let extra_delay = if rates.reorder > 0.0 && rng.chance(rates.reorder.min(1.0)) {
-            rng.range_inclusive(1, rates.max_extra_delay.max(1))
+        let duplicate = plan.duplicate > 0.0 && rng.chance(plan.duplicate.min(1.0));
+        let extra_delay = if plan.reorder > 0.0 && rng.chance(plan.reorder.min(1.0)) {
+            rng.range_inclusive(1, plan.max_extra_delay.max(1))
         } else {
             0
         };
@@ -346,16 +308,6 @@ mod tests {
         assert!(!FaultPlan::new().loss(0.1).is_noop());
         assert!(!FaultPlan::new().crash(n(0), t(5), None).is_noop());
         assert!(!FaultPlan::new().partition([n(0)], t(0), t(10)).is_noop());
-        assert!(!FaultPlan::new()
-            .channel(
-                n(0),
-                n(1),
-                ChannelFaults {
-                    loss: 0.5,
-                    ..Default::default()
-                }
-            )
-            .is_noop());
     }
 
     #[test]
@@ -397,18 +349,28 @@ mod tests {
         }
     }
 
+    /// The fates a plan-wide plan deals, and the draws they take, are
+    /// pinned: a fingerprint of 500 decisions over three channels plus the
+    /// next value of the stream they consumed.
     #[test]
-    fn channel_override_replaces_global_rates() {
-        let plan = FaultPlan::new()
-            .loss(1.0)
-            .channel(n(0), n(1), ChannelFaults::default());
-        let mut f = FaultState::new(plan, DetRng::seed_from_u64(3));
-        // Overridden channel: lossless.
-        assert_eq!(f.classify(t(0), n(0), n(1)), SendFate::clean());
-        // Reverse direction keeps the global rate.
+    fn plan_wide_fates_are_pinned() {
+        let plan = FaultPlan::new().loss(0.3).duplicate(0.2).reorder(0.2, 50);
+        let mut f = FaultState::new(plan, DetRng::seed_from_u64(9));
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for i in 0..500u64 {
+            let from = (i % 3) as usize;
+            let code = match f.classify(t(i), n(from), n((from + 1) % 3)) {
+                SendFate::Lost(_) => 0,
+                SendFate::Deliver {
+                    duplicate,
+                    extra_delay,
+                } => 1 + u64::from(duplicate) + 2 * extra_delay,
+            };
+            h = (h ^ code).wrapping_mul(0x0100_0000_01b3);
+        }
         assert_eq!(
-            f.classify(t(0), n(1), n(0)),
-            SendFate::Lost(DropReason::Loss)
+            (h, f.rng.next_u64()),
+            (0xa41e_fd68_419e_c649, 0xb2d0_c7b0_bed2_9243)
         );
     }
 

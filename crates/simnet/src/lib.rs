@@ -69,7 +69,7 @@ pub mod transport;
 
 /// The commonly used names, for glob import.
 pub mod prelude {
-    pub use crate::faults::{ChannelFaults, DropReason, FaultPlan};
+    pub use crate::faults::{DropReason, FaultPlan};
     pub use crate::latency::LatencyModel;
     pub use crate::metrics::Metrics;
     pub use crate::reliable::ReliableConfig;

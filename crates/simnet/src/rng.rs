@@ -141,33 +141,12 @@ impl DetRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Picks a uniformly random element of `slice`, or `None` if it is empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            Some(&slice[self.next_below(slice.len() as u64) as usize])
-        }
-    }
-
     /// Shuffles `slice` in place with the Fisher–Yates algorithm.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
             let j = self.next_below(i as u64 + 1) as usize;
             slice.swap(i, j);
         }
-    }
-
-    /// Samples a geometric-ish integer delay with the given mean, in `[1, 16*mean]`.
-    ///
-    /// Used by latency models that want a long-ish tail without unbounded
-    /// delays (process axiom P4 requires *finite* delivery time).
-    pub fn skewed_delay(&mut self, mean: u64) -> u64 {
-        let mean = mean.max(1);
-        // Inverse-transform sample of an exponential, clamped.
-        let u = self.unit_f64().max(f64::MIN_POSITIVE);
-        let d = (-u.ln() * mean as f64).ceil() as u64;
-        d.clamp(1, mean.saturating_mul(16))
     }
 }
 
@@ -276,20 +255,5 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn choose_empty_is_none() {
-        let mut rng = DetRng::seed_from_u64(0);
-        assert_eq!(rng.choose::<u8>(&[]), None);
-    }
-
-    #[test]
-    fn skewed_delay_bounds() {
-        let mut rng = DetRng::seed_from_u64(13);
-        for _ in 0..1000 {
-            let d = rng.skewed_delay(10);
-            assert!((1..=160).contains(&d));
-        }
     }
 }

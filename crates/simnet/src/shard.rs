@@ -274,7 +274,6 @@ pub(crate) struct ShardLocal<M> {
     items: Vec<Item<M>>,
     marks: Vec<Mark>,
     pub(crate) tracing: bool,
-    pub(crate) halted: bool,
     /// Events this shard has handled in windows, ever; a window's count
     /// is the difference across it.
     events: u64,
@@ -444,7 +443,6 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Shard<M, P> {
                 items: Vec::new(),
                 marks: Vec::new(),
                 tracing,
-                halted: false,
                 events: 0,
                 cur_seq: u64::MAX,
             },

@@ -551,12 +551,6 @@ impl<'a, M: fmt::Debug + Clone> Context<'a, M> {
         });
     }
 
-    /// Stops the simulation after the current event completes (with
-    /// `S > 1`: after the current window's barrier).
-    pub fn halt(&mut self) {
-        self.local.halted = true;
-    }
-
     // ---- What `Shard::handle` does beyond the public operations ----
 
     /// Records the event `make` builds for the current time, if tracing
@@ -833,10 +827,10 @@ impl Sequencer {
     /// explore mode can key the draw by `from` and stay independent of
     /// unrelated nodes' activity; outside explore mode this is the
     /// global stream, unchanged.
-    fn sample_latency(&mut self, from: NodeId, to: NodeId) -> u64 {
+    fn sample_latency(&mut self, from: NodeId) -> u64 {
         match &mut self.explore {
-            Some(ex) => self.latency.sample(ex.node_rng(from), from, to),
-            None => self.latency.sample(&mut self.rng, from, to),
+            Some(ex) => self.latency.sample(ex.node_rng(from)),
+            None => self.latency.sample(&mut self.rng),
         }
     }
 
@@ -890,7 +884,7 @@ impl Sequencer {
     /// (possibly faulty) wire. Fault-free, this is byte-identical to the
     /// original simulator.
     fn send_raw<S: Sink>(&mut self, sink: &mut S, from: NodeId, to: NodeId, msg: S::Msg) {
-        let delay = self.sample_latency(from, to);
+        let delay = self.sample_latency(from);
         let fate = self.classify_send(from, to);
         self.metrics.inc(builtin::MESSAGES_SENT);
         let (duplicate, extra_delay) = match fate {
@@ -949,7 +943,7 @@ impl Sequencer {
             });
         }
         if duplicate {
-            let extra_copy_at = self.now + self.sample_latency(from, to);
+            let extra_copy_at = self.now + self.sample_latency(from);
             self.metrics.inc(builtin::MESSAGES_DUPLICATED);
             if let Some(summary) = self.trace.is_enabled().then(|| summarize(&msg)) {
                 let at = self.now;
@@ -981,7 +975,7 @@ impl Sequencer {
         let summary = self.trace.is_enabled().then(|| summarize(&msg));
         let rel = sink.reliable(to).expect("reliable state present");
         let (seq, rto) = rel.enqueue(from, to, msg);
-        let delay = self.sample_latency(from, to);
+        let delay = self.sample_latency(from);
         if let Some(summary) = summary {
             self.trace.push(TraceEvent::Send {
                 at: self.now,
@@ -1034,7 +1028,7 @@ impl Sequencer {
                 let at = self.now + delay + extra_delay;
                 self.schedule(sink, at, EventKind::Wire { from, to, seq });
                 if duplicate {
-                    let extra_copy_at = self.now + self.sample_latency(from, to);
+                    let extra_copy_at = self.now + self.sample_latency(from);
                     self.metrics.inc(builtin::MESSAGES_DUPLICATED);
                     let summary = self.trace.is_enabled().then(|| format!("pkt seq={seq}"));
                     if let Some(summary) = summary {
@@ -1059,7 +1053,7 @@ impl Sequencer {
         self.metrics.inc(builtin::ACKS_SENT);
         // The wire-level sender of the ack is `to` (the data channel's
         // receiving end), which is also the node handling this event.
-        let delay = self.sample_latency(to, from);
+        let delay = self.sample_latency(to);
         let fate = self.classify_send(to, from);
         match fate {
             SendFate::Lost(reason) => {
@@ -1091,7 +1085,7 @@ impl Sequencer {
                 let at = self.now + delay + extra_delay;
                 self.schedule(sink, at, EventKind::WireAck { from, to, next });
                 if duplicate {
-                    let extra_copy_at = self.now + self.sample_latency(to, from);
+                    let extra_copy_at = self.now + self.sample_latency(to);
                     self.metrics.inc(builtin::MESSAGES_DUPLICATED);
                     self.schedule(sink, extra_copy_at, EventKind::WireAck { from, to, next });
                 }
@@ -1140,7 +1134,7 @@ impl Sequencer {
                         attempt,
                     });
                 }
-                let delay = self.sample_latency(from, to);
+                let delay = self.sample_latency(from);
                 self.transmit_packet(sink, from, to, seq, delay);
                 let rearm = EventKind::Retransmit {
                     from,
@@ -1171,7 +1165,8 @@ pub struct RunOutcome {
     pub events: u64,
     /// `true` if the event queue drained completely.
     pub quiescent: bool,
-    /// `true` if a process called [`Context::halt`].
+    /// Always `false`: nothing stops a run early. Kept because the
+    /// benchmark harness (`benchmark/src/sim_workloads.rs`) reads it.
     pub halted: bool,
 }
 
@@ -1686,12 +1681,12 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Simulation<M, P> {
         self.run_inline(Some(seq))
     }
 
-    /// Runs until the queue drains, a process halts, or `max_events` events
-    /// have been processed (a liveness backstop for buggy protocols).
+    /// Runs until the queue drains or `max_events` events have been
+    /// processed (a liveness backstop for buggy protocols).
     pub fn run_to_quiescence(&mut self, max_events: u64) -> RunOutcome {
         self.ensure_started();
         let mut outcome = RunOutcome::default();
-        while outcome.events < max_events && !self.is_halted() {
+        while outcome.events < max_events {
             match self.advance(SimTime::MAX, max_events - outcome.events) {
                 Some(n) => outcome.events += n,
                 None => {
@@ -1701,16 +1696,15 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Simulation<M, P> {
             }
         }
         self.flush();
-        outcome.halted = self.is_halted();
         outcome
     }
 
-    /// Runs until virtual time exceeds `deadline`, the queue drains, or a
-    /// process halts. Events scheduled at exactly `deadline` are processed.
+    /// Runs until virtual time exceeds `deadline` or the queue drains.
+    /// Events scheduled at exactly `deadline` are processed.
     pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
         self.ensure_started();
         let mut outcome = RunOutcome::default();
-        while !self.is_halted() {
+        loop {
             match self.advance(deadline, u64::MAX) {
                 None => {
                     // Idle time still passes: a driver that advances to `t`
@@ -1729,13 +1723,7 @@ impl<M: fmt::Debug + Clone, P: Process<M>> Simulation<M, P> {
             }
         }
         self.flush();
-        outcome.halted = self.is_halted();
         outcome
-    }
-
-    /// True if a process requested a halt.
-    pub fn is_halted(&self) -> bool {
-        self.shards.iter().any(|s| s.local.halted)
     }
 }
 
@@ -1795,25 +1783,16 @@ mod tests {
     }
 
     /// Runs `scenario` — its own assertions included — at S = 1 and at
-    /// S = 3, traced, and returns both runs.
-    fn run_at_shard_counts<P: Process<Msg>>(
-        builder: SimBuilder,
-        scenario: impl Fn(SimBuilder) -> Simulation<Msg, P>,
-    ) -> (Simulation<Msg, P>, Simulation<Msg, P>) {
-        let builder = builder.trace(true);
-        let (a, b) = (scenario(builder.clone()), scenario(builder.shards(3)));
-        assert_eq!((a.shards.len(), b.shards.len()), (1, 3));
-        (a, b)
-    }
-
-    /// [`run_at_shard_counts`], then asserts trace, metrics and clock are
-    /// equal: there is one handler and one wire path, so the shard count
-    /// must not be observable on any of their branches.
+    /// S = 3, traced, then asserts trace, metrics and clock are equal:
+    /// there is one handler and one wire path, so the shard count must not
+    /// be observable on any of their branches.
     fn at_shard_counts<P: Process<Msg>>(
         builder: SimBuilder,
         scenario: impl Fn(SimBuilder) -> Simulation<Msg, P>,
     ) {
-        let (a, b) = run_at_shard_counts(builder, scenario);
+        let builder = builder.trace(true);
+        let (a, b) = (scenario(builder.clone()), scenario(builder.shards(3)));
+        assert_eq!((a.shards.len(), b.shards.len()), (1, 3));
         assert_eq!(a.trace().events(), b.trace().events());
         assert_eq!(a.metrics(), b.metrics());
         assert_eq!(a.now(), b.now());
@@ -2050,50 +2029,6 @@ mod tests {
         });
     }
 
-    /// Both nodes arm a timer for tick 5 and one for tick 50; node 0's
-    /// tick-5 timer (the lower seq of the two) halts the run.
-    struct Halter {
-        fired: u32,
-    }
-    impl Process<Msg> for Halter {
-        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-            ctx.set_timer(5, 0);
-            ctx.set_timer(50, 1);
-        }
-        fn on_message(&mut self, _: &mut Context<'_, Msg>, _: NodeId, _: Msg) {}
-        fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _: TimerId, tag: u64) {
-            assert_eq!(tag, 0, "event at a tick after the halt");
-            self.fired += 1;
-            if ctx.id() == NodeId(0) {
-                ctx.halt();
-            }
-        }
-    }
-
-    #[test]
-    fn halt_stops_the_run() {
-        let (a, b) = run_at_shard_counts(SimBuilder::new(), |b| {
-            let mut sim = b.build::<Msg, Halter>();
-            sim.add_node(Halter { fired: 0 });
-            sim.add_node(Halter { fired: 0 });
-            let out = sim.run_to_quiescence(100);
-            assert!(out.halted);
-            assert!(!out.quiescent);
-            assert!(sim.is_halted());
-            assert_eq!(sim.node(NodeId(0)).fired, 1);
-            // Halted is sticky: nothing runs after it, in either mode.
-            assert_eq!(sim.run_to_quiescence(100).events, 0);
-            assert_eq!(sim.run_until(SimTime::MAX).events, 0);
-            sim
-        });
-        // The documented difference (`Context::halt`): inline the run
-        // stops after the halting event, so node 1's same-tick timer is
-        // still pending; under windows it stops after the window's
-        // barrier, and node 1 — another shard, same window — has fired.
-        assert_eq!((a.node(NodeId(1)).fired, a.pending_events()), (0, 3));
-        assert_eq!((b.node(NodeId(1)).fired, b.pending_events()), (1, 2));
-    }
-
     #[test]
     fn run_until_respects_deadline() {
         at_shard_counts(SimBuilder::new().seed(5), |b| {
@@ -2138,7 +2073,7 @@ mod tests {
             sim.add_node(Loopy);
             let out = sim.run_to_quiescence(50);
             assert_eq!(out.events, 50);
-            assert!(!out.quiescent && !out.halted);
+            assert!(!out.quiescent);
             sim
         });
     }
@@ -2463,10 +2398,10 @@ mod tests {
         assert!(out.quiescent);
         // 10^6 churn ticks + the final no-op tick + the last decoy firing.
         assert_eq!(sim.metrics().get(builtin::TIMERS_FIRED), 1_000_002);
-        // Slab slots ever allocated: bounded by the peak depth (slots are
-        // recycled), not by events processed.
-        let slots = sim.shards[0].local.queue.slot_count();
-        assert!(slots <= 8, "slab leaked: {slots} slots");
+        // The slab allocates a slot only when every slot holds an entry,
+        // so it never outgrows the peak depth (`equeue`'s
+        // `slab_memory_is_bounded_by_peak_not_throughput`): a bounded peak
+        // is bounded memory, whatever the events processed.
         assert!(
             sim.peak_queue_depth() <= 8,
             "queue depth leaked: {}",

@@ -39,11 +39,6 @@ impl SimTime {
     pub const fn ticks(self) -> u64 {
         self.0
     }
-
-    /// Saturating difference `self - earlier`, zero if `earlier` is later.
-    pub fn since(self, earlier: SimTime) -> u64 {
-        self.0.saturating_sub(earlier.0)
-    }
 }
 
 impl Add<u64> for SimTime {
@@ -93,8 +88,6 @@ mod tests {
         assert_eq!(b.ticks(), 15);
         assert_eq!(b - a, 5);
         assert!(b > a);
-        assert_eq!(b.since(a), 5);
-        assert_eq!(a.since(b), 0);
     }
 
     #[test]

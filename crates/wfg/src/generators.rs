@@ -1,13 +1,10 @@
 //! Wait-for-graph topology generators for tests and experiments.
 //!
 //! Generators produce edge lists (`Vec<(usize, usize)>`) so callers decide
-//! how to realise them — as an axiom-checked [`WaitForGraph`] via
-//! [`realise_black`], or as a request schedule for a simulation.
+//! how to realise them — as edges of a [`crate::WaitForGraph`], or as a
+//! request schedule for a simulation.
 
 use simnet::rng::DetRng;
-use simnet::sim::NodeId;
-
-use crate::graph::WaitForGraph;
 
 /// A single directed cycle `0 → 1 → … → n-1 → 0`.
 ///
@@ -77,20 +74,6 @@ pub fn random_digraph(n: usize, p: f64, rng: &mut DetRng) -> Vec<(usize, usize)>
     edges
 }
 
-/// A random graph guaranteed to contain **no** directed cycle: each vertex
-/// only points at higher-numbered vertices (a random DAG).
-pub fn random_dag(n: usize, p: f64, rng: &mut DetRng) -> Vec<(usize, usize)> {
-    let mut edges = Vec::new();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if rng.chance(p) {
-                edges.push((i, j));
-            }
-        }
-    }
-    edges
-}
-
 /// Two cycles sharing a single common vertex (vertex 0), of lengths `a` and
 /// `b` — the smallest multi-cycle deadlock structure.
 ///
@@ -108,24 +91,6 @@ pub fn figure_eight(a: usize, b: usize) -> Vec<(usize, usize)> {
     }
     edges.push((prev, 0));
     edges
-}
-
-/// Builds an axiom-checked [`WaitForGraph`] in which every listed edge is
-/// **black** (request sent and received, no reply yet).
-///
-/// # Panics
-///
-/// Panics if the edge list contains duplicates or self-loops (the axioms
-/// reject them).
-pub fn realise_black(edges: &[(usize, usize)]) -> WaitForGraph {
-    let mut g = WaitForGraph::new();
-    for &(a, b) in edges {
-        g.create_grey(NodeId(a), NodeId(b))
-            .expect("generator produced a duplicate or self-loop edge");
-        g.blacken(NodeId(a), NodeId(b))
-            .expect("freshly created grey edge");
-    }
-    g
 }
 
 /// Declarative topology description, used by workload configs and the
@@ -223,8 +188,24 @@ impl Topology {
 
 #[cfg(test)]
 mod tests {
+    use simnet::sim::NodeId;
+
     use super::*;
+    use crate::graph::WaitForGraph;
     use crate::oracle;
+
+    /// An axiom-checked graph in which every listed edge is **black**
+    /// (request sent and received, no reply yet).
+    fn realise_black(edges: &[(usize, usize)]) -> WaitForGraph {
+        let mut g = WaitForGraph::new();
+        for &(a, b) in edges {
+            g.create_grey(NodeId(a), NodeId(b))
+                .expect("generator produced a duplicate or self-loop edge");
+            g.blacken(NodeId(a), NodeId(b))
+                .expect("freshly created grey edge");
+        }
+        g
+    }
 
     #[test]
     fn cycle_shape() {
@@ -260,15 +241,6 @@ mod tests {
         let g = realise_black(&edges);
         assert_eq!(oracle::permanently_blocked(&g).len(), 7);
         assert_eq!(oracle::dark_cycle_members(&g).len(), 3);
-    }
-
-    #[test]
-    fn random_dag_is_acyclic() {
-        let mut rng = DetRng::seed_from_u64(5);
-        for _ in 0..10 {
-            let g = realise_black(&random_dag(12, 0.5, &mut rng));
-            assert!(oracle::dark_cycle_members(&g).is_empty());
-        }
     }
 
     #[test]

@@ -22,10 +22,15 @@
 //!
 //! ```
 //! use simnet::sim::NodeId;
-//! use wfg::generators::{cycle, realise_black};
-//! use wfg::oracle;
+//! use wfg::generators::cycle;
+//! use wfg::{oracle, WaitForGraph};
 //!
-//! let g = realise_black(&cycle(4));
+//! // A ring of four processes, each request received and none answered.
+//! let mut g = WaitForGraph::new();
+//! for (a, b) in cycle(4) {
+//!     g.create_grey(NodeId(a), NodeId(b)).unwrap();
+//!     g.blacken(NodeId(a), NodeId(b)).unwrap();
+//! }
 //! assert!(oracle::is_on_dark_cycle(&g, NodeId(2)));
 //! ```
 

@@ -80,7 +80,7 @@ pub fn random_churn(cfg: &ChurnConfig) -> Schedule {
     let mut events = Vec::new();
     let mut t = 0u64;
     while t < cfg.duration {
-        t += rng.skewed_delay(cfg.mean_gap);
+        t += crate::arrival_gap(&mut rng, cfg.mean_gap);
         if t >= cfg.duration {
             break;
         }
@@ -118,7 +118,7 @@ pub fn acyclic_churn(cfg: &ChurnConfig) -> Schedule {
     let mut events = Vec::new();
     let mut t = 0u64;
     while t < cfg.duration {
-        t += rng.skewed_delay(cfg.mean_gap);
+        t += crate::arrival_gap(&mut rng, cfg.mean_gap);
         if t >= cfg.duration {
             break;
         }

@@ -84,7 +84,7 @@ pub fn random_transactions(cfg: &DdbWorkloadConfig) -> Vec<TimedTxn> {
     let mut t = 0u64;
     let mut picks: Vec<(SiteId, ResourceId)> = Vec::new();
     for i in 0..cfg.transactions {
-        t += rng.skewed_delay(cfg.mean_arrival_gap);
+        t += crate::arrival_gap(&mut rng, cfg.mean_arrival_gap);
         let home = SiteId(rng.next_below(cfg.sites as u64) as usize);
         let n_locks = rng.range_inclusive(cfg.locks_min as u64, cfg.locks_max as u64) as usize;
         // Choose distinct (site, resource) pairs.
@@ -182,7 +182,7 @@ pub fn bank_transfers(
     let mut out = Vec::with_capacity(transfers);
     let mut t = 0u64;
     for i in 0..transfers {
-        t += rng.skewed_delay(mean_gap);
+        t += crate::arrival_gap(&mut rng, mean_gap);
         let pick = |rng: &mut DetRng| {
             (
                 SiteId(rng.next_below(sites as u64) as usize),

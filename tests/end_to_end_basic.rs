@@ -113,10 +113,20 @@ fn identical_seeds_give_identical_runs() {
 
 #[test]
 fn detection_works_under_every_latency_model() {
+    /// Which variant a model is. The `match` is exhaustive, so a new
+    /// `LatencyModel` variant does not compile until it has an arm here,
+    /// and the sweep below fails until one of its models uses that arm.
+    fn variant(m: &LatencyModel) -> usize {
+        match m {
+            LatencyModel::Fixed { .. } => 0,
+            LatencyModel::Uniform { .. } => 1,
+            LatencyModel::Bimodal { .. } => 2,
+        }
+    }
+    const VARIANTS: usize = 3;
     let models = [
         LatencyModel::Fixed { ticks: 4 },
         LatencyModel::Uniform { lo: 1, hi: 30 },
-        LatencyModel::Skewed { mean: 12 },
         LatencyModel::Bimodal {
             fast_lo: 1,
             fast_hi: 3,
@@ -124,12 +134,10 @@ fn detection_works_under_every_latency_model() {
             slow_hi: 160,
             slow_prob: 0.3,
         },
-        LatencyModel::Distance {
-            base: 2,
-            per_hop: 2,
-        },
     ];
+    let mut covered = [false; VARIANTS];
     for (i, model) in models.into_iter().enumerate() {
+        covered[variant(&model)] = true;
         let builder = SimBuilder::new().seed(i as u64).latency(model.clone());
         let mut net = BasicNet::with_builder(6, BasicConfig::on_block(5), builder);
         net.request_edges(&generators::cycle(6)).unwrap();
@@ -140,6 +148,7 @@ fn detection_works_under_every_latency_model() {
         );
         net.verify_completeness().unwrap();
     }
+    assert!(covered.iter().all(|&c| c), "a latency model is not swept");
 }
 
 #[test]

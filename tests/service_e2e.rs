@@ -164,7 +164,6 @@ fn crash_and_restart_recovers_soundly(transport: TransportKind) {
 
     // Kill site 0 mid-run, then bring it back.
     cluster.kill(SiteId(0));
-    assert!(!cluster.is_up(SiteId(0)));
     assert!(
         loadgen::probe_until_commit(&cluster.addrs()[0], Duration::from_millis(400)).is_none(),
         "probe committed against a dead site"
