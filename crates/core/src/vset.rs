@@ -15,8 +15,8 @@
 //! * `contains` is one comparison inline, or a binary search over
 //!   contiguous memory,
 //! * iteration is a slice walk (and `as_slice` lets callers iterate by
-//!   index while mutating *other* fields, eliminating the defensive
-//!   `clone()`s the probe-propagation path used to make), and
+//!   index while mutating *other* fields, with no defensive `clone()`
+//!   of the set), and
 //! * a set that has spilled keeps its `Vec` when it shrinks or is cleared,
 //!   so a refill recycles the allocation.
 //!

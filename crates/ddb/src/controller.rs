@@ -282,14 +282,15 @@ pub struct Controller {
 pub enum DdbMutation {
     /// Match an incoming `Acquired` grant against the waiting `lock_all`
     /// entry by resource id alone instead of by `(granting site,
-    /// resource)` — the PR 6 seed bug. When a transaction waits for the
-    /// same resource id at two sites and loses the lock race at one of
-    /// them, the other site's grant is booked as a phantom hold at the
-    /// *wrong* site: the home keeps waiting for a grant that already
-    /// arrived, and the corrupted bookkeeping blinds the probe
-    /// computation (probes chase the phantom wait to a site where the
-    /// agent idles) *and* the agent-graph reconstruction (which reads the
-    /// same home state) — a genuinely deadlocked cycle goes undeclared.
+    /// resource)`: the grant-misattribution bug. When a transaction
+    /// waits for the same resource id at two sites and loses the lock
+    /// race at one of them, the other site's grant is booked as a
+    /// phantom hold at the *wrong* site: the home keeps waiting for a
+    /// grant that already arrived, and the corrupted bookkeeping blinds
+    /// the probe computation (probes chase the phantom wait to a site
+    /// where the agent idles) *and* the agent-graph reconstruction
+    /// (which reads the same home state) — a genuinely deadlocked cycle
+    /// goes undeclared.
     /// Caught by [`DdbNet::verify_lock_cycles`], which rebuilds the cycle
     /// from the physical lock tables.
     ///

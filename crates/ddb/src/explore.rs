@@ -134,7 +134,8 @@ pub mod configs {
     use crate::txn::LockReq;
     use simnet::latency::LatencyModel;
 
-    /// The grant-misattribution workload (the PR 6 seed bug's habitat):
+    /// The grant-misattribution workload (where a grant matched by
+    /// resource id alone books the wrong site):
     /// T1 (home site 0) takes `s` locally, then `lock_all` of resource
     /// `r` at sites 1 **and** 2; T2 (home site 1) computes for one tick,
     /// takes `r` locally, then requests `s` at site 0. The one genuine

@@ -29,7 +29,8 @@
 //! two-word edge key `(txn << 32 | site, txn' << 32 | site')`, one
 //! [`EdgeBitSet::union_with`] per intra edge walked, and duplicates
 //! suppressed by the **size** of the last payload sent along each inter
-//! edge (`S` only ever grows, so equal size means equal set: DESIGN §9).
+//! edge (`S` only ever grows, so equal size means equal set; the
+//! argument is in the module doc of `cmh_core::wfgd`).
 //! A block holds the edges from one agent to one transaction's agents at
 //! 64 neighbouring sites, so here a block is mostly one or two edges: the
 //! gain over a list of edges is integer compares, not 64 edges a word.

@@ -70,8 +70,8 @@ pub const D7_SCOPE: &str = "crates/simnet/src";
 /// The file rule D8 applies to: the DDB controller. Releasing a lock
 /// hands the resource to queued waiters, and those grants must be swept
 /// (granted waiters re-examined, `Acquired` notifications sent, scripts
-/// resumed) or the waiters stay blocked forever — the wedge class fixed
-/// in PR 6. D8 rejects any `locks.release(`/`locks.release_all(` call
+/// resumed) or the waiters stay blocked forever — a liveness wedge
+/// (DESIGN §11). D8 rejects any `locks.release(`/`locks.release_all(` call
 /// outside the two annotated sweep entry points.
 pub const D8_SCOPE: &str = "crates/ddb/src/controller.rs";
 

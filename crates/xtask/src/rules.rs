@@ -45,7 +45,7 @@ pub enum Rule {
     /// No direct `locks.release(` / `locks.release_all(` in the DDB
     /// controller outside the grant-sweep entry points: a release whose
     /// newly granted waiters are not swept strands them forever (the
-    /// wedge class fixed in PR 6).
+    /// liveness wedge of DESIGN §11).
     D8,
     /// No direct event-queue pops (`queue.pop(` / `queue.peek(` /
     /// `queue.peek_key(`) outside the sanctioned engine files
