@@ -3,8 +3,9 @@
 //! The paper has no tables or figures; its §4 performance discussion and
 //! §6.7 optimisation are prose claims. Each `exp_*` binary in `src/bin/`
 //! reproduces one claim (or performs the evaluation the paper defers) and
-//! prints a markdown table; `EXPERIMENTS.md` records the output. Every
-//! binary asserts its own claim and exits non-zero when it fails. How
+//! prints a markdown table. Every binary asserts its own claim and exits
+//! non-zero when it fails. `tests/golden_tables.rs` diffs each table with
+//! its file under `tests/golden/`, which `EXPERIMENTS.md` quotes. How
 //! fast any of this runs is the business of `benchmark/`, not of this
 //! crate.
 //!
@@ -22,6 +23,7 @@
 //! | `exp_or_model` | E10: companion OR-model detector bounds and correctness |
 //! | `exp_ablations` | E11: computation-window and forward-policy ablations |
 //! | `exp_faults` | E12: faults break P1/P2/P4; the reliable transport restores them |
+//! | `exp_scale` | E13: 10⁴ → 10⁶ vertices, every closed cycle declared, same counts at any shard count |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

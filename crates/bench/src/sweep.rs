@@ -1,6 +1,7 @@
 //! The engine-selection environment switch of `exp_scale`,
-//! `exp_soundness`, `exp_baselines` and `exp_or_model` (and of the CI
-//! `multicore-determinism` job, which diffs their output across settings).
+//! `exp_soundness`, `exp_baselines` and `exp_or_model`
+//! (`tests/golden_tables.rs` runs each at `CMH_SHARDS=4` against the
+//! same golden file as at 1).
 
 /// The simulator shard count requested via `CMH_SHARDS` (unset, empty,
 /// `0` or unparsable mean 1). The one place the

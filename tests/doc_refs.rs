@@ -9,7 +9,11 @@
 //!   `examples/` or `.github/` in the three documents exists;
 //! * every `DESIGN §N` or `DESIGN.md §N` in the three documents and in the
 //!   Rust sources under `crates/`, `tests/`, `examples/` and `src/` names a
-//!   `## N.` heading of DESIGN.md.
+//!   `## N.` heading of DESIGN.md;
+//! * the table lines of each `# E<n>` section of EXPERIMENTS.md are one
+//!   contiguous block of the table lines of that experiment's golden file,
+//!   `crates/bench/tests/golden/eNN.txt`, which
+//!   `crates/bench/tests/golden_tables.rs` holds to the binary's stdout.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -18,6 +22,8 @@ use std::path::{Path, PathBuf};
 const DOCS: [&str; 3] = ["DESIGN.md", "README.md", "EXPERIMENTS.md"];
 const PATH_ROOTS: [&str; 4] = ["crates/", "tests/", "examples/", ".github/"];
 const SOURCE_DIRS: [&str; 4] = ["crates", "tests", "examples", "src"];
+/// E1 to this experiment have a golden file.
+const LAST_GOLDEN: u32 = 13;
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -93,6 +99,31 @@ fn design_refs(text: &str) -> Vec<(usize, u32)> {
         }
     }
     refs
+}
+
+/// The `|` lines of each `# E<n>` section of `text`, by `n`. A section
+/// runs to the next `# ` heading.
+fn e_sections(text: &str) -> Vec<(u32, Vec<&str>)> {
+    let mut sections: Vec<(u32, Vec<&str>)> = Vec::new();
+    let mut open = false;
+    for line in text.lines() {
+        if let Some(heading) = line.strip_prefix("# ") {
+            let digits: String = heading
+                .strip_prefix('E')
+                .unwrap_or("")
+                .chars()
+                .take_while(char::is_ascii_digit)
+                .collect();
+            open = false;
+            if let Ok(n) = digits.parse() {
+                sections.push((n, Vec::new()));
+                open = true;
+            }
+        } else if open && line.starts_with('|') {
+            sections.last_mut().expect("an open section").1.push(line);
+        }
+    }
+    sections
 }
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -171,6 +202,43 @@ fn design_section_references_resolve() {
 }
 
 #[test]
+fn experiments_quote_the_golden_tables() {
+    let experiments = read("EXPERIMENTS.md");
+    let sections = e_sections(&experiments);
+    let numbers: BTreeSet<u32> = sections.iter().map(|(n, _)| *n).collect();
+    assert!(
+        (1..=LAST_GOLDEN).all(|n| numbers.contains(&n)),
+        "EXPERIMENTS.md has a section for each of E1–E13, found {numbers:?}"
+    );
+    let mut wrong = Vec::new();
+    for (n, quoted) in sections {
+        if n > LAST_GOLDEN {
+            if !quoted.is_empty() {
+                wrong.push(format!("E{n} quotes a table but has no golden file"));
+            }
+            continue;
+        }
+        let file = format!("crates/bench/tests/golden/e{n:02}.txt");
+        let golden = read(&file);
+        let table: Vec<&str> = golden.lines().filter(|l| l.starts_with('|')).collect();
+        if quoted.is_empty() {
+            wrong.push(format!("E{n} quotes no table of `{file}`"));
+        } else if !table.windows(quoted.len()).any(|w| w == quoted) {
+            let stray = quoted.iter().find(|l| !table.contains(l));
+            wrong.push(match stray {
+                Some(line) => format!("E{n}: `{file}` has no line {line:?}"),
+                None => format!("E{n}: the quoted lines are not one block of `{file}`"),
+            });
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "EXPERIMENTS.md disagrees with the golden tables:\n{}",
+        wrong.join("\n")
+    );
+}
+
+#[test]
 fn scanners_read_the_forms_the_docs_use() {
     assert_eq!(
         span_paths("crates/service/src/{core,node}.rs"),
@@ -193,5 +261,9 @@ fn scanners_read_the_forms_the_docs_use() {
     assert_eq!(
         design_refs("DESIGN §12 and DESIGN.md §7\nDESIGN §\n(DESIGN.md §14)"),
         [(1, 12), (1, 7), (3, 14)]
+    );
+    assert_eq!(
+        e_sections("| s |\n# E2: two\n| a |\nx\n| b |\n## Part\n| c |\n# Notes\n| d |\n# E14\n"),
+        [(2, vec!["| a |", "| b |", "| c |"]), (14, vec![])]
     );
 }

@@ -151,10 +151,11 @@ fn ddb_runs_are_reproducible() {
     assert_eq!(ddb_digest(1), ddb_digest(1));
 }
 
-/// A batched (`lock_all`) workload under resolution: the protocol path
-/// PR 6 changed — per-site grant attribution, holder back-edge probes,
-/// stale-completion suppression — pinned so the next refactor of the
-/// grant sweep can't silently change what this workload observes.
+/// A batched (`lock_all`) workload under resolution: the path where a
+/// transaction waits on several sites at once — per-site grant
+/// attribution, holder back-edge probes, stale-completion suppression —
+/// pinned so the next refactor of the grant sweep can't silently change
+/// what this workload observes.
 fn ddb_batched_digest(shards: usize) -> u64 {
     let wl = workloads::DdbWorkloadConfig {
         sites: 3,
@@ -397,12 +398,12 @@ fn metrics_are_reproducible_across_runs() {
 /// Only a change that *intentionally* alters scheduling may re-record
 /// them (and must note the invalidation in the changelog).
 ///
-/// PR 6 (grant attribution, holder back-edge probes, re-initiation)
-/// left every pre-existing pin intact — the basic-model scenarios don't
-/// touch the DDB controller, and `ddb_digest`'s sequential scripts wait
-/// on one site at a time, where per-site attribution is the identity.
-/// The batched pin below covers the path PR 6 changed; it was recorded
-/// once, on the fixed protocol (see the changelog).
+/// Per-site grant attribution (a grant matched by sending site and
+/// resource, not by resource alone) is invisible to every pin but the
+/// batched one: the basic-model scenarios don't touch the DDB
+/// controller, and `ddb_digest`'s sequential scripts wait on one site at
+/// a time, where per-site attribution is the identity. The batched pin
+/// covers that path; it was recorded once, on the attributed protocol.
 #[test]
 fn digests_match_recorded_constants() {
     assert_eq!(basic_digest(42), 0x5399_b8da_2d09_5087);
@@ -414,11 +415,12 @@ fn digests_match_recorded_constants() {
     assert_eq!(metrics_digest(7), 0x852a_fe84_4bc3_2c00);
 }
 
-/// The sharded conservative-window engine (PR 7) must be observationally
-/// *identical* to the sequential engine, not merely self-consistent: the
-/// same pinned constants must come out at every shard count — the DDB
-/// pins included: the controller's restart and period jitter is drawn by
-/// the sequencer where the timer is armed, in event order at any `S`.
+/// The sharded conservative-window engine (DESIGN §12) must be
+/// observationally *identical* to the sequential engine, not merely
+/// self-consistent: the same pinned constants must come out at every
+/// shard count — the DDB pins included: the controller's restart and
+/// period jitter is drawn by the sequencer where the timer is armed, in
+/// event order at any `S`.
 #[test]
 fn sharded_engine_reproduces_pinned_digests() {
     for shards in [2, 3, 4] {

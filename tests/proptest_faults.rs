@@ -3,9 +3,9 @@
 //! crash/restart), the detector running over the reliable transport still
 //! satisfies QRP1 and QRP2 — it declares exactly the oracle's deadlocks.
 //!
-//! This is the end-to-end statement of PR 1: the reliable layer rebuilds
-//! the paper's communication axioms (P1/P2/P4) over a faulty wire well
-//! enough that the proofs of §4 go through unchanged.
+//! This is the end-to-end statement of why the reliable layer exists: it
+//! rebuilds the paper's communication axioms (P1/P2/P4) over a faulty
+//! wire well enough that the proofs of §4 go through unchanged.
 
 use cmh_core::{BasicConfig, BasicNet};
 use proptest::prelude::*;
