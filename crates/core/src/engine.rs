@@ -510,7 +510,6 @@ impl BasicNet {
 
     /// Arms a seeded protocol mutation on every vertex (model-checker
     /// harness only; see [`crate::process::BasicMutation`]).
-    #[cfg(feature = "mutations")]
     pub fn set_mutation(&mut self, m: crate::process::BasicMutation) {
         for i in 0..self.sim.node_count() {
             self.sim.with_node(NodeId(i), |p, _| p.set_mutation(m));

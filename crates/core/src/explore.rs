@@ -303,7 +303,6 @@ mod tests {
         assert_eq!(report.truncated, 0, "every schedule quiesces");
     }
 
-    #[cfg(feature = "mutations")]
     mod mutations {
         use super::*;
         use crate::process::BasicMutation;

@@ -298,10 +298,8 @@ pub struct BasicProcess {
     /// degree). Read by one `debug_assert!`, so it exists where that does.
     #[cfg(debug_assertions)]
     probe_edges_used: BTreeMap<NodeId, (u64, VecSet<NodeId>)>,
-    /// Armed seeded protocol mutation, if any. The field is always
-    /// present (so a `mutations`-feature build is behaviourally identical
-    /// with the feature off under cargo feature unification); only the
-    /// setter is feature-gated.
+    /// Armed seeded protocol mutation, if any; only the model checker
+    /// arms one (`None` everywhere else).
     mutation: Option<BasicMutation>,
 }
 
@@ -321,9 +319,8 @@ struct DelayedInit {
 /// bug class whose failure is *race-dependent*: the engine's native
 /// `(time, seq)` schedule passes every checker, while bounded
 /// exploration ([`simnet::explore::Explorer`]) finds the interleaving
-/// that trips it. Arming requires the test-only `mutations` cargo
-/// feature — release artifacts compile the hooks to `None` checks that
-/// the optimizer removes.
+/// that trips it. Only `xtask mck` and the explore tests arm one; every
+/// other run pays a `None` check per hook.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BasicMutation {
     /// Drop an incoming Reply (skipping rule DeleteWhite) whenever the
@@ -380,7 +377,6 @@ impl BasicProcess {
 
     /// Arms a seeded protocol mutation (model-checker harness only; see
     /// [`BasicMutation`]).
-    #[cfg(feature = "mutations")]
     pub fn set_mutation(&mut self, m: BasicMutation) {
         self.mutation = Some(m);
     }

@@ -266,10 +266,8 @@ pub struct Controller {
     declarations: Vec<DdbDeadlock>,
     declared_txns: BTreeSet<TransactionId>,
     wfgd: DdbWfgdState,
-    /// Armed seeded protocol mutation, if any. Always present (so a
-    /// `mutations`-feature build is behaviourally identical with the
-    /// feature off under cargo feature unification); only the setter is
-    /// feature-gated.
+    /// Armed seeded protocol mutation, if any; only the model checker
+    /// arms one (`None` everywhere else).
     mutation: Option<DdbMutation>,
 }
 
@@ -277,7 +275,7 @@ pub struct Controller {
 /// must-trip harness (DESIGN §13). Race-dependent by construction: the
 /// engine's native `(time, seq)` schedule passes every checker, while
 /// bounded exploration finds the interleaving that trips the bug.
-/// Arming requires the test-only `mutations` cargo feature.
+/// Only `xtask mck` and the explore tests arm one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DdbMutation {
     /// Match an incoming `Acquired` grant against the waiting `lock_all`
@@ -334,7 +332,6 @@ impl Controller {
 
     /// Arms a seeded protocol mutation (model-checker harness only; see
     /// [`DdbMutation`]).
-    #[cfg(feature = "mutations")]
     pub fn set_mutation(&mut self, m: DdbMutation) {
         self.mutation = Some(m);
     }

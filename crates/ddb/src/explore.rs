@@ -331,7 +331,6 @@ mod tests {
         assert_eq!(*seen.borrow(), [7, 40]);
     }
 
-    #[cfg(feature = "mutations")]
     mod mutations {
         use super::*;
         use crate::controller::DdbMutation;

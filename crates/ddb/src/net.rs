@@ -262,7 +262,6 @@ impl DdbNet {
     /// Arms a seeded protocol mutation on every controller
     /// (model-checker harness only; see
     /// [`crate::controller::DdbMutation`]).
-    #[cfg(feature = "mutations")]
     pub fn set_mutation(&mut self, m: crate::controller::DdbMutation) {
         for s in 0..self.n_sites {
             self.with_controller(SiteId(s), |c, _| c.set_mutation(m));

@@ -1,15 +1,18 @@
 //! # xtask — workspace automation for the CMH reproduction
 //!
-//! Two tasks:
+//! Two tasks, each without flags:
 //!
 //! * **cmh-lint** (`cargo run -p xtask -- lint`) — the static-analysis
 //!   pass described below;
-//! * **mck** (`cargo run -p xtask --features mck -- mck`) — the
-//!   schedule-space model-checking sweep (see the `mck` module, DESIGN §13):
-//!   bounded exhaustive interleaving exploration with DPOR over the
+//! * **mck** (`cargo run -p xtask -- mck`) — the schedule-space
+//!   model-checking sweep (see the `mck` module, DESIGN §13): bounded
+//!   exhaustive interleaving exploration with DPOR over the
 //!   deterministic simulator, plus the seeded-mutation must-trip
-//!   harness. Feature-gated so the lint-only build stays
-//!   dependency-free.
+//!   harness.
+//!
+//! `cargo test -p xtask` runs both: `tests/workspace_clean.rs` and
+//! `tests/fixtures.rs` hold the lint's contract, `tests/mck_golden.rs`
+//! the sweep's report.
 //!
 //! **cmh-lint** is a static-analysis pass that enforces the determinism
 //! and protocol-hygiene rules every correctness claim in this repo rests
@@ -47,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod lexer;
-#[cfg(feature = "mck")]
 pub mod mck;
 pub mod report;
 pub mod rules;
@@ -119,33 +121,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
                 scan_file(&rel, &source, &policy, &mut report);
             }
         }
-    }
-    Ok(report)
-}
-
-/// Lints a fixture corpus: every `.rs` file under `dir`, all line rules
-/// active, files named `lib.rs` treated as crate roots. Used by the
-/// bundled known-bad/known-allowed corpus and its tests.
-pub fn lint_fixtures(dir: &Path) -> io::Result<LintReport> {
-    let mut report = LintReport::default();
-    for path in rust_files(dir) {
-        let rel = path.strip_prefix(dir).unwrap_or(&path).to_path_buf();
-        let policy = FilePolicy {
-            line_rules: vec![
-                Rule::D1,
-                Rule::D2,
-                Rule::D3,
-                Rule::D4,
-                Rule::D5,
-                Rule::D7,
-                Rule::D8,
-                Rule::D9,
-            ],
-            crate_root: path.file_name().is_some_and(|n| n == "lib.rs"),
-            test_file: false,
-        };
-        let source = fs::read_to_string(&path)?;
-        scan_file(&rel, &source, &policy, &mut report);
     }
     Ok(report)
 }

@@ -1,18 +1,17 @@
 //! `cargo run -p xtask -- <task>` — workspace automation entry point.
 //!
-//! Tasks:
+//! Tasks (neither takes a flag):
 //!
-//! * `lint [--json] [--root <dir>]` — run the cmh-lint determinism &
-//!   protocol-hygiene pass over the workspace. Exit 0 when clean, 1 when
-//!   any finding, 2 on usage or I/O errors.
-//! * `lint --fixtures [--json]` — run the pass over the bundled
-//!   known-bad fixture corpus instead (expected to find violations;
-//!   exits 1 — used as a self-check that the pass still fires).
-//! * `mck [--json]` — run the schedule-space model-checking sweep
-//!   (requires building with `--features mck`): bounded exhaustive
-//!   DPOR + brute-force exploration of the canned workloads, plus the
-//!   seeded-mutation must-trip harness. Exit 0 when every case
+//! * `lint` — run the cmh-lint determinism & protocol-hygiene pass over
+//!   the workspace that contains the current directory. Exit 0 when
+//!   clean, 1 when any finding.
+//! * `mck` — run the schedule-space model-checking sweep: bounded
+//!   exhaustive DPOR + brute-force exploration of the canned workloads,
+//!   plus the seeded-mutation must-trip harness. Exit 0 when every case
 //!   verifies, 1 otherwise.
+//!
+//! Anything else prints the usage text and exits 2, as does an I/O
+//! error during the scan.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,99 +19,50 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xtask::{find_workspace_root, lint_fixtures, lint_workspace, report};
+use xtask::{find_workspace_root, lint_workspace, mck, report};
 
 fn usage() -> ExitCode {
-    eprintln!("usage: cargo run -p xtask -- lint [--json] [--fixtures] [--root <dir>]");
-    eprintln!("       cargo run -p xtask --features mck -- mck [--json]");
+    eprintln!("usage: cargo run -p xtask -- lint");
+    eprintln!("       cargo run -p xtask -- mck");
     ExitCode::from(2)
 }
 
-fn lint_main(args: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut fixtures = false;
-    let mut root: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--fixtures" => fixtures = true,
-            "--root" => match it.next() {
-                Some(dir) => root = Some(PathBuf::from(dir)),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-
-    let root = root
-        .or_else(|| {
-            let cwd = std::env::current_dir().ok()?;
-            find_workspace_root(&cwd)
-        })
-        .unwrap_or_else(|| PathBuf::from("."));
-
-    let result = if fixtures {
-        lint_fixtures(&root.join("crates").join("xtask").join("fixtures"))
+fn verdict(clean: bool) -> ExitCode {
+    if clean {
+        ExitCode::SUCCESS
     } else {
-        lint_workspace(&root)
-    };
-    let report_data = match result {
-        Ok(r) => r,
+        ExitCode::from(1)
+    }
+}
+
+fn lint_main() -> ExitCode {
+    let root = std::env::current_dir()
+        .ok()
+        .and_then(|cwd| find_workspace_root(&cwd))
+        .unwrap_or_else(|| PathBuf::from("."));
+    match lint_workspace(&root) {
+        Ok(r) => {
+            print!("{}", report::human(&r));
+            verdict(r.clean())
+        }
         Err(e) => {
             eprintln!("cmh-lint: scan failed: {e}");
-            return ExitCode::from(2);
+            ExitCode::from(2)
         }
-    };
-    if json {
-        println!("{}", report::json(&report_data));
-    } else {
-        print!("{}", report::human(&report_data));
-    }
-    if report_data.clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
     }
 }
 
-#[cfg(feature = "mck")]
-fn mck_main(args: &[String]) -> ExitCode {
-    let mut json = false;
-    for arg in args {
-        match arg.as_str() {
-            "--json" => json = true,
-            _ => return usage(),
-        }
-    }
-    let report = xtask::mck::run_sweep();
-    if json {
-        println!("{}", xtask::mck::json(&report));
-    } else {
-        print!("{}", xtask::mck::human(&report));
-    }
-    if report.clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
-}
-
-#[cfg(not(feature = "mck"))]
-fn mck_main(_args: &[String]) -> ExitCode {
-    eprintln!("mck: this binary was built without the model checker;");
-    eprintln!("     rebuild with: cargo run -p xtask --features mck -- mck");
-    ExitCode::from(2)
+fn mck_main() -> ExitCode {
+    let r = mck::run_sweep();
+    print!("{}", mck::human(&r));
+    verdict(r.clean())
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(task) = args.first() else {
-        return usage();
-    };
-    match task.as_str() {
-        "lint" => lint_main(&args[1..]),
-        "mck" => mck_main(&args[1..]),
+    match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        ["lint"] => lint_main(),
+        ["mck"] => mck_main(),
         _ => usage(),
     }
 }

@@ -1,5 +1,5 @@
-//! `cargo run -p xtask --features mck -- mck` — the schedule-space
-//! model-checking sweep (DESIGN §13).
+//! `cargo run -p xtask -- mck` — the schedule-space model-checking
+//! sweep (DESIGN §13).
 //!
 //! Two suites, both over the canned 3–4 process / 3-site workloads the
 //! protocol crates export from their `explore::configs` modules:
@@ -20,9 +20,9 @@
 //!   checker lost power, the latter that the mutation no longer needs a
 //!   model checker to find (and belongs in a plain regression test).
 //!
-//! The JSON report (`--json`) records per-case schedule counts,
-//! sleep-set hits, and the reduction ratio, and is uploaded as a CI
-//! artifact by the `model-check` job.
+//! The report prints per-case schedule counts, sleep-set hits and the
+//! reduction ratio, and no times: `tests/mck_golden.rs` pins it byte for
+//! byte.
 
 use std::fmt::Write as _;
 
@@ -33,8 +33,6 @@ use cmh_ddb::controller::DdbMutation;
 use cmh_ddb::explore::configs as ddb;
 use cmh_ddb::explore::DdbRunner;
 use simnet::explore::{run_naive, ExploreReport, Explorer};
-
-use crate::report::escape;
 
 /// Schedule cap for the brute-force pass: the ring workloads' unreduced
 /// spaces are factorial in the tick width, so the brute pass is a capped
@@ -212,60 +210,6 @@ pub fn run_sweep() -> MckReport {
     MckReport { base, mutations }
 }
 
-fn explore_json(r: &ExploreReport) -> String {
-    format!(
-        "{{\"schedules\":{},\"truncated\":{},\"sleep_set_hits\":{},\"events\":{},\"max_frontier\":{},\"capped\":{},\"violations\":{}}}",
-        r.schedules,
-        r.truncated,
-        r.sleep_set_hits,
-        r.events,
-        r.max_frontier,
-        r.capped,
-        r.violations.len()
-    )
-}
-
-/// Renders the sweep as a single JSON object (hand-rolled like the lint
-/// report — the offline workspace has no JSON crate).
-pub fn json(report: &MckReport) -> String {
-    let mut out = String::new();
-    out.push('{');
-    let _ = write!(out, "\"clean\":{},", report.clean());
-    out.push_str("\"base\":[");
-    for (i, c) in report.base.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":{},\"ok\":{},\"dpor\":{},\"brute\":{},\"reduction_ratio\":{:.6}}}",
-            escape(c.name),
-            c.ok(),
-            explore_json(&c.dpor),
-            explore_json(&c.brute),
-            c.reduction_ratio()
-        );
-    }
-    out.push_str("],\"mutations\":[");
-    for (i, m) in report.mutations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":{},\"workload\":{},\"ok\":{},\"naive_clean\":{},\"caught\":{},\"violation\":{}}}",
-            escape(m.name),
-            escape(m.workload),
-            m.ok(),
-            m.naive.is_ok(),
-            !m.explored.violations.is_empty(),
-            escape(m.violation().unwrap_or(""))
-        );
-    }
-    out.push_str("]}");
-    out
-}
-
 /// Renders the sweep for terminals.
 pub fn human(report: &MckReport) -> String {
     let mut out = String::new();
@@ -311,25 +255,4 @@ pub fn human(report: &MckReport) -> String {
         if report.clean() { "ok" } else { "FAILED" }
     );
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sweep_is_clean_and_json_well_formed() {
-        let report = run_sweep();
-        assert!(report.clean(), "{}", human(&report));
-        let j = json(&report);
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"clean\":true"));
-        assert!(j.contains("\"reduction_ratio\""));
-        // Every uncapped brute pass must dominate its DPOR pass.
-        for c in &report.base {
-            if !c.brute.capped {
-                assert!(c.dpor.schedules <= c.brute.schedules, "{}", c.name);
-            }
-        }
-    }
 }

@@ -1,8 +1,8 @@
-//! Human-readable and machine-readable (JSON) rendering of a lint report.
+//! Terminal rendering of a lint report.
 
 use std::fmt::Write as _;
 
-use crate::scan::{Exception, Finding, LintReport};
+use crate::scan::LintReport;
 
 /// Renders the report for terminals: findings first, then the exception
 /// audit trail, then a one-line verdict.
@@ -55,81 +55,11 @@ pub fn human(report: &LintReport) -> String {
     out
 }
 
-/// Renders the report as a single JSON object. Hand-rolled emitter — the
-/// offline workspace has no JSON crate; the shape is documented in
-/// DESIGN.md §10.
-pub fn json(report: &LintReport) -> String {
-    let mut out = String::new();
-    out.push('{');
-    let _ = write!(out, "\"files_scanned\":{},", report.files_scanned);
-    let _ = write!(out, "\"clean\":{},", report.clean());
-    out.push_str("\"findings\":[");
-    for (i, f) in report.findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&finding_json(f));
-    }
-    out.push_str("],\"exceptions\":[");
-    for (i, e) in report.exceptions.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&exception_json(e));
-    }
-    out.push_str("]}");
-    out
-}
-
-fn finding_json(f: &Finding) -> String {
-    format!(
-        "{{\"rule\":{},\"file\":{},\"line\":{},\"excerpt\":{}}}",
-        escape(f.rule.id()),
-        escape(&f.file.display().to_string()),
-        f.line,
-        escape(&f.excerpt)
-    )
-}
-
-fn exception_json(e: &Exception) -> String {
-    let rules: Vec<String> = e.rules.iter().map(|r| escape(r.id())).collect();
-    format!(
-        "{{\"file\":{},\"line\":{},\"rules\":[{}],\"scope\":{},\"reason\":{},\"used\":{}}}",
-        escape(&e.file.display().to_string()),
-        e.line,
-        rules.join(","),
-        escape(if e.file_scope { "file" } else { "line" }),
-        escape(&e.reason),
-        e.used
-    )
-}
-
-/// JSON string escaping (quotes, backslashes, control characters).
-/// Shared with the `mck` sweep's report emitter.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rules::Rule;
+    use crate::scan::{Exception, Finding};
     use std::path::PathBuf;
 
     fn sample() -> LintReport {
@@ -150,16 +80,6 @@ mod tests {
             }],
             files_scanned: 2,
         }
-    }
-
-    #[test]
-    fn json_is_well_formed_and_escaped() {
-        let j = json(&sample());
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"files_scanned\":2"));
-        assert!(j.contains("\\\"")); // escaped quote from the excerpt
-        assert!(j.contains("\"rules\":[\"D2\",\"D4\"]"));
-        assert!(j.contains("\"clean\":false"));
     }
 
     #[test]

@@ -4,18 +4,42 @@
 //! positive or a silently dead rule both fail here.
 
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::fs;
+use std::path::Path;
 
-use xtask::lint_fixtures;
 use xtask::rules::Rule;
+use xtask::scan::{rust_files, scan_file, FilePolicy, LintReport};
 
-fn corpus() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures")
+/// Lints the corpus: every `.rs` file under `fixtures/`, every line
+/// rule active, files named `lib.rs` treated as crate roots.
+fn lint_corpus() -> LintReport {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
+    let mut report = LintReport::default();
+    for path in rust_files(&dir) {
+        let rel = path.strip_prefix(&dir).unwrap_or(&path);
+        let policy = FilePolicy {
+            line_rules: vec![
+                Rule::D1,
+                Rule::D2,
+                Rule::D3,
+                Rule::D4,
+                Rule::D5,
+                Rule::D7,
+                Rule::D8,
+                Rule::D9,
+            ],
+            crate_root: path.file_name().is_some_and(|n| n == "lib.rs"),
+            test_file: false,
+        };
+        let source = fs::read_to_string(&path).expect("read fixture");
+        scan_file(rel, &source, &policy, &mut report);
+    }
+    report
 }
 
 #[test]
 fn fixture_corpus_produces_exactly_the_expected_findings() {
-    let report = lint_fixtures(&corpus()).expect("fixture scan");
+    let report = lint_corpus();
     let got: BTreeSet<(String, String, usize)> = report
         .findings
         .iter()
@@ -55,7 +79,7 @@ fn fixture_corpus_produces_exactly_the_expected_findings() {
 
 #[test]
 fn fixture_allow_markers_are_all_reported_and_used() {
-    let report = lint_fixtures(&corpus()).expect("fixture scan");
+    let report = lint_corpus();
     let got: Vec<(String, usize, Vec<Rule>, bool, bool)> = report
         .exceptions
         .iter()
@@ -88,35 +112,4 @@ fn fixture_allow_markers_are_all_reported_and_used() {
             "allowed fixture produced finding: {f:?}"
         );
     }
-}
-
-#[test]
-fn fixture_json_report_is_machine_readable() {
-    let report = lint_fixtures(&corpus()).expect("fixture scan");
-    let json = xtask::report::json(&report);
-    assert!(json.contains("\"clean\":false"));
-    assert!(json.contains("\"rule\":\"D1\""));
-    assert!(json.contains("\"scope\":\"file\""));
-    // Balanced braces outside string values as a structural check.
-    let (mut depth, mut in_str, mut escaped) = (0i32, false, false);
-    for c in json.chars() {
-        if in_str {
-            match (escaped, c) {
-                (true, _) => escaped = false,
-                (false, '\\') => escaped = true,
-                (false, '"') => in_str = false,
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' => depth += 1,
-            '}' => depth -= 1,
-            _ => {}
-        }
-        assert!(depth >= 0, "unbalanced closing brace");
-    }
-    assert_eq!(depth, 0, "unbalanced braces");
-    assert!(!in_str, "unterminated string");
 }

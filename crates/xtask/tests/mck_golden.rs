@@ -3,12 +3,11 @@
 //! `xtask mck` prints every case's schedule counts and every caught
 //! mutation's violation message, and no times, so its whole stdout is
 //! pinned in `crates/xtask/golden/mck.txt`: a moved schedule count or a
-//! reworded violation fails here. Run with
-//! `cargo test --release -p xtask --features mck --test mck_golden`. A
-//! report that changes on purpose regenerates the file by redirecting
-//! `cargo run --release -q -p xtask --features mck -- mck`.
-
-#![cfg(feature = "mck")]
+//! reworded violation fails here, and so does a case that stops
+//! verifying (its line reads `FAIL`). Run with
+//! `cargo test --release -p xtask --test mck_golden`. A report that
+//! changes on purpose regenerates the file by redirecting
+//! `cargo run --release -q -p xtask -- mck`.
 
 use std::path::Path;
 use std::process::Command;

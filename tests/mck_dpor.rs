@@ -48,8 +48,9 @@ fn dpor_count_matches_hand_analysis() {
 
     // Identical verdict sets: both modes see every behaviour class, so a
     // violation found by one must be found by the other. Here both are
-    // clean; the mutation harness (crates/core explore tests, `mutations`
-    // feature) covers the violating side.
+    // clean; the mutation harness (the `mutations` tests of cmh-core's
+    // and cmh-ddb's explore modules, and `xtask mck`) covers the
+    // violating side.
     assert_eq!(
         dpor.violations.is_empty(),
         brute.violations.is_empty(),

@@ -4,29 +4,33 @@
 //!
 //! * **reliability**: every sent message is delivered exactly once;
 //! * **FIFO**: per ordered channel, delivery order equals send order;
-//! * **finite delay** (P4): every delivery happens at or after its send.
-
-use std::collections::BTreeMap;
+//! * **finite delay** (P4): every delivery happens after its send;
+//! * **accounting** on a faulty wire: per channel,
+//!   `#Send + #Duplicate = #Deliver + #Drop`.
+//!
+//! Every check is `simnet::explore::check_trace`, the one the model
+//! checker applies to each schedule; the tests here add whole-run
+//! workloads and assert that each workload exercised what it claims to.
 
 use cmh_core::{BasicConfig, BasicNet};
+use simnet::explore::check_trace;
 use simnet::faults::FaultPlan;
 use simnet::reliable::ReliableConfig;
-use simnet::sim::{NodeId, SimBuilder};
-use simnet::time::SimTime;
+use simnet::sim::SimBuilder;
 use simnet::trace::TraceEvent;
 use workloads::{drive_schedule, random_churn, ChurnConfig};
 
-/// Runs a traced churn workload and returns its trace events.
-fn traced_run(seed: u64) -> Vec<TraceEvent> {
+/// Runs a traced churn workload of `n` processes for `duration` ticks
+/// and returns its trace events.
+fn run(n: usize, duration: u64, builder: SimBuilder, seed: u64) -> Vec<TraceEvent> {
     let sched = random_churn(&ChurnConfig {
-        n: 10,
-        duration: 3_000,
+        n,
+        duration,
         mean_gap: 25,
         cycle_prob: 0.05,
         cycle_len: 3,
         seed,
     });
-    let builder = SimBuilder::new().seed(seed).trace(true);
     let mut net = BasicNet::with_builder(sched.n, BasicConfig::on_block(15), builder);
     drive_schedule(
         &mut net,
@@ -40,92 +44,14 @@ fn traced_run(seed: u64) -> Vec<TraceEvent> {
     net.trace().events().to_vec()
 }
 
-#[test]
-fn every_send_is_delivered_exactly_once_in_fifo_order() {
-    for seed in [1u64, 2, 3] {
-        let events = traced_run(seed);
-        // Per channel, the sequences of summaries for sends and deliveries.
-        let mut sends: BTreeMap<(NodeId, NodeId), Vec<String>> = BTreeMap::new();
-        let mut delivers: BTreeMap<(NodeId, NodeId), Vec<String>> = BTreeMap::new();
-        for e in &events {
-            match e {
-                TraceEvent::Send {
-                    from, to, summary, ..
-                } => {
-                    sends.entry((*from, *to)).or_default().push(summary.clone());
-                }
-                TraceEvent::Deliver {
-                    from, to, summary, ..
-                } => {
-                    delivers
-                        .entry((*from, *to))
-                        .or_default()
-                        .push(summary.clone());
-                }
-                _ => {}
-            }
-        }
-        assert_eq!(
-            sends.keys().collect::<Vec<_>>(),
-            delivers.keys().collect::<Vec<_>>(),
-            "seed {seed}: channel sets differ"
-        );
-        for (chan, sent) in &sends {
-            let got = &delivers[chan];
-            assert_eq!(
-                sent, got,
-                "seed {seed}: FIFO/reliability violated on {chan:?}"
-            );
-        }
-    }
+/// A clean, ordered wire.
+fn traced_run(seed: u64) -> Vec<TraceEvent> {
+    run(10, 3_000, SimBuilder::new().seed(seed).trace(true), seed)
 }
 
-#[test]
-fn deliveries_never_precede_their_send() {
-    for seed in [4u64, 5] {
-        let events = traced_run(seed);
-        // Track, per channel, the queue of pending send times.
-        let mut pending: BTreeMap<(NodeId, NodeId), Vec<SimTime>> = BTreeMap::new();
-        for e in &events {
-            match e {
-                TraceEvent::Send {
-                    at,
-                    from,
-                    to,
-                    deliver_at,
-                    ..
-                } => {
-                    assert!(deliver_at > at, "seed {seed}: zero-latency delivery");
-                    pending.entry((*from, *to)).or_default().push(*at);
-                }
-                TraceEvent::Deliver { at, from, to, .. } => {
-                    let q = pending.get_mut(&(*from, *to)).expect("send before deliver");
-                    let sent_at = q.remove(0);
-                    assert!(*at > sent_at, "seed {seed}: delivered at/before send");
-                }
-                _ => {}
-            }
-        }
-        // Reliability again, by counts this time.
-        assert!(
-            pending.values().all(Vec::is_empty),
-            "seed {seed}: lost messages"
-        );
-    }
-}
-
-/// Like [`traced_run`], but over a faulty network: loss + duplication +
-/// reordering from a seeded [`FaultPlan`], optionally with the reliable
-/// transport layered on top.
+/// Loss + duplication + reordering from a seeded [`FaultPlan`],
+/// optionally with the reliable transport layered on top.
 fn faulty_traced_run(seed: u64, reliable: bool) -> Vec<TraceEvent> {
-    let sched = random_churn(&ChurnConfig {
-        n: 8,
-        duration: 2_000,
-        mean_gap: 25,
-        cycle_prob: 0.05,
-        cycle_len: 3,
-        seed,
-    });
     let plan = FaultPlan::new()
         .loss(0.10)
         .duplicate(0.05)
@@ -134,95 +60,62 @@ fn faulty_traced_run(seed: u64, reliable: bool) -> Vec<TraceEvent> {
     if reliable {
         builder = builder.reliable(ReliableConfig::default());
     }
-    let mut net = BasicNet::with_builder(sched.n, BasicConfig::on_block(15), builder);
-    drive_schedule(
-        &mut net,
-        &sched,
-        |x, at| {
-            x.run_until(at);
-        },
-        |x, f, t| x.request(f, t).is_ok(),
-    );
-    net.run_to_quiescence(20_000_000);
-    net.trace().events().to_vec()
+    run(8, 2_000, builder, seed)
+}
+
+#[test]
+fn every_send_is_delivered_exactly_once_in_fifo_order() {
+    for seed in [1u64, 2, 3] {
+        check_trace(&traced_run(seed), true, true).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    }
+}
+
+#[test]
+fn deliveries_never_precede_their_send() {
+    for seed in [4u64, 5] {
+        check_trace(&traced_run(seed), true, true).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    }
 }
 
 /// Raw faulty channels: every send is accounted for — it is either dropped
 /// or delivered, and each injected duplicate adds exactly one delivery.
-/// Per channel: `#Send + #Duplicate = #Deliver + #Drop`.
+/// The same run breaks the clean exactly-once FIFO contract, so the
+/// checker must reject it under that contract.
 #[test]
 fn faulty_sends_are_all_accounted_for() {
     for seed in [21u64, 22, 23] {
         let events = faulty_traced_run(seed, false);
-        let mut sends: BTreeMap<(NodeId, NodeId), i64> = BTreeMap::new();
-        let (mut n_drop, mut n_dup) = (0u64, 0u64);
-        for e in &events {
-            match e {
-                TraceEvent::Send { from, to, .. } => *sends.entry((*from, *to)).or_default() += 1,
-                TraceEvent::Duplicate { from, to, .. } => {
-                    n_dup += 1;
-                    *sends.entry((*from, *to)).or_default() += 1;
-                }
-                TraceEvent::Deliver { from, to, .. } => {
-                    *sends.entry((*from, *to)).or_default() -= 1;
-                }
-                TraceEvent::Drop { from, to, .. } => {
-                    n_drop += 1;
-                    *sends.entry((*from, *to)).or_default() -= 1;
-                }
-                _ => {}
-            }
-        }
-        assert!(n_drop > 0, "seed {seed}: fault plan injected no losses");
-        assert!(n_dup > 0, "seed {seed}: fault plan injected no duplicates");
-        for (chan, balance) in &sends {
-            assert_eq!(*balance, 0, "seed {seed}: unaccounted message on {chan:?}");
-        }
+        let saw = |f: fn(&TraceEvent) -> bool| events.iter().any(f);
+        assert!(
+            saw(|e| matches!(e, TraceEvent::Drop { .. })),
+            "seed {seed}: fault plan injected no losses"
+        );
+        assert!(
+            saw(|e| matches!(e, TraceEvent::Duplicate { .. })),
+            "seed {seed}: fault plan injected no duplicates"
+        );
+        check_trace(&events, false, true).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        assert!(
+            check_trace(&events, true, true).is_err(),
+            "seed {seed}: a lossy wire passed the exactly-once FIFO check"
+        );
     }
 }
 
 /// The reliable layer over those same faulty channels restores the clean
-/// contract at the application level: per channel, the delivered summaries
-/// are exactly the sent summaries, in order — despite wire drops,
-/// duplicates and retransmissions visible elsewhere in the trace.
+/// contract at the application level, despite wire drops, duplicates and
+/// retransmissions visible elsewhere in the trace.
 #[test]
 fn reliable_layer_restores_exactly_once_fifo_in_traces() {
     for seed in [21u64, 22] {
         let events = faulty_traced_run(seed, true);
-        let mut sends: BTreeMap<(NodeId, NodeId), Vec<String>> = BTreeMap::new();
-        let mut delivers: BTreeMap<(NodeId, NodeId), Vec<String>> = BTreeMap::new();
-        let mut saw_retx = false;
-        for e in &events {
-            match e {
-                TraceEvent::Send {
-                    from, to, summary, ..
-                } => {
-                    sends.entry((*from, *to)).or_default().push(summary.clone());
-                }
-                TraceEvent::Deliver {
-                    from, to, summary, ..
-                } => {
-                    delivers
-                        .entry((*from, *to))
-                        .or_default()
-                        .push(summary.clone());
-                }
-                TraceEvent::Retransmit { .. } => saw_retx = true,
-                _ => {}
-            }
-        }
         assert!(
-            saw_retx,
+            events
+                .iter()
+                .any(|e| matches!(e, TraceEvent::Retransmit { .. })),
             "seed {seed}: no retransmissions — faults inactive?"
         );
-        for (chan, sent) in &sends {
-            let got = delivers.get(chan).map(Vec::as_slice).unwrap_or(&[]);
-            assert_eq!(
-                sent.as_slice(),
-                got,
-                "seed {seed}: exactly-once FIFO violated on {chan:?}"
-            );
-        }
+        check_trace(&events, true, true).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }
 
@@ -230,11 +123,7 @@ fn reliable_layer_restores_exactly_once_fifo_in_traces() {
 fn trace_timestamps_are_monotone() {
     let events = traced_run(6);
     assert!(!events.is_empty());
-    let mut last = SimTime::ZERO;
-    for e in &events {
-        assert!(e.at() >= last, "trace went backwards at {e}");
-        last = e.at();
-    }
+    check_trace(&events, true, true).unwrap();
 }
 
 #[test]
